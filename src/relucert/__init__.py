@@ -16,13 +16,13 @@ from .hull import (HullCut, HullInstance, Separation, classify_phase,
                    enumerate_cut_pairs, make_hull_instance,
                    minimize_upper_envelope_median, minimize_upper_envelope_sort,
                    separate_median, separate_sort)
-from .propagation import (AffineBoundPair, AffineFunc, BoundsResult, LinearExpr,
-                          ScalarBounds, backward_pass, box_maximize,
+from .propagation import (METHODS, AffineBoundPair, AffineFunc, Bounds, LinearExpr,
+                          NeuronHull, ScalarBounds, backward_pass, box_maximize,
                           compute_all_bounds, forward_pass, initial_pair,
-                          interval_bounds, tightened_bound)
+                          tightened_bound)
 from .simplex import LpModel, LpSolution, LpStatus, solve_lp
 from .relaxation import (CutPool, build_delta_lp, exact_max_oracle,
-                         lifted_envelope_value, lp_all_bounds, optc2v_bound)
+                         lifted_envelope_value, optc2v_bound)
 from .verifier import (RobustnessInstance, VerificationReport, attack_upper_bound,
                        batch_verify, build_input_box, generate_instances,
                        load_instances, margin_objective, save_instances, verify)

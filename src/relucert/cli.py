@@ -9,7 +9,8 @@ import sys
 from . import verifier
 from .network import (NetworkParseError, generate_random_network, load_network,
                       save_network)
-from .relaxation import DEFAULT_CUT_ROUNDS, build_delta_lp, lp_all_bounds
+from .propagation import DEFAULT_CUT_ROUNDS
+from .relaxation import build_delta_lp
 from .simplex import write_lp_format
 from .verifier import (METHODS, RobustnessInstance, batch_verify,
                        format_report_line, generate_instances, load_instances,
@@ -17,8 +18,7 @@ from .verifier import (METHODS, RobustnessInstance, batch_verify,
 
 
 def _verify_cmd(args):
-    tol = 1e-5 if args.method in ("lp", "optc2v") else None
-    net = load_network(args.network, weight_zero_tol=tol)
+    net = load_network(args.network)
     instances = load_instances(args.instances, strict=False)
     if args.epsilon is not None:
         instances = [RobustnessInstance(i.x_hat, args.epsilon, i.label)
@@ -48,12 +48,12 @@ def _dump_margin_lps(net, instances, args):
         if not isinstance(inst, RobustnessInstance):
             continue
         box = verifier.build_input_box(inst)
-        rounds = args.cut_rounds if args.method == "optc2v" else 0
-        state = lp_all_bounds(net, box, rounds=rounds)
+        state = verifier.compute_all_bounds(net, box, args.method,
+                                            cut_rounds=args.cut_rounds)
         for k in range(net.n_outputs):
             if k == inst.label:
                 continue
-            dl = build_delta_lp(net, box, state.pre, margin_objective(net, k, inst.label))
+            dl = build_delta_lp(state, margin_objective(net, k, inst.label))
             write_lp_format(dl.model, os.path.join(args.dump_lp, f"inst{i}_class{k}.lp"))
 
 

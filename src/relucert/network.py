@@ -10,6 +10,7 @@ and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,13 +253,15 @@ def save_network(net: Network, path):
             fh.write(" ".join(parts) + "\n")
 
 
-def load_network(path, weight_zero_tol=None) -> Network:
-    """Parse and validate a network file.
+def _finite(text) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite value {text!r}")
+    return v
 
-    ``weight_zero_tol``, when given, drops weights with magnitude below the
-    tolerance at load time; enable it for the LP-based pipelines, which are
-    sensitive to tiny coefficients.
-    """
+
+def load_network(path) -> Network:
+    """Parse and validate a network file; ``nan`` and ``inf`` are rejected."""
     neurons = []
     m = None
     outputs = None
@@ -286,7 +289,7 @@ def load_network(path, weight_zero_tol=None) -> Network:
         try:
             idx = int(fields[0])
             kind = fields[1]
-            bias = float(fields[2])
+            bias = _finite(fields[2])
         except ValueError:
             raise NetworkParseError(path, line_no, f"bad index/kind/bias in {line!r}") from None
         weights = []
@@ -300,11 +303,9 @@ def load_network(path, weight_zero_tol=None) -> Network:
                     raise NetworkParseError(path, line_no, f"bad weight term {term!r}")
                 try:
                     j_s, v_s = term[1:-1].split(",")
-                    j, v = int(j_s), float(v_s)
+                    j, v = int(j_s), _finite(v_s)
                 except ValueError:
                     raise NetworkParseError(path, line_no, f"bad weight term {term!r}") from None
-                if weight_zero_tol is not None and abs(v) < weight_zero_tol:
-                    continue
                 weights.append((j, v))
         neurons.append(Neuron(idx, kind, tuple(weights), bias))
     if m is None:

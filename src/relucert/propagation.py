@@ -10,6 +10,11 @@ the recorded substitution choices to recover a full optimal point of the
 relaxation, which the iterative scheme feeds to the single-neuron hull
 separation routine to swap in violated upper inequalities.
 
+The forward sweep of every method lives here too: :func:`compute_all_bounds`
+fixes each neuron's bounds in topological order, asking either this module's
+tightened backward pass or the LP cut loop of :mod:`relucert.relaxation` to
+bound each row, and returns one :class:`Bounds`.
+
 Everything here indexes neurons by 0-based position; objectives live over
 the state space (inputs + ReLU neurons, outputs elided into coefficients).
 """
@@ -26,8 +31,13 @@ from .network import BoxDomain, Network
 INTERVAL = "interval"
 FASTLIN = "fastlin"
 DEEPPOLY = "deeppoly"
+FASTC2V = "fastc2v"
+LP = "lp"
+OPTC2V = "optc2v"
 
-PROPAGATION_METHODS = (INTERVAL, FASTLIN, DEEPPOLY)
+METHODS = (INTERVAL, FASTLIN, DEEPPOLY, FASTC2V, LP, OPTC2V)
+
+DEFAULT_CUT_ROUNDS = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,6 +115,13 @@ class NeuronHull:
     pos: int
     inputs: np.ndarray
     inst: hull.HullInstance
+
+    @classmethod
+    def build(cls, net: Network, pos: int, post_lo, post_hi) -> "NeuronHull":
+        """Hull instance of neuron ``pos`` over its inputs' post boxes."""
+        idx, w, b = net.row(pos)
+        inst = hull.make_hull_instance(w, b, post_lo[idx], post_hi[idx])
+        return cls(pos=pos, inputs=idx, inst=inst)
 
     def cut_as_pair_upper(self, cut: hull.HullCut) -> AffineFunc:
         nz = np.flatnonzero(cut.coeffs)
@@ -186,15 +203,11 @@ def initial_pair(method, sb: ScalarBounds, idx, w, b) -> AffineBoundPair:
     mixed neuron gets the chord of the ReLU over ``[pre_lower, pre_upper]``
     as its upper function; the lower function is the scaled row for
     ``fastlin``, and for ``deeppoly`` whichever of 0 and the row gives the
-    smaller relaxation area.  The ``interval`` method uses the constant
-    post-activation range instead, which makes the backward pass reproduce
-    plain interval arithmetic.
+    smaller relaxation area.
     """
+    if method not in (FASTLIN, DEEPPOLY):
+        raise ValueError(f"no bounding-function menu for method {method!r}")
     lo, hi = sb.pre_lower, sb.pre_upper
-    if method == INTERVAL:
-        return AffineBoundPair(lower=_const_func(max(0.0, lo)), upper=_const_func(max(0.0, hi)))
-    if method not in PROPAGATION_METHODS:
-        raise ValueError(f"unknown bounding method {method!r}")
     if lo >= 0.0:
         row = _row_func(idx, w, b)
         return AffineBoundPair(lower=row, upper=row)
@@ -210,28 +223,6 @@ def initial_pair(method, sb: ScalarBounds, idx, w, b) -> AffineBoundPair:
     return AffineBoundPair(lower=lower, upper=upper)
 
 
-def interval_bounds(net: Network, box: BoxDomain) -> list[ScalarBounds]:
-    """Plain interval arithmetic; one pre-activation interval per neuron.
-
-    Input positions report the box itself, outputs their affine range.
-    """
-    if len(box) != net.input_dim:
-        raise ValueError("box dimension does not match network input")
-    m = net.input_dim
-    post_lo = np.empty(net.n_state)
-    post_hi = np.empty(net.n_state)
-    post_lo[:m], post_hi[:m] = box.lower, box.upper
-    sb = [ScalarBounds(float(box.lower[i]), float(box.upper[i])) for i in range(m)]
-    for pos in range(m, net.n_neurons):
-        idx, w, b = net.row(pos)
-        lo, hi = _interval_step(idx, w, b, post_lo, post_hi)
-        sb.append(ScalarBounds(lo, hi))
-        if pos < net.n_state:
-            post_lo[pos] = max(0.0, lo)
-            post_hi[pos] = max(0.0, hi)
-    return sb
-
-
 def _interval_step(idx, w, b, post_lo, post_hi):
     if idx.size == 0:
         return b, b
@@ -240,40 +231,6 @@ def _interval_step(idx, w, b, post_lo, post_hi):
     lo = float(wp @ post_lo[idx] + wn @ post_hi[idx]) + b
     hi = float(wp @ post_hi[idx] + wn @ post_lo[idx]) + b
     return lo, hi
-
-
-def post_activation_bounds(net: Network, sb: list[ScalarBounds]) -> tuple[np.ndarray, np.ndarray]:
-    """Post-activation box implied by per-neuron pre-activation bounds.
-
-    ``sb`` may cover only a prefix of the state neurons (mid-sweep use); the
-    returned arrays match its coverage.
-    """
-    known = min(len(sb), net.n_state)
-    post_lo = np.empty(known)
-    post_hi = np.empty(known)
-    m = net.input_dim
-    for pos in range(known):
-        lo, hi = sb[pos].pre_lower, sb[pos].pre_upper
-        if pos < m:
-            post_lo[pos], post_hi[pos] = lo, hi
-        else:
-            post_lo[pos], post_hi[pos] = max(0.0, lo), max(0.0, hi)
-    return post_lo, post_hi
-
-
-def build_neuron_hulls(net: Network, sb: list[ScalarBounds],
-                       post_lo=None, post_hi=None, upto=None) -> dict[int, NeuronHull]:
-    """Hull instances for every mixed ReLU neuron below position ``upto``."""
-    if post_lo is None or post_hi is None:
-        post_lo, post_hi = post_activation_bounds(net, sb)
-    stop = min(upto if upto is not None else net.n_state, net.n_state, post_lo.shape[0])
-    hulls = {}
-    for pos in range(net.input_dim, stop):
-        if sb[pos].is_mixed():
-            idx, w, b = net.row(pos)
-            inst = hull.make_hull_instance(w, b, post_lo[idx], post_hi[idx])
-            hulls[pos] = NeuronHull(pos=pos, inputs=idx, inst=inst)
-    return hulls
 
 
 def tightened_bound(box: BoxDomain, pairs: dict[int, AffineBoundPair],
@@ -320,22 +277,28 @@ def tightened_bound(box: BoxDomain, pairs: dict[int, AffineBoundPair],
 
 
 @dataclass(eq=False)
-class BoundsResult:
-    """All scalar bounds of one propagation run plus its reusable state."""
+class Bounds:
+    """Every neuron's bounds from one sweep, and what bounds new objectives.
+
+    ``pre`` has one pre-activation interval per neuron (inputs report the
+    box, outputs their row's range); ``post_lower``/``post_upper`` are the
+    post-activation boxes of the inputs and ReLU neurons.  Propagation
+    methods keep their initial bounding pairs, the tightening methods
+    (``fastc2v``, ``optc2v``) the hull instances of their mixed neurons, and
+    ``fastc2v`` the ``deeppoly`` run it never reports worse than.
+    """
 
     method: str
-    iterations: int
     pre: list[ScalarBounds]
     post_lower: np.ndarray
     post_upper: np.ndarray
-    pairs: dict[int, AffineBoundPair] = field(repr=False)
-    hulls: dict[int, NeuronHull] = field(repr=False)
     net: Network = field(repr=False)
     box: BoxDomain = field(repr=False)
-    baseline: "BoundsResult | None" = field(default=None, repr=False)
-
-    def output_bounds(self) -> list[ScalarBounds]:
-        return self.pre[self.net.n_state:]
+    iterations: int = 0
+    cut_rounds: int = 0
+    pairs: dict[int, AffineBoundPair] = field(default_factory=dict, repr=False)
+    hulls: dict[int, NeuronHull] = field(default_factory=dict, repr=False)
+    baseline: "Bounds | None" = field(default=None, repr=False)
 
     def interval_objective_bound(self, objective: LinearExpr) -> float:
         """Interval-arithmetic bound of an objective over the post boxes."""
@@ -343,74 +306,88 @@ class BoundsResult:
         return float(np.maximum(c, 0.0) @ self.post_upper[:c.shape[0]]
                      + np.minimum(c, 0.0) @ self.post_lower[:c.shape[0]]) + objective.constant
 
-    def bound_objective(self, objective: LinearExpr, iterations=None) -> float:
-        """Bound a fresh state-space objective with this run's pairs/hulls.
+    def relaxed_bound(self, objective: LinearExpr) -> float:
+        """Bound from the method's relaxation of the neurons below the
+        objective: the backward pass with hull swaps, or the LP with cuts."""
+        if self.method in (LP, OPTC2V):
+            from . import relaxation  # the LP bounder builds on this module
+            return relaxation.optc2v_bound(self, objective, self.cut_rounds)
+        return tightened_bound(self.box, self.pairs, objective, self.iterations, self.hulls)
 
-        Takes the best of the propagated bound and the trivial interval
-        bound, mirroring the per-neuron rule of the sweep.
+    def bound_objective(self, objective: LinearExpr) -> float:
+        """Bound a state-space objective over every neuron of the network.
+
+        Takes the best of the relaxation's bound and the interval bound,
+        mirroring the per-neuron rule of the sweep.
         """
-        t = self.iterations if iterations is None else iterations
-        b = tightened_bound(self.box, self.pairs, objective, t, self.hulls)
-        b = min(b, self.interval_objective_bound(objective))
+        b = self.interval_objective_bound(objective)
+        if self.method != INTERVAL:
+            b = min(b, self.relaxed_bound(objective))
         if self.baseline is not None:
             b = min(b, self.baseline.bound_objective(objective))
         return b
 
 
-def compute_all_bounds(net: Network, box: BoxDomain, method=DEEPPOLY,
-                       iterations=1) -> BoundsResult:
-    """Forward sweep computing pre-activation bounds for every neuron.
+def compute_all_bounds(net: Network, box: BoxDomain, method: str, iterations=1,
+                       cut_rounds=DEFAULT_CUT_ROUNDS) -> Bounds:
+    """Forward sweep bounding every neuron's pre-activation, in neuron order.
 
-    For each non-input neuron the pre-activation row is bounded from above
-    and below with :func:`tightened_bound` (so separation cuts refine the
-    bounds when ``iterations > 0``), and the result is intersected with the
-    plain interval-arithmetic bound.  The neuron's bounding pair and, when
-    it is mixed, its hull instance are then built for use by all later
-    neurons; each bound computation works on its own copy of the pairs, so
-    the stored bounding functions stay the initial-method ones.  Output
-    neurons contribute no state; their rows are bounded the same way (the
-    final affine layer is treated as an objective, never relaxed).
+    Each row is bounded by interval arithmetic over the post boxes fixed so
+    far.  Every row of the ``interval`` method, and the LP methods' rows over
+    inputs only, stop there; the others are also bounded from both sides by
+    :meth:`Bounds.relaxed_bound` and the two results intersected.  Fixing a
+    ReLU neuron adds its initial bounding pair (propagation methods) and,
+    when it is mixed and the method tightens, its hull instance, for use by
+    all later rows.  Each bound works on its own copy of the pairs, so the
+    stored pairs stay the initial ones.  Output rows are bounded the same
+    way and add no state (the final affine layer is never relaxed).
 
-    A tightened sweep (``iterations > 0``) also runs the plain
-    ``iterations=0`` sweep and takes the elementwise best of the two chains.
-    Tighter intermediate bounds do not always give a tighter final menu
-    bound (the area rule for the lower function is not monotone in them), so
-    without this the tightened method could occasionally report a weaker
-    bound than its own baseline.
+    ``fastc2v`` is ``deeppoly`` with ``max(1, iterations)`` rounds of
+    separate-and-swap per bound; ``optc2v`` is ``lp`` with ``cut_rounds``
+    rounds of hull cuts per LP.  ``fastc2v`` also runs the plain
+    ``deeppoly`` sweep and takes the elementwise best of the two chains:
+    tighter intermediate bounds do not always give a tighter final menu
+    bound (the area rule for the lower function is not monotone in them),
+    so without this it could occasionally report a weaker bound than
+    ``deeppoly``.
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     m = net.input_dim
     if len(box) != m:
         raise ValueError("box dimension does not match network input")
-    baseline = compute_all_bounds(net, box, method, 0) if iterations > 0 else None
-    pre: list[ScalarBounds] = [ScalarBounds(float(box.lower[i]), float(box.upper[i]))
-                               for i in range(m)]
-    post_lo = np.empty(net.n_state)
-    post_hi = np.empty(net.n_state)
+    baseline = compute_all_bounds(net, box, DEEPPOLY) if method == FASTC2V else None
+    inputs = [ScalarBounds(float(lo), float(hi)) for lo, hi in zip(box.lower, box.upper)]
+    bounds = Bounds(method=method, pre=inputs, post_lower=np.empty(net.n_state),
+                    post_upper=np.empty(net.n_state), net=net, box=box,
+                    iterations=max(1, iterations) if method == FASTC2V else 0,
+                    cut_rounds=cut_rounds if method == OPTC2V else 0,
+                    baseline=baseline)
+    post_lo, post_hi = bounds.post_lower, bounds.post_upper
     post_lo[:m], post_hi[:m] = box.lower, box.upper
-    pairs: dict[int, AffineBoundPair] = {}
-    hulls: dict[int, NeuronHull] = {}
+    menu = {FASTLIN: FASTLIN, DEEPPOLY: DEEPPOLY, FASTC2V: DEEPPOLY}.get(method)
+    tightens = method in (FASTC2V, OPTC2V)
     for pos in range(m, net.n_neurons):
         idx, w, b = net.row(pos)
-        ilo, ihi = _interval_step(idx, w, b, post_lo, post_hi)
-        obj = expr_from_row(idx, w, b, eta=min(pos, net.n_state))
-        hi = tightened_bound(box, pairs, obj, iterations, hulls)
-        lo = -tightened_bound(box, pairs, obj.negated(), iterations, hulls)
-        lo, hi = max(lo, ilo), min(hi, ihi)
-        if baseline is not None:
-            lo = max(lo, baseline.pre[pos].pre_lower)
-            hi = min(hi, baseline.pre[pos].pre_upper)
-        lo = min(lo, hi)  # guard against tolerance-level crossings
+        lo, hi = _interval_step(idx, w, b, post_lo, post_hi)
+        # an LP over inputs alone just returns the interval bound; the
+        # backward pass is one dot product there and may round an ulp
+        # tighter, which fastc2v's separation ties can turn into 1e-4
+        if method != INTERVAL and (menu is not None or np.any(idx >= m)):
+            obj = expr_from_row(idx, w, b, eta=min(pos, net.n_state))
+            hi = min(hi, bounds.relaxed_bound(obj))
+            lo = max(lo, -bounds.relaxed_bound(obj.negated()))
+            if baseline is not None:
+                lo = max(lo, baseline.pre[pos].pre_lower)
+                hi = min(hi, baseline.pre[pos].pre_upper)
+            lo = min(lo, hi)  # guard against tolerance-level crossings
         sb = ScalarBounds(lo, hi)
-        pre.append(sb)
+        bounds.pre.append(sb)
         if pos >= net.n_state:
             continue
-        pairs[pos] = initial_pair(method, sb, idx, w, b)
-        if sb.is_mixed():
-            inst = hull.make_hull_instance(w, b, post_lo[idx], post_hi[idx])
-            hulls[pos] = NeuronHull(pos=pos, inputs=idx, inst=inst)
-        post_lo[pos] = max(0.0, lo)
-        post_hi[pos] = max(0.0, hi)
-    return BoundsResult(method=method, iterations=iterations, pre=pre,
-                        post_lower=post_lo, post_upper=post_hi,
-                        pairs=pairs, hulls=hulls, net=net, box=box,
-                        baseline=baseline)
+        post_lo[pos], post_hi[pos] = max(0.0, lo), max(0.0, hi)
+        if menu is not None:
+            bounds.pairs[pos] = initial_pair(menu, sb, idx, w, b)
+        if tightens and sb.is_mixed():
+            bounds.hulls[pos] = NeuronHull.build(net, pos, post_lo, post_hi)
+    return bounds

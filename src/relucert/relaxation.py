@@ -6,7 +6,9 @@ are substituted out, so the model has one variable per input or ReLU
 neuron); fixed-sign neurons become equality rows.  The cutting-plane loop
 solves that LP, separates the single-neuron hull inequalities at the
 optimum, adds every sufficiently violated one, and re-solves warm-started
-from the previous basis.
+from the previous basis.  It is the LP bounder of the one forward sweep,
+:func:`relucert.propagation.compute_all_bounds`, and reads the scalar
+bounds, post boxes and hull instances that sweep has fixed so far.
 
 Also here: the lifted-formulation LP that evaluates the hull's upper
 envelope through an auxiliary-variable model (an independent cross-check of
@@ -22,19 +24,12 @@ import numpy as np
 
 from . import hull
 from .network import BoxDomain, Network
-from .propagation import (LinearExpr, NeuronHull, ScalarBounds, _interval_step,
-                          build_neuron_hulls, expr_from_row, interval_bounds,
-                          post_activation_bounds)
+from .propagation import (DEFAULT_CUT_ROUNDS, INTERVAL, Bounds, LinearExpr,
+                          NeuronHull, compute_all_bounds)
 from .simplex import EQ, GE, LE, LpModel, LpStatus, solve_lp
-
-# Coefficients below this are dropped when emitting LP rows; tiny entries
-# destabilize the solves without measurably changing the models.
-COEF_ZERO_TOL = 1e-5
 
 # A hull inequality enters the model only when violated by more than this.
 CUT_VIOLATION_TOL = 1e-5
-
-DEFAULT_CUT_ROUNDS = 3
 
 
 class LpBoundError(RuntimeError):
@@ -70,48 +65,38 @@ class DeltaLp:
 
     model: LpModel
     eta: int
-    net: Network = field(repr=False)
     hulls: dict[int, NeuronHull] = field(repr=False)
 
     def add_hull_cut(self, pos: int, cut: hull.HullCut):
         nh = self.hulls[pos]
-        nz = np.flatnonzero(np.abs(cut.coeffs) >= COEF_ZERO_TOL)
+        nz = np.flatnonzero(cut.coeffs)
         idx = np.concatenate([[pos], nh.inputs[nz]])
         coef = np.concatenate([[1.0], -cut.coeffs[nz]])
         self.model.add_constraint(idx, coef, LE, cut.constant)
 
 
-def _clean(idx, w, tol):
-    keep = np.abs(w) >= tol
-    return idx[keep], w[keep]
-
-
-def build_delta_lp(net: Network, box: BoxDomain, sb: list[ScalarBounds],
-                   objective: LinearExpr, coef_tol=COEF_ZERO_TOL) -> DeltaLp:
+def build_delta_lp(bounds: Bounds, objective: LinearExpr) -> DeltaLp:
     """Relaxation LP over neuron positions ``0 .. objective.eta - 1``.
 
-    Inputs get their box as variable bounds; ReLU neurons get their clamped
-    scalar bounds.  Mixed neurons contribute ``z >= zhat`` and the chord
-    upper inequality (nonnegativity rides on the variable bound); fixed-sign
-    neurons contribute a single equality pinning them to their row or to 0.
+    Every variable gets its post-activation box from ``bounds``: the input
+    box, or a ReLU neuron's clamped scalar bounds.  Mixed neurons contribute
+    ``z >= zhat`` and the chord upper inequality (nonnegativity rides on the
+    variable bound); fixed-sign neurons contribute a single equality pinning
+    them to their row or to 0.  The model carries the hull instances of
+    ``bounds`` below the objective, for cuts.
     """
+    net = bounds.net
     eta = objective.eta
     if eta > net.n_state:
         raise ValueError("objective must live over inputs and ReLU neurons only")
-    m = net.input_dim
-    if len(sb) < eta:
+    if len(bounds.pre) < eta:
         raise ValueError("scalar bounds missing for neurons below the objective")
     model = LpModel()
-    post_lo, post_hi = post_activation_bounds(net, sb)
     for pos in range(eta):
-        if pos < m:
-            model.add_variable(box.lower[pos], box.upper[pos], name=f"z{pos}")
-        else:
-            model.add_variable(post_lo[pos], post_hi[pos], name=f"z{pos}")
-    for pos in range(m, eta):
+        model.add_variable(bounds.post_lower[pos], bounds.post_upper[pos], name=f"z{pos}")
+    for pos in range(net.input_dim, eta):
         idx, w, b = net.row(pos)
-        idx, w = _clean(idx, w, coef_tol)
-        lo, hi = sb[pos].pre_lower, sb[pos].pre_upper
+        lo, hi = bounds.pre[pos].pre_lower, bounds.pre[pos].pre_upper
         if lo >= 0.0:
             model.add_constraint(np.concatenate([[pos], idx]),
                                  np.concatenate([[1.0], -w]), EQ, b)
@@ -127,23 +112,23 @@ def build_delta_lp(net: Network, box: BoxDomain, sb: list[ScalarBounds],
     for j in nz:
         model.obj[int(j)] = float(objective.coeffs[j])
     model.obj_constant = objective.constant
-    hulls = build_neuron_hulls(net, sb, post_lo, post_hi, upto=eta)
-    return DeltaLp(model=model, eta=eta, net=net, hulls=hulls)
+    hulls = {pos: nh for pos, nh in bounds.hulls.items() if pos < eta}
+    return DeltaLp(model=model, eta=eta, hulls=hulls)
 
 
-def optc2v_bound(net: Network, box: BoxDomain, sb: list[ScalarBounds],
-                 objective: LinearExpr, rounds: int = DEFAULT_CUT_ROUNDS,
+def optc2v_bound(bounds: Bounds, objective: LinearExpr, rounds: int = DEFAULT_CUT_ROUNDS,
                  cut_viol_tol=CUT_VIOLATION_TOL, pool: CutPool | None = None) -> float:
     """Upper bound from the relaxation LP plus ``rounds`` of hull cuts.
 
-    Each round separates at the current LP optimum across all mixed neurons
-    below the objective, adds every cut violated beyond ``cut_viol_tol``
-    (no cut selection), and re-solves from the previous basis.  Monotone
-    nonincreasing in ``rounds``; ``rounds=0`` is the plain relaxation value.
+    Each round separates at the current LP optimum across the mixed neurons
+    below the objective that have hull instances in ``bounds``, adds every
+    cut violated beyond ``cut_viol_tol`` (no cut selection), and re-solves
+    from the previous basis.  Monotone nonincreasing in ``rounds``;
+    ``rounds=0`` is the plain relaxation value.
     """
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
-    dl = build_delta_lp(net, box, sb, objective)
+    dl = build_delta_lp(bounds, objective)
     sol = solve_lp(dl.model)
     if sol.status != LpStatus.OPTIMAL:
         raise LpBoundError(sol.status, "base relaxation")
@@ -165,65 +150,6 @@ def optc2v_bound(net: Network, box: BoxDomain, sb: list[ScalarBounds],
             # re-solve means tolerances bit us, not the model
             raise LpBoundError(sol.status, "after adding cuts")
     return sol.objective_value
-
-
-@dataclass(eq=False)
-class LpBoundsResult:
-    """Scalar bounds from the LP pipeline, reusable for margin objectives."""
-
-    rounds: int
-    pre: list[ScalarBounds]
-    net: Network = field(repr=False)
-    box: BoxDomain = field(repr=False)
-
-    def output_bounds(self):
-        return self.pre[self.net.n_state:]
-
-    def interval_objective_bound(self, objective: LinearExpr) -> float:
-        post_lo, post_hi = post_activation_bounds(self.net, self.pre)
-        c = objective.coeffs
-        return float(np.maximum(c, 0.0) @ post_hi[:c.shape[0]]
-                     + np.minimum(c, 0.0) @ post_lo[:c.shape[0]]) + objective.constant
-
-    def bound_objective(self, objective: LinearExpr, rounds=None) -> float:
-        """LP bound of a state-space objective, intersected with intervals."""
-        r = self.rounds if rounds is None else rounds
-        b = optc2v_bound(self.net, self.box, self.pre, objective, r)
-        return min(b, self.interval_objective_bound(objective))
-
-
-def lp_all_bounds(net: Network, box: BoxDomain, rounds: int = 0) -> LpBoundsResult:
-    """Forward sweep bounding every neuron by LP (with optional cut rounds).
-
-    Like the propagation sweep: each neuron's pre-activation row is bounded
-    from both sides using the bounds already computed for its predecessors,
-    intersected with plain interval arithmetic.  ``rounds=0`` is the
-    pure chord-relaxation pipeline; positive rounds give the cutting-plane
-    pipeline.  Cuts are regenerated per bound; bases are reused only inside
-    one neuron's cut loop.
-    """
-    m = net.input_dim
-    pre: list[ScalarBounds] = [ScalarBounds(float(box.lower[i]), float(box.upper[i]))
-                               for i in range(m)]
-    post_lo = np.empty(net.n_state)
-    post_hi = np.empty(net.n_state)
-    post_lo[:m], post_hi[:m] = box.lower, box.upper
-    for pos in range(m, net.n_neurons):
-        idx, w, b = net.row(pos)
-        ilo, ihi = _interval_step(idx, w, b, post_lo, post_hi)
-        if np.all(idx < m):
-            # row over inputs only: the relaxation adds nothing over intervals
-            lo, hi = ilo, ihi
-        else:
-            obj = expr_from_row(idx, w, b, eta=min(pos, net.n_state))
-            hi = min(optc2v_bound(net, box, pre, obj, rounds), ihi)
-            lo = max(-optc2v_bound(net, box, pre, obj.negated(), rounds), ilo)
-            lo = min(lo, hi)
-        pre.append(ScalarBounds(lo, hi))
-        if pos < net.n_state:
-            post_lo[pos] = max(0.0, lo)
-            post_hi[pos] = max(0.0, hi)
-    return LpBoundsResult(rounds=rounds, pre=pre, net=net, box=box)
 
 
 def lifted_envelope_value(inst: hull.HullInstance, x) -> float:
@@ -269,7 +195,7 @@ def exact_max_oracle(net: Network, box: BoxDomain, objective: LinearExpr,
     count; refuses more than ``mixed_cap`` mixed neurons.
     """
     m = net.input_dim
-    sb = interval_bounds(net, box)
+    sb = compute_all_bounds(net, box, INTERVAL).pre
     mixed = [pos for pos in range(m, net.n_state) if sb[pos].is_mixed()]
     if len(mixed) > mixed_cap:
         raise ValueError(f"{len(mixed)} mixed neurons exceed the cap {mixed_cap}")

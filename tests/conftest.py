@@ -14,6 +14,7 @@ import pytest
 
 from relucert.network import INPUT, OUTPUT, RELU, BoxDomain, Network, Neuron
 from relucert import hull
+from relucert.propagation import NeuronHull, compute_all_bounds
 
 
 def make_golden_network() -> Network:
@@ -44,6 +45,20 @@ def h22_instance() -> hull.HullInstance:
     """The hull instance of the golden network's h22 neuron: weights
     (-1.5, 1), bias 0.5, over the post-activation box [0,3] x [0,1.5]."""
     return hull.make_hull_instance([-1.5, 1.0], 0.5, [0.0, 0.0], [3.0, 1.5])
+
+
+def interval_state(net, box):
+    """Interval bounds plus a hull instance for every mixed ReLU neuron.
+
+    The worked bound chain and the LP tests start from this state: the
+    ``interval`` sweep alone builds no hull instances, since it never
+    tightens.
+    """
+    st = compute_all_bounds(net, box, "interval")
+    for pos in range(net.input_dim, net.n_state):
+        if st.pre[pos].is_mixed():
+            st.hulls[pos] = NeuronHull.build(net, pos, st.post_lower, st.post_upper)
+    return st
 
 
 def random_mixed_instance(rng, n, allow_zero_weights=False) -> hull.HullInstance:

@@ -17,9 +17,8 @@ from relucert.hull import (corner_value, cut_from_pair, delta_upper_value,
                            minimize_upper_envelope_sort, relu_value,
                            separate_sort)
 from relucert.network import BoxDomain, classify, generate_random_network
-from relucert.propagation import (backward_pass, build_neuron_hulls,
-                                  compute_all_bounds, expr_from_row,
-                                  forward_pass, initial_pair, interval_bounds,
+from relucert.propagation import (backward_pass, compute_all_bounds,
+                                  expr_from_row, forward_pass, initial_pair,
                                   tightened_bound)
 from relucert.relaxation import (build_delta_lp, exact_max_oracle,
                                  lifted_envelope_value, optc2v_bound)
@@ -27,8 +26,8 @@ from relucert.simplex import LpStatus, solve_lp
 from relucert.verifier import (attack_upper_bound, batch_verify,
                                generate_instances)
 
-from conftest import (envelope_min_by_enumeration, make_golden_network,
-                      random_mixed_instance)
+from conftest import (envelope_min_by_enumeration, interval_state,
+                      make_golden_network, random_mixed_instance)
 
 EXACT = 1e-9
 
@@ -97,7 +96,8 @@ def test_criterion_1_golden_bound_chain(capfd):
     with _Criterion(1, "worked-example bound chain", 1.0, capfd):
         net = make_golden_network()
         box = BoxDomain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-        sb = interval_bounds(net, box)
+        st = interval_state(net, box)
+        sb = st.pre
         expect = {2: (-1.0, 3.0), 3: (-0.5, 1.5), 4: (1.0, 2.5), 5: (-4.0, 2.0)}
         for pos, (lo, hi) in expect.items():
             assert abs(sb[pos].pre_lower - lo) <= EXACT
@@ -127,7 +127,7 @@ def test_criterion_1_golden_bound_chain(capfd):
         assert abs(sep.envelope - 4.0 / 3.0) <= EXACT
         assert abs(sep.violation - 1.0 / 6.0) <= EXACT
 
-        tight = tightened_bound(box, pairs, obj, 1, build_neuron_hulls(net, sb))
+        tight = tightened_bound(box, pairs, obj, 1, st.hulls)
         assert abs(tight - 23.0 / 6.0) <= EXACT
 
 
@@ -214,20 +214,20 @@ def test_criterion_5_sandwich_and_dominance(capfd):
             mid = rng.uniform(0.3, 0.7, layers[0])
             ext = float(rng.uniform(0.15, 0.5))
             box = BoxDomain(np.clip(mid - ext, 0, 1), np.clip(mid + ext, 0, 1))
-            sb = interval_bounds(net, box)
-            if sum(sb[p].is_mixed() for p in range(net.input_dim, net.n_state)) > 12:
+            st = interval_state(net, box)
+            if len(st.hulls) > 12:
                 continue
             done += 1
-            st_iv = compute_all_bounds(net, box, "interval", 0)
-            st_dp = compute_all_bounds(net, box, "deeppoly", 0)
-            st_fc = compute_all_bounds(net, box, "deeppoly", 1)
+            st_iv = compute_all_bounds(net, box, "interval")
+            st_dp = compute_all_bounds(net, box, "deeppoly")
+            st_fc = compute_all_bounds(net, box, "fastc2v")
             obj = expr_from_row(*net.row(net.n_state), eta=net.n_state)
             for o in (obj, obj.negated()):
                 exact = exact_max_oracle(net, box, o)
                 rounds = int(rng.integers(1, 4))
-                v_r = optc2v_bound(net, box, sb, o, rounds=rounds)
-                v_0 = optc2v_bound(net, box, sb, o, rounds=0)
-                plain = solve_lp(build_delta_lp(net, box, sb, o).model)
+                v_r = optc2v_bound(st, o, rounds=rounds)
+                v_0 = optc2v_bound(st, o, rounds=0)
+                plain = solve_lp(build_delta_lp(st, o).model)
                 assert plain.status == LpStatus.OPTIMAL
                 assert exact <= v_r + 1e-6
                 assert v_r <= v_0 + 1e-6

@@ -141,14 +141,28 @@ class TestFileFormat:
             load_network(p)
         assert ":3:" in str(ei.value)
 
-    def test_weight_zero_tol_drops_small_weights(self, tmp_path):
+    def test_small_weight_loads_intact(self, tmp_path):
         p = tmp_path / "small.txt"
         p.write_text("m=1 outputs=3\n1 input 0\n2 relu 0 w:(1,1e-7)\n"
                      "3 output 0 w:(1,0.5) (2,1.0)\n")
-        net = load_network(p, weight_zero_tol=1e-5)
-        assert net.neurons[1].weights == ()
         net_full = load_network(p)
         assert net_full.neurons[1].weights == ((1, 1e-7),)
+
+    def test_nan_bias_reports_location(self, tmp_path):
+        p = tmp_path / "nan.txt"
+        p.write_text("m=1 outputs=3\n1 input 0\n2 relu nan w:(1,1)\n"
+                     "3 output 0 w:(2,1)\n")
+        with pytest.raises(NetworkParseError) as ei:
+            load_network(p)
+        assert ":3:" in str(ei.value)
+
+    def test_inf_weight_reports_location(self, tmp_path):
+        p = tmp_path / "inf.txt"
+        p.write_text("m=1 outputs=3\n1 input 0\n2 relu 0 w:(1,1)\n"
+                     "3 output 0 w:(2,-inf)\n")
+        with pytest.raises(NetworkParseError) as ei:
+            load_network(p)
+        assert ":4:" in str(ei.value)
 
 
 class TestRandomNetworks:

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from relucert import hull
 from relucert.network import BoxDomain, eval_network, generate_random_network
-from relucert.propagation import (AffineBoundPair, LinearExpr, ScalarBounds,
-                                  backward_pass, box_maximize, build_neuron_hulls,
-                                  compute_all_bounds, expr_from_row,
-                                  forward_pass, initial_pair, interval_bounds,
+from relucert.propagation import (METHODS, AffineBoundPair, LinearExpr, ScalarBounds,
+                                  backward_pass, box_maximize, compute_all_bounds,
+                                  expr_from_row, forward_pass, initial_pair,
                                   tightened_bound)
+from relucert.verifier import generate_instances, verify
+
+from conftest import interval_state
 
 
 def golden_pairs(net, sb, method="deeppoly"):
@@ -19,7 +22,7 @@ def golden_pairs(net, sb, method="deeppoly"):
 
 class TestIntervalBounds:
     def test_golden_network(self, golden_net, golden_box):
-        sb = interval_bounds(golden_net, golden_box)
+        sb = compute_all_bounds(golden_net, golden_box, "interval").pre
         assert (sb[2].pre_lower, sb[2].pre_upper) == (-1.0, 3.0)
         assert (sb[3].pre_lower, sb[3].pre_upper) == (-0.5, 1.5)
         assert (sb[4].pre_lower, sb[4].pre_upper) == (1.0, 2.5)
@@ -34,14 +37,14 @@ class TestIntervalBounds:
                            n.bias if n.kind != "input" else 0.0)
                     for n in net.neurons]
         net0 = Network(2, stripped, net.output_indices)
-        sb = interval_bounds(net0, BoxDomain(np.zeros(2), np.ones(2)))
+        sb = compute_all_bounds(net0, BoxDomain(np.zeros(2), np.ones(2)), "interval").pre
         for pos in range(2, net0.n_neurons):
             assert sb[pos].pre_lower == sb[pos].pre_upper == net0.neurons[pos].bias
 
     def test_point_box_is_exact(self, golden_net):
         x = np.array([0.3, -0.4])
         box = BoxDomain(x, x)
-        sb = interval_bounds(golden_net, box)
+        sb = compute_all_bounds(golden_net, box, "interval").pre
         z, y = eval_network(golden_net, x)
         for pos in range(2, golden_net.n_state):
             idx, w, b = golden_net.row(pos)
@@ -85,9 +88,19 @@ class TestMenus:
         assert pair.lower.idx.size == 0 and pair.upper.idx.size == 0
 
     def test_interval_pairs_are_post_constants(self):
-        pair = initial_pair("interval", ScalarBounds(-2.0, 3.0),
-                            np.array([0]), np.array([1.0]), 0.0)
-        assert pair.lower.b == 0.0 and pair.upper.b == 3.0
+        # the interval method keeps no pairs; its neurons are the post
+        # constants, here of a row with pre-activation range [-2, 3]
+        from relucert.network import Network, Neuron
+        net = Network(1, [Neuron(1, "input", (), 0.0),
+                          Neuron(2, "relu", ((1, 1.0),), 0.0),
+                          Neuron(3, "output", ((2, 1.0),), 0.0)], [3])
+        st = compute_all_bounds(net, BoxDomain(np.array([-2.0]), np.array([3.0])),
+                                "interval")
+        assert st.post_lower[1] == 0.0 and st.post_upper[1] == 3.0
+        assert st.pairs == {}
+        with pytest.raises(ValueError):
+            initial_pair("interval", ScalarBounds(-2.0, 3.0),
+                         np.array([0]), np.array([1.0]), 0.0)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -122,13 +135,13 @@ class TestGoldenChain:
 
     @pytest.fixture()
     def chain(self, golden_net, golden_box):
-        sb = interval_bounds(golden_net, golden_box)
-        pairs = golden_pairs(golden_net, sb)
+        st = interval_state(golden_net, golden_box)
+        pairs = golden_pairs(golden_net, st.pre)
         obj = expr_from_row(*golden_net.row(6), eta=6)
-        return golden_net, golden_box, sb, pairs, obj
+        return golden_net, golden_box, st, pairs, obj
 
     def test_backward_bound_and_point(self, chain):
-        net, box, sb, pairs, obj = chain
+        net, box, st, pairs, obj = chain
         res = backward_pass(box, pairs, obj)
         assert res.bound == pytest.approx(4.0, abs=1e-12)
         assert np.array_equal(res.x_star, [-1.0, -1.0])
@@ -136,7 +149,7 @@ class TestGoldenChain:
         assert res.input_expr.constant == pytest.approx(3.0, abs=1e-12)
 
     def test_forward_solution(self, chain):
-        net, box, sb, pairs, obj = chain
+        net, box, st, pairs, obj = chain
         res = backward_pass(box, pairs, obj)
         z = forward_pass(res.x_star, pairs, res.ub_used, 2, 6)
         assert np.allclose(z, [-1.0, -1.0, 1.0, 1.5, 2.5, 1.5], atol=1e-12)
@@ -148,7 +161,7 @@ class TestGoldenChain:
         for _ in range(50):
             net = generate_random_network([2, 4, 4, 1], seed=int(rng.integers(1 << 30)))
             box = BoxDomain(rng.uniform(-1, 0, 2), rng.uniform(0.2, 1, 2))
-            sb = interval_bounds(net, box)
+            sb = compute_all_bounds(net, box, "interval").pre
             pairs = golden_pairs(net, sb, method="fastlin")
             obj = expr_from_row(*net.row(net.n_state), eta=net.n_state)
             res = backward_pass(box, pairs, obj)
@@ -156,31 +169,31 @@ class TestGoldenChain:
             assert obj.value(z) == pytest.approx(res.bound, abs=1e-9)
 
     def test_tightened_one_iteration(self, chain):
-        net, box, sb, pairs, obj = chain
-        hulls = build_neuron_hulls(net, sb)
+        net, box, st, pairs, obj = chain
+        hulls = st.hulls
         assert sorted(hulls) == [2, 3, 5]
         bound = tightened_bound(box, pairs, obj, 1, hulls)
         assert bound == pytest.approx(23.0 / 6.0, abs=1e-12)
 
     def test_tightened_zero_iterations_is_initial(self, chain):
-        net, box, sb, pairs, obj = chain
+        net, box, st, pairs, obj = chain
         assert tightened_bound(box, pairs, obj, 0, {}) == pytest.approx(4.0, abs=1e-12)
 
     def test_swaps_do_not_leak(self, chain):
-        net, box, sb, pairs, obj = chain
+        net, box, st, pairs, obj = chain
         before = dict(pairs)
-        tightened_bound(box, pairs, obj, 2, build_neuron_hulls(net, sb))
+        tightened_bound(box, pairs, obj, 2, st.hulls)
         assert pairs == before
 
     def test_more_iterations_never_worse(self, chain):
-        net, box, sb, pairs, obj = chain
-        hulls = build_neuron_hulls(net, sb)
+        net, box, st, pairs, obj = chain
+        hulls = st.hulls
         b0 = tightened_bound(box, pairs, obj, 0, hulls)
         b3 = tightened_bound(box, pairs, obj, 3, hulls)
         assert b3 <= b0 + 1e-12
 
     def test_missing_pair_raises(self, chain):
-        net, box, sb, pairs, obj = chain
+        net, box, st, pairs, obj = chain
         del pairs[5]
         with pytest.raises(KeyError):
             backward_pass(box, pairs, obj)
@@ -188,9 +201,9 @@ class TestGoldenChain:
     def test_backward_after_swap_residual(self, chain):
         # with h22's upper swapped to the separated inequality, the residual
         # becomes -(1/12) x1 - (2/3) x2 + 37/12 and the bound 23/6
-        net, box, sb, pairs, obj = chain
+        net, box, st, pairs, obj = chain
         from relucert.hull import separate_sort
-        hulls = build_neuron_hulls(net, sb)
+        hulls = st.hulls
         res = backward_pass(box, pairs, obj)
         z = forward_pass(res.x_star, pairs, res.ub_used, 2, 6)
         sep = separate_sort(hulls[5].inst, z[hulls[5].inputs], z[5])
@@ -202,7 +215,7 @@ class TestGoldenChain:
         assert res2.bound == pytest.approx(23.0 / 6.0, abs=1e-12)
 
     def test_empty_objective_returns_constant(self, chain):
-        net, box, sb, pairs, obj = chain
+        net, box, st, pairs, obj = chain
         res = backward_pass(box, pairs, LinearExpr(np.zeros(6), 2.5))
         assert res.bound == 2.5
 
@@ -212,7 +225,7 @@ class TestGoldenChain:
 
     def test_forward_zero_lower_functions(self, chain):
         # ub_used all false with all-zero lower functions: zeros past inputs
-        net, box, sb, pairs, obj = chain
+        net, box, st, pairs, obj = chain
         from relucert.propagation import AffineFunc
         zero = AffineFunc(np.empty(0, dtype=np.intp), np.empty(0), 0.0)
         zpairs = {p: AffineBoundPair(lower=zero, upper=pairs[p].upper)
@@ -225,7 +238,7 @@ class TestDirectEquivalence:
     def test_zero_iterations_matches_straight_line_substitution(self, golden_net, golden_box):
         """tightened_bound at T=0 equals an independently coded dense
         backsubstitution of the same bounding functions."""
-        sb = interval_bounds(golden_net, golden_box)
+        sb = compute_all_bounds(golden_net, golden_box, "interval").pre
         for method in ("deeppoly", "fastlin"):
             pairs = golden_pairs(golden_net, sb, method)
             obj = expr_from_row(*golden_net.row(6), eta=6)
@@ -249,9 +262,9 @@ class TestDirectEquivalence:
 
 class TestFullSweep:
     def test_golden_driver_bounds(self, golden_net, golden_box):
-        dp1 = compute_all_bounds(golden_net, golden_box, "deeppoly", 1)
+        dp1 = compute_all_bounds(golden_net, golden_box, "fastc2v")
         assert dp1.pre[6].pre_upper == pytest.approx(23.0 / 6.0, abs=1e-9)
-        iv = compute_all_bounds(golden_net, golden_box, "interval", 0)
+        iv = compute_all_bounds(golden_net, golden_box, "interval")
         assert iv.pre[6].pre_upper == pytest.approx(4.5, abs=1e-12)
 
     def test_exact_max_is_below_all_methods(self, golden_net, golden_box):
@@ -263,8 +276,8 @@ class TestFullSweep:
                 _, y = eval_network(golden_net, np.array([a, bb]))
                 best = max(best, y[0])
         assert best == pytest.approx(3.0, abs=1e-9)
-        for method, t in (("interval", 0), ("fastlin", 0), ("deeppoly", 0), ("deeppoly", 1)):
-            st = compute_all_bounds(golden_net, golden_box, method, t)
+        for method in METHODS:
+            st = compute_all_bounds(golden_net, golden_box, method)
             assert st.pre[6].pre_upper >= best - 1e-9
 
     def test_soundness_random_networks(self):
@@ -277,9 +290,8 @@ class TestFullSweep:
             mid = rng.uniform(0.2, 0.8, layers[0])
             ext = rng.uniform(0.05, 0.5)
             box = BoxDomain(np.clip(mid - ext, 0, 1), np.clip(mid + ext, 0, 1))
-            method = ("interval", "fastlin", "deeppoly")[int(rng.integers(3))]
-            t = int(rng.integers(0, 2))
-            st = compute_all_bounds(net, box, method, t)
+            method = METHODS[int(rng.integers(len(METHODS)))]
+            st = compute_all_bounds(net, box, method)
             X = box.sample(rng, 50)
             for x in X:
                 z, y = eval_network(net, x)
@@ -296,17 +308,32 @@ class TestFullSweep:
             box = BoxDomain(np.array([0.2, 0.1]), np.array([0.9, 0.8]))
             obj = expr_from_row(*net.row(net.n_state), eta=net.n_state)
             for o in (obj, obj.negated()):
-                b_iv = compute_all_bounds(net, box, "interval", 0).bound_objective(o)
-                b_dp = compute_all_bounds(net, box, "deeppoly", 0).bound_objective(o)
-                b_fc = compute_all_bounds(net, box, "deeppoly", 1).bound_objective(o)
+                b_iv = compute_all_bounds(net, box, "interval").bound_objective(o)
+                b_dp = compute_all_bounds(net, box, "deeppoly").bound_objective(o)
+                b_fc = compute_all_bounds(net, box, "fastc2v").bound_objective(o)
                 assert b_fc <= b_dp + 1e-9
                 assert b_dp <= b_iv + 1e-9
+
+    def test_hull_instances_built_once_and_only_when_tightening(self, monkeypatch):
+        calls = []
+        real = hull.make_hull_instance
+        monkeypatch.setattr(hull, "make_hull_instance",
+                            lambda *args: calls.append(args) or real(*args))
+        net = generate_random_network([4, 8, 8, 3], seed=5, weight_scale=0.7)
+        inst = generate_instances(net, 1, 0.2, seed=6)[0]
+        for method in METHODS:
+            calls.clear()
+            rep = verify(net, inst, method=method, attack=False, verbose_bounds=True)
+            mixed = sum(sb.is_mixed() for sb in rep.neuron_bounds[4:net.n_state])
+            if method in ("fastc2v", "optc2v"):
+                assert 0 < len(calls) == mixed, method
+            else:
+                assert calls == [], method
 
     def test_swapped_cut_still_valid_for_neuron(self, golden_net, golden_box):
         # after the golden swap, h22's new upper function upper-bounds its
         # ReLU over sampled points of the neuron's feasible set
-        sb = interval_bounds(golden_net, golden_box)
-        hulls = build_neuron_hulls(golden_net, sb)
+        hulls = interval_state(golden_net, golden_box).hulls
         from relucert.hull import separate_sort
         sep = separate_sort(hulls[5].inst, np.array([1.0, 1.5]), 1.5)
         func = hulls[5].cut_as_pair_upper(sep.cut)

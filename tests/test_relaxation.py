@@ -4,13 +4,13 @@ import pytest
 from relucert.hull import enumerate_cut_pairs, cut_from_pair, make_hull_instance
 from relucert.network import (BoxDomain, Network, Neuron, eval_network,
                               generate_random_network)
-from relucert.propagation import expr_from_row, interval_bounds
+from relucert.propagation import compute_all_bounds, expr_from_row
 from relucert.relaxation import (CutPool, build_delta_lp, exact_max_oracle,
-                                 lifted_envelope_value, lp_all_bounds,
-                                 optc2v_bound)
+                                 lifted_envelope_value, optc2v_bound)
 from relucert.simplex import EQ, LpStatus, solve_lp
 
-from conftest import envelope_min_by_enumeration, random_mixed_instance
+from conftest import (envelope_min_by_enumeration, interval_state,
+                      random_mixed_instance)
 
 
 def single_relu_net(w, b):
@@ -24,9 +24,9 @@ def single_relu_net(w, b):
 
 class TestDeltaLpStructure:
     def test_golden_model_shape(self, golden_net, golden_box):
-        sb = interval_bounds(golden_net, golden_box)
+        st = interval_state(golden_net, golden_box)
         obj = expr_from_row(*golden_net.row(6), eta=6)
-        dl = build_delta_lp(golden_net, golden_box, sb, obj)
+        dl = build_delta_lp(st, obj)
         assert dl.model.n_vars == 6  # 2 inputs + 4 relu positions
         # rows per neuron: mixed h11, h12, h22 get two inequalities each
         # (nonnegativity rides on the variable bound), h21 one equality
@@ -38,9 +38,9 @@ class TestDeltaLpStructure:
         assert dl.model.lb[5] == 0.0 and dl.model.ub[5] == 2.0
 
     def test_true_points_feasible(self, golden_net, golden_box):
-        sb = interval_bounds(golden_net, golden_box)
+        st = interval_state(golden_net, golden_box)
         obj = expr_from_row(*golden_net.row(6), eta=6)
-        dl = build_delta_lp(golden_net, golden_box, sb, obj)
+        dl = build_delta_lp(st, obj)
         rng = np.random.default_rng(4)
         for _ in range(50):
             x = rng.uniform(-1, 1, 2)
@@ -57,11 +57,11 @@ class TestDeltaLpStructure:
     def test_always_inactive_neuron_single_equality(self):
         net = single_relu_net([1.0], -5.0)
         box = BoxDomain(np.zeros(1), np.ones(1))
-        sb = interval_bounds(net, box)
-        dl = build_delta_lp(net, box, sb, expr_from_row(*net.row(1), eta=1))
+        st = interval_state(net, box)
+        dl = build_delta_lp(st, expr_from_row(*net.row(1), eta=1))
         # no relu below the objective -> no rows; use the output objective
         obj = expr_from_row(*net.row(2), eta=2)
-        dl = build_delta_lp(net, box, sb, obj)
+        dl = build_delta_lp(st, obj)
         assert dl.model.n_rows == 1
         idx, coef, sense, rhs = dl.model.rows[0]
         assert sense == EQ and rhs == 0.0 and list(idx) == [1]
@@ -69,9 +69,9 @@ class TestDeltaLpStructure:
     def test_always_active_neuron_row_equality(self):
         net = single_relu_net([1.0], 2.0)
         box = BoxDomain(np.zeros(1), np.ones(1))
-        sb = interval_bounds(net, box)
+        st = interval_state(net, box)
         obj = expr_from_row(*net.row(2), eta=2)
-        dl = build_delta_lp(net, box, sb, obj)
+        dl = build_delta_lp(st, obj)
         assert dl.model.n_rows == 1
         idx, coef, sense, rhs = dl.model.rows[0]
         assert sense == EQ and rhs == 2.0
@@ -80,16 +80,16 @@ class TestDeltaLpStructure:
 
 class TestDeltaLpValues:
     def test_golden_value_bracket(self, golden_net, golden_box):
-        sb = interval_bounds(golden_net, golden_box)
+        st = interval_state(golden_net, golden_box)
         obj = expr_from_row(*golden_net.row(6), eta=6)
-        v = optc2v_bound(golden_net, golden_box, sb, obj, rounds=0)
+        v = optc2v_bound(st, obj, rounds=0)
         assert 3.0 - 1e-9 <= v <= 4.0 + 1e-9  # above the true max, at or
         # below the chord-relaxation propagation value
 
     def test_rounds_monotone(self, golden_net, golden_box):
-        sb = interval_bounds(golden_net, golden_box)
+        st = interval_state(golden_net, golden_box)
         obj = expr_from_row(*golden_net.row(6), eta=6)
-        vals = [optc2v_bound(golden_net, golden_box, sb, obj, rounds=r)
+        vals = [optc2v_bound(st, obj, rounds=r)
                 for r in range(4)]
         for a, b in zip(vals, vals[1:]):
             assert b <= a + 1e-9
@@ -98,10 +98,10 @@ class TestDeltaLpValues:
     def test_fixed_phase_network_rounds_no_effect(self):
         net = single_relu_net([1.0], 2.0)  # always active
         box = BoxDomain(np.zeros(1), np.ones(1))
-        sb = interval_bounds(net, box)
+        st = interval_state(net, box)
         obj = expr_from_row(*net.row(2), eta=2)
-        v0 = optc2v_bound(net, box, sb, obj, rounds=0)
-        v5 = optc2v_bound(net, box, sb, obj, rounds=5)
+        v0 = optc2v_bound(st, obj, rounds=0)
+        v5 = optc2v_bound(st, obj, rounds=5)
         assert v0 == pytest.approx(v5, abs=0.0)
 
     def test_single_neuron_cut_loop_reaches_full_hull(self):
@@ -114,10 +114,10 @@ class TestDeltaLpValues:
             w[inst.support] = inst.w
             net = single_relu_net(list(w), inst.b)
             box = BoxDomain(inst.lower, inst.upper)
-            sb = interval_bounds(net, box)
+            st = interval_state(net, box)
             obj = expr_from_row(*net.row(net.n_state), eta=net.n_state)
-            looped = optc2v_bound(net, box, sb, obj, rounds=8)
-            dl = build_delta_lp(net, box, sb, obj)
+            looped = optc2v_bound(st, obj, rounds=8)
+            dl = build_delta_lp(st, obj)
             for I, h in enumerate_cut_pairs(inst):
                 dl.add_hull_cut(net.input_dim, cut_from_pair(inst, I, h))
             full = solve_lp(dl.model)
@@ -133,10 +133,10 @@ class TestDeltaLpValues:
         assert len(pool) == 2
 
     def test_added_cuts_valid_on_network_samples(self, golden_net, golden_box):
-        sb = interval_bounds(golden_net, golden_box)
+        st = interval_state(golden_net, golden_box)
         obj = expr_from_row(*golden_net.row(6), eta=6)
         pool = CutPool()
-        optc2v_bound(golden_net, golden_box, sb, obj, rounds=3, pool=pool)
+        optc2v_bound(st, obj, rounds=3, pool=pool)
         assert len(pool) >= 1
         rng = np.random.default_rng(8)
         for pos, cut in pool.entries:
@@ -210,13 +210,24 @@ class TestExactOracle:
 
 class TestLpSweep:
     def test_golden_bounds(self, golden_net, golden_box):
-        st = lp_all_bounds(golden_net, golden_box, rounds=0)
+        st = compute_all_bounds(golden_net, golden_box, "lp")
         # first-layer rows over inputs give interval-exact bounds
         assert (st.pre[2].pre_lower, st.pre[2].pre_upper) == (-1.0, 3.0)
         out0 = st.pre[6]
-        st3 = lp_all_bounds(golden_net, golden_box, rounds=3)
+        st3 = compute_all_bounds(golden_net, golden_box, "optc2v", cut_rounds=3)
         assert st3.pre[6].pre_upper <= out0.pre_upper + 1e-9
         assert st3.pre[6].pre_upper >= 3.0 - 1e-7
+
+    def test_tiny_weight_is_kept(self):
+        # h = relu(9e-6 x + 1) over x in [0, 1] peaks at 1.000009; a model
+        # that drops the small weight reports 1.0
+        net = single_relu_net([9e-6], 1.0)
+        box = BoxDomain(np.zeros(1), np.ones(1))
+        obj = expr_from_row(*net.row(net.n_state), eta=net.n_state)
+        for method in ("lp", "optc2v", "deeppoly"):
+            st = compute_all_bounds(net, box, method)
+            assert st.bound_objective(obj) >= 1.000009 - 1e-12, method
+            assert st.pre[net.n_state].pre_upper >= 1.000009 - 1e-12, method
 
     def test_sandwich_on_random_networks(self):
         rng = np.random.default_rng(50)
@@ -225,23 +236,23 @@ class TestLpSweep:
                 [2, int(rng.integers(2, 6)), int(rng.integers(2, 6)), 1],
                 seed=int(rng.integers(1 << 30)))
             box = BoxDomain(np.array([0.1, 0.1]), np.array([0.9, 0.9]))
-            sb = interval_bounds(net, box)
+            st = interval_state(net, box)
             obj = expr_from_row(*net.row(net.n_state), eta=net.n_state)
             for o in (obj, obj.negated()):
                 exact = exact_max_oracle(net, box, o)
-                v0 = optc2v_bound(net, box, sb, o, rounds=0)
-                v2 = optc2v_bound(net, box, sb, o, rounds=2)
+                v0 = optc2v_bound(st, o, rounds=0)
+                v2 = optc2v_bound(st, o, rounds=2)
                 assert exact <= v2 + 1e-6
                 assert v2 <= v0 + 1e-9
 
     def test_warm_vs_cold_consistency(self, golden_net, golden_box):
         # the cut loop re-solves warm; a cold solve of the final model must
         # agree (checked here by rebuilding with the same cuts)
-        sb = interval_bounds(golden_net, golden_box)
+        st = interval_state(golden_net, golden_box)
         obj = expr_from_row(*golden_net.row(6), eta=6)
         pool = CutPool()
-        warm_val = optc2v_bound(golden_net, golden_box, sb, obj, rounds=3, pool=pool)
-        dl = build_delta_lp(golden_net, golden_box, sb, obj)
+        warm_val = optc2v_bound(st, obj, rounds=3, pool=pool)
+        dl = build_delta_lp(st, obj)
         for pos, cut in pool.entries:
             dl.add_hull_cut(pos, cut)
         cold = solve_lp(dl.model)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from relucert.network import classify, eval_network, generate_random_network
+from relucert.network import (NetworkParseError, classify, eval_network,
+                              generate_random_network)
 from relucert.verifier import (FALSIFIED, UNKNOWN, VERIFIED, RobustnessInstance,
                                attack_upper_bound, batch_verify, build_input_box,
                                format_report_line, generate_instances,
@@ -57,16 +58,15 @@ class TestGoldenThreshold:
     a method with bound below the threshold certifies, one above cannot."""
 
     def test_bound_methods_straddle_threshold(self, golden_net, golden_box):
-        from relucert.propagation import interval_bounds, \
-            build_neuron_hulls, tightened_bound, expr_from_row, initial_pair
-        sb = interval_bounds(golden_net, golden_box)
-        pairs = {p: initial_pair("deeppoly", sb[p], *golden_net.row(p))
+        from relucert.propagation import tightened_bound, expr_from_row, initial_pair
+        from conftest import interval_state
+        st = interval_state(golden_net, golden_box)
+        pairs = {p: initial_pair("deeppoly", st.pre[p], *golden_net.row(p))
                  for p in range(2, 6)}
         obj = expr_from_row(*golden_net.row(6), eta=6)
         beta = 4.0
         plain = tightened_bound(golden_box, pairs, obj, 0, {})
-        tight = tightened_bound(golden_box, pairs, obj, 1,
-                                build_neuron_hulls(golden_net, sb))
+        tight = tightened_bound(golden_box, pairs, obj, 1, st.hulls)
         assert not plain < beta          # 4.0: cannot certify y < 4
         assert tight < beta              # 23/6: certifies
 
@@ -175,6 +175,18 @@ class TestVerify:
             rep = verify(net, inst, method="interval", attack=False)
             assert rep.verdict in (VERIFIED, UNKNOWN)
 
+    def test_unconfirmed_witness_is_dropped(self, monkeypatch):
+        # a "witness" that exact evaluation still labels correctly (here the
+        # center itself) must not make the instance falsified
+        import relucert.verifier as verifier_module
+        net = generate_random_network([4, 8, 8, 3], seed=2, weight_scale=0.8)
+        inst = generate_instances(net, 1, epsilon=0.3, seed=3)[0]
+        monkeypatch.setattr(verifier_module, "attack_upper_bound",
+                            lambda net, inst, seed=0: inst.x_hat.copy())
+        rep = verify(net, inst, method="interval")
+        assert rep.verdict == UNKNOWN
+        assert rep.witness is None and rep.witness_label is None
+
     def test_margins_all_bounded_by_default(self):
         net = generate_random_network([3, 5, 4], seed=3)
         inst = generate_instances(net, 1, epsilon=0.01, seed=4)[0]
@@ -243,6 +255,20 @@ class TestInstanceIO:
         assert isinstance(out[1], str) and ":2:" in out[1]
         with pytest.raises(Exception):
             load_instances(p, strict=True)
+
+    def test_nan_epsilon_rejected_with_line(self, tmp_path):
+        p = tmp_path / "inst.txt"
+        p.write_text("label=0 epsilon=0.1 x=0.5,0.5\nlabel=0 epsilon=nan x=0.5,0.5\n")
+        with pytest.raises(NetworkParseError) as ei:
+            load_instances(p)
+        assert ":2:" in str(ei.value)
+        out = load_instances(p, strict=False)
+        assert isinstance(out[0], RobustnessInstance)
+        assert isinstance(out[1], str) and ":2:" in out[1]
+        with pytest.raises(ValueError):
+            RobustnessInstance(np.array([0.5]), np.inf, 0)
+        with pytest.raises(ValueError):
+            RobustnessInstance(np.array([np.nan]), 0.1, 0)
 
     def test_report_file(self, tmp_path):
         net = generate_random_network([3, 4, 2], seed=8)
