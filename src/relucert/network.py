@@ -85,9 +85,6 @@ class BoxDomain:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
-    def clip(self, x) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
-
     def sample(self, rng, count=None) -> np.ndarray:
         """Uniform sample(s); shape (len,) or (count, len)."""
         if count is None:
@@ -177,9 +174,6 @@ class Network:
     def row(self, pos):
         """Affine row ``(idx, w, b)`` of the non-input neuron at 0-based ``pos``."""
         return self.rows[pos - self.input_dim]
-
-    def kind_at(self, pos):
-        return self.neurons[pos].kind
 
 
 def eval_network(net: Network, x) -> tuple[np.ndarray, np.ndarray]:

@@ -117,12 +117,12 @@ def build_delta_lp(bounds: Bounds, objective: LinearExpr) -> DeltaLp:
 
 
 def optc2v_bound(bounds: Bounds, objective: LinearExpr, rounds: int = DEFAULT_CUT_ROUNDS,
-                 cut_viol_tol=CUT_VIOLATION_TOL, pool: CutPool | None = None) -> float:
+                 pool: CutPool | None = None) -> float:
     """Upper bound from the relaxation LP plus ``rounds`` of hull cuts.
 
     Each round separates at the current LP optimum across the mixed neurons
     below the objective that have hull instances in ``bounds``, adds every
-    cut violated beyond ``cut_viol_tol`` (no cut selection), and re-solves
+    cut violated beyond ``CUT_VIOLATION_TOL`` (no cut selection), and re-solves
     from the previous basis.  Monotone nonincreasing in ``rounds``;
     ``rounds=0`` is the plain relaxation value.
     """
@@ -139,7 +139,7 @@ def optc2v_bound(bounds: Bounds, objective: LinearExpr, rounds: int = DEFAULT_CU
         added = False
         for pos, nh in dl.hulls.items():
             sep = hull.separate_sort(nh.inst, z[nh.inputs], z[pos])
-            if sep is not None and sep.violation > cut_viol_tol and pool.add(pos, sep.cut):
+            if sep is not None and sep.violation > CUT_VIOLATION_TOL and pool.add(pos, sep.cut):
                 dl.add_hull_cut(pos, sep.cut)
                 added = True
         if not added:

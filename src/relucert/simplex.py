@@ -1,19 +1,28 @@
-"""Dense bounded-variable simplex solver (primal and dual).
+"""Dense bounded-variable dual simplex solver.
 
 Small, deterministic, dependency-free LP engine for the relaxation models in
-this package: every model it sees has a few dozen variables with finite
-bounds and a few hundred rows, so a dense tableau with full recomputation of
-values and reduced costs per iteration is both simple and fast enough.
+this package: every model it sees has a few dozen variables and a few
+hundred rows, so a dense tableau with full recomputation of values and
+reduced costs per iteration is both simple and fast enough.
 
 Conventions: maximize ``c . x`` subject to ``lb <= x <= ub`` and rows
-``a . x (<=|=|>=) rhs``.  Rows get one slack each; a basis is the list of
-basic columns plus a status flag per column (at lower bound, at upper bound,
-basic, or free at zero).  Cold solves place nonbasic columns dual-feasibly
-when bounds allow and run dual simplex; otherwise they fall back to a
-two-phase primal.  Warm solves reuse a caller-provided basis, extending it
-with the slacks of any newly appended rows (the cutting-plane resolve path),
-and repair primal feasibility with the dual simplex.  Anti-cycling: after a
-streak of degenerate steps the pivot choice switches to Bland's rule.
+``a . x (<=|=|>=) rhs``.  Every variable is boxed: ``add_variable`` refuses
+an infinite bound.  Rows get one slack each; a basis is the list of basic
+columns plus a status per column (at lower bound, at upper bound, basic).
+Boxed columns make the slack basis, with each column at the bound its cost
+favours, dual feasible, so every solve is one dual simplex run: from a
+caller's warm basis (extended with the slacks of newly appended rows, the
+cutting-plane resolve path) when it restores dual feasible, else from that
+slack basis; a primal pass then polishes.  Anti-cycling: after a streak of
+degenerate steps the pivot choice switches to Bland's rule.
+
+The reported value is a dual bound (Neumaier & Shcherbina, "Safe bounds in
+linear and mixed-integer linear programming", 2004): the row duals of the
+final basis, with every column priced at the bound its reduced cost favours
+and each slack at the row-activity range the variable box implies.  By weak
+duality it bounds the LP maximum from above whatever the final basis, up to
+the rounding of its own few sums, so it does not rest on the primal point
+being exactly feasible.
 """
 
 from __future__ import annotations
@@ -43,7 +52,6 @@ class LpStatus(enum.Enum):
 _AT_LOWER = 1
 _AT_UPPER = -1
 _BASIC = 0
-_FREE = 2
 
 
 @dataclass(eq=False)
@@ -57,7 +65,9 @@ class LpModel:
     rows: list = field(default_factory=list)  # (idx array, coef array, sense, rhs)
     names: list = field(default_factory=list)
 
-    def add_variable(self, lb=0.0, ub=np.inf, obj=0.0, name=None) -> int:
+    def add_variable(self, lb, ub, obj=0.0, name=None) -> int:
+        if not (np.isfinite(lb) and np.isfinite(ub)):
+            raise ValueError(f"variable bounds must be finite: [{lb}, {ub}]")
         if lb > ub:
             raise ValueError(f"variable bounds crossed: [{lb}, {ub}]")
         self.lb.append(float(lb))
@@ -100,7 +110,7 @@ class SimplexBasis:
 @dataclass(eq=False)
 class LpSolution:
     status: LpStatus
-    objective_value: float
+    objective_value: float  # from the dual: an upper bound on the LP maximum
     x: np.ndarray
     basis: SimplexBasis | None
     iterations: int
@@ -137,14 +147,17 @@ class _Tableau:
         self.lb = lb
         self.ub = ub
         self.c = np.concatenate([np.asarray(model.obj, dtype=float), np.zeros(mr)])
-        self.frozen = np.zeros(n + mr, dtype=bool)  # barred from entering
-        # mutable solver state
-        self.T = A.copy()           # B^{-1} A
-        self.trhs = rhs.copy()      # B^{-1} rhs
-        self.basic = np.arange(n, n + mr, dtype=np.intp)
-        self.status = np.full(n + mr, _AT_LOWER, dtype=np.int8)
         self.degen_streak = 0
         self.iterations = 0
+
+    def _slack_basis(self):
+        """Slacks basic, each column at the bound its cost favours: dual feasible."""
+        n = self.n_struct
+        self.T = self.A.copy()      # B^{-1} A
+        self.trhs = self.rhs.copy()  # B^{-1} rhs
+        self.basic = np.arange(n, n + self.n_rows, dtype=np.intp)
+        self.status = np.full(n + self.n_rows, _BASIC, dtype=np.int8)
+        self.status[:n] = np.where(self.c[:n] > 0.0, _AT_UPPER, _AT_LOWER)
 
     # ----- state helpers -------------------------------------------------
 
@@ -155,31 +168,15 @@ class _Tableau:
         at_up = self.status == _AT_UPPER
         x[at_lo] = self.lb[at_lo]
         x[at_up] = self.ub[at_up]
-        if self.n_rows:
-            nz = np.flatnonzero(x)
-            x[self.basic] = self.trhs - self.T[:, nz] @ x[nz]
+        nz = np.flatnonzero(x)
+        x[self.basic] = self.trhs - self.T[:, nz] @ x[nz]
         return x
 
-    def reduced_costs(self, c):
-        if not self.n_rows:
-            return c.copy()
-        cb = c[self.basic]
+    def reduced_costs(self):
+        cb = self.c[self.basic]
         if not cb.any():
-            return c.copy()
-        return c - cb @ self.T
-
-    def _place_nonbasic(self, j, cost):
-        """Dual-feasible placement when bounds allow, else nearest bound."""
-        lo_ok, up_ok = np.isfinite(self.lb[j]), np.isfinite(self.ub[j])
-        if cost > 0.0 and up_ok:
-            return _AT_UPPER
-        if cost < 0.0 and lo_ok:
-            return _AT_LOWER
-        if lo_ok:
-            return _AT_LOWER
-        if up_ok:
-            return _AT_UPPER
-        return _FREE
+            return self.c.copy()
+        return self.c - cb @ self.T
 
     def _pivot(self, r, j):
         """Enter column j on row r; returns the leaving column."""
@@ -197,43 +194,35 @@ class _Tableau:
         return leaving
 
     def _primal_infeasibility(self, x):
-        if not self.n_rows:
-            return np.zeros(0)
         lo = np.maximum(self.lb[self.basic] - x[self.basic], 0.0)
         up = np.maximum(x[self.basic] - self.ub[self.basic], 0.0)
         return np.maximum(lo, up)
 
     def _dual_feasible(self, d):
         bad = ((self.status == _AT_LOWER) & (d > OPT_TOL)) \
-            | ((self.status == _AT_UPPER) & (d < -OPT_TOL)) \
-            | ((self.status == _FREE) & (np.abs(d) > OPT_TOL))
-        return not bad[~self.frozen].any()
+            | ((self.status == _AT_UPPER) & (d < -OPT_TOL))
+        return not bad.any()
 
     def _nearest_bound_status(self, j, value):
-        dlo = abs(value - self.lb[j]) if np.isfinite(self.lb[j]) else np.inf
-        dup = abs(value - self.ub[j]) if np.isfinite(self.ub[j]) else np.inf
-        if dlo == np.inf and dup == np.inf:
-            return _FREE
-        return _AT_LOWER if dlo <= dup else _AT_UPPER
+        # a slack's infinite side is never nearer than its finite one
+        return _AT_LOWER if abs(value - self.lb[j]) <= abs(value - self.ub[j]) else _AT_UPPER
 
     # ----- primal simplex -------------------------------------------------
 
-    def _primal(self, c, max_iter):
+    def _primal(self, max_iter):
         """Maximize c from the current primal feasible basis."""
         while True:
             if self.iterations >= max_iter:
                 return LpStatus.ITERATION_LIMIT
             bland = self.degen_streak >= DEGENERATE_STREAK
-            d = self.reduced_costs(c)
-            elig = (((self.status == _AT_LOWER) & (d > OPT_TOL))
-                    | ((self.status == _AT_UPPER) & (d < -OPT_TOL))
-                    | ((self.status == _FREE) & (np.abs(d) > OPT_TOL))) & ~self.frozen
+            d = self.reduced_costs()
+            elig = ((self.status == _AT_LOWER) & (d > OPT_TOL)) \
+                | ((self.status == _AT_UPPER) & (d < -OPT_TOL))
             cand = np.flatnonzero(elig)
             if cand.size == 0:
                 return LpStatus.OPTIMAL
             j = int(cand[0]) if bland else int(cand[np.argmax(np.abs(d[cand]))])
-            s = 1.0 if (self.status[j] == _AT_LOWER
-                        or (self.status[j] == _FREE and d[j] > 0.0)) else -1.0
+            s = 1.0 if self.status[j] == _AT_LOWER else -1.0
             x = self.values()
             step, row = self._primal_ratio(j, s, x, bland)
             if step is None:
@@ -252,9 +241,7 @@ class _Tableau:
         Returns ``(step, row)``; ``row == -1`` encodes a flip of j to its
         opposite bound, ``step is None`` means unbounded.
         """
-        rng = self.ub[j] - self.lb[j]
-        best = rng if np.isfinite(rng) else np.inf
-        row = -1
+        best, row = self.ub[j] - self.lb[j], -1  # infinite for a slack
         if self.n_rows:
             col = self.T[:, j]
             xb = x[self.basic]
@@ -265,8 +252,8 @@ class _Tableau:
                 lims = (caps - xb) / delta
             lims[~np.isfinite(lims)] = np.inf
             lims = np.maximum(lims, 0.0)
-            i_best = int(np.argmin(lims)) if lims.size else -1
-            if i_best >= 0 and lims[i_best] < best:
+            i_best = int(np.argmin(lims))
+            if lims[i_best] < best:
                 near = np.flatnonzero(lims <= lims[i_best] + 1e-12)
                 if bland:
                     row = int(near[np.argmin(self.basic[near])])
@@ -279,7 +266,7 @@ class _Tableau:
 
     # ----- dual simplex ---------------------------------------------------
 
-    def _dual(self, c, max_iter):
+    def _dual(self, max_iter):
         """Restore primal feasibility while keeping dual feasibility."""
         while True:
             if self.iterations >= max_iter:
@@ -289,22 +276,21 @@ class _Tableau:
             if infeas.size == 0 or infeas.max() <= FEAS_TOL:
                 return LpStatus.OPTIMAL
             bland = self.degen_streak >= DEGENERATE_STREAK
-            if bland:
-                r = int(np.flatnonzero(infeas > FEAS_TOL)[0])
+            if bland:  # the infeasible basic variable of smallest column index
+                rows = np.flatnonzero(infeas > FEAS_TOL)
+                r = int(rows[np.argmin(self.basic[rows])])
             else:
                 r = int(np.argmax(infeas))
             below = x[self.basic[r]] < self.lb[self.basic[r]]
             alpha = self.T[r]
-            d = self.reduced_costs(c)
+            d = self.reduced_costs()
             if below:
                 elig = ((self.status == _AT_LOWER) & (alpha < -PIVOT_TOL)) \
-                    | ((self.status == _AT_UPPER) & (alpha > PIVOT_TOL)) \
-                    | ((self.status == _FREE) & (np.abs(alpha) > PIVOT_TOL))
+                    | ((self.status == _AT_UPPER) & (alpha > PIVOT_TOL))
             else:
                 elig = ((self.status == _AT_LOWER) & (alpha > PIVOT_TOL)) \
-                    | ((self.status == _AT_UPPER) & (alpha < -PIVOT_TOL)) \
-                    | ((self.status == _FREE) & (np.abs(alpha) > PIVOT_TOL))
-            cand = np.flatnonzero(elig & ~self.frozen)
+                    | ((self.status == _AT_UPPER) & (alpha < -PIVOT_TOL))
+            cand = np.flatnonzero(elig)
             if cand.size == 0:
                 return LpStatus.INFEASIBLE
             ratios = np.abs(d[cand]) / np.abs(alpha[cand])
@@ -317,93 +303,17 @@ class _Tableau:
             leaving = self._pivot(r, j)
             self.status[leaving] = _AT_LOWER if below else _AT_UPPER
 
-    # ----- phase 1 --------------------------------------------------------
-
-    def _phase1(self, max_iter):
-        """From the cold slack basis, reach primal feasibility.
-
-        Out-of-bounds basic slacks are parked at their violated bound and an
-        artificial column (unit coefficient, sign matching the residual)
-        absorbs the gap; maximizing minus the artificial sum drives the gap
-        to zero.  Artificials are then pivoted out where possible and frozen.
-        """
-        x = self.values()
-        viol = []
-        for i in range(self.n_rows):
-            jb = self.basic[i]
-            if x[jb] < self.lb[jb] - FEAS_TOL:
-                viol.append((i, _AT_LOWER, self.lb[jb] - x[jb]))
-            elif x[jb] > self.ub[jb] + FEAS_TOL:
-                viol.append((i, _AT_UPPER, x[jb] - self.ub[jb]))
-        if not viol:
-            return LpStatus.OPTIMAL
-        ncols = self.status.shape[0]
-        n_art = len(viol)
-        ext = np.zeros((self.n_rows, n_art))
-        for k, (i, park, _) in enumerate(viol):
-            ext[i, k] = -1.0 if park == _AT_LOWER else 1.0
-        self.A = np.hstack([self.A, ext])
-        self.T = np.hstack([self.T, ext.copy()])  # slack basis: B is identity
-        self.lb = np.concatenate([self.lb, np.zeros(n_art)])
-        self.ub = np.concatenate([self.ub, np.full(n_art, np.inf)])
-        self.c = np.concatenate([self.c, np.zeros(n_art)])
-        self.status = np.concatenate([self.status, np.full(n_art, _AT_LOWER, np.int8)])
-        self.frozen = np.concatenate([self.frozen, np.zeros(n_art, bool)])
-        for k, (i, park, _) in enumerate(viol):
-            slack = int(self.basic[i])
-            self._pivot(i, ncols + k)
-            self.status[slack] = park
-        c1 = np.zeros(self.status.shape[0])
-        c1[ncols:] = -1.0
-        st = self._primal(c1, max_iter)
-        if st != LpStatus.OPTIMAL:
-            return st
-        x = self.values()
-        if float(x[ncols:].sum()) > 1e2 * FEAS_TOL:
-            return LpStatus.INFEASIBLE
-        for i in range(self.n_rows):
-            if self.basic[i] >= ncols:
-                row = self.T[i, :ncols]
-                ok = np.flatnonzero((self.status[:ncols] != _BASIC) & (np.abs(row) > 1e-6))
-                if ok.size:
-                    art = self._pivot(i, int(ok[0]))
-                    self.status[art] = _AT_LOWER
-        self.lb[ncols:] = 0.0
-        self.ub[ncols:] = 0.0
-        self.frozen[ncols:] = True
-        return LpStatus.OPTIMAL
-
     # ----- driver ----------------------------------------------------------
 
     def solve(self, warm_basis, max_iter):
         n, mr = self.n_struct, self.n_rows
-        warmed = (warm_basis is not None and warm_basis.n_vars == n
-                  and warm_basis.n_rows <= mr and self._restore_basis(warm_basis))
-        if not warmed:
-            for j in range(n):
-                self.status[j] = self._place_nonbasic(j, self.c[j])
-            self.status[n:] = _BASIC
-        if self._dual_feasible(self.reduced_costs(self.c)):
-            status = self._dual(self.c, max_iter)
-            if status == LpStatus.OPTIMAL:
-                status = self._primal(self.c, max_iter)  # polish, usually a no-op
-        else:
-            x = self.values()
-            infeas = self._primal_infeasibility(x)
-            if infeas.size and infeas.max() > FEAS_TOL:
-                if warmed:  # only the slack basis supports artificial setup
-                    warmed = False
-                    self.T = self.A.copy()
-                    self.trhs = self.rhs.copy()
-                    self.basic = np.arange(n, n + mr, dtype=np.intp)
-                    for j in range(n):
-                        self.status[j] = self._place_nonbasic(j, self.c[j])
-                    self.status[n:] = _BASIC
-                status = self._phase1(max_iter)
-                if status == LpStatus.OPTIMAL:
-                    status = self._primal(self.c, max_iter)
-            else:
-                status = self._primal(self.c, max_iter)
+        restored = (warm_basis is not None and warm_basis.n_vars == n
+                    and warm_basis.n_rows <= mr and self._restore_basis(warm_basis))
+        if not (restored and self._dual_feasible(self.reduced_costs())):
+            self._slack_basis()
+        status = self._dual(max_iter)
+        if status == LpStatus.OPTIMAL:
+            status = self._primal(max_iter)  # polish, usually a no-op
         x = self.values()
         xs = x[:n].copy()
         if status == LpStatus.OPTIMAL:
@@ -412,10 +322,26 @@ class _Tableau:
         basis = SimplexBasis(basic=self.basic.copy(),
                              status=self.status[:n + mr].copy(),
                              n_vars=n, n_rows=mr)
-        value = float(np.asarray(self.model.obj) @ xs) + self.model.obj_constant \
-            if n else self.model.obj_constant
-        return LpSolution(status=status, objective_value=value, x=xs,
+        return LpSolution(status=status, objective_value=self._dual_bound(), x=xs,
                           basis=basis, iterations=self.iterations)
+
+    def _dual_bound(self):
+        """Upper bound on the maximum from the duals ``y = c_B B^{-1}``.
+
+        The slack columns of ``B^{-1} A`` hold ``B^{-1}``.  Every column,
+        slacks included, is priced at the bound its reduced cost against the
+        original rows favours; a slack's range is cut to what its row can
+        reach over the variable box, so every term is finite.
+        """
+        n = self.n_struct
+        y = self.c[self.basic] @ self.T[:, n:]
+        d = self.c - y @ self.A
+        As, lo, hi = self.A[:, :n], self.lb[:n], self.ub[:n]
+        act_lo = np.minimum(As * lo, As * hi).sum(axis=1)
+        act_hi = np.maximum(As * lo, As * hi).sum(axis=1)
+        lo = np.concatenate([lo, np.maximum(self.lb[n:], self.rhs - act_hi)])
+        hi = np.concatenate([hi, np.minimum(self.ub[n:], self.rhs - act_lo)])
+        return float(y @ self.rhs + np.maximum(d * lo, d * hi).sum()) + self.model.obj_constant
 
     def _restore_basis(self, wb: SimplexBasis) -> bool:
         n, mr = self.n_struct, self.n_rows

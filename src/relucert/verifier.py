@@ -7,7 +7,8 @@ Scalar bounds are computed once per instance and reused across all margin
 objectives ``f_k - f_t``; the verdict is ``verified`` when every margin's
 upper bound is negative, otherwise a projected-gradient attack decides
 between ``falsified`` (with an exactly re-checked witness attached) and
-``unknown``.
+``unknown``.  An instance whose LP bounds fail numerically is bounded with
+``deeppoly`` instead, and its report records why.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import BoxDomain, Network, NetworkParseError, classify
-from .propagation import DEFAULT_CUT_ROUNDS, METHODS, LinearExpr, compute_all_bounds
+from .propagation import (DEEPPOLY, DEFAULT_CUT_ROUNDS, LP, METHODS, OPTC2V, LinearExpr,
+                          compute_all_bounds)
+from .relaxation import LpBoundError
 
 VERIFIED = "verified"
 FALSIFIED = "falsified"
@@ -58,10 +61,7 @@ class VerificationReport:
     time_bounds: float = 0.0
     time_margins: dict[int, float] = field(default_factory=dict)
     neuron_bounds: list | None = None
-
-    @property
-    def worst_margin(self) -> float:
-        return max(self.margin_bounds.values()) if self.margin_bounds else -np.inf
+    fallback: str | None = None  # why the margins are deeppoly's, not the method's
 
 
 def build_input_box(inst: RobustnessInstance) -> BoxDomain:
@@ -85,34 +85,43 @@ def margin_objective(net: Network, k: int, t: int) -> LinearExpr:
 
 def verify(net: Network, inst: RobustnessInstance, method: str = "fastc2v",
            iterations: int = 1, cut_rounds: int = DEFAULT_CUT_ROUNDS,
-           attack: bool = True, seed: int = 0, early_exit: bool = False,
+           attack: bool = True, seed: int = 0,
            verbose_bounds: bool = False) -> VerificationReport:
     """Certify one instance with the chosen bound method.
 
-    Bounds every margin ``f_k - f_t`` (all of them, unless ``early_exit``);
-    when certification fails and ``attack`` is on, runs the projected
-    gradient attack and attaches any witness that exact evaluation
-    confirms; an unconfirmed one is dropped and the verdict is ``unknown``.
+    Bounds every margin ``f_k - f_t``; when certification fails and
+    ``attack`` is on, runs the projected gradient attack and attaches any
+    witness that exact evaluation confirms; an unconfirmed one is dropped
+    and the verdict is ``unknown``.  When an LP method ends in a non-optimal
+    status or an arithmetic check, the instance is bounded with ``deeppoly``
+    (always sound) and the reason goes into ``fallback``.
     """
     if len(inst.x_hat) != net.input_dim:
         raise ValueError("instance dimension does not match network")
     t0 = time.perf_counter()
     box = build_input_box(inst)
     t = inst.label
-    state = compute_all_bounds(net, box, method, iterations, cut_rounds)
-    t1 = time.perf_counter()
-    margins: dict[int, float] = {}
-    margin_times: dict[int, float] = {}
-    for k in range(net.n_outputs):
-        if k == t:
-            continue
-        tk = time.perf_counter()
-        margins[k] = state.bound_objective(margin_objective(net, k, t))
-        margin_times[k] = time.perf_counter() - tk
-        if early_exit and margins[k] >= 0.0:
-            break
-    complete = len(margins) == net.n_outputs - 1
-    if complete and all(v < 0.0 for v in margins.values()):
+
+    def bound_margins(m):
+        state = compute_all_bounds(net, box, m, iterations, cut_rounds)
+        t1 = time.perf_counter()
+        margins, margin_times = {}, {}
+        for k in range(net.n_outputs):
+            if k != t:
+                tk = time.perf_counter()
+                margins[k] = state.bound_objective(margin_objective(net, k, t))
+                margin_times[k] = time.perf_counter() - tk
+        return state, t1, margins, margin_times
+
+    fallback = None
+    try:
+        state, t1, margins, margin_times = bound_margins(method)
+    except (LpBoundError, ArithmeticError) as exc:
+        if method not in (LP, OPTC2V):
+            raise
+        fallback = f"{type(exc).__name__}: {exc}"
+        state, t1, margins, margin_times = bound_margins(DEEPPOLY)
+    if all(v < 0.0 for v in margins.values()):
         verdict, witness, witness_label = VERIFIED, None, None
     else:
         witness = attack_upper_bound(net, inst, seed=seed) if attack else None
@@ -126,7 +135,7 @@ def verify(net: Network, inst: RobustnessInstance, method: str = "fastc2v",
         witness_label=witness_label,
         time_total=time.perf_counter() - t0, time_bounds=t1 - t0,
         time_margins=margin_times,
-        neuron_bounds=list(state.pre) if verbose_bounds else None)
+        neuron_bounds=list(state.pre) if verbose_bounds else None, fallback=fallback)
 
 
 def _forward_batch(net, X):
@@ -254,7 +263,11 @@ def batch_verify(net: Network, instances, method: str = "fastc2v",
 # ----- reports and instance files ------------------------------------------
 
 def format_report_line(index, rep: VerificationReport | None) -> str:
-    """One report as a fixed-field-order text line."""
+    """One report as a fixed-field-order text line.
+
+    A ``fallback=`` field, present only when the margins come from the
+    fallback, is last and runs to the end of the line.
+    """
     if rep is None:
         return f"instance={index} verdict=skipped"
     fields = [f"instance={index}",
@@ -271,6 +284,8 @@ def format_report_line(index, rep: VerificationReport | None) -> str:
     fields.append("time_bounds_ms=%.3f" % (1e3 * rep.time_bounds))
     tm = ",".join("%d:%.3f" % (k, 1e3 * rep.time_margins[k]) for k in sorted(rep.time_margins))
     fields.append(f"time_margins_ms={tm}")
+    if rep.fallback is not None:
+        fields.append(f"fallback={rep.fallback}")
     return " ".join(fields)
 
 

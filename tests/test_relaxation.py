@@ -229,6 +229,34 @@ class TestLpSweep:
             assert st.bound_objective(obj) >= 1.000009 - 1e-12, method
             assert st.pre[net.n_state].pre_upper >= 1.000009 - 1e-12, method
 
+    def test_reported_value_is_an_upper_bound(self):
+        # weights near 1e-7 leave the primal optimum of the margin LP a
+        # little infeasible; its objective, 0.6659494786483652, fell below
+        # the true maximum, which the value from the dual does not
+        relu = [
+            (-0.69311254826503266, ((1, -0.64264048610163527), (2, 4.5969765107398803e-07))),
+            (-0.94304340814152998, ((1, -0.45327909798433685), (2, -2.7246669547723412e-07))),
+            (0.70764135271751649, ((1, 6.6973888918687363e-07), (2, -0.090355636910248283))),
+            (-0.11243811887328858, ((1, 0.25107250877647513), (2, -3.4693978105599111e-07))),
+            (-0.641981078067835, ((3, 0.61793648835737391), (4, 0.724797054948352),
+                                  (5, -4.3637668176888741e-07), (6, -0.93780603375774629))),
+            (0.39017512170665825, ((3, -0.097277847029658471), (4, 0.87483630071164442),
+                                   (5, 9.2247178460903129e-07), (6, 0.47936893356622412))),
+            (0.8944873421137991, ((3, -8.8296730991901333e-07), (4, -0.64119811437714302),
+                                  (5, 7.7113896919715372e-07), (6, -0.63071080424478287))),
+        ]
+        neurons = [Neuron(1, "input", (), 0.0), Neuron(2, "input", (), 0.0)]
+        neurons += [Neuron(i + 3, "relu", w, b) for i, (b, w) in enumerate(relu)]
+        neurons.append(Neuron(10, "output", ((7, 0.28918354382935152), (8, -0.97279609061760852),
+                                             (9, -0.22669637602173198)), -0.063138919560128626))
+        net = Network(2, neurons, [10])
+        box = BoxDomain(np.array([0.1, 0.2]), np.array([0.7, 0.9]))
+        obj = expr_from_row(*net.row(net.n_state), eta=net.n_state).negated()
+        true_max = 0.6659495465008871  # exact_max_oracle gives one ulp more
+        assert exact_max_oracle(net, box, obj) >= true_max
+        for method in ("lp", "optc2v"):
+            assert compute_all_bounds(net, box, method).bound_objective(obj) >= true_max, method
+
     def test_sandwich_on_random_networks(self):
         rng = np.random.default_rng(50)
         for _ in range(15):

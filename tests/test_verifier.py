@@ -3,6 +3,7 @@ import pytest
 
 from relucert.network import (NetworkParseError, classify, eval_network,
                               generate_random_network)
+from relucert.simplex import LpStatus
 from relucert.verifier import (FALSIFIED, UNKNOWN, VERIFIED, RobustnessInstance,
                                attack_upper_bound, batch_verify, build_input_box,
                                format_report_line, generate_instances,
@@ -187,6 +188,17 @@ class TestVerify:
         assert rep.verdict == UNKNOWN
         assert rep.witness is None and rep.witness_label is None
 
+    def test_dual_simplex_does_not_cycle(self):
+        # under Bland's rule the dual simplex used to pick the first
+        # infeasible row, not the basic variable of smallest index, and
+        # cycled to the iteration limit on the first output-row LP here
+        net = generate_random_network([10, 30, 30, 30, 10], seed=1, weight_scale=0.5)
+        inst = generate_instances(net, 1, epsilon=0.05, seed=1001)[0]
+        rep = verify(net, inst, method="lp")
+        assert rep.fallback is None
+        assert rep.verdict == VERIFIED
+        assert max(rep.margin_bounds.values()) == pytest.approx(-0.5732, abs=1e-3)
+
     def test_margins_all_bounded_by_default(self):
         net = generate_random_network([3, 5, 4], seed=3)
         inst = generate_instances(net, 1, epsilon=0.01, seed=4)[0]
@@ -227,6 +239,30 @@ class TestBatch:
         net = generate_random_network([2, 2, 2], seed=0)
         res = batch_verify(net, [], method="interval")
         assert sum(res.counts.values()) == 0 and res.reports == []
+
+    def test_failed_lp_instance_falls_back_to_deeppoly(self, monkeypatch):
+        import relucert.relaxation as relaxation_module
+        net = generate_random_network([4, 8, 8, 3], seed=2, weight_scale=0.8)
+        insts = generate_instances(net, 3, epsilon=0.1, seed=3)
+        bad = build_input_box(insts[1]).lower
+        solve = relaxation_module.solve_lp
+
+        def failing_solve(model, warm_basis=None):
+            sol = solve(model, warm_basis=warm_basis)
+            if np.array_equal(model.lb[:net.input_dim], bad):
+                sol.status = LpStatus.ITERATION_LIMIT
+            return sol
+
+        monkeypatch.setattr(relaxation_module, "solve_lp", failing_solve)
+        res = batch_verify(net, insts, method="lp", deterministic=True)
+        assert sum(res.counts.values()) == 3
+        reason = "LpBoundError: base relaxation: LP ended iteration-limit"
+        assert [rep.fallback for rep in res.reports] == [None, reason, None]
+        ref = verify(net, insts[1], method="deeppoly")
+        assert res.reports[1].margin_bounds == ref.margin_bounds
+        lines = [format_report_line(i, rep) for i, rep in enumerate(res.reports)]
+        assert lines[1].endswith(" fallback=" + reason)
+        assert "fallback" not in lines[0] + lines[2]
 
     def test_error_entries_reported_and_skipped(self):
         net = generate_random_network([2, 2, 2], seed=0)
