@@ -12,17 +12,14 @@ from .network import (BoxDomain, Network, NetworkInvariantError,
                       NetworkParseError, Neuron, classify, eval_network,
                       generate_random_network, load_network, save_network)
 from .hull import (HullCut, HullInstance, Separation, classify_phase,
-                   corner_value, cut_from_pair, delta_upper_value,
-                   enumerate_cut_pairs, make_hull_instance,
-                   minimize_upper_envelope_median, minimize_upper_envelope_sort,
-                   separate_median, separate_sort)
+                   corner_value, cut_from_pair, make_hull_instance,
+                   minimize_upper_envelope_sort, separate_sort)
 from .propagation import (METHODS, AffineBoundPair, AffineFunc, Bounds, LinearExpr,
                           NeuronHull, ScalarBounds, backward_pass, box_maximize,
                           compute_all_bounds, forward_pass, initial_pair,
                           tightened_bound)
 from .simplex import LpModel, LpSolution, LpStatus, solve_lp
-from .relaxation import (CutPool, build_delta_lp, exact_max_oracle,
-                         lifted_envelope_value, optc2v_bound)
+from .relaxation import CutPool, build_delta_lp, optc2v_bound
 from .verifier import (RobustnessInstance, VerificationReport, attack_upper_bound,
                        batch_verify, build_input_box, generate_instances,
                        load_instances, margin_objective, save_instances, verify)

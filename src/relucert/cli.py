@@ -35,6 +35,8 @@ def _verify_cmd(args):
     else:
         for i, rep in enumerate(result.reports):
             print(format_report_line(i, rep))
+    for i, msg in result.errors:
+        print(f"instance={i} skipped: {msg}", file=sys.stderr)
     c = result.counts
     print(f"summary method={args.method} verified={c['verified']} "
           f"falsified={c['falsified']} unknown={c['unknown']} skipped={c['skipped']}",
@@ -45,7 +47,7 @@ def _verify_cmd(args):
 def _dump_margin_lps(net, instances, args):
     os.makedirs(args.dump_lp, exist_ok=True)
     for i, inst in enumerate(instances):
-        if not isinstance(inst, RobustnessInstance):
+        if not isinstance(inst, RobustnessInstance) or verifier.instance_error(net, inst):
             continue
         box = verifier.build_input_box(inst)
         state = verifier.compute_all_bounds(net, box, args.method,

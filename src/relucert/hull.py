@@ -9,8 +9,8 @@ pre-activation hyperplane.
 
 All index sets handed to and returned from this module are 0-based positions
 into the instance's *retained* coordinate list (zero weights and degenerate
-coordinates are folded away at construction; emitted cuts are re-expanded to
-the original coordinates with zero coefficients).
+coordinates are folded away at construction).  An emitted cut is sparse: it
+names the original coordinates it reads and nothing else.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ import numpy as np
 ALWAYS_ACTIVE = "always_active"
 ALWAYS_INACTIVE = "always_inactive"
 MIXED = "mixed"
-
-# Hard ceiling for brute-force enumeration of the cut family.
-ENUMERATION_CAP = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,20 +73,24 @@ class HullInstance:
 
 @dataclass(frozen=True, eq=False)
 class HullCut:
-    """A realized upper inequality ``y <= coeffs . x + constant``.
+    """A realized upper inequality ``y <= coeffs . x[idx] + constant``.
 
     ``index_set`` and ``anchor`` are the defining pair: the inequality
     interpolates the ReLU between the box corner that zeroes it and the
-    corner reached by raising the ``anchor`` coordinate.
+    corner reached by raising the ``anchor`` coordinate.  ``idx`` holds the
+    original positions of ``index_set`` and ``anchor``, ascending, and
+    ``coeffs`` their coefficients.
     """
 
     index_set: tuple[int, ...]
     anchor: int
+    idx: np.ndarray
     coeffs: np.ndarray
     constant: float
 
     def value(self, x) -> float:
-        return float(self.coeffs @ np.asarray(x, dtype=float)) + self.constant
+        """Right-hand side at ``x`` in original coordinates."""
+        return float(self.coeffs @ np.asarray(x, dtype=float)[self.idx]) + self.constant
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,8 +164,8 @@ def cut_from_pair(inst: HullInstance, low_set, anchor: int) -> HullCut:
     The inequality is
     ``y <= sum_{i in I} w_i (x_i - min_corner_i)
            + corner_value(I)/(max_corner_h - min_corner_h) (x_h - min_corner_h)``
-    expanded to ``a.x + c`` over the original coordinates (zeros on folded
-    ones).  Raises if the pair does not define a facet, i.e. unless
+    expanded to ``a.x + c`` over the original positions of ``I`` and ``h``.
+    Raises if the pair does not define a facet, i.e. unless
     ``corner_value(I) >= 0 > corner_value(I + anchor)``.
     """
     I = tuple(sorted(int(i) for i in low_set))
@@ -176,63 +177,26 @@ def cut_from_pair(inst: HullInstance, low_set, anchor: int) -> HullCut:
     if not (ell_i >= 0.0 and ell_ih < 0.0):
         raise ValueError(f"pair ({I}, {h}) is not in the cut family: "
                          f"values {ell_i}, {ell_ih}")
-    coeffs = np.zeros(inst.dim)
     const = 0.0
     for i in I:
-        coeffs[inst.support[i]] = inst.w[i]
         const -= inst.w[i] * inst.min_corner[i]
     slope = ell_i / (inst.max_corner[h] - inst.min_corner[h])
-    coeffs[inst.support[h]] += slope
     const -= slope * inst.min_corner[h]
-    return HullCut(index_set=I, anchor=h, coeffs=coeffs, constant=const)
+    k = np.array(sorted(I + (h,)), dtype=np.intp)
+    coeffs = inst.w[k]
+    coeffs[k == h] = slope
+    return HullCut(index_set=I, anchor=h, idx=inst.support[k], coeffs=coeffs,
+                   constant=const)
 
 
-def enumerate_cut_pairs(inst: HullInstance, cap=ENUMERATION_CAP) -> list[tuple[tuple[int, ...], int]]:
-    """Every facet pair ``(I, h)``, by brute force over all subsets.
-
-    Intended as a test oracle for small instances; refuses more than ``cap``
-    retained coordinates.  The count always lies in
-    ``[d, ceil(d/2) * C(d, ceil(d/2))]`` for ``d`` retained coordinates.
-    """
-    _require_mixed(inst)
-    k = inst.size
-    if k > cap:
-        raise ValueError(f"{k} coordinates exceeds enumeration cap {cap}")
-    masks = np.arange(1 << k, dtype=np.int64)
-    capsum = np.zeros(1 << k)
-    for i in range(k):
-        sel = (masks >> i) & 1 == 1
-        capsum[sel] += inst.cap[i]
-    ell = inst.val_max - capsum
-    pairs = []
-    for mask in range(1 << k):
-        if ell[mask] < 0.0:
-            continue
-        I = tuple(i for i in range(k) if (mask >> i) & 1)
-        for h in range(k):
-            if (mask >> h) & 1:
-                continue
-            if ell[mask | (1 << h)] < 0.0:
-                pairs.append((I, h))
-    return pairs
-
-
-def _finish_separation(inst, x, in_set_mask, h):
-    """Assemble the chosen cut and its value at x from the greedy outcome."""
-    x_loc = np.asarray(x, dtype=float)[inst.support]
-    ell_i = inst.val_max - float(inst.cap[in_set_mask].sum())
-    value = float(inst.w[in_set_mask] @ (x_loc[in_set_mask] - inst.min_corner[in_set_mask]))
-    value += ell_i / (inst.max_corner[h] - inst.min_corner[h]) * (x_loc[h] - inst.min_corner[h])
-    I = tuple(np.flatnonzero(in_set_mask).tolist())
-    return cut_from_pair(inst, I, h), value
-
-
-def minimize_upper_envelope_sort(inst: HullInstance, x) -> tuple[HullCut, float]:
-    """Tightest upper inequality at ``x`` via the sorting greedy.
+def minimize_upper_envelope_sort(inst: HullInstance, x) -> tuple[float, np.ndarray, int]:
+    """Least upper hull inequality at ``x`` via the sorting greedy.
 
     Sort retained coordinates by ``ratios(x)`` nondecreasing (ties by
     position), grow the index set while the corner value stays nonnegative,
-    and anchor at the coordinate that first drives it negative.  O(n log n).
+    and anchor at the coordinate that first drives it negative.  Returns the
+    envelope value at ``x``, the index set as ascending retained positions
+    and the anchor, without building the cut.  O(n log n).
     """
     _require_mixed(inst)
     r = inst.ratios(x)
@@ -241,79 +205,26 @@ def minimize_upper_envelope_sort(inst: HullInstance, x) -> tuple[HullCut, float]
     # first position whose cumulative capacity overshoots the slack at the
     # all-max corner; guaranteed to exist for a mixed instance
     stop = int(np.argmax(running > inst.val_max))
-    in_set = np.zeros(inst.size, dtype=bool)
-    in_set[order[:stop]] = True
-    return _finish_separation(inst, x, in_set, int(order[stop]))
-
-
-def minimize_upper_envelope_median(inst: HullInstance, x) -> tuple[HullCut, float]:
-    """Same contract as the sorting variant, via weighted-median selection.
-
-    Expected linear time: quickselect-style partitioning on the ratio key
-    (ties by position) tracking consumed capacity, no full sort.
-    """
-    _require_mixed(inst)
-    r = inst.ratios(x)
-    h = _stop_item_select(r, inst.cap, inst.val_max)
-    in_set = (r < r[h]) | ((r == r[h]) & (np.arange(inst.size) < h))
-    return _finish_separation(inst, x, in_set, h)
-
-
-def _stop_item_select(ratios, caps, capacity):
-    """Item at which cumulative capacity in (ratio, position) order first
-    exceeds ``capacity``; requires total capacity > capacity >= 0."""
-    cand = np.arange(ratios.shape[0])
-    acc = 0.0
-    while cand.size > 1:
-        trio = sorted((cand[0], cand[cand.size // 2], cand[-1]),
-                      key=lambda i: (ratios[i], i))
-        p = int(trio[1])
-        rc = ratios[cand]
-        less = cand[(rc < ratios[p]) | ((rc == ratios[p]) & (cand < p))]
-        consumed = float(caps[less].sum())
-        if acc + consumed > capacity:
-            cand = less
-        elif acc + consumed + caps[p] > capacity:
-            return p
-        else:
-            acc += consumed + float(caps[p])
-            cand = cand[(rc > ratios[p]) | ((rc == ratios[p]) & (cand > p))]
-    return int(cand[0])
-
-
-def _separate(minimizer, inst, x, y):
-    cut, envelope = minimizer(inst, x)
-    violation = float(y) - envelope
-    if violation > 0.0:
-        return Separation(cut=cut, envelope=envelope, violation=violation)
-    return None
+    low = np.sort(order[:stop])
+    h = int(order[stop])
+    x_loc = np.asarray(x, dtype=float)[inst.support]
+    # corner value summed in index order, as cut_from_pair sums it
+    ell_i = inst.val_max - float(inst.cap[low].sum())
+    value = float(inst.w[low] @ (x_loc[low] - inst.min_corner[low]))
+    value += ell_i / (inst.max_corner[h] - inst.min_corner[h]) * (x_loc[h] - inst.min_corner[h])
+    return value, low, h
 
 
 def separate_sort(inst: HullInstance, x, y) -> Separation | None:
     """Most violated upper inequality at ``(x, y)``, or None if none is.
 
-    Any positive violation counts; callers wanting a tolerance filter on it
-    compare ``Separation.violation`` themselves.
+    The cut is built only when ``y`` exceeds the envelope.  Any positive
+    violation counts; callers wanting a tolerance filter on it compare
+    ``Separation.violation`` themselves.
     """
-    return _separate(minimize_upper_envelope_sort, inst, x, y)
-
-
-def separate_median(inst: HullInstance, x, y) -> Separation | None:
-    """Linear-time variant of :func:`separate_sort`; identical contract."""
-    return _separate(minimize_upper_envelope_median, inst, x, y)
-
-
-def delta_upper_value(inst: HullInstance, x) -> float:
-    """Upper bound at ``x`` from the univariate three-inequality relaxation.
-
-    Uses the chord of the ReLU over the exact pre-activation range
-    ``[val_min, val_max]``; the hull's envelope is never above this.
-    """
-    _require_mixed(inst)
-    zhat = inst.preactivation(x)
-    return inst.val_max / (inst.val_max - inst.val_min) * (zhat - inst.val_min)
-
-
-def relu_value(inst: HullInstance, x) -> float:
-    """``max(0, w.x + b)`` on original coordinates."""
-    return max(0.0, inst.preactivation(x))
+    envelope, low, h = minimize_upper_envelope_sort(inst, x)
+    violation = float(y) - envelope
+    if violation > 0.0:
+        return Separation(cut=cut_from_pair(inst, low.tolist(), h), envelope=envelope,
+                          violation=violation)
+    return None

@@ -123,10 +123,6 @@ class NeuronHull:
         inst = hull.make_hull_instance(w, b, post_lo[idx], post_hi[idx])
         return cls(pos=pos, inputs=idx, inst=inst)
 
-    def cut_as_pair_upper(self, cut: hull.HullCut) -> AffineFunc:
-        nz = np.flatnonzero(cut.coeffs)
-        return AffineFunc(idx=self.inputs[nz], w=cut.coeffs[nz], b=cut.constant)
-
 
 @dataclass(eq=False)
 class BackwardResult:
@@ -265,8 +261,9 @@ def tightened_bound(box: BoxDomain, pairs: dict[int, AffineBoundPair],
             nh = hulls[p]
             sep = hull.separate_sort(nh.inst, z[nh.inputs], z[p])
             if sep is not None:
-                pairs[p] = AffineBoundPair(lower=pairs[p].lower,
-                                           upper=nh.cut_as_pair_upper(sep.cut))
+                cut = sep.cut
+                upper = AffineFunc(idx=nh.inputs[cut.idx], w=cut.coeffs, b=cut.constant)
+                pairs[p] = AffineBoundPair(lower=pairs[p].lower, upper=upper)
                 swapped = True
         if not swapped:
             break

@@ -9,11 +9,6 @@ optimum, adds every sufficiently violated one, and re-solves warm-started
 from the previous basis.  It is the LP bounder of the one forward sweep,
 :func:`relucert.propagation.compute_all_bounds`, and reads the scalar
 bounds, post boxes and hull instances that sweep has fixed so far.
-
-Also here: the lifted-formulation LP that evaluates the hull's upper
-envelope through an auxiliary-variable model (an independent cross-check of
-the greedy separation), and the exact maximization oracle that enumerates
-ReLU activation patterns.
 """
 
 from __future__ import annotations
@@ -23,9 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hull
-from .network import BoxDomain, Network
-from .propagation import (DEFAULT_CUT_ROUNDS, INTERVAL, Bounds, LinearExpr,
-                          NeuronHull, compute_all_bounds)
+from .propagation import DEFAULT_CUT_ROUNDS, Bounds, LinearExpr, NeuronHull
 from .simplex import EQ, GE, LE, LpModel, LpStatus, solve_lp
 
 # A hull inequality enters the model only when violated by more than this.
@@ -68,10 +61,8 @@ class DeltaLp:
     hulls: dict[int, NeuronHull] = field(repr=False)
 
     def add_hull_cut(self, pos: int, cut: hull.HullCut):
-        nh = self.hulls[pos]
-        nz = np.flatnonzero(cut.coeffs)
-        idx = np.concatenate([[pos], nh.inputs[nz]])
-        coef = np.concatenate([[1.0], -cut.coeffs[nz]])
+        idx = np.concatenate([[pos], self.hulls[pos].inputs[cut.idx]])
+        coef = np.concatenate([[1.0], -cut.coeffs])
         self.model.add_constraint(idx, coef, LE, cut.constant)
 
 
@@ -150,90 +141,3 @@ def optc2v_bound(bounds: Bounds, objective: LinearExpr, rounds: int = DEFAULT_CU
             # re-solve means tolerances bit us, not the model
             raise LpBoundError(sol.status, "after adding cuts")
     return sol.objective_value
-
-
-def lifted_envelope_value(inst: hull.HullInstance, x) -> float:
-    """Hull upper envelope at ``x`` via the auxiliary-variable LP.
-
-    Maximizes ``w . v + b t`` over ``(v, t)`` with ``t in [0, 1]``,
-    ``L t <= v <= U t`` and ``L (1-t) <= x - v <= U (1-t)``: the optimal
-    value equals the least upper hull inequality at ``x``.  Serves as an
-    independent oracle for the greedy separation routines.
-    """
-    if hull.classify_phase(inst) != hull.MIXED:
-        raise ValueError("envelope LP requires a mixed instance")
-    x = np.asarray(x, dtype=float)[inst.support]
-    if np.any(x < inst.lower - 1e-9) or np.any(x > inst.upper + 1e-9):
-        raise ValueError("point outside the instance box")
-    k = inst.size
-    model = LpModel()
-    for i in range(k):
-        model.add_variable(min(inst.lower[i], 0.0), max(inst.upper[i], 0.0),
-                           obj=inst.w[i], name=f"v{i}")
-    t = model.add_variable(0.0, 1.0, obj=inst.b, name="t")
-    for i in range(k):
-        li, ui = inst.lower[i], inst.upper[i]
-        # x_i - v_i >= L_i (1 - t)  and  x_i - v_i <= U_i (1 - t)
-        model.add_constraint(np.array([i, t]), np.array([-1.0, li]), GE, li - x[i])
-        model.add_constraint(np.array([i, t]), np.array([-1.0, ui]), LE, ui - x[i])
-        # L_i t <= v_i <= U_i t
-        model.add_constraint(np.array([i, t]), np.array([1.0, -li]), GE, 0.0)
-        model.add_constraint(np.array([i, t]), np.array([1.0, -ui]), LE, 0.0)
-    sol = solve_lp(model)
-    if sol.status != LpStatus.OPTIMAL:
-        raise LpBoundError(sol.status, "envelope LP")
-    return sol.objective_value
-
-
-def exact_max_oracle(net: Network, box: BoxDomain, objective: LinearExpr,
-                     mixed_cap: int = 16) -> float:
-    """True maximum of a state-space objective by activation-pattern search.
-
-    Enumerates on/off patterns over the neurons interval arithmetic cannot
-    fix, solves one input-space LP per pattern (each ReLU's sign constraint
-    included), and takes the best feasible value.  Exponential in the mixed
-    count; refuses more than ``mixed_cap`` mixed neurons.
-    """
-    m = net.input_dim
-    sb = compute_all_bounds(net, box, INTERVAL).pre
-    mixed = [pos for pos in range(m, net.n_state) if sb[pos].is_mixed()]
-    if len(mixed) > mixed_cap:
-        raise ValueError(f"{len(mixed)} mixed neurons exceed the cap {mixed_cap}")
-    eta = objective.eta
-    best = -np.inf
-    for pattern in range(1 << len(mixed)):
-        active = {}
-        for t, pos in enumerate(mixed):
-            active[pos] = bool((pattern >> t) & 1)
-        # symbolic post-activations as affine functions of the inputs
-        E = np.zeros((eta, m))
-        e0 = np.zeros(eta)
-        E[:m, :m] = np.eye(m)[:min(m, eta)]
-        model = LpModel()
-        for i in range(m):
-            model.add_variable(box.lower[i], box.upper[i], name=f"x{i}")
-        feasible = True
-        for pos in range(m, eta):
-            idx, w, b = net.row(pos)
-            pc = w @ E[idx]
-            p0 = float(w @ e0[idx]) + b
-            on = active.get(pos, sb[pos].pre_lower >= 0.0)
-            if pos in active:
-                sense = GE if on else LE
-                model.add_constraint(np.arange(m), pc.copy(), sense, -p0)
-            if on:
-                E[pos], e0[pos] = pc, p0
-            # else: stays zero
-        obj_c = objective.coeffs @ E
-        obj_0 = float(objective.coeffs @ e0) + objective.constant
-        for i in range(m):
-            model.obj[i] = float(obj_c[i])
-        model.obj_constant = obj_0
-        sol = solve_lp(model)
-        if sol.status == LpStatus.OPTIMAL:
-            best = max(best, sol.objective_value)
-        elif sol.status != LpStatus.INFEASIBLE:
-            raise LpBoundError(sol.status, "pattern LP")
-    if not np.isfinite(best):
-        raise ArithmeticError("no activation pattern was feasible")
-    return best

@@ -64,6 +64,16 @@ class VerificationReport:
     fallback: str | None = None  # why the margins are deeppoly's, not the method's
 
 
+def instance_error(net: Network, inst: RobustnessInstance) -> str | None:
+    """Why ``inst`` cannot be posed on ``net``, or None when it can."""
+    if len(inst.x_hat) != net.input_dim:
+        return (f"instance has dimension {len(inst.x_hat)}, "
+                f"network input has dimension {net.input_dim}")
+    if not 0 <= inst.label < net.n_outputs:
+        return f"label {inst.label} is not a class of the network ({net.n_outputs} outputs)"
+    return None
+
+
 def build_input_box(inst: RobustnessInstance) -> BoxDomain:
     """Per-coordinate interval ``[max(0, x-eps), min(1, x+eps)]``."""
     return BoxDomain(np.maximum(0.0, inst.x_hat - inst.epsilon),
@@ -96,8 +106,9 @@ def verify(net: Network, inst: RobustnessInstance, method: str = "fastc2v",
     status or an arithmetic check, the instance is bounded with ``deeppoly``
     (always sound) and the reason goes into ``fallback``.
     """
-    if len(inst.x_hat) != net.input_dim:
-        raise ValueError("instance dimension does not match network")
+    err = instance_error(net, inst)
+    if err is not None:
+        raise ValueError(err)
     t0 = time.perf_counter()
     box = build_input_box(inst)
     t = inst.label
@@ -228,17 +239,19 @@ def batch_verify(net: Network, instances, method: str = "fastc2v",
                  deterministic: bool = False, **kwargs) -> BatchResult:
     """Run :func:`verify` over a corpus, skipping misclassified centers.
 
-    Instance entries may be ``RobustnessInstance`` objects or ``(error
-    message, line)`` tuples from a lenient loader; errors are reported and
-    skipped.  Ordering is the input ordering; ``deterministic`` zeroes the
-    timing fields so reports are byte-stable.
+    Instance entries may be ``RobustnessInstance`` objects or error strings
+    from a lenient loader.  Such strings, and instances whose dimension or
+    label does not fit the network, go into ``errors`` as ``(index,
+    message)`` and are skipped.  Ordering is the input ordering;
+    ``deterministic`` zeroes the timing fields so reports are byte-stable.
     """
     reports, errors = [], []
     counts = {VERIFIED: 0, FALSIFIED: 0, UNKNOWN: 0, "skipped": 0}
     wall = []
     for i, inst in enumerate(instances):
-        if not isinstance(inst, RobustnessInstance):
-            errors.append((i, str(inst)))
+        err = instance_error(net, inst) if isinstance(inst, RobustnessInstance) else str(inst)
+        if err is not None:
+            errors.append((i, err))
             reports.append(None)
             continue
         if classify(net, inst.x_hat) != inst.label:

@@ -80,18 +80,5 @@ def random_mixed_instance(rng, n, allow_zero_weights=False) -> hull.HullInstance
             return inst
 
 
-def envelope_min_by_enumeration(inst, x) -> float:
-    """Independent oracle: the least upper-inequality value at x, by direct
-    evaluation of the defining expression over the enumerated pair family."""
-    x = np.asarray(x, dtype=float)[inst.support]
-    best = np.inf
-    for I, h in hull.enumerate_cut_pairs(inst):
-        ell = hull.corner_value(inst, I)
-        val = sum(inst.w[i] * (x[i] - inst.min_corner[i]) for i in I)
-        val += ell / (inst.max_corner[h] - inst.min_corner[h]) * (x[h] - inst.min_corner[h])
-        best = min(best, val)
-    return best
-
-
 def sample_box_point(inst, rng):
     return rng.uniform(inst.lower, inst.upper)

@@ -1,0 +1,219 @@
+"""Reference implementations the tests compare the package against.
+
+None of these run on the package's bound paths: brute-force enumeration of
+the hull's cut family and of its least value at a point, the weighted-median
+separator (the paper's
+linear-time variant of the sorting greedy), the univariate chord bound, the
+lifted-formulation envelope LP, and the exact maximum over activation
+patterns.
+"""
+
+import numpy as np
+
+from relucert import hull
+from relucert.network import BoxDomain, Network
+from relucert.propagation import INTERVAL, LinearExpr, compute_all_bounds
+from relucert.relaxation import LpBoundError
+from relucert.simplex import GE, LE, LpModel, LpStatus, solve_lp
+
+# Hard ceiling for brute-force enumeration of the cut family.
+ENUMERATION_CAP = 20
+
+
+def _require_mixed(inst):
+    if hull.classify_phase(inst) != hull.MIXED:
+        raise ValueError("operation requires a sign-spanning (mixed) instance")
+
+
+def enumerate_cut_pairs(inst: hull.HullInstance,
+                        cap=ENUMERATION_CAP) -> list[tuple[tuple[int, ...], int]]:
+    """Every facet pair ``(I, h)``, by brute force over all subsets.
+
+    Refuses more than ``cap`` retained coordinates.  The count always lies
+    in ``[d, ceil(d/2) * C(d, ceil(d/2))]`` for ``d`` retained coordinates.
+    """
+    _require_mixed(inst)
+    k = inst.size
+    if k > cap:
+        raise ValueError(f"{k} coordinates exceeds enumeration cap {cap}")
+    masks = np.arange(1 << k, dtype=np.int64)
+    capsum = np.zeros(1 << k)
+    for i in range(k):
+        sel = (masks >> i) & 1 == 1
+        capsum[sel] += inst.cap[i]
+    ell = inst.val_max - capsum
+    pairs = []
+    for mask in range(1 << k):
+        if ell[mask] < 0.0:
+            continue
+        I = tuple(i for i in range(k) if (mask >> i) & 1)
+        for h in range(k):
+            if (mask >> h) & 1:
+                continue
+            if ell[mask | (1 << h)] < 0.0:
+                pairs.append((I, h))
+    return pairs
+
+
+def envelope_min_by_enumeration(inst, x) -> float:
+    """The least upper-inequality value at x, by direct evaluation of the
+    defining expression over the enumerated pair family."""
+    x = np.asarray(x, dtype=float)[inst.support]
+    best = np.inf
+    for I, h in enumerate_cut_pairs(inst):
+        ell = hull.corner_value(inst, I)
+        val = sum(inst.w[i] * (x[i] - inst.min_corner[i]) for i in I)
+        val += ell / (inst.max_corner[h] - inst.min_corner[h]) * (x[h] - inst.min_corner[h])
+        best = min(best, val)
+    return best
+
+
+def minimize_upper_envelope_median(inst: hull.HullInstance, x) -> tuple[float, np.ndarray, int]:
+    """Same contract as :func:`relucert.hull.minimize_upper_envelope_sort`,
+    via weighted-median selection.
+
+    Expected linear time: quickselect-style partitioning on the ratio key
+    (ties by position) tracking consumed capacity, no full sort.
+    """
+    _require_mixed(inst)
+    r = inst.ratios(x)
+    h = _stop_item_select(r, inst.cap, inst.val_max)
+    low = np.flatnonzero((r < r[h]) | ((r == r[h]) & (np.arange(inst.size) < h)))
+    x_loc = np.asarray(x, dtype=float)[inst.support]
+    ell_i = inst.val_max - float(inst.cap[low].sum())
+    value = float(inst.w[low] @ (x_loc[low] - inst.min_corner[low]))
+    value += ell_i / (inst.max_corner[h] - inst.min_corner[h]) * (x_loc[h] - inst.min_corner[h])
+    return value, low, h
+
+
+def _stop_item_select(ratios, caps, capacity):
+    """Item at which cumulative capacity in (ratio, position) order first
+    exceeds ``capacity``; requires total capacity > capacity >= 0."""
+    cand = np.arange(ratios.shape[0])
+    acc = 0.0
+    while cand.size > 1:
+        trio = sorted((cand[0], cand[cand.size // 2], cand[-1]),
+                      key=lambda i: (ratios[i], i))
+        p = int(trio[1])
+        rc = ratios[cand]
+        less = cand[(rc < ratios[p]) | ((rc == ratios[p]) & (cand < p))]
+        consumed = float(caps[less].sum())
+        if acc + consumed > capacity:
+            cand = less
+        elif acc + consumed + caps[p] > capacity:
+            return p
+        else:
+            acc += consumed + float(caps[p])
+            cand = cand[(rc > ratios[p]) | ((rc == ratios[p]) & (cand > p))]
+    return int(cand[0])
+
+
+def separate_median(inst: hull.HullInstance, x, y) -> hull.Separation | None:
+    """:func:`relucert.hull.separate_sort` with the median separator."""
+    envelope, low, h = minimize_upper_envelope_median(inst, x)
+    violation = float(y) - envelope
+    if violation > 0.0:
+        return hull.Separation(cut=hull.cut_from_pair(inst, low, h),
+                               envelope=envelope, violation=violation)
+    return None
+
+
+def delta_upper_value(inst: hull.HullInstance, x) -> float:
+    """Upper bound at ``x`` from the univariate three-inequality relaxation.
+
+    Uses the chord of the ReLU over the exact pre-activation range
+    ``[val_min, val_max]``; the hull's envelope is never above this.
+    """
+    _require_mixed(inst)
+    zhat = inst.preactivation(x)
+    return inst.val_max / (inst.val_max - inst.val_min) * (zhat - inst.val_min)
+
+
+def relu_value(inst: hull.HullInstance, x) -> float:
+    """``max(0, w.x + b)`` on original coordinates."""
+    return max(0.0, inst.preactivation(x))
+
+
+def lifted_envelope_value(inst: hull.HullInstance, x) -> float:
+    """Hull upper envelope at ``x`` via the auxiliary-variable LP.
+
+    Maximizes ``w . v + b t`` over ``(v, t)`` with ``t in [0, 1]``,
+    ``L t <= v <= U t`` and ``L (1-t) <= x - v <= U (1-t)``: the optimal
+    value equals the least upper hull inequality at ``x``.
+    """
+    if hull.classify_phase(inst) != hull.MIXED:
+        raise ValueError("envelope LP requires a mixed instance")
+    x = np.asarray(x, dtype=float)[inst.support]
+    if np.any(x < inst.lower - 1e-9) or np.any(x > inst.upper + 1e-9):
+        raise ValueError("point outside the instance box")
+    k = inst.size
+    model = LpModel()
+    for i in range(k):
+        model.add_variable(min(inst.lower[i], 0.0), max(inst.upper[i], 0.0),
+                           obj=inst.w[i], name=f"v{i}")
+    t = model.add_variable(0.0, 1.0, obj=inst.b, name="t")
+    for i in range(k):
+        li, ui = inst.lower[i], inst.upper[i]
+        # x_i - v_i >= L_i (1 - t)  and  x_i - v_i <= U_i (1 - t)
+        model.add_constraint(np.array([i, t]), np.array([-1.0, li]), GE, li - x[i])
+        model.add_constraint(np.array([i, t]), np.array([-1.0, ui]), LE, ui - x[i])
+        # L_i t <= v_i <= U_i t
+        model.add_constraint(np.array([i, t]), np.array([1.0, -li]), GE, 0.0)
+        model.add_constraint(np.array([i, t]), np.array([1.0, -ui]), LE, 0.0)
+    sol = solve_lp(model)
+    if sol.status != LpStatus.OPTIMAL:
+        raise LpBoundError(sol.status, "envelope LP")
+    return sol.objective_value
+
+
+def exact_max_oracle(net: Network, box: BoxDomain, objective: LinearExpr,
+                     mixed_cap: int = 16) -> float:
+    """True maximum of a state-space objective by activation-pattern search.
+
+    Enumerates on/off patterns over the neurons interval arithmetic cannot
+    fix, solves one input-space LP per pattern (each ReLU's sign constraint
+    included), and takes the best feasible value.  Exponential in the mixed
+    count; refuses more than ``mixed_cap`` mixed neurons.
+    """
+    m = net.input_dim
+    sb = compute_all_bounds(net, box, INTERVAL).pre
+    mixed = [pos for pos in range(m, net.n_state) if sb[pos].is_mixed()]
+    if len(mixed) > mixed_cap:
+        raise ValueError(f"{len(mixed)} mixed neurons exceed the cap {mixed_cap}")
+    eta = objective.eta
+    best = -np.inf
+    for pattern in range(1 << len(mixed)):
+        active = {}
+        for t, pos in enumerate(mixed):
+            active[pos] = bool((pattern >> t) & 1)
+        # symbolic post-activations as affine functions of the inputs
+        E = np.zeros((eta, m))
+        e0 = np.zeros(eta)
+        E[:m, :m] = np.eye(m)[:min(m, eta)]
+        model = LpModel()
+        for i in range(m):
+            model.add_variable(box.lower[i], box.upper[i], name=f"x{i}")
+        for pos in range(m, eta):
+            idx, w, b = net.row(pos)
+            pc = w @ E[idx]
+            p0 = float(w @ e0[idx]) + b
+            on = active.get(pos, sb[pos].pre_lower >= 0.0)
+            if pos in active:
+                sense = GE if on else LE
+                model.add_constraint(np.arange(m), pc.copy(), sense, -p0)
+            if on:
+                E[pos], e0[pos] = pc, p0
+            # else: stays zero
+        obj_c = objective.coeffs @ E
+        obj_0 = float(objective.coeffs @ e0) + objective.constant
+        for i in range(m):
+            model.obj[i] = float(obj_c[i])
+        model.obj_constant = obj_0
+        sol = solve_lp(model)
+        if sol.status == LpStatus.OPTIMAL:
+            best = max(best, sol.objective_value)
+        elif sol.status != LpStatus.INFEASIBLE:
+            raise LpBoundError(sol.status, "pattern LP")
+    if not np.isfinite(best):
+        raise ArithmeticError("no activation pattern was feasible")
+    return best

@@ -11,23 +11,22 @@ import time
 import numpy as np
 import pytest
 
-from relucert.hull import (corner_value, cut_from_pair, delta_upper_value,
-                           enumerate_cut_pairs, make_hull_instance,
-                           minimize_upper_envelope_median,
-                           minimize_upper_envelope_sort, relu_value,
-                           separate_sort)
+from relucert.hull import (corner_value, cut_from_pair, make_hull_instance,
+                           minimize_upper_envelope_sort, separate_sort)
 from relucert.network import BoxDomain, classify, generate_random_network
 from relucert.propagation import (backward_pass, compute_all_bounds,
                                   expr_from_row, forward_pass, initial_pair,
                                   tightened_bound)
-from relucert.relaxation import (build_delta_lp, exact_max_oracle,
-                                 lifted_envelope_value, optc2v_bound)
+from relucert.relaxation import build_delta_lp, optc2v_bound
 from relucert.simplex import LpStatus, solve_lp
 from relucert.verifier import (attack_upper_bound, batch_verify,
                                generate_instances)
 
-from conftest import (envelope_min_by_enumeration, interval_state,
-                      make_golden_network, random_mixed_instance)
+from conftest import interval_state, make_golden_network, random_mixed_instance
+from oracles import (delta_upper_value, enumerate_cut_pairs,
+                     envelope_min_by_enumeration, exact_max_oracle,
+                     lifted_envelope_value, minimize_upper_envelope_median,
+                     relu_value)
 
 EXACT = 1e-9
 
@@ -116,9 +115,11 @@ def test_criterion_1_golden_bound_chain(capfd):
         inst = make_hull_instance([-1.5, 1.0], 0.5, [0.0, 0.0], [3.0, 1.5])
         assert enumerate_cut_pairs(inst) == [((), 0), ((1,), 0)]
         c1 = cut_from_pair(inst, (), 0)
-        assert np.allclose(c1.coeffs, [-2.0 / 3.0, 0.0], atol=EXACT)
+        assert c1.idx.tolist() == [0]
+        assert np.allclose(c1.coeffs, [-2.0 / 3.0], atol=EXACT)
         assert abs(c1.constant - 2.0) <= EXACT
         c2 = cut_from_pair(inst, (1,), 0)
+        assert c2.idx.tolist() == [0, 1]
         assert np.allclose(c2.coeffs, [-1.0 / 6.0, 1.0], atol=EXACT)
         assert abs(c2.constant - 0.5) <= EXACT
 
@@ -157,15 +158,15 @@ def test_criterion_3_separation_correctness(capfd):
             x = np.zeros(inst.dim)
             x[inst.support] = rng.uniform(inst.lower, inst.upper)
             target = envelope_min_by_enumeration(inst, x)
-            _, vs = minimize_upper_envelope_sort(inst, x)
-            _, vm = minimize_upper_envelope_median(inst, x)
+            vs, _, _ = minimize_upper_envelope_sort(inst, x)
+            vm, _, _ = minimize_upper_envelope_median(inst, x)
             assert abs(vs - target) <= EXACT
             assert abs(vm - target) <= EXACT
         for _ in range(500):
             inst = random_mixed_instance(rng, int(rng.integers(1, 21)))
             x = np.zeros(inst.dim)
             x[inst.support] = rng.uniform(inst.lower, inst.upper)
-            _, vs = minimize_upper_envelope_sort(inst, x)
+            vs, _, _ = minimize_upper_envelope_sort(inst, x)
             assert abs(vs - lifted_envelope_value(inst, x)) <= 1e-7
 
 
@@ -182,7 +183,7 @@ def test_criterion_4_hull_validity_and_tightness(capfd):
                 y = relu_value(inst, x)
                 for cut in cuts:
                     assert y <= cut.value(x) + EXACT
-                _, env = minimize_upper_envelope_sort(inst, x)
+                env, _, _ = minimize_upper_envelope_sort(inst, x)
                 assert env <= delta_upper_value(inst, x) + EXACT
             for cut in cuts:
                 both = set(cut.index_set) | {cut.anchor}
@@ -198,7 +199,7 @@ def test_criterion_4_hull_validity_and_tightness(capfd):
                 assert abs(relu_value(inst, x1) - ell) <= EXACT
                 assert abs(cut.value(x1) - ell) <= EXACT
         golden = make_hull_instance([-1.5, 1.0], 0.5, [0.0, 0.0], [3.0, 1.5])
-        _, env = minimize_upper_envelope_sort(golden, [1.0, 1.5])
+        env, _, _ = minimize_upper_envelope_sort(golden, [1.0, 1.5])
         assert delta_upper_value(golden, [1.0, 1.5]) - env >= 1.0 / 6.0 - EXACT
 
 

@@ -88,3 +88,30 @@ def test_dump_lp_writes_models(tmp_path):
     assert rc == 0
     files = sorted(dump.glob("*.lp"))
     assert files and files[0].read_text().startswith("Maximize")
+
+
+def test_unfit_lines_are_named_and_the_rest_verified(tmp_path, capsys):
+    net_path = tmp_path / "net.txt"
+    inst_path = tmp_path / "inst.txt"
+    main(["gen", "--layers", "3,6,2", "--seed", "3", "--count", "3",
+          "--epsilon", "0.05", "--network-out", str(net_path),
+          "--instances-out", str(inst_path)])
+    good = inst_path.read_text().splitlines()
+    inst_path.write_text("\n".join([good[0], "label=0 epsilon=0.05 x=0.1,0.2", good[1],
+                                    "label=0 epsilon=oops x=0.1,0.2,0.3", good[2]]) + "\n")
+    capsys.readouterr()
+    rc = main(["verify", "--network", str(net_path), "--instances", str(inst_path),
+               "--method", "lp", "--deterministic", "--dump-lp", str(tmp_path / "lps")])
+    assert rc == 0
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert len(lines) == 5
+    assert lines[1] == "instance=1 verdict=skipped"
+    assert lines[3] == "instance=3 verdict=skipped"
+    for i in (0, 2, 4):
+        assert lines[i].startswith(f"instance={i} method=lp verdict=")
+    errors = [l for l in err.splitlines() if not l.startswith("summary ")]
+    assert len(errors) == 2
+    assert errors[0].startswith("instance=1 skipped: ") and "dimension 2" in errors[0]
+    assert errors[1].startswith("instance=3 skipped: ") and f"{inst_path}:4:" in errors[1]
+    assert "skipped=0" in err.splitlines()[-1]

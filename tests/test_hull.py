@@ -6,12 +6,14 @@ import pytest
 from relucert import hull
 from relucert.hull import (ALWAYS_ACTIVE, ALWAYS_INACTIVE, MIXED,
                            classify_phase, corner_value, cut_from_pair,
-                           delta_upper_value, enumerate_cut_pairs,
-                           make_hull_instance, minimize_upper_envelope_median,
-                           minimize_upper_envelope_sort, separate_median,
+                           make_hull_instance, minimize_upper_envelope_sort,
                            separate_sort)
 
-from conftest import envelope_min_by_enumeration, random_mixed_instance
+from conftest import random_mixed_instance
+from oracles import (delta_upper_value, enumerate_cut_pairs,
+                     envelope_min_by_enumeration,
+                     minimize_upper_envelope_median, relu_value,
+                     separate_median)
 
 
 def upper_count_bound(d):
@@ -97,9 +99,11 @@ class TestEnumeration:
 class TestCuts:
     def test_h22_explicit_cuts(self, h22_instance):
         c1 = cut_from_pair(h22_instance, (), 0)
-        assert np.allclose(c1.coeffs, [-2.0 / 3.0, 0.0], atol=1e-15)
+        assert c1.idx.tolist() == [0]
+        assert np.allclose(c1.coeffs, [-2.0 / 3.0], atol=1e-15)
         assert c1.constant == pytest.approx(2.0, abs=1e-15)
         c2 = cut_from_pair(h22_instance, (1,), 0)
+        assert c2.idx.tolist() == [0, 1]
         assert np.allclose(c2.coeffs, [-1.0 / 6.0, 1.0], atol=1e-15)
         assert c2.constant == pytest.approx(0.5, abs=1e-15)
 
@@ -108,15 +112,17 @@ class TestCuts:
         assert enumerate_cut_pairs(inst) == [((), 0), ((), 1)]
         a = cut_from_pair(inst, (), 0)
         b = cut_from_pair(inst, (), 1)
-        assert np.allclose(a.coeffs, [0.5, 0.0]) and a.constant == 0.0
-        assert np.allclose(b.coeffs, [0.0, 0.5]) and b.constant == 0.0
+        assert a.idx.tolist() == [0] and np.allclose(a.coeffs, [0.5]) and a.constant == 0.0
+        assert b.idx.tolist() == [1] and np.allclose(b.coeffs, [0.5]) and b.constant == 0.0
 
     def test_filtered_coordinate_gets_zero_coefficient(self):
         inst = make_hull_instance([1.0, 0.0, 1.0], -1.5,
                                   [0.0, -9.0, 0.0], [1.0, 9.0, 1.0])
-        cut = cut_from_pair(inst, (), 0)
-        assert cut.coeffs.shape == (3,)
-        assert cut.coeffs[1] == 0.0
+        # the cut reads original coordinate 2 (retained position 1), never
+        # the zero-weight coordinate 1
+        cut = cut_from_pair(inst, (), 1)
+        assert cut.idx.tolist() == [2]
+        assert cut.value([0.0, -9.0, 1.0]) == cut.value([0.0, 9.0, 1.0])
 
     def test_pair_not_in_family_rejected(self, h22_instance):
         with pytest.raises(ValueError):
@@ -134,7 +140,7 @@ class TestCuts:
             for x_loc in X:
                 x = np.zeros(inst.dim)
                 x[inst.support] = x_loc
-                y = hull.relu_value(inst, x)
+                y = relu_value(inst, x)
                 assert y >= inst.preactivation(x) - 1e-12
                 for c in cuts:
                     assert y <= c.value(x) + 1e-9
@@ -150,13 +156,13 @@ class TestCuts:
                 x0 = np.zeros(inst.dim)
                 x0[inst.support] = [inst.min_corner[i] if i in both else inst.max_corner[i]
                                     for i in range(inst.size)]
-                assert hull.relu_value(inst, x0) == pytest.approx(0.0, abs=1e-9)
+                assert relu_value(inst, x0) == pytest.approx(0.0, abs=1e-9)
                 assert cut.value(x0) == pytest.approx(0.0, abs=1e-9)
                 x1 = np.zeros(inst.dim)
                 x1[inst.support] = [inst.min_corner[i] if i in I else inst.max_corner[i]
                                     for i in range(inst.size)]
                 ell = corner_value(inst, I)
-                assert hull.relu_value(inst, x1) == pytest.approx(ell, abs=1e-9)
+                assert relu_value(inst, x1) == pytest.approx(ell, abs=1e-9)
                 assert cut.value(x1) == pytest.approx(ell, abs=1e-9)
 
 
@@ -176,14 +182,14 @@ class TestSeparation:
         assert sep.envelope == pytest.approx(0.15, abs=1e-12)
         assert sep.violation == pytest.approx(0.05, abs=1e-12)
         # the chosen inequality is y <= 0.5 x2
-        assert np.allclose(sep.cut.coeffs, [0.0, 0.5])
+        assert sep.cut.idx.tolist() == [1] and np.allclose(sep.cut.coeffs, [0.5])
         assert envelope_min_by_enumeration(inst, [0.6, 0.3]) == pytest.approx(0.15, abs=1e-12)
 
     def test_median_matches_sort_on_golden(self, h22_instance):
-        a = minimize_upper_envelope_sort(h22_instance, [1.0, 1.5])
-        b = minimize_upper_envelope_median(h22_instance, [1.0, 1.5])
-        assert a[1] == pytest.approx(b[1], abs=0)
-        assert a[0].index_set == b[0].index_set and a[0].anchor == b[0].anchor
+        va, low_a, ha = minimize_upper_envelope_sort(h22_instance, [1.0, 1.5])
+        vb, low_b, hb = minimize_upper_envelope_median(h22_instance, [1.0, 1.5])
+        assert va == pytest.approx(vb, abs=0)
+        assert low_a.tolist() == low_b.tolist() and ha == hb
 
     def test_sort_matches_enumeration(self):
         rng = np.random.default_rng(5)
@@ -193,7 +199,7 @@ class TestSeparation:
             x = rng.uniform(inst.lower, inst.upper)
             xg = np.zeros(inst.dim)
             xg[inst.support] = x
-            _, val = minimize_upper_envelope_sort(inst, xg)
+            val, _, _ = minimize_upper_envelope_sort(inst, xg)
             assert val == pytest.approx(envelope_min_by_enumeration(inst, xg), abs=1e-9)
 
     def test_median_matches_sort_random(self):
@@ -202,24 +208,67 @@ class TestSeparation:
             inst = random_mixed_instance(rng, int(rng.integers(1, 51)))
             xg = np.zeros(inst.dim)
             xg[inst.support] = rng.uniform(inst.lower, inst.upper)
-            cs, vs = minimize_upper_envelope_sort(inst, xg)
-            cm, vm = minimize_upper_envelope_median(inst, xg)
+            vs, low_s, hs = minimize_upper_envelope_sort(inst, xg)
+            vm, low_m, hm = minimize_upper_envelope_median(inst, xg)
             assert vm == pytest.approx(vs, abs=1e-9)
-            assert cs.index_set == cm.index_set and cs.anchor == cm.anchor
+            assert low_s.tolist() == low_m.tolist() and hs == hm
 
     def test_all_ratios_tied(self):
         # identical ratios everywhere: value must still match enumeration
         inst = make_hull_instance(np.ones(6), -3.0, np.zeros(6), np.ones(6))
         x = np.full(6, 0.5)
-        _, vs = minimize_upper_envelope_sort(inst, x)
-        _, vm = minimize_upper_envelope_median(inst, x)
+        vs, _, _ = minimize_upper_envelope_sort(inst, x)
+        vm, _, _ = minimize_upper_envelope_median(inst, x)
         target = envelope_min_by_enumeration(inst, x)
         assert vs == pytest.approx(target, abs=1e-9)
         assert vm == pytest.approx(target, abs=1e-9)
 
+    def test_cut_built_only_when_violated(self, monkeypatch):
+        built = []
+
+        def counting_cut_from_pair(inst, low_set, anchor):
+            built.append((tuple(low_set), anchor))
+            return cut_from_pair(inst, low_set, anchor)
+
+        monkeypatch.setattr(hull, "cut_from_pair", counting_cut_from_pair)
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            inst = random_mixed_instance(rng, int(rng.integers(1, 31)))
+            x = np.zeros(inst.dim)
+            x[inst.support] = rng.uniform(inst.lower, inst.upper)
+            env = separate_sort(inst, x, np.inf).envelope
+            built.clear()
+            assert separate_sort(inst, x, env - 0.01) is None
+            assert separate_sort(inst, x, env) is None
+            assert not built
+            assert separate_sort(inst, x, env + 0.01) is not None
+            assert len(built) == 1
+
+    def test_violated_cut_meets_envelope_at_point(self):
+        # folded coordinates (zero weights, flat box sides) never enter a cut
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            n = int(rng.integers(2, 21))
+            w = rng.uniform(-2.0, 2.0, n)
+            lo = rng.uniform(-1.0, 1.0, n)
+            hi = lo + rng.uniform(0.1, 2.0, n)
+            w[rng.random(n) < 0.2] = 0.0
+            flat = rng.random(n) < 0.2
+            hi[flat] = lo[flat]
+            z_lo = float(np.minimum(w * lo, w * hi).sum())
+            z_hi = float(np.maximum(w * lo, w * hi).sum())
+            inst = make_hull_instance(w, -rng.uniform(z_lo, z_hi), lo, hi)
+            if classify_phase(inst) != MIXED:
+                continue
+            x = rng.uniform(lo, hi)
+            sep = separate_sort(inst, x, np.inf)
+            assert sep.cut.value(x) == pytest.approx(sep.envelope, abs=1e-9)
+            assert np.isin(sep.cut.idx, inst.support).all()
+            assert not np.isin(sep.cut.idx, np.flatnonzero((w == 0.0) | flat)).any()
+
     def test_separation_at_hull_boundary_returns_none(self, h22_instance):
         # y exactly on the envelope is inside the hull
-        _, val = minimize_upper_envelope_sort(h22_instance, [1.0, 1.5])
+        val, _, _ = minimize_upper_envelope_sort(h22_instance, [1.0, 1.5])
         assert separate_sort(h22_instance, [1.0, 1.5], val) is None
         assert separate_median(h22_instance, [1.0, 1.5], val) is None
 
@@ -243,10 +292,10 @@ class TestDeltaUpper:
             for _ in range(20):
                 xg = np.zeros(inst.dim)
                 xg[inst.support] = rng.uniform(inst.lower, inst.upper)
-                _, val = minimize_upper_envelope_sort(inst, xg)
+                val, _, _ = minimize_upper_envelope_sort(inst, xg)
                 assert val <= delta_upper_value(inst, xg) + 1e-9
 
     def test_strict_improvement_at_golden_point(self, h22_instance):
-        _, val = minimize_upper_envelope_sort(h22_instance, [1.0, 1.5])
+        val, _, _ = minimize_upper_envelope_sort(h22_instance, [1.0, 1.5])
         gap = delta_upper_value(h22_instance, [1.0, 1.5]) - val
         assert gap >= 1.0 / 6.0 - 1e-9

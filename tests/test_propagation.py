@@ -203,12 +203,14 @@ class TestGoldenChain:
         # becomes -(1/12) x1 - (2/3) x2 + 37/12 and the bound 23/6
         net, box, st, pairs, obj = chain
         from relucert.hull import separate_sort
+        from relucert.propagation import AffineFunc
         hulls = st.hulls
         res = backward_pass(box, pairs, obj)
         z = forward_pass(res.x_star, pairs, res.ub_used, 2, 6)
         sep = separate_sort(hulls[5].inst, z[hulls[5].inputs], z[5])
-        pairs[5] = AffineBoundPair(lower=pairs[5].lower,
-                                   upper=hulls[5].cut_as_pair_upper(sep.cut))
+        upper = AffineFunc(idx=hulls[5].inputs[sep.cut.idx], w=sep.cut.coeffs,
+                           b=sep.cut.constant)
+        pairs[5] = AffineBoundPair(lower=pairs[5].lower, upper=upper)
         res2 = backward_pass(box, pairs, obj)
         assert np.allclose(res2.input_expr.coeffs, [-1.0 / 12.0, -2.0 / 3.0], atol=1e-12)
         assert res2.input_expr.constant == pytest.approx(37.0 / 12.0, abs=1e-12)
@@ -336,9 +338,8 @@ class TestFullSweep:
         hulls = interval_state(golden_net, golden_box).hulls
         from relucert.hull import separate_sort
         sep = separate_sort(hulls[5].inst, np.array([1.0, 1.5]), 1.5)
-        func = hulls[5].cut_as_pair_upper(sep.cut)
         rng = np.random.default_rng(1)
         for _ in range(100):
             x = rng.uniform(-1, 1, 2)
             z, _ = eval_network(golden_net, x)
-            assert z[5] <= func.value(z) + 1e-9
+            assert z[5] <= sep.cut.value(z[hulls[5].inputs]) + 1e-9

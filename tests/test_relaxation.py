@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from relucert.hull import enumerate_cut_pairs, cut_from_pair, make_hull_instance
+from relucert.hull import cut_from_pair, make_hull_instance
 from relucert.network import (BoxDomain, Network, Neuron, eval_network,
                               generate_random_network)
 from relucert.propagation import compute_all_bounds, expr_from_row
-from relucert.relaxation import (CutPool, build_delta_lp, exact_max_oracle,
-                                 lifted_envelope_value, optc2v_bound)
+from relucert.relaxation import CutPool, build_delta_lp, optc2v_bound
 from relucert.simplex import EQ, LpStatus, solve_lp
 
-from conftest import (envelope_min_by_enumeration, interval_state,
-                      random_mixed_instance)
+from conftest import interval_state, random_mixed_instance
+from oracles import (envelope_min_by_enumeration, enumerate_cut_pairs,
+                     exact_max_oracle, lifted_envelope_value)
 
 
 def single_relu_net(w, b):

@@ -270,6 +270,19 @@ class TestBatch:
                            method="interval")
         assert len(res.errors) == 1 and res.reports == [None]
 
+    def test_unfit_instances_reported_and_skipped(self):
+        net = generate_random_network([3, 4, 3], seed=1)
+        insts = generate_instances(net, 2, epsilon=0.05, seed=2)
+        short = RobustnessInstance(np.array([0.1, 0.2]), 0.05, 0)
+        no_class = RobustnessInstance(insts[0].x_hat, 0.05, 3)
+        res = batch_verify(net, [insts[0], short, no_class, insts[1]], method="interval")
+        assert [i for i, _ in res.errors] == [1, 2]
+        assert "dimension 2" in res.errors[0][1] and "dimension 3" in res.errors[0][1]
+        assert "label 3" in res.errors[1][1]
+        assert res.reports[1] is None and res.reports[2] is None
+        assert res.reports[0] is not None and res.reports[3] is not None
+        assert res.counts["skipped"] == 0
+
 
 class TestInstanceIO:
     def test_round_trip(self, tmp_path):
