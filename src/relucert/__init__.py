@@ -19,7 +19,7 @@ from .propagation import (METHODS, AffineBoundPair, AffineFunc, Bounds, LinearEx
                           compute_all_bounds, forward_pass, initial_pair,
                           tightened_bound)
 from .simplex import LpModel, LpSolution, LpStatus, solve_lp
-from .relaxation import CutPool, build_delta_lp, optc2v_bound
+from .relaxation import build_delta_lp, optc2v_bound
 from .verifier import (RobustnessInstance, VerificationReport, attack_upper_bound,
                        batch_verify, build_input_box, generate_instances,
                        load_instances, margin_objective, save_instances, verify)

@@ -165,28 +165,31 @@ def cut_from_pair(inst: HullInstance, low_set, anchor: int) -> HullCut:
     ``y <= sum_{i in I} w_i (x_i - min_corner_i)
            + corner_value(I)/(max_corner_h - min_corner_h) (x_h - min_corner_h)``
     expanded to ``a.x + c`` over the original positions of ``I`` and ``h``.
-    Raises if the pair does not define a facet, i.e. unless
-    ``corner_value(I) >= 0 > corner_value(I + anchor)``.
+    ``low_set`` must list retained positions in strictly increasing order.
+    Raises if it does not, or if the pair does not define a facet, i.e.
+    unless ``corner_value(I) >= 0 > corner_value(I + anchor)``.
     """
-    I = tuple(sorted(int(i) for i in low_set))
+    I = np.asarray(low_set, dtype=np.intp)
+    if I.size and not (I[0] >= 0 and I[-1] < inst.size and np.all(I[1:] > I[:-1])):
+        raise ValueError("low_set must be strictly increasing retained coordinate positions")
     h = int(anchor)
-    ell_i = corner_value(inst, I)
-    if h in I or not 0 <= h < inst.size:
-        raise ValueError(f"anchor {h} invalid for index set {I}")
+    at = int(np.searchsorted(I, h))
+    if not 0 <= h < inst.size or (at < I.size and I[at] == h):
+        raise ValueError(f"anchor {h} invalid for index set {tuple(I.tolist())}")
+    ell_i = inst.val_max - float(inst.cap[I].sum()) if I.size else inst.val_max
     ell_ih = ell_i - float(inst.cap[h])
     if not (ell_i >= 0.0 and ell_ih < 0.0):
-        raise ValueError(f"pair ({I}, {h}) is not in the cut family: "
+        raise ValueError(f"pair ({tuple(I.tolist())}, {h}) is not in the cut family: "
                          f"values {ell_i}, {ell_ih}")
-    const = 0.0
-    for i in I:
-        const -= inst.w[i] * inst.min_corner[i]
+    # 0 - (a + b + ...), summed left to right, is 0 - a - b - ... bit for bit
+    const = 0.0 - float(np.cumsum(inst.w[I] * inst.min_corner[I])[-1]) if I.size else 0.0
     slope = ell_i / (inst.max_corner[h] - inst.min_corner[h])
     const -= slope * inst.min_corner[h]
-    k = np.array(sorted(I + (h,)), dtype=np.intp)
+    k = np.concatenate([I[:at], [h], I[at:]])
     coeffs = inst.w[k]
-    coeffs[k == h] = slope
-    return HullCut(index_set=I, anchor=h, idx=inst.support[k], coeffs=coeffs,
-                   constant=const)
+    coeffs[at] = slope
+    return HullCut(index_set=tuple(I.tolist()), anchor=h, idx=inst.support[k],
+                   coeffs=coeffs, constant=const)
 
 
 def minimize_upper_envelope_sort(inst: HullInstance, x) -> tuple[float, np.ndarray, int]:
@@ -225,6 +228,6 @@ def separate_sort(inst: HullInstance, x, y) -> Separation | None:
     envelope, low, h = minimize_upper_envelope_sort(inst, x)
     violation = float(y) - envelope
     if violation > 0.0:
-        return Separation(cut=cut_from_pair(inst, low.tolist(), h), envelope=envelope,
+        return Separation(cut=cut_from_pair(inst, low, h), envelope=envelope,
                           violation=violation)
     return None

@@ -11,9 +11,10 @@ relaxation, which the iterative scheme feeds to the single-neuron hull
 separation routine to swap in violated upper inequalities.
 
 The forward sweep of every method lives here too: :func:`compute_all_bounds`
-fixes each neuron's bounds in topological order, asking either this module's
-tightened backward pass or the LP cut loop of :mod:`relucert.relaxation` to
-bound each row, and returns one :class:`Bounds`.
+fixes each ReLU neuron's bounds in topological order, asking either this
+module's tightened backward pass or the LP cut loop of
+:mod:`relucert.relaxation` to bound each row, and returns one
+:class:`Bounds`, which bounds the output rows only when asked.
 
 Everything here indexes neurons by 0-based position; objectives live over
 the state space (inputs + ReLU neurons, outputs elided into coefficients).
@@ -38,6 +39,9 @@ OPTC2V = "optc2v"
 METHODS = (INTERVAL, FASTLIN, DEEPPOLY, FASTC2V, LP, OPTC2V)
 
 DEFAULT_CUT_ROUNDS = 3
+
+# the bounding-function menu each propagation method draws its pairs from
+_MENUS = {FASTLIN: FASTLIN, DEEPPOLY: DEEPPOLY, FASTC2V: DEEPPOLY}
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,14 +279,15 @@ def tightened_bound(box: BoxDomain, pairs: dict[int, AffineBoundPair],
 
 @dataclass(eq=False)
 class Bounds:
-    """Every neuron's bounds from one sweep, and what bounds new objectives.
+    """Every ReLU neuron's bounds from one sweep, and what bounds new objectives.
 
-    ``pre`` has one pre-activation interval per neuron (inputs report the
-    box, outputs their row's range); ``post_lower``/``post_upper`` are the
-    post-activation boxes of the inputs and ReLU neurons.  Propagation
-    methods keep their initial bounding pairs, the tightening methods
-    (``fastc2v``, ``optc2v``) the hull instances of their mixed neurons, and
-    ``fastc2v`` the ``deeppoly`` run it never reports worse than.
+    ``pre`` has one pre-activation interval per input and ReLU neuron
+    (inputs report the box); :meth:`output_bounds` bounds the output rows
+    on request.  ``post_lower``/``post_upper`` are the post-activation boxes
+    of the inputs and ReLU neurons.  Propagation methods keep their initial
+    bounding pairs, the tightening methods (``fastc2v``, ``optc2v``) the
+    hull instances of their mixed neurons, and ``fastc2v`` the ``deeppoly``
+    run it never reports worse than.
     """
 
     method: str
@@ -311,6 +316,38 @@ class Bounds:
             return relaxation.optc2v_bound(self, objective, self.cut_rounds)
         return tightened_bound(self.box, self.pairs, objective, self.iterations, self.hulls)
 
+    def row_bounds(self, pos: int) -> ScalarBounds:
+        """Pre-activation interval of the row of neuron ``pos``, over the
+        neurons before it.
+
+        Interval arithmetic over the post boxes; every row of the
+        ``interval`` method, and the LP methods' rows over inputs only, stop
+        there.  The others are also bounded from both sides by
+        :meth:`relaxed_bound`, and ``fastc2v`` by its baseline's own bound
+        of the row, and the results intersected.
+        """
+        net = self.net
+        idx, w, b = net.row(pos)
+        lo, hi = _interval_step(idx, w, b, self.post_lower, self.post_upper)
+        # an LP over inputs alone just returns the interval bound; the
+        # backward pass is one dot product there and may round an ulp
+        # tighter, which fastc2v's separation ties can turn into 1e-4
+        if self.method != INTERVAL and (self.method in _MENUS or np.any(idx >= net.input_dim)):
+            obj = expr_from_row(idx, w, b, eta=min(pos, net.n_state))
+            hi = min(hi, self.relaxed_bound(obj))
+            lo = max(lo, -self.relaxed_bound(obj.negated()))
+            if self.baseline is not None:
+                base = self.baseline.pre[pos] if pos < net.n_state \
+                    else self.baseline.row_bounds(pos)
+                lo = max(lo, base.pre_lower)
+                hi = min(hi, base.pre_upper)
+            lo = min(lo, hi)  # guard against tolerance-level crossings
+        return ScalarBounds(lo, hi)
+
+    def output_bounds(self) -> list[ScalarBounds]:
+        """Pre-activation intervals of the output rows, in output order."""
+        return [self.row_bounds(pos) for pos in range(self.net.n_state, self.net.n_neurons)]
+
     def bound_objective(self, objective: LinearExpr) -> float:
         """Bound a state-space objective over every neuron of the network.
 
@@ -327,17 +364,16 @@ class Bounds:
 
 def compute_all_bounds(net: Network, box: BoxDomain, method: str, iterations=1,
                        cut_rounds=DEFAULT_CUT_ROUNDS) -> Bounds:
-    """Forward sweep bounding every neuron's pre-activation, in neuron order.
+    """Forward sweep bounding every ReLU neuron's pre-activation, in order.
 
-    Each row is bounded by interval arithmetic over the post boxes fixed so
-    far.  Every row of the ``interval`` method, and the LP methods' rows over
-    inputs only, stop there; the others are also bounded from both sides by
-    :meth:`Bounds.relaxed_bound` and the two results intersected.  Fixing a
-    ReLU neuron adds its initial bounding pair (propagation methods) and,
-    when it is mixed and the method tightens, its hull instance, for use by
-    all later rows.  Each bound works on its own copy of the pairs, so the
-    stored pairs stay the initial ones.  Output rows are bounded the same
-    way and add no state (the final affine layer is never relaxed).
+    Each row is bounded by :meth:`Bounds.row_bounds` over the post boxes
+    fixed so far.  Fixing a ReLU neuron adds its initial bounding pair
+    (propagation methods) and, when it is mixed and the method tightens, its
+    hull instance, for use by all later rows.  Each bound works on its own
+    copy of the pairs, so the stored pairs stay the initial ones.  The sweep
+    stops at the last ReLU neuron: output rows add no state (the final
+    affine layer is never relaxed), so :meth:`Bounds.output_bounds` bounds
+    them only when asked.
 
     ``fastc2v`` is ``deeppoly`` with ``max(1, iterations)`` rounds of
     separate-and-swap per bound; ``optc2v`` is ``lp`` with ``cut_rounds``
@@ -362,29 +398,14 @@ def compute_all_bounds(net: Network, box: BoxDomain, method: str, iterations=1,
                     baseline=baseline)
     post_lo, post_hi = bounds.post_lower, bounds.post_upper
     post_lo[:m], post_hi[:m] = box.lower, box.upper
-    menu = {FASTLIN: FASTLIN, DEEPPOLY: DEEPPOLY, FASTC2V: DEEPPOLY}.get(method)
+    menu = _MENUS.get(method)
     tightens = method in (FASTC2V, OPTC2V)
-    for pos in range(m, net.n_neurons):
-        idx, w, b = net.row(pos)
-        lo, hi = _interval_step(idx, w, b, post_lo, post_hi)
-        # an LP over inputs alone just returns the interval bound; the
-        # backward pass is one dot product there and may round an ulp
-        # tighter, which fastc2v's separation ties can turn into 1e-4
-        if method != INTERVAL and (menu is not None or np.any(idx >= m)):
-            obj = expr_from_row(idx, w, b, eta=min(pos, net.n_state))
-            hi = min(hi, bounds.relaxed_bound(obj))
-            lo = max(lo, -bounds.relaxed_bound(obj.negated()))
-            if baseline is not None:
-                lo = max(lo, baseline.pre[pos].pre_lower)
-                hi = min(hi, baseline.pre[pos].pre_upper)
-            lo = min(lo, hi)  # guard against tolerance-level crossings
-        sb = ScalarBounds(lo, hi)
+    for pos in range(m, net.n_state):
+        sb = bounds.row_bounds(pos)
         bounds.pre.append(sb)
-        if pos >= net.n_state:
-            continue
-        post_lo[pos], post_hi[pos] = max(0.0, lo), max(0.0, hi)
+        post_lo[pos], post_hi[pos] = max(0.0, sb.pre_lower), max(0.0, sb.pre_upper)
         if menu is not None:
-            bounds.pairs[pos] = initial_pair(menu, sb, idx, w, b)
+            bounds.pairs[pos] = initial_pair(menu, sb, *net.row(pos))
         if tightens and sb.is_mixed():
             bounds.hulls[pos] = NeuronHull.build(net, pos, post_lo, post_hi)
     return bounds

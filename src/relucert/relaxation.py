@@ -33,25 +33,6 @@ class LpBoundError(RuntimeError):
         super().__init__(f"{context}: LP ended {status.value}")
 
 
-@dataclass
-class CutPool:
-    """Added cuts with deduplication on (neuron, index_set, anchor)."""
-
-    entries: list = field(default_factory=list)
-    _keys: set = field(default_factory=set)
-
-    def add(self, pos: int, cut: hull.HullCut) -> bool:
-        key = (pos, cut.index_set, cut.anchor)
-        if key in self._keys:
-            return False
-        self._keys.add(key)
-        self.entries.append((pos, cut))
-        return True
-
-    def __len__(self):
-        return len(self.entries)
-
-
 @dataclass(eq=False)
 class DeltaLp:
     """A built relaxation model; variable j is neuron position j."""
@@ -107,14 +88,16 @@ def build_delta_lp(bounds: Bounds, objective: LinearExpr) -> DeltaLp:
     return DeltaLp(model=model, eta=eta, hulls=hulls)
 
 
-def optc2v_bound(bounds: Bounds, objective: LinearExpr, rounds: int = DEFAULT_CUT_ROUNDS,
-                 pool: CutPool | None = None) -> float:
+def optc2v_bound(bounds: Bounds, objective: LinearExpr,
+                 rounds: int = DEFAULT_CUT_ROUNDS) -> float:
     """Upper bound from the relaxation LP plus ``rounds`` of hull cuts.
 
     Each round separates at the current LP optimum across the mixed neurons
     below the objective that have hull instances in ``bounds``, adds every
     cut violated beyond ``CUT_VIOLATION_TOL`` (no cut selection), and re-solves
-    from the previous basis.  Monotone nonincreasing in ``rounds``;
+    from the previous basis.  A violated cut cannot already be in the model:
+    the LP optimum satisfies every row within ``FEAS_TOL``, far below that
+    tolerance.  Monotone nonincreasing in ``rounds``;
     ``rounds=0`` is the plain relaxation value.
     """
     if rounds < 0:
@@ -123,14 +106,12 @@ def optc2v_bound(bounds: Bounds, objective: LinearExpr, rounds: int = DEFAULT_CU
     sol = solve_lp(dl.model)
     if sol.status != LpStatus.OPTIMAL:
         raise LpBoundError(sol.status, "base relaxation")
-    if pool is None:
-        pool = CutPool()
     for _ in range(rounds):
         z = sol.x
         added = False
         for pos, nh in dl.hulls.items():
             sep = hull.separate_sort(nh.inst, z[nh.inputs], z[pos])
-            if sep is not None and sep.violation > CUT_VIOLATION_TOL and pool.add(pos, sep.cut):
+            if sep is not None and sep.violation > CUT_VIOLATION_TOL:
                 dl.add_hull_cut(pos, sep.cut)
                 added = True
         if not added:

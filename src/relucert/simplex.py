@@ -2,8 +2,9 @@
 
 Small, deterministic, dependency-free LP engine for the relaxation models in
 this package: every model it sees has a few dozen variables and a few
-hundred rows, so a dense tableau with full recomputation of values and
-reduced costs per iteration is both simple and fast enough.
+hundred rows, so a dense tableau ``B^{-1} A``, updated in place at each
+pivot together with the basic values and the reduced costs, is both simple
+and fast enough.
 
 Conventions: maximize ``c . x`` subject to ``lb <= x <= ub`` and rows
 ``a . x (<=|=|>=) rhs``.  Every variable is boxed: ``add_variable`` refuses
@@ -11,10 +12,13 @@ an infinite bound.  Rows get one slack each; a basis is the list of basic
 columns plus a status per column (at lower bound, at upper bound, basic).
 Boxed columns make the slack basis, with each column at the bound its cost
 favours, dual feasible, so every solve is one dual simplex run: from a
-caller's warm basis (extended with the slacks of newly appended rows, the
-cutting-plane resolve path) when it restores dual feasible, else from that
-slack basis; a primal pass then polishes.  Anti-cycling: after a streak of
-degenerate steps the pivot choice switches to Bland's rule.
+caller's warm basis when it restores dual feasible, else from that slack
+basis; a primal pass then polishes.  A warm basis carries the final tableau
+of its solve and the rows it was built from; it restores only onto a model
+that appends rows to those (the cutting-plane resolve path), by bordering
+the old tableau with the new rows instead of refactoring the basis.
+Anti-cycling: after a streak of degenerate steps the pivot choice switches
+to Bland's rule.
 
 The reported value is a dual bound (Neumaier & Shcherbina, "Safe bounds in
 linear and mixed-integer linear programming", 2004): the row duals of the
@@ -99,12 +103,21 @@ class LpModel:
 
 @dataclass(frozen=True, eq=False)
 class SimplexBasis:
-    """Opaque warm-start handle: basic columns and per-column statuses."""
+    """Opaque warm-start handle: the final basis and tableau of a solve, and
+    the rows they were computed from."""
 
     basic: np.ndarray
     status: np.ndarray
     n_vars: int
-    n_rows: int
+    T: np.ndarray       # B^{-1} A over the rows below and their slacks
+    trhs: np.ndarray    # B^{-1} rhs
+    rows: np.ndarray    # (n_rows, n_vars) structural coefficients
+    rhs: np.ndarray
+    senses: tuple
+
+    @property
+    def n_rows(self) -> int:
+        return self.rhs.shape[0]
 
 
 @dataclass(eq=False)
@@ -130,6 +143,8 @@ class _Tableau:
         rhs = np.zeros(mr)
         lb = np.concatenate([np.asarray(model.lb, dtype=float), np.zeros(mr)])
         ub = np.concatenate([np.asarray(model.ub, dtype=float), np.zeros(mr)])
+        # a slack's bounds encode its row's sense: a finite lower bound caps
+        # the row activity from above (<=, =), a finite upper one from below
         for i, (idx, coef, sense, b) in enumerate(model.rows):
             A[i, idx] = coef
             A[i, n + i] = 1.0
@@ -144,6 +159,7 @@ class _Tableau:
         self.n_rows = mr
         self.A = A
         self.rhs = rhs
+        self.senses = tuple(row[2] for row in model.rows)
         self.lb = lb
         self.ub = ub
         self.c = np.concatenate([np.asarray(model.obj, dtype=float), np.zeros(mr)])
@@ -178,24 +194,29 @@ class _Tableau:
             return self.c.copy()
         return self.c - cb @ self.T
 
-    def _pivot(self, r, j):
-        """Enter column j on row r; returns the leaving column."""
+    def _pivot(self, r, j, value):
+        """Enter column j on row r, the leaving variable settling at
+        ``value``; updates the basic values ``xb`` and the reduced costs
+        ``d`` with the tableau."""
         col = self.T[:, j].copy()
         piv = col[r]
+        step = (self.xb[r] - value) / piv  # how far x_j moves
+        xj = self.lb[j] if self.status[j] == _AT_LOWER else self.ub[j]
+        self.xb -= step * col
+        self.xb[r] = xj + step
         self.T[r] = self.T[r] / piv
         self.trhs[r] = self.trhs[r] / piv
         col[r] = 0.0
         self.T -= np.outer(col, self.T[r])
         self.trhs -= col * self.trhs[r]
-        leaving = int(self.basic[r])
+        self.d -= self.d[j] * self.T[r]
         self.basic[r] = j
         self.status[j] = _BASIC
         self.iterations += 1
-        return leaving
 
-    def _primal_infeasibility(self, x):
-        lo = np.maximum(self.lb[self.basic] - x[self.basic], 0.0)
-        up = np.maximum(x[self.basic] - self.ub[self.basic], 0.0)
+    def _primal_infeasibility(self):
+        lo = np.maximum(self.lb[self.basic] - self.xb, 0.0)
+        up = np.maximum(self.xb - self.ub[self.basic], 0.0)
         return np.maximum(lo, up)
 
     def _dual_feasible(self, d):
@@ -215,7 +236,7 @@ class _Tableau:
             if self.iterations >= max_iter:
                 return LpStatus.ITERATION_LIMIT
             bland = self.degen_streak >= DEGENERATE_STREAK
-            d = self.reduced_costs()
+            d = self.d
             elig = ((self.status == _AT_LOWER) & (d > OPT_TOL)) \
                 | ((self.status == _AT_UPPER) & (d < -OPT_TOL))
             cand = np.flatnonzero(elig)
@@ -223,19 +244,21 @@ class _Tableau:
                 return LpStatus.OPTIMAL
             j = int(cand[0]) if bland else int(cand[np.argmax(np.abs(d[cand]))])
             s = 1.0 if self.status[j] == _AT_LOWER else -1.0
-            x = self.values()
-            step, row = self._primal_ratio(j, s, x, bland)
+            step, row = self._primal_ratio(j, s, bland)
             if step is None:
                 return LpStatus.UNBOUNDED
             self.degen_streak = self.degen_streak + 1 if step <= FEAS_TOL else 0
-            if row < 0:
+            if row < 0:  # j flips to its opposite bound
+                self.xb -= s * step * self.T[:, j]
                 self.status[j] = _AT_UPPER if s > 0 else _AT_LOWER
                 continue
-            landed = x[self.basic[row]] - s * step * self.T[row, j]
-            leaving = self._pivot(row, j)
-            self.status[leaving] = self._nearest_bound_status(leaving, landed)
+            leaving = int(self.basic[row])
+            landed = self.xb[row] - s * step * self.T[row, j]
+            settled = self._nearest_bound_status(leaving, landed)
+            self._pivot(row, j, self.lb[leaving] if settled == _AT_LOWER else self.ub[leaving])
+            self.status[leaving] = settled
 
-    def _primal_ratio(self, j, s, x, bland):
+    def _primal_ratio(self, j, s, bland):
         """Largest step for column j moving in direction s.
 
         Returns ``(step, row)``; ``row == -1`` encodes a flip of j to its
@@ -244,7 +267,7 @@ class _Tableau:
         best, row = self.ub[j] - self.lb[j], -1  # infinite for a slack
         if self.n_rows:
             col = self.T[:, j]
-            xb = x[self.basic]
+            xb = self.xb
             delta = -s * col
             caps = np.where(delta > PIVOT_TOL, self.ub[self.basic],
                             np.where(delta < -PIVOT_TOL, self.lb[self.basic], np.nan))
@@ -271,8 +294,7 @@ class _Tableau:
         while True:
             if self.iterations >= max_iter:
                 return LpStatus.ITERATION_LIMIT
-            x = self.values()
-            infeas = self._primal_infeasibility(x)
+            infeas = self._primal_infeasibility()
             if infeas.size == 0 or infeas.max() <= FEAS_TOL:
                 return LpStatus.OPTIMAL
             bland = self.degen_streak >= DEGENERATE_STREAK
@@ -281,9 +303,10 @@ class _Tableau:
                 r = int(rows[np.argmin(self.basic[rows])])
             else:
                 r = int(np.argmax(infeas))
-            below = x[self.basic[r]] < self.lb[self.basic[r]]
+            leaving = int(self.basic[r])
+            below = self.xb[r] < self.lb[leaving]
             alpha = self.T[r]
-            d = self.reduced_costs()
+            d = self.d
             if below:
                 elig = ((self.status == _AT_LOWER) & (alpha < -PIVOT_TOL)) \
                     | ((self.status == _AT_UPPER) & (alpha > PIVOT_TOL))
@@ -300,17 +323,19 @@ class _Tableau:
             else:
                 j = int(cand[near[np.argmax(np.abs(alpha[cand[near]]))]])
             self.degen_streak = self.degen_streak + 1 if ratios.min() <= 1e-12 else 0
-            leaving = self._pivot(r, j)
+            self._pivot(r, j, self.lb[leaving] if below else self.ub[leaving])
             self.status[leaving] = _AT_LOWER if below else _AT_UPPER
 
     # ----- driver ----------------------------------------------------------
 
     def solve(self, warm_basis, max_iter):
-        n, mr = self.n_struct, self.n_rows
-        restored = (warm_basis is not None and warm_basis.n_vars == n
-                    and warm_basis.n_rows <= mr and self._restore_basis(warm_basis))
-        if not (restored and self._dual_feasible(self.reduced_costs())):
+        n = self.n_struct
+        if not (warm_basis is not None and self._restore_basis(warm_basis)
+                and self._dual_feasible(self.reduced_costs())):
             self._slack_basis()
+        # from here on the pivots keep the basic values and reduced costs
+        self.xb = self.values()[self.basic]
+        self.d = self.reduced_costs()
         status = self._dual(max_iter)
         if status == LpStatus.OPTIMAL:
             status = self._primal(max_iter)  # polish, usually a no-op
@@ -319,9 +344,9 @@ class _Tableau:
         if status == LpStatus.OPTIMAL:
             np.clip(xs, np.asarray(self.model.lb), np.asarray(self.model.ub), out=xs)
             self._verify(xs)
-        basis = SimplexBasis(basic=self.basic.copy(),
-                             status=self.status[:n + mr].copy(),
-                             n_vars=n, n_rows=mr)
+        basis = SimplexBasis(basic=self.basic.copy(), status=self.status.copy(), n_vars=n,
+                             T=self.T, trhs=self.trhs, rows=self.A[:, :n], rhs=self.rhs,
+                             senses=self.senses)
         return LpSolution(status=status, objective_value=self._dual_bound(), x=xs,
                           basis=basis, iterations=self.iterations)
 
@@ -344,36 +369,42 @@ class _Tableau:
         return float(y @ self.rhs + np.maximum(d * lo, d * hi).sum()) + self.model.obj_constant
 
     def _restore_basis(self, wb: SimplexBasis) -> bool:
-        n, mr = self.n_struct, self.n_rows
-        status = np.empty(n + mr, dtype=np.int8)
-        status[:n + wb.n_rows] = wb.status
-        status[n + wb.n_rows:] = _BASIC
-        basic = np.concatenate([wb.basic.astype(np.intp),
-                                np.arange(n + wb.n_rows, n + mr, dtype=np.intp)])
-        if basic.shape[0] != mr or np.unique(basic).size != basic.shape[0]:
+        """Take over ``wb`` when this model only appends rows to its rows.
+
+        The old tableau is bordered: old rows keep their entries, with zeros
+        on the new slacks, and each new row ``a_i`` becomes ``a_i - a_i[B]
+        T`` with its slack basic (right-hand side ``rhs_i - a_i[B] trhs``).
+        That is ``B^{-1} A`` for the old basis plus the new slacks, with no
+        factorization.  Any other basis is refused.
+        """
+        n, mr, k = self.n_struct, self.n_rows, wb.n_rows
+        if not (wb.n_vars == n and k <= mr and self.senses[:k] == wb.senses
+                and np.array_equal(self.rhs[:k], wb.rhs)
+                and np.array_equal(self.A[:k, :n], wb.rows)):
             return False
-        B = self.A[:, basic]
-        try:
-            T = np.linalg.solve(B, self.A)
-            trhs = np.linalg.solve(B, self.rhs)
-        except np.linalg.LinAlgError:
-            return False
-        if not (np.all(np.isfinite(T)) and np.all(np.isfinite(trhs))):
-            return False
-        self.T, self.trhs, self.basic = T, trhs, basic
-        self.status = status
-        self.status[basic] = _BASIC
+        new = self.A[k:]
+        new_b = new[:, wb.basic]
+        T = np.zeros((mr, n + mr))
+        T[:k, :n + k] = wb.T
+        T[k:] = new - new_b @ T[:k]
+        self.T = T
+        self.trhs = np.concatenate([wb.trhs, self.rhs[k:] - new_b @ wb.trhs])
+        self.basic = np.concatenate([wb.basic, np.arange(n + k, n + mr, dtype=np.intp)])
+        self.status = np.concatenate([wb.status, np.full(mr - k, _BASIC, dtype=np.int8)])
         return True
 
     def _verify(self, xs):
         """Optimal solutions must satisfy all rows within tolerance."""
-        for idx, coef, sense, rhs in self.model.rows:
-            v = float(coef @ xs[idx]) if idx.size else 0.0
-            gap = 1e2 * FEAS_TOL * (1.0 + abs(rhs))
-            if (sense == LE and v > rhs + gap) or (sense == GE and v < rhs - gap) \
-                    or (sense == EQ and abs(v - rhs) > gap):
-                raise ArithmeticError(
-                    f"optimal solution violates row: {v} {sense} {rhs}")
+        n = self.n_struct
+        v = self.A[:, :n] @ xs
+        gap = 1e2 * FEAS_TOL * (1.0 + np.abs(self.rhs))
+        bad = (np.isfinite(self.lb[n:]) & (v > self.rhs + gap)) \
+            | (np.isfinite(self.ub[n:]) & (v < self.rhs - gap))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ArithmeticError(
+                f"optimal solution violates row: {float(v[i])} {self.senses[i]} "
+                f"{float(self.rhs[i])}")
 
 
 def write_lp_format(model: LpModel, path):

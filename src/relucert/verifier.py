@@ -3,12 +3,14 @@
 Ties the bound pipelines together for the standard L-infinity robustness
 question: for an input ``x_hat`` correctly labeled ``t`` and radius
 ``epsilon``, certify that every input in the clipped box keeps the label.
-Scalar bounds are computed once per instance and reused across all margin
-objectives ``f_k - f_t``; the verdict is ``verified`` when every margin's
-upper bound is negative, otherwise a projected-gradient attack decides
-between ``falsified`` (with an exactly re-checked witness attached) and
-``unknown``.  An instance whose LP bounds fail numerically is bounded with
-``deeppoly`` instead, and its report records why.
+Scalar bounds of the ReLU neurons are computed once per instance and reused
+across all margin objectives ``f_k - f_t``; no verdict reads the output rows'
+own bounds, so only ``verbose_bounds`` computes them.  The verdict is
+``verified`` when every margin's upper bound is negative, otherwise a
+projected-gradient attack decides between ``falsified`` (with an exactly
+re-checked witness attached) and ``unknown``.  An instance whose LP bounds
+fail numerically is bounded with ``deeppoly`` instead, and its report
+records why.
 """
 
 from __future__ import annotations
@@ -146,7 +148,8 @@ def verify(net: Network, inst: RobustnessInstance, method: str = "fastc2v",
         witness_label=witness_label,
         time_total=time.perf_counter() - t0, time_bounds=t1 - t0,
         time_margins=margin_times,
-        neuron_bounds=list(state.pre) if verbose_bounds else None, fallback=fallback)
+        neuron_bounds=state.pre + state.output_bounds() if verbose_bounds else None,
+        fallback=fallback)
 
 
 def _forward_batch(net, X):

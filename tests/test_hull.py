@@ -130,6 +130,18 @@ class TestCuts:
         with pytest.raises(ValueError):
             cut_from_pair(h22_instance, (0,), 1)  # corner_value({0}) < 0
 
+    def test_low_set_must_be_increasing_and_in_range(self):
+        inst = make_hull_instance([0.2, 0.2, 1.0], -0.9, [0.0] * 3, [1.0] * 3)
+        ref = cut_from_pair(inst, (0, 1), 2)
+        same = cut_from_pair(inst, np.array([0, 1], dtype=np.intp), 2)
+        assert same.index_set == ref.index_set == (0, 1)
+        assert same.idx.tolist() == ref.idx.tolist() == [0, 1, 2]
+        assert same.coeffs.tolist() == ref.coeffs.tolist() and same.constant == ref.constant
+        for low_set, anchor in (((1, 0), 2), ((0, 0), 2), ((0, 3), 2), ((-1, 0), 2),
+                                ((0, 1), 1), ((0, 1), 3)):
+            with pytest.raises(ValueError):
+                cut_from_pair(inst, low_set, anchor)
+
     def test_validity_on_samples(self):
         # every enumerated cut upper-bounds the ReLU over the box
         rng = np.random.default_rng(23)

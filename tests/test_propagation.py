@@ -22,12 +22,14 @@ def golden_pairs(net, sb, method="deeppoly"):
 
 class TestIntervalBounds:
     def test_golden_network(self, golden_net, golden_box):
-        sb = compute_all_bounds(golden_net, golden_box, "interval").pre
+        st = compute_all_bounds(golden_net, golden_box, "interval")
+        sb = st.pre
         assert (sb[2].pre_lower, sb[2].pre_upper) == (-1.0, 3.0)
         assert (sb[3].pre_lower, sb[3].pre_upper) == (-0.5, 1.5)
         assert (sb[4].pre_lower, sb[4].pre_upper) == (1.0, 2.5)
         assert (sb[5].pre_lower, sb[5].pre_upper) == (-4.0, 2.0)
-        assert sb[6].pre_upper == pytest.approx(4.5)  # output via 1.5 + 2 + 1
+        assert len(sb) == golden_net.n_state  # output rows only on request
+        assert st.output_bounds()[0].pre_upper == pytest.approx(4.5)  # 1.5 + 2 + 1
 
     def test_zero_weight_net(self):
         net = generate_random_network([2, 2, 1], seed=0, weight_scale=1.0)
@@ -37,14 +39,16 @@ class TestIntervalBounds:
                            n.bias if n.kind != "input" else 0.0)
                     for n in net.neurons]
         net0 = Network(2, stripped, net.output_indices)
-        sb = compute_all_bounds(net0, BoxDomain(np.zeros(2), np.ones(2)), "interval").pre
+        st = compute_all_bounds(net0, BoxDomain(np.zeros(2), np.ones(2)), "interval")
+        sb = st.pre + st.output_bounds()
         for pos in range(2, net0.n_neurons):
             assert sb[pos].pre_lower == sb[pos].pre_upper == net0.neurons[pos].bias
 
     def test_point_box_is_exact(self, golden_net):
         x = np.array([0.3, -0.4])
         box = BoxDomain(x, x)
-        sb = compute_all_bounds(golden_net, box, "interval").pre
+        st = compute_all_bounds(golden_net, box, "interval")
+        sb = st.pre + st.output_bounds()
         z, y = eval_network(golden_net, x)
         for pos in range(2, golden_net.n_state):
             idx, w, b = golden_net.row(pos)
@@ -265,9 +269,9 @@ class TestDirectEquivalence:
 class TestFullSweep:
     def test_golden_driver_bounds(self, golden_net, golden_box):
         dp1 = compute_all_bounds(golden_net, golden_box, "fastc2v")
-        assert dp1.pre[6].pre_upper == pytest.approx(23.0 / 6.0, abs=1e-9)
+        assert dp1.output_bounds()[0].pre_upper == pytest.approx(23.0 / 6.0, abs=1e-9)
         iv = compute_all_bounds(golden_net, golden_box, "interval")
-        assert iv.pre[6].pre_upper == pytest.approx(4.5, abs=1e-12)
+        assert iv.output_bounds()[0].pre_upper == pytest.approx(4.5, abs=1e-12)
 
     def test_exact_max_is_below_all_methods(self, golden_net, golden_box):
         # dense-grid maximum of the true network output
@@ -280,7 +284,55 @@ class TestFullSweep:
         assert best == pytest.approx(3.0, abs=1e-9)
         for method in METHODS:
             st = compute_all_bounds(golden_net, golden_box, method)
-            assert st.pre[6].pre_upper >= best - 1e-9
+            assert st.output_bounds()[0].pre_upper >= best - 1e-9
+
+    # Output-row bounds of the sweep that bounded every row (hex), on the
+    # golden net and on a random one.  optc2v's random-net values may move in
+    # the last bits: its warm re-solves border the old tableau instead of
+    # refactoring the basis, and its cut choice follows those bits.
+    OUTPUT_HEX = {
+        "golden": {
+            "interval": [("0x1.0000000000000p+0", "0x1.2000000000000p+2")],
+            "fastlin": [("0x1.0000000000000p+0", "0x1.ed55555555556p+1")],
+            "deeppoly": [("0x1.0000000000000p+0", "0x1.eaaaaaaaaaaacp+1")],
+            "fastc2v": [("0x1.0000000000000p+0", "0x1.eaaaaaaaaaaabp+1")],
+            "lp": [("0x1.0000000000000p+0", "0x1.c000000000000p+1")],
+            "optc2v": [("0x1.0000000000000p+0", "0x1.c000000000000p+1")],
+        },
+        "random": {
+            "interval": [("-0x1.a881a4d22db2bp-2", "0x1.425f22814dce6p-2"),
+                         ("-0x1.4786b93fb06b5p-4", "0x1.2cf630c96408fp-1")],
+            "fastlin": [("-0x1.27ae5f859d422p-2", "0x1.c56f4bc77fa70p-3"),
+                        ("-0x1.f37afc50e5bd0p-7", "0x1.4dacd96b5c277p-2")],
+            "deeppoly": [("-0x1.174838b2ba254p-2", "0x1.6e679d17604c2p-3"),
+                         ("-0x1.b1e7ba9fa4080p-5", "0x1.491ccdfa0e2aap-2")],
+            "fastc2v": [("-0x1.09ac95b18d569p-2", "0x1.d156cca74ac4dp-4"),
+                        ("-0x1.598891ccf2ed8p-5", "0x1.47dca37ee41a2p-2")],
+            "lp": [("-0x1.0c9676c7371dcp-2", "0x1.b32bf9fa56194p-4"),
+                   ("0x1.349cc65570cf8p-6", "0x1.47fc2058bf810p-2")],
+            "optc2v": [("-0x1.d2b0a61d31200p-3", "0x1.a7df5ccb4af7ap-4"),
+                       ("0x1.7a6a32161bb58p-6", "0x1.2719d71d898afp-2")],
+        },
+    }
+
+    @pytest.mark.parametrize("which", ["golden", "random"])
+    def test_output_bounds_match_full_sweep(self, which, golden_net, golden_box):
+        if which == "golden":
+            net, box = golden_net, golden_box
+        else:
+            net = generate_random_network([3, 6, 6, 2], seed=0, weight_scale=1.0)
+            box = BoxDomain(np.full(3, 0.2), np.full(3, 0.7))
+        for method in METHODS:
+            st = compute_all_bounds(net, box, method)
+            assert len(st.pre) == net.n_state
+            got = [(sb.pre_lower, sb.pre_upper) for sb in st.output_bounds()]
+            want = [tuple(float.fromhex(v) for v in pair)
+                    for pair in self.OUTPUT_HEX[which][method]]
+            if method == "optc2v" and which == "random":
+                assert np.allclose(got, want, rtol=0.0, atol=1e-12), method
+            else:
+                assert [tuple(v.hex() for v in pair) for pair in got] \
+                    == self.OUTPUT_HEX[which][method], method
 
     def test_soundness_random_networks(self):
         rng = np.random.default_rng(77)
@@ -294,13 +346,14 @@ class TestFullSweep:
             box = BoxDomain(np.clip(mid - ext, 0, 1), np.clip(mid + ext, 0, 1))
             method = METHODS[int(rng.integers(len(METHODS)))]
             st = compute_all_bounds(net, box, method)
+            sb = st.pre + st.output_bounds()
             X = box.sample(rng, 50)
             for x in X:
                 z, y = eval_network(net, x)
                 for pos in range(net.input_dim, net.n_neurons):
                     idx, w, b = net.row(pos)
                     pre = float(w @ z[idx]) + b if idx.size else b
-                    assert st.pre[pos].pre_lower - 1e-7 <= pre <= st.pre[pos].pre_upper + 1e-7
+                    assert sb[pos].pre_lower - 1e-7 <= pre <= sb[pos].pre_upper + 1e-7
 
     def test_dominance_chain_random_networks(self):
         rng = np.random.default_rng(78)

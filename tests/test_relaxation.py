@@ -5,12 +5,25 @@ from relucert.hull import cut_from_pair, make_hull_instance
 from relucert.network import (BoxDomain, Network, Neuron, eval_network,
                               generate_random_network)
 from relucert.propagation import compute_all_bounds, expr_from_row
-from relucert.relaxation import CutPool, build_delta_lp, optc2v_bound
+from relucert.relaxation import DeltaLp, build_delta_lp, optc2v_bound
 from relucert.simplex import EQ, LpStatus, solve_lp
 
 from conftest import interval_state, random_mixed_instance
 from oracles import (envelope_min_by_enumeration, enumerate_cut_pairs,
                      exact_max_oracle, lifted_envelope_value)
+
+
+def record_cuts(monkeypatch):
+    """Every ``(pos, cut)`` the cut loop adds to a model, in order."""
+    added = []
+    real = DeltaLp.add_hull_cut
+
+    def recording(self, pos, cut):
+        added.append((pos, cut))
+        return real(self, pos, cut)
+
+    monkeypatch.setattr(DeltaLp, "add_hull_cut", recording)
+    return added
 
 
 def single_relu_net(w, b):
@@ -124,22 +137,14 @@ class TestDeltaLpValues:
             assert full.status == LpStatus.OPTIMAL
             assert looped == pytest.approx(full.objective_value, abs=1e-7)
 
-    def test_cut_pool_deduplicates(self, h22_instance):
-        pool = CutPool()
-        cut = cut_from_pair(h22_instance, (), 0)
-        assert pool.add(5, cut)
-        assert not pool.add(5, cut_from_pair(h22_instance, (), 0))
-        assert pool.add(6, cut)
-        assert len(pool) == 2
-
-    def test_added_cuts_valid_on_network_samples(self, golden_net, golden_box):
+    def test_added_cuts_valid_on_network_samples(self, golden_net, golden_box, monkeypatch):
         st = interval_state(golden_net, golden_box)
         obj = expr_from_row(*golden_net.row(6), eta=6)
-        pool = CutPool()
-        optc2v_bound(st, obj, rounds=3, pool=pool)
-        assert len(pool) >= 1
+        added = record_cuts(monkeypatch)
+        optc2v_bound(st, obj, rounds=3)
+        assert len(added) >= 1
         rng = np.random.default_rng(8)
-        for pos, cut in pool.entries:
+        for pos, cut in added:
             inputs = golden_net.row(pos)[0]
             for _ in range(100):
                 x = rng.uniform(-1, 1, 2)
@@ -213,10 +218,11 @@ class TestLpSweep:
         st = compute_all_bounds(golden_net, golden_box, "lp")
         # first-layer rows over inputs give interval-exact bounds
         assert (st.pre[2].pre_lower, st.pre[2].pre_upper) == (-1.0, 3.0)
-        out0 = st.pre[6]
+        out0 = st.output_bounds()[0]
         st3 = compute_all_bounds(golden_net, golden_box, "optc2v", cut_rounds=3)
-        assert st3.pre[6].pre_upper <= out0.pre_upper + 1e-9
-        assert st3.pre[6].pre_upper >= 3.0 - 1e-7
+        out3 = st3.output_bounds()[0]
+        assert out3.pre_upper <= out0.pre_upper + 1e-9
+        assert out3.pre_upper >= 3.0 - 1e-7
 
     def test_tiny_weight_is_kept(self):
         # h = relu(9e-6 x + 1) over x in [0, 1] peaks at 1.000009; a model
@@ -227,7 +233,7 @@ class TestLpSweep:
         for method in ("lp", "optc2v", "deeppoly"):
             st = compute_all_bounds(net, box, method)
             assert st.bound_objective(obj) >= 1.000009 - 1e-12, method
-            assert st.pre[net.n_state].pre_upper >= 1.000009 - 1e-12, method
+            assert st.output_bounds()[0].pre_upper >= 1.000009 - 1e-12, method
 
     def test_reported_value_is_an_upper_bound(self):
         # weights near 1e-7 leave the primal optimum of the margin LP a
@@ -273,15 +279,16 @@ class TestLpSweep:
                 assert exact <= v2 + 1e-6
                 assert v2 <= v0 + 1e-9
 
-    def test_warm_vs_cold_consistency(self, golden_net, golden_box):
+    def test_warm_vs_cold_consistency(self, golden_net, golden_box, monkeypatch):
         # the cut loop re-solves warm; a cold solve of the final model must
         # agree (checked here by rebuilding with the same cuts)
         st = interval_state(golden_net, golden_box)
         obj = expr_from_row(*golden_net.row(6), eta=6)
-        pool = CutPool()
-        warm_val = optc2v_bound(st, obj, rounds=3, pool=pool)
+        added = record_cuts(monkeypatch)
+        warm_val = optc2v_bound(st, obj, rounds=3)
+        cuts = list(added)  # the rebuild below adds them through the recorder again
         dl = build_delta_lp(st, obj)
-        for pos, cut in pool.entries:
+        for pos, cut in cuts:
             dl.add_hull_cut(pos, cut)
         cold = solve_lp(dl.model)
         assert cold.status == LpStatus.OPTIMAL

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import relucert.simplex as simplex_module
 from relucert.simplex import (EQ, GE, LE, LpModel, LpStatus, solve_lp,
                               write_lp_format)
 
@@ -8,6 +9,19 @@ from relucert.simplex import (EQ, GE, LE, LpModel, LpStatus, solve_lp,
 def assert_optimal(sol, value, tol=1e-7):
     assert sol.status == LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(value, abs=tol)
+
+
+def record_restores(monkeypatch):
+    """Whether each warm basis handed to a solve was taken over, in order."""
+    restored = []
+    real = simplex_module._Tableau._restore_basis
+
+    def spy(self, wb):
+        restored.append(real(self, wb))
+        return restored[-1]
+
+    monkeypatch.setattr(simplex_module._Tableau, "_restore_basis", spy)
+    return restored
 
 
 class TestBasics:
@@ -166,6 +180,60 @@ class TestWarmStart:
         m2.add_constraint([0, 1], [1.0, 1.0], LE, 0.5)
         sol = solve_lp(m2, warm_basis=good.basis)
         assert_optimal(sol, 1.0)
+
+    def test_appended_rows_resolve_without_factorizing(self, monkeypatch):
+        # the warm re-solve borders the old tableau with the new rows; no
+        # basis is factorized, so no np.linalg routine may run
+        rng = np.random.default_rng(13)
+        m = LpModel()
+        n = 12
+        for j in range(n):
+            m.add_variable(-1, 1, obj=float(rng.uniform(-1, 1)))
+        for _ in range(9):
+            m.add_constraint(np.arange(n), rng.uniform(-1, 1, n), LE, float(rng.uniform(0.2, 1.0)))
+        first = solve_lp(m)
+        assert first.status == LpStatus.OPTIMAL
+        for _ in range(4):  # rows the first optimum violates, like cuts
+            row = rng.uniform(-1, 1, n)
+            m.add_constraint(np.arange(n), row, LE, float(row @ first.x) - 0.1)
+        cold = solve_lp(m)
+        restored = record_restores(monkeypatch)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg called by a warm re-solve")
+
+        for name in dir(np.linalg):
+            if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type):
+                monkeypatch.setattr(np.linalg, name, refuse)
+        warm = solve_lp(m, warm_basis=first.basis)
+        monkeypatch.undo()
+        assert restored == [True]
+        assert warm.status == cold.status == LpStatus.OPTIMAL
+        assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-7)
+        assert np.allclose(warm.x, cold.x, atol=1e-7)
+
+    @pytest.mark.parametrize("change", ["coefficient", "rhs", "sense"])
+    def test_basis_over_other_rows_goes_cold(self, change, monkeypatch):
+        def build(row0, rhs0, sense0):
+            m = LpModel()
+            for obj in (1.0, 2.0, -1.0):
+                m.add_variable(-1, 1, obj=obj)
+            m.add_constraint([0, 1, 2], row0, sense0, rhs0)
+            m.add_constraint([0, 1], [1.0, 1.0], LE, 0.5)
+            return m
+
+        first = solve_lp(build([1.0, 1.0, 1.0], 1.0, LE))
+        other = {"coefficient": ([1.0, 1.0, 0.5], 1.0, LE), "rhs": ([1.0, 1.0, 1.0], 0.9, LE),
+                 "sense": ([1.0, 1.0, 1.0], 1.0, GE)}[change]
+        m = build(*other)
+        m.add_constraint([1, 2], [1.0, -1.0], LE, 0.25)
+        restored = record_restores(monkeypatch)
+        warm = solve_lp(m, warm_basis=first.basis)
+        assert restored == [False]
+        cold = solve_lp(m)
+        assert warm.status == cold.status == LpStatus.OPTIMAL
+        assert warm.objective_value == cold.objective_value
+        assert warm.iterations == cold.iterations
 
     def test_feasibility_residuals_checked(self):
         # optimal status implies rows hold within tolerance (verified inside

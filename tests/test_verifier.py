@@ -192,12 +192,47 @@ class TestVerify:
         # under Bland's rule the dual simplex used to pick the first
         # infeasible row, not the basic variable of smallest index, and
         # cycled to the iteration limit on the first output-row LP here
+        # (verify no longer bounds output rows; the margin LPs share its model)
         net = generate_random_network([10, 30, 30, 30, 10], seed=1, weight_scale=0.5)
         inst = generate_instances(net, 1, epsilon=0.05, seed=1001)[0]
         rep = verify(net, inst, method="lp")
         assert rep.fallback is None
         assert rep.verdict == VERIFIED
         assert max(rep.margin_bounds.values()) == pytest.approx(-0.5732, abs=1e-3)
+
+    @pytest.mark.parametrize("method", ["lp", "optc2v"])
+    def test_one_level_net_solves_only_margin_lps(self, method, monkeypatch):
+        # hidden rows over inputs take the interval bound and no verdict
+        # reads the output rows, so the margins are the only LPs
+        import relucert.relaxation as relaxation_module
+        net = generate_random_network([4, 8, 3], seed=7, weight_scale=0.8)
+        calls = []
+        real = relaxation_module.optc2v_bound
+        monkeypatch.setattr(relaxation_module, "optc2v_bound",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        for inst in generate_instances(net, 3, epsilon=0.1, seed=8):
+            calls.clear()
+            verify(net, inst, method=method, attack=False)
+            assert len(calls) == net.n_outputs - 1
+
+    @pytest.mark.parametrize("method", ["deeppoly", "fastc2v"])
+    def test_no_backward_pass_on_output_rows(self, method, monkeypatch):
+        import relucert.propagation as propagation_module
+        from relucert.propagation import expr_from_row
+        net = generate_random_network([3, 6, 6, 3], seed=9, weight_scale=0.8)
+        rows = [expr_from_row(*net.row(pos), eta=net.n_state)
+                for pos in range(net.n_state, net.n_neurons)]
+        rows += [row.negated() for row in rows]
+        objectives = []
+        real = propagation_module.backward_pass
+        monkeypatch.setattr(propagation_module, "backward_pass",
+                            lambda box, pairs, obj: objectives.append(obj) or real(box, pairs, obj))
+        inst = generate_instances(net, 1, epsilon=0.1, seed=10)[0]
+        verify(net, inst, method=method, attack=False)
+        assert any(obj.eta < net.n_state for obj in objectives)
+        for obj in objectives:
+            assert not any(np.array_equal(obj.coeffs, row.coeffs) and obj.constant == row.constant
+                           for row in rows)
 
     def test_margins_all_bounded_by_default(self):
         net = generate_random_network([3, 5, 4], seed=3)
