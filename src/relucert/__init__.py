@@ -15,9 +15,8 @@ from .hull import (HullCut, HullInstance, Separation, classify_phase,
                    corner_value, cut_from_pair, make_hull_instance,
                    minimize_upper_envelope_sort, separate_sort)
 from .propagation import (METHODS, AffineBoundPair, AffineFunc, Bounds, LinearExpr,
-                          NeuronHull, ScalarBounds, backward_pass, box_maximize,
-                          compute_all_bounds, forward_pass, initial_pair,
-                          tightened_bound)
+                          ScalarBounds, backward_pass, box_maximize, compute_all_bounds,
+                          forward_pass, initial_pair, tightened_bound)
 from .simplex import LpModel, LpSolution, LpStatus, solve_lp
 from .relaxation import build_delta_lp, optc2v_bound
 from .verifier import (RobustnessInstance, VerificationReport, attack_upper_bound,

@@ -7,10 +7,14 @@ inequality per pair ``(I, h)`` drawn from an (exponentially large but
 efficiently separable) family indexed by box edges crossed by the
 pre-activation hyperplane.
 
-All index sets handed to and returned from this module are 0-based positions
-into the instance's *retained* coordinate list (zero weights and degenerate
-coordinates are folded away at construction).  An emitted cut is sparse: it
-names the original coordinates it reads and nothing else.
+Index sets handed to and returned from this module (``low_set``,
+``anchor``) are 0-based positions into the instance's *retained* coordinate
+list: zero weights and degenerate coordinates are folded away at
+construction.  ``support`` maps retained positions to the coordinates of the
+point the instance reads.  :func:`make_hull_instance` numbers them as ``w``
+is numbered; the forward sweep renumbers them with state positions, so its
+instances read the whole state vector ``z`` as it is, and each emitted cut
+names the state positions it reads and nothing else.
 """
 
 from __future__ import annotations
@@ -18,6 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# The separator orders coordinates by their ratios rounded to this grid.
+RATIO_GRID = 1e-9
 
 ALWAYS_ACTIVE = "always_active"
 ALWAYS_INACTIVE = "always_inactive"
@@ -29,11 +36,12 @@ class HullInstance:
     """One neuron's hull data, reduced to coordinates that matter.
 
     Attributes:
-        dim: original input dimension (before filtering).
-        support: original positions of the retained coordinates.
+        dim: length of the weight vector the instance was built from.
+        support: positions of the retained coordinates in the point the
+            instance reads (state positions for the sweep's instances).
         w: retained (nonzero) weights.
         b: bias with every folded coordinate's contribution absorbed.
-        lower/upper: retained original box bounds.
+        lower/upper: box bounds of the retained coordinates.
         min_corner/max_corner: per retained coordinate, the bound value that
             minimizes / maximizes its weighted term; the pre-activation is
             smallest at ``min_corner`` and largest at ``max_corner``.
@@ -60,7 +68,7 @@ class HullInstance:
         return self.w.shape[0]
 
     def preactivation(self, x) -> float:
-        """``w.x + b`` evaluated on original coordinates."""
+        """``w.x + b`` evaluated at a point read through ``support``."""
         x = np.asarray(x, dtype=float)
         return float(self.w @ x[self.support]) + self.b
 
@@ -78,7 +86,7 @@ class HullCut:
     ``index_set`` and ``anchor`` are the defining pair: the inequality
     interpolates the ReLU between the box corner that zeroes it and the
     corner reached by raising the ``anchor`` coordinate.  ``idx`` holds the
-    original positions of ``index_set`` and ``anchor``, ascending, and
+    ``support`` positions of ``index_set`` and ``anchor``, ascending, and
     ``coeffs`` their coefficients.
     """
 
@@ -89,7 +97,7 @@ class HullCut:
     constant: float
 
     def value(self, x) -> float:
-        """Right-hand side at ``x`` in original coordinates."""
+        """Right-hand side at a point ``x`` of the instance's coordinates."""
         return float(self.coeffs @ np.asarray(x, dtype=float)[self.idx]) + self.constant
 
 
@@ -164,7 +172,7 @@ def cut_from_pair(inst: HullInstance, low_set, anchor: int) -> HullCut:
     The inequality is
     ``y <= sum_{i in I} w_i (x_i - min_corner_i)
            + corner_value(I)/(max_corner_h - min_corner_h) (x_h - min_corner_h)``
-    expanded to ``a.x + c`` over the original positions of ``I`` and ``h``.
+    expanded to ``a.x + c`` over the ``support`` positions of ``I`` and ``h``.
     ``low_set`` must list retained positions in strictly increasing order.
     Raises if it does not, or if the pair does not define a facet, i.e.
     unless ``corner_value(I) >= 0 > corner_value(I + anchor)``.
@@ -195,15 +203,22 @@ def cut_from_pair(inst: HullInstance, low_set, anchor: int) -> HullCut:
 def minimize_upper_envelope_sort(inst: HullInstance, x) -> tuple[float, np.ndarray, int]:
     """Least upper hull inequality at ``x`` via the sorting greedy.
 
-    Sort retained coordinates by ``ratios(x)`` nondecreasing (ties by
-    position), grow the index set while the corner value stays nonnegative,
-    and anchor at the coordinate that first drives it negative.  Returns the
-    envelope value at ``x``, the index set as ascending retained positions
-    and the anchor, without building the cut.  O(n log n).
+    Sort retained coordinates by ``ratios(x)`` rounded to ``RATIO_GRID``,
+    nondecreasing, ties by position; grow the index set while the corner
+    value stays nonnegative, and anchor at the coordinate that first drives
+    it negative.  Returns the envelope value at ``x``, the index set as
+    ascending retained positions and the anchor, without building the cut.
+    O(n log n).
+
+    Relaxation optima sit at box corners, so many ratios tie at 0 or 1;
+    unrounded, the last bit of a box bound would pick the order among them
+    and so the facet.  Rounding makes that choice stable, at a cost of at
+    most ``RATIO_GRID`` times the capacity in the value.  Every order gives a
+    valid facet, which :func:`cut_from_pair` checks.
     """
     _require_mixed(inst)
     r = inst.ratios(x)
-    order = np.argsort(r, kind="stable")
+    order = np.argsort(np.round(r / RATIO_GRID), kind="stable")
     running = np.cumsum(inst.cap[order])
     # first position whose cumulative capacity overshoots the slack at the
     # all-max corner; guaranteed to exist for a mixed instance

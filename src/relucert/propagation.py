@@ -22,7 +22,7 @@ the state space (inputs + ReLU neurons, outputs elided into coefficients).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,6 +39,9 @@ OPTC2V = "optc2v"
 METHODS = (INTERVAL, FASTLIN, DEEPPOLY, FASTC2V, LP, OPTC2V)
 
 DEFAULT_CUT_ROUNDS = 3
+
+# A hull inequality replaces an upper function only when violated by more.
+SWAP_VIOLATION_TOL = 1e-9
 
 # the bounding-function menu each propagation method draws its pairs from
 _MENUS = {FASTLIN: FASTLIN, DEEPPOLY: DEEPPOLY, FASTC2V: DEEPPOLY}
@@ -110,22 +113,6 @@ def expr_from_row(idx, w, b, eta) -> LinearExpr:
     c = np.zeros(eta)
     c[idx] = w
     return LinearExpr(c, float(b))
-
-
-@dataclass(frozen=True, eq=False)
-class NeuronHull:
-    """A mixed neuron's hull instance, tied to its global input positions."""
-
-    pos: int
-    inputs: np.ndarray
-    inst: hull.HullInstance
-
-    @classmethod
-    def build(cls, net: Network, pos: int, post_lo, post_hi) -> "NeuronHull":
-        """Hull instance of neuron ``pos`` over its inputs' post boxes."""
-        idx, w, b = net.row(pos)
-        inst = hull.make_hull_instance(w, b, post_lo[idx], post_hi[idx])
-        return cls(pos=pos, inputs=idx, inst=inst)
 
 
 @dataclass(eq=False)
@@ -235,14 +222,20 @@ def _interval_step(idx, w, b, post_lo, post_hi):
 
 def tightened_bound(box: BoxDomain, pairs: dict[int, AffineBoundPair],
                     objective: LinearExpr, iterations: int,
-                    hulls: dict[int, NeuronHull] | None = None) -> float:
+                    hulls: dict[int, hull.HullInstance] | None = None) -> float:
     """Best bound over ``iterations`` rounds of separate-and-swap.
 
-    Each round recovers the relaxation's optimal point, asks every eligible
-    mixed neuron below the objective for its most violated hull inequality
-    at that point, swaps any violated one in as the neuron's new upper
-    function (no tolerance: any positive violation swaps), and re-runs the
+    Each round recovers the relaxation's optimal point ``z``, asks every
+    mixed neuron the objective can reach for its most violated hull
+    inequality at ``z``, swaps in as the neuron's new upper function any
+    one violated by more than ``SWAP_VIOLATION_TOL``, and re-runs the
     backward pass.  ``iterations=0`` is exactly the initial method.
+
+    ``hulls`` maps neuron positions to instances over state positions.  A
+    neuron is reachable up to the objective's last nonzero coefficient:
+    later ones never receive a coefficient, so their upper functions cannot
+    move the bound.  A violation below the tolerance is rounding; swapping
+    on it would let the last bit of ``z`` choose the bound.
 
     Swaps are scoped to this call: ``pairs`` is worked on as a copy, so one
     objective's swapped inequalities (tighter at its own optimum, possibly
@@ -257,16 +250,18 @@ def tightened_bound(box: BoxDomain, pairs: dict[int, AffineBoundPair],
     best = res.bound
     if not hulls:
         return best
-    eligible = sorted(p for p in hulls if m <= p < objective.eta)
+    nz = np.flatnonzero(objective.coeffs)
+    eligible = sorted(p for p in hulls if nz.size and m <= p <= nz[-1])
+    if not eligible:
+        return best
     for _ in range(iterations):
-        z = forward_pass(res.x_star, pairs, res.ub_used, m, objective.eta)
+        z = forward_pass(res.x_star, pairs, res.ub_used, m, eligible[-1] + 1)
         swapped = False
         for p in eligible:
-            nh = hulls[p]
-            sep = hull.separate_sort(nh.inst, z[nh.inputs], z[p])
-            if sep is not None:
+            sep = hull.separate_sort(hulls[p], z, z[p])
+            if sep is not None and sep.violation > SWAP_VIOLATION_TOL:
                 cut = sep.cut
-                upper = AffineFunc(idx=nh.inputs[cut.idx], w=cut.coeffs, b=cut.constant)
+                upper = AffineFunc(idx=cut.idx, w=cut.coeffs, b=cut.constant)
                 pairs[p] = AffineBoundPair(lower=pairs[p].lower, upper=upper)
                 swapped = True
         if not swapped:
@@ -286,8 +281,8 @@ class Bounds:
     on request.  ``post_lower``/``post_upper`` are the post-activation boxes
     of the inputs and ReLU neurons.  Propagation methods keep their initial
     bounding pairs, the tightening methods (``fastc2v``, ``optc2v``) the
-    hull instances of their mixed neurons, and ``fastc2v`` the ``deeppoly``
-    run it never reports worse than.
+    hull instances of their mixed neurons over state positions, and
+    ``fastc2v`` the ``deeppoly`` run it never reports worse than.
     """
 
     method: str
@@ -299,7 +294,7 @@ class Bounds:
     iterations: int = 0
     cut_rounds: int = 0
     pairs: dict[int, AffineBoundPair] = field(default_factory=dict, repr=False)
-    hulls: dict[int, NeuronHull] = field(default_factory=dict, repr=False)
+    hulls: dict[int, hull.HullInstance] = field(default_factory=dict, repr=False)
     baseline: "Bounds | None" = field(default=None, repr=False)
 
     def interval_objective_bound(self, objective: LinearExpr) -> float:
@@ -369,11 +364,11 @@ def compute_all_bounds(net: Network, box: BoxDomain, method: str, iterations=1,
     Each row is bounded by :meth:`Bounds.row_bounds` over the post boxes
     fixed so far.  Fixing a ReLU neuron adds its initial bounding pair
     (propagation methods) and, when it is mixed and the method tightens, its
-    hull instance, for use by all later rows.  Each bound works on its own
-    copy of the pairs, so the stored pairs stay the initial ones.  The sweep
-    stops at the last ReLU neuron: output rows add no state (the final
-    affine layer is never relaxed), so :meth:`Bounds.output_bounds` bounds
-    them only when asked.
+    hull instance, renumbered to state positions, for use by all later rows.
+    Each bound works on its own copy of the pairs, so the stored pairs stay
+    the initial ones.  The sweep stops at the last ReLU neuron: output rows
+    add no state (the final affine layer is never relaxed), so
+    :meth:`Bounds.output_bounds` bounds them only when asked.
 
     ``fastc2v`` is ``deeppoly`` with ``max(1, iterations)`` rounds of
     separate-and-swap per bound; ``optc2v`` is ``lp`` with ``cut_rounds``
@@ -407,5 +402,7 @@ def compute_all_bounds(net: Network, box: BoxDomain, method: str, iterations=1,
         if menu is not None:
             bounds.pairs[pos] = initial_pair(menu, sb, *net.row(pos))
         if tightens and sb.is_mixed():
-            bounds.hulls[pos] = NeuronHull.build(net, pos, post_lo, post_hi)
+            idx, w, b = net.row(pos)
+            inst = hull.make_hull_instance(w, b, post_lo[idx], post_hi[idx])
+            bounds.hulls[pos] = replace(inst, support=idx[inst.support])
     return bounds

@@ -5,10 +5,11 @@ chord relaxation of its pre-activation interval (pre-activation variables
 are substituted out, so the model has one variable per input or ReLU
 neuron); fixed-sign neurons become equality rows.  The cutting-plane loop
 solves that LP, separates the single-neuron hull inequalities at the
-optimum, adds every sufficiently violated one, and re-solves warm-started
-from the previous basis.  It is the LP bounder of the one forward sweep,
-:func:`relucert.propagation.compute_all_bounds`, and reads the scalar
-bounds, post boxes and hull instances that sweep has fixed so far.
+optimum, adds every sufficiently violated one, and re-solves warm: the
+solved tableau is bordered with the new rows.  It is the LP bounder of the
+one forward sweep, :func:`relucert.propagation.compute_all_bounds`, and
+reads the scalar bounds, post boxes and hull instances that sweep has fixed
+so far.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hull
-from .propagation import DEFAULT_CUT_ROUNDS, Bounds, LinearExpr, NeuronHull
+from .propagation import DEFAULT_CUT_ROUNDS, Bounds, LinearExpr
 from .simplex import EQ, GE, LE, LpModel, LpStatus, solve_lp
 
 # A hull inequality enters the model only when violated by more than this.
@@ -38,11 +39,11 @@ class DeltaLp:
     """A built relaxation model; variable j is neuron position j."""
 
     model: LpModel
-    eta: int
-    hulls: dict[int, NeuronHull] = field(repr=False)
+    hulls: dict[int, hull.HullInstance] = field(repr=False)
 
     def add_hull_cut(self, pos: int, cut: hull.HullCut):
-        idx = np.concatenate([[pos], self.hulls[pos].inputs[cut.idx]])
+        """Add ``z[pos] <= cut``; the cut names state positions, so variables."""
+        idx = np.concatenate([[pos], cut.idx])
         coef = np.concatenate([[1.0], -cut.coeffs])
         self.model.add_constraint(idx, coef, LE, cut.constant)
 
@@ -84,8 +85,8 @@ def build_delta_lp(bounds: Bounds, objective: LinearExpr) -> DeltaLp:
     for j in nz:
         model.obj[int(j)] = float(objective.coeffs[j])
     model.obj_constant = objective.constant
-    hulls = {pos: nh for pos, nh in bounds.hulls.items() if pos < eta}
-    return DeltaLp(model=model, eta=eta, hulls=hulls)
+    hulls = {pos: inst for pos, inst in bounds.hulls.items() if pos < eta}
+    return DeltaLp(model=model, hulls=hulls)
 
 
 def optc2v_bound(bounds: Bounds, objective: LinearExpr,
@@ -95,10 +96,10 @@ def optc2v_bound(bounds: Bounds, objective: LinearExpr,
     Each round separates at the current LP optimum across the mixed neurons
     below the objective that have hull instances in ``bounds``, adds every
     cut violated beyond ``CUT_VIOLATION_TOL`` (no cut selection), and re-solves
-    from the previous basis.  A violated cut cannot already be in the model:
-    the LP optimum satisfies every row within ``FEAS_TOL``, far below that
-    tolerance.  Monotone nonincreasing in ``rounds``;
-    ``rounds=0`` is the plain relaxation value.
+    warm on the previous solve's tableau.  A violated cut cannot already be
+    in the model: the LP optimum satisfies every row within ``FEAS_TOL``, far
+    below that tolerance.  Monotone nonincreasing in ``rounds``; ``rounds=0``
+    is the plain relaxation value.
     """
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
@@ -109,8 +110,8 @@ def optc2v_bound(bounds: Bounds, objective: LinearExpr,
     for _ in range(rounds):
         z = sol.x
         added = False
-        for pos, nh in dl.hulls.items():
-            sep = hull.separate_sort(nh.inst, z[nh.inputs], z[pos])
+        for pos, inst in dl.hulls.items():
+            sep = hull.separate_sort(inst, z, z[pos])
             if sep is not None and sep.violation > CUT_VIOLATION_TOL:
                 dl.add_hull_cut(pos, sep.cut)
                 added = True

@@ -11,14 +11,14 @@ Conventions: maximize ``c . x`` subject to ``lb <= x <= ub`` and rows
 an infinite bound.  Rows get one slack each; a basis is the list of basic
 columns plus a status per column (at lower bound, at upper bound, basic).
 Boxed columns make the slack basis, with each column at the bound its cost
-favours, dual feasible, so every solve is one dual simplex run: from a
-caller's warm basis when it restores dual feasible, else from that slack
-basis; a primal pass then polishes.  A warm basis carries the final tableau
-of its solve and the rows it was built from; it restores only onto a model
-that appends rows to those (the cutting-plane resolve path), by bordering
-the old tableau with the new rows instead of refactoring the basis.
-Anti-cycling: after a streak of degenerate steps the pivot choice switches
-to Bland's rule.
+favours, dual feasible, so every solve is one dual simplex run: from the
+warm basis when it restores dual feasible, else from that slack basis; a
+primal pass then polishes.  The warm handle is the solved tableau itself,
+``LpSolution.basis``.  Handed back with the same model after rows were
+appended to it (the cutting-plane re-solve), it encodes only the new rows
+and borders itself with them instead of refactoring the basis; any other
+handle is ignored.  Anti-cycling: after a streak of degenerate steps the
+pivot choice switches to Bland's rule.
 
 The reported value is a dual bound (Neumaier & Shcherbina, "Safe bounds in
 linear and mixed-integer linear programming", 2004): the row duals of the
@@ -101,70 +101,58 @@ class LpModel:
         return len(self.rows)
 
 
-@dataclass(frozen=True, eq=False)
-class SimplexBasis:
-    """Opaque warm-start handle: the final basis and tableau of a solve, and
-    the rows they were computed from."""
-
-    basic: np.ndarray
-    status: np.ndarray
-    n_vars: int
-    T: np.ndarray       # B^{-1} A over the rows below and their slacks
-    trhs: np.ndarray    # B^{-1} rhs
-    rows: np.ndarray    # (n_rows, n_vars) structural coefficients
-    rhs: np.ndarray
-    senses: tuple
-
-    @property
-    def n_rows(self) -> int:
-        return self.rhs.shape[0]
-
-
 @dataclass(eq=False)
 class LpSolution:
     status: LpStatus
     objective_value: float  # from the dual: an upper bound on the LP maximum
     x: np.ndarray
-    basis: SimplexBasis | None
+    basis: _Tableau  # the solved tableau: the warm handle of the next solve
     iterations: int
 
 
-def solve_lp(model: LpModel, warm_basis: SimplexBasis | None = None,
+def solve_lp(model: LpModel, warm_basis: _Tableau | None = None,
              max_iter: int = DEFAULT_MAX_ITER) -> LpSolution:
-    """Solve to optimality within FEAS_TOL / OPT_TOL; statuses, not raises."""
-    return _Tableau(model).solve(warm_basis, max_iter)
+    """Solve to optimality within FEAS_TOL / OPT_TOL; statuses, not raises.
+
+    ``warm_basis`` is the ``basis`` of an earlier solve of ``model``, which
+    may have gained rows since; that tableau is solved again.  Any other
+    handle starts a fresh tableau, which ignores it.
+    """
+    same = isinstance(warm_basis, _Tableau) and warm_basis.model is model \
+        and warm_basis.n_struct == model.n_vars
+    return (warm_basis if same else _Tableau(model)).solve(warm_basis, max_iter)
 
 
 class _Tableau:
+    """The dense tableau of one model, kept across its solves."""
+
     def __init__(self, model: LpModel):
         self.model = model
-        n, mr = model.n_vars, model.n_rows
+        self.n_struct = model.n_vars
+        self.n_rows = 0
+        self.A = np.zeros((0, self.n_struct))
+        self.rhs = np.zeros(0)
+        self.senses = ()
+
+    def _append_rows(self):
+        """Encode the model's rows added since the last solve, one slack each."""
+        model, n, k = self.model, self.n_struct, self.n_rows
+        mr = model.n_rows
         A = np.zeros((mr, n + mr))
-        rhs = np.zeros(mr)
-        lb = np.concatenate([np.asarray(model.lb, dtype=float), np.zeros(mr)])
-        ub = np.concatenate([np.asarray(model.ub, dtype=float), np.zeros(mr)])
-        # a slack's bounds encode its row's sense: a finite lower bound caps
-        # the row activity from above (<=, =), a finite upper one from below
-        for i, (idx, coef, sense, b) in enumerate(model.rows):
+        A[:k, :n + k] = self.A
+        rhs = np.concatenate([self.rhs, np.zeros(mr - k)])
+        for i in range(k, mr):
+            idx, coef, _, b = model.rows[i]
             A[i, idx] = coef
             A[i, n + i] = 1.0
             rhs[i] = b
-            if sense == LE:
-                lb[n + i], ub[n + i] = 0.0, np.inf
-            elif sense == GE:
-                lb[n + i], ub[n + i] = -np.inf, 0.0
-            else:
-                lb[n + i], ub[n + i] = 0.0, 0.0
-        self.n_struct = n
-        self.n_rows = mr
-        self.A = A
-        self.rhs = rhs
-        self.senses = tuple(row[2] for row in model.rows)
-        self.lb = lb
-        self.ub = ub
-        self.c = np.concatenate([np.asarray(model.obj, dtype=float), np.zeros(mr)])
-        self.degen_streak = 0
-        self.iterations = 0
+        self.senses += tuple(row[2] for row in model.rows[k:])
+        # a slack's bounds encode its row's sense: a finite lower bound caps
+        # the row activity from above (<=, =), a finite upper one from below
+        sense = np.array(self.senses, dtype="U2")
+        self.lb = np.concatenate([model.lb, np.where(sense == GE, -np.inf, 0.0)])
+        self.ub = np.concatenate([model.ub, np.where(sense == LE, np.inf, 0.0)])
+        self.n_rows, self.A, self.rhs = mr, A, rhs
 
     def _slack_basis(self):
         """Slacks basic, each column at the bound its cost favours: dual feasible."""
@@ -330,6 +318,10 @@ class _Tableau:
 
     def solve(self, warm_basis, max_iter):
         n = self.n_struct
+        self._append_rows()
+        self.c = np.concatenate([self.model.obj, np.zeros(self.n_rows)])
+        self.degen_streak = 0
+        self.iterations = 0
         if not (warm_basis is not None and self._restore_basis(warm_basis)
                 and self._dual_feasible(self.reduced_costs())):
             self._slack_basis()
@@ -344,11 +336,8 @@ class _Tableau:
         if status == LpStatus.OPTIMAL:
             np.clip(xs, np.asarray(self.model.lb), np.asarray(self.model.ub), out=xs)
             self._verify(xs)
-        basis = SimplexBasis(basic=self.basic.copy(), status=self.status.copy(), n_vars=n,
-                             T=self.T, trhs=self.trhs, rows=self.A[:, :n], rhs=self.rhs,
-                             senses=self.senses)
         return LpSolution(status=status, objective_value=self._dual_bound(), x=xs,
-                          basis=basis, iterations=self.iterations)
+                          basis=self, iterations=self.iterations)
 
     def _dual_bound(self):
         """Upper bound on the maximum from the duals ``y = c_B B^{-1}``.
@@ -368,29 +357,28 @@ class _Tableau:
         hi = np.concatenate([hi, np.minimum(self.ub[n:], self.rhs - act_lo)])
         return float(y @ self.rhs + np.maximum(d * lo, d * hi).sum()) + self.model.obj_constant
 
-    def _restore_basis(self, wb: SimplexBasis) -> bool:
-        """Take over ``wb`` when this model only appends rows to its rows.
+    def _restore_basis(self, wb) -> bool:
+        """Take over ``wb`` when it is this tableau, solved before its model
+        gained the rows appended since.
 
-        The old tableau is bordered: old rows keep their entries, with zeros
-        on the new slacks, and each new row ``a_i`` becomes ``a_i - a_i[B]
-        T`` with its slack basic (right-hand side ``rhs_i - a_i[B] trhs``).
-        That is ``B^{-1} A`` for the old basis plus the new slacks, with no
-        factorization.  Any other basis is refused.
+        The solved tableau is bordered: old rows keep their entries, with
+        zeros on the new slacks, and each new row ``a_i`` becomes ``a_i -
+        a_i[B] T`` with its slack basic (right-hand side ``rhs_i - a_i[B]
+        trhs``).  That is ``B^{-1} A`` for the old basis plus the new slacks,
+        with no factorization.
         """
-        n, mr, k = self.n_struct, self.n_rows, wb.n_rows
-        if not (wb.n_vars == n and k <= mr and self.senses[:k] == wb.senses
-                and np.array_equal(self.rhs[:k], wb.rhs)
-                and np.array_equal(self.A[:k, :n], wb.rows)):
+        if wb is not self:
             return False
+        n, mr, k = self.n_struct, self.n_rows, self.T.shape[0]
         new = self.A[k:]
-        new_b = new[:, wb.basic]
+        new_b = new[:, self.basic]
         T = np.zeros((mr, n + mr))
-        T[:k, :n + k] = wb.T
+        T[:k, :n + k] = self.T
         T[k:] = new - new_b @ T[:k]
         self.T = T
-        self.trhs = np.concatenate([wb.trhs, self.rhs[k:] - new_b @ wb.trhs])
-        self.basic = np.concatenate([wb.basic, np.arange(n + k, n + mr, dtype=np.intp)])
-        self.status = np.concatenate([wb.status, np.full(mr - k, _BASIC, dtype=np.int8)])
+        self.trhs = np.concatenate([self.trhs, self.rhs[k:] - new_b @ self.trhs])
+        self.basic = np.concatenate([self.basic, np.arange(n + k, n + mr, dtype=np.intp)])
+        self.status = np.concatenate([self.status, np.full(mr - k, _BASIC, dtype=np.int8)])
         return True
 
     def _verify(self, xs):

@@ -5,7 +5,7 @@ question: for an input ``x_hat`` correctly labeled ``t`` and radius
 ``epsilon``, certify that every input in the clipped box keeps the label.
 Scalar bounds of the ReLU neurons are computed once per instance and reused
 across all margin objectives ``f_k - f_t``; no verdict reads the output rows'
-own bounds, so only ``verbose_bounds`` computes them.  The verdict is
+own bounds, so none are computed.  The verdict is
 ``verified`` when every margin's upper bound is negative, otherwise a
 projected-gradient attack decides between ``falsified`` (with an exactly
 re-checked witness attached) and ``unknown``.  An instance whose LP bounds
@@ -62,7 +62,6 @@ class VerificationReport:
     time_total: float = 0.0
     time_bounds: float = 0.0
     time_margins: dict[int, float] = field(default_factory=dict)
-    neuron_bounds: list | None = None
     fallback: str | None = None  # why the margins are deeppoly's, not the method's
 
 
@@ -97,8 +96,7 @@ def margin_objective(net: Network, k: int, t: int) -> LinearExpr:
 
 def verify(net: Network, inst: RobustnessInstance, method: str = "fastc2v",
            iterations: int = 1, cut_rounds: int = DEFAULT_CUT_ROUNDS,
-           attack: bool = True, seed: int = 0,
-           verbose_bounds: bool = False) -> VerificationReport:
+           attack: bool = True, seed: int = 0) -> VerificationReport:
     """Certify one instance with the chosen bound method.
 
     Bounds every margin ``f_k - f_t``; when certification fails and
@@ -124,16 +122,16 @@ def verify(net: Network, inst: RobustnessInstance, method: str = "fastc2v",
                 tk = time.perf_counter()
                 margins[k] = state.bound_objective(margin_objective(net, k, t))
                 margin_times[k] = time.perf_counter() - tk
-        return state, t1, margins, margin_times
+        return t1, margins, margin_times
 
     fallback = None
     try:
-        state, t1, margins, margin_times = bound_margins(method)
+        t1, margins, margin_times = bound_margins(method)
     except (LpBoundError, ArithmeticError) as exc:
         if method not in (LP, OPTC2V):
             raise
         fallback = f"{type(exc).__name__}: {exc}"
-        state, t1, margins, margin_times = bound_margins(DEEPPOLY)
+        t1, margins, margin_times = bound_margins(DEEPPOLY)
     if all(v < 0.0 for v in margins.values()):
         verdict, witness, witness_label = VERIFIED, None, None
     else:
@@ -147,9 +145,7 @@ def verify(net: Network, inst: RobustnessInstance, method: str = "fastc2v",
         margin_bounds=margins, witness=witness,
         witness_label=witness_label,
         time_total=time.perf_counter() - t0, time_bounds=t1 - t0,
-        time_margins=margin_times,
-        neuron_bounds=state.pre + state.output_bounds() if verbose_bounds else None,
-        fallback=fallback)
+        time_margins=margin_times, fallback=fallback)
 
 
 def _forward_batch(net, X):

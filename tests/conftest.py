@@ -9,12 +9,14 @@ hand-derived constants throughout the suite:
     y   = h21 + h22                 x in [-1, 1]^2
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from relucert.network import INPUT, OUTPUT, RELU, BoxDomain, Network, Neuron
 from relucert import hull
-from relucert.propagation import NeuronHull, compute_all_bounds
+from relucert.propagation import compute_all_bounds
 
 
 def make_golden_network() -> Network:
@@ -48,7 +50,8 @@ def h22_instance() -> hull.HullInstance:
 
 
 def interval_state(net, box):
-    """Interval bounds plus a hull instance for every mixed ReLU neuron.
+    """Interval bounds plus a hull instance, over state positions, for every
+    mixed ReLU neuron.
 
     The worked bound chain and the LP tests start from this state: the
     ``interval`` sweep alone builds no hull instances, since it never
@@ -57,7 +60,9 @@ def interval_state(net, box):
     st = compute_all_bounds(net, box, "interval")
     for pos in range(net.input_dim, net.n_state):
         if st.pre[pos].is_mixed():
-            st.hulls[pos] = NeuronHull.build(net, pos, st.post_lower, st.post_upper)
+            idx, w, b = net.row(pos)
+            inst = hull.make_hull_instance(w, b, st.post_lower[idx], st.post_upper[idx])
+            st.hulls[pos] = replace(inst, support=idx[inst.support])
     return st
 
 

@@ -7,7 +7,7 @@ from relucert.propagation import (METHODS, AffineBoundPair, LinearExpr, ScalarBo
                                   backward_pass, box_maximize, compute_all_bounds,
                                   expr_from_row, forward_pass, initial_pair,
                                   tightened_bound)
-from relucert.verifier import generate_instances, verify
+from relucert.verifier import build_input_box, generate_instances, margin_objective, verify
 
 from conftest import interval_state
 
@@ -211,9 +211,8 @@ class TestGoldenChain:
         hulls = st.hulls
         res = backward_pass(box, pairs, obj)
         z = forward_pass(res.x_star, pairs, res.ub_used, 2, 6)
-        sep = separate_sort(hulls[5].inst, z[hulls[5].inputs], z[5])
-        upper = AffineFunc(idx=hulls[5].inputs[sep.cut.idx], w=sep.cut.coeffs,
-                           b=sep.cut.constant)
+        sep = separate_sort(hulls[5], z, z[5])
+        upper = AffineFunc(idx=sep.cut.idx, w=sep.cut.coeffs, b=sep.cut.constant)
         pairs[5] = AffineBoundPair(lower=pairs[5].lower, upper=upper)
         res2 = backward_pass(box, pairs, obj)
         assert np.allclose(res2.input_expr.coeffs, [-1.0 / 12.0, -2.0 / 3.0], atol=1e-12)
@@ -295,7 +294,7 @@ class TestFullSweep:
             "interval": [("0x1.0000000000000p+0", "0x1.2000000000000p+2")],
             "fastlin": [("0x1.0000000000000p+0", "0x1.ed55555555556p+1")],
             "deeppoly": [("0x1.0000000000000p+0", "0x1.eaaaaaaaaaaacp+1")],
-            "fastc2v": [("0x1.0000000000000p+0", "0x1.eaaaaaaaaaaabp+1")],
+            "fastc2v": [("0x1.0000000000000p+0", "0x1.eaaaaaaaaaaacp+1")],
             "lp": [("0x1.0000000000000p+0", "0x1.c000000000000p+1")],
             "optc2v": [("0x1.0000000000000p+0", "0x1.c000000000000p+1")],
         },
@@ -307,7 +306,7 @@ class TestFullSweep:
             "deeppoly": [("-0x1.174838b2ba254p-2", "0x1.6e679d17604c2p-3"),
                          ("-0x1.b1e7ba9fa4080p-5", "0x1.491ccdfa0e2aap-2")],
             "fastc2v": [("-0x1.09ac95b18d569p-2", "0x1.d156cca74ac4dp-4"),
-                        ("-0x1.598891ccf2ed8p-5", "0x1.47dca37ee41a2p-2")],
+                        ("-0x1.598891ccf2ed8p-5", "0x1.3f12504b2aeb7p-2")],
             "lp": [("-0x1.0c9676c7371dcp-2", "0x1.b32bf9fa56194p-4"),
                    ("0x1.349cc65570cf8p-6", "0x1.47fc2058bf810p-2")],
             "optc2v": [("-0x1.d2b0a61d31200p-3", "0x1.a7df5ccb4af7ap-4"),
@@ -378,21 +377,73 @@ class TestFullSweep:
         inst = generate_instances(net, 1, 0.2, seed=6)[0]
         for method in METHODS:
             calls.clear()
-            rep = verify(net, inst, method=method, attack=False, verbose_bounds=True)
-            mixed = sum(sb.is_mixed() for sb in rep.neuron_bounds[4:net.n_state])
+            verify(net, inst, method=method, attack=False)
+            built = len(calls)
+            pre = compute_all_bounds(net, build_input_box(inst), method).pre
+            mixed = sum(sb.is_mixed() for sb in pre[4:])
             if method in ("fastc2v", "optc2v"):
-                assert 0 < len(calls) == mixed, method
+                assert 0 < built == mixed, method
             else:
-                assert calls == [], method
+                assert built == 0, method
 
     def test_swapped_cut_still_valid_for_neuron(self, golden_net, golden_box):
         # after the golden swap, h22's new upper function upper-bounds its
         # ReLU over sampled points of the neuron's feasible set
         hulls = interval_state(golden_net, golden_box).hulls
         from relucert.hull import separate_sort
-        sep = separate_sort(hulls[5].inst, np.array([1.0, 1.5]), 1.5)
+        z = np.zeros(golden_net.n_state)
+        z[[2, 3]] = [1.0, 1.5]  # h11, h12
+        sep = separate_sort(hulls[5], z, 1.5)
         rng = np.random.default_rng(1)
         for _ in range(100):
             x = rng.uniform(-1, 1, 2)
             z, _ = eval_network(golden_net, x)
-            assert z[5] <= sep.cut.value(z[hulls[5].inputs]) + 1e-9
+            assert z[5] <= sep.cut.value(z) + 1e-9
+
+    def test_hulls_and_cuts_name_state_positions(self, monkeypatch):
+        # the sweep's instances read the state vector as it is: their
+        # support is the neuron's own sources, and so is every cut's idx
+        net = generate_random_network([4, 8, 8, 3], seed=5, weight_scale=0.7)
+        box = build_input_box(generate_instances(net, 1, 0.2, seed=6)[0])
+        seps = []
+        real = hull.separate_sort
+
+        def recording(inst, x, y):
+            seps.append((inst, real(inst, x, y)))
+            return seps[-1][1]
+
+        monkeypatch.setattr(hull, "separate_sort", recording)
+        for method in ("fastc2v", "optc2v"):
+            seps.clear()
+            st = compute_all_bounds(net, box, method)
+            st.bound_objective(margin_objective(net, 1, 0))  # reaches level 2
+            assert st.hulls, method
+            for pos, inst in st.hulls.items():
+                idx, w, _ = net.row(pos)
+                assert np.isin(inst.support, idx).all(), method
+                assert np.array_equal(inst.w, w[np.isin(idx, inst.support)]), method
+            owner = {id(inst): pos for pos, inst in st.hulls.items()}
+            cuts = [(owner[id(inst)], sep.cut) for inst, sep in seps if sep is not None]
+            assert any(pos >= 12 for pos, _ in cuts), method  # level-2 neurons cut
+            for pos, cut in cuts:
+                assert np.isin(cut.idx, net.row(pos)[0]).all(), method
+
+    def test_row_bound_separates_only_neurons_it_reaches(self, monkeypatch):
+        # a level-2 row reads level-1 neurons only; no level-2 neuron below
+        # it can receive a coefficient, so none is separated
+        net = generate_random_network([4, 8, 8, 3], seed=5, weight_scale=0.7)
+        box = build_input_box(generate_instances(net, 1, 0.2, seed=6)[0])
+        st = compute_all_bounds(net, box, "fastc2v")
+        level1, level2 = range(4, 12), range(12, net.n_state)
+        assert any(p in st.hulls for p in level2[:-1])
+        separated = []
+        real = hull.separate_sort
+        monkeypatch.setattr(hull, "separate_sort",
+                            lambda inst, x, y: separated.append(inst) or real(inst, x, y))
+        for pos in level2:
+            obj = expr_from_row(*net.row(pos), eta=pos)
+            for o in (obj, obj.negated()):
+                tightened_bound(st.box, st.pairs, o, 3, st.hulls)
+        reachable = {id(st.hulls[p]) for p in level1 if p in st.hulls}
+        assert separated
+        assert all(id(inst) in reachable for inst in separated)

@@ -145,11 +145,10 @@ class TestDeltaLpValues:
         assert len(added) >= 1
         rng = np.random.default_rng(8)
         for pos, cut in added:
-            inputs = golden_net.row(pos)[0]
             for _ in range(100):
                 x = rng.uniform(-1, 1, 2)
                 z, _ = eval_network(golden_net, x)
-                assert z[pos] <= cut.value(z[inputs]) + 1e-9
+                assert z[pos] <= cut.value(z) + 1e-9
 
 
 class TestLiftedEnvelope:
@@ -293,3 +292,34 @@ class TestLpSweep:
         cold = solve_lp(dl.model)
         assert cold.status == LpStatus.OPTIMAL
         assert warm_val == pytest.approx(cold.objective_value, abs=1e-7)
+
+    def test_each_bound_solves_one_tableau(self, monkeypatch):
+        # the cut loop's re-solves border the first solve's tableau in place:
+        # one tableau per bound, handed back as every solution's basis
+        import relucert.relaxation as relaxation
+        import relucert.simplex as simplex
+        net = generate_random_network([4, 8, 8, 3], seed=5, weight_scale=0.7)
+        box = BoxDomain(np.full(4, 0.3), np.full(4, 0.7))
+        built, sols, per_call = [], [], []
+        real_init, real_solve, real_bound = (simplex._Tableau.__init__, relaxation.solve_lp,
+                                             relaxation.optc2v_bound)
+
+        def init(self, model):
+            built.append(self)
+            real_init(self, model)
+
+        def bound(*args, **kwargs):
+            built.clear()
+            sols.clear()
+            value = real_bound(*args, **kwargs)
+            per_call.append((len(built), [sol.basis is sols[0].basis for sol in sols]))
+            return value
+
+        monkeypatch.setattr(simplex._Tableau, "__init__", init)
+        monkeypatch.setattr(relaxation, "solve_lp",
+                            lambda *a, **k: sols.append(real_solve(*a, **k)) or sols[-1])
+        monkeypatch.setattr(relaxation, "optc2v_bound", bound)
+        compute_all_bounds(net, box, "optc2v")
+        assert per_call
+        assert any(len(same) > 1 for _, same in per_call)  # warm re-solves ran
+        assert all(n == 1 and all(same) for n, same in per_call)

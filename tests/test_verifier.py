@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from relucert.network import (NetworkParseError, classify, eval_network,
+from relucert.network import (BoxDomain, NetworkParseError, classify, eval_network,
                               generate_random_network)
+from relucert.propagation import METHODS, compute_all_bounds
 from relucert.simplex import LpStatus
 from relucert.verifier import (FALSIFIED, UNKNOWN, VERIFIED, RobustnessInstance,
                                attack_upper_bound, batch_verify, build_input_box,
@@ -239,6 +240,25 @@ class TestVerify:
         inst = generate_instances(net, 1, epsilon=0.01, seed=4)[0]
         rep = verify(net, inst, method="deeppoly")
         assert sorted(rep.margin_bounds) == [k for k in range(4) if k != inst.label]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_last_bit_of_the_box_moves_no_margin(self, method):
+        # acceptance instances 2 and 13, where ties among the separator's
+        # ratios let a one-ulp change of the box move fastc2v and optc2v
+        # margins by up to 6e-4 before the tie rules
+        net = generate_random_network([6, 20, 20, 3], seed=1, weight_scale=0.7)
+        insts = generate_instances(net, 50, epsilon=0.16, seed=1001)
+        for i in (2, 13):
+            t = insts[i].label
+            box = build_input_box(insts[i])
+            nudged = BoxDomain(np.nextafter(box.lower, np.inf),
+                               np.nextafter(box.upper, -np.inf))
+            margins = []
+            for b in (box, nudged):
+                st = compute_all_bounds(net, b, method)
+                margins.append([st.bound_objective(margin_objective(net, k, t))
+                                for k in range(net.n_outputs) if k != t])
+            assert np.max(np.abs(np.subtract(*margins))) <= 1e-9, i
 
 
 class TestBatch:
