@@ -15,6 +15,14 @@ point the instance reads.  :func:`make_hull_instance` numbers them as ``w``
 is numbered; the forward sweep renumbers them with state positions, so its
 instances read the whole state vector ``z`` as it is, and each emitted cut
 names the state positions it reads and nothing else.
+
+Separation runs on a :class:`HullTable`: the sweep appends each mixed
+neuron's instance as one zero-padded row, in position order, and one call
+computes the envelope values of a prefix of rows at a point with one
+row-wise ``argsort``, building cuts only for the rows whose point violates
+the envelope.  :func:`separate_sort` and
+:func:`minimize_upper_envelope_sort` are one-row calls into it, so there is
+one envelope implementation.
 """
 
 from __future__ import annotations
@@ -200,49 +208,125 @@ def cut_from_pair(inst: HullInstance, low_set, anchor: int) -> HullCut:
                    coeffs=coeffs, constant=const)
 
 
-def minimize_upper_envelope_sort(inst: HullInstance, x) -> tuple[float, np.ndarray, int]:
-    """Least upper hull inequality at ``x`` via the sorting greedy.
+class HullTable:
+    """Hull instances of mixed neurons, padded into the rows of one table.
 
-    Sort retained coordinates by ``ratios(x)`` rounded to ``RATIO_GRID``,
-    nondecreasing, ties by position; grow the index set while the corner
-    value stays nonnegative, and anchor at the coordinate that first drives
-    it negative.  Returns the envelope value at ``x``, the index set as
-    ascending retained positions and the anchor, without building the cut.
-    O(n log n).
-
-    Relaxation optima sit at box corners, so many ratios tie at 0 or 1;
-    unrounded, the last bit of a box bound would pick the order among them
-    and so the facet.  Rounding makes that choice stable, at a cost of at
-    most ``RATIO_GRID`` times the capacity in the value.  Every order gives a
-    valid facet, which :func:`cut_from_pair` checks.
+    Row ``i`` holds instance ``insts[i]`` of the neuron at position
+    ``pos[i]``: its retained coordinates fill columns ``0 .. size - 1`` and
+    the padding after them never enters an index set.  Rows are appended in
+    position order, so the neurons below any position are a prefix.  Every
+    instance reads the same point ``z`` through its ``support``.  The table
+    has room for ``rows`` instances of up to ``width`` coordinates.
     """
-    _require_mixed(inst)
-    r = inst.ratios(x)
-    order = np.argsort(np.round(r / RATIO_GRID), kind="stable")
-    running = np.cumsum(inst.cap[order])
-    # first position whose cumulative capacity overshoots the slack at the
-    # all-max corner; guaranteed to exist for a mixed instance
-    stop = int(np.argmax(running > inst.val_max))
-    low = np.sort(order[:stop])
-    h = int(order[stop])
-    x_loc = np.asarray(x, dtype=float)[inst.support]
-    # corner value summed in index order, as cut_from_pair sums it
-    ell_i = inst.val_max - float(inst.cap[low].sum())
-    value = float(inst.w[low] @ (x_loc[low] - inst.min_corner[low]))
-    value += ell_i / (inst.max_corner[h] - inst.min_corner[h]) * (x_loc[h] - inst.min_corner[h])
-    return value, low, h
+
+    def __init__(self, rows: int, width: int):
+        self.n = 0
+        self.insts: list[HullInstance] = []
+        self.pos = np.empty(rows, dtype=np.intp)
+        self.val_max = np.empty(rows)
+        self.support = np.zeros((rows, width), dtype=np.intp)
+        self.min_corner = np.zeros((rows, width))
+        self.span = np.ones((rows, width))
+        self.w = np.zeros((rows, width))
+        self.cap = np.zeros((rows, width))
+        self.valid = np.zeros((rows, width), dtype=bool)
+
+    @classmethod
+    def single(cls, inst: HullInstance) -> "HullTable":
+        """A table of one row, holding ``inst``."""
+        table = cls(1, inst.size)
+        table.append(0, inst)
+        return table
+
+    def append(self, pos: int, inst: HullInstance):
+        """Add the instance of the mixed neuron at ``pos``, after all others."""
+        _require_mixed(inst)
+        if self.n and pos <= self.pos[self.n - 1]:
+            raise ValueError("rows must be appended in increasing position order")
+        i, k = self.n, inst.size
+        self.insts.append(inst)
+        self.pos[i], self.val_max[i] = pos, inst.val_max
+        self.support[i, :k] = inst.support
+        self.min_corner[i, :k] = inst.min_corner
+        self.span[i, :k] = inst.max_corner - inst.min_corner
+        self.w[i, :k], self.cap[i, :k], self.valid[i, :k] = inst.w, inst.cap, True
+        self.n += 1
+
+    def rows_below(self, limit: int) -> int:
+        """Number of rows whose neuron position is below ``limit``."""
+        return int(np.searchsorted(self.pos[:self.n], limit))
+
+    def envelopes(self, z, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Least upper hull inequality at ``z`` of the first ``k`` rows.
+
+        The sorting greedy, row by row in one step: sort each row's
+        coordinates by ``ratios`` rounded to ``RATIO_GRID``, nondecreasing,
+        ties by position; grow the index set while the corner value stays
+        nonnegative, and anchor at the coordinate that first drives it
+        negative.  Returns the envelope values, a mask of each row's index
+        set and the anchors, without building cuts.  O(n log n) per row.
+
+        Relaxation optima sit at box corners, so many ratios tie at 0 or 1;
+        unrounded, the last bit of a box bound would pick the order among
+        them and so the facet.  Rounding makes that choice stable, at a cost
+        of at most ``RATIO_GRID`` times the capacity in the value.  Every
+        order gives a valid facet, which :func:`cut_from_pair` checks.  Sums
+        run left to right over a whole row, so padding adds exact zeros and
+        a row's value does not depend on the table it sits in.
+        """
+        valid, cap, span = self.valid[:k], self.cap[:k], self.span[:k]
+        dx = np.asarray(z, dtype=float)[self.support[:k]] - self.min_corner[:k]
+        key = np.where(valid, np.round(dx / span / RATIO_GRID), np.inf)
+        order = np.argsort(key, axis=1, kind="stable")
+        rows = np.arange(k)
+        running = np.cumsum(cap[rows[:, None], order], axis=1)
+        # first position whose cumulative capacity overshoots the slack at
+        # the all-max corner; it exists, inside the row, for a mixed instance
+        stop = np.argmax(running > self.val_max[:k, None], axis=1)
+        low = np.empty_like(valid)
+        low[rows[:, None], order] = np.arange(valid.shape[1]) < stop[:, None]
+        h = order[rows, stop]
+        ell = self.val_max[:k] - np.cumsum(np.where(low, cap, 0.0), axis=1)[:, -1]
+        value = np.cumsum(np.where(low, self.w[:k] * dx, 0.0), axis=1)[:, -1]
+        value += ell / span[rows, h] * dx[rows, h]
+        return value, low, h
+
+    def separate(self, z, y, tol: float = 0.0) -> list[tuple[int, "Separation"]]:
+        """Rows ``i < len(y)`` whose ``y[i]`` exceeds the envelope at ``z`` by
+        more than ``tol``, each with its most violated upper inequality.
+
+        Cuts are built, by the validated :func:`cut_from_pair`, only for
+        those rows.
+        """
+        y = np.asarray(y, dtype=float)
+        if not y.size:
+            return []
+        envelope, low, h = self.envelopes(z, y.shape[0])
+        violation = y - envelope
+        return [(int(i), Separation(cut=cut_from_pair(self.insts[i], np.flatnonzero(low[i]),
+                                                      int(h[i])),
+                                    envelope=float(envelope[i]),
+                                    violation=float(violation[i])))
+                for i in np.flatnonzero(violation > tol)]
+
+
+def minimize_upper_envelope_sort(inst: HullInstance, x) -> tuple[float, np.ndarray, int]:
+    """Least upper hull inequality at ``x`` via the sorting greedy: one row
+    of :meth:`HullTable.envelopes`.
+
+    Returns the envelope value at ``x``, the index set as ascending retained
+    positions and the anchor, without building the cut.
+    """
+    value, low, h = HullTable.single(inst).envelopes(x, 1)
+    return float(value[0]), np.flatnonzero(low[0]), int(h[0])
 
 
 def separate_sort(inst: HullInstance, x, y) -> Separation | None:
     """Most violated upper inequality at ``(x, y)``, or None if none is.
 
-    The cut is built only when ``y`` exceeds the envelope.  Any positive
-    violation counts; callers wanting a tolerance filter on it compare
-    ``Separation.violation`` themselves.
+    One row of :meth:`HullTable.separate`: the cut is built only when ``y``
+    exceeds the envelope.  Any positive violation counts; callers wanting a
+    tolerance filter on it compare ``Separation.violation`` themselves.
     """
-    envelope, low, h = minimize_upper_envelope_sort(inst, x)
-    violation = float(y) - envelope
-    if violation > 0.0:
-        return Separation(cut=cut_from_pair(inst, low, h), envelope=envelope,
-                          violation=violation)
-    return None
+    found = HullTable.single(inst).separate(x, [y])
+    return found[0][1] if found else None

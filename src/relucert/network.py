@@ -4,8 +4,10 @@ A network is a flat, topologically ordered list of neurons: the first ``m``
 neurons are inputs, followed by ReLU neurons, followed by affine output
 neurons.  Every neuron carries a sparse affine row over *earlier* neurons, so
 arbitrary skip connections are supported and layers are only an emergent
-property of the weight pattern.  Instances are immutable after construction
-and safe to share across threads.
+property of the weight pattern: :attr:`Network.levels` groups the ReLU
+neurons into levels, each reading only earlier levels, once at
+construction.  Instances are immutable after construction and safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -92,6 +94,23 @@ class BoxDomain:
         return rng.uniform(self.lower, self.upper, size=(count, len(self)))
 
 
+@dataclass(frozen=True, eq=False)
+class Level:
+    """ReLU neurons whose sources all lie in earlier levels, as one dense map.
+
+    ``pos`` holds the neurons' 0-based state positions, ascending; ``src``
+    the ascending union of their sources (inputs and earlier levels' neurons,
+    so a skip connection is just one more column).  Row ``i`` of
+    ``weights`` and ``bias[i]`` are neuron ``pos[i]``'s affine row over
+    ``src``, with zeros for the sources it does not read.
+    """
+
+    pos: np.ndarray
+    src: np.ndarray
+    weights: np.ndarray
+    bias: np.ndarray
+
+
 class Network:
     """Validated, immutable network in neuron order.
 
@@ -106,6 +125,11 @@ class Network:
         rows (tuple): per non-input neuron position, ``(idx, w, b)`` with
             0-based source positions as int arrays and weights as float
             arrays.
+        levels (tuple of Level): the ReLU neurons by level, lowest first.
+            A neuron's level is one more than the highest level among its
+            sources (inputs are level 0), so a level reads only earlier ones.
+        level_of (int array): per state position, its level (0 for inputs);
+            neuron ``p`` is row ``level_row[p]`` of ``levels[level_of[p] - 1]``.
     """
 
     def __init__(self, input_dim, neurons, output_indices):
@@ -127,6 +151,29 @@ class Network:
                 w = np.empty(0, dtype=float)
             rows.append((idx, w, float(nr.bias)))
         self.rows = tuple(rows)
+        self._build_levels()
+
+    def _build_levels(self):
+        m = self.input_dim
+        level_of = np.zeros(self.n_state, dtype=np.intp)
+        for pos in range(m, self.n_state):
+            idx = self.row(pos)[0]
+            level_of[pos] = 1 + (int(level_of[idx].max()) if idx.size else 0)
+        level_row = np.full(self.n_state, -1, dtype=np.intp)
+        levels = []
+        for lv in range(1, int(level_of.max()) + 1):
+            pos = np.flatnonzero(level_of == lv)
+            level_row[pos] = np.arange(pos.size)
+            rows = [self.row(p) for p in pos]
+            src = np.unique(np.concatenate([idx for idx, _, _ in rows]))
+            weights = np.zeros((pos.size, src.size))
+            for i, (idx, w, _) in enumerate(rows):
+                weights[i, np.searchsorted(src, idx)] = w
+            levels.append(Level(pos=pos, src=src, weights=weights,
+                                bias=np.array([b for _, _, b in rows])))
+        self.levels = tuple(levels)
+        self.level_of = level_of
+        self.level_row = level_row
 
     def _validate(self):
         m = self.input_dim

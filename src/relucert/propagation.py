@@ -2,13 +2,19 @@
 
 The generic engine bounds an affine objective over the relaxation in which
 every ReLU neuron is sandwiched between one affine lower and one affine
-upper function of its predecessors.  A backward pass substitutes neurons in
-descending order (upper function when the running coefficient is positive,
-lower when negative) until only inputs remain, then maximizes the final
-affine expression over the input box in closed form.  A forward pass replays
-the recorded substitution choices to recover a full optimal point of the
-relaxation, which the iterative scheme feeds to the single-neuron hull
-separation routine to swap in violated upper inequalities.
+upper function of its predecessors.  The functions are kept in the level
+form of CROWN (Zhang et al. 2018) and auto_LiRPA (Xu et al. 2020): per
+level of :attr:`relucert.network.Network.levels`, one dense lower and one
+dense upper coefficient matrix over the level's source columns, with their
+bias vectors (:class:`BoundingFunctions`).  A backward pass substitutes one
+whole level per numpy step, highest first (upper function where the running
+coefficient is positive, lower where negative) until only inputs remain,
+then maximizes the final affine expression over the input box in closed
+form.  A forward pass replays the recorded choices level by level to recover
+a full optimal point of the relaxation.  The iterative scheme computes, at
+that point, the hull envelopes of all reachable mixed neurons in one step of
+the hull table (:class:`relucert.hull.HullTable`) and swaps the violated
+upper inequalities into a copy of the upper matrices.
 
 The forward sweep of every method lives here too: :func:`compute_all_bounds`
 fixes each ReLU neuron's bounds in topological order, asking either this
@@ -43,38 +49,8 @@ DEFAULT_CUT_ROUNDS = 3
 # A hull inequality replaces an upper function only when violated by more.
 SWAP_VIOLATION_TOL = 1e-9
 
-# the bounding-function menu each propagation method draws its pairs from
+# the bounding-function menu each propagation method draws its functions from
 _MENUS = {FASTLIN: FASTLIN, DEEPPOLY: DEEPPOLY, FASTC2V: DEEPPOLY}
-
-
-@dataclass(frozen=True, eq=False)
-class AffineFunc:
-    """Sparse affine function ``w . z[idx] + b`` of earlier neurons."""
-
-    idx: np.ndarray
-    w: np.ndarray
-    b: float
-
-    def value(self, z) -> float:
-        if self.idx.size == 0:
-            return self.b
-        return float(self.w @ np.asarray(z)[self.idx]) + self.b
-
-
-def _const_func(b):
-    return AffineFunc(idx=np.empty(0, dtype=np.intp), w=np.empty(0), b=float(b))
-
-
-def _row_func(idx, w, b, scale=1.0, shift=0.0):
-    return AffineFunc(idx=idx, w=scale * w, b=scale * b + shift)
-
-
-@dataclass(frozen=True, eq=False)
-class AffineBoundPair:
-    """Affine under/over-estimators of one neuron's post-activation."""
-
-    lower: AffineFunc
-    upper: AffineFunc
 
 
 @dataclass(frozen=True)
@@ -138,53 +114,10 @@ def box_maximize(expr: LinearExpr, box: BoxDomain) -> tuple[float, np.ndarray]:
     return float(c @ x) + expr.constant, x
 
 
-def backward_pass(box: BoxDomain, pairs: dict[int, AffineBoundPair],
-                  objective: LinearExpr) -> BackwardResult:
-    """Eliminate intermediate neurons from the objective, highest first.
-
-    Raises ``KeyError`` if a substituted neuron has no bound pair.
-    """
-    m = len(box)
-    eta = objective.eta
-    c = objective.coeffs.copy()
-    const = objective.constant
-    ub_used = np.zeros(eta, dtype=bool)
-    for i in range(eta - 1, m - 1, -1):
-        ci = c[i]
-        if ci == 0.0:
-            continue
-        if i not in pairs:
-            raise KeyError(f"missing bound pair for neuron position {i}")
-        pair = pairs[i]
-        func = pair.upper if ci > 0.0 else pair.lower
-        ub_used[i] = ci > 0.0
-        c[i] = 0.0
-        if func.idx.size:
-            c[func.idx] += ci * func.w
-        const += ci * func.b
-    residual = LinearExpr(c[:m].copy(), const)
-    bound, x_star = box_maximize(residual, box)
-    return BackwardResult(bound=bound, x_star=x_star, ub_used=ub_used, input_expr=residual)
-
-
-def forward_pass(x_star, pairs: dict[int, AffineBoundPair], ub_used, m, eta) -> np.ndarray:
-    """Complete an input point to a full relaxation point.
-
-    Each neuron takes the value of whichever bounding function the backward
-    pass used for it (lower when it was never substituted); the result is an
-    optimal solution of the relaxed problem the backward pass solved.
-    """
-    z = np.empty(eta)
-    z[:m] = x_star
-    for i in range(m, eta):
-        pair = pairs[i]
-        func = pair.upper if ub_used[i] else pair.lower
-        z[i] = func.value(z)
-    return z
-
-
-def initial_pair(method, sb: ScalarBounds, idx, w, b) -> AffineBoundPair:
-    """Menu of initial bounding functions for one ReLU neuron.
+def initial_scales(method, sb: ScalarBounds) -> tuple[float, float, float]:
+    """Menu of initial bounding functions for one ReLU neuron, as
+    ``(lower_scale, upper_scale, upper_shift)``: the lower function is
+    ``lower_scale * row`` and the upper ``upper_scale * row + upper_shift``.
 
     Fixed-sign neurons are linearized exactly (the row itself, or zero).  A
     mixed neuron gets the chord of the ReLU over ``[pre_lower, pre_upper]``
@@ -196,18 +129,121 @@ def initial_pair(method, sb: ScalarBounds, idx, w, b) -> AffineBoundPair:
         raise ValueError(f"no bounding-function menu for method {method!r}")
     lo, hi = sb.pre_lower, sb.pre_upper
     if lo >= 0.0:
-        row = _row_func(idx, w, b)
-        return AffineBoundPair(lower=row, upper=row)
+        return 1.0, 1.0, 0.0
     if hi <= 0.0:
-        zero = _const_func(0.0)
-        return AffineBoundPair(lower=zero, upper=zero)
+        return 0.0, 0.0, 0.0
     slope = hi / (hi - lo)
-    upper = _row_func(idx, w, b, scale=slope, shift=-slope * lo)
     if method == FASTLIN:
-        lower = _row_func(idx, w, b, scale=slope)
+        lower = slope
     else:  # deeppoly: zero when the negative side dominates, else the row
-        lower = _const_func(0.0) if abs(lo) >= abs(hi) else _row_func(idx, w, b)
-    return AffineBoundPair(lower=lower, upper=upper)
+        lower = 0.0 if abs(lo) >= abs(hi) else 1.0
+    return lower, slope, -slope * lo
+
+
+@dataclass(eq=False)
+class BoundingFunctions:
+    """Affine lower and upper functions of the ReLU neurons, level by level.
+
+    For level ``l`` of ``net.levels``, row ``i`` of ``lower[l]`` and
+    ``lower_b[l][i]`` give neuron ``levels[l].pos[i]``'s lower function
+    over the level's source columns ``levels[l].src``, and ``upper[l]``,
+    ``upper_b[l]`` its upper function.  ``fixed`` marks the state positions
+    whose functions are set; the rest stay zero.
+    """
+
+    net: Network
+    box: BoxDomain
+    lower: list[np.ndarray]
+    lower_b: list[np.ndarray]
+    upper: list[np.ndarray]
+    upper_b: list[np.ndarray]
+    fixed: np.ndarray
+
+    @classmethod
+    def empty(cls, net: Network, box: BoxDomain) -> "BoundingFunctions":
+        """No neuron's functions set yet; every matrix is zero."""
+        shapes = [lv.weights.shape for lv in net.levels]
+        return cls(net=net, box=box,
+                   lower=[np.zeros(s) for s in shapes], lower_b=[np.zeros(s[0]) for s in shapes],
+                   upper=[np.zeros(s) for s in shapes], upper_b=[np.zeros(s[0]) for s in shapes],
+                   fixed=np.zeros(net.n_state, dtype=bool))
+
+    def set_initial(self, pos: int, method: str, sb: ScalarBounds):
+        """Set neuron ``pos``'s functions from the method's menu for ``sb``."""
+        lo_scale, up_scale, up_shift = initial_scales(method, sb)
+        lv, i = self.net.level_of[pos] - 1, self.net.level_row[pos]
+        level = self.net.levels[lv]
+        w, b = level.weights[i], level.bias[i]
+        self.lower[lv][i], self.lower_b[lv][i] = lo_scale * w, lo_scale * b
+        self.upper[lv][i], self.upper_b[lv][i] = up_scale * w, up_scale * b + up_shift
+        self.fixed[pos] = True
+
+    def with_own_upper(self) -> "BoundingFunctions":
+        """A copy whose upper functions can be overwritten; shares the rest."""
+        return replace(self, upper=[u.copy() for u in self.upper],
+                       upper_b=[u.copy() for u in self.upper_b])
+
+    def set_upper(self, pos: int, idx, w, b: float):
+        """Replace neuron ``pos``'s upper function by ``w . z[idx] + b``;
+        ``idx`` must be among the sources of its level."""
+        lv, i = self.net.level_of[pos] - 1, self.net.level_row[pos]
+        row = self.upper[lv][i]
+        row[:] = 0.0
+        row[np.searchsorted(self.net.levels[lv].src, idx)] = w
+        self.upper_b[lv][i] = b
+
+
+def backward_pass(funcs: BoundingFunctions, objective: LinearExpr) -> BackwardResult:
+    """Eliminate the ReLU neurons from the objective, highest level first.
+
+    A whole level is substituted in one step: its neurons' upper functions
+    where their running coefficient is positive, lower where negative.
+    Raises ``ValueError`` naming the position of a neuron that receives a
+    coefficient but has no functions.
+    """
+    net = funcs.net
+    m = net.input_dim
+    c = np.zeros(net.n_state)
+    c[:objective.eta] = objective.coeffs
+    const = objective.constant
+    ub_used = np.zeros(net.n_state, dtype=bool)
+    for lv in range(len(net.levels) - 1, -1, -1):
+        level = net.levels[lv]
+        cl = c[level.pos]
+        if not cl.any():
+            continue
+        fixed = funcs.fixed[level.pos]
+        if not fixed.all() and np.any(missing := (cl != 0.0) & ~fixed):
+            raise ValueError(f"neuron position {level.pos[np.argmax(missing)]} has a "
+                             "coefficient but no bounding functions")
+        cp, cn = np.maximum(cl, 0.0), np.minimum(cl, 0.0)
+        c[level.src] += cp @ funcs.upper[lv] + cn @ funcs.lower[lv]
+        const += float(cp @ funcs.upper_b[lv] + cn @ funcs.lower_b[lv])
+        ub_used[level.pos] = cl > 0.0
+        c[level.pos] = 0.0
+    residual = LinearExpr(c[:m].copy(), const)
+    bound, x_star = box_maximize(residual, funcs.box)
+    return BackwardResult(bound=bound, x_star=x_star, ub_used=ub_used, input_expr=residual)
+
+
+def forward_pass(funcs: BoundingFunctions, x_star, ub_used, eta) -> np.ndarray:
+    """Complete an input point to a relaxation point over positions ``< eta``.
+
+    Level by level, each neuron takes the value of whichever bounding
+    function the backward pass used for it (lower when it was never
+    substituted); the result is an optimal solution of the relaxed problem
+    the backward pass solved.
+    """
+    net = funcs.net
+    z = np.zeros(net.n_state)
+    z[:net.input_dim] = x_star
+    for lv, level in enumerate(net.levels):
+        if level.pos[0] >= eta:
+            break
+        zs = z[level.src]
+        z[level.pos] = np.where(ub_used[level.pos], funcs.upper[lv] @ zs + funcs.upper_b[lv],
+                                funcs.lower[lv] @ zs + funcs.lower_b[lv])
+    return z[:eta]
 
 
 def _interval_step(idx, w, b, post_lo, post_hi):
@@ -220,53 +256,49 @@ def _interval_step(idx, w, b, post_lo, post_hi):
     return lo, hi
 
 
-def tightened_bound(box: BoxDomain, pairs: dict[int, AffineBoundPair],
-                    objective: LinearExpr, iterations: int,
-                    hulls: dict[int, hull.HullInstance] | None = None) -> float:
+def tightened_bound(funcs: BoundingFunctions, objective: LinearExpr, iterations: int,
+                    table: hull.HullTable | None = None) -> float:
     """Best bound over ``iterations`` rounds of separate-and-swap.
 
-    Each round recovers the relaxation's optimal point ``z``, asks every
-    mixed neuron the objective can reach for its most violated hull
-    inequality at ``z``, swaps in as the neuron's new upper function any
-    one violated by more than ``SWAP_VIOLATION_TOL``, and re-runs the
-    backward pass.  ``iterations=0`` is exactly the initial method.
+    Each round recovers the relaxation's optimal point ``z``, computes the
+    hull envelope at ``z`` of every mixed neuron in ``table`` the objective
+    can reach, swaps in as the neuron's new upper function the most violated
+    hull inequality of each one violated by more than
+    ``SWAP_VIOLATION_TOL``, and re-runs the backward pass.  ``iterations=0``
+    is exactly the initial method.
 
-    ``hulls`` maps neuron positions to instances over state positions.  A
-    neuron is reachable up to the objective's last nonzero coefficient:
+    A neuron is reachable up to the objective's last nonzero coefficient:
     later ones never receive a coefficient, so their upper functions cannot
-    move the bound.  A violation below the tolerance is rounding; swapping
-    on it would let the last bit of ``z`` choose the bound.
+    move the bound.  They are a prefix of the table.  A violation below the
+    tolerance is rounding; swapping on it would let the last bit of ``z``
+    choose the bound.
 
-    Swaps are scoped to this call: ``pairs`` is worked on as a copy, so one
-    objective's swapped inequalities (tighter at its own optimum, possibly
-    looser elsewhere) never leak into other bound computations.  This keeps
-    every result at or below the plain initial-method bound.
+    Swaps are scoped to this call: they overwrite rows of a copy of the
+    upper functions, so one objective's swapped inequalities (tighter at its
+    own optimum, possibly looser elsewhere) never leak into other bound
+    computations.  This keeps every result at or below the plain
+    initial-method bound.
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    pairs = dict(pairs)
-    m = len(box)
-    res = backward_pass(box, pairs, objective)
+    res = backward_pass(funcs, objective)
     best = res.bound
-    if not hulls:
-        return best
     nz = np.flatnonzero(objective.coeffs)
-    eligible = sorted(p for p in hulls if nz.size and m <= p <= nz[-1])
-    if not eligible:
+    k = table.rows_below(nz[-1] + 1) if table is not None and nz.size else 0
+    if k == 0:
         return best
+    pos = table.pos[:k]
+    work = funcs
     for _ in range(iterations):
-        z = forward_pass(res.x_star, pairs, res.ub_used, m, eligible[-1] + 1)
-        swapped = False
-        for p in eligible:
-            sep = hull.separate_sort(hulls[p], z, z[p])
-            if sep is not None and sep.violation > SWAP_VIOLATION_TOL:
-                cut = sep.cut
-                upper = AffineFunc(idx=cut.idx, w=cut.coeffs, b=cut.constant)
-                pairs[p] = AffineBoundPair(lower=pairs[p].lower, upper=upper)
-                swapped = True
-        if not swapped:
+        z = forward_pass(work, res.x_star, res.ub_used, pos[-1] + 1)
+        found = table.separate(z, z[pos], SWAP_VIOLATION_TOL)
+        if not found:
             break
-        res = backward_pass(box, pairs, objective)
+        if work is funcs:
+            work = funcs.with_own_upper()
+        for row, sep in found:
+            work.set_upper(pos[row], sep.cut.idx, sep.cut.coeffs, sep.cut.constant)
+        res = backward_pass(work, objective)
         if res.bound < best:
             best = res.bound
     return best
@@ -280,9 +312,10 @@ class Bounds:
     (inputs report the box); :meth:`output_bounds` bounds the output rows
     on request.  ``post_lower``/``post_upper`` are the post-activation boxes
     of the inputs and ReLU neurons.  Propagation methods keep their initial
-    bounding pairs, the tightening methods (``fastc2v``, ``optc2v``) the
-    hull instances of their mixed neurons over state positions, and
-    ``fastc2v`` the ``deeppoly`` run it never reports worse than.
+    bounding functions in ``funcs``, the tightening methods (``fastc2v``,
+    ``optc2v``) the hull instances of their mixed neurons over state
+    positions in ``table``, and ``fastc2v`` the ``deeppoly`` run it never
+    reports worse than.
     """
 
     method: str
@@ -293,9 +326,14 @@ class Bounds:
     box: BoxDomain = field(repr=False)
     iterations: int = 0
     cut_rounds: int = 0
-    pairs: dict[int, AffineBoundPair] = field(default_factory=dict, repr=False)
-    hulls: dict[int, hull.HullInstance] = field(default_factory=dict, repr=False)
+    funcs: BoundingFunctions | None = field(default=None, repr=False)
+    table: hull.HullTable | None = field(default=None, repr=False)
     baseline: "Bounds | None" = field(default=None, repr=False)
+
+    @property
+    def hulls(self) -> dict[int, hull.HullInstance]:
+        """The hull instances of ``table`` by neuron position."""
+        return dict(zip(self.table.pos[:self.table.n].tolist(), self.table.insts))
 
     def interval_objective_bound(self, objective: LinearExpr) -> float:
         """Interval-arithmetic bound of an objective over the post boxes."""
@@ -309,7 +347,7 @@ class Bounds:
         if self.method in (LP, OPTC2V):
             from . import relaxation  # the LP bounder builds on this module
             return relaxation.optc2v_bound(self, objective, self.cut_rounds)
-        return tightened_bound(self.box, self.pairs, objective, self.iterations, self.hulls)
+        return tightened_bound(self.funcs, objective, self.iterations, self.table)
 
     def row_bounds(self, pos: int) -> ScalarBounds:
         """Pre-activation interval of the row of neuron ``pos``, over the
@@ -362,11 +400,11 @@ def compute_all_bounds(net: Network, box: BoxDomain, method: str, iterations=1,
     """Forward sweep bounding every ReLU neuron's pre-activation, in order.
 
     Each row is bounded by :meth:`Bounds.row_bounds` over the post boxes
-    fixed so far.  Fixing a ReLU neuron adds its initial bounding pair
-    (propagation methods) and, when it is mixed and the method tightens, its
-    hull instance, renumbered to state positions, for use by all later rows.
-    Each bound works on its own copy of the pairs, so the stored pairs stay
-    the initial ones.  The sweep stops at the last ReLU neuron: output rows
+    fixed so far.  Fixing a ReLU neuron sets its initial bounding functions
+    (propagation methods) and, when it is mixed and the method tightens,
+    appends its hull instance, renumbered to state positions, to the hull
+    table for use by all later rows.  Hull swaps work on a copy of the upper
+    functions, so the stored functions stay the initial ones.  The sweep stops at the last ReLU neuron: output rows
     add no state (the final affine layer is never relaxed), so
     :meth:`Bounds.output_bounds` bounds them only when asked.
 
@@ -390,6 +428,9 @@ def compute_all_bounds(net: Network, box: BoxDomain, method: str, iterations=1,
                     post_upper=np.empty(net.n_state), net=net, box=box,
                     iterations=max(1, iterations) if method == FASTC2V else 0,
                     cut_rounds=cut_rounds if method == OPTC2V else 0,
+                    funcs=BoundingFunctions.empty(net, box) if method in _MENUS else None,
+                    table=hull.HullTable(net.n_hidden, max((lv.src.size for lv in net.levels),
+                                                           default=0)),
                     baseline=baseline)
     post_lo, post_hi = bounds.post_lower, bounds.post_upper
     post_lo[:m], post_hi[:m] = box.lower, box.upper
@@ -400,9 +441,9 @@ def compute_all_bounds(net: Network, box: BoxDomain, method: str, iterations=1,
         bounds.pre.append(sb)
         post_lo[pos], post_hi[pos] = max(0.0, sb.pre_lower), max(0.0, sb.pre_upper)
         if menu is not None:
-            bounds.pairs[pos] = initial_pair(menu, sb, *net.row(pos))
+            bounds.funcs.set_initial(pos, menu, sb)
         if tightens and sb.is_mixed():
             idx, w, b = net.row(pos)
             inst = hull.make_hull_instance(w, b, post_lo[idx], post_hi[idx])
-            bounds.hulls[pos] = replace(inst, support=idx[inst.support])
+            bounds.table.append(pos, replace(inst, support=idx[inst.support]))
     return bounds

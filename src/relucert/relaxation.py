@@ -14,7 +14,7 @@ so far.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class DeltaLp:
     """A built relaxation model; variable j is neuron position j."""
 
     model: LpModel
-    hulls: dict[int, hull.HullInstance] = field(repr=False)
 
     def add_hull_cut(self, pos: int, cut: hull.HullCut):
         """Add ``z[pos] <= cut``; the cut names state positions, so variables."""
@@ -55,8 +54,7 @@ def build_delta_lp(bounds: Bounds, objective: LinearExpr) -> DeltaLp:
     box, or a ReLU neuron's clamped scalar bounds.  Mixed neurons contribute
     ``z >= zhat`` and the chord upper inequality (nonnegativity rides on the
     variable bound); fixed-sign neurons contribute a single equality pinning
-    them to their row or to 0.  The model carries the hull instances of
-    ``bounds`` below the objective, for cuts.
+    them to their row or to 0.
     """
     net = bounds.net
     eta = objective.eta
@@ -85,21 +83,20 @@ def build_delta_lp(bounds: Bounds, objective: LinearExpr) -> DeltaLp:
     for j in nz:
         model.obj[int(j)] = float(objective.coeffs[j])
     model.obj_constant = objective.constant
-    hulls = {pos: inst for pos, inst in bounds.hulls.items() if pos < eta}
-    return DeltaLp(model=model, hulls=hulls)
+    return DeltaLp(model=model)
 
 
 def optc2v_bound(bounds: Bounds, objective: LinearExpr,
                  rounds: int = DEFAULT_CUT_ROUNDS) -> float:
     """Upper bound from the relaxation LP plus ``rounds`` of hull cuts.
 
-    Each round separates at the current LP optimum across the mixed neurons
-    below the objective that have hull instances in ``bounds``, adds every
-    cut violated beyond ``CUT_VIOLATION_TOL`` (no cut selection), and re-solves
-    warm on the previous solve's tableau.  A violated cut cannot already be
-    in the model: the LP optimum satisfies every row within ``FEAS_TOL``, far
-    below that tolerance.  Monotone nonincreasing in ``rounds``; ``rounds=0``
-    is the plain relaxation value.
+    Each round separates at the current LP optimum, in one step of the hull
+    table of ``bounds``, across the mixed neurons below the objective, adds
+    every cut violated beyond ``CUT_VIOLATION_TOL`` (no cut selection), in
+    position order, and re-solves warm on the previous solve's tableau.  A
+    violated cut cannot already be in the model: the LP optimum satisfies
+    every row within ``FEAS_TOL``, far below that tolerance.  Monotone
+    nonincreasing in ``rounds``; ``rounds=0`` is the plain relaxation value.
     """
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
@@ -107,16 +104,15 @@ def optc2v_bound(bounds: Bounds, objective: LinearExpr,
     sol = solve_lp(dl.model)
     if sol.status != LpStatus.OPTIMAL:
         raise LpBoundError(sol.status, "base relaxation")
+    table = bounds.table
+    pos = table.pos[:table.rows_below(objective.eta)]
     for _ in range(rounds):
         z = sol.x
-        added = False
-        for pos, inst in dl.hulls.items():
-            sep = hull.separate_sort(inst, z, z[pos])
-            if sep is not None and sep.violation > CUT_VIOLATION_TOL:
-                dl.add_hull_cut(pos, sep.cut)
-                added = True
-        if not added:
+        found = table.separate(z, z[pos], CUT_VIOLATION_TOL)
+        if not found:
             break
+        for row, sep in found:
+            dl.add_hull_cut(pos[row], sep.cut)
         sol = solve_lp(dl.model, warm_basis=sol.basis)
         if sol.status != LpStatus.OPTIMAL:
             # cuts are valid for every network point, so an infeasible

@@ -149,23 +149,23 @@ def verify(net: Network, inst: RobustnessInstance, method: str = "fastc2v",
 
 
 def _forward_batch(net, X):
-    """Post-activations (batch, n_state) and output values (batch, r)."""
+    """Post-activations (batch, n_state) and output values (batch, r), one
+    level at a time."""
     B = X.shape[0]
     Z = np.empty((B, net.n_state))
     Z[:, :net.input_dim] = X
+    for level in net.levels:
+        Z[:, level.pos] = np.maximum(Z[:, level.src] @ level.weights.T + level.bias, 0.0)
     Y = np.empty((B, net.n_outputs))
-    for pos in range(net.input_dim, net.n_neurons):
-        idx, w, b = net.row(pos)
-        v = Z[:, idx] @ w + b if idx.size else np.full(B, b)
-        if pos < net.n_state:
-            Z[:, pos] = np.maximum(v, 0.0)
-        else:
-            Y[:, pos - net.n_state] = v
+    for k in range(net.n_outputs):
+        idx, w, b = net.row(net.n_state + k)
+        Y[:, k] = Z[:, idx] @ w + b if idx.size else b
     return Z, Y
 
 
 def _margin_input_grad(net, Z, ks, t):
-    """Input gradient of ``f_k - f_t`` per row, through the ReLU pattern."""
+    """Input gradient of ``f_k - f_t`` per row, through the ReLU pattern,
+    one level at a time."""
     B = Z.shape[0]
     G = np.zeros((B, net.n_state))
     it, wt, _ = net.row(net.n_state + t)
@@ -174,12 +174,10 @@ def _margin_input_grad(net, Z, ks, t):
         ik, wk, _ = net.row(net.n_state + int(k))
         G[np.ix_(rows, ik)] += wk
         G[np.ix_(rows, it)] -= wt
-    for pos in range(net.n_state - 1, net.input_dim - 1, -1):
-        g = G[:, pos] * (Z[:, pos] > 0.0)
-        G[:, pos] = 0.0
-        if g.any():
-            idx, w, _ = net.row(pos)
-            G[:, idx] += np.outer(g, w)
+    for level in reversed(net.levels):
+        g = G[:, level.pos] * (Z[:, level.pos] > 0.0)
+        G[:, level.pos] = 0.0
+        G[:, level.src] += g @ level.weights
     return G[:, :net.input_dim]
 
 

@@ -16,7 +16,7 @@ import pytest
 
 from relucert.network import INPUT, OUTPUT, RELU, BoxDomain, Network, Neuron
 from relucert import hull
-from relucert.propagation import compute_all_bounds
+from relucert.propagation import BoundingFunctions, compute_all_bounds
 
 
 def make_golden_network() -> Network:
@@ -30,6 +30,22 @@ def make_golden_network() -> Network:
         Neuron(7, OUTPUT, ((5, 1.0), (6, 1.0)), 0.0),
     ]
     return Network(2, neurons, [7])
+
+
+def make_skip_network() -> Network:
+    """Two inputs, a ReLU level read again past the next one, and an
+    interleaved order: h3 reads both inputs (level 1), h4 reads both inputs
+    and h3 (level 2), h5 reads x2 only (level 1 again, after h4), and the
+    output reads levels 1 and 2."""
+    neurons = [
+        Neuron(1, INPUT, (), 0.0),
+        Neuron(2, INPUT, (), 0.0),
+        Neuron(3, RELU, ((1, 1.0), (2, -1.0)), 0.1),
+        Neuron(4, RELU, ((1, 0.5), (2, 1.0), (3, -1.2)), 0.2),
+        Neuron(5, RELU, ((2, -1.0),), 0.3),
+        Neuron(6, OUTPUT, ((3, 1.0), (4, 2.0), (5, -1.0)), 0.0),
+    ]
+    return Network(2, neurons, [6])
 
 
 @pytest.fixture(scope="session")
@@ -49,20 +65,25 @@ def h22_instance() -> hull.HullInstance:
     return hull.make_hull_instance([-1.5, 1.0], 0.5, [0.0, 0.0], [3.0, 1.5])
 
 
-def interval_state(net, box):
+def interval_state(net, box, menu=None):
     """Interval bounds plus a hull instance, over state positions, for every
-    mixed ReLU neuron.
+    mixed ReLU neuron, and with ``menu`` the menu's bounding functions over
+    the interval bounds.
 
     The worked bound chain and the LP tests start from this state: the
     ``interval`` sweep alone builds no hull instances, since it never
     tightens.
     """
     st = compute_all_bounds(net, box, "interval")
+    if menu is not None:
+        st.funcs = BoundingFunctions.empty(net, box)
     for pos in range(net.input_dim, net.n_state):
+        if menu is not None:
+            st.funcs.set_initial(pos, menu, st.pre[pos])
         if st.pre[pos].is_mixed():
             idx, w, b = net.row(pos)
             inst = hull.make_hull_instance(w, b, st.post_lower[idx], st.post_upper[idx])
-            st.hulls[pos] = replace(inst, support=idx[inst.support])
+            st.table.append(pos, replace(inst, support=idx[inst.support]))
     return st
 
 

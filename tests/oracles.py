@@ -4,15 +4,17 @@ None of these run on the package's bound paths: brute-force enumeration of
 the hull's cut family and of its least value at a point, the weighted-median
 separator (the paper's
 linear-time variant of the sorting greedy), the univariate chord bound, the
-lifted-formulation envelope LP, and the exact maximum over activation
-patterns.
+lifted-formulation envelope LP, the exact maximum over activation
+patterns, and the per-neuron backward and forward passes and tightening
+loop that the package runs one level at a time.
 """
 
 import numpy as np
 
 from relucert import hull
 from relucert.network import BoxDomain, Network
-from relucert.propagation import INTERVAL, LinearExpr, compute_all_bounds
+from relucert.propagation import (INTERVAL, SWAP_VIOLATION_TOL, BackwardResult,
+                                  LinearExpr, box_maximize, compute_all_bounds)
 from relucert.relaxation import LpBoundError
 from relucert.simplex import GE, LE, LpModel, LpStatus, solve_lp
 
@@ -216,4 +218,76 @@ def exact_max_oracle(net: Network, box: BoxDomain, objective: LinearExpr,
             raise LpBoundError(sol.status, "pattern LP")
     if not np.isfinite(best):
         raise ArithmeticError("no activation pattern was feasible")
+    return best
+
+
+def function_row(funcs, pos, upper):
+    """Neuron ``pos``'s upper or lower function as ``(idx, w, b)``."""
+    net = funcs.net
+    lv, i = net.level_of[pos] - 1, net.level_row[pos]
+    if upper:
+        return net.levels[lv].src, funcs.upper[lv][i], funcs.upper_b[lv][i]
+    return net.levels[lv].src, funcs.lower[lv][i], funcs.lower_b[lv][i]
+
+
+def backward_pass_by_neuron(funcs, objective: LinearExpr) -> BackwardResult:
+    """:func:`relucert.propagation.backward_pass`, one neuron at a time,
+    highest position first."""
+    net = funcs.net
+    m = net.input_dim
+    c = np.zeros(net.n_state)
+    c[:objective.eta] = objective.coeffs
+    const = objective.constant
+    ub_used = np.zeros(net.n_state, dtype=bool)
+    for i in range(net.n_state - 1, m - 1, -1):
+        ci = c[i]
+        if ci == 0.0:
+            continue
+        if not funcs.fixed[i]:
+            raise ValueError(f"neuron position {i} has a coefficient but no bounding functions")
+        idx, w, b = function_row(funcs, i, ci > 0.0)
+        ub_used[i] = ci > 0.0
+        c[i] = 0.0
+        c[idx] += ci * w
+        const += ci * b
+    residual = LinearExpr(c[:m].copy(), const)
+    bound, x_star = box_maximize(residual, funcs.box)
+    return BackwardResult(bound=bound, x_star=x_star, ub_used=ub_used, input_expr=residual)
+
+
+def forward_pass_by_neuron(funcs, x_star, ub_used, eta) -> np.ndarray:
+    """:func:`relucert.propagation.forward_pass`, one neuron at a time."""
+    m = funcs.net.input_dim
+    z = np.zeros(funcs.net.n_state)  # a level's columns may reach past eta
+    z[:m] = x_star
+    for i in range(m, eta):
+        idx, w, b = function_row(funcs, i, ub_used[i])
+        z[i] = float(w @ z[idx]) + b
+    return z[:eta]
+
+
+def tightened_bound_by_neuron(funcs, objective: LinearExpr, iterations, table=None) -> float:
+    """:func:`relucert.propagation.tightened_bound` with the per-neuron
+    passes and one :func:`relucert.hull.separate_sort` call per reachable
+    mixed neuron."""
+    res = backward_pass_by_neuron(funcs, objective)
+    best = res.bound
+    nz = np.flatnonzero(objective.coeffs)
+    hulls = {} if table is None else dict(zip(table.pos[:table.n].tolist(), table.insts))
+    eligible = sorted(p for p in hulls if nz.size and p <= nz[-1])
+    if not eligible:
+        return best
+    work = funcs.with_own_upper()
+    for _ in range(iterations):
+        z = forward_pass_by_neuron(work, res.x_star, res.ub_used, eligible[-1] + 1)
+        swapped = False
+        for p in eligible:
+            sep = hull.separate_sort(hulls[p], z, z[p])
+            if sep is not None and sep.violation > SWAP_VIOLATION_TOL:
+                work.set_upper(p, sep.cut.idx, sep.cut.coeffs, sep.cut.constant)
+                swapped = True
+        if not swapped:
+            break
+        res = backward_pass_by_neuron(work, objective)
+        best = min(best, res.bound)
     return best

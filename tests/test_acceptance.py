@@ -15,8 +15,7 @@ from relucert.hull import (corner_value, cut_from_pair, make_hull_instance,
                            minimize_upper_envelope_sort, separate_sort)
 from relucert.network import BoxDomain, classify, generate_random_network
 from relucert.propagation import (backward_pass, compute_all_bounds,
-                                  expr_from_row, forward_pass, initial_pair,
-                                  tightened_bound)
+                                  expr_from_row, forward_pass, tightened_bound)
 from relucert.relaxation import build_delta_lp, optc2v_bound
 from relucert.simplex import LpStatus, solve_lp
 from relucert.verifier import (attack_upper_bound, batch_verify,
@@ -95,20 +94,19 @@ def test_criterion_1_golden_bound_chain(capfd):
     with _Criterion(1, "worked-example bound chain", 1.0, capfd):
         net = make_golden_network()
         box = BoxDomain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-        st = interval_state(net, box)
+        st = interval_state(net, box, menu="deeppoly")
         sb = st.pre
         expect = {2: (-1.0, 3.0), 3: (-0.5, 1.5), 4: (1.0, 2.5), 5: (-4.0, 2.0)}
         for pos, (lo, hi) in expect.items():
             assert abs(sb[pos].pre_lower - lo) <= EXACT
             assert abs(sb[pos].pre_upper - hi) <= EXACT
 
-        pairs = {p: initial_pair("deeppoly", sb[p], *net.row(p)) for p in range(2, 6)}
         obj = expr_from_row(*net.row(6), eta=6)
-        res = backward_pass(box, pairs, obj)
+        res = backward_pass(st.funcs, obj)
         assert abs(res.bound - 4.0) <= EXACT
         assert np.allclose(res.x_star, [-1.0, -1.0], atol=EXACT)
 
-        z = forward_pass(res.x_star, pairs, res.ub_used, 2, 6)
+        z = forward_pass(st.funcs, res.x_star, res.ub_used, 6)
         assert np.allclose(z[[0, 1, 2, 3, 5]], [-1.0, -1.0, 1.0, 1.5, 1.5], atol=EXACT)
         assert abs(obj.value(z) - 4.0) <= EXACT
 
@@ -128,7 +126,7 @@ def test_criterion_1_golden_bound_chain(capfd):
         assert abs(sep.envelope - 4.0 / 3.0) <= EXACT
         assert abs(sep.violation - 1.0 / 6.0) <= EXACT
 
-        tight = tightened_bound(box, pairs, obj, 1, st.hulls)
+        tight = tightened_bound(st.funcs, obj, 1, st.table)
         assert abs(tight - 23.0 / 6.0) <= EXACT
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -311,3 +312,71 @@ class TestDeltaUpper:
         val, _, _ = minimize_upper_envelope_sort(h22_instance, [1.0, 1.5])
         gap = delta_upper_value(h22_instance, [1.0, 1.5]) - val
         assert gap >= 1.0 / 6.0 - 1e-9
+
+
+class TestHullTable:
+    """The padded table against one-instance calls and the median oracle."""
+
+    @staticmethod
+    def tied_point(inst, rng):
+        """A box corner or face midpoint: every ratio is 0, 1/2 or 1."""
+        r = rng.choice([0.0, 0.5, 1.0], inst.size)
+        return inst.min_corner + r * (inst.max_corner - inst.min_corner)
+
+    def test_rows_match_single_instance_calls(self):
+        rng = np.random.default_rng(21)
+        rows, offset = [], 0
+        for d in range(1, 40):
+            inst = random_mixed_instance(rng, d, allow_zero_weights=True)
+            xg = np.zeros(inst.dim)
+            xg[inst.support] = self.tied_point(inst, rng) if d % 2 \
+                else rng.uniform(inst.lower, inst.upper)
+            rows.append((inst, xg, offset))
+            offset += inst.dim
+        # one point for all rows: each instance reads its own slice of it
+        z = np.concatenate([xg for _, xg, _ in rows])
+        table = hull.HullTable(len(rows) + 2, max(inst.size for inst, _, _ in rows) + 3)
+        for i, (inst, _, off) in enumerate(rows):
+            table.append(10 * i, replace(inst, support=inst.support + off))
+        assert table.rows_below(10 * 5) == 5 and table.rows_below(10 * 5 + 1) == 6
+        reference = np.array([minimize_upper_envelope_median(inst, xg)[0]
+                              for inst, xg, _ in rows])
+        y = reference + rng.uniform(-0.3, 0.3, len(rows))
+        env, low, h = table.envelopes(z, len(rows))
+        assert np.allclose(env, reference, rtol=0.0, atol=1e-12)
+        found = dict(table.separate(z, y))
+        assert 0 < len(found) < len(rows)
+        for i, (inst, xg, off) in enumerate(rows):
+            assert not low[i, inst.size:].any() and h[i] < inst.size  # padding
+            value, index_set, anchor = minimize_upper_envelope_sort(inst, xg)
+            assert value == env[i]  # a row's value does not depend on its table
+            assert index_set.tolist() == np.flatnonzero(low[i]).tolist() and anchor == h[i]
+            single = separate_sort(inst, xg, y[i])
+            assert (i in found) == (single is not None)
+            if single is None:
+                continue
+            cut, want = found[i].cut, single.cut
+            assert (cut.index_set, cut.anchor) == (want.index_set, want.anchor)
+            assert np.array_equal(cut.idx, want.idx + off)
+            assert np.isin(cut.idx, inst.support + off).all()
+            assert np.array_equal(cut.coeffs, want.coeffs) and cut.constant == want.constant
+            assert found[i].violation == single.violation
+
+    def test_tolerance_and_prefix(self, h22_instance):
+        # at (1, 1.5) the envelope is 4/3: y = 1.5 violates it by 1/6
+        table = hull.HullTable(2, 2)
+        table.append(5, h22_instance)
+        table.append(7, h22_instance)
+        x = np.array([1.0, 1.5])
+        assert [i for i, _ in table.separate(x, [1.5, 1.5])] == [0, 1]
+        assert [i for i, _ in table.separate(x, [1.5])] == [0]  # first row only
+        assert table.separate(x, [1.5, 1.5], tol=0.2) == []
+        assert table.separate(x, []) == []
+
+    def test_rejects_fixed_sign_and_out_of_order_rows(self, h22_instance):
+        table = hull.HullTable(2, 2)
+        with pytest.raises(ValueError):
+            table.append(3, make_hull_instance([1.0, 1.0], 1.0, [0.0, 0.0], [1.0, 1.0]))
+        table.append(3, h22_instance)
+        with pytest.raises(ValueError):
+            table.append(3, h22_instance)

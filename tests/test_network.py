@@ -6,7 +6,7 @@ from relucert.network import (INPUT, OUTPUT, RELU, BoxDomain, Network,
                               eval_network, generate_random_network,
                               load_network, save_network)
 
-from conftest import make_golden_network
+from conftest import make_golden_network, make_skip_network
 
 
 def naive_eval(net, x):
@@ -61,6 +61,52 @@ class TestEval:
             zn, yn = naive_eval(net, x)
             assert np.allclose(z, zn, rtol=1e-12, atol=0)
             assert np.allclose(y, yn, rtol=1e-12, atol=0)
+
+
+class TestLevels:
+    def test_golden_levels(self, golden_net):
+        # h11, h12 read the inputs; h21, h22 read h11, h12
+        a, b = golden_net.levels
+        assert a.pos.tolist() == [2, 3] and a.src.tolist() == [0, 1]
+        assert np.array_equal(a.weights, [[-1.0, 1.0], [-1.0, 0.0]])
+        assert a.bias.tolist() == [1.0, 0.5]
+        assert b.pos.tolist() == [4, 5] and b.src.tolist() == [2, 3]
+        assert np.array_equal(b.weights, [[0.0, 1.0], [-1.5, 1.0]])
+        assert b.bias.tolist() == [1.0, 0.5]
+        assert golden_net.level_of.tolist() == [0, 0, 1, 1, 2, 2]
+        assert golden_net.level_row.tolist() == [-1, -1, 0, 1, 0, 1]
+
+    def test_skip_connections_are_extra_source_columns(self):
+        net = make_skip_network()
+        a, b = net.levels
+        assert a.pos.tolist() == [2, 4] and a.src.tolist() == [0, 1]
+        assert np.array_equal(a.weights, [[1.0, -1.0], [0.0, -1.0]])
+        assert b.pos.tolist() == [3] and b.src.tolist() == [0, 1, 2]
+        assert np.array_equal(b.weights, [[0.5, 1.0, -1.2]])
+        assert net.level_of.tolist() == [0, 0, 1, 2, 1]
+        # the output row reads both levels
+        assert set(net.level_of[net.row(net.n_state)[0]].tolist()) == {1, 2}
+
+    def test_every_row_is_its_level_row(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            layers = [int(rng.integers(1, 5)) for _ in range(int(rng.integers(2, 6)))]
+            net = generate_random_network(layers, seed=int(rng.integers(1 << 30)))
+            assert len(net.levels) == max(len(layers) - 2, 0)
+            for pos in range(net.input_dim, net.n_state):
+                level = net.levels[net.level_of[pos] - 1]
+                i = net.level_row[pos]
+                assert level.pos[i] == pos
+                idx, w, b = net.row(pos)
+                dense = np.zeros(net.n_state)
+                dense[level.src] = level.weights[i]
+                assert np.array_equal(dense[idx], w) and level.bias[i] == b
+                assert np.count_nonzero(dense) == np.count_nonzero(w)
+                assert np.all(net.level_of[idx] < net.level_of[pos])
+
+    def test_no_relu_no_levels(self):
+        net = generate_random_network([3], seed=0)
+        assert net.levels == () and net.level_of.tolist() == [0, 0, 0]
 
 
 class TestInvariants:

@@ -60,15 +60,13 @@ class TestGoldenThreshold:
     a method with bound below the threshold certifies, one above cannot."""
 
     def test_bound_methods_straddle_threshold(self, golden_net, golden_box):
-        from relucert.propagation import tightened_bound, expr_from_row, initial_pair
+        from relucert.propagation import tightened_bound, expr_from_row
         from conftest import interval_state
-        st = interval_state(golden_net, golden_box)
-        pairs = {p: initial_pair("deeppoly", st.pre[p], *golden_net.row(p))
-                 for p in range(2, 6)}
+        st = interval_state(golden_net, golden_box, menu="deeppoly")
         obj = expr_from_row(*golden_net.row(6), eta=6)
         beta = 4.0
-        plain = tightened_bound(golden_box, pairs, obj, 0, {})
-        tight = tightened_bound(golden_box, pairs, obj, 1, st.hulls)
+        plain = tightened_bound(st.funcs, obj, 0)
+        tight = tightened_bound(st.funcs, obj, 1, st.table)
         assert not plain < beta          # 4.0: cannot certify y < 4
         assert tight < beta              # 23/6: certifies
 
@@ -227,7 +225,7 @@ class TestVerify:
         objectives = []
         real = propagation_module.backward_pass
         monkeypatch.setattr(propagation_module, "backward_pass",
-                            lambda box, pairs, obj: objectives.append(obj) or real(box, pairs, obj))
+                            lambda funcs, obj: objectives.append(obj) or real(funcs, obj))
         inst = generate_instances(net, 1, epsilon=0.1, seed=10)[0]
         verify(net, inst, method=method, attack=False)
         assert any(obj.eta < net.n_state for obj in objectives)
@@ -259,6 +257,44 @@ class TestVerify:
                 margins.append([st.bound_objective(margin_objective(net, k, t))
                                 for k in range(net.n_outputs) if k != t])
             assert np.max(np.abs(np.subtract(*margins))) <= 1e-9, i
+
+    # deeppoly and fastc2v margins, by class, of the first three instances
+    # of the 10,30,30,30,10 corpus (weight scale 0.5, net seed 1, instance
+    # seed 1001, epsilon 0.1), as the per-neuron passes and separator
+    # computed them; the level-wise ones sum in another order
+    PINNED_MARGINS = {
+        "deeppoly": [
+            ["-0x1.6917fe37e203cp-2", "-0x1.f6fb5479ded94p-2", "-0x1.1d09a121d95f2p-1",
+             "-0x1.5955a7b334551p-2", "-0x1.5fe588b2a5f75p+0", "0x1.f1068312652fcp-2",
+             "0x1.0602c6da6ed8ap-1", "-0x1.5261af9954f20p-3", "-0x1.b6be41d3f9776p-2"],
+            ["-0x1.8299c823e569ep+0", "-0x1.1474875a76680p+2", "-0x1.2e9962abdc880p+1",
+             "-0x1.8299c7813a675p+1", "-0x1.e4b4a95096224p+1", "-0x1.6ab35a72c2fc8p+1",
+             "-0x1.3442cb04ee6b0p+1", "-0x1.cdaaebdfe98f6p+1", "-0x1.658c23875d7b1p+1"],
+            ["-0x1.23005c1849359p+0", "-0x1.13e528a97680fp+1", "-0x1.899a7846f4ae5p+0",
+             "-0x1.a79cdf7bbfab8p+0", "-0x1.398b2751caebfp+1", "-0x1.7bfd7127d424bp+0",
+             "-0x1.edcfbe0119077p-1", "-0x1.d82abe58d317ep+0", "-0x1.af35687ab225cp+0"],
+        ],
+        "fastc2v": [
+            ["-0x1.31b3661730e82p-1", "-0x1.3177b0e06096cp+0", "-0x1.b3d07bcc753c0p-1",
+             "-0x1.64a89ceb01aafp-1", "-0x1.aa335d342b489p+0", "0x1.23af8b28cf500p-8",
+             "-0x1.19a00153d7c26p-3", "-0x1.293e0f36a6c70p-1", "-0x1.df15c49722ef3p-1"],
+            ["-0x1.84b0cdbb08f7ep+0", "-0x1.1615d003c1801p+2", "-0x1.306c899f03c71p+1",
+             "-0x1.868f4744e6168p+1", "-0x1.e9aa2e809d4a5p+1", "-0x1.70ede38f3cefap+1",
+             "-0x1.375fa62c9188ep+1", "-0x1.d41010760cde8p+1", "-0x1.6740afc4bb737p+1"],
+            ["-0x1.3e1e2ba88ee7dp+0", "-0x1.246d5ba78bc45p+1", "-0x1.a143cd01c2d33p+0",
+             "-0x1.ccee158d7a5a0p+0", "-0x1.4408d4dcc2912p+1", "-0x1.b81827dfc7f48p+0",
+             "-0x1.1d8c611587042p+0", "-0x1.f5a558c65dfbbp+0", "-0x1.d5f3f533ba3d2p+0"],
+        ],
+    }
+
+    @pytest.mark.parametrize("method", sorted(PINNED_MARGINS))
+    def test_deep_net_margins_stay_pinned(self, method):
+        net = generate_random_network([10, 30, 30, 30, 10], seed=1, weight_scale=0.5)
+        insts = generate_instances(net, 3, epsilon=0.1, seed=1001)
+        for inst, want in zip(insts, self.PINNED_MARGINS[method]):
+            rep = verify(net, inst, method=method, attack=False)
+            got = [rep.margin_bounds[k] for k in sorted(rep.margin_bounds)]
+            assert np.allclose(got, [float.fromhex(v) for v in want], rtol=0.0, atol=1e-9)
 
 
 class TestBatch:
