@@ -78,6 +78,13 @@ class LinearExpr:
     def eta(self) -> int:
         return self.coeffs.shape[0]
 
+    @property
+    def reach(self) -> int:
+        """One past the last position with a nonzero coefficient: no neuron
+        from there on can move the objective's bound."""
+        nz = np.flatnonzero(self.coeffs)
+        return int(nz[-1]) + 1 if nz.size else 0
+
     def negated(self) -> "LinearExpr":
         return LinearExpr(-self.coeffs, -self.constant)
 
@@ -267,9 +274,9 @@ def tightened_bound(funcs: BoundingFunctions, objective: LinearExpr, iterations:
     ``SWAP_VIOLATION_TOL``, and re-runs the backward pass.  ``iterations=0``
     is exactly the initial method.
 
-    A neuron is reachable up to the objective's last nonzero coefficient:
-    later ones never receive a coefficient, so their upper functions cannot
-    move the bound.  They are a prefix of the table.  A violation below the
+    A neuron is reachable below the objective's ``reach``: later ones never
+    receive a coefficient, so their upper functions cannot move the bound.
+    The reachable ones are a prefix of the table.  A violation below the
     tolerance is rounding; swapping on it would let the last bit of ``z``
     choose the bound.
 
@@ -283,8 +290,7 @@ def tightened_bound(funcs: BoundingFunctions, objective: LinearExpr, iterations:
         raise ValueError("iterations must be >= 0")
     res = backward_pass(funcs, objective)
     best = res.bound
-    nz = np.flatnonzero(objective.coeffs)
-    k = table.rows_below(nz[-1] + 1) if table is not None and nz.size else 0
+    k = table.rows_below(objective.reach) if table is not None else 0
     if k == 0:
         return best
     pos = table.pos[:k]
@@ -315,7 +321,10 @@ class Bounds:
     bounding functions in ``funcs``, the tightening methods (``fastc2v``,
     ``optc2v``) the hull instances of their mixed neurons over state
     positions in ``table``, and ``fastc2v`` the ``deeppoly`` run it never
-    reports worse than.
+    reports worse than.  The LP methods keep in ``lps`` one solved
+    relaxation (:class:`relucert.relaxation.DeltaLp`) per objective reach,
+    which every later objective of that reach re-solves warm; so a
+    ``Bounds`` is not to be shared between threads.
     """
 
     method: str
@@ -329,6 +338,7 @@ class Bounds:
     funcs: BoundingFunctions | None = field(default=None, repr=False)
     table: hull.HullTable | None = field(default=None, repr=False)
     baseline: "Bounds | None" = field(default=None, repr=False)
+    lps: dict = field(default_factory=dict, repr=False)
 
     @property
     def hulls(self) -> dict[int, hull.HullInstance]:

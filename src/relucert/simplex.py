@@ -1,4 +1,4 @@
-"""Dense bounded-variable dual simplex solver.
+"""Dense bounded-variable simplex solver, dual and primal.
 
 Small, deterministic, dependency-free LP engine for the relaxation models in
 this package: every model it sees has a few dozen variables and a few
@@ -11,26 +11,31 @@ Conventions: maximize ``c . x`` subject to ``lb <= x <= ub`` and rows
 an infinite bound.  Rows get one slack each; a basis is the list of basic
 columns plus a status per column (at lower bound, at upper bound, basic).
 Boxed columns make the slack basis, with each column at the bound its cost
-favours, dual feasible, so every solve is one dual simplex run: from the
-warm basis when it restores dual feasible, else from that slack basis; a
-primal pass then polishes.  The warm handle is the solved tableau itself,
-``LpSolution.basis``.  Handed back with the same model after rows were
-appended to it (the cutting-plane re-solve), it encodes only the new rows
-and borders itself with them instead of refactoring the basis; any other
-handle is ignored.  Anti-cycling: after a streak of degenerate steps the
-pivot choice switches to Bland's rule.
+favours, dual feasible, so a cold solve is one dual simplex run from that
+slack basis, and a primal pass then polishes.  The warm handle is the
+solved tableau itself, ``LpSolution.basis``.  Handed back with the same
+model, it is solved again from its own basis: rows appended to the model
+since (the cutting-plane re-solve) border it instead of refactoring the
+basis, and a new objective (the next row over the same relaxation) only
+reprices it.  The restored basis is kept when it is dual feasible, and the
+dual simplex runs, or primal feasible, and the primal simplex runs;
+otherwise the solve starts from the slack basis.  Any other handle is
+ignored.  :meth:`_Tableau.fork` copies a solved tableau for a copy of its
+model, so the two gain rows and are solved apart.  Anti-cycling: after a
+streak of degenerate steps the pivot choice switches to Bland's rule.
 
 The reported value is a dual bound (Neumaier & Shcherbina, "Safe bounds in
 linear and mixed-integer linear programming", 2004): the row duals of the
-final basis, with every column priced at the bound its reduced cost favours
-and each slack at the row-activity range the variable box implies.  By weak
-duality it bounds the LP maximum from above whatever the final basis, up to
-the rounding of its own few sums, so it does not rest on the primal point
-being exactly feasible.
+final basis, with every column priced at the bound its reduced cost
+favours and each slack at the row-activity range the variable box implies.
+By weak duality it bounds the LP maximum from above whatever the final
+basis, up to the rounding of its own few sums, so it does not rest on the
+primal point being exactly feasible, nor on where the solve started.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass, field
 
@@ -115,8 +120,8 @@ def solve_lp(model: LpModel, warm_basis: _Tableau | None = None,
     """Solve to optimality within FEAS_TOL / OPT_TOL; statuses, not raises.
 
     ``warm_basis`` is the ``basis`` of an earlier solve of ``model``, which
-    may have gained rows since; that tableau is solved again.  Any other
-    handle starts a fresh tableau, which ignores it.
+    may have gained rows and a new objective since; that tableau is solved
+    again.  Any other handle starts a fresh tableau, which ignores it.
     """
     same = isinstance(warm_basis, _Tableau) and warm_basis.model is model \
         and warm_basis.n_struct == model.n_vars
@@ -133,11 +138,25 @@ class _Tableau:
         self.A = np.zeros((0, self.n_struct))
         self.rhs = np.zeros(0)
         self.senses = ()
+        self.lb = np.array(model.lb, dtype=float)
+        self.ub = np.array(model.ub, dtype=float)
+
+    def fork(self, model: LpModel) -> "_Tableau":
+        """This tableau, solved state and all, as the warm handle of
+        ``model``: a copy of this tableau's model that may gain rows.  The
+        two tableaux are solved apart from here on."""
+        tab = copy.copy(self)
+        tab.model = model
+        tab.T, tab.trhs = self.T.copy(), self.trhs.copy()
+        tab.basic, tab.status = self.basic.copy(), self.status.copy()
+        return tab
 
     def _append_rows(self):
         """Encode the model's rows added since the last solve, one slack each."""
         model, n, k = self.model, self.n_struct, self.n_rows
         mr = model.n_rows
+        if mr == k:
+            return
         A = np.zeros((mr, n + mr))
         A[:k, :n + k] = self.A
         rhs = np.concatenate([self.rhs, np.zeros(mr - k)])
@@ -149,9 +168,9 @@ class _Tableau:
         self.senses += tuple(row[2] for row in model.rows[k:])
         # a slack's bounds encode its row's sense: a finite lower bound caps
         # the row activity from above (<=, =), a finite upper one from below
-        sense = np.array(self.senses, dtype="U2")
-        self.lb = np.concatenate([model.lb, np.where(sense == GE, -np.inf, 0.0)])
-        self.ub = np.concatenate([model.ub, np.where(sense == LE, np.inf, 0.0)])
+        sense = np.array(self.senses[k:], dtype="U2")
+        self.lb = np.concatenate([self.lb, np.where(sense == GE, -np.inf, 0.0)])
+        self.ub = np.concatenate([self.ub, np.where(sense == LE, np.inf, 0.0)])
         self.n_rows, self.A, self.rhs = mr, A, rhs
 
     def _slack_basis(self):
@@ -322,15 +341,18 @@ class _Tableau:
         self.c = np.concatenate([self.model.obj, np.zeros(self.n_rows)])
         self.degen_streak = 0
         self.iterations = 0
-        if not (warm_basis is not None and self._restore_basis(warm_basis)
-                and self._dual_feasible(self.reduced_costs())):
+        warm = warm_basis is not None and self._restore_basis(warm_basis)
+        if warm:
+            self._price()
+        # a restored basis feasible on either side is a start: the dual
+        # simplex keeps dual feasibility, the primal one primal feasibility
+        if not (warm and (self._dual_feasible(self.d)
+                          or self._primal_infeasibility().max(initial=0.0) <= FEAS_TOL)):
             self._slack_basis()
-        # from here on the pivots keep the basic values and reduced costs
-        self.xb = self.values()[self.basic]
-        self.d = self.reduced_costs()
-        status = self._dual(max_iter)
+            self._price()
+        status = self._dual(max_iter)  # at once when primal feasible
         if status == LpStatus.OPTIMAL:
-            status = self._primal(max_iter)  # polish, usually a no-op
+            status = self._primal(max_iter)
         x = self.values()
         xs = x[:n].copy()
         if status == LpStatus.OPTIMAL:
@@ -338,6 +360,12 @@ class _Tableau:
             self._verify(xs)
         return LpSolution(status=status, objective_value=self._dual_bound(), x=xs,
                           basis=self, iterations=self.iterations)
+
+    def _price(self):
+        """Basic values and reduced costs of the current basis; from here on
+        the pivots keep them."""
+        self.xb = self.values()[self.basic]
+        self.d = self.reduced_costs()
 
     def _dual_bound(self):
         """Upper bound on the maximum from the duals ``y = c_B B^{-1}``.
@@ -359,7 +387,7 @@ class _Tableau:
 
     def _restore_basis(self, wb) -> bool:
         """Take over ``wb`` when it is this tableau, solved before its model
-        gained the rows appended since.
+        gained the rows appended since, if any.
 
         The solved tableau is bordered: old rows keep their entries, with
         zeros on the new slacks, and each new row ``a_i`` becomes ``a_i -
@@ -370,6 +398,8 @@ class _Tableau:
         if wb is not self:
             return False
         n, mr, k = self.n_struct, self.n_rows, self.T.shape[0]
+        if mr == k:
+            return True
         new = self.A[k:]
         new_b = new[:, self.basic]
         T = np.zeros((mr, n + mr))

@@ -4,9 +4,10 @@ import pytest
 from relucert.hull import cut_from_pair, make_hull_instance
 from relucert.network import (BoxDomain, Network, Neuron, eval_network,
                               generate_random_network)
-from relucert.propagation import compute_all_bounds, expr_from_row
+from relucert.propagation import LinearExpr, compute_all_bounds, expr_from_row
 from relucert.relaxation import DeltaLp, build_delta_lp, optc2v_bound
 from relucert.simplex import EQ, LpStatus, solve_lp
+from relucert.verifier import generate_instances, margin_objective, verify
 
 from conftest import interval_state, random_mixed_instance
 from oracles import (envelope_min_by_enumeration, enumerate_cut_pairs,
@@ -24,6 +25,15 @@ def record_cuts(monkeypatch):
 
     monkeypatch.setattr(DeltaLp, "add_hull_cut", recording)
     return added
+
+
+def sweep_with_margins(method):
+    """The sweep of a 4,8,8,3 net with ``method``, after two margins."""
+    net = generate_random_network([4, 8, 8, 3], seed=5, weight_scale=0.7)
+    st = compute_all_bounds(net, BoxDomain(np.full(4, 0.3), np.full(4, 0.7)), method)
+    for k in (1, 2):
+        st.bound_objective(margin_objective(net, k, 0))
+    return st
 
 
 def single_relu_net(w, b):
@@ -68,17 +78,15 @@ class TestDeltaLpStructure:
                 else:
                     assert v == pytest.approx(rhs, abs=1e-9)
 
-    def test_always_inactive_neuron_single_equality(self):
+    def test_always_inactive_neuron_has_no_row(self):
         net = single_relu_net([1.0], -5.0)
         box = BoxDomain(np.zeros(1), np.ones(1))
         st = interval_state(net, box)
-        dl = build_delta_lp(st, expr_from_row(*net.row(1), eta=1))
-        # no relu below the objective -> no rows; use the output objective
         obj = expr_from_row(*net.row(2), eta=2)
         dl = build_delta_lp(st, obj)
-        assert dl.model.n_rows == 1
-        idx, coef, sense, rhs = dl.model.rows[0]
-        assert sense == EQ and rhs == 0.0 and list(idx) == [1]
+        # its box pins it to 0, so a z = 0 row would add nothing
+        assert dl.model.n_vars == 2 and dl.model.n_rows == 0
+        assert (dl.model.lb[1], dl.model.ub[1]) == (0.0, 0.0)
 
     def test_always_active_neuron_row_equality(self):
         net = single_relu_net([1.0], 2.0)
@@ -294,33 +302,106 @@ class TestLpSweep:
         assert cold.status == LpStatus.OPTIMAL
         assert warm_val == pytest.approx(cold.objective_value, abs=1e-7)
 
-    def test_each_bound_solves_one_tableau(self, monkeypatch):
-        # the cut loop's re-solves border the first solve's tableau in place:
-        # one tableau per bound, handed back as every solution's basis
+    def test_each_reach_solves_one_tableau(self, monkeypatch):
+        # every bound of one reach re-solves that reach's one tableau; a cut
+        # loop borders one copy of it, which all its re-solves share
         import relucert.relaxation as relaxation
         import relucert.simplex as simplex
-        net = generate_random_network([4, 8, 8, 3], seed=5, weight_scale=0.7)
-        box = BoxDomain(np.full(4, 0.3), np.full(4, 0.7))
-        built, sols, per_call = [], [], []
-        real_init, real_solve, real_bound = (simplex._Tableau.__init__, relaxation.solve_lp,
-                                             relaxation.optc2v_bound)
+        built, forks, sols, per_call = [], [], [], []
+        real_init, real_fork = simplex._Tableau.__init__, simplex._Tableau.fork
+        real_solve, real_bound = relaxation.solve_lp, relaxation.optc2v_bound
 
         def init(self, model):
             built.append(self)
             real_init(self, model)
 
-        def bound(*args, **kwargs):
-            built.clear()
+        def fork(self, model):
+            forks.append(real_fork(self, model))
+            return forks[-1]
+
+        def bound(bounds, objective, rounds):
             sols.clear()
-            value = real_bound(*args, **kwargs)
-            per_call.append((len(built), [sol.basis is sols[0].basis for sol in sols]))
+            value = real_bound(bounds, objective, rounds)
+            per_call.append((bounds.lps[objective.reach].basis, [s.basis for s in sols]))
             return value
 
         monkeypatch.setattr(simplex._Tableau, "__init__", init)
+        monkeypatch.setattr(simplex._Tableau, "fork", fork)
         monkeypatch.setattr(relaxation, "solve_lp",
                             lambda *a, **k: sols.append(real_solve(*a, **k)) or sols[-1])
         monkeypatch.setattr(relaxation, "optc2v_bound", bound)
-        compute_all_bounds(net, box, "optc2v")
-        assert per_call
-        assert any(len(same) > 1 for _, same in per_call)  # warm re-solves ran
-        assert all(n == 1 and all(same) for n, same in per_call)
+        st = sweep_with_margins("optc2v")
+        bases = [dl.basis for dl in st.lps.values()]
+        assert len(built) == len(bases) and all(t in bases for t in built)
+        assert len(per_call) > len(bases)  # reused across bounds
+        copies = []
+        for base, solved in per_call:
+            assert solved[0] is base
+            if len(solved) > 1:
+                copies.append(solved[1])
+                assert all(t is solved[1] for t in solved[1:])
+        assert copies  # cut loops ran
+        assert len(forks) == len(copies) and all(a is b for a, b in zip(forks, copies))
+
+    @pytest.mark.parametrize("method", ["lp", "optc2v"])
+    def test_one_model_per_reach(self, method, monkeypatch):
+        # a sweep and its margins build one relaxation per distinct reach,
+        # and every LP solved stops at its objective's reach
+        import relucert.relaxation as relaxation
+        builds, reaches, widths = [], [], []
+        real_build, real_bound, real_solve = (relaxation.build_delta_lp, relaxation.optc2v_bound,
+                                              relaxation.solve_lp)
+
+        def build(bounds, objective):
+            builds.append(objective.reach)
+            return real_build(bounds, objective)
+
+        def bound(bounds, objective, rounds):
+            reaches.append(objective.reach)
+            return real_bound(bounds, objective, rounds)
+
+        def solve(model, **kwargs):
+            widths.append((reaches[-1], model.n_vars))
+            return real_solve(model, **kwargs)
+
+        monkeypatch.setattr(relaxation, "build_delta_lp", build)
+        monkeypatch.setattr(relaxation, "optc2v_bound", bound)
+        monkeypatch.setattr(relaxation, "solve_lp", solve)
+        sweep_with_margins(method)
+        assert sorted(builds) == sorted(set(reaches))
+        assert len(reaches) > len(builds)
+        assert widths and all(n == reach for reach, n in widths)
+
+    def test_cuts_do_not_leak(self, monkeypatch):
+        # cuts go into a copy of the reach's solved relaxation: the shared
+        # model and its tableau keep exactly the rows build_delta_lp gave them
+        added = record_cuts(monkeypatch)
+        st = sweep_with_margins("optc2v")
+        assert added
+        assert st.lps
+        for reach, dl in st.lps.items():
+            fresh = build_delta_lp(st, LinearExpr(np.eye(reach)[reach - 1]))
+            assert dl.basis.n_rows == dl.model.n_rows == fresh.model.n_rows
+            for (i1, c1, s1, r1), (i2, c2, s2, r2) in zip(dl.model.rows, fresh.model.rows):
+                assert np.array_equal(i1, i2) and np.array_equal(c1, c2) and (s1, r1) == (s2, r2)
+
+    # solver pivots of lp on instance 0 of the acceptance corpus, sweep and
+    # margins, when every row and margin was one cold solve of its own model
+    COLD_PIVOTS = 1222
+
+    def test_warm_rows_keep_pivots_down(self, monkeypatch):
+        import relucert.relaxation as relaxation
+        net = generate_random_network([6, 20, 20, 3], seed=1, weight_scale=0.7)
+        inst = generate_instances(net, 1, epsilon=0.16, seed=1001)[0]
+        pivots = []
+        real_solve = relaxation.solve_lp
+
+        def solve(*args, **kwargs):
+            sol = real_solve(*args, **kwargs)
+            pivots.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(relaxation, "solve_lp", solve)
+        verify(net, inst, method="lp", attack=False)
+        assert len(pivots) == 42  # 20 level-2 rows from both sides, 2 margins
+        assert sum(pivots) <= 0.6 * self.COLD_PIVOTS

@@ -235,6 +235,40 @@ class TestWarmStart:
         assert warm.objective_value == cold.objective_value
         assert warm.iterations == cold.iterations
 
+    def test_objective_swap_resolves_from_the_last_optimum(self, monkeypatch):
+        # a new objective leaves the last optimum primal feasible: the warm
+        # solve keeps that basis, encodes no rows again and matches a cold
+        # solve of the same model
+        rng = np.random.default_rng(14)
+        slack_starts = []
+        real_slack = simplex_module._Tableau._slack_basis
+        monkeypatch.setattr(simplex_module._Tableau, "_slack_basis",
+                            lambda self: slack_starts.append(self) or real_slack(self))
+        for trial in range(40):
+            n = int(rng.integers(2, 9))
+            lb = rng.uniform(-2, 0, n)
+            ub = lb + rng.uniform(0.05, 3, n)
+            x0 = rng.uniform(lb, ub)  # a feasible point of every row below
+            m = LpModel()
+            for j in range(n):
+                m.add_variable(lb[j], ub[j], obj=float(rng.uniform(-1, 1)))
+            for _ in range(int(rng.integers(1, 9))):
+                row = rng.uniform(-1, 1, n)
+                sense = (LE, GE, EQ)[int(rng.integers(3))]
+                shift = {LE: 1.0, GE: -1.0, EQ: 0.0}[sense] * float(rng.uniform(0, 0.5))
+                m.add_constraint(np.arange(n), row, sense, float(row @ x0) + shift)
+            sol = solve_lp(m)
+            assert sol.status == LpStatus.OPTIMAL
+            for _ in range(3):
+                m.obj = rng.uniform(-2, 2, n).tolist()
+                m.obj_constant = float(rng.uniform(-1, 1))
+                A, starts = sol.basis.A, len(slack_starts)
+                sol = solve_lp(m, warm_basis=sol.basis)
+                assert len(slack_starts) == starts and sol.basis.A is A
+                cold = solve_lp(m)
+                assert sol.status == cold.status == LpStatus.OPTIMAL
+                assert sol.objective_value == pytest.approx(cold.objective_value, abs=1e-7)
+
     def test_feasibility_residuals_checked(self):
         # optimal status implies rows hold within tolerance (verified inside
         # solve_lp; this asserts externally as well)

@@ -296,6 +296,33 @@ class TestVerify:
             got = [rep.margin_bounds[k] for k in sorted(rep.margin_bounds)]
             assert np.allclose(got, [float.fromhex(v) for v in want], rtol=0.0, atol=1e-9)
 
+    # lp margins, by class, of the first instances of the benchmark's two LP
+    # corpora (no jitter), as cold solves per row and per margin computed
+    # them; a warm re-solve may end in another optimal basis, whose dual
+    # bound differs in the last bits
+    PINNED_LP_MARGINS = {
+        "acceptance": (((6, 20, 20, 3), 0.7, 0.16), [
+            ["0x1.a5d3e49a13768p-3", "-0x1.4a7433022f05bp-1"],
+            ["0x1.71c3a207a6961p-1", "-0x1.9a8268ca6c2bep-2"],
+            ["0x1.a7065c2783990p-4", "-0x1.9713d39c50a3fp-1"],
+        ]),
+        "wide": (((20, 100, 10), 0.5, 0.07), [
+            ["-0x1.03ad4176810e5p+0", "-0x1.3bd7aeccfcaadp-1", "-0x1.ca2bbb45a7448p+0",
+             "0x1.4826e048936cep-2", "0x1.42a0fbdd04083p+0", "0x1.774f15cae4e30p-2",
+             "-0x1.a04a5f09804ccp+0", "-0x1.d9bf17454392dp-1", "0x1.8daadd9d94f70p-2"],
+        ]),
+    }
+
+    @pytest.mark.parametrize("corpus", sorted(PINNED_LP_MARGINS))
+    def test_lp_margins_stay_pinned(self, corpus):
+        (layers, scale, epsilon), pinned = self.PINNED_LP_MARGINS[corpus]
+        net = generate_random_network(list(layers), seed=1, weight_scale=scale)
+        insts = generate_instances(net, len(pinned), epsilon=epsilon, seed=1001)
+        for inst, want in zip(insts, pinned):
+            rep = verify(net, inst, method="lp", attack=False)
+            got = [rep.margin_bounds[k] for k in sorted(rep.margin_bounds)]
+            assert np.allclose(got, [float.fromhex(v) for v in want], rtol=0.0, atol=1e-9)
+
 
 class TestBatch:
     def test_counts_and_determinism(self):
