@@ -18,11 +18,12 @@ names the state positions it reads and nothing else.
 
 Separation runs on a :class:`HullTable`: the sweep appends each mixed
 neuron's instance as one zero-padded row, in position order, and one call
-computes the envelope values of a prefix of rows at a point with one
-row-wise ``argsort``, building cuts only for the rows whose point violates
-the envelope.  :func:`separate_sort` and
-:func:`minimize_upper_envelope_sort` are one-row calls into it, so there is
-one envelope implementation.
+computes, for a stack of points (one per objective), the envelope values of
+a prefix of rows with one ``argsort`` along the rows, then builds in one
+vectorised step (:meth:`HullTable.cuts`) the cuts of just the violated
+(point, row) pairs, the same floats :func:`cut_from_pair` gives.
+:func:`separate_sort` and :func:`minimize_upper_envelope_sort` are one-row
+calls into it, so there is one envelope implementation.
 """
 
 from __future__ import annotations
@@ -208,6 +209,34 @@ def cut_from_pair(inst: HullInstance, low_set, anchor: int) -> HullCut:
                    coeffs=coeffs, constant=const)
 
 
+def _pairwise_sums(g, n) -> np.ndarray:
+    """``ndarray.sum`` of each row's first ``n[i]`` entries, bit for bit.
+
+    ``g`` holds nonnegative entries, zero after each row's first ``n[i]``.
+    numpy sums a run of fewer than 8 values left to right from 0, a run of
+    up to 128 in eight interleaved partial sums combined pairwise and then
+    its leftover tail, and a longer one as the sum of its two halves (the
+    first a multiple of 8 long).  This replays that order on every row at
+    once; the exact zeros after ``n[i]`` change no partial sum.
+    """
+    rows, width = g.shape
+    if width % 8:
+        g = np.concatenate([g, np.zeros((rows, -width % 8))], axis=1)
+    cols = np.arange(g.shape[1])
+    full = np.where(n >= 8, n - n % 8, 0)[:, None]
+    r = np.where(cols < full, g, 0.0).reshape(rows, g.shape[1] // 8, 8).cumsum(axis=1)[:, -1]
+    head = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
+    out = np.cumsum(np.column_stack([head, np.where(cols >= full, g, 0.0)]), axis=1)[:, -1]
+    big = n > 128
+    if big.any():
+        nb, gb = n[big], g[big]
+        half = nb // 2 - (nb // 2) % 8
+        right = np.take_along_axis(gb, np.minimum(cols + half[:, None], cols[-1]), axis=1)
+        out[big] = (_pairwise_sums(np.where(cols < half[:, None], gb, 0.0), half)
+                    + _pairwise_sums(np.where(cols < (nb - half)[:, None], right, 0.0), nb - half))
+    return out
+
+
 class HullTable:
     """Hull instances of mixed neurons, padded into the rows of one table.
 
@@ -252,62 +281,154 @@ class HullTable:
         self.w[i, :k], self.cap[i, :k], self.valid[i, :k] = inst.w, inst.cap, True
         self.n += 1
 
-    def rows_below(self, limit: int) -> int:
-        """Number of rows whose neuron position is below ``limit``."""
-        return int(np.searchsorted(self.pos[:self.n], limit))
+    def rows_below(self, limit):
+        """Number of rows whose neuron position is below ``limit`` (an
+        array of limits gives an array of counts)."""
+        return np.searchsorted(self.pos[:self.n], limit)
 
     def envelopes(self, z, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Least upper hull inequality at ``z`` of the first ``k`` rows.
+        """Least upper hull inequality of the first ``k`` rows at ``z``.
 
-        The sorting greedy, row by row in one step: sort each row's
-        coordinates by ``ratios`` rounded to ``RATIO_GRID``, nondecreasing,
-        ties by position; grow the index set while the corner value stays
-        nonnegative, and anchor at the coordinate that first drives it
-        negative.  Returns the envelope values, a mask of each row's index
-        set and the anchors, without building cuts.  O(n log n) per row.
+        ``z`` is one point, or a stack of points along its leading axes;
+        the results carry the same leading axes.  The sorting greedy, row by
+        row in one step: sort each row's coordinates by ``ratios`` rounded
+        to ``RATIO_GRID``, nondecreasing, ties by position; grow the index
+        set while the corner value stays nonnegative, and anchor at the
+        coordinate that first drives it negative.  Returns the envelope
+        values, a mask of each row's index set and the anchors, without
+        building cuts.  O(n log n) per row.
 
         Relaxation optima sit at box corners, so many ratios tie at 0 or 1;
         unrounded, the last bit of a box bound would pick the order among
         them and so the facet.  Rounding makes that choice stable, at a cost
         of at most ``RATIO_GRID`` times the capacity in the value.  Every
-        order gives a valid facet, which :func:`cut_from_pair` checks.  Sums
-        run left to right over a whole row, so padding adds exact zeros and
-        a row's value does not depend on the table it sits in.
+        order gives a valid facet, which :meth:`cuts` checks.  Sums run left
+        to right over a whole row, so padding adds exact zeros and a row's
+        value depends neither on the table it sits in nor on the other
+        points.
         """
+        z = np.asarray(z, dtype=float)
+        lead, width = z.shape[:-1], self.w.shape[1]
+        z = z.reshape(-1, z.shape[-1])
+        q = z.shape[0]
         valid, cap, span = self.valid[:k], self.cap[:k], self.span[:k]
-        dx = np.asarray(z, dtype=float)[self.support[:k]] - self.min_corner[:k]
+        dx = z[:, self.support[:k]] - self.min_corner[:k]
         key = np.where(valid, np.round(dx / span / RATIO_GRID), np.inf)
-        order = np.argsort(key, axis=1, kind="stable")
-        rows = np.arange(k)
-        running = np.cumsum(cap[rows[:, None], order], axis=1)
+        # one flat row per (point, table row); tab is the table row
+        order = np.argsort(key, axis=-1, kind="stable").reshape(q * k, width)
+        flat, tab = np.arange(q * k), np.tile(np.arange(k), q)
+        running = np.cumsum(self.cap[tab[:, None], order], axis=1)
         # first position whose cumulative capacity overshoots the slack at
         # the all-max corner; it exists, inside the row, for a mixed instance
-        stop = np.argmax(running > self.val_max[:k, None], axis=1)
-        low = np.empty_like(valid)
-        low[rows[:, None], order] = np.arange(valid.shape[1]) < stop[:, None]
-        h = order[rows, stop]
-        ell = self.val_max[:k] - np.cumsum(np.where(low, cap, 0.0), axis=1)[:, -1]
-        value = np.cumsum(np.where(low, self.w[:k] * dx, 0.0), axis=1)[:, -1]
-        value += ell / span[rows, h] * dx[rows, h]
-        return value, low, h
+        stop = np.argmax(running > self.val_max[tab, None], axis=1)
+        low = np.empty((q * k, width), dtype=bool)
+        low[flat[:, None], order] = np.arange(width) < stop[:, None]
+        h = order[flat, stop]
+        low = low.reshape(q, k, width)
+        ell = self.val_max[:k] - np.cumsum(np.where(low, cap, 0.0), axis=-1)[..., -1]
+        value = np.cumsum(np.where(low, self.w[:k] * dx, 0.0), axis=-1)[..., -1]
+        value += (ell.reshape(-1) / span[tab, h] * dx.reshape(q * k, width)[flat, h]).reshape(q, k)
+        return value.reshape(lead + (k,)), low.reshape(lead + (k, width)), h.reshape(lead + (k,))
 
-    def separate(self, z, y, tol: float = 0.0) -> list[tuple[int, "Separation"]]:
-        """Rows ``i < len(y)`` whose ``y[i]`` exceeds the envelope at ``z`` by
-        more than ``tol``, each with its most violated upper inequality.
+    def cuts(self, rows, low, h) -> tuple[np.ndarray, np.ndarray]:
+        """Expand the pairs ``(low[e], h[e])`` of rows ``rows[e]`` into
+        explicit upper inequalities, all in one step.
 
-        Cuts are built, by the validated :func:`cut_from_pair`, only for
-        those rows.
+        Pair ``e`` gives ``y <= coeffs[e] . z[support[rows[e]]] + constant[e]``
+        over the row's columns: the floats :func:`cut_from_pair` computes
+        for the same pair, its index set summed as ``np.sum`` sums it and its
+        constant left to right.  Raises, as it does, unless every anchor is
+        a retained coordinate outside its index set and every pair defines a
+        facet, i.e. ``corner_value(I) >= 0 > corner_value(I + anchor)``.
         """
-        y = np.asarray(y, dtype=float)
-        if not y.size:
-            return []
-        envelope, low, h = self.envelopes(z, y.shape[0])
+        rows, low, h = np.asarray(rows, dtype=np.intp), np.asarray(low, dtype=bool), np.asarray(h)
+        if not rows.size:
+            return np.zeros(low.shape), np.zeros(0)
+        e = np.arange(rows.size)
+        valid = self.valid[rows]
+        bad = ~valid[e, h] | low[e, h] | (low & ~valid).any(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"anchor {h[i]} invalid for index set "
+                             f"{tuple(np.flatnonzero(low[i]).tolist())}")
+        cap = np.where(low, self.cap[rows], 0.0)
+        # np.sum of fewer than 8 values adds them left to right, as cumsum
+        # does; a larger index set goes through the pairwise replay, its
+        # capacities ascending by column and left-aligned
+        total = np.cumsum(cap, axis=1)[:, -1]
+        n = low.sum(axis=1)
+        big = np.flatnonzero(n >= 8)
+        if big.size:
+            packed = np.take_along_axis(cap[big], np.argsort(~low[big], axis=1, kind="stable"),
+                                        axis=1)
+            total[big] = _pairwise_sums(packed, n[big])
+        ell = self.val_max[rows] - total
+        ell_h = ell - self.cap[rows, h]
+        bad = ~((ell >= 0.0) & (ell_h < 0.0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"pair ({tuple(np.flatnonzero(low[i]).tolist())}, {h[i]}) is not "
+                             f"in the cut family: values {ell[i]}, {ell_h[i]}")
+        w, min_corner = np.where(low, self.w[rows], 0.0), self.min_corner[rows]
+        constant = 0.0 - np.cumsum(w * min_corner, axis=1)[:, -1]
+        slope = ell / self.span[rows, h]
+        constant -= slope * min_corner[e, h]
+        w[e, h] = slope
+        return w, constant
+
+    def separate(self, z, y, tol: float = 0.0) -> "Separations":
+        """Pairs of a point ``z[p]`` and a row ``i < y.shape[-1]`` whose
+        ``y[p, i]`` exceeds the row's envelope at ``z[p]`` by more than
+        ``tol``, each with its most violated upper inequality.
+
+        ``z`` is a ``(q, n)`` stack of points and ``y`` a ``(q, k)`` array,
+        or one point and its ``k`` values.  One :meth:`envelopes` step sorts
+        the whole block; one :meth:`cuts` step builds the cuts of all the
+        violated pairs, and only theirs.  Pairs come point by point, rows
+        ascending.
+        """
+        z, y = np.atleast_2d(z), np.atleast_2d(np.asarray(y, dtype=float))
+        envelope, low, h = self.envelopes(z, y.shape[1])
         violation = y - envelope
-        return [(int(i), Separation(cut=cut_from_pair(self.insts[i], np.flatnonzero(low[i]),
-                                                      int(h[i])),
-                                    envelope=float(envelope[i]),
-                                    violation=float(violation[i])))
-                for i in np.flatnonzero(violation > tol)]
+        point, row = np.nonzero(violation > tol)
+        low, h, envelope, violation = low[point, row], h[point, row], envelope[point, row], \
+            violation[point, row]
+        coeffs, constant = self.cuts(row, low, h)
+        return Separations(self, point, row, low, h, coeffs, constant, envelope, violation)
+
+
+@dataclass(eq=False)
+class Separations:
+    """The violated (point, row) pairs of one :meth:`HullTable.separate`.
+
+    Pair ``e`` is row ``row[e]`` of ``table`` at point ``point[e]``; its
+    index set is the mask ``low[e]`` over the row's columns and ``anchor[e]``
+    its anchor.  Its cut is ``coeffs[e] . z[table.support[row[e]]] +
+    constant[e]`` over the row's columns, zero outside the pair.
+    """
+
+    table: HullTable
+    point: np.ndarray
+    row: np.ndarray
+    low: np.ndarray
+    anchor: np.ndarray
+    coeffs: np.ndarray
+    constant: np.ndarray
+    envelope: np.ndarray
+    violation: np.ndarray
+
+    def __len__(self) -> int:
+        return self.row.size
+
+    def cut(self, e: int) -> HullCut:
+        """Pair ``e``'s cut over the positions it names, as
+        :func:`cut_from_pair` gives it."""
+        low, anchor = self.low[e], int(self.anchor[e])
+        keep = low.copy()
+        keep[anchor] = True
+        return HullCut(index_set=tuple(np.flatnonzero(low).tolist()), anchor=anchor,
+                       idx=self.table.support[self.row[e], keep], coeffs=self.coeffs[e, keep],
+                       constant=float(self.constant[e]))
 
 
 def minimize_upper_envelope_sort(inst: HullInstance, x) -> tuple[float, np.ndarray, int]:
@@ -329,4 +450,7 @@ def separate_sort(inst: HullInstance, x, y) -> Separation | None:
     tolerance filter on it compare ``Separation.violation`` themselves.
     """
     found = HullTable.single(inst).separate(x, [y])
-    return found[0][1] if found else None
+    if not len(found):
+        return None
+    return Separation(cut=found.cut(0), envelope=float(found.envelope[0]),
+                      violation=float(found.violation[0]))

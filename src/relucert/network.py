@@ -130,6 +130,10 @@ class Network:
             sources (inputs are level 0), so a level reads only earlier ones.
         level_of (int array): per state position, its level (0 for inputs);
             neuron ``p`` is row ``level_row[p]`` of ``levels[level_of[p] - 1]``.
+        runs (tuple of (int, int)): the ReLU positions as maximal blocks
+            ``start .. stop-1`` of consecutive positions in one level, in
+            order; no row of a run reads a position from ``start`` on.  In a
+            layered network each level is one run.
     """
 
     def __init__(self, input_dim, neurons, output_indices):
@@ -174,6 +178,8 @@ class Network:
         self.levels = tuple(levels)
         self.level_of = level_of
         self.level_row = level_row
+        starts = (m + np.flatnonzero(np.diff(level_of[m:], prepend=0))).tolist()
+        self.runs = tuple(zip(starts, starts[1:] + [self.n_state]))
 
     def _validate(self):
         m = self.input_dim

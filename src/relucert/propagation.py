@@ -1,26 +1,28 @@
 """Bound propagation for ReLU networks, with dynamic hull-cut tightening.
 
-The generic engine bounds an affine objective over the relaxation in which
-every ReLU neuron is sandwiched between one affine lower and one affine
-upper function of its predecessors.  The functions are kept in the level
-form of CROWN (Zhang et al. 2018) and auto_LiRPA (Xu et al. 2020): per
-level of :attr:`relucert.network.Network.levels`, one dense lower and one
-dense upper coefficient matrix over the level's source columns, with their
-bias vectors (:class:`BoundingFunctions`).  A backward pass substitutes one
-whole level per numpy step, highest first (upper function where the running
-coefficient is positive, lower where negative) until only inputs remain,
-then maximizes the final affine expression over the input box in closed
-form.  A forward pass replays the recorded choices level by level to recover
-a full optimal point of the relaxation.  The iterative scheme computes, at
-that point, the hull envelopes of all reachable mixed neurons in one step of
-the hull table (:class:`relucert.hull.HullTable`) and swaps the violated
-upper inequalities into a copy of the upper matrices.
+The generic engine bounds a batch of affine objectives (:class:`Objectives`)
+over the relaxation in which every ReLU neuron is sandwiched between one
+affine lower and one affine upper function of its predecessors.  The
+functions are kept in the level form of CROWN (Zhang et al. 2018) and
+auto_LiRPA (Xu et al. 2020): per level of
+:attr:`relucert.network.Network.levels`, one dense lower and one dense upper
+coefficient matrix over the level's source columns, with their bias vectors
+(:class:`BoundingFunctions`).  A backward pass substitutes one whole level
+for the whole batch per numpy step, highest first (upper function where an
+objective's running coefficient is positive, lower where negative) until
+only inputs remain, then maximizes each final affine expression over the
+input box in closed form.  A forward pass replays the recorded choices
+level by level to recover each objective's optimal point of the relaxation.
+The iterative scheme computes, at those points, the hull envelopes of every
+objective's reachable mixed neurons in one step of the hull table
+(:class:`relucert.hull.HullTable`) and swaps the violated upper inequalities
+in for that objective alone (:class:`Swaps`).
 
 The forward sweep of every method lives here too: :func:`compute_all_bounds`
-fixes each ReLU neuron's bounds in topological order, asking either this
-module's tightened backward pass or the LP cut loop of
-:mod:`relucert.relaxation` to bound each row, and returns one
-:class:`Bounds`, which bounds the output rows only when asked.
+fixes the ReLU neurons' bounds run by run in topological order, asking
+either this module's tightened backward pass (one batch per run) or the LP
+cut loop of :mod:`relucert.relaxation` (row by row) to bound the rows, and
+returns one :class:`Bounds`, which bounds the output rows only when asked.
 
 Everything here indexes neurons by 0-based position; objectives live over
 the state space (inputs + ReLU neurons, outputs elided into coefficients).
@@ -48,6 +50,11 @@ DEFAULT_CUT_ROUNDS = 3
 
 # A hull inequality replaces an upper function only when violated by more.
 SWAP_VIOLATION_TOL = 1e-9
+
+# Hull swapping runs over groups of objectives whose separation block
+# (objectives x reachable table rows x table width) has at most this many
+# entries; it bounds the temporaries and the stored swaps of a group.
+TIGHTEN_BLOCK = 1 << 12
 
 # the bounding-function menu each propagation method draws its functions from
 _MENUS = {FASTLIN: FASTLIN, DEEPPOLY: DEEPPOLY, FASTC2V: DEEPPOLY}
@@ -99,52 +106,108 @@ def expr_from_row(idx, w, b, eta) -> LinearExpr:
 
 
 @dataclass(eq=False)
+class Objectives:
+    """A batch of dense affine objectives over neuron positions ``0 .. eta-1``.
+
+    Objective ``j`` is ``coeffs[j] . z[:eta] + constant[j]``; a single
+    objective is a batch of one.
+    """
+
+    coeffs: np.ndarray
+    constant: np.ndarray
+
+    def __post_init__(self):
+        self.coeffs = np.asarray(self.coeffs, dtype=float)
+        self.constant = np.asarray(self.constant, dtype=float)
+
+    @classmethod
+    def of(cls, *exprs: LinearExpr) -> "Objectives":
+        """The batch of ``exprs``, which share one ``eta``."""
+        return cls(np.stack([e.coeffs for e in exprs]), [e.constant for e in exprs])
+
+    @classmethod
+    def rows(cls, net: Network, start: int, stop: int) -> "Objectives":
+        """The rows of the neurons at positions ``start .. stop-1``, then
+        their negations, over the positions before ``min(start, n_state)``.
+
+        The rows may read no position from ``start`` on: they are one run of
+        a level, or output rows.
+        """
+        r = stop - start
+        c, b = np.zeros((2 * r, min(start, net.n_state))), np.empty(2 * r)
+        for j, pos in enumerate(range(start, stop)):
+            idx, w, b[j] = net.row(pos)
+            c[j, idx] = w
+        np.negative(c[:r], out=c[r:])
+        np.negative(b[:r], out=b[r:])
+        return cls(c, b)
+
+    def __len__(self) -> int:
+        return self.coeffs.shape[0]
+
+    @property
+    def eta(self) -> int:
+        return self.coeffs.shape[1]
+
+    @property
+    def reach(self) -> np.ndarray:
+        """Per objective, :attr:`LinearExpr.reach`."""
+        nz = self.coeffs != 0.0
+        return np.where(nz.any(axis=1), self.eta - np.argmax(nz[:, ::-1], axis=1), 0)
+
+    def select(self, which) -> "Objectives":
+        return Objectives(self.coeffs[which], self.constant[which])
+
+
+@dataclass(eq=False)
 class BackwardResult:
-    bound: float
+    """One backward pass over a batch, objective by objective along axis 0."""
+
+    bound: np.ndarray
     x_star: np.ndarray
-    ub_used: np.ndarray  # bool per position < eta; False where never substituted
-    input_expr: LinearExpr  # residual expression over inputs only
+    ub_used: np.ndarray  # bool per position; False where never substituted
+    input_expr: Objectives  # residual expressions over inputs only
 
 
-def box_maximize(expr: LinearExpr, box: BoxDomain) -> tuple[float, np.ndarray]:
-    """Maximize an input-space affine expression over the box.
+def box_maximize(expr: Objectives, box: BoxDomain) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize each input-space affine expression of a batch over the box.
 
     Per coordinate: upper bound when the coefficient is positive, lower when
     negative, midpoint when exactly zero (keeps the returned point centered
     and deterministic).
     """
     m = len(box)
-    if expr.eta > m and np.any(expr.coeffs[m:] != 0.0):
+    if expr.eta > m and np.any(expr.coeffs[:, m:] != 0.0):
         raise ValueError("expression references non-input neurons")
-    c = expr.coeffs[:m]
+    c = expr.coeffs[:, :m]
     x = np.where(c > 0.0, box.upper, np.where(c < 0.0, box.lower, box.midpoint()))
-    return float(c @ x) + expr.constant, x
+    return np.einsum("ij,ij->i", c, x) + expr.constant, x
 
 
-def initial_scales(method, sb: ScalarBounds) -> tuple[float, float, float]:
-    """Menu of initial bounding functions for one ReLU neuron, as
+def initial_scales(method, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Menu of initial bounding functions for ReLU neurons with
+    pre-activation bounds ``[lo, hi]`` (arrays, or scalars), as
     ``(lower_scale, upper_scale, upper_shift)``: the lower function is
     ``lower_scale * row`` and the upper ``upper_scale * row + upper_shift``.
 
     Fixed-sign neurons are linearized exactly (the row itself, or zero).  A
-    mixed neuron gets the chord of the ReLU over ``[pre_lower, pre_upper]``
-    as its upper function; the lower function is the scaled row for
-    ``fastlin``, and for ``deeppoly`` whichever of 0 and the row gives the
-    smaller relaxation area.
+    mixed neuron gets the chord of the ReLU over ``[lo, hi]`` as its upper
+    function; the lower function is the scaled row for ``fastlin``, and for
+    ``deeppoly`` whichever of 0 and the row gives the smaller relaxation
+    area.
     """
     if method not in (FASTLIN, DEEPPOLY):
         raise ValueError(f"no bounding-function menu for method {method!r}")
-    lo, hi = sb.pre_lower, sb.pre_upper
-    if lo >= 0.0:
-        return 1.0, 1.0, 0.0
-    if hi <= 0.0:
-        return 0.0, 0.0, 0.0
-    slope = hi / (hi - lo)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    mixed = (lo < 0.0) & (hi > 0.0)
+    exact = np.where(lo >= 0.0, 1.0, 0.0)
+    slope = hi / np.where(mixed, hi - lo, 1.0)
     if method == FASTLIN:
         lower = slope
     else:  # deeppoly: zero when the negative side dominates, else the row
-        lower = 0.0 if abs(lo) >= abs(hi) else 1.0
-    return lower, slope, -slope * lo
+        lower = np.where(np.abs(lo) >= np.abs(hi), 0.0, 1.0)
+    return (np.where(mixed, lower, exact), np.where(mixed, slope, exact),
+            np.where(mixed, -slope * lo, 0.0))
 
 
 @dataclass(eq=False)
@@ -155,7 +218,8 @@ class BoundingFunctions:
     ``lower_b[l][i]`` give neuron ``levels[l].pos[i]``'s lower function
     over the level's source columns ``levels[l].src``, and ``upper[l]``,
     ``upper_b[l]`` its upper function.  ``fixed`` marks the state positions
-    whose functions are set; the rest stay zero.
+    whose functions are set; the rest stay zero.  Every objective shares
+    them; hull swaps live apart, in :class:`Swaps`.
     """
 
     net: Network
@@ -175,82 +239,154 @@ class BoundingFunctions:
                    upper=[np.zeros(s) for s in shapes], upper_b=[np.zeros(s[0]) for s in shapes],
                    fixed=np.zeros(net.n_state, dtype=bool))
 
-    def set_initial(self, pos: int, method: str, sb: ScalarBounds):
-        """Set neuron ``pos``'s functions from the method's menu for ``sb``."""
-        lo_scale, up_scale, up_shift = initial_scales(method, sb)
-        lv, i = self.net.level_of[pos] - 1, self.net.level_row[pos]
-        level = self.net.levels[lv]
-        w, b = level.weights[i], level.bias[i]
-        self.lower[lv][i], self.lower_b[lv][i] = lo_scale * w, lo_scale * b
-        self.upper[lv][i], self.upper_b[lv][i] = up_scale * w, up_scale * b + up_shift
-        self.fixed[pos] = True
-
-    def with_own_upper(self) -> "BoundingFunctions":
-        """A copy whose upper functions can be overwritten; shares the rest."""
-        return replace(self, upper=[u.copy() for u in self.upper],
-                       upper_b=[u.copy() for u in self.upper_b])
-
-    def set_upper(self, pos: int, idx, w, b: float):
-        """Replace neuron ``pos``'s upper function by ``w . z[idx] + b``;
-        ``idx`` must be among the sources of its level."""
-        lv, i = self.net.level_of[pos] - 1, self.net.level_row[pos]
-        row = self.upper[lv][i]
-        row[:] = 0.0
-        row[np.searchsorted(self.net.levels[lv].src, idx)] = w
-        self.upper_b[lv][i] = b
+    def set_initial(self, start: int, method: str, lo, hi):
+        """Set the functions of the neurons at positions ``start,
+        start+1, ...``, one per entry of ``lo``, from the method's menu for
+        their bounds ``[lo, hi]``; the positions must lie in one level."""
+        lo, hi = np.atleast_1d(lo), np.atleast_1d(hi)
+        net = self.net
+        lv, i = net.level_of[start] - 1, net.level_row[start]
+        level, rows = net.levels[lv], slice(i, i + lo.size)
+        if lv < 0 or not np.array_equal(level.pos[rows], np.arange(start, start + lo.size)):
+            raise ValueError(f"positions {start}..{start + lo.size - 1} are not one level's")
+        lo_scale, up_scale, up_shift = initial_scales(method, lo, hi)
+        w, b = level.weights[rows], level.bias[rows]
+        self.lower[lv][rows], self.lower_b[lv][rows] = lo_scale[:, None] * w, lo_scale * b
+        self.upper[lv][rows], self.upper_b[lv][rows] = up_scale[:, None] * w, up_scale * b + up_shift
+        self.fixed[start:start + lo.size] = True
 
 
-def backward_pass(funcs: BoundingFunctions, objective: LinearExpr) -> BackwardResult:
-    """Eliminate the ReLU neurons from the objective, highest level first.
+@dataclass(eq=False)
+class Swaps:
+    """Hull inequalities swapped in as upper functions, each for one
+    objective of a batch only.
 
-    A whole level is substituted in one step: its neurons' upper functions
-    where their running coefficient is positive, lower where negative.
-    Raises ``ValueError`` naming the position of a neuron that receives a
-    coefficient but has no functions.
+    Entry ``e`` gives objective ``obj[e]`` the neuron of row ``row[e]`` of
+    ``table`` the upper function ``coeffs[e] . z[table.support[row[e]]] +
+    constant[e]`` instead of its shared one.  Kept apart from the shared
+    functions, they take memory per swap, not per objective.
+    """
+
+    table: hull.HullTable
+    obj: np.ndarray
+    row: np.ndarray
+    coeffs: np.ndarray
+    constant: np.ndarray
+
+    @classmethod
+    def none(cls, table: hull.HullTable) -> "Swaps":
+        return cls(table, np.empty(0, np.intp), np.empty(0, np.intp),
+                   np.empty((0, table.w.shape[1])), np.empty(0))
+
+    def updated(self, found: hull.Separations) -> "Swaps":
+        """These swaps with ``found``'s cuts swapped in, each for the
+        objective of its point; a new cut replaces the neuron's last one."""
+        stale = np.zeros((max(self.obj.max(initial=-1), found.point.max(initial=-1)) + 1,
+                          self.table.n), dtype=bool)
+        stale[found.point, found.row] = True
+        keep = ~stale[self.obj, self.row]
+        return Swaps(self.table, np.concatenate([self.obj[keep], found.point]),
+                     np.concatenate([self.row[keep], found.row]),
+                     np.concatenate([self.coeffs[keep], found.coeffs]),
+                     np.concatenate([self.constant[keep], found.constant]))
+
+    def select(self, which: np.ndarray) -> "Swaps":
+        """The swaps of objectives ``which`` (ascending), renumbered as
+        ``Objectives.select(which)`` renumbers them."""
+        renumber = np.full(max(self.obj.max(initial=-1), which.max(initial=-1)) + 1, -1)
+        renumber[which] = np.arange(which.size)
+        new = renumber[self.obj]
+        keep = new >= 0
+        return Swaps(self.table, new[keep], self.row[keep], self.coeffs[keep],
+                     self.constant[keep])
+
+    def in_level(self, net: Network, lv: int):
+        """``(obj, level row, coeffs, constant, support)`` of the swaps of
+        neurons in level ``lv``, or None."""
+        pos = self.table.pos[self.row]
+        at = net.level_of[pos] == lv + 1
+        if not at.any():
+            return None
+        return (self.obj[at], net.level_row[pos[at]], self.coeffs[at], self.constant[at],
+                self.table.support[self.row[at]])
+
+
+def backward_pass(funcs: BoundingFunctions, objective: Objectives,
+                  swaps: Swaps | None = None) -> BackwardResult:
+    """Eliminate the ReLU neurons from every objective of a batch, highest
+    level first.
+
+    A whole level is substituted for the whole batch in one step: its
+    neurons' upper functions where an objective's running coefficient is
+    positive, lower where negative.  An objective's ``swaps`` replace its
+    upper functions: their neurons are taken out of the shared product and
+    their cuts added on their own.  Raises ``ValueError`` naming the
+    position of a neuron that receives a coefficient but has no functions.
     """
     net = funcs.net
-    m = net.input_dim
-    c = np.zeros(net.n_state)
-    c[:objective.eta] = objective.coeffs
-    const = objective.constant
-    ub_used = np.zeros(net.n_state, dtype=bool)
+    m, q = net.input_dim, len(objective)
+    c = np.zeros((q, net.n_state))
+    c[:, :objective.eta] = objective.coeffs
+    const = objective.constant.copy()
+    ub_used = np.zeros((q, net.n_state), dtype=bool)
     for lv in range(len(net.levels) - 1, -1, -1):
         level = net.levels[lv]
-        cl = c[level.pos]
+        cl = c[:, level.pos]
         if not cl.any():
             continue
         fixed = funcs.fixed[level.pos]
-        if not fixed.all() and np.any(missing := (cl != 0.0) & ~fixed):
+        if not fixed.all() and np.any(missing := ((cl != 0.0) & ~fixed).any(axis=0)):
             raise ValueError(f"neuron position {level.pos[np.argmax(missing)]} has a "
                              "coefficient but no bounding functions")
         cp, cn = np.maximum(cl, 0.0), np.minimum(cl, 0.0)
-        c[level.src] += cp @ funcs.upper[lv] + cn @ funcs.lower[lv]
-        const += float(cp @ funcs.upper_b[lv] + cn @ funcs.lower_b[lv])
-        ub_used[level.pos] = cl > 0.0
-        c[level.pos] = 0.0
-    residual = LinearExpr(c[:m].copy(), const)
+        own = swaps.in_level(net, lv) if swaps is not None else None
+        if own is not None:
+            obj, i, coeffs, constant, support = own
+            weight = cp[obj, i]
+            cp[obj, i] = 0.0
+        c[:, level.src] += cp @ funcs.upper[lv] + cn @ funcs.lower[lv]
+        const += cp @ funcs.upper_b[lv] + cn @ funcs.lower_b[lv]
+        if own is not None:  # support and coeffs are copies: scatter them in place
+            support += (obj * net.n_state)[:, None]
+            coeffs *= weight[:, None]
+            c += np.bincount(support.ravel(), coeffs.ravel(), minlength=c.size).reshape(c.shape)
+            const += np.bincount(obj, weight * constant, minlength=q)
+        ub_used[:, level.pos] = cl > 0.0
+        c[:, level.pos] = 0.0
+    residual = Objectives(c[:, :m].copy(), const)
     bound, x_star = box_maximize(residual, funcs.box)
     return BackwardResult(bound=bound, x_star=x_star, ub_used=ub_used, input_expr=residual)
 
 
-def forward_pass(funcs: BoundingFunctions, x_star, ub_used, eta) -> np.ndarray:
-    """Complete an input point to a relaxation point over positions ``< eta``.
+def forward_pass(funcs: BoundingFunctions, x_star, ub_used, eta,
+                 swaps: Swaps | None = None) -> np.ndarray:
+    """Complete each input point ``x_star[j]`` to a relaxation point over
+    positions ``< eta``.
 
     Level by level, each neuron takes the value of whichever bounding
-    function the backward pass used for it (lower when it was never
-    substituted); the result is an optimal solution of the relaxed problem
-    the backward pass solved.
+    function the backward pass used for it in objective ``j`` (lower when it
+    was never substituted, and the objective's swapped cut for an upper
+    one it swapped); row ``j`` of the result is an optimal solution of the
+    relaxed problem that pass solved for objective ``j``.
     """
     net = funcs.net
-    z = np.zeros(net.n_state)
-    z[:net.input_dim] = x_star
+    x_star = np.asarray(x_star)
+    z = np.zeros((x_star.shape[0], net.n_state))
+    z[:, :net.input_dim] = x_star
     for lv, level in enumerate(net.levels):
         if level.pos[0] >= eta:
             break
-        zs = z[level.src]
-        z[level.pos] = np.where(ub_used[level.pos], funcs.upper[lv] @ zs + funcs.upper_b[lv],
-                                funcs.lower[lv] @ zs + funcs.lower_b[lv])
-    return z[:eta]
+        zs = z[:, level.src]
+        used = ub_used[:, level.pos]
+        value = np.where(used, zs @ funcs.upper[lv].T + funcs.upper_b[lv],
+                         zs @ funcs.lower[lv].T + funcs.lower_b[lv])
+        own = swaps.in_level(net, lv) if swaps is not None else None
+        if own is not None:
+            obj, i, coeffs, constant, support = own
+            cut = np.einsum("ij,ij->i", coeffs, z[obj[:, None], support]) + constant
+            value[obj, i] = np.where(used[obj, i], cut, value[obj, i])
+        z[:, level.pos] = value
+    return z[:, :eta]
 
 
 def _interval_step(idx, w, b, post_lo, post_hi):
@@ -263,16 +399,19 @@ def _interval_step(idx, w, b, post_lo, post_hi):
     return lo, hi
 
 
-def tightened_bound(funcs: BoundingFunctions, objective: LinearExpr, iterations: int,
-                    table: hull.HullTable | None = None) -> float:
-    """Best bound over ``iterations`` rounds of separate-and-swap.
+def tightened_bound(funcs: BoundingFunctions, objective: Objectives, iterations: int,
+                    table: hull.HullTable | None = None) -> np.ndarray:
+    """Best bound of each objective of a batch over ``iterations`` rounds
+    of separate-and-swap.
 
-    Each round recovers the relaxation's optimal point ``z``, computes the
-    hull envelope at ``z`` of every mixed neuron in ``table`` the objective
-    can reach, swaps in as the neuron's new upper function the most violated
-    hull inequality of each one violated by more than
-    ``SWAP_VIOLATION_TOL``, and re-runs the backward pass.  ``iterations=0``
-    is exactly the initial method.
+    Each round recovers every objective's optimal point ``z`` of the
+    relaxation, computes, in one step of the hull table, the hull envelope
+    at ``z`` of every mixed neuron in ``table`` the objective can reach,
+    swaps in as the neuron's new upper function the most violated hull
+    inequality of each one violated by more than ``SWAP_VIOLATION_TOL``, and
+    re-runs the backward pass of the objectives that swapped; an objective
+    that swaps nothing is done.  ``iterations=0`` is exactly the initial
+    method.
 
     A neuron is reachable below the objective's ``reach``: later ones never
     receive a coefficient, so their upper functions cannot move the bound.
@@ -280,33 +419,52 @@ def tightened_bound(funcs: BoundingFunctions, objective: LinearExpr, iterations:
     tolerance is rounding; swapping on it would let the last bit of ``z``
     choose the bound.
 
-    Swaps are scoped to this call: they overwrite rows of a copy of the
-    upper functions, so one objective's swapped inequalities (tighter at its
-    own optimum, possibly looser elsewhere) never leak into other bound
-    computations.  This keeps every result at or below the plain
-    initial-method bound.
+    Swaps are scoped to their objective (:class:`Swaps`): one objective's
+    swapped inequalities (tighter at its own optimum, possibly looser
+    elsewhere) never reach another objective or the shared functions.
+    This keeps every result at or below the plain initial-method bound.
+    The rounds run over groups of objectives of at most ``TIGHTEN_BLOCK``
+    separation entries each, which bounds the memory they take.
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     res = backward_pass(funcs, objective)
-    best = res.bound
-    k = table.rows_below(objective.reach) if table is not None else 0
-    if k == 0:
+    best = res.bound.copy()
+    k = table.rows_below(objective.reach) if table is not None else np.zeros(len(objective), int)
+    live = np.flatnonzero(k > 0)
+    if not live.size or not iterations:
         return best
-    pos = table.pos[:k]
-    work = funcs
+    step = max(1, TIGHTEN_BLOCK // (int(k.max()) * table.w.shape[1]))
+    for a in range(0, live.size, step):
+        group = live[a:a + step]
+        best[group] = np.minimum(best[group], _swap_rounds(
+            funcs, objective.select(group), k[group], res.x_star[group], res.ub_used[group],
+            iterations, table))
+    return best
+
+
+def _swap_rounds(funcs, objective, k, x_star, ub_used, iterations, table) -> np.ndarray:
+    """The rounds of :func:`tightened_bound` for a group of objectives that
+    each reach ``k`` table rows, from the input points ``x_star`` and
+    choices ``ub_used`` of their first backward pass; each objective's best
+    re-run bound, or inf."""
+    best = np.full(len(objective), np.inf)
+    live = np.arange(len(objective))  # objectives still swapping
+    swaps = Swaps.none(table)
     for _ in range(iterations):
-        z = forward_pass(work, res.x_star, res.ub_used, pos[-1] + 1)
-        found = table.separate(z, z[pos], SWAP_VIOLATION_TOL)
-        if not found:
+        reach = k[live]
+        top = int(reach.max())
+        z = forward_pass(funcs, x_star, ub_used, table.pos[top - 1] + 1, swaps)
+        y = np.where(np.arange(top) < reach[:, None], z[:, table.pos[:top]], -np.inf)
+        found = table.separate(z, y, SWAP_VIOLATION_TOL)
+        if not len(found):
             break
-        if work is funcs:
-            work = funcs.with_own_upper()
-        for row, sep in found:
-            work.set_upper(pos[row], sep.cut.idx, sep.cut.coeffs, sep.cut.constant)
-        res = backward_pass(work, objective)
-        if res.bound < best:
-            best = res.bound
+        swapped = np.unique(found.point)
+        swaps = swaps.updated(found).select(swapped)
+        live = live[swapped]
+        res = backward_pass(funcs, objective.select(live), swaps)
+        best[live] = np.minimum(best[live], res.bound)
+        x_star, ub_used = res.x_star, res.ub_used
     return best
 
 
@@ -345,11 +503,13 @@ class Bounds:
         """The hull instances of ``table`` by neuron position."""
         return dict(zip(self.table.pos[:self.table.n].tolist(), self.table.insts))
 
-    def interval_objective_bound(self, objective: LinearExpr) -> float:
-        """Interval-arithmetic bound of an objective over the post boxes."""
+    def interval_objective_bound(self, objective):
+        """Interval-arithmetic bound of an objective, or of each objective
+        of a batch, over the post boxes."""
         c = objective.coeffs
-        return float(np.maximum(c, 0.0) @ self.post_upper[:c.shape[0]]
-                     + np.minimum(c, 0.0) @ self.post_lower[:c.shape[0]]) + objective.constant
+        eta = c.shape[-1]
+        return (np.maximum(c, 0.0) @ self.post_upper[:eta]
+                + np.minimum(c, 0.0) @ self.post_lower[:eta]) + objective.constant
 
     def relaxed_bound(self, objective: LinearExpr) -> float:
         """Bound from the method's relaxation of the neurons below the
@@ -357,47 +517,60 @@ class Bounds:
         if self.method in (LP, OPTC2V):
             from . import relaxation  # the LP bounder builds on this module
             return relaxation.optc2v_bound(self, objective, self.cut_rounds)
-        return tightened_bound(self.funcs, objective, self.iterations, self.table)
+        return float(tightened_bound(self.funcs, Objectives.of(objective), self.iterations,
+                                     self.table)[0])
 
-    def row_bounds(self, pos: int) -> ScalarBounds:
-        """Pre-activation interval of the row of neuron ``pos``, over the
-        neurons before it.
+    def row_bounds(self, start: int, stop: int) -> list[ScalarBounds]:
+        """Pre-activation intervals of the rows of positions ``start ..
+        stop-1``, over the neurons before ``start``: one run of a level, or
+        the output rows.
 
         Interval arithmetic over the post boxes; every row of the
         ``interval`` method, and the LP methods' rows over inputs only, stop
-        there.  The others are also bounded from both sides by
-        :meth:`relaxed_bound`, and ``fastc2v`` by its baseline's own bound
-        of the row, and the results intersected.
+        there.  The others are also bounded from both sides by the method's
+        relaxation, and ``fastc2v`` by its baseline's own bounds of the
+        rows, and the results intersected.  The propagation methods bound
+        all the rows, both signs, as one batch; the LP methods row by row,
+        upper side first, each re-solving warm from the last optimum.
         """
+        if self.method not in _MENUS:
+            return [self._row_bound(pos) for pos in range(start, stop)]
+        rows = Objectives.rows(self.net, start, stop)
+        upper = np.minimum(self.interval_objective_bound(rows),
+                           tightened_bound(self.funcs, rows, self.iterations, self.table))
+        lo, hi = -upper[stop - start:], upper[:stop - start]
+        if self.baseline is not None:
+            base = self.baseline.pre[start:stop] if start < self.net.n_state \
+                else self.baseline.output_bounds()
+            lo = np.maximum(lo, [sb.pre_lower for sb in base])
+            hi = np.minimum(hi, [sb.pre_upper for sb in base])
+        lo = np.minimum(lo, hi)  # guard against tolerance-level crossings
+        return [ScalarBounds(float(a), float(b)) for a, b in zip(lo, hi)]
+
+    def _row_bound(self, pos: int) -> ScalarBounds:
+        """:meth:`row_bounds` of one row, for the ``interval`` and LP methods."""
         net = self.net
         idx, w, b = net.row(pos)
         lo, hi = _interval_step(idx, w, b, self.post_lower, self.post_upper)
-        # an LP over inputs alone just returns the interval bound; the
-        # backward pass is one dot product there and may round an ulp
-        # tighter, which fastc2v's separation ties can turn into 1e-4
-        if self.method != INTERVAL and (self.method in _MENUS or np.any(idx >= net.input_dim)):
+        # an LP over inputs alone just returns the interval bound
+        if self.method != INTERVAL and np.any(idx >= net.input_dim):
             obj = expr_from_row(idx, w, b, eta=min(pos, net.n_state))
             hi = min(hi, self.relaxed_bound(obj))
             lo = max(lo, -self.relaxed_bound(obj.negated()))
-            if self.baseline is not None:
-                base = self.baseline.pre[pos] if pos < net.n_state \
-                    else self.baseline.row_bounds(pos)
-                lo = max(lo, base.pre_lower)
-                hi = min(hi, base.pre_upper)
             lo = min(lo, hi)  # guard against tolerance-level crossings
         return ScalarBounds(lo, hi)
 
     def output_bounds(self) -> list[ScalarBounds]:
         """Pre-activation intervals of the output rows, in output order."""
-        return [self.row_bounds(pos) for pos in range(self.net.n_state, self.net.n_neurons)]
+        return self.row_bounds(self.net.n_state, self.net.n_neurons)
 
     def bound_objective(self, objective: LinearExpr) -> float:
         """Bound a state-space objective over every neuron of the network.
 
         Takes the best of the relaxation's bound and the interval bound,
-        mirroring the per-neuron rule of the sweep.
+        mirroring the rule of the sweep's rows.
         """
-        b = self.interval_objective_bound(objective)
+        b = float(self.interval_objective_bound(objective))
         if self.method != INTERVAL:
             b = min(b, self.relaxed_bound(objective))
         if self.baseline is not None:
@@ -409,14 +582,16 @@ def compute_all_bounds(net: Network, box: BoxDomain, method: str, iterations=1,
                        cut_rounds=DEFAULT_CUT_ROUNDS) -> Bounds:
     """Forward sweep bounding every ReLU neuron's pre-activation, in order.
 
-    Each row is bounded by :meth:`Bounds.row_bounds` over the post boxes
-    fixed so far.  Fixing a ReLU neuron sets its initial bounding functions
-    (propagation methods) and, when it is mixed and the method tightens,
-    appends its hull instance, renumbered to state positions, to the hull
-    table for use by all later rows.  Hull swaps work on a copy of the upper
-    functions, so the stored functions stay the initial ones.  The sweep stops at the last ReLU neuron: output rows
-    add no state (the final affine layer is never relaxed), so
-    :meth:`Bounds.output_bounds` bounds them only when asked.
+    The sweep goes run by run (:attr:`relucert.network.Network.runs`): no
+    row of a run reads another, so :meth:`Bounds.row_bounds` bounds a whole
+    run over the post boxes fixed before it.  Then the run's post boxes and,
+    for the propagation methods, its initial bounding functions are set in
+    one step, and, when the method tightens, each of its mixed neurons' hull
+    instance, renumbered to state positions, is appended to the hull table
+    for use by all later rows.  Hull swaps are kept per objective, so the
+    stored functions stay the initial ones.  The sweep stops at the last
+    ReLU neuron: output rows add no state (the final affine layer is never
+    relaxed), so :meth:`Bounds.output_bounds` bounds them only when asked.
 
     ``fastc2v`` is ``deeppoly`` with ``max(1, iterations)`` rounds of
     separate-and-swap per bound; ``optc2v`` is ``lp`` with ``cut_rounds``
@@ -446,14 +621,17 @@ def compute_all_bounds(net: Network, box: BoxDomain, method: str, iterations=1,
     post_lo[:m], post_hi[:m] = box.lower, box.upper
     menu = _MENUS.get(method)
     tightens = method in (FASTC2V, OPTC2V)
-    for pos in range(m, net.n_state):
-        sb = bounds.row_bounds(pos)
-        bounds.pre.append(sb)
-        post_lo[pos], post_hi[pos] = max(0.0, sb.pre_lower), max(0.0, sb.pre_upper)
+    for start, stop in net.runs:
+        run = bounds.row_bounds(start, stop)
+        bounds.pre.extend(run)
+        lo = np.array([sb.pre_lower for sb in run])
+        hi = np.array([sb.pre_upper for sb in run])
+        post_lo[start:stop], post_hi[start:stop] = np.maximum(0.0, lo), np.maximum(0.0, hi)
         if menu is not None:
-            bounds.funcs.set_initial(pos, menu, sb)
-        if tightens and sb.is_mixed():
-            idx, w, b = net.row(pos)
-            inst = hull.make_hull_instance(w, b, post_lo[idx], post_hi[idx])
-            bounds.table.append(pos, replace(inst, support=idx[inst.support]))
+            bounds.funcs.set_initial(start, menu, lo, hi)
+        if tightens:
+            for pos in start + np.flatnonzero((lo < 0.0) & (hi > 0.0)):
+                idx, w, b = net.row(pos)
+                inst = hull.make_hull_instance(w, b, post_lo[idx], post_hi[idx])
+                bounds.table.append(pos, replace(inst, support=idx[inst.support]))
     return bounds

@@ -150,12 +150,12 @@ def optc2v_bound(bounds: Bounds, objective: LinearExpr,
     for _ in range(rounds):
         z = sol.x
         found = table.separate(z, z[pos], CUT_VIOLATION_TOL)
-        if not found:
+        if not len(found):
             break
         if work is dl:
             work = dl.copy()
-        for row, sep in found:
-            work.add_hull_cut(pos[row], sep.cut)
+        for e in range(len(found)):
+            work.add_hull_cut(pos[found.row[e]], found.cut(e))
         # cuts are valid for every network point, so an infeasible
         # re-solve means tolerances bit us, not the model
         sol = work.solve("after adding cuts")

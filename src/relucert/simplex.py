@@ -272,24 +272,22 @@ class _Tableau:
         opposite bound, ``step is None`` means unbounded.
         """
         best, row = self.ub[j] - self.lb[j], -1  # infinite for a slack
-        if self.n_rows:
-            col = self.T[:, j]
-            xb = self.xb
-            delta = -s * col
-            caps = np.where(delta > PIVOT_TOL, self.ub[self.basic],
-                            np.where(delta < -PIVOT_TOL, self.lb[self.basic], np.nan))
-            with np.errstate(invalid="ignore", divide="ignore"):
-                lims = (caps - xb) / delta
-            lims[~np.isfinite(lims)] = np.inf
-            lims = np.maximum(lims, 0.0)
-            i_best = int(np.argmin(lims))
-            if lims[i_best] < best:
-                near = np.flatnonzero(lims <= lims[i_best] + 1e-12)
+        col = self.T[:, j]
+        delta = -s * col
+        # only rows whose basic variable moves can limit the step
+        rows = np.flatnonzero(np.abs(delta) > PIVOT_TOL)
+        if rows.size:
+            moving, basic = delta[rows], self.basic[rows]
+            caps = np.where(moving > 0.0, self.ub[basic], self.lb[basic])
+            lims = np.maximum((caps - self.xb[rows]) / moving, 0.0)
+            least = lims.min()
+            if least < best:
+                near = np.flatnonzero(lims <= least + 1e-12)
                 if bland:
-                    row = int(near[np.argmin(self.basic[near])])
+                    pick = near[np.argmin(basic[near])]
                 else:
-                    row = int(near[np.argmax(np.abs(col[near]))])
-                best = lims[row]
+                    pick = near[np.argmax(np.abs(moving[near]))]
+                row, best = int(rows[pick]), lims[pick]
         if not np.isfinite(best):
             return None, -1
         return float(best), row

@@ -79,7 +79,7 @@ def interval_state(net, box, menu=None):
         st.funcs = BoundingFunctions.empty(net, box)
     for pos in range(net.input_dim, net.n_state):
         if menu is not None:
-            st.funcs.set_initial(pos, menu, st.pre[pos])
+            st.funcs.set_initial(pos, menu, st.pre[pos].pre_lower, st.pre[pos].pre_upper)
         if st.pre[pos].is_mixed():
             idx, w, b = net.row(pos)
             inst = hull.make_hull_instance(w, b, st.post_lower[idx], st.post_upper[idx])

@@ -6,15 +6,17 @@ separator (the paper's
 linear-time variant of the sorting greedy), the univariate chord bound, the
 lifted-formulation envelope LP, the exact maximum over activation
 patterns, and the per-neuron backward and forward passes and tightening
-loop that the package runs one level at a time.
+loop, one objective at a time, that the package runs one level and one
+batch of objectives at a time.
 """
+
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from relucert import hull
 from relucert.network import BoxDomain, Network
-from relucert.propagation import (INTERVAL, SWAP_VIOLATION_TOL, BackwardResult,
-                                  LinearExpr, box_maximize, compute_all_bounds)
+from relucert.propagation import INTERVAL, SWAP_VIOLATION_TOL, LinearExpr, compute_all_bounds
 from relucert.relaxation import LpBoundError
 from relucert.simplex import GE, LE, LpModel, LpStatus, solve_lp
 
@@ -230,9 +232,32 @@ def function_row(funcs, pos, upper):
     return net.levels[lv].src, funcs.lower[lv][i], funcs.lower_b[lv][i]
 
 
-def backward_pass_by_neuron(funcs, objective: LinearExpr) -> BackwardResult:
-    """:func:`relucert.propagation.backward_pass`, one neuron at a time,
-    highest position first."""
+def with_upper(funcs, pos, idx, w, b):
+    """A copy of ``funcs`` in which neuron ``pos``'s upper function is
+    ``w . z[idx] + b``; ``idx`` must be among the sources of its level."""
+    net = funcs.net
+    lv, i = net.level_of[pos] - 1, net.level_row[pos]
+    upper, upper_b = [u.copy() for u in funcs.upper], [u.copy() for u in funcs.upper_b]
+    upper[lv][i] = 0.0
+    upper[lv][i][np.searchsorted(net.levels[lv].src, idx)] = w
+    upper_b[lv][i] = b
+    return replace(funcs, upper=upper, upper_b=upper_b)
+
+
+@dataclass
+class PassResult:
+    """One objective's backward pass: bound, input point, which neurons took
+    their upper function, and the residual over the inputs."""
+
+    bound: float
+    x_star: np.ndarray
+    ub_used: np.ndarray
+    input_expr: LinearExpr
+
+
+def backward_pass_by_neuron(funcs, objective: LinearExpr) -> PassResult:
+    """:func:`relucert.propagation.backward_pass` of one objective, one
+    neuron at a time, highest position first."""
     net = funcs.net
     m = net.input_dim
     c = np.zeros(net.n_state)
@@ -250,13 +275,15 @@ def backward_pass_by_neuron(funcs, objective: LinearExpr) -> BackwardResult:
         c[i] = 0.0
         c[idx] += ci * w
         const += ci * b
-    residual = LinearExpr(c[:m].copy(), const)
-    bound, x_star = box_maximize(residual, funcs.box)
-    return BackwardResult(bound=bound, x_star=x_star, ub_used=ub_used, input_expr=residual)
+    box = funcs.box
+    x_star = np.where(c[:m] > 0.0, box.upper, np.where(c[:m] < 0.0, box.lower, box.midpoint()))
+    return PassResult(bound=float(c[:m] @ x_star) + const, x_star=x_star, ub_used=ub_used,
+                      input_expr=LinearExpr(c[:m].copy(), const))
 
 
 def forward_pass_by_neuron(funcs, x_star, ub_used, eta) -> np.ndarray:
-    """:func:`relucert.propagation.forward_pass`, one neuron at a time."""
+    """:func:`relucert.propagation.forward_pass` of one point, one neuron at
+    a time."""
     m = funcs.net.input_dim
     z = np.zeros(funcs.net.n_state)  # a level's columns may reach past eta
     z[:m] = x_star
@@ -266,10 +293,15 @@ def forward_pass_by_neuron(funcs, x_star, ub_used, eta) -> np.ndarray:
     return z[:eta]
 
 
-def tightened_bound_by_neuron(funcs, objective: LinearExpr, iterations, table=None) -> float:
-    """:func:`relucert.propagation.tightened_bound` with the per-neuron
-    passes and one :func:`relucert.hull.separate_sort` call per reachable
-    mixed neuron."""
+def tightened_bound_by_neuron(funcs, objective, iterations, table=None) -> np.ndarray:
+    """:func:`relucert.propagation.tightened_bound`, one objective of the
+    batch at a time, with the per-neuron passes and one
+    :func:`relucert.hull.separate_sort` call per reachable mixed neuron."""
+    return np.array([_tightened_one(funcs, LinearExpr(c, b), iterations, table)
+                     for c, b in zip(objective.coeffs, objective.constant)])
+
+
+def _tightened_one(funcs, objective: LinearExpr, iterations, table) -> float:
     res = backward_pass_by_neuron(funcs, objective)
     best = res.bound
     nz = np.flatnonzero(objective.coeffs)
@@ -277,14 +309,14 @@ def tightened_bound_by_neuron(funcs, objective: LinearExpr, iterations, table=No
     eligible = sorted(p for p in hulls if nz.size and p <= nz[-1])
     if not eligible:
         return best
-    work = funcs.with_own_upper()
+    work = funcs
     for _ in range(iterations):
         z = forward_pass_by_neuron(work, res.x_star, res.ub_used, eligible[-1] + 1)
         swapped = False
         for p in eligible:
             sep = hull.separate_sort(hulls[p], z, z[p])
             if sep is not None and sep.violation > SWAP_VIOLATION_TOL:
-                work.set_upper(p, sep.cut.idx, sep.cut.coeffs, sep.cut.constant)
+                work = with_upper(work, p, sep.cut.idx, sep.cut.coeffs, sep.cut.constant)
                 swapped = True
         if not swapped:
             break

@@ -14,7 +14,7 @@ import pytest
 from relucert.hull import (corner_value, cut_from_pair, make_hull_instance,
                            minimize_upper_envelope_sort, separate_sort)
 from relucert.network import BoxDomain, classify, generate_random_network
-from relucert.propagation import (backward_pass, compute_all_bounds,
+from relucert.propagation import (Objectives, backward_pass, compute_all_bounds,
                                   expr_from_row, forward_pass, tightened_bound)
 from relucert.relaxation import build_delta_lp, optc2v_bound
 from relucert.simplex import LpStatus, solve_lp
@@ -102,11 +102,11 @@ def test_criterion_1_golden_bound_chain(capfd):
             assert abs(sb[pos].pre_upper - hi) <= EXACT
 
         obj = expr_from_row(*net.row(6), eta=6)
-        res = backward_pass(st.funcs, obj)
-        assert abs(res.bound - 4.0) <= EXACT
-        assert np.allclose(res.x_star, [-1.0, -1.0], atol=EXACT)
+        res = backward_pass(st.funcs, Objectives.of(obj))
+        assert abs(res.bound[0] - 4.0) <= EXACT
+        assert np.allclose(res.x_star[0], [-1.0, -1.0], atol=EXACT)
 
-        z = forward_pass(st.funcs, res.x_star, res.ub_used, 6)
+        z = forward_pass(st.funcs, res.x_star, res.ub_used, 6)[0]
         assert np.allclose(z[[0, 1, 2, 3, 5]], [-1.0, -1.0, 1.0, 1.5, 1.5], atol=EXACT)
         assert abs(obj.value(z) - 4.0) <= EXACT
 
@@ -126,7 +126,7 @@ def test_criterion_1_golden_bound_chain(capfd):
         assert abs(sep.envelope - 4.0 / 3.0) <= EXACT
         assert abs(sep.violation - 1.0 / 6.0) <= EXACT
 
-        tight = tightened_bound(st.funcs, obj, 1, st.table)
+        tight = tightened_bound(st.funcs, Objectives.of(obj), 1, st.table)[0]
         assert abs(tight - 23.0 / 6.0) <= EXACT
 
 

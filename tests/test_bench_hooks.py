@@ -4,7 +4,11 @@ import importlib.util
 import inspect
 import pathlib
 
+import numpy as np
+
 from relucert import propagation, relaxation
+from relucert.network import BoxDomain, generate_random_network
+from relucert.verifier import margin_objective
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -34,3 +38,32 @@ def test_hooked_calls_keep_the_arguments_they_read():
                      (relaxation.optc2v_bound, "objective"),
                      (relaxation.solve_lp, "warm_basis")):
         assert name in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_bound_calls_carry_the_eta_the_spans_file_them_by(monkeypatch):
+    # a sweep's bound call is one run of a level, both signs of every row;
+    # its batch's eta is the run's first position, which the spans map to
+    # the run's level, and output rows and margins span the whole state
+    spans = load_spans()
+    net = generate_random_network([4, 6, 5, 3], seed=2, weight_scale=0.8)
+    box = BoxDomain(np.full(4, 0.3), np.full(4, 0.6))
+    etas = []
+    real = propagation.tightened_bound
+
+    def recording(funcs, objective, *args, **kwargs):
+        etas.append(objective.eta)
+        return real(funcs, objective, *args, **kwargs)
+
+    monkeypatch.setattr(propagation, "tightened_bound", recording)
+    st = propagation.compute_all_bounds(net, box, "fastc2v")
+    starts = [start for start, _ in net.runs]
+    assert etas == starts * 2  # the deeppoly baseline's sweep, then fastc2v's
+    assert [spans._level_key(eta, True, net.level_of, net.n_state) for eta in starts] \
+        == ["1", "2"]
+    etas.clear()
+    st.output_bounds()
+    assert etas == [net.n_state] * 2
+    assert spans._level_key(net.n_state, True, net.level_of, net.n_state) == "out"
+    etas.clear()
+    st.bound_objective(margin_objective(net, 1, 0))
+    assert etas == [net.n_state] * 2

@@ -239,11 +239,13 @@ class TestSeparation:
     def test_cut_built_only_when_violated(self, monkeypatch):
         built = []
 
-        def counting_cut_from_pair(inst, low_set, anchor):
-            built.append((tuple(low_set), anchor))
-            return cut_from_pair(inst, low_set, anchor)
+        real = hull.HullTable.cuts
 
-        monkeypatch.setattr(hull, "cut_from_pair", counting_cut_from_pair)
+        def counting_cuts(table, rows, low, h):
+            built.extend(rows)
+            return real(table, rows, low, h)
+
+        monkeypatch.setattr(hull.HullTable, "cuts", counting_cuts)
         rng = np.random.default_rng(9)
         for _ in range(200):
             inst = random_mixed_instance(rng, int(rng.integers(1, 31)))
@@ -344,7 +346,8 @@ class TestHullTable:
         y = reference + rng.uniform(-0.3, 0.3, len(rows))
         env, low, h = table.envelopes(z, len(rows))
         assert np.allclose(env, reference, rtol=0.0, atol=1e-12)
-        found = dict(table.separate(z, y))
+        separated = table.separate(z, y)
+        found = {int(i): e for e, i in enumerate(separated.row)}
         assert 0 < len(found) < len(rows)
         for i, (inst, xg, off) in enumerate(rows):
             assert not low[i, inst.size:].any() and h[i] < inst.size  # padding
@@ -355,12 +358,12 @@ class TestHullTable:
             assert (i in found) == (single is not None)
             if single is None:
                 continue
-            cut, want = found[i].cut, single.cut
+            cut, want = separated.cut(found[i]), single.cut
             assert (cut.index_set, cut.anchor) == (want.index_set, want.anchor)
             assert np.array_equal(cut.idx, want.idx + off)
             assert np.isin(cut.idx, inst.support + off).all()
             assert np.array_equal(cut.coeffs, want.coeffs) and cut.constant == want.constant
-            assert found[i].violation == single.violation
+            assert separated.violation[found[i]] == single.violation
 
     def test_tolerance_and_prefix(self, h22_instance):
         # at (1, 1.5) the envelope is 4/3: y = 1.5 violates it by 1/6
@@ -368,10 +371,10 @@ class TestHullTable:
         table.append(5, h22_instance)
         table.append(7, h22_instance)
         x = np.array([1.0, 1.5])
-        assert [i for i, _ in table.separate(x, [1.5, 1.5])] == [0, 1]
-        assert [i for i, _ in table.separate(x, [1.5])] == [0]  # first row only
-        assert table.separate(x, [1.5, 1.5], tol=0.2) == []
-        assert table.separate(x, []) == []
+        assert table.separate(x, [1.5, 1.5]).row.tolist() == [0, 1]
+        assert table.separate(x, [1.5]).row.tolist() == [0]  # first row only
+        assert len(table.separate(x, [1.5, 1.5], tol=0.2)) == 0
+        assert len(table.separate(x, [])) == 0
 
     def test_rejects_fixed_sign_and_out_of_order_rows(self, h22_instance):
         table = hull.HullTable(2, 2)
@@ -380,3 +383,76 @@ class TestHullTable:
         table.append(3, h22_instance)
         with pytest.raises(ValueError):
             table.append(3, h22_instance)
+
+
+class TestOneStepCuts:
+    """The table's one-step cuts against :func:`cut_from_pair`."""
+
+    @staticmethod
+    def table_of(rng, count):
+        """A table of ``count`` random instances of fan-in 1-39, zero weights
+        included, each reading its own slice of one point."""
+        insts, offset = [], 0
+        table = hull.HullTable(count, 39)
+        for i in range(count):
+            inst = random_mixed_instance(rng, 1 + i % 39, allow_zero_weights=True)
+            table.append(i, replace(inst, support=inst.support + offset))
+            insts.append((inst, offset))
+            offset += inst.dim
+        return table, insts, offset
+
+    def test_cuts_match_cut_from_pair_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        table, insts, n = self.table_of(rng, 39)
+        z = np.zeros((260, n))
+        for p in range(260):
+            for inst, off in insts:
+                r = rng.choice([0.0, 0.5, 1.0], inst.size) if p % 2 \
+                    else rng.uniform(0.0, 1.0, inst.size)  # tie-heavy corners, or not
+                z[p, inst.support + off] = inst.min_corner + r * (inst.max_corner - inst.min_corner)
+        envelope, _, _ = table.envelopes(z, table.n)
+        found = table.separate(z, envelope + rng.uniform(1e-3, 1.0, envelope.shape))
+        assert len(found) == z.shape[0] * table.n >= 10_000
+        assert max(found.low.sum(axis=1)) >= 8  # sets summed pairwise, not left to right
+        for e in range(len(found)):
+            inst, off = insts[found.row[e]]
+            want = cut_from_pair(inst, np.flatnonzero(found.low[e]), found.anchor[e])
+            got = found.cut(e)
+            assert (got.index_set, got.anchor) == (want.index_set, want.anchor)
+            assert np.array_equal(got.idx, want.idx + off)
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            assert got.constant.hex() == want.constant.hex()
+
+    def test_pairs_outside_the_family_raise_as_cut_from_pair_does(self):
+        rng = np.random.default_rng(32)
+        table, insts, _ = self.table_of(rng, 39)
+        outcomes = set()
+        for _ in range(2000):
+            row = int(rng.integers(table.n))
+            inst, _ = insts[row]
+            low = np.zeros(table.w.shape[1], dtype=bool)
+            low[:inst.size] = rng.random(inst.size) < rng.uniform(0.0, 1.0)
+            h = int(rng.integers(inst.size))
+            try:
+                want = cut_from_pair(inst, np.flatnonzero(low), h)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    table.cuts([row], low[None], [h])
+                outcomes.add("raises")
+                continue
+            coeffs, constant = table.cuts([row], low[None], [h])
+            keep = low.copy()
+            keep[h] = True
+            assert coeffs[0][keep].tobytes() == want.coeffs.tobytes()
+            assert constant[0].hex() == want.constant.hex()
+            outcomes.add("cut")
+        assert outcomes == {"raises", "cut"}
+
+    def test_pairwise_sums_replay_numpy_sum(self):
+        # index sets longer than 128 split in halves, as np.sum does
+        rng = np.random.default_rng(33)
+        n = rng.integers(0, 400, 500)
+        g = rng.uniform(0.0, 1.0, (500, 400)) * 10.0 ** rng.uniform(-3, 3, (500, 400))
+        g[np.arange(400) >= n[:, None]] = 0.0
+        want = [g[i, :n[i]].sum() for i in range(500)]
+        assert hull._pairwise_sums(g, n).tolist() == want

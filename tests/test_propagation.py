@@ -3,23 +3,28 @@ import pytest
 
 from relucert import hull, propagation
 from relucert.network import BoxDomain, eval_network, generate_random_network
-from relucert.propagation import (METHODS, BoundingFunctions, LinearExpr, ScalarBounds,
-                                  backward_pass, box_maximize, compute_all_bounds,
+from relucert.propagation import (METHODS, BoundingFunctions, LinearExpr, Objectives,
+                                  Swaps, backward_pass, box_maximize, compute_all_bounds,
                                   expr_from_row, forward_pass, initial_scales,
                                   tightened_bound)
 from relucert.verifier import build_input_box, generate_instances, margin_objective, verify
 
 from conftest import interval_state, make_skip_network
 from oracles import (backward_pass_by_neuron, forward_pass_by_neuron, function_row,
-                     tightened_bound_by_neuron)
+                     tightened_bound_by_neuron, with_upper)
 
 
 def menu_funcs(net, box, sb, method="deeppoly"):
     """The menu's bounding functions over the scalar bounds ``sb``."""
     funcs = BoundingFunctions.empty(net, box)
     for pos in range(net.input_dim, net.n_state):
-        funcs.set_initial(pos, method, sb[pos])
+        funcs.set_initial(pos, method, sb[pos].pre_lower, sb[pos].pre_upper)
     return funcs
+
+
+def values(objs, z):
+    """Objective ``j`` of a batch at point ``z[j]``."""
+    return np.einsum("ij,ij->i", objs.coeffs, z[:, :objs.eta]) + objs.constant
 
 
 def dense_function(funcs, pos, upper=True):
@@ -73,7 +78,7 @@ class TestMenus:
     def test_deeppoly_mixed_negative_dominant(self, golden_net, golden_box):
         # h22's pre-range [-4, 2]: lower is 0, upper the chord through
         # (L,0),(U,U) of its row -1.5 h11 + h12 + 0.5
-        assert initial_scales("deeppoly", ScalarBounds(-4.0, 2.0)) == \
+        assert initial_scales("deeppoly", -4.0, 2.0) == \
             pytest.approx((0.0, 1.0 / 3.0, 4.0 / 3.0))
         sb = compute_all_bounds(golden_net, golden_box, "interval").pre
         funcs = menu_funcs(golden_net, golden_box, sb)
@@ -84,19 +89,19 @@ class TestMenus:
         assert upper_b == pytest.approx(1.5)
 
     def test_deeppoly_mixed_positive_dominant_keeps_row(self):
-        assert initial_scales("deeppoly", ScalarBounds(-1.0, 3.0))[0] == 1.0
+        assert initial_scales("deeppoly", -1.0, 3.0)[0] == 1.0
 
     def test_fastlin_slopes(self):
-        lower, upper, shift = initial_scales("fastlin", ScalarBounds(-1.0, 3.0))
+        lower, upper, shift = initial_scales("fastlin", -1.0, 3.0)
         assert lower == pytest.approx(0.75)
         assert upper == pytest.approx(0.75)
         assert shift == pytest.approx(0.75)  # -L * slope
 
     def test_always_active_is_the_row(self):
-        assert initial_scales("deeppoly", ScalarBounds(1.0, 2.5)) == (1.0, 1.0, 0.0)
+        assert initial_scales("deeppoly", 1.0, 2.5) == (1.0, 1.0, 0.0)
 
     def test_always_inactive_is_zero(self):
-        assert initial_scales("fastlin", ScalarBounds(-3.0, -0.5)) == (0.0, 0.0, 0.0)
+        assert initial_scales("fastlin", -3.0, -0.5) == (0.0, 0.0, 0.0)
 
     def test_interval_pairs_are_post_constants(self):
         # the interval method keeps no pairs; its neurons are the post
@@ -110,32 +115,33 @@ class TestMenus:
         assert st.post_lower[1] == 0.0 and st.post_upper[1] == 3.0
         assert st.funcs is None
         with pytest.raises(ValueError):
-            initial_scales("interval", ScalarBounds(-2.0, 3.0))
+            initial_scales("interval", -2.0, 3.0)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
-            initial_scales("zonotope", ScalarBounds(-1.0, 1.0))
+            initial_scales("zonotope", -1.0, 1.0)
 
 
 class TestBoxMaximize:
     def test_golden_residual(self, golden_box):
-        val, x = box_maximize(LinearExpr(np.array([-1.0 / 12.0, -2.0 / 3.0]), 37.0 / 12.0),
-                              golden_box)
+        (val,), (x,) = box_maximize(
+            Objectives.of(LinearExpr(np.array([-1.0 / 12.0, -2.0 / 3.0]), 37.0 / 12.0)),
+            golden_box)
         assert val == pytest.approx(23.0 / 6.0, abs=1e-12)
         assert np.array_equal(x, [-1.0, -1.0])
 
     def test_zero_expr_returns_midpoint(self, golden_box):
-        val, x = box_maximize(LinearExpr(np.zeros(2), 5.0), golden_box)
+        (val,), (x,) = box_maximize(Objectives.of(LinearExpr(np.zeros(2), 5.0)), golden_box)
         assert val == 5.0 and np.array_equal(x, [0.0, 0.0])
 
     def test_collapsed_coordinate(self):
         box = BoxDomain(np.array([0.0, 5.0]), np.array([1.0, 5.0]))
-        val, x = box_maximize(LinearExpr(np.array([1.0, 0.0])), box)
+        (val,), (x,) = box_maximize(Objectives.of(LinearExpr(np.array([1.0, 0.0]))), box)
         assert val == 1.0 and np.array_equal(x, [1.0, 5.0])
 
     def test_non_input_reference_rejected(self, golden_box):
         with pytest.raises(ValueError):
-            box_maximize(LinearExpr(np.array([0.0, 0.0, 1.0])), golden_box)
+            box_maximize(Objectives.of(LinearExpr(np.array([0.0, 0.0, 1.0]))), golden_box)
 
 
 class TestGoldenChain:
@@ -146,22 +152,22 @@ class TestGoldenChain:
     def chain(self, golden_net, golden_box):
         st = interval_state(golden_net, golden_box, menu="deeppoly")
         obj = expr_from_row(*golden_net.row(6), eta=6)
-        return golden_net, golden_box, st, st.funcs, obj
+        return golden_net, golden_box, st, st.funcs, Objectives.of(obj)
 
     def test_backward_bound_and_point(self, chain):
         net, box, st, funcs, obj = chain
         res = backward_pass(funcs, obj)
-        assert res.bound == pytest.approx(4.0, abs=1e-12)
-        assert np.array_equal(res.x_star, [-1.0, -1.0])
-        assert np.allclose(res.input_expr.coeffs, [-0.5, -0.5])
-        assert res.input_expr.constant == pytest.approx(3.0, abs=1e-12)
+        assert res.bound[0] == pytest.approx(4.0, abs=1e-12)
+        assert np.array_equal(res.x_star[0], [-1.0, -1.0])
+        assert np.allclose(res.input_expr.coeffs[0], [-0.5, -0.5])
+        assert res.input_expr.constant[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_forward_solution(self, chain):
         net, box, st, funcs, obj = chain
         res = backward_pass(funcs, obj)
         z = forward_pass(funcs, res.x_star, res.ub_used, 6)
-        assert np.allclose(z, [-1.0, -1.0, 1.0, 1.5, 2.5, 1.5], atol=1e-12)
-        assert obj.value(z) == pytest.approx(4.0, abs=1e-12)
+        assert np.allclose(z[0], [-1.0, -1.0, 1.0, 1.5, 2.5, 1.5], atol=1e-12)
+        assert values(obj, z)[0] == pytest.approx(4.0, abs=1e-12)
 
     def test_forward_value_matches_bound_randomly(self):
         # the recovered point is optimal: its objective equals the bound
@@ -171,32 +177,32 @@ class TestGoldenChain:
             box = BoxDomain(rng.uniform(-1, 0, 2), rng.uniform(0.2, 1, 2))
             sb = compute_all_bounds(net, box, "interval").pre
             funcs = menu_funcs(net, box, sb, method="fastlin")
-            obj = expr_from_row(*net.row(net.n_state), eta=net.n_state)
+            obj = Objectives.of(expr_from_row(*net.row(net.n_state), eta=net.n_state))
             res = backward_pass(funcs, obj)
             z = forward_pass(funcs, res.x_star, res.ub_used, net.n_state)
-            assert obj.value(z) == pytest.approx(res.bound, abs=1e-9)
+            assert values(obj, z)[0] == pytest.approx(res.bound[0], abs=1e-9)
 
     def test_tightened_one_iteration(self, chain):
         net, box, st, funcs, obj = chain
         assert sorted(st.hulls) == [2, 3, 5]
-        bound = tightened_bound(funcs, obj, 1, st.table)
+        bound = tightened_bound(funcs, obj, 1, st.table)[0]
         assert bound == pytest.approx(23.0 / 6.0, abs=1e-12)
 
     def test_tightened_zero_iterations_is_initial(self, chain):
         net, box, st, funcs, obj = chain
-        assert tightened_bound(funcs, obj, 0) == pytest.approx(4.0, abs=1e-12)
+        assert tightened_bound(funcs, obj, 0)[0] == pytest.approx(4.0, abs=1e-12)
 
     def test_swaps_do_not_leak(self, chain):
         net, box, st, funcs, obj = chain
         before = [(u.copy(), ub.copy()) for u, ub in zip(funcs.upper, funcs.upper_b)]
-        assert tightened_bound(funcs, obj, 2, st.table) < 4.0 - 1e-3  # it swapped
+        assert tightened_bound(funcs, obj, 2, st.table)[0] < 4.0 - 1e-3  # it swapped
         for (u, ub), u2, ub2 in zip(before, funcs.upper, funcs.upper_b):
             assert np.array_equal(u, u2) and np.array_equal(ub, ub2)
 
     def test_more_iterations_never_worse(self, chain):
         net, box, st, funcs, obj = chain
-        b0 = tightened_bound(funcs, obj, 0, st.table)
-        b3 = tightened_bound(funcs, obj, 3, st.table)
+        b0 = tightened_bound(funcs, obj, 0, st.table)[0]
+        b3 = tightened_bound(funcs, obj, 3, st.table)[0]
         assert b3 <= b0 + 1e-12
 
     def test_missing_functions_name_the_position(self, chain):
@@ -205,35 +211,36 @@ class TestGoldenChain:
         with pytest.raises(ValueError, match="position 5"):
             backward_pass(funcs, obj)
         # a neuron without functions that no coefficient reaches is fine
-        assert backward_pass(funcs, expr_from_row(*net.row(4), eta=4)).bound \
+        assert backward_pass(funcs, Objectives.of(expr_from_row(*net.row(4), eta=4))).bound[0] \
             == pytest.approx(2.5, abs=1e-12)
 
     def test_backward_after_swap_residual(self, chain):
-        # with h22's upper swapped to the separated inequality, the residual
-        # becomes -(1/12) x1 - (2/3) x2 + 37/12 and the bound 23/6
+        # with h22's upper swapped, for this objective only, to the
+        # separated inequality, the residual becomes -(1/12) x1 - (2/3) x2
+        # + 37/12 and the bound 23/6
         net, box, st, funcs, obj = chain
-        from relucert.hull import separate_sort
         res = backward_pass(funcs, obj)
         z = forward_pass(funcs, res.x_star, res.ub_used, 6)
-        sep = separate_sort(st.hulls[5], z, z[5])
-        swapped = funcs.with_own_upper()
-        swapped.set_upper(5, sep.cut.idx, sep.cut.coeffs, sep.cut.constant)
-        res2 = backward_pass(swapped, obj)
-        assert np.allclose(res2.input_expr.coeffs, [-1.0 / 12.0, -2.0 / 3.0], atol=1e-12)
-        assert res2.input_expr.constant == pytest.approx(37.0 / 12.0, abs=1e-12)
-        assert res2.bound == pytest.approx(23.0 / 6.0, abs=1e-12)
-        assert backward_pass(funcs, obj).bound == pytest.approx(4.0, abs=1e-12)
+        row = st.table.rows_below(5)  # h22's row of the hull table
+        _, low, h = st.table.envelopes(z[0], row + 1)
+        coeffs, constant = st.table.cuts([row], low[row:], h[row:])
+        swaps = Swaps(st.table, np.array([0]), np.array([row]), coeffs, constant)
+        res2 = backward_pass(funcs, obj, swaps)
+        assert np.allclose(res2.input_expr.coeffs[0], [-1.0 / 12.0, -2.0 / 3.0], atol=1e-12)
+        assert res2.input_expr.constant[0] == pytest.approx(37.0 / 12.0, abs=1e-12)
+        assert res2.bound[0] == pytest.approx(23.0 / 6.0, abs=1e-12)
+        assert backward_pass(funcs, obj).bound[0] == pytest.approx(4.0, abs=1e-12)
 
     def test_empty_objective_returns_constant(self, chain):
         net, box, st, funcs, obj = chain
-        res = backward_pass(funcs, LinearExpr(np.zeros(6), 2.5))
-        assert res.bound == 2.5
+        res = backward_pass(funcs, Objectives.of(LinearExpr(np.zeros(6), 2.5)))
+        assert res.bound[0] == 2.5
 
     def test_forward_passthrough_without_relu(self, golden_box):
         net = generate_random_network([2], seed=0)
         funcs = BoundingFunctions.empty(net, golden_box)
-        z = forward_pass(funcs, np.array([0.25, -0.5]), np.zeros(2, bool), 2)
-        assert np.array_equal(z, [0.25, -0.5])
+        z = forward_pass(funcs, np.array([[0.25, -0.5]]), np.zeros((1, 2), bool), 2)
+        assert np.array_equal(z[0], [0.25, -0.5])
 
     def test_forward_zero_lower_functions(self, chain):
         # ub_used all false with all-zero lower functions: zeros past inputs
@@ -241,25 +248,38 @@ class TestGoldenChain:
         for lower, lower_b in zip(funcs.lower, funcs.lower_b):
             lower[:] = 0.0
             lower_b[:] = 0.0
-        z = forward_pass(funcs, np.array([0.1, 0.2]), np.zeros(6, bool), 6)
-        assert np.array_equal(z[2:], np.zeros(4))
+        z = forward_pass(funcs, np.array([[0.1, 0.2]]), np.zeros((1, 6), bool), 6)
+        assert np.array_equal(z[0, 2:], np.zeros(4))
 
 
 class TestLevelPasses:
-    """The level-wise passes against the per-neuron ones of the oracles."""
+    """The batched level-wise passes against the per-neuron ones of the
+    oracles, objective by objective."""
 
     @staticmethod
-    def random_swaps(st, rng):
-        """A copy of ``st.funcs`` with random hull cuts as upper functions."""
-        funcs = st.funcs.with_own_upper()
-        for pos, inst in st.hulls.items():
-            if rng.random() < 0.5:
-                x = np.zeros(st.net.n_state)
-                x[inst.support] = rng.uniform(inst.lower, inst.upper)
-                _, low, h = hull.minimize_upper_envelope_sort(inst, x)
-                cut = hull.cut_from_pair(inst, low, h)
-                funcs.set_upper(pos, cut.idx, cut.coeffs, cut.constant)
-        return funcs
+    def random_swaps(st, rng, q):
+        """Random hull cuts swapped in, each for one of ``q`` objectives:
+        the :class:`Swaps`, and per objective a copy of ``st.funcs`` with
+        its cuts as upper functions."""
+        table = st.table
+        entries, funcs = [], [st.funcs] * q
+        for j in range(q):
+            for r, inst in enumerate(table.insts):
+                if rng.random() < 0.5:
+                    x = np.zeros(st.net.n_state)
+                    x[inst.support] = rng.uniform(inst.lower, inst.upper)
+                    _, low, h = hull.minimize_upper_envelope_sort(inst, x)
+                    cut = hull.cut_from_pair(inst, low, h)
+                    funcs[j] = with_upper(funcs[j], table.pos[r], cut.idx, cut.coeffs,
+                                          cut.constant)
+                    coeffs = np.zeros(table.w.shape[1])
+                    coeffs[np.union1d(low, [h])] = cut.coeffs
+                    entries.append((j, r, coeffs, cut.constant))
+        if not entries:
+            return Swaps.none(table), funcs
+        obj, row, coeffs, constant = zip(*entries)
+        return Swaps(table, np.array(obj), np.array(row), np.array(coeffs),
+                     np.array(constant)), funcs
 
     def test_passes_match_per_neuron_oracle(self):
         rng = np.random.default_rng(11)
@@ -271,19 +291,77 @@ class TestLevelPasses:
             ext = rng.uniform(0.05, 0.5)
             box = BoxDomain(mid - ext, mid + ext)
             st = compute_all_bounds(net, box, "fastc2v")
-            funcs = self.random_swaps(st, rng)
-            for _ in range(5):
-                eta = int(rng.integers(net.input_dim, net.n_state + 1))
-                coeffs = rng.normal(size=eta) * (rng.random(eta) < 0.7)
-                obj = LinearExpr(coeffs, float(rng.normal()))
-                got, want = backward_pass(funcs, obj), backward_pass_by_neuron(funcs, obj)
-                assert got.bound == pytest.approx(want.bound, rel=0.0, abs=1e-12), trial
-                assert np.array_equal(got.x_star, want.x_star), trial
-                assert np.array_equal(got.ub_used, want.ub_used), trial
-                z = forward_pass(funcs, got.x_star, got.ub_used, eta)
-                z_ref = forward_pass_by_neuron(funcs, want.x_star, want.ub_used, eta)
-                assert np.allclose(z, z_ref, rtol=0.0, atol=1e-12), trial
-                assert obj.value(z) == pytest.approx(got.bound, rel=0.0, abs=1e-12), trial
+            swaps, funcs = self.random_swaps(st, rng, 5)
+            eta = int(rng.integers(net.input_dim, net.n_state + 1))
+            objs = Objectives(rng.normal(size=(5, eta)) * (rng.random((5, eta)) < 0.7),
+                              rng.normal(size=5))
+            got = backward_pass(st.funcs, objs, swaps)
+            z = forward_pass(st.funcs, got.x_star, got.ub_used, eta, swaps)
+            assert np.allclose(values(objs, z), got.bound, rtol=0.0, atol=1e-12), trial
+            for j in range(5):
+                obj = LinearExpr(objs.coeffs[j], objs.constant[j])
+                want = backward_pass_by_neuron(funcs[j], obj)
+                assert got.bound[j] == pytest.approx(want.bound, rel=0.0, abs=1e-12), trial
+                assert np.array_equal(got.x_star[j], want.x_star), trial
+                assert np.array_equal(got.ub_used[j], want.ub_used), trial
+                z_ref = forward_pass_by_neuron(funcs[j], want.x_star, want.ub_used, eta)
+                assert np.allclose(z[j], z_ref, rtol=0.0, atol=1e-12), trial
+
+    @staticmethod
+    def first_round_swaps(funcs, obj, table):
+        """How many reachable hull rows the oracle swaps in its first round
+        for one objective, or None when none is reachable."""
+        nz = np.flatnonzero(obj.coeffs)
+        rows = [r for r in range(table.n) if nz.size and table.pos[r] <= nz[-1]]
+        if not rows:
+            return None
+        res = backward_pass_by_neuron(funcs, obj)
+        z = forward_pass_by_neuron(funcs, res.x_star, res.ub_used, table.pos[rows[-1]] + 1)
+        seps = [hull.separate_sort(table.insts[r], z, z[table.pos[r]]) for r in rows]
+        return sum(sep is not None and sep.violation > propagation.SWAP_VIOLATION_TOL
+                   for sep in seps)
+
+    @pytest.mark.parametrize("iterations", [0, 1, 2, 3])
+    def test_tightened_batch_matches_per_neuron_oracle(self, iterations):
+        rng = np.random.default_rng(29)
+        cases = [(make_skip_network(), BoxDomain(np.array([-1.0, -1.0]), np.array([1.0, 1.0])))]
+        for _ in range(12):
+            layers = [int(rng.integers(2, 5))] + \
+                     [int(rng.integers(3, 9)) for _ in range(int(rng.integers(2, 4)))] + [3]
+            mid = rng.uniform(0.2, 0.8, layers[0])
+            ext = rng.uniform(0.1, 0.5)
+            cases.append((generate_random_network(layers, seed=int(rng.integers(1 << 30))),
+                          BoxDomain(mid - ext, mid + ext)))
+        several = 0  # mixed batches with an objective that swaps two rows or more
+        for net, box in cases:
+            st = compute_all_bounds(net, box, "fastc2v")
+            n, m = net.n_state, net.input_dim
+            # output rows, and objectives on inputs alone, on the first hull
+            # neuron alone, and random ones over the whole state
+            rows = Objectives.rows(net, n, net.n_neurons)
+            extra = np.zeros((4, n))
+            extra[0, :m] = rng.normal(size=m)
+            if st.table.n:
+                extra[1, st.table.pos[0]] = -1.0
+                extra[2, st.table.pos[0]] = 1.0
+            extra[3] = rng.normal(size=n)
+            batches = [Objectives(np.concatenate([rows.coeffs, extra]),
+                                  np.concatenate([rows.constant, rng.normal(size=4)]))]
+            batches += [Objectives.rows(net, start, stop) for start, stop in net.runs]
+            kinds = {self.first_round_swaps(st.funcs, LinearExpr(c, b), st.table)
+                     for c, b in zip(batches[0].coeffs, batches[0].constant)}
+            assert None in kinds and 0 in kinds
+            several += max(k or 0 for k in kinds) >= 2
+            for objs in batches:
+                got = tightened_bound(st.funcs, objs, iterations, st.table)
+                want = tightened_bound_by_neuron(st.funcs, objs, iterations, st.table)
+                assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+                # no swap leaks between objectives: each bounds as if alone,
+                # up to the rounding of a one-row matrix product
+                for j in range(len(objs)):
+                    alone = tightened_bound(st.funcs, objs.select([j]), iterations, st.table)
+                    assert alone[0] == pytest.approx(got[j], rel=0.0, abs=1e-12)
+        assert several >= len(cases) // 2
 
     @pytest.mark.parametrize("method", ["fastlin", "deeppoly", "fastc2v"])
     def test_skip_network_sweep_matches_per_neuron_oracle(self, method, monkeypatch):
@@ -326,7 +404,7 @@ class TestDirectEquivalence:
             direct = const
             for i in range(2):
                 direct += c[i] * (1.0 if c[i] > 0 else -1.0)
-            got = tightened_bound(funcs, obj, 0)
+            got = tightened_bound(funcs, Objectives.of(obj), 0)[0]
             assert got == pytest.approx(direct, rel=0.0, abs=1e-12)
 
 
@@ -478,7 +556,7 @@ class TestFullSweep:
 
         def recording(table, z, y, tol=0.0):
             found = real(table, z, y, tol)
-            cuts.extend((int(table.pos[row]), sep.cut) for row, sep in found)
+            cuts.extend((int(table.pos[found.row[e]]), found.cut(e)) for e in range(len(found)))
             return found
 
         monkeypatch.setattr(hull.HullTable, "separate", recording)
@@ -507,12 +585,11 @@ class TestFullSweep:
         real = hull.HullTable.separate
         monkeypatch.setattr(hull.HullTable, "separate",
                             lambda table, z, y, tol=0.0:
-                            separated.extend(table.pos[:len(y)].tolist())
+                            separated.extend(table.pos[:np.shape(y)[-1]].tolist())
                             or real(table, z, y, tol))
         for pos in level2:
             obj = expr_from_row(*net.row(pos), eta=pos)
-            for o in (obj, obj.negated()):
-                tightened_bound(st.funcs, o, 3, st.table)
+            tightened_bound(st.funcs, Objectives.of(obj, obj.negated()), 3, st.table)
         reachable = {p for p in level1 if p in st.hulls}
         assert separated
         assert set(separated) == reachable

@@ -60,13 +60,13 @@ class TestGoldenThreshold:
     a method with bound below the threshold certifies, one above cannot."""
 
     def test_bound_methods_straddle_threshold(self, golden_net, golden_box):
-        from relucert.propagation import tightened_bound, expr_from_row
+        from relucert.propagation import Objectives, tightened_bound, expr_from_row
         from conftest import interval_state
         st = interval_state(golden_net, golden_box, menu="deeppoly")
-        obj = expr_from_row(*golden_net.row(6), eta=6)
+        obj = Objectives.of(expr_from_row(*golden_net.row(6), eta=6))
         beta = 4.0
-        plain = tightened_bound(st.funcs, obj, 0)
-        tight = tightened_bound(st.funcs, obj, 1, st.table)
+        plain = tightened_bound(st.funcs, obj, 0)[0]
+        tight = tightened_bound(st.funcs, obj, 1, st.table)[0]
         assert not plain < beta          # 4.0: cannot certify y < 4
         assert tight < beta              # 23/6: certifies
 
@@ -225,13 +225,15 @@ class TestVerify:
         objectives = []
         real = propagation_module.backward_pass
         monkeypatch.setattr(propagation_module, "backward_pass",
-                            lambda funcs, obj: objectives.append(obj) or real(funcs, obj))
+                            lambda funcs, obj, swaps=None: objectives.append(obj)
+                            or real(funcs, obj, swaps))
         inst = generate_instances(net, 1, epsilon=0.1, seed=10)[0]
         verify(net, inst, method=method, attack=False)
         assert any(obj.eta < net.n_state for obj in objectives)
         for obj in objectives:
-            assert not any(np.array_equal(obj.coeffs, row.coeffs) and obj.constant == row.constant
-                           for row in rows)
+            for coeffs, constant in zip(obj.coeffs, obj.constant):
+                assert not any(np.array_equal(coeffs, row.coeffs) and constant == row.constant
+                               for row in rows)
 
     def test_margins_all_bounded_by_default(self):
         net = generate_random_network([3, 5, 4], seed=3)
