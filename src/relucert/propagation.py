@@ -54,7 +54,7 @@ SWAP_VIOLATION_TOL = 1e-9
 # Hull swapping runs over groups of objectives whose separation block
 # (objectives x reachable table rows x table width) has at most this many
 # entries; it bounds the temporaries and the stored swaps of a group.
-TIGHTEN_BLOCK = 1 << 12
+TIGHTEN_BLOCK = 1 << 14
 
 # the bounding-function menu each propagation method draws its functions from
 _MENUS = {FASTLIN: FASTLIN, DEEPPOLY: DEEPPOLY, FASTC2V: DEEPPOLY}
@@ -511,15 +511,6 @@ class Bounds:
         return (np.maximum(c, 0.0) @ self.post_upper[:eta]
                 + np.minimum(c, 0.0) @ self.post_lower[:eta]) + objective.constant
 
-    def relaxed_bound(self, objective: LinearExpr) -> float:
-        """Bound from the method's relaxation of the neurons below the
-        objective: the backward pass with hull swaps, or the LP with cuts."""
-        if self.method in (LP, OPTC2V):
-            from . import relaxation  # the LP bounder builds on this module
-            return relaxation.optc2v_bound(self, objective, self.cut_rounds)
-        return float(tightened_bound(self.funcs, Objectives.of(objective), self.iterations,
-                                     self.table)[0])
-
     def row_bounds(self, start: int, stop: int) -> list[ScalarBounds]:
         """Pre-activation intervals of the rows of positions ``start ..
         stop-1``, over the neurons before ``start``: one run of a level, or
@@ -554,9 +545,9 @@ class Bounds:
         lo, hi = _interval_step(idx, w, b, self.post_lower, self.post_upper)
         # an LP over inputs alone just returns the interval bound
         if self.method != INTERVAL and np.any(idx >= net.input_dim):
-            obj = expr_from_row(idx, w, b, eta=min(pos, net.n_state))
-            hi = min(hi, self.relaxed_bound(obj))
-            lo = max(lo, -self.relaxed_bound(obj.negated()))
+            upper = self.bound_objectives(Objectives.rows(net, pos, pos + 1))
+            hi = min(hi, float(upper[0]))
+            lo = max(lo, -float(upper[1]))
             lo = min(lo, hi)  # guard against tolerance-level crossings
         return ScalarBounds(lo, hi)
 
@@ -564,17 +555,27 @@ class Bounds:
         """Pre-activation intervals of the output rows, in output order."""
         return self.row_bounds(self.net.n_state, self.net.n_neurons)
 
-    def bound_objective(self, objective: LinearExpr) -> float:
-        """Bound a state-space objective over every neuron of the network.
+    def bound_objectives(self, objectives: Objectives) -> np.ndarray:
+        """Bound each state-space objective of a batch over every neuron of
+        the network.
 
-        Takes the best of the relaxation's bound and the interval bound,
-        mirroring the rule of the sweep's rows.
+        Takes the best of the interval bound and the method's relaxation,
+        mirroring the rule of the sweep's rows, and for ``fastc2v`` of its
+        baseline's own bounds.  The propagation methods bound the whole
+        batch in one tightened backward pass; the LP methods run the cut
+        loop objective by objective, each re-solving warm the model of its
+        reach.
         """
-        b = float(self.interval_objective_bound(objective))
-        if self.method != INTERVAL:
-            b = min(b, self.relaxed_bound(objective))
+        b = self.interval_objective_bound(objectives)
+        if self.method in _MENUS:
+            b = np.minimum(b, tightened_bound(self.funcs, objectives, self.iterations,
+                                              self.table))
+        elif self.method != INTERVAL:
+            from . import relaxation  # the LP bounder builds on this module
+            b = np.minimum(b, [relaxation.optc2v_bound(self, LinearExpr(c, k), self.cut_rounds)
+                               for c, k in zip(objectives.coeffs, objectives.constant)])
         if self.baseline is not None:
-            b = min(b, self.baseline.bound_objective(objective))
+            b = np.minimum(b, self.baseline.bound_objectives(objectives))
         return b
 
 

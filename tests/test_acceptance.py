@@ -231,9 +231,9 @@ def test_criterion_5_sandwich_and_dominance(capfd):
                 assert exact <= v_r + 1e-6
                 assert v_r <= v_0 + 1e-6
                 assert abs(v_0 - plain.objective_value) <= 1e-9
-                b_fc = st_fc.bound_objective(o)
-                b_dp = st_dp.bound_objective(o)
-                b_iv = st_iv.bound_objective(o)
+                (b_fc,) = st_fc.bound_objectives(Objectives.of(o))
+                (b_dp,) = st_dp.bound_objectives(Objectives.of(o))
+                (b_iv,) = st_iv.bound_objectives(Objectives.of(o))
                 assert exact <= b_fc + 1e-6
                 assert b_fc <= b_dp + 1e-6
                 assert b_dp <= b_iv + 1e-6

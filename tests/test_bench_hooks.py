@@ -7,6 +7,7 @@ import pathlib
 import numpy as np
 
 from relucert import propagation, relaxation
+from relucert.propagation import Objectives
 from relucert.network import BoxDomain, generate_random_network
 from relucert.verifier import margin_objective
 
@@ -65,5 +66,6 @@ def test_bound_calls_carry_the_eta_the_spans_file_them_by(monkeypatch):
     assert etas == [net.n_state] * 2
     assert spans._level_key(net.n_state, True, net.level_of, net.n_state) == "out"
     etas.clear()
-    st.bound_objective(margin_objective(net, 1, 0))
+    # every margin in one batch: one tightened pass per chain
+    st.bound_objectives(Objectives.of(*(margin_objective(net, k, 0) for k in (1, 2))))
     assert etas == [net.n_state] * 2

@@ -373,7 +373,7 @@ class TestLevelPasses:
             st = compute_all_bounds(net, box, method)
             rows = st.pre + st.output_bounds()
             return ([(sb.pre_lower, sb.pre_upper) for sb in rows],
-                    [st.bound_objective(o) for o in (obj, obj.negated())], st)
+                    st.bound_objectives(Objectives.of(obj, obj.negated())).tolist(), st)
 
         got, got_obj, st = sweep()
         assert sum(sb.is_mixed() for sb in st.pre) >= 2
@@ -508,9 +508,12 @@ class TestFullSweep:
             box = BoxDomain(np.array([0.2, 0.1]), np.array([0.9, 0.8]))
             obj = expr_from_row(*net.row(net.n_state), eta=net.n_state)
             for o in (obj, obj.negated()):
-                b_iv = compute_all_bounds(net, box, "interval").bound_objective(o)
-                b_dp = compute_all_bounds(net, box, "deeppoly").bound_objective(o)
-                b_fc = compute_all_bounds(net, box, "fastc2v").bound_objective(o)
+                (b_iv,) = compute_all_bounds(net, box, "interval").bound_objectives(
+                    Objectives.of(o))
+                (b_dp,) = compute_all_bounds(net, box, "deeppoly").bound_objectives(
+                    Objectives.of(o))
+                (b_fc,) = compute_all_bounds(net, box, "fastc2v").bound_objectives(
+                    Objectives.of(o))
                 assert b_fc <= b_dp + 1e-9
                 assert b_dp <= b_iv + 1e-9
 
@@ -563,7 +566,7 @@ class TestFullSweep:
         for method in ("fastc2v", "optc2v"):
             cuts.clear()
             st = compute_all_bounds(net, box, method)
-            st.bound_objective(margin_objective(net, 1, 0))  # reaches level 2
+            st.bound_objectives(Objectives.of(margin_objective(net, 1, 0)))  # reaches level 2
             assert st.hulls, method
             for pos, inst in st.hulls.items():
                 idx, w, _ = net.row(pos)
@@ -572,6 +575,24 @@ class TestFullSweep:
             assert any(pos >= 12 for pos, _ in cuts), method  # level-2 neurons cut
             for pos, cut in cuts:
                 assert np.isin(cut.idx, net.row(pos)[0]).all(), method
+
+    def test_swap_groups_stay_within_the_block(self, monkeypatch):
+        # every separation block of a fastc2v verify (objectives x rows x
+        # table width) fits in TIGHTEN_BLOCK, unless it holds one objective
+        net = generate_random_network([10, 30, 30, 30, 10], seed=1, weight_scale=0.5)
+        blocks = []
+        real = hull.HullTable.separate
+
+        def recording(table, z, y, tol=0.0):
+            blocks.append(np.shape(y) + (table.w.shape[1],))
+            return real(table, z, y, tol)
+
+        monkeypatch.setattr(hull.HullTable, "separate", recording)
+        for inst in generate_instances(net, 2, 0.1, seed=1001):
+            verify(net, inst, method="fastc2v", attack=False)
+        assert blocks and all(len(b) == 3 for b in blocks)
+        assert all(q * k * w <= propagation.TIGHTEN_BLOCK or q == 1 for q, k, w in blocks)
+        assert max(q for q, _, _ in blocks) > 1
 
     def test_row_bound_separates_only_neurons_it_reaches(self, monkeypatch):
         # a level-2 row reads level-1 neurons only; no level-2 neuron below

@@ -4,7 +4,7 @@ import pytest
 from relucert.hull import cut_from_pair, make_hull_instance
 from relucert.network import (BoxDomain, Network, Neuron, eval_network,
                               generate_random_network)
-from relucert.propagation import LinearExpr, compute_all_bounds, expr_from_row
+from relucert.propagation import LinearExpr, Objectives, compute_all_bounds, expr_from_row
 from relucert.relaxation import DeltaLp, build_delta_lp, optc2v_bound
 from relucert.simplex import EQ, LpStatus, solve_lp
 from relucert.verifier import generate_instances, margin_objective, verify
@@ -31,8 +31,7 @@ def sweep_with_margins(method):
     """The sweep of a 4,8,8,3 net with ``method``, after two margins."""
     net = generate_random_network([4, 8, 8, 3], seed=5, weight_scale=0.7)
     st = compute_all_bounds(net, BoxDomain(np.full(4, 0.3), np.full(4, 0.7)), method)
-    for k in (1, 2):
-        st.bound_objective(margin_objective(net, k, 0))
+    st.bound_objectives(Objectives.of(*(margin_objective(net, k, 0) for k in (1, 2))))
     return st
 
 
@@ -240,7 +239,7 @@ class TestLpSweep:
         obj = expr_from_row(*net.row(net.n_state), eta=net.n_state)
         for method in ("lp", "optc2v", "deeppoly"):
             st = compute_all_bounds(net, box, method)
-            assert st.bound_objective(obj) >= 1.000009 - 1e-12, method
+            assert st.bound_objectives(Objectives.of(obj))[0] >= 1.000009 - 1e-12, method
             assert st.output_bounds()[0].pre_upper >= 1.000009 - 1e-12, method
 
     def test_reported_value_is_an_upper_bound(self):
@@ -269,7 +268,8 @@ class TestLpSweep:
         true_max = 0.6659495465008871  # exact_max_oracle gives one ulp more
         assert exact_max_oracle(net, box, obj) >= true_max
         for method in ("lp", "optc2v"):
-            assert compute_all_bounds(net, box, method).bound_objective(obj) >= true_max, method
+            assert compute_all_bounds(net, box, method).bound_objectives(
+                Objectives.of(obj))[0] >= true_max, method
 
     def test_sandwich_on_random_networks(self):
         rng = np.random.default_rng(50)

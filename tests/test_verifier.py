@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
+from relucert import propagation, relaxation
 from relucert.network import (BoxDomain, NetworkParseError, classify, eval_network,
                               generate_random_network)
-from relucert.propagation import METHODS, compute_all_bounds
+from relucert.propagation import METHODS, LinearExpr, Objectives, compute_all_bounds
 from relucert.simplex import LpStatus
 from relucert.verifier import (FALSIFIED, UNKNOWN, VERIFIED, RobustnessInstance,
                                attack_upper_bound, batch_verify, build_input_box,
                                format_report_line, generate_instances,
                                load_instances, margin_objective, save_instances,
                                verify, write_report)
+
+from conftest import make_skip_network
 
 
 class TestInputBox:
@@ -256,8 +259,8 @@ class TestVerify:
             margins = []
             for b in (box, nudged):
                 st = compute_all_bounds(net, b, method)
-                margins.append([st.bound_objective(margin_objective(net, k, t))
-                                for k in range(net.n_outputs) if k != t])
+                margins.append(st.bound_objectives(Objectives.of(
+                    *(margin_objective(net, k, t) for k in range(net.n_outputs) if k != t))))
             assert np.max(np.abs(np.subtract(*margins))) <= 1e-9, i
 
     # deeppoly and fastc2v margins, by class, of the first three instances
@@ -324,6 +327,80 @@ class TestVerify:
             rep = verify(net, inst, method="lp", attack=False)
             got = [rep.margin_bounds[k] for k in sorted(rep.margin_bounds)]
             assert np.allclose(got, [float.fromhex(v) for v in want], rtol=0.0, atol=1e-9)
+
+
+def margin_case(which):
+    """A network, a box and a batch of objectives over its whole state: the
+    margins of an instance (both signs of the output row on the one-output
+    skip network), then one over the inputs alone, which reaches no hull
+    row."""
+    if which == "skip":
+        net = make_skip_network()
+        box = BoxDomain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+        out = Objectives.rows(net, net.n_state, net.n_neurons)
+        exprs = [LinearExpr(c, b) for c, b in zip(out.coeffs, out.constant)]
+    else:
+        layers, scale, epsilon, i = {"acceptance": ((6, 20, 20, 3), 0.7, 0.16, 2),
+                                     "prop-deep": ((10, 30, 30, 30, 10), 0.5, 0.1, 0)}[which]
+        net = generate_random_network(list(layers), seed=1, weight_scale=scale)
+        inst = generate_instances(net, i + 1, epsilon=epsilon, seed=1001)[i]
+        box = build_input_box(inst)
+        exprs = [margin_objective(net, k, inst.label)
+                 for k in range(net.n_outputs) if k != inst.label]
+    inputs_only = np.zeros(net.n_state)
+    inputs_only[:net.input_dim] = np.linspace(-1.0, 1.0, net.input_dim)
+    return net, box, Objectives.of(*exprs, LinearExpr(inputs_only, 0.25))
+
+
+class TestMarginBatch:
+    @pytest.mark.parametrize("block", [1, 1 << 12, 1 << 14])
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("which", ["acceptance", "prop-deep", "skip"])
+    def test_batch_matches_batches_of_one(self, which, method, block, monkeypatch):
+        # the LP methods re-solve warm in call order, so each side gets its
+        # own sweep and bounds the objectives in the same order
+        monkeypatch.setattr(propagation, "TIGHTEN_BLOCK", block)
+        net, box, objs = margin_case(which)
+        assert objs.reach[-1] <= net.input_dim  # below every hull row
+        batch = compute_all_bounds(net, box, method).bound_objectives(objs)
+        st = compute_all_bounds(net, box, method)
+        singles = [st.bound_objectives(objs.select([j]))[0] for j in range(len(objs))]
+        assert np.allclose(batch, singles, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("which", ["acceptance", "prop-deep", "skip"])
+    def test_fastc2v_never_above_deeppoly(self, which):
+        net, box, objs = margin_case(which)
+        fc = compute_all_bounds(net, box, "fastc2v").bound_objectives(objs)
+        dp = compute_all_bounds(net, box, "deeppoly").bound_objectives(objs)
+        assert np.all(fc <= dp)
+
+    def test_lp_error_inside_the_batch_falls_back_to_deeppoly(self, monkeypatch):
+        net = generate_random_network([6, 20, 20, 3], seed=1, weight_scale=0.7)
+        inst = generate_instances(net, 1, epsilon=0.16, seed=1001)[0]
+        real = relaxation.optc2v_bound
+        margins = []
+
+        def failing(bounds, objective, rounds=3):
+            if objective.eta == net.n_state:
+                margins.append(objective)
+                if len(margins) == 2:
+                    raise relaxation.LpBoundError(LpStatus.ITERATION_LIMIT, "after adding cuts")
+            return real(bounds, objective, rounds)
+
+        monkeypatch.setattr(relaxation, "optc2v_bound", failing)
+        rep = verify(net, inst, method="optc2v", attack=False)
+        assert len(margins) == 2  # the sweep's rows passed, the second margin failed
+        assert rep.fallback == "LpBoundError: after adding cuts: LP ended iteration-limit"
+        assert rep.margin_bounds == verify(net, inst, method="deeppoly",
+                                           attack=False).margin_bounds
+
+    def test_margin_times_share_one_batch(self):
+        net = generate_random_network([4, 8, 8, 3], seed=2, weight_scale=0.8)
+        inst = generate_instances(net, 1, epsilon=0.1, seed=3)[0]
+        rep = verify(net, inst, method="fastc2v", attack=False)
+        shares = list(rep.time_margins.values())
+        assert sorted(rep.time_margins) == sorted(rep.margin_bounds)
+        assert len(shares) == 2 and shares[0] is shares[1] and shares[0] > 0.0
 
 
 class TestBatch:
