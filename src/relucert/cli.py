@@ -55,7 +55,9 @@ def _dump_margin_lps(net, instances, args):
         for k in range(net.n_outputs):
             if k == inst.label:
                 continue
-            dl = build_delta_lp(state, margin_objective(net, k, inst.label))
+            obj = margin_objective(net, k, inst.label)
+            dl = build_delta_lp(state, obj.reach)
+            dl.set_objective(obj.coeffs, obj.constant)
             write_lp_format(dl.model, os.path.join(args.dump_lp, f"inst{i}_class{k}.lp"))
 
 
@@ -70,6 +72,13 @@ def _gen_cmd(args):
     return 0
 
 
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="relucert",
                                 description="L-infinity robustness certification "
@@ -80,9 +89,9 @@ def build_parser():
     v.add_argument("--network", required=True)
     v.add_argument("--instances", required=True)
     v.add_argument("--method", required=True, choices=METHODS)
-    v.add_argument("--iterations", type=int, default=1,
+    v.add_argument("--iterations", type=_nonnegative_int, default=1,
                    help="tightening iterations for fastc2v")
-    v.add_argument("--cut-rounds", type=int, default=DEFAULT_CUT_ROUNDS,
+    v.add_argument("--cut-rounds", type=_nonnegative_int, default=DEFAULT_CUT_ROUNDS,
                    help="separation rounds for optc2v")
     v.add_argument("--epsilon", type=float, default=None,
                    help="override the per-instance radius")

@@ -20,8 +20,8 @@ in for that objective alone (:class:`Swaps`).
 
 The forward sweep of every method lives here too: :func:`compute_all_bounds`
 fixes the ReLU neurons' bounds run by run in topological order, asking
-either this module's tightened backward pass (one batch per run) or the LP
-cut loop of :mod:`relucert.relaxation` (row by row) to bound the rows, and
+either this module's tightened backward pass or the LP cut loop of
+:mod:`relucert.relaxation`, one batch per run, to bound the rows, and
 returns one :class:`Bounds`, which bounds the output rows only when asked.
 
 Everything here indexes neurons by 0-based position; objectives live over
@@ -97,12 +97,6 @@ class LinearExpr:
 
     def value(self, z) -> float:
         return float(self.coeffs @ np.asarray(z)[:self.eta]) + self.constant
-
-
-def expr_from_row(idx, w, b, eta) -> LinearExpr:
-    c = np.zeros(eta)
-    c[idx] = w
-    return LinearExpr(c, float(b))
 
 
 @dataclass(eq=False)
@@ -481,8 +475,8 @@ class Bounds:
     positions in ``table``, and ``fastc2v`` the ``deeppoly`` run it never
     reports worse than.  The LP methods keep in ``lps`` one solved
     relaxation (:class:`relucert.relaxation.DeltaLp`) per objective reach,
-    which every later objective of that reach re-solves warm; so a
-    ``Bounds`` is not to be shared between threads.
+    from whose last optimum every later objective of that reach starts; so
+    a ``Bounds`` is not to be shared between threads.
     """
 
     method: str
@@ -520,12 +514,11 @@ class Bounds:
         ``interval`` method, and the LP methods' rows over inputs only, stop
         there.  The others are also bounded from both sides by the method's
         relaxation, and ``fastc2v`` by its baseline's own bounds of the
-        rows, and the results intersected.  The propagation methods bound
-        all the rows, both signs, as one batch; the LP methods row by row,
-        upper side first, each re-solving warm from the last optimum.
+        rows, and the results intersected.  Every method but ``interval``
+        bounds all its relaxed rows, both signs, as one batch.
         """
         if self.method not in _MENUS:
-            return [self._row_bound(pos) for pos in range(start, stop)]
+            return self._lp_row_bounds(start, stop)
         rows = Objectives.rows(self.net, start, stop)
         upper = np.minimum(self.interval_objective_bound(rows),
                            tightened_bound(self.funcs, rows, self.iterations, self.table))
@@ -538,18 +531,29 @@ class Bounds:
         lo = np.minimum(lo, hi)  # guard against tolerance-level crossings
         return [ScalarBounds(float(a), float(b)) for a, b in zip(lo, hi)]
 
+    def _lp_row_bounds(self, start: int, stop: int) -> list[ScalarBounds]:
+        """:meth:`row_bounds` for the ``interval`` and LP methods: each
+        row's interval bound, intersected, for the LP methods, with the
+        relaxation's bounds of the rows that read past the inputs, all of
+        them, both signs, in one batch (an LP over inputs alone just returns
+        the interval bound)."""
+        net, r = self.net, stop - start
+        out = [self._row_bound(pos) for pos in range(start, stop)]
+        lp = [i for i in range(r) if np.any(net.row(start + i)[0] >= net.input_dim)]
+        if self.method == INTERVAL or not lp:
+            return out
+        upper = self.bound_objectives(Objectives.rows(net, start, stop).select(
+            lp + [r + i for i in lp]))
+        for i, up, down in zip(lp, upper[:len(lp)], upper[len(lp):]):
+            hi = min(out[i].pre_upper, float(up))
+            lo = min(max(out[i].pre_lower, -float(down)), hi)  # guard crossings
+            out[i] = ScalarBounds(lo, hi)
+        return out
+
     def _row_bound(self, pos: int) -> ScalarBounds:
-        """:meth:`row_bounds` of one row, for the ``interval`` and LP methods."""
-        net = self.net
-        idx, w, b = net.row(pos)
-        lo, hi = _interval_step(idx, w, b, self.post_lower, self.post_upper)
-        # an LP over inputs alone just returns the interval bound
-        if self.method != INTERVAL and np.any(idx >= net.input_dim):
-            upper = self.bound_objectives(Objectives.rows(net, pos, pos + 1))
-            hi = min(hi, float(upper[0]))
-            lo = max(lo, -float(upper[1]))
-            lo = min(lo, hi)  # guard against tolerance-level crossings
-        return ScalarBounds(lo, hi)
+        """Interval bound of one row over the post boxes."""
+        idx, w, b = self.net.row(pos)
+        return ScalarBounds(*_interval_step(idx, w, b, self.post_lower, self.post_upper))
 
     def output_bounds(self) -> list[ScalarBounds]:
         """Pre-activation intervals of the output rows, in output order."""
@@ -562,9 +566,9 @@ class Bounds:
         Takes the best of the interval bound and the method's relaxation,
         mirroring the rule of the sweep's rows, and for ``fastc2v`` of its
         baseline's own bounds.  The propagation methods bound the whole
-        batch in one tightened backward pass; the LP methods run the cut
-        loop objective by objective, each re-solving warm the model of its
-        reach.
+        batch in one tightened backward pass, the LP methods in one
+        :func:`relucert.relaxation.optc2v_bound` call, on the models of the
+        objectives' reaches.
         """
         b = self.interval_objective_bound(objectives)
         if self.method in _MENUS:
@@ -572,8 +576,7 @@ class Bounds:
                                               self.table))
         elif self.method != INTERVAL:
             from . import relaxation  # the LP bounder builds on this module
-            b = np.minimum(b, [relaxation.optc2v_bound(self, LinearExpr(c, k), self.cut_rounds)
-                               for c, k in zip(objectives.coeffs, objectives.constant)])
+            b = np.minimum(b, relaxation.optc2v_bound(self, objectives, self.cut_rounds))
         if self.baseline is not None:
             b = np.minimum(b, self.baseline.bound_objectives(objectives))
         return b
@@ -605,6 +608,9 @@ def compute_all_bounds(net: Network, box: BoxDomain, method: str, iterations=1,
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    for name, value in (("iterations", iterations), ("cut_rounds", cut_rounds)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     m = net.input_dim
     if len(box) != m:
         raise ValueError("box dimension does not match network input")

@@ -8,11 +8,18 @@ ones are pinned to 0 by their variable's box alone.  A model spans only the
 positions below its objective's reach, since no later neuron can move the
 objective.  All the objectives of one reach (the rows of a level, both
 signs, or the margins) share one model, kept solved in the sweep's
-:class:`relucert.propagation.Bounds`: each swaps in its objective and
-re-solves from the previous optimum.  The cutting-plane loop then
-separates the single-neuron hull inequalities at the optimum, adds every
-sufficiently violated one to a copy of that solved model, and re-solves
-warm: the solved tableau is bordered with the new rows.  It is the LP
+:class:`relucert.propagation.Bounds`, and every bound of that reach starts
+from its last optimum.  The cutting-plane loop then separates the
+single-neuron hull inequalities at each optimum, adds every sufficiently
+violated one for that objective alone, and re-solves warm: the solved
+tableau is bordered with the new rows.
+
+:func:`optc2v_bound` bounds a whole batch.  The objectives of a reach go in
+lockstep groups (:class:`relucert.simplex.Lockstep`): one tableau per
+objective, pivoted together, with one :meth:`relucert.hull.HullTable.separate`
+step per round for the whole group and each objective's cuts on its own
+tableau.  Where such a group would be too small to pay, or its tableaux too
+large, the objectives go one by one on the shared tableau.  It is the LP
 bounder of the one forward sweep,
 :func:`relucert.propagation.compute_all_bounds`, and reads the scalar
 bounds, post boxes and hull instances that sweep has fixed so far.
@@ -25,11 +32,21 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import hull
-from .propagation import DEFAULT_CUT_ROUNDS, Bounds, LinearExpr
-from .simplex import EQ, GE, LE, LpModel, LpSolution, LpStatus, solve_lp
+from .propagation import DEFAULT_CUT_ROUNDS, Bounds, Objectives
+from .simplex import (EQ, GE, LE, Lockstep, LpBatchSolution, LpModel, LpSolution, LpStatus,
+                      solve_lp)
 
 # A hull inequality enters the model only when violated by more than this.
 CUT_VIOLATION_TOL = 1e-5
+
+# Objectives of one reach are solved in lockstep groups of at most LP_BLOCK
+# tableau entries (objectives x rows x columns), so that a group's arrays
+# stay in cache, and of at least LOCKSTEP_MIN objectives: a lockstep pivot
+# costs about twice the numpy calls of one plain pivot and lasts as long as
+# the group's longest solve, so smaller groups lose to the plain tableau.
+# Objectives that cannot form such a group go one by one.
+LP_BLOCK = 1 << 15
+LOCKSTEP_MIN = 8
 
 
 class LpBoundError(RuntimeError):
@@ -57,13 +74,14 @@ class DeltaLp:
         coef = np.concatenate([[1.0], -cut.coeffs])
         self.model.add_constraint(idx, coef, LE, cut.constant)
 
-    def set_objective(self, objective: LinearExpr):
-        """Maximize ``objective``, whose reach must be the model's variables."""
-        n = self.model.n_vars
-        if objective.reach != n:
-            raise ValueError(f"objective reach {objective.reach} on a model of {n} variables")
-        self.model.obj = objective.coeffs[:n].tolist()
-        self.model.obj_constant = objective.constant
+    def set_objective(self, coeffs, constant):
+        """Maximize ``coeffs . z + constant``; no coefficient may lie past
+        the model's variables."""
+        n, coeffs = self.model.n_vars, np.asarray(coeffs)
+        if np.any(coeffs[n:]):
+            raise ValueError(f"objective reaches past the model's {n} variables")
+        self.model.obj = coeffs[:n].tolist()
+        self.model.obj_constant = constant
 
     def solve(self, context: str) -> LpSolution:
         """Solve warm from the last solve; raise unless optimal."""
@@ -79,20 +97,19 @@ class DeltaLp:
         return DeltaLp(model=model, basis=self.basis.fork(model))
 
 
-def build_delta_lp(bounds: Bounds, objective: LinearExpr) -> DeltaLp:
-    """Relaxation LP of ``objective`` over the positions below its reach.
+def build_delta_lp(bounds: Bounds, reach: int) -> DeltaLp:
+    """Relaxation LP over the positions below ``reach``, with no objective.
 
     Every variable gets its post-activation box from ``bounds``: the input
     box, or a ReLU neuron's clamped scalar bounds.  Mixed neurons contribute
     ``z >= zhat`` and the chord upper inequality (nonnegativity rides on the
     variable bound); an always-active neuron contributes one equality
     pinning it to its row, and an always-inactive one none, its box being
-    [0, 0].  Neurons from the reach on cannot move the objective, so they
-    are left out.
+    [0, 0].  Neurons from the reach on cannot move an objective of that
+    reach, so they are left out.
     """
     net = bounds.net
-    reach = objective.reach
-    if objective.eta > net.n_state:
+    if reach > net.n_state:
         raise ValueError("objective must live over inputs and ReLU neurons only")
     if len(bounds.pre) < reach:
         raise ValueError("scalar bounds missing for neurons below the objective")
@@ -113,39 +130,73 @@ def build_delta_lp(bounds: Bounds, objective: LinearExpr) -> DeltaLp:
             s = hi / (hi - lo)
             model.add_constraint(np.concatenate([[pos], idx]),
                                  np.concatenate([[1.0], -s * w]), LE, s * (b - lo))
-    dl = DeltaLp(model=model)
-    dl.set_objective(objective)
-    return dl
+    return DeltaLp(model=model)
 
 
-def optc2v_bound(bounds: Bounds, objective: LinearExpr,
-                 rounds: int = DEFAULT_CUT_ROUNDS) -> float:
-    """Upper bound from the relaxation LP plus ``rounds`` of hull cuts.
+def optc2v_bound(bounds: Bounds, objective: Objectives,
+                 rounds: int = DEFAULT_CUT_ROUNDS) -> np.ndarray:
+    """Upper bound of each objective of a batch from the relaxation LP plus
+    ``rounds`` of hull cuts.
 
     The relaxation is the one of ``bounds`` for the objective's reach, built
-    on the first objective of that reach and kept in ``bounds.lps``; each
-    later one replaces the objective and re-solves from the last optimum.
-    Each round then separates at the current LP optimum, in one step of the
-    hull table of ``bounds``, across the mixed neurons below the reach, adds
-    every cut violated beyond ``CUT_VIOLATION_TOL`` (no cut selection), in
-    position order, and re-solves warm on the previous solve's tableau.  The
-    first cut goes into a copy of the solved relaxation, so cuts stay scoped
-    to this objective and never enter the shared model.  A violated cut
-    cannot already be in the model: the LP optimum satisfies every row
-    within ``FEAS_TOL``, far below that tolerance.  Monotone nonincreasing
-    in ``rounds``; ``rounds=0`` is the plain relaxation value.
+    on the first objective of that reach and kept in ``bounds.lps``; every
+    later one starts from its last optimum.  Each round then separates at
+    the objective's current LP optimum, in one step of the hull table of
+    ``bounds`` for all the objectives of a group, across the mixed neurons
+    below the reach, adds every cut violated beyond ``CUT_VIOLATION_TOL``
+    (no cut selection), in position order, and re-solves warm on the
+    previous solve's tableau.  Cuts stay scoped to their objective and never
+    enter the shared model.  A violated cut cannot already be in the model:
+    the LP optimum satisfies every row within ``FEAS_TOL``, far below that
+    tolerance.  Monotone nonincreasing in ``rounds``; ``rounds=0`` is the
+    plain relaxation value.
+
+    The objectives of one reach go in lockstep groups of at most
+    ``LP_BLOCK`` tableau entries when at least ``LOCKSTEP_MIN`` of them, and
+    of their tableaux in the block, are at hand; otherwise one by one, each
+    re-solving the shared tableau.  The first objective of a new model is
+    always solved alone: its optimum is where the others start.
     """
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
+    if objective.eta > bounds.net.n_state:
+        raise ValueError("objective must live over inputs and ReLU neurons only")
     reach = objective.reach
+    value = np.empty(len(objective))
+    for r in np.unique(reach).tolist():
+        which = np.flatnonzero(reach == r)
+        value[which] = _bound_reach(bounds, objective.select(which), r, rounds)
+    return value
+
+
+def _bound_reach(bounds: Bounds, objective: Objectives, reach: int, rounds: int) -> np.ndarray:
+    """:func:`optc2v_bound` of objectives that all have reach ``reach``."""
     dl = bounds.lps.get(reach)
     if dl is None:
-        dl = bounds.lps[reach] = build_delta_lp(bounds, objective)
+        dl = bounds.lps[reach] = build_delta_lp(bounds, reach)
+    m = dl.model.n_rows
+    size = LP_BLOCK // max(1, m * (reach + m))  # tableaux that fit in the block
+    alone = int(dl.basis is None)  # objectives solved alone, from the front
+    rest = len(objective) - alone
+    if size < LOCKSTEP_MIN or rest < LOCKSTEP_MIN:
+        alone, groups = len(objective), []
     else:
-        dl.set_objective(objective)
+        groups = np.array_split(np.arange(alone, len(objective)), -(-rest // size))
+    value = np.empty(len(objective))
+    for i in range(alone):
+        value[i] = _cut_loop(bounds, dl, objective.coeffs[i], objective.constant[i], rounds)
+    for group in groups:
+        value[group] = _lockstep_cut_loop(bounds, dl, objective.select(group), reach, rounds)
+    return value
+
+
+def _cut_loop(bounds: Bounds, dl: DeltaLp, coeffs, constant, rounds: int) -> float:
+    """One objective's cut loop on the shared relaxation ``dl``: its first
+    cut goes into a copy of ``dl``."""
+    dl.set_objective(coeffs, constant)
     sol = dl.solve("base relaxation")
     table = bounds.table
-    pos = table.pos[:table.rows_below(reach)]
+    pos = table.pos[:table.rows_below(dl.model.n_vars)]
     work = dl
     for _ in range(rounds):
         z = sol.x
@@ -160,3 +211,44 @@ def optc2v_bound(bounds: Bounds, objective: LinearExpr,
         # re-solve means tolerances bit us, not the model
         sol = work.solve("after adding cuts")
     return sol.objective_value
+
+
+def _lockstep_cut_loop(bounds: Bounds, dl: DeltaLp, objective: Objectives, reach: int,
+                       rounds: int) -> np.ndarray:
+    """The cut loops of a group of objectives of reach ``reach``, solved in
+    lockstep from the shared relaxation's last optimum; each objective's
+    cuts border its own tableau only.  An objective whose optimum violates
+    no cut is done."""
+    batch = Lockstep(dl.model, objective.coeffs[:, :reach], objective.constant, start=dl.basis)
+    sol = _optimal(batch.solve(), "base relaxation")
+    value = sol.objective_value
+    live = np.arange(len(objective))
+    table = bounds.table
+    pos = table.pos[:table.rows_below(reach)]
+    for _ in range(rounds):
+        z = sol.x
+        found = table.separate(z, z[:, pos], CUT_VIOLATION_TOL)
+        if not len(found):
+            break
+        cutting = np.unique(found.point)
+        if cutting.size < len(batch):
+            batch, live = batch.select(cutting), live[cutting]
+        # found.coeffs[e] . z[support[row[e]]] over the pair's columns, the
+        # rest zero: the row z[pos] - that <= constant, as add_hull_cut adds it
+        e, col = np.nonzero(found.low)
+        e, col = np.concatenate([e, np.arange(len(found))]), np.concatenate([col, found.anchor])
+        rows = np.zeros((len(found), reach))
+        rows[e, table.support[found.row[e], col]] = -found.coeffs[e, col]
+        rows[np.arange(len(found)), pos[found.row]] = 1.0
+        batch.append_rows(np.searchsorted(cutting, found.point), rows, found.constant)
+        sol = _optimal(batch.solve(), "after adding cuts")
+        value[live] = sol.objective_value
+    return value
+
+
+def _optimal(sol: LpBatchSolution, context: str) -> LpBatchSolution:
+    """``sol``, unless a member ended in a non-optimal status."""
+    for status in sol.status:
+        if status != LpStatus.OPTIMAL:
+            raise LpBoundError(status, context)
+    return sol

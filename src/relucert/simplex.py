@@ -24,6 +24,13 @@ ignored.  :meth:`_Tableau.fork` copies a solved tableau for a copy of its
 model, so the two gain rows and are solved apart.  Anti-cycling: after a
 streak of degenerate steps the pivot choice switches to Bland's rule.
 
+Many objectives over one model go together: :class:`Lockstep` keeps one
+tableau per objective, stacked along a leading axis, and makes one pivot of
+every objective per numpy step, each by the rules above; objectives that
+finish leave the stack, and each can gain rows of its own.  A solve of a
+few dozen pivots on a tableau of a few dozen rows costs more in numpy calls
+than in arithmetic, so a stack of ``q`` shares that cost ``q`` ways.
+
 The reported value is a dual bound (Neumaier & Shcherbina, "Safe bounds in
 linear and mixed-integer linear programming", 2004): the row duals of the
 final basis, with every column priced at the bound its reduced cost
@@ -421,6 +428,380 @@ class _Tableau:
             raise ArithmeticError(
                 f"optimal solution violates row: {float(v[i])} {self.senses[i]} "
                 f"{float(self.rhs[i])}")
+
+
+@dataclass(eq=False)
+class LpBatchSolution:
+    """One :class:`LpSolution` per member of a :class:`Lockstep`, as arrays."""
+
+    status: list  # LpStatus per member
+    objective_value: np.ndarray  # from each member's duals: upper bounds
+    x: np.ndarray  # (q, n)
+    iterations: np.ndarray
+
+
+# a member's end code indexes _STATUSES; a running member's code is -1
+_STATUSES = (LpStatus.OPTIMAL, LpStatus.INFEASIBLE, LpStatus.UNBOUNDED, LpStatus.ITERATION_LIMIT)
+_RUNNING, _OPTIMAL, _INFEASIBLE, _UNBOUNDED, _LIMIT = range(-1, 4)
+_NO_COLUMN = np.iinfo(np.intp).max  # Bland's rule: above every column index
+
+
+class Lockstep:
+    """The tableaux of one model under ``q`` objectives, pivoted together.
+
+    Member ``b`` maximizes ``c[b] . x + constant[b]``.  Its tableau is
+    ``tab[b]``, of shape ``(m + 1, n + m + 1)``: ``B^{-1} A`` with
+    ``B^{-1} rhs`` as its last column and the reduced costs as its last row,
+    so one broadcast rank-1 update pivots all three for every member, with
+    the arithmetic of :meth:`_Tableau._pivot` element for element.  Each
+    member picks its own pivot by the rules of :class:`_Tableau`, with the
+    same tolerances, tie rules and its own degenerate streak; a member that
+    ends leaves the working arrays at once.  Members start from ``start``, a
+    solved tableau of ``model``, when it is dual or primal feasible for
+    their objective, else from the slack basis.
+
+    :meth:`append_rows` borders each member's tableau with rows of its own,
+    as :meth:`_Tableau._restore_basis` does; a member given fewer rows than
+    another gets inert zero rows ``0 <= 0`` to fill its block, which no
+    pivot touches.  Each member reports the dual bound of its own final
+    basis (:meth:`_Tableau._dual_bound`; the padding adds zeros).
+    """
+
+    # per-member state along axis 0, which select() and _put() move; the
+    # pivots read and write only the first ten
+    _STATE = ("tab", "lb", "ub", "lb_b", "ub_b", "basic", "status", "xb", "iterations",
+              "degen", "As", "rhs", "c", "constant")
+    _PIVOTED = _STATE[:10]
+
+    def __init__(self, model: LpModel, c, constant, start: _Tableau | None = None):
+        c = np.atleast_2d(np.asarray(c, dtype=float))
+        q = c.shape[0]
+        warm = isinstance(start, _Tableau) and start.model is model \
+            and start.n_struct == model.n_vars and getattr(start, "T", None) is not None \
+            and start.T.shape[0] == model.n_rows
+        tab = start if warm else _Tableau(model)
+        tab._append_rows()
+        n, m = tab.n_struct, tab.n_rows
+        self.n, self.warm = n, warm
+        self.As = np.broadcast_to(tab.A[:, :n], (q, m, n)).copy()
+        self.rhs = np.tile(tab.rhs, (q, 1))
+        self.lb, self.ub = np.tile(tab.lb, (q, 1)), np.tile(tab.ub, (q, 1))
+        self.c = np.zeros((q, n + m))
+        self.c[:, :n] = c
+        self.constant = np.broadcast_to(np.asarray(constant, dtype=float), (q,)).copy()
+        self.tab = np.zeros((q, m + 1, n + m + 1))
+        if warm:
+            self.tab[:, :m, :-1] = tab.T
+            self.tab[:, :m, -1] = tab.trhs
+            self.basic, self.status = np.tile(tab.basic, (q, 1)), np.tile(tab.status, (q, 1))
+        else:  # the first solve starts from the slack basis
+            self.basic = np.zeros((q, m), dtype=np.intp)
+            self.status = np.zeros((q, n + m), dtype=np.int8)
+        self.xb, self.lb_b, self.ub_b = np.zeros((q, m)), np.zeros((q, m)), np.zeros((q, m))
+        self.iterations = np.zeros(q, dtype=np.intp)
+        self.degen = np.zeros(q, dtype=np.intp)
+
+    def __len__(self) -> int:
+        return self.tab.shape[0]
+
+    @property
+    def T(self):
+        """``B^{-1} A`` of every member, a view."""
+        return self.tab[:, :-1, :-1]
+
+    @property
+    def trhs(self):
+        return self.tab[:, :-1, -1]
+
+    @property
+    def d(self):
+        """Reduced costs of every member, a view."""
+        return self.tab[:, -1, :-1]
+
+    def select(self, which, state=_STATE) -> "Lockstep":
+        """The members ``which`` (indices or a mask), as a batch of their
+        own; only the ``state`` arrays are copied."""
+        new = copy.copy(self)
+        for name in state:
+            setattr(new, name, getattr(self, name)[which])
+        return new
+
+    def _put(self, which, other: "Lockstep", mask):
+        """Write the pivoted state of ``other``'s members ``mask`` back as
+        members ``which``."""
+        for name in self._PIVOTED:
+            getattr(self, name)[which] = getattr(other, name)[mask]
+
+    # ----- basis helpers ---------------------------------------------------
+
+    def _slack_basis(self, which):
+        """:meth:`_Tableau._slack_basis` for the members ``which``."""
+        m, n = self.basic.shape[1], self.n
+        self.tab[which, :m, :n] = self.As[which]
+        self.tab[which, :m, n:-1] = np.eye(m)
+        self.tab[which, :m, -1] = self.rhs[which]
+        self.basic[which] = np.arange(n, n + m)
+        self.status[which, n:] = _BASIC
+        self.status[which, :n] = np.where(self.c[which, :n] > 0.0, _AT_UPPER, _AT_LOWER)
+
+    def values(self) -> np.ndarray:
+        """:meth:`_Tableau.values` of every member, ``(q, n + m)``."""
+        x = np.where(self.status == _AT_LOWER, self.lb,
+                     np.where(self.status == _AT_UPPER, self.ub, 0.0))
+        np.put_along_axis(x, self.basic, self.trhs - np.einsum("qmk,qk->qm", self.T, x), 1)
+        return x
+
+    def _price(self):
+        """Basic values, their bounds and the reduced costs of every
+        member's basis; from here on the pivots keep them."""
+        b, basic = np.arange(len(self))[:, None], self.basic
+        self.xb = self.values()[b, basic]
+        self.lb_b, self.ub_b = self.lb[b, basic], self.ub[b, basic]
+        self.d[:] = self.c - np.einsum("qm,qmk->qk", self.c[b, basic], self.T)
+
+    def _primal_infeasibility(self):
+        return np.maximum(np.maximum(self.lb_b - self.xb, 0.0),
+                          np.maximum(self.xb - self.ub_b, 0.0))
+
+    def append_rows(self, owner, coeffs, rhs):
+        """Give member ``owner[e]`` the row ``coeffs[e] . x <= rhs[e]``.
+
+        ``owner`` is nondecreasing.  Each member's tableau is bordered with
+        its rows after its old ones, the new slacks basic; the others get
+        zero rows up to the longest block.  The next :meth:`solve` starts
+        warm from there.
+        """
+        owner = np.asarray(owner, dtype=np.intp)
+        q, m, width = len(self), self.basic.shape[1], self.tab.shape[2] - 1
+        n = self.n
+        k = int(np.bincount(owner, minlength=q).max(initial=0))
+        slot = np.arange(owner.size) - np.searchsorted(owner, owner)
+        new = np.zeros((q, k, width))
+        new[owner, slot, :n] = coeffs
+        new_rhs = np.zeros((q, k))
+        new_rhs[owner, slot] = rhs
+        # row i of the block becomes a_i - a_i[B] T, right-hand side
+        # rhs_i - a_i[B] trhs: B^{-1} A for the old basis plus the new slacks
+        new_b = np.take_along_axis(new, self.basic[:, None, :], 2)
+        tab = np.zeros((q, m + k + 1, width + k + 1))
+        tab[:, :m, :width] = self.T
+        tab[:, :m, -1] = self.trhs
+        tab[:, m:-1, :width] = new - np.einsum("qkm,qmj->qkj", new_b, self.T)
+        tab[:, m:-1, width:-1] = np.eye(k)
+        tab[:, m:-1, -1] = new_rhs - np.einsum("qkm,qm->qk", new_b, self.trhs)
+        self.tab = tab
+        self.basic = np.concatenate([self.basic, np.tile(np.arange(width, width + k), (q, 1))],
+                                    axis=1)
+        self.status = np.concatenate([self.status, np.full((q, k), _BASIC, np.int8)], axis=1)
+        self.As = np.concatenate([self.As, new[:, :, :n]], axis=1)
+        self.rhs = np.concatenate([self.rhs, new_rhs], axis=1)
+        self.lb = np.concatenate([self.lb, np.zeros((q, k))], axis=1)
+        self.ub = np.concatenate([self.ub, np.full((q, k), np.inf)], axis=1)
+        self.c = np.concatenate([self.c, np.zeros((q, k))], axis=1)
+        self.xb, self.lb_b, self.ub_b = np.zeros((q, m + k)), np.zeros((q, m + k)), \
+            np.zeros((q, m + k))
+        self.warm = True
+
+    # ----- the lockstep pivots ----------------------------------------------
+
+    def _pivot(self, go, r, j, value):
+        """:meth:`_Tableau._pivot` of every member in the mask ``go`` on row
+        ``r`` and column ``j``, the leaving variable settling at ``value``;
+        the other members are left as they are."""
+        b, tab = np.arange(len(self)), self.tab
+        every = go.all()
+        col = tab[b, :, j]  # with the reduced cost of j last
+        piv, xr = col[b, r], self.xb[b, r]
+        if not every:
+            piv, value = np.where(go, piv, 1.0), np.where(go, value, xr)
+            col *= go[:, None]
+        step = (xr - value) / piv
+        lo, hi = self.lb[b, j], self.ub[b, j]
+        xj = np.where(self.status[b, j] == _AT_LOWER, lo, hi)
+        self.xb -= step[:, None] * col[:, :-1]
+        prow = tab[b, r] / piv[:, None]
+        tab[b, r] = prow
+        col[b, r] = 0.0
+        tab -= col[:, :, None] * prow[:, None, :]
+        if not every:
+            b, r, j, xj, step, lo, hi = b[go], r[go], j[go], xj[go], step[go], lo[go], hi[go]
+        self.xb[b, r] = xj + step
+        self.lb_b[b, r], self.ub_b[b, r] = lo, hi
+        self.basic[b, r] = j
+        self.status[b, j] = _BASIC
+        self.iterations += go
+
+    def _end_codes(self, max_iter, *ends):
+        """Per member, the code of the first ``(code, mask)`` pair of
+        ``ends`` whose mask holds, after the iteration limit; else running."""
+        code = np.full(len(self), _RUNNING)
+        for value, mask in reversed(((_LIMIT, self.iterations >= max_iter),) + ends):
+            code[mask] = value
+        return code
+
+    def _dual_step(self, max_iter):
+        """One :meth:`_Tableau._dual` pivot of every member; the members'
+        end codes, or None when all go on."""
+        q, m = self.basic.shape
+        if not m:
+            return self._end_codes(max_iter, (_OPTIMAL, np.ones(q, dtype=bool)))
+        b, basic, xb, status = np.arange(q), self.basic, self.xb, self.status
+        infeas = self._primal_infeasibility()
+        r = infeas.argmax(1)
+        optimal = infeas[b, r] <= FEAS_TOL
+        bland = self.degen >= DEGENERATE_STREAK
+        if bland.any():  # the infeasible basic variable of smallest column index
+            r = np.where(bland, np.where(infeas > FEAS_TOL, basic, _NO_COLUMN).argmin(1), r)
+        below = xb[b, r] < self.lb_b[b, r]
+        alpha = self.tab[b, r, :-1]
+        # alpha signed so that an eligible column has it above PIVOT_TOL
+        elig = alpha * (status * np.where(below, -1, 1)[:, None]) > PIVOT_TOL
+        size = np.abs(alpha)
+        ratios = np.full(alpha.shape, np.inf)
+        np.divide(np.abs(self.d), size, out=ratios, where=elig)
+        least = ratios.min(1)
+        near = ratios <= (least + 1e-12)[:, None]
+        j = np.where(near, size, -1.0).argmax(1)
+        if bland.any():
+            j = np.where(bland, near.argmax(1), j)
+        go = ~optimal & (least < np.inf) & (self.iterations < max_iter)
+        code = None if go.all() else \
+            self._end_codes(max_iter, (_OPTIMAL, optimal), (_INFEASIBLE, least == np.inf))
+        if go.any():
+            self.degen[go] = np.where(least <= 1e-12, self.degen + 1, 0)[go]
+            leaving = basic[b, r]
+            self._pivot(go, r, j, np.where(below, self.lb_b[b, r], self.ub_b[b, r]))
+            self.status[b[go], leaving[go]] = np.where(below, _AT_LOWER, _AT_UPPER)[go]
+        return code
+
+    def _primal_step(self, max_iter):
+        """One :meth:`_Tableau._primal` pivot or bound flip of every member;
+        the members' end codes, or None when all go on."""
+        q, m = self.basic.shape
+        b, basic, xb, status = np.arange(q), self.basic, self.xb, self.status
+        if not status.shape[1]:
+            return self._end_codes(max_iter, (_OPTIMAL, np.ones(q, dtype=bool)))
+        # the reduced cost signed so that an eligible column has it above OPT_TOL
+        gain = self.d * status
+        j = gain.argmax(1)
+        optimal = gain[b, j] <= OPT_TOL
+        bland = self.degen >= DEGENERATE_STREAK
+        if bland.any():
+            j = np.where(bland, (gain > OPT_TOL).argmax(1), j)
+        s = status[b, j]  # +1 at its lower bound, so j moves up; -1 down
+        # _Tableau._primal_ratio, every member at once: row -1 is a bound flip
+        best, row = self.ub[b, j] - self.lb[b, j], np.full(q, -1)
+        col = self.tab[b, :-1, j]
+        if m:
+            delta = -s[:, None] * col
+            size = np.abs(delta)
+            caps = np.where(delta > 0.0, self.ub_b, self.lb_b)
+            lims = np.full((q, m), np.inf)
+            np.divide(caps - xb, delta, out=lims, where=size > PIVOT_TOL)
+            np.maximum(lims, 0.0, out=lims)
+            least = lims.min(1)
+            near = lims <= (least + 1e-12)[:, None]
+            pick = np.where(near, size, -1.0).argmax(1)
+            if bland.any():
+                pick = np.where(bland, np.where(near, basic, _NO_COLUMN).argmin(1), pick)
+            limited = least < best
+            row = np.where(limited, pick, row)
+            best = np.where(limited, lims[b, pick], best)
+        on = ~optimal & np.isfinite(best) & (self.iterations < max_iter)
+        code = None if on.all() else \
+            self._end_codes(max_iter, (_OPTIMAL, optimal), (_UNBOUNDED, ~np.isfinite(best)))
+        step = np.where(on, best, 0.0)
+        self.degen[on] = np.where(step <= FEAS_TOL, self.degen + 1, 0)[on]
+        flip = on & (row < 0)
+        if flip.any():  # j moves to its opposite bound
+            self.xb -= (s * step * flip)[:, None] * col
+            self.status[b[flip], j[flip]] = -s[flip]
+        go = on & (row >= 0)
+        if go.any():
+            r = np.maximum(row, 0)
+            leaving = basic[b, r]
+            landed = xb[b, r] - s * step * self.tab[b, r, j]
+            lo, hi = self.lb_b[b, r], self.ub_b[b, r]
+            # a slack's infinite side is never nearer than its finite one
+            settled = np.where(np.abs(landed - lo) <= np.abs(landed - hi), _AT_LOWER, _AT_UPPER)
+            self._pivot(go, r, j, np.where(settled == _AT_LOWER, lo, hi))
+            self.status[b[go], leaving[go]] = settled[go]
+        return code
+
+    def _run(self, step, which, max_iter, code):
+        """Take the members ``which`` through ``step`` until each ends,
+        writing their end codes into ``code``; a member that ends leaves the
+        working batch at once.  The working batch shares this batch's arrays
+        until the first member leaves."""
+        shared = which.size == len(self)
+        work = copy.copy(self) if shared else self.select(which, self._PIVOTED)
+        while which.size:
+            end = step(work, max_iter)
+            if end is None:
+                continue
+            done = end != _RUNNING
+            code[which[done]] = end[done]
+            if not shared:
+                self._put(which[done], work, done)
+            which, work, shared = which[~done], work.select(~done, self._PIVOTED), False
+
+    # ----- driver ------------------------------------------------------------
+
+    def solve(self, max_iter: int = DEFAULT_MAX_ITER) -> LpBatchSolution:
+        """Solve every member, from its current basis when that is a start
+        (see :meth:`_Tableau.solve`), else from the slack basis."""
+        q = len(self)
+        self.iterations[:] = 0
+        self.degen[:] = 0
+        cold = np.ones(q, dtype=bool)
+        if self.warm:
+            self._price()
+            cold = ((self.d * self.status > OPT_TOL).any(axis=1)
+                    & (self._primal_infeasibility().max(axis=1, initial=0.0) > FEAS_TOL))
+        if cold.any():
+            self._slack_basis(np.flatnonzero(cold))
+            self._price()
+        code = np.full(q, _RUNNING)
+        self._run(Lockstep._dual_step, np.arange(q), max_iter, code)
+        self._run(Lockstep._primal_step, np.flatnonzero(code == _OPTIMAL), max_iter, code)
+        self.warm = True
+        x = self.values()[:, :self.n]
+        optimal = code == _OPTIMAL
+        x[optimal] = np.clip(x[optimal], self.lb[optimal, :self.n], self.ub[optimal, :self.n])
+        self._verify(x[optimal], optimal)
+        return LpBatchSolution(status=[_STATUSES[k] for k in code],
+                               objective_value=self._dual_bound(), x=x,
+                               iterations=self.iterations.copy())
+
+    def _dual_bound(self) -> np.ndarray:
+        """:meth:`_Tableau._dual_bound` of every member's final basis."""
+        n = self.n
+        cb = np.take_along_axis(self.c, self.basic, 1)
+        y = np.einsum("qm,qmk->qk", cb, self.T[:, :, n:])
+        d = self.c.copy()
+        d[:, :n] -= np.einsum("qm,qmj->qj", y, self.As)
+        d[:, n:] -= y
+        lo, hi = self.lb[:, :n], self.ub[:, :n]
+        at_lo, at_hi = self.As * lo[:, None, :], self.As * hi[:, None, :]
+        act_lo = np.minimum(at_lo, at_hi).sum(axis=2)
+        act_hi = np.maximum(at_lo, at_hi).sum(axis=2)
+        lo = np.concatenate([lo, np.maximum(self.lb[:, n:], self.rhs - act_hi)], axis=1)
+        hi = np.concatenate([hi, np.minimum(self.ub[:, n:], self.rhs - act_lo)], axis=1)
+        return np.einsum("qm,qm->q", y, self.rhs) + np.maximum(d * lo, d * hi).sum(axis=1) \
+            + self.constant
+
+    def _verify(self, x, which):
+        """:meth:`_Tableau._verify` of the members ``which`` at their ``x``."""
+        n = self.n
+        v = np.einsum("qmj,qj->qm", self.As[which], x)
+        rhs = self.rhs[which]
+        gap = 1e2 * FEAS_TOL * (1.0 + np.abs(rhs))
+        bad = (np.isfinite(self.lb[which, n:]) & (v > rhs + gap)) \
+            | (np.isfinite(self.ub[which, n:]) & (v < rhs - gap))
+        if bad.any():
+            b, i = np.argwhere(bad)[0]
+            raise ArithmeticError(f"optimal solution violates row: {float(v[b, i])} vs "
+                                  f"{float(rhs[b, i])}")
 
 
 def write_lp_format(model: LpModel, path):

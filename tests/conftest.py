@@ -17,6 +17,7 @@ import pytest
 from relucert.network import INPUT, OUTPUT, RELU, BoxDomain, Network, Neuron
 from relucert import hull
 from relucert.propagation import BoundingFunctions, compute_all_bounds
+from relucert.relaxation import build_delta_lp
 
 
 def make_golden_network() -> Network:
@@ -85,6 +86,13 @@ def interval_state(net, box, menu=None):
             inst = hull.make_hull_instance(w, b, st.post_lower[idx], st.post_upper[idx])
             st.table.append(pos, replace(inst, support=idx[inst.support]))
     return st
+
+
+def delta_lp(bounds, objective):
+    """The relaxation LP of ``objective``'s reach, maximizing ``objective``."""
+    dl = build_delta_lp(bounds, objective.reach)
+    dl.set_objective(objective.coeffs, objective.constant)
+    return dl
 
 
 def random_mixed_instance(rng, n, allow_zero_weights=False) -> hull.HullInstance:

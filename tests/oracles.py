@@ -170,6 +170,13 @@ def lifted_envelope_value(inst: hull.HullInstance, x) -> float:
     return sol.objective_value
 
 
+def expr_from_row(idx, w, b, eta) -> LinearExpr:
+    """The row ``w . z[idx] + b`` as a dense objective over ``eta`` positions."""
+    c = np.zeros(eta)
+    c[idx] = w
+    return LinearExpr(c, float(b))
+
+
 def exact_max_oracle(net: Network, box: BoxDomain, objective: LinearExpr,
                      mixed_cap: int = 16) -> float:
     """True maximum of a state-space objective by activation-pattern search.

@@ -15,15 +15,15 @@ from relucert.hull import (corner_value, cut_from_pair, make_hull_instance,
                            minimize_upper_envelope_sort, separate_sort)
 from relucert.network import BoxDomain, classify, generate_random_network
 from relucert.propagation import (Objectives, backward_pass, compute_all_bounds,
-                                  expr_from_row, forward_pass, tightened_bound)
-from relucert.relaxation import build_delta_lp, optc2v_bound
+                                  forward_pass, tightened_bound)
+from relucert.relaxation import optc2v_bound
 from relucert.simplex import LpStatus, solve_lp
 from relucert.verifier import (attack_upper_bound, batch_verify,
                                generate_instances)
 
-from conftest import interval_state, make_golden_network, random_mixed_instance
+from conftest import delta_lp, interval_state, make_golden_network, random_mixed_instance
 from oracles import (delta_upper_value, enumerate_cut_pairs,
-                     envelope_min_by_enumeration, exact_max_oracle,
+                     envelope_min_by_enumeration, exact_max_oracle, expr_from_row,
                      lifted_envelope_value, minimize_upper_envelope_median,
                      relu_value)
 
@@ -224,9 +224,9 @@ def test_criterion_5_sandwich_and_dominance(capfd):
             for o in (obj, obj.negated()):
                 exact = exact_max_oracle(net, box, o)
                 rounds = int(rng.integers(1, 4))
-                v_r = optc2v_bound(st, o, rounds=rounds)
-                v_0 = optc2v_bound(st, o, rounds=0)
-                plain = solve_lp(build_delta_lp(st, o).model)
+                v_r = optc2v_bound(st, Objectives.of(o), rounds)[0]
+                v_0 = optc2v_bound(st, Objectives.of(o), 0)[0]
+                plain = solve_lp(delta_lp(st, o).model)
                 assert plain.status == LpStatus.OPTIMAL
                 assert exact <= v_r + 1e-6
                 assert v_r <= v_0 + 1e-6

@@ -1,6 +1,8 @@
+import pytest
+
 from relucert.cli import main
-from relucert.network import load_network
-from relucert.verifier import load_instances
+from relucert.network import generate_random_network, load_network
+from relucert.verifier import METHODS, generate_instances, load_instances, verify
 
 
 def test_gen_then_verify_round_trip(tmp_path, capsys):
@@ -115,3 +117,21 @@ def test_unfit_lines_are_named_and_the_rest_verified(tmp_path, capsys):
     assert errors[0].startswith("instance=1 skipped: ") and "dimension 2" in errors[0]
     assert errors[1].startswith("instance=3 skipped: ") and f"{inst_path}:4:" in errors[1]
     assert "skipped=0" in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("flag", ["--iterations", "--cut-rounds"])
+def test_negative_rounds_rejected_at_parse_time(tmp_path, capsys, flag):
+    # rejected before any file is read, whatever the method, naming the flag
+    for method in ("fastc2v", "optc2v", "interval"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--network", str(tmp_path / "none.txt"),
+                  "--instances", str(tmp_path / "none.txt"), "--method", method, flag, "-3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be >= 0, got -3" in err
+    net = generate_random_network([3, 4, 2], seed=1)
+    inst = generate_instances(net, 1, epsilon=0.05, seed=2)[0]
+    option = {"--iterations": "iterations", "--cut-rounds": "cut_rounds"}[flag]
+    for method in METHODS:
+        with pytest.raises(ValueError, match=f"{option} must be >= 0"):
+            verify(net, inst, method=method, attack=False, **{option: -1})

@@ -5,13 +5,13 @@ from relucert import hull, propagation
 from relucert.network import BoxDomain, eval_network, generate_random_network
 from relucert.propagation import (METHODS, BoundingFunctions, LinearExpr, Objectives,
                                   Swaps, backward_pass, box_maximize, compute_all_bounds,
-                                  expr_from_row, forward_pass, initial_scales,
+                                  forward_pass, initial_scales,
                                   tightened_bound)
 from relucert.verifier import build_input_box, generate_instances, margin_objective, verify
 
 from conftest import interval_state, make_skip_network
-from oracles import (backward_pass_by_neuron, forward_pass_by_neuron, function_row,
-                     tightened_bound_by_neuron, with_upper)
+from oracles import (backward_pass_by_neuron, expr_from_row, forward_pass_by_neuron,
+                     function_row, tightened_bound_by_neuron, with_upper)
 
 
 def menu_funcs(net, box, sb, method="deeppoly"):

@@ -4,14 +4,14 @@ import pytest
 from relucert.hull import cut_from_pair, make_hull_instance
 from relucert.network import (BoxDomain, Network, Neuron, eval_network,
                               generate_random_network)
-from relucert.propagation import LinearExpr, Objectives, compute_all_bounds, expr_from_row
+from relucert.propagation import LinearExpr, Objectives, compute_all_bounds
 from relucert.relaxation import DeltaLp, build_delta_lp, optc2v_bound
 from relucert.simplex import EQ, LpStatus, solve_lp
 from relucert.verifier import generate_instances, margin_objective, verify
 
-from conftest import interval_state, random_mixed_instance
-from oracles import (envelope_min_by_enumeration, enumerate_cut_pairs,
-                     exact_max_oracle, lifted_envelope_value)
+from conftest import delta_lp, interval_state, random_mixed_instance
+from oracles import (envelope_min_by_enumeration, enumerate_cut_pairs, exact_max_oracle,
+                     expr_from_row, lifted_envelope_value)
 
 
 def record_cuts(monkeypatch):
@@ -48,7 +48,7 @@ class TestDeltaLpStructure:
     def test_golden_model_shape(self, golden_net, golden_box):
         st = interval_state(golden_net, golden_box)
         obj = expr_from_row(*golden_net.row(6), eta=6)
-        dl = build_delta_lp(st, obj)
+        dl = delta_lp(st, obj)
         assert dl.model.n_vars == 6  # 2 inputs + 4 relu positions
         # rows per neuron: mixed h11, h12, h22 get two inequalities each
         # (nonnegativity rides on the variable bound), h21 one equality
@@ -63,7 +63,7 @@ class TestDeltaLpStructure:
     def test_true_points_feasible(self, golden_net, golden_box):
         st = interval_state(golden_net, golden_box)
         obj = expr_from_row(*golden_net.row(6), eta=6)
-        dl = build_delta_lp(st, obj)
+        dl = delta_lp(st, obj)
         rng = np.random.default_rng(4)
         for _ in range(50):
             x = rng.uniform(-1, 1, 2)
@@ -82,7 +82,7 @@ class TestDeltaLpStructure:
         box = BoxDomain(np.zeros(1), np.ones(1))
         st = interval_state(net, box)
         obj = expr_from_row(*net.row(2), eta=2)
-        dl = build_delta_lp(st, obj)
+        dl = delta_lp(st, obj)
         # its box pins it to 0, so a z = 0 row would add nothing
         assert dl.model.n_vars == 2 and dl.model.n_rows == 0
         assert (dl.model.lb[1], dl.model.ub[1]) == (0.0, 0.0)
@@ -92,7 +92,7 @@ class TestDeltaLpStructure:
         box = BoxDomain(np.zeros(1), np.ones(1))
         st = interval_state(net, box)
         obj = expr_from_row(*net.row(2), eta=2)
-        dl = build_delta_lp(st, obj)
+        dl = delta_lp(st, obj)
         assert dl.model.n_rows == 1
         idx, coef, sense, rhs = dl.model.rows[0]
         assert sense == EQ and rhs == 2.0
@@ -103,14 +103,14 @@ class TestDeltaLpValues:
     def test_golden_value_bracket(self, golden_net, golden_box):
         st = interval_state(golden_net, golden_box)
         obj = expr_from_row(*golden_net.row(6), eta=6)
-        v = optc2v_bound(st, obj, rounds=0)
+        v = optc2v_bound(st, Objectives.of(obj), 0)[0]
         assert 3.0 - 1e-9 <= v <= 4.0 + 1e-9  # above the true max, at or
         # below the chord-relaxation propagation value
 
     def test_rounds_monotone(self, golden_net, golden_box):
         st = interval_state(golden_net, golden_box)
         obj = expr_from_row(*golden_net.row(6), eta=6)
-        vals = [optc2v_bound(st, obj, rounds=r)
+        vals = [optc2v_bound(st, Objectives.of(obj), r)[0]
                 for r in range(4)]
         for a, b in zip(vals, vals[1:]):
             assert b <= a + 1e-9
@@ -121,8 +121,8 @@ class TestDeltaLpValues:
         box = BoxDomain(np.zeros(1), np.ones(1))
         st = interval_state(net, box)
         obj = expr_from_row(*net.row(2), eta=2)
-        v0 = optc2v_bound(st, obj, rounds=0)
-        v5 = optc2v_bound(st, obj, rounds=5)
+        v0 = optc2v_bound(st, Objectives.of(obj), 0)[0]
+        v5 = optc2v_bound(st, Objectives.of(obj), 5)[0]
         assert v0 == pytest.approx(v5, abs=0.0)
 
     def test_single_neuron_cut_loop_reaches_full_hull(self):
@@ -137,8 +137,8 @@ class TestDeltaLpValues:
             box = BoxDomain(inst.lower, inst.upper)
             st = interval_state(net, box)
             obj = expr_from_row(*net.row(net.n_state), eta=net.n_state)
-            looped = optc2v_bound(st, obj, rounds=8)
-            dl = build_delta_lp(st, obj)
+            looped = optc2v_bound(st, Objectives.of(obj), 8)[0]
+            dl = delta_lp(st, obj)
             for I, h in enumerate_cut_pairs(inst):
                 dl.add_hull_cut(net.input_dim, cut_from_pair(inst, I, h))
             full = solve_lp(dl.model)
@@ -149,7 +149,7 @@ class TestDeltaLpValues:
         st = interval_state(golden_net, golden_box)
         obj = expr_from_row(*golden_net.row(6), eta=6)
         added = record_cuts(monkeypatch)
-        optc2v_bound(st, obj, rounds=3)
+        optc2v_bound(st, Objectives.of(obj), 3)[0]
         assert len(added) >= 1
         rng = np.random.default_rng(8)
         for pos, cut in added:
@@ -282,8 +282,8 @@ class TestLpSweep:
             obj = expr_from_row(*net.row(net.n_state), eta=net.n_state)
             for o in (obj, obj.negated()):
                 exact = exact_max_oracle(net, box, o)
-                v0 = optc2v_bound(st, o, rounds=0)
-                v2 = optc2v_bound(st, o, rounds=2)
+                v0 = optc2v_bound(st, Objectives.of(o), 0)[0]
+                v2 = optc2v_bound(st, Objectives.of(o), 2)[0]
                 assert exact <= v2 + 1e-6
                 assert v2 <= v0 + 1e-9
 
@@ -293,9 +293,9 @@ class TestLpSweep:
         st = interval_state(golden_net, golden_box)
         obj = expr_from_row(*golden_net.row(6), eta=6)
         added = record_cuts(monkeypatch)
-        warm_val = optc2v_bound(st, obj, rounds=3)
+        warm_val = optc2v_bound(st, Objectives.of(obj), 3)[0]
         cuts = list(added)  # the rebuild below adds them through the recorder again
-        dl = build_delta_lp(st, obj)
+        dl = delta_lp(st, obj)
         for pos, cut in cuts:
             dl.add_hull_cut(pos, cut)
         cold = solve_lp(dl.model)
@@ -303,13 +303,16 @@ class TestLpSweep:
         assert warm_val == pytest.approx(cold.objective_value, abs=1e-7)
 
     def test_each_reach_solves_one_tableau(self, monkeypatch):
-        # every bound of one reach re-solves that reach's one tableau; a cut
-        # loop borders one copy of it, which all its re-solves share
+        # every bound of one reach starts from that reach's one tableau: an
+        # objective bounded alone re-solves it, and its cut loop borders one
+        # copy of it, which all its re-solves share; a lockstep group starts
+        # every member from it and borders its own arrays
         import relucert.relaxation as relaxation
         import relucert.simplex as simplex
-        built, forks, sols, per_call = [], [], [], []
+        built, forks, sols, per_call, starts = [], [], [], [], []
         real_init, real_fork = simplex._Tableau.__init__, simplex._Tableau.fork
-        real_solve, real_bound = relaxation.solve_lp, relaxation.optc2v_bound
+        real_solve, real_loop = relaxation.solve_lp, relaxation._cut_loop
+        real_lockstep = simplex.Lockstep.__init__
 
         def init(self, model):
             built.append(self)
@@ -319,21 +322,27 @@ class TestLpSweep:
             forks.append(real_fork(self, model))
             return forks[-1]
 
-        def bound(bounds, objective, rounds):
+        def cut_loop(bounds, dl, coeffs, constant, rounds):
             sols.clear()
-            value = real_bound(bounds, objective, rounds)
-            per_call.append((bounds.lps[objective.reach].basis, [s.basis for s in sols]))
+            value = real_loop(bounds, dl, coeffs, constant, rounds)
+            per_call.append((dl.basis, [s.basis for s in sols]))
             return value
+
+        def lockstep(self, model, c, constant, start=None):
+            starts.append((start, len(c)))
+            real_lockstep(self, model, c, constant, start)
 
         monkeypatch.setattr(simplex._Tableau, "__init__", init)
         monkeypatch.setattr(simplex._Tableau, "fork", fork)
+        monkeypatch.setattr(simplex.Lockstep, "__init__", lockstep)
         monkeypatch.setattr(relaxation, "solve_lp",
                             lambda *a, **k: sols.append(real_solve(*a, **k)) or sols[-1])
-        monkeypatch.setattr(relaxation, "optc2v_bound", bound)
+        monkeypatch.setattr(relaxation, "_cut_loop", cut_loop)
         st = sweep_with_margins("optc2v")
         bases = [dl.basis for dl in st.lps.values()]
         assert len(built) == len(bases) and all(t in bases for t in built)
-        assert len(per_call) > len(bases)  # reused across bounds
+        assert starts and all(any(start is t for t in bases) for start, _ in starts)
+        assert len(per_call) + sum(q for _, q in starts) > len(bases)  # reused across bounds
         copies = []
         for base, solved in per_call:
             assert solved[0] is base
@@ -346,31 +355,69 @@ class TestLpSweep:
     @pytest.mark.parametrize("method", ["lp", "optc2v"])
     def test_one_model_per_reach(self, method, monkeypatch):
         # a sweep and its margins build one relaxation per distinct reach,
-        # and every LP solved stops at its objective's reach
+        # and every LP solved, alone or in lockstep, stops at its
+        # objective's reach
         import relucert.relaxation as relaxation
+        import relucert.simplex as simplex
         builds, reaches, widths = [], [], []
         real_build, real_bound, real_solve = (relaxation.build_delta_lp, relaxation.optc2v_bound,
                                               relaxation.solve_lp)
+        real_lockstep = simplex.Lockstep.__init__
 
-        def build(bounds, objective):
-            builds.append(objective.reach)
-            return real_build(bounds, objective)
+        def build(bounds, reach):
+            builds.append(reach)
+            return real_build(bounds, reach)
 
         def bound(bounds, objective, rounds):
-            reaches.append(objective.reach)
+            reaches.extend(objective.reach.tolist())
             return real_bound(bounds, objective, rounds)
 
         def solve(model, **kwargs):
-            widths.append((reaches[-1], model.n_vars))
+            widths.append((LinearExpr(model.obj).reach, model.n_vars))
             return real_solve(model, **kwargs)
+
+        def lockstep(self, model, c, constant, start=None):
+            widths.extend((reach, model.n_vars) for reach in Objectives(c, constant).reach)
+            real_lockstep(self, model, c, constant, start)
 
         monkeypatch.setattr(relaxation, "build_delta_lp", build)
         monkeypatch.setattr(relaxation, "optc2v_bound", bound)
         monkeypatch.setattr(relaxation, "solve_lp", solve)
+        monkeypatch.setattr(simplex.Lockstep, "__init__", lockstep)
         sweep_with_margins(method)
         assert sorted(builds) == sorted(set(reaches))
         assert len(reaches) > len(builds)
         assert widths and all(n == reach for reach, n in widths)
+
+    def test_tableau_beyond_the_block_goes_one_by_one(self, monkeypatch):
+        # the level-2 rows of the 4,8,8,3 net share one tableau; with room
+        # for LOCKSTEP_MIN of them in LP_BLOCK they go in lockstep, with a
+        # block one entry short they go one by one; the bounds agree
+        import relucert.relaxation as relaxation
+        import relucert.simplex as simplex
+        groups = []
+        real = simplex.Lockstep.__init__
+
+        def lockstep(self, model, c, constant, start=None):
+            groups.append((len(c), model.n_rows * (model.n_vars + model.n_rows)))
+            real(self, model, c, constant, start)
+
+        monkeypatch.setattr(simplex.Lockstep, "__init__", lockstep)
+        ref = sweep_with_margins("optc2v")
+        assert groups
+        entries = max(size for _, size in groups)
+        sweeps = {}
+        for block in (entries * relaxation.LOCKSTEP_MIN, entries * relaxation.LOCKSTEP_MIN - 1):
+            groups.clear()
+            monkeypatch.setattr(relaxation, "LP_BLOCK", block)
+            sweeps[block] = sweep_with_margins("optc2v")
+            assert all(q * size <= block for q, size in groups)
+            assert bool(groups) == (block % relaxation.LOCKSTEP_MIN == 0)
+        for st in sweeps.values():
+            assert np.allclose([sb.pre_upper for sb in st.pre], [sb.pre_upper for sb in ref.pre],
+                               rtol=0.0, atol=1e-9)
+            assert np.allclose([sb.pre_lower for sb in st.pre], [sb.pre_lower for sb in ref.pre],
+                               rtol=0.0, atol=1e-9)
 
     def test_cuts_do_not_leak(self, monkeypatch):
         # cuts go into a copy of the reach's solved relaxation: the shared
@@ -380,7 +427,7 @@ class TestLpSweep:
         assert added
         assert st.lps
         for reach, dl in st.lps.items():
-            fresh = build_delta_lp(st, LinearExpr(np.eye(reach)[reach - 1]))
+            fresh = build_delta_lp(st, reach)
             assert dl.basis.n_rows == dl.model.n_rows == fresh.model.n_rows
             for (i1, c1, s1, r1), (i2, c2, s2, r2) in zip(dl.model.rows, fresh.model.rows):
                 assert np.array_equal(i1, i2) and np.array_equal(c1, c2) and (s1, r1) == (s2, r2)
@@ -391,17 +438,24 @@ class TestLpSweep:
 
     def test_warm_rows_keep_pivots_down(self, monkeypatch):
         import relucert.relaxation as relaxation
+        import relucert.simplex as simplex
         net = generate_random_network([6, 20, 20, 3], seed=1, weight_scale=0.7)
         inst = generate_instances(net, 1, epsilon=0.16, seed=1001)[0]
         pivots = []
-        real_solve = relaxation.solve_lp
+        real_solve, real_batch = relaxation.solve_lp, simplex.Lockstep.solve
 
         def solve(*args, **kwargs):
             sol = real_solve(*args, **kwargs)
             pivots.append(sol.iterations)
             return sol
 
+        def batch(self, *args, **kwargs):
+            sol = real_batch(self, *args, **kwargs)
+            pivots.extend(sol.iterations.tolist())
+            return sol
+
         monkeypatch.setattr(relaxation, "solve_lp", solve)
+        monkeypatch.setattr(simplex.Lockstep, "solve", batch)
         verify(net, inst, method="lp", attack=False)
         assert len(pivots) == 42  # 20 level-2 rows from both sides, 2 margins
         assert sum(pivots) <= 0.6 * self.COLD_PIVOTS

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import relucert.simplex as simplex_module
-from relucert.simplex import (EQ, GE, LE, LpModel, LpStatus, solve_lp,
+from relucert.simplex import (EQ, GE, LE, Lockstep, LpModel, LpStatus, solve_lp,
                               write_lp_format)
 
 
@@ -291,6 +291,165 @@ class TestWarmStart:
             m.add_variable(0, 1, obj=1.0)
         m.add_constraint(np.arange(5), np.ones(5), LE, 2.0)
         assert solve_lp(m, max_iter=0).status == LpStatus.ITERATION_LIMIT
+
+
+def random_boxed_lp(rng, senses=(LE, GE, EQ), tied=False):
+    """A random boxed model as test_random_lps_match_scipy draws it, without
+    an objective; ``tied`` draws small integers instead, so that many
+    pivot choices tie and the tie rules decide."""
+    n, k = int(rng.integers(2, 8)), int(rng.integers(1, 9))
+    draw = (lambda lo, hi, size=None: rng.integers(lo, hi + 1, size).astype(float)) if tied \
+        else rng.uniform
+    lb = draw(-2, 0, n)
+    ub = lb + (draw(1, 3, n) if tied else draw(0.05, 3, n))
+    m = LpModel()
+    for j in range(n):
+        m.add_variable(lb[j], ub[j])
+    for _ in range(k):
+        m.add_constraint(np.arange(n), draw(-1, 1, n), senses[int(rng.integers(len(senses)))],
+                         float(draw(-1, 1) if tied else draw(-1.5, 1.5)))
+    return m
+
+
+def with_objective(model, c, constant, rows=()):
+    """A copy of ``model`` maximizing ``c . x + constant``, with ``rows``
+    (``(coeffs, rhs)``, each ``<=``) appended."""
+    m = LpModel(lb=list(model.lb), ub=list(model.ub), obj=list(c), obj_constant=float(constant),
+                rows=list(model.rows), names=list(model.names))
+    for coeffs, rhs in rows:
+        m.add_constraint(np.arange(m.n_vars), coeffs, LE, rhs)
+    return m
+
+
+def assert_members_match(sol, refs, pivots=False):
+    """Each member as its own solve: the same status, and an optimal one
+    within 1e-9 of its value; a member whose LP is not solved to optimality
+    reports no optimal status, so no bound.  With ``pivots``, each member
+    also takes the same number of pivots to the same point, as it does when
+    both start from the same basis and choose by the same rules."""
+    for b, ref in enumerate(refs):
+        if pivots:
+            assert sol.iterations[b] == ref.iterations
+        if ref.status == LpStatus.OPTIMAL:
+            assert sol.status[b] == LpStatus.OPTIMAL
+            assert sol.objective_value[b] == pytest.approx(ref.objective_value, abs=1e-9)
+            assert not pivots or np.allclose(sol.x[b], ref.x, atol=1e-7)
+        else:
+            assert sol.status[b] != LpStatus.OPTIMAL
+
+
+def assert_warm_members_match(model, C, K):
+    """Members started from the solved tableau of ``model`` under the first
+    objective match warm solves of their own from a copy of it, pivot for
+    pivot."""
+    model.obj, model.obj_constant = C[0].tolist(), float(K[0])
+    first = solve_lp(model)
+    if first.status != LpStatus.OPTIMAL:
+        return
+    refs = []
+    for c, k in zip(C, K):
+        own = with_objective(model, c, k)
+        refs.append(solve_lp(own, warm_basis=first.basis.fork(own)))
+    assert_members_match(Lockstep(model, C, K, start=first.basis).solve(), refs, pivots=True)
+
+
+@pytest.mark.parametrize("q", [2, 5])
+class TestLockstep:
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_random_lps_match_solve_lp(self, q, tied):
+        # cold from the slack basis, then warm from a solved tableau of the
+        # first objective
+        rng = np.random.default_rng(0)
+        optimal = 0
+        for _ in range(300):
+            m = random_boxed_lp(rng, tied=tied)
+            C = rng.integers(-2, 3, (q, m.n_vars)).astype(float) if tied \
+                else rng.uniform(-2, 2, (q, m.n_vars))
+            K = rng.uniform(-1, 1, q)
+            refs = [solve_lp(with_objective(m, C[b], K[b])) for b in range(q)]
+            assert_members_match(Lockstep(m, C, K).solve(), refs, pivots=True)
+            optimal += refs[0].status == LpStatus.OPTIMAL
+            assert_warm_members_match(m, C, K)
+        assert optimal >= 50
+
+    @pytest.mark.parametrize("streak", [0, 2])
+    def test_blands_rule_matches(self, q, streak, monkeypatch):
+        # with no degenerate streak allowed, every pivot of both solvers
+        # follows Bland's rule; with a short one, each member switches to it
+        # after the degenerate steps of its own
+        monkeypatch.setattr(simplex_module, "DEGENERATE_STREAK", streak)
+        rng = np.random.default_rng(5)
+        for trial in range(200):
+            m = random_boxed_lp(rng, tied=trial % 2 == 1)
+            C = rng.integers(-2, 3, (q, m.n_vars)).astype(float) if trial % 2 \
+                else rng.uniform(-2, 2, (q, m.n_vars))
+            K = rng.uniform(-1, 1, q)
+            refs = [solve_lp(with_objective(m, C[b], K[b])) for b in range(q)]
+            assert_members_match(Lockstep(m, C, K).solve(), refs, pivots=True)
+            assert_warm_members_match(m, C, K)
+
+    def test_degenerate_lp_terminates(self, q):
+        m = LpModel()
+        n = 6
+        for j in range(n):
+            m.add_variable(0, 1)
+        for _ in range(12):
+            m.add_constraint(np.arange(n), np.ones(n), LE, 0.0)
+        C = np.vstack([np.ones(n), np.random.default_rng(3).uniform(-1, 1, (q - 1, n))])
+        sol = Lockstep(m, C, np.zeros(q)).solve()
+        assert_members_match(sol, [solve_lp(with_objective(m, c, 0.0)) for c in C])
+        assert sol.objective_value[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_equality_rows(self, q):
+        # models with equality rows through a point inside the box, so that
+        # most are feasible
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            n = int(rng.integers(2, 8))
+            lb = rng.uniform(-2, 0, n)
+            ub = lb + rng.uniform(0.05, 3, n)
+            x0 = rng.uniform(lb, ub)
+            m = LpModel()
+            for j in range(n):
+                m.add_variable(lb[j], ub[j])
+            for i in range(int(rng.integers(1, n + 1))):
+                row = rng.uniform(-1, 1, n)
+                sense = EQ if i % 2 == 0 else LE
+                m.add_constraint(np.arange(n), row, sense, float(row @ x0) + (sense == LE) * 0.3)
+            C, K = rng.uniform(-2, 2, (q, n)), rng.uniform(-1, 1, q)
+            refs = [solve_lp(with_objective(m, C[b], K[b])) for b in range(q)]
+            assert all(ref.status == LpStatus.OPTIMAL for ref in refs)
+            assert_members_match(Lockstep(m, C, K).solve(), refs)
+
+    def test_members_gain_unequal_rows(self, q):
+        # each member gets 0 to 3 rows of its own, most violated at its
+        # optimum and some beyond the box, which makes that member
+        # infeasible; every member still matches a solve of its own model
+        rng = np.random.default_rng(21)
+        infeasible = bordered = 0
+        for _ in range(80):
+            m = random_boxed_lp(rng, senses=(LE,))
+            C, K = rng.uniform(-2, 2, (q, m.n_vars)), rng.uniform(-1, 1, q)
+            batch = Lockstep(m, C, K)
+            sol = batch.solve()
+            if any(s != LpStatus.OPTIMAL for s in sol.status):
+                continue
+            own = [[] for _ in range(q)]
+            for b in range(q):
+                for _ in range(int(rng.integers(0, 4))):
+                    a = rng.uniform(-1, 1, m.n_vars)
+                    cut = 10.0 if rng.uniform() < 0.1 else 0.1
+                    own[b].append((a, float(a @ sol.x[b]) - cut))
+            owner = [b for b in range(q) for _ in own[b]]
+            if not owner:
+                continue
+            batch.append_rows(owner, np.array([a for rows in own for a, _ in rows]),
+                              np.array([r for rows in own for _, r in rows]))
+            refs = [solve_lp(with_objective(m, C[b], K[b], own[b])) for b in range(q)]
+            assert_members_match(batch.solve(), refs)
+            infeasible += sum(ref.status == LpStatus.INFEASIBLE for ref in refs)
+            bordered += 1
+        assert bordered >= 20 and infeasible >= 1
 
 
 def test_lp_format_dump(tmp_path):

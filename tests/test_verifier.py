@@ -63,7 +63,8 @@ class TestGoldenThreshold:
     a method with bound below the threshold certifies, one above cannot."""
 
     def test_bound_methods_straddle_threshold(self, golden_net, golden_box):
-        from relucert.propagation import Objectives, tightened_bound, expr_from_row
+        from relucert.propagation import Objectives, tightened_bound
+        from oracles import expr_from_row
         from conftest import interval_state
         st = interval_state(golden_net, golden_box, menu="deeppoly")
         obj = Objectives.of(expr_from_row(*golden_net.row(6), eta=6))
@@ -211,16 +212,17 @@ class TestVerify:
         calls = []
         real = relaxation_module.optc2v_bound
         monkeypatch.setattr(relaxation_module, "optc2v_bound",
-                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+                            lambda bounds, objective, rounds: calls.append(objective)
+                            or real(bounds, objective, rounds))
         for inst in generate_instances(net, 3, epsilon=0.1, seed=8):
             calls.clear()
             verify(net, inst, method=method, attack=False)
-            assert len(calls) == net.n_outputs - 1
+            assert [(len(obj), obj.eta) for obj in calls] == [(net.n_outputs - 1, net.n_state)]
 
     @pytest.mark.parametrize("method", ["deeppoly", "fastc2v"])
     def test_no_backward_pass_on_output_rows(self, method, monkeypatch):
         import relucert.propagation as propagation_module
-        from relucert.propagation import expr_from_row
+        from oracles import expr_from_row
         net = generate_random_network([3, 6, 6, 3], seed=9, weight_scale=0.8)
         rows = [expr_from_row(*net.row(pos), eta=net.n_state)
                 for pos in range(net.n_state, net.n_neurons)]
@@ -383,13 +385,14 @@ class TestMarginBatch:
         def failing(bounds, objective, rounds=3):
             if objective.eta == net.n_state:
                 margins.append(objective)
-                if len(margins) == 2:
-                    raise relaxation.LpBoundError(LpStatus.ITERATION_LIMIT, "after adding cuts")
+                real(bounds, objective.select([0]), rounds)
+                raise relaxation.LpBoundError(LpStatus.ITERATION_LIMIT, "after adding cuts")
             return real(bounds, objective, rounds)
 
         monkeypatch.setattr(relaxation, "optc2v_bound", failing)
         rep = verify(net, inst, method="optc2v", attack=False)
-        assert len(margins) == 2  # the sweep's rows passed, the second margin failed
+        # the sweep's rows passed, the first margin passed, the second failed
+        assert [len(batch) for batch in margins] == [2]
         assert rep.fallback == "LpBoundError: after adding cuts: LP ended iteration-limit"
         assert rep.margin_bounds == verify(net, inst, method="deeppoly",
                                            attack=False).margin_bounds
@@ -438,11 +441,15 @@ class TestBatch:
         assert sum(res.counts.values()) == 0 and res.reports == []
 
     def test_failed_lp_instance_falls_back_to_deeppoly(self, monkeypatch):
+        # one failing LP of instance 1, first an objective solved alone,
+        # then one member of a lockstep group whose other members solve
         import relucert.relaxation as relaxation_module
+        import relucert.simplex as simplex_module
         net = generate_random_network([4, 8, 8, 3], seed=2, weight_scale=0.8)
         insts = generate_instances(net, 3, epsilon=0.1, seed=3)
         bad = build_input_box(insts[1]).lower
-        solve = relaxation_module.solve_lp
+        solve, solve_group = relaxation_module.solve_lp, simplex_module.Lockstep.solve
+        groups = []
 
         def failing_solve(model, warm_basis=None):
             sol = solve(model, warm_basis=warm_basis)
@@ -450,16 +457,27 @@ class TestBatch:
                 sol.status = LpStatus.ITERATION_LIMIT
             return sol
 
-        monkeypatch.setattr(relaxation_module, "solve_lp", failing_solve)
-        res = batch_verify(net, insts, method="lp", deterministic=True)
-        assert sum(res.counts.values()) == 3
+        def failing_member(self, *args, **kwargs):
+            sol = solve_group(self, *args, **kwargs)
+            groups.append(sol.status)
+            if np.array_equal(self.lb[0, :net.input_dim], bad):
+                sol.status[-1] = LpStatus.ITERATION_LIMIT
+            return sol
+
         reason = "LpBoundError: base relaxation: LP ended iteration-limit"
-        assert [rep.fallback for rep in res.reports] == [None, reason, None]
-        ref = verify(net, insts[1], method="deeppoly")
-        assert res.reports[1].margin_bounds == ref.margin_bounds
-        lines = [format_report_line(i, rep) for i, rep in enumerate(res.reports)]
-        assert lines[1].endswith(" fallback=" + reason)
-        assert "fallback" not in lines[0] + lines[2]
+        for owner, name, failing in ((relaxation_module, "solve_lp", failing_solve),
+                                     (simplex_module.Lockstep, "solve", failing_member)):
+            monkeypatch.setattr(owner, name, failing)
+            res = batch_verify(net, insts, method="lp", deterministic=True)
+            monkeypatch.undo()
+            assert sum(res.counts.values()) == 3
+            assert [rep.fallback for rep in res.reports] == [None, reason, None]
+            ref = verify(net, insts[1], method="deeppoly")
+            assert res.reports[1].margin_bounds == ref.margin_bounds
+            lines = [format_report_line(i, rep) for i, rep in enumerate(res.reports)]
+            assert lines[1].endswith(" fallback=" + reason)
+            assert "fallback" not in lines[0] + lines[2]
+        assert len(groups) == 3 and all(len(g) > 1 for g in groups)
 
     def test_error_entries_reported_and_skipped(self):
         net = generate_random_network([2, 2, 2], seed=0)
