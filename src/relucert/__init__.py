@@ -11,12 +11,10 @@ functions (``fastc2v``), and an LP method that adds them as cutting planes
 from .network import (BoxDomain, Network, NetworkInvariantError,
                       NetworkParseError, Neuron, classify, eval_network,
                       generate_random_network, load_network, save_network)
-from .hull import (HullCut, HullInstance, HullTable, Separation, Separations,
-                   classify_phase, corner_value, cut_from_pair, make_hull_instance,
-                   minimize_upper_envelope_sort, separate_sort)
-from .propagation import (METHODS, BoundingFunctions, Bounds, LinearExpr, Objectives,
-                          ScalarBounds, Swaps, backward_pass, box_maximize,
-                          compute_all_bounds, forward_pass, initial_scales, tightened_bound)
+from .hull import HullTable, Separations
+from .propagation import (METHODS, BoundingFunctions, Bounds, Objectives, Swaps, backward_pass,
+                          box_maximize, compute_all_bounds, forward_pass, initial_scales,
+                          tightened_bound)
 from .simplex import LpModel, LpSolution, LpStatus, solve_lp
 from .relaxation import build_delta_lp, optc2v_bound
 from .verifier import (RobustnessInstance, VerificationReport, attack_upper_bound,

@@ -56,8 +56,8 @@ def _dump_margin_lps(net, instances, args):
             if k == inst.label:
                 continue
             obj = margin_objective(net, k, inst.label)
-            dl = build_delta_lp(state, obj.reach)
-            dl.set_objective(obj.coeffs, obj.constant)
+            dl = build_delta_lp(state, int(obj.reach[0]))
+            dl.set_objective(obj.coeffs[0], obj.constant[0])
             write_lp_format(dl.model, os.path.join(args.dump_lp, f"inst{i}_class{k}.lp"))
 
 
@@ -79,6 +79,13 @@ def _nonnegative_int(text):
     return value
 
 
+def _nonnegative_float(text):
+    value = float(text)
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="relucert",
                                 description="L-infinity robustness certification "
@@ -93,7 +100,7 @@ def build_parser():
                    help="tightening iterations for fastc2v")
     v.add_argument("--cut-rounds", type=_nonnegative_int, default=DEFAULT_CUT_ROUNDS,
                    help="separation rounds for optc2v")
-    v.add_argument("--epsilon", type=float, default=None,
+    v.add_argument("--epsilon", type=_nonnegative_float, default=None,
                    help="override the per-instance radius")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--deterministic", action="store_true",
@@ -107,8 +114,8 @@ def build_parser():
     g = sub.add_parser("gen", help="generate a random network and instance corpus")
     g.add_argument("--layers", required=True, help="comma list, e.g. 8,20,20,3")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--count", type=int, default=20)
-    g.add_argument("--epsilon", type=float, default=0.05)
+    g.add_argument("--count", type=_nonnegative_int, default=20)
+    g.add_argument("--epsilon", type=_nonnegative_float, default=0.05)
     g.add_argument("--weight-scale", type=float, default=1.0)
     g.add_argument("--network-out", default="network.txt")
     g.add_argument("--instances-out", default="instances.txt")

@@ -7,23 +7,14 @@ inequality per pair ``(I, h)`` drawn from an (exponentially large but
 efficiently separable) family indexed by box edges crossed by the
 pre-activation hyperplane.
 
-Index sets handed to and returned from this module (``low_set``,
-``anchor``) are 0-based positions into the instance's *retained* coordinate
-list: zero weights and degenerate coordinates are folded away at
-construction.  ``support`` maps retained positions to the coordinates of the
-point the instance reads.  :func:`make_hull_instance` numbers them as ``w``
-is numbered; the forward sweep renumbers them with state positions, so its
-instances read the whole state vector ``z`` as it is, and each emitted cut
-names the state positions it reads and nothing else.
-
-Separation runs on a :class:`HullTable`: the sweep appends each mixed
-neuron's instance as one zero-padded row, in position order, and one call
-computes, for a stack of points (one per objective), the envelope values of
-a prefix of rows with one ``argsort`` along the rows, then builds in one
-vectorised step (:meth:`HullTable.cuts`) the cuts of just the violated
-(point, row) pairs, the same floats :func:`cut_from_pair` gives.
-:func:`separate_sort` and :func:`minimize_upper_envelope_sort` are one-row
-calls into it, so there is one envelope implementation.
+A :class:`HullTable` holds the instances of mixed neurons as padded rows.
+A row is added with its zero weights and flat box sides folded into its
+bias; its columns hold the retained coordinates, which index sets and
+anchors name, and its ``support`` the state positions they read, so each
+cut names the state positions it reads.  The forward sweep adds a run's
+mixed neurons in one step.  One :meth:`HullTable.separate` call sorts a
+stack of points (one per objective) against a prefix of rows with one
+``argsort`` and builds the cuts of just the violated (point, row) pairs.
 """
 
 from __future__ import annotations
@@ -35,222 +26,20 @@ import numpy as np
 # The separator orders coordinates by their ratios rounded to this grid.
 RATIO_GRID = 1e-9
 
-ALWAYS_ACTIVE = "always_active"
-ALWAYS_INACTIVE = "always_inactive"
-MIXED = "mixed"
-
-
-@dataclass(frozen=True, eq=False)
-class HullInstance:
-    """One neuron's hull data, reduced to coordinates that matter.
-
-    Attributes:
-        dim: length of the weight vector the instance was built from.
-        support: positions of the retained coordinates in the point the
-            instance reads (state positions for the sweep's instances).
-        w: retained (nonzero) weights.
-        b: bias with every folded coordinate's contribution absorbed.
-        lower/upper: box bounds of the retained coordinates.
-        min_corner/max_corner: per retained coordinate, the bound value that
-            minimizes / maximizes its weighted term; the pre-activation is
-            smallest at ``min_corner`` and largest at ``max_corner``.
-        cap: ``w * (max_corner - min_corner)``, strictly positive.
-        val_max: pre-activation at ``max_corner`` (its maximum over the box).
-        val_min: pre-activation at ``min_corner`` (its minimum over the box).
-    """
-
-    dim: int
-    support: np.ndarray
-    w: np.ndarray
-    b: float
-    lower: np.ndarray
-    upper: np.ndarray
-    min_corner: np.ndarray
-    max_corner: np.ndarray
-    cap: np.ndarray
-    val_max: float
-    val_min: float
-
-    @property
-    def size(self) -> int:
-        """Number of retained coordinates."""
-        return self.w.shape[0]
-
-    def preactivation(self, x) -> float:
-        """``w.x + b`` evaluated at a point read through ``support``."""
-        x = np.asarray(x, dtype=float)
-        return float(self.w @ x[self.support]) + self.b
-
-    def ratios(self, x) -> np.ndarray:
-        """Normalized positions ``(x_i - min_corner_i) / (max - min)``; in
-        [0, 1] for x inside the box."""
-        x = np.asarray(x, dtype=float)[self.support]
-        return (x - self.min_corner) / (self.max_corner - self.min_corner)
-
-
-@dataclass(frozen=True, eq=False)
-class HullCut:
-    """A realized upper inequality ``y <= coeffs . x[idx] + constant``.
-
-    ``index_set`` and ``anchor`` are the defining pair: the inequality
-    interpolates the ReLU between the box corner that zeroes it and the
-    corner reached by raising the ``anchor`` coordinate.  ``idx`` holds the
-    ``support`` positions of ``index_set`` and ``anchor``, ascending, and
-    ``coeffs`` their coefficients.
-    """
-
-    index_set: tuple[int, ...]
-    anchor: int
-    idx: np.ndarray
-    coeffs: np.ndarray
-    constant: float
-
-    def value(self, x) -> float:
-        """Right-hand side at a point ``x`` of the instance's coordinates."""
-        return float(self.coeffs @ np.asarray(x, dtype=float)[self.idx]) + self.constant
-
-
-@dataclass(frozen=True, eq=False)
-class Separation:
-    """Most violated hull inequality at a point, with its envelope value."""
-
-    cut: HullCut
-    envelope: float
-    violation: float
-
-
-def make_hull_instance(w, b, box_lower, box_upper) -> HullInstance:
-    """Build an instance, folding zero weights and flat coordinates into b."""
-    w = np.asarray(w, dtype=float)
-    lo = np.asarray(box_lower, dtype=float)
-    hi = np.asarray(box_upper, dtype=float)
-    if not (w.shape == lo.shape == hi.shape) or w.ndim != 1:
-        raise ValueError("w and box bounds must be 1-d arrays of equal length")
-    if np.any(lo > hi):
-        raise ValueError("box has lower > upper")
-    keep = (w != 0.0) & (lo < hi)
-    folded = ~keep & (w != 0.0)
-    b = float(b) + float(w[folded] @ lo[folded])
-    w_k, lo_k, hi_k = w[keep], lo[keep], hi[keep]
-    pos = w_k >= 0.0
-    min_corner = np.where(pos, lo_k, hi_k)
-    max_corner = np.where(pos, hi_k, lo_k)
-    cap = w_k * (max_corner - min_corner)
-    val_max = float(w_k @ max_corner) + b
-    val_min = float(w_k @ min_corner) + b
-    return HullInstance(
-        dim=w.shape[0],
-        support=np.flatnonzero(keep),
-        w=w_k, b=b, lower=lo_k, upper=hi_k,
-        min_corner=min_corner, max_corner=max_corner,
-        cap=cap, val_max=val_max, val_min=val_min)
-
-
-def corner_value(inst: HullInstance, low_set) -> float:
-    """Pre-activation at the box corner taking ``min_corner`` on ``low_set``
-    and ``max_corner`` elsewhere.
-
-    Over all subsets this is the vertex function whose sign pattern indexes
-    the hull's upper facets; it decreases as ``low_set`` grows.
-    """
-    idx = np.fromiter(low_set, dtype=np.intp) if not isinstance(low_set, np.ndarray) else low_set
-    if idx.size == 0:
-        return inst.val_max
-    if np.any(idx < 0) or np.any(idx >= inst.size) or np.unique(idx).size != idx.size:
-        raise ValueError("low_set must be distinct retained coordinate positions")
-    return inst.val_max - float(inst.cap[idx].sum())
-
-
-def classify_phase(inst: HullInstance) -> str:
-    """Fixed-sign classification of the pre-activation over the box."""
-    if inst.val_min >= 0.0:
-        return ALWAYS_ACTIVE
-    if inst.val_max < 0.0:
-        return ALWAYS_INACTIVE
-    return MIXED
-
-
-def _require_mixed(inst):
-    if classify_phase(inst) != MIXED:
-        raise ValueError("operation requires a sign-spanning (mixed) instance")
-
-
-def cut_from_pair(inst: HullInstance, low_set, anchor: int) -> HullCut:
-    """Expand the pair ``(low_set, anchor)`` into explicit coefficients.
-
-    The inequality is
-    ``y <= sum_{i in I} w_i (x_i - min_corner_i)
-           + corner_value(I)/(max_corner_h - min_corner_h) (x_h - min_corner_h)``
-    expanded to ``a.x + c`` over the ``support`` positions of ``I`` and ``h``.
-    ``low_set`` must list retained positions in strictly increasing order.
-    Raises if it does not, or if the pair does not define a facet, i.e.
-    unless ``corner_value(I) >= 0 > corner_value(I + anchor)``.
-    """
-    I = np.asarray(low_set, dtype=np.intp)
-    if I.size and not (I[0] >= 0 and I[-1] < inst.size and np.all(I[1:] > I[:-1])):
-        raise ValueError("low_set must be strictly increasing retained coordinate positions")
-    h = int(anchor)
-    at = int(np.searchsorted(I, h))
-    if not 0 <= h < inst.size or (at < I.size and I[at] == h):
-        raise ValueError(f"anchor {h} invalid for index set {tuple(I.tolist())}")
-    ell_i = inst.val_max - float(inst.cap[I].sum()) if I.size else inst.val_max
-    ell_ih = ell_i - float(inst.cap[h])
-    if not (ell_i >= 0.0 and ell_ih < 0.0):
-        raise ValueError(f"pair ({tuple(I.tolist())}, {h}) is not in the cut family: "
-                         f"values {ell_i}, {ell_ih}")
-    # 0 - (a + b + ...), summed left to right, is 0 - a - b - ... bit for bit
-    const = 0.0 - float(np.cumsum(inst.w[I] * inst.min_corner[I])[-1]) if I.size else 0.0
-    slope = ell_i / (inst.max_corner[h] - inst.min_corner[h])
-    const -= slope * inst.min_corner[h]
-    k = np.concatenate([I[:at], [h], I[at:]])
-    coeffs = inst.w[k]
-    coeffs[at] = slope
-    return HullCut(index_set=tuple(I.tolist()), anchor=h, idx=inst.support[k],
-                   coeffs=coeffs, constant=const)
-
-
-def _pairwise_sums(g, n) -> np.ndarray:
-    """``ndarray.sum`` of each row's first ``n[i]`` entries, bit for bit.
-
-    ``g`` holds nonnegative entries, zero after each row's first ``n[i]``.
-    numpy sums a run of fewer than 8 values left to right from 0, a run of
-    up to 128 in eight interleaved partial sums combined pairwise and then
-    its leftover tail, and a longer one as the sum of its two halves (the
-    first a multiple of 8 long).  This replays that order on every row at
-    once; the exact zeros after ``n[i]`` change no partial sum.
-    """
-    rows, width = g.shape
-    if width % 8:
-        g = np.concatenate([g, np.zeros((rows, -width % 8))], axis=1)
-    cols = np.arange(g.shape[1])
-    full = np.where(n >= 8, n - n % 8, 0)[:, None]
-    r = np.where(cols < full, g, 0.0).reshape(rows, g.shape[1] // 8, 8).cumsum(axis=1)[:, -1]
-    head = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
-    out = np.cumsum(np.column_stack([head, np.where(cols >= full, g, 0.0)]), axis=1)[:, -1]
-    big = n > 128
-    if big.any():
-        nb, gb = n[big], g[big]
-        half = nb // 2 - (nb // 2) % 8
-        right = np.take_along_axis(gb, np.minimum(cols + half[:, None], cols[-1]), axis=1)
-        out[big] = (_pairwise_sums(np.where(cols < half[:, None], gb, 0.0), half)
-                    + _pairwise_sums(np.where(cols < (nb - half)[:, None], right, 0.0), nb - half))
-    return out
-
 
 class HullTable:
     """Hull instances of mixed neurons, padded into the rows of one table.
 
-    Row ``i`` holds instance ``insts[i]`` of the neuron at position
-    ``pos[i]``: its retained coordinates fill columns ``0 .. size - 1`` and
-    the padding after them never enters an index set.  Rows are appended in
-    position order, so the neurons below any position are a prefix.  Every
-    instance reads the same point ``z`` through its ``support``.  The table
-    has room for ``rows`` instances of up to ``width`` coordinates.
+    Row ``i`` holds the instance of the neuron at position ``pos[i]``: its
+    retained coordinates fill the columns marked ``valid``, in source order,
+    and the padding after them never enters an index set.  Rows are added
+    in position order, so the neurons below any position are a prefix.
+    Every instance reads the same point ``z`` through its ``support``.  The
+    table has room for ``rows`` instances of up to ``width`` coordinates.
     """
 
     def __init__(self, rows: int, width: int):
         self.n = 0
-        self.insts: list[HullInstance] = []
         self.pos = np.empty(rows, dtype=np.intp)
         self.val_max = np.empty(rows)
         self.support = np.zeros((rows, width), dtype=np.intp)
@@ -260,26 +49,43 @@ class HullTable:
         self.cap = np.zeros((rows, width))
         self.valid = np.zeros((rows, width), dtype=bool)
 
-    @classmethod
-    def single(cls, inst: HullInstance) -> "HullTable":
-        """A table of one row, holding ``inst``."""
-        table = cls(1, inst.size)
-        table.append(0, inst)
-        return table
-
-    def append(self, pos: int, inst: HullInstance):
-        """Add the instance of the mixed neuron at ``pos``, after all others."""
-        _require_mixed(inst)
-        if self.n and pos <= self.pos[self.n - 1]:
-            raise ValueError("rows must be appended in increasing position order")
-        i, k = self.n, inst.size
-        self.insts.append(inst)
-        self.pos[i], self.val_max[i] = pos, inst.val_max
-        self.support[i, :k] = inst.support
-        self.min_corner[i, :k] = inst.min_corner
-        self.span[i, :k] = inst.max_corner - inst.min_corner
-        self.w[i, :k], self.cap[i, :k], self.valid[i, :k] = inst.w, inst.cap, True
-        self.n += 1
+    def add(self, pos, src, weights, bias, lower, upper):
+        """Add the instances of the neurons at positions ``pos`` (ascending,
+        after every row so far) in one step: neuron ``pos[i]``'s
+        pre-activation is ``weights[i] . z[src] + bias[i]`` over ``lower <=
+        z[src] <= upper``.  Zero weights and flat sides fold into the bias.
+        Per retained coordinate, ``min_corner`` minimizes its weighted term,
+        ``span`` steps to the other bound and ``cap = w * span > 0``;
+        ``val_max`` is the pre-activation's maximum.  A neuron whose
+        pre-activation, by these sums, does not change sign over the box
+        gets no row: a bound at rounding distance from 0 may call it mixed,
+        and keeping its initial relaxation is sound."""
+        pos, src = np.asarray(pos, dtype=np.intp), np.asarray(src, dtype=np.intp)
+        if not pos.size:
+            return
+        if np.any(pos[1:] <= pos[:-1]) or (self.n and pos[0] <= self.pos[self.n - 1]):
+            raise ValueError("rows must be added in increasing position order")
+        weights = np.atleast_2d(np.asarray(weights, dtype=float))
+        lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+        keep = (weights != 0.0) & (lower < upper)
+        bias = np.asarray(bias, dtype=float) + np.where(keep, 0.0, weights) @ lower
+        order = np.argsort(~keep, axis=1, kind="stable")  # retained sources first
+        valid = np.take_along_axis(keep, order, axis=1)
+        w = np.where(valid, np.take_along_axis(weights, order, axis=1), 0.0)
+        lo, hi = lower[order], upper[order]
+        min_corner = np.where(valid, np.where(w >= 0.0, lo, hi), 0.0)
+        max_corner = np.where(valid, np.where(w >= 0.0, hi, lo), 1.0)
+        span = max_corner - min_corner
+        cap = w * span
+        val_max = np.einsum("ij,ij->i", w, max_corner) + bias
+        mixed = (val_max >= 0.0) & (cap.sum(axis=1) > val_max)
+        pos, val_max, valid, support, min_corner, span, w, cap = (a[mixed] for a in (
+            pos, val_max, valid, np.where(valid, src[order], 0), min_corner, span, w, cap))
+        rows, cols = slice(self.n, self.n + pos.size), slice(0, src.size)
+        self.pos[rows], self.val_max[rows], self.valid[rows, cols] = pos, val_max, valid
+        self.support[rows, cols], self.min_corner[rows, cols] = support, min_corner
+        self.span[rows, cols], self.w[rows, cols], self.cap[rows, cols] = span, w, cap
+        self.n += pos.size
 
     def rows_below(self, limit):
         """Number of rows whose neuron position is below ``limit`` (an
@@ -291,10 +97,11 @@ class HullTable:
 
         ``z`` is one point, or a stack of points along its leading axes;
         the results carry the same leading axes.  The sorting greedy, row by
-        row in one step: sort each row's coordinates by ``ratios`` rounded
-        to ``RATIO_GRID``, nondecreasing, ties by position; grow the index
-        set while the corner value stays nonnegative, and anchor at the
-        coordinate that first drives it negative.  Returns the envelope
+        row in one step: sort each row's coordinates by their ratios
+        ``(z - min_corner) / span`` rounded to ``RATIO_GRID``, nondecreasing,
+        ties by position; grow the index set while the corner value stays
+        nonnegative, and anchor at the coordinate that first drives it
+        negative.  Returns the envelope
         values, a mask of each row's index set and the anchors, without
         building cuts.  O(n log n) per row.
 
@@ -335,11 +142,13 @@ class HullTable:
         explicit upper inequalities, all in one step.
 
         Pair ``e`` gives ``y <= coeffs[e] . z[support[rows[e]]] + constant[e]``
-        over the row's columns: the floats :func:`cut_from_pair` computes
-        for the same pair, its index set summed as ``np.sum`` sums it and its
-        constant left to right.  Raises, as it does, unless every anchor is
-        a retained coordinate outside its index set and every pair defines a
-        facet, i.e. ``corner_value(I) >= 0 > corner_value(I + anchor)``.
+        over the row's columns, zero outside the pair: ``w_i`` on each
+        coordinate ``i`` of the index set ``I`` and ``ell / span_h`` on the
+        anchor ``h``, where ``ell = val_max - sum_{i in I} cap_i`` is the
+        pre-activation at the corner taking ``min_corner`` on ``I`` and the
+        other bound elsewhere.  Raises unless every anchor is a retained
+        coordinate outside its index set and every pair defines a facet,
+        i.e. ``ell >= 0 > ell - cap_h``.
         """
         rows, low, h = np.asarray(rows, dtype=np.intp), np.asarray(low, dtype=bool), np.asarray(h)
         if not rows.size:
@@ -351,17 +160,7 @@ class HullTable:
             i = int(np.argmax(bad))
             raise ValueError(f"anchor {h[i]} invalid for index set "
                              f"{tuple(np.flatnonzero(low[i]).tolist())}")
-        cap = np.where(low, self.cap[rows], 0.0)
-        # np.sum of fewer than 8 values adds them left to right, as cumsum
-        # does; a larger index set goes through the pairwise replay, its
-        # capacities ascending by column and left-aligned
-        total = np.cumsum(cap, axis=1)[:, -1]
-        n = low.sum(axis=1)
-        big = np.flatnonzero(n >= 8)
-        if big.size:
-            packed = np.take_along_axis(cap[big], np.argsort(~low[big], axis=1, kind="stable"),
-                                        axis=1)
-            total[big] = _pairwise_sums(packed, n[big])
+        total = np.cumsum(np.where(low, self.cap[rows], 0.0), axis=1)[:, -1]
         ell = self.val_max[rows] - total
         ell_h = ell - self.cap[rows, h]
         bad = ~((ell >= 0.0) & (ell_h < 0.0))
@@ -370,9 +169,8 @@ class HullTable:
             raise ValueError(f"pair ({tuple(np.flatnonzero(low[i]).tolist())}, {h[i]}) is not "
                              f"in the cut family: values {ell[i]}, {ell_h[i]}")
         w, min_corner = np.where(low, self.w[rows], 0.0), self.min_corner[rows]
-        constant = 0.0 - np.cumsum(w * min_corner, axis=1)[:, -1]
         slope = ell / self.span[rows, h]
-        constant -= slope * min_corner[e, h]
+        constant = -np.cumsum(w * min_corner, axis=1)[:, -1] - slope * min_corner[e, h]
         w[e, h] = slope
         return w, constant
 
@@ -394,20 +192,19 @@ class HullTable:
         low, h, envelope, violation = low[point, row], h[point, row], envelope[point, row], \
             violation[point, row]
         coeffs, constant = self.cuts(row, low, h)
-        return Separations(self, point, row, low, h, coeffs, constant, envelope, violation)
+        return Separations(point, row, low, h, coeffs, constant, envelope, violation)
 
 
 @dataclass(eq=False)
 class Separations:
     """The violated (point, row) pairs of one :meth:`HullTable.separate`.
 
-    Pair ``e`` is row ``row[e]`` of ``table`` at point ``point[e]``; its
+    Pair ``e`` is row ``row[e]`` of the table at point ``point[e]``; its
     index set is the mask ``low[e]`` over the row's columns and ``anchor[e]``
-    its anchor.  Its cut is ``coeffs[e] . z[table.support[row[e]]] +
-    constant[e]`` over the row's columns, zero outside the pair.
+    its anchor.  Its cut is ``coeffs[e] . z[support[row[e]]] + constant[e]``
+    over the row's columns, zero outside the pair.
     """
 
-    table: HullTable
     point: np.ndarray
     row: np.ndarray
     low: np.ndarray
@@ -419,38 +216,3 @@ class Separations:
 
     def __len__(self) -> int:
         return self.row.size
-
-    def cut(self, e: int) -> HullCut:
-        """Pair ``e``'s cut over the positions it names, as
-        :func:`cut_from_pair` gives it."""
-        low, anchor = self.low[e], int(self.anchor[e])
-        keep = low.copy()
-        keep[anchor] = True
-        return HullCut(index_set=tuple(np.flatnonzero(low).tolist()), anchor=anchor,
-                       idx=self.table.support[self.row[e], keep], coeffs=self.coeffs[e, keep],
-                       constant=float(self.constant[e]))
-
-
-def minimize_upper_envelope_sort(inst: HullInstance, x) -> tuple[float, np.ndarray, int]:
-    """Least upper hull inequality at ``x`` via the sorting greedy: one row
-    of :meth:`HullTable.envelopes`.
-
-    Returns the envelope value at ``x``, the index set as ascending retained
-    positions and the anchor, without building the cut.
-    """
-    value, low, h = HullTable.single(inst).envelopes(x, 1)
-    return float(value[0]), np.flatnonzero(low[0]), int(h[0])
-
-
-def separate_sort(inst: HullInstance, x, y) -> Separation | None:
-    """Most violated upper inequality at ``(x, y)``, or None if none is.
-
-    One row of :meth:`HullTable.separate`: the cut is built only when ``y``
-    exceeds the envelope.  Any positive violation counts; callers wanting a
-    tolerance filter on it compare ``Separation.violation`` themselves.
-    """
-    found = HullTable.single(inst).separate(x, [y])
-    if not len(found):
-        return None
-    return Separation(cut=found.cut(0), envelope=float(found.envelope[0]),
-                      violation=float(found.violation[0]))

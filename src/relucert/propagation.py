@@ -30,7 +30,7 @@ the state space (inputs + ReLU neurons, outputs elided into coefficients).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,45 +60,6 @@ TIGHTEN_BLOCK = 1 << 14
 _MENUS = {FASTLIN: FASTLIN, DEEPPOLY: DEEPPOLY, FASTC2V: DEEPPOLY}
 
 
-@dataclass(frozen=True)
-class ScalarBounds:
-    """Pre-activation interval ``[pre_lower, pre_upper]`` for one neuron."""
-
-    pre_lower: float
-    pre_upper: float
-
-    def is_mixed(self) -> bool:
-        return self.pre_lower < 0.0 < self.pre_upper
-
-
-@dataclass(eq=False)
-class LinearExpr:
-    """Dense affine objective over neuron positions ``0 .. eta-1``."""
-
-    coeffs: np.ndarray
-    constant: float = 0.0
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-
-    @property
-    def eta(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def reach(self) -> int:
-        """One past the last position with a nonzero coefficient: no neuron
-        from there on can move the objective's bound."""
-        nz = np.flatnonzero(self.coeffs)
-        return int(nz[-1]) + 1 if nz.size else 0
-
-    def negated(self) -> "LinearExpr":
-        return LinearExpr(-self.coeffs, -self.constant)
-
-    def value(self, z) -> float:
-        return float(self.coeffs @ np.asarray(z)[:self.eta]) + self.constant
-
-
 @dataclass(eq=False)
 class Objectives:
     """A batch of dense affine objectives over neuron positions ``0 .. eta-1``.
@@ -115,9 +76,10 @@ class Objectives:
         self.constant = np.asarray(self.constant, dtype=float)
 
     @classmethod
-    def of(cls, *exprs: LinearExpr) -> "Objectives":
-        """The batch of ``exprs``, which share one ``eta``."""
-        return cls(np.stack([e.coeffs for e in exprs]), [e.constant for e in exprs])
+    def of(cls, *batches: "Objectives") -> "Objectives":
+        """``batches`` one after another, as one batch; they share one ``eta``."""
+        return cls(np.concatenate([b.coeffs for b in batches]),
+                   np.concatenate([b.constant for b in batches]))
 
     @classmethod
     def rows(cls, net: Network, start: int, stop: int) -> "Objectives":
@@ -145,7 +107,8 @@ class Objectives:
 
     @property
     def reach(self) -> np.ndarray:
-        """Per objective, :attr:`LinearExpr.reach`."""
+        """Per objective, one past the last position with a nonzero
+        coefficient: no neuron from there on can move its bound."""
         nz = self.coeffs != 0.0
         return np.where(nz.any(axis=1), self.eta - np.argmax(nz[:, ::-1], axis=1), 0)
 
@@ -383,16 +346,6 @@ def forward_pass(funcs: BoundingFunctions, x_star, ub_used, eta,
     return z[:, :eta]
 
 
-def _interval_step(idx, w, b, post_lo, post_hi):
-    if idx.size == 0:
-        return b, b
-    wp = np.maximum(w, 0.0)
-    wn = np.minimum(w, 0.0)
-    lo = float(wp @ post_lo[idx] + wn @ post_hi[idx]) + b
-    hi = float(wp @ post_hi[idx] + wn @ post_lo[idx]) + b
-    return lo, hi
-
-
 def tightened_bound(funcs: BoundingFunctions, objective: Objectives, iterations: int,
                     table: hull.HullTable | None = None) -> np.ndarray:
     """Best bound of each objective of a batch over ``iterations`` rounds
@@ -466,10 +419,11 @@ def _swap_rounds(funcs, objective, k, x_star, ub_used, iterations, table) -> np.
 class Bounds:
     """Every ReLU neuron's bounds from one sweep, and what bounds new objectives.
 
-    ``pre`` has one pre-activation interval per input and ReLU neuron
-    (inputs report the box); :meth:`output_bounds` bounds the output rows
-    on request.  ``post_lower``/``post_upper`` are the post-activation boxes
-    of the inputs and ReLU neurons.  Propagation methods keep their initial
+    ``pre_lower``/``pre_upper`` hold one pre-activation interval per input
+    and ReLU neuron (inputs report the box; NaN until the sweep reaches a
+    neuron); :meth:`output_bounds` bounds the output rows on request.
+    ``post_lower``/``post_upper`` are the post-activation boxes of the
+    inputs and ReLU neurons.  Propagation methods keep their initial
     bounding functions in ``funcs``, the tightening methods (``fastc2v``,
     ``optc2v``) the hull instances of their mixed neurons over state
     positions in ``table``, and ``fastc2v`` the ``deeppoly`` run it never
@@ -480,7 +434,8 @@ class Bounds:
     """
 
     method: str
-    pre: list[ScalarBounds]
+    pre_lower: np.ndarray
+    pre_upper: np.ndarray
     post_lower: np.ndarray
     post_upper: np.ndarray
     net: Network = field(repr=False)
@@ -492,11 +447,6 @@ class Bounds:
     baseline: "Bounds | None" = field(default=None, repr=False)
     lps: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def hulls(self) -> dict[int, hull.HullInstance]:
-        """The hull instances of ``table`` by neuron position."""
-        return dict(zip(self.table.pos[:self.table.n].tolist(), self.table.insts))
-
     def interval_objective_bound(self, objective):
         """Interval-arithmetic bound of an objective, or of each objective
         of a batch, over the post boxes."""
@@ -505,58 +455,36 @@ class Bounds:
         return (np.maximum(c, 0.0) @ self.post_upper[:eta]
                 + np.minimum(c, 0.0) @ self.post_lower[:eta]) + objective.constant
 
-    def row_bounds(self, start: int, stop: int) -> list[ScalarBounds]:
-        """Pre-activation intervals of the rows of positions ``start ..
-        stop-1``, over the neurons before ``start``: one run of a level, or
-        the output rows.
+    def row_bounds(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Pre-activation intervals ``(lo, hi)`` of the rows of positions
+        ``start .. stop-1`` (one run of a level, or the output rows), over
+        the neurons before ``start``.
 
-        Interval arithmetic over the post boxes; every row of the
-        ``interval`` method, and the LP methods' rows over inputs only, stop
-        there.  The others are also bounded from both sides by the method's
-        relaxation, and ``fastc2v`` by its baseline's own bounds of the
-        rows, and the results intersected.  Every method but ``interval``
-        bounds all its relaxed rows, both signs, as one batch.
+        Both signs of every row go as one batch: interval arithmetic over
+        the post boxes, then, for every method but ``interval``, the
+        method's relaxation (the LP methods skip the rows over inputs alone,
+        where an LP returns the interval bound), and for ``fastc2v`` its
+        baseline's own bounds of the rows; the results are intersected.
         """
-        if self.method not in _MENUS:
-            return self._lp_row_bounds(start, stop)
+        r = stop - start
         rows = Objectives.rows(self.net, start, stop)
-        upper = np.minimum(self.interval_objective_bound(rows),
-                           tightened_bound(self.funcs, rows, self.iterations, self.table))
-        lo, hi = -upper[stop - start:], upper[:stop - start]
+        upper = self.interval_objective_bound(rows)
+        if self.method in _MENUS:
+            upper = np.minimum(upper, tightened_bound(self.funcs, rows, self.iterations,
+                                                      self.table))
+        elif self.method != INTERVAL:
+            deep = np.flatnonzero(rows.reach > self.net.input_dim)
+            if deep.size:
+                upper[deep] = self.bound_objectives(rows.select(deep))
+        lo, hi = -upper[r:], upper[:r]
         if self.baseline is not None:
-            base = self.baseline.pre[start:stop] if start < self.net.n_state \
-                else self.baseline.output_bounds()
-            lo = np.maximum(lo, [sb.pre_lower for sb in base])
-            hi = np.minimum(hi, [sb.pre_upper for sb in base])
-        lo = np.minimum(lo, hi)  # guard against tolerance-level crossings
-        return [ScalarBounds(float(a), float(b)) for a, b in zip(lo, hi)]
+            base_lo, base_hi = self.baseline.output_bounds() if start >= self.net.n_state else \
+                (self.baseline.pre_lower[start:stop], self.baseline.pre_upper[start:stop])
+            lo, hi = np.maximum(lo, base_lo), np.minimum(hi, base_hi)
+        return np.minimum(lo, hi), hi  # guard against tolerance-level crossings
 
-    def _lp_row_bounds(self, start: int, stop: int) -> list[ScalarBounds]:
-        """:meth:`row_bounds` for the ``interval`` and LP methods: each
-        row's interval bound, intersected, for the LP methods, with the
-        relaxation's bounds of the rows that read past the inputs, all of
-        them, both signs, in one batch (an LP over inputs alone just returns
-        the interval bound)."""
-        net, r = self.net, stop - start
-        out = [self._row_bound(pos) for pos in range(start, stop)]
-        lp = [i for i in range(r) if np.any(net.row(start + i)[0] >= net.input_dim)]
-        if self.method == INTERVAL or not lp:
-            return out
-        upper = self.bound_objectives(Objectives.rows(net, start, stop).select(
-            lp + [r + i for i in lp]))
-        for i, up, down in zip(lp, upper[:len(lp)], upper[len(lp):]):
-            hi = min(out[i].pre_upper, float(up))
-            lo = min(max(out[i].pre_lower, -float(down)), hi)  # guard crossings
-            out[i] = ScalarBounds(lo, hi)
-        return out
-
-    def _row_bound(self, pos: int) -> ScalarBounds:
-        """Interval bound of one row over the post boxes."""
-        idx, w, b = self.net.row(pos)
-        return ScalarBounds(*_interval_step(idx, w, b, self.post_lower, self.post_upper))
-
-    def output_bounds(self) -> list[ScalarBounds]:
-        """Pre-activation intervals of the output rows, in output order."""
+    def output_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`row_bounds` of the output rows, in output order."""
         return self.row_bounds(self.net.n_state, self.net.n_neurons)
 
     def bound_objectives(self, objectives: Objectives) -> np.ndarray:
@@ -590,8 +518,8 @@ def compute_all_bounds(net: Network, box: BoxDomain, method: str, iterations=1,
     row of a run reads another, so :meth:`Bounds.row_bounds` bounds a whole
     run over the post boxes fixed before it.  Then the run's post boxes and,
     for the propagation methods, its initial bounding functions are set in
-    one step, and, when the method tightens, each of its mixed neurons' hull
-    instance, renumbered to state positions, is appended to the hull table
+    one step, and, when the method tightens, the hull instances of its mixed
+    neurons, over state positions, go into the hull table in one step too,
     for use by all later rows.  Hull swaps are kept per objective, so the
     stored functions stay the initial ones.  The sweep stops at the last
     ReLU neuron: output rows add no state (the final affine layer is never
@@ -615,30 +543,31 @@ def compute_all_bounds(net: Network, box: BoxDomain, method: str, iterations=1,
     if len(box) != m:
         raise ValueError("box dimension does not match network input")
     baseline = compute_all_bounds(net, box, DEEPPOLY) if method == FASTC2V else None
-    inputs = [ScalarBounds(float(lo), float(hi)) for lo, hi in zip(box.lower, box.upper)]
-    bounds = Bounds(method=method, pre=inputs, post_lower=np.empty(net.n_state),
-                    post_upper=np.empty(net.n_state), net=net, box=box,
+    pre_lo, pre_hi = np.full(net.n_state, np.nan), np.full(net.n_state, np.nan)
+    # zeros, not NaN: a level's source columns may name neurons of a later
+    # run, which the hull build reads, with weight 0, before they are bounded
+    post_lo, post_hi = np.zeros(net.n_state), np.zeros(net.n_state)
+    pre_lo[:m], pre_hi[:m] = box.lower, box.upper
+    post_lo[:m], post_hi[:m] = box.lower, box.upper
+    bounds = Bounds(method=method, pre_lower=pre_lo, pre_upper=pre_hi, post_lower=post_lo,
+                    post_upper=post_hi, net=net, box=box,
                     iterations=max(1, iterations) if method == FASTC2V else 0,
                     cut_rounds=cut_rounds if method == OPTC2V else 0,
                     funcs=BoundingFunctions.empty(net, box) if method in _MENUS else None,
                     table=hull.HullTable(net.n_hidden, max((lv.src.size for lv in net.levels),
                                                            default=0)),
                     baseline=baseline)
-    post_lo, post_hi = bounds.post_lower, bounds.post_upper
-    post_lo[:m], post_hi[:m] = box.lower, box.upper
     menu = _MENUS.get(method)
     tightens = method in (FASTC2V, OPTC2V)
     for start, stop in net.runs:
-        run = bounds.row_bounds(start, stop)
-        bounds.pre.extend(run)
-        lo = np.array([sb.pre_lower for sb in run])
-        hi = np.array([sb.pre_upper for sb in run])
+        lo, hi = bounds.row_bounds(start, stop)
+        pre_lo[start:stop], pre_hi[start:stop] = lo, hi
         post_lo[start:stop], post_hi[start:stop] = np.maximum(0.0, lo), np.maximum(0.0, hi)
         if menu is not None:
             bounds.funcs.set_initial(start, menu, lo, hi)
         if tightens:
-            for pos in start + np.flatnonzero((lo < 0.0) & (hi > 0.0)):
-                idx, w, b = net.row(pos)
-                inst = hull.make_hull_instance(w, b, post_lo[idx], post_hi[idx])
-                bounds.table.append(pos, replace(inst, support=idx[inst.support]))
+            mixed = np.flatnonzero((lo < 0.0) & (hi > 0.0))
+            lv, rows = net.levels[net.level_of[start] - 1], net.level_row[start] + mixed
+            bounds.table.add(start + mixed, lv.src, lv.weights[rows], lv.bias[rows],
+                             post_lo[lv.src], post_hi[lv.src])
     return bounds

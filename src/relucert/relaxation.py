@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import hull
+from .hull import HullTable, Separations
 from .propagation import DEFAULT_CUT_ROUNDS, Bounds, Objectives
 from .simplex import (EQ, GE, LE, Lockstep, LpBatchSolution, LpModel, LpSolution, LpStatus,
                       solve_lp)
@@ -67,12 +67,6 @@ class DeltaLp:
 
     model: LpModel
     basis: object = None
-
-    def add_hull_cut(self, pos: int, cut: hull.HullCut):
-        """Add ``z[pos] <= cut``; the cut names state positions, so variables."""
-        idx = np.concatenate([[pos], cut.idx])
-        coef = np.concatenate([[1.0], -cut.coeffs])
-        self.model.add_constraint(idx, coef, LE, cut.constant)
 
     def set_objective(self, coeffs, constant):
         """Maximize ``coeffs . z + constant``; no coefficient may lie past
@@ -111,13 +105,13 @@ def build_delta_lp(bounds: Bounds, reach: int) -> DeltaLp:
     net = bounds.net
     if reach > net.n_state:
         raise ValueError("objective must live over inputs and ReLU neurons only")
-    if len(bounds.pre) < reach:
+    if np.isnan(bounds.pre_lower[:reach]).any():
         raise ValueError("scalar bounds missing for neurons below the objective")
     model = LpModel()
     for pos in range(reach):
         model.add_variable(bounds.post_lower[pos], bounds.post_upper[pos], name=f"z{pos}")
     for pos in range(net.input_dim, reach):
-        lo, hi = bounds.pre[pos].pre_lower, bounds.pre[pos].pre_upper
+        lo, hi = bounds.pre_lower[pos], bounds.pre_upper[pos]
         if lo < 0.0 and hi <= 0.0:
             continue
         idx, w, b = net.row(pos)
@@ -205,8 +199,9 @@ def _cut_loop(bounds: Bounds, dl: DeltaLp, coeffs, constant, rounds: int) -> flo
             break
         if work is dl:
             work = dl.copy()
-        for e in range(len(found)):
-            work.add_hull_cut(pos[found.row[e]], found.cut(e))
+        for row, constant in zip(_cut_rows(table, found, dl.model.n_vars), found.constant):
+            idx = np.flatnonzero(row)
+            work.model.add_constraint(idx, row[idx], LE, constant)
         # cuts are valid for every network point, so an infeasible
         # re-solve means tolerances bit us, not the model
         sol = work.solve("after adding cuts")
@@ -233,17 +228,24 @@ def _lockstep_cut_loop(bounds: Bounds, dl: DeltaLp, objective: Objectives, reach
         cutting = np.unique(found.point)
         if cutting.size < len(batch):
             batch, live = batch.select(cutting), live[cutting]
-        # found.coeffs[e] . z[support[row[e]]] over the pair's columns, the
-        # rest zero: the row z[pos] - that <= constant, as add_hull_cut adds it
-        e, col = np.nonzero(found.low)
-        e, col = np.concatenate([e, np.arange(len(found))]), np.concatenate([col, found.anchor])
-        rows = np.zeros((len(found), reach))
-        rows[e, table.support[found.row[e], col]] = -found.coeffs[e, col]
-        rows[np.arange(len(found)), pos[found.row]] = 1.0
-        batch.append_rows(np.searchsorted(cutting, found.point), rows, found.constant)
+        batch.append_rows(np.searchsorted(cutting, found.point),
+                          _cut_rows(table, found, reach), found.constant)
         sol = _optimal(batch.solve(), "after adding cuts")
         value[live] = sol.objective_value
     return value
+
+
+def _cut_rows(table: HullTable, found: Separations, reach: int) -> np.ndarray:
+    """The cuts of ``found`` as dense rows over the positions below
+    ``reach``: pair ``e``, of table row ``i = found.row[e]``, gives the row
+    ``z[table.pos[i]] - found.coeffs[e] . z[table.support[i]]``, to be kept
+    at or below ``found.constant[e]``."""
+    e, col = np.nonzero(found.low)
+    e, col = np.concatenate([e, np.arange(len(found))]), np.concatenate([col, found.anchor])
+    rows = np.zeros((len(found), reach))
+    rows[e, table.support[found.row[e], col]] = -found.coeffs[e, col]
+    rows[np.arange(len(found)), table.pos[found.row]] = 1.0
+    return rows
 
 
 def _optimal(sol: LpBatchSolution, context: str) -> LpBatchSolution:

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import BoxDomain, Network, NetworkParseError, classify
-from .propagation import (DEEPPOLY, DEFAULT_CUT_ROUNDS, LP, METHODS, OPTC2V, LinearExpr,
-                          Objectives, compute_all_bounds)
+from .propagation import (DEEPPOLY, DEFAULT_CUT_ROUNDS, LP, METHODS, OPTC2V, Objectives,
+                          compute_all_bounds)
 from .relaxation import LpBoundError
 
 VERIFIED = "verified"
@@ -82,8 +82,9 @@ def build_input_box(inst: RobustnessInstance) -> BoxDomain:
                      np.minimum(1.0, inst.x_hat + inst.epsilon))
 
 
-def margin_objective(net: Network, k: int, t: int) -> LinearExpr:
-    """State-space objective for ``f_k - f_t`` (output rows elided)."""
+def margin_objective(net: Network, k: int, t: int) -> Objectives:
+    """State-space objective for ``f_k - f_t`` (output rows elided), as a
+    batch of one."""
     r = net.n_outputs
     if not (0 <= k < r and 0 <= t < r):
         raise ValueError(f"class out of range: {k}, {t} with {r} outputs")
@@ -92,7 +93,7 @@ def margin_objective(net: Network, k: int, t: int) -> LinearExpr:
     c = np.zeros(net.n_state)
     c[ik] += wk
     c[it] -= wt
-    return LinearExpr(c, bk - bt)
+    return Objectives(c[None], [bk - bt])
 
 
 def verify(net: Network, inst: RobustnessInstance, method: str = "fastc2v",

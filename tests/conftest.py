@@ -9,15 +9,14 @@ hand-derived constants throughout the suite:
     y   = h21 + h22                 x in [-1, 1]^2
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from relucert.network import INPUT, OUTPUT, RELU, BoxDomain, Network, Neuron
-from relucert import hull
 from relucert.propagation import BoundingFunctions, compute_all_bounds
 from relucert.relaxation import build_delta_lp
+
+from oracles import MIXED, HullInstance, classify_phase, make_hull_instance
 
 
 def make_golden_network() -> Network:
@@ -60,10 +59,10 @@ def golden_box() -> BoxDomain:
 
 
 @pytest.fixture(scope="session")
-def h22_instance() -> hull.HullInstance:
+def h22_instance() -> HullInstance:
     """The hull instance of the golden network's h22 neuron: weights
     (-1.5, 1), bias 0.5, over the post-activation box [0,3] x [0,1.5]."""
-    return hull.make_hull_instance([-1.5, 1.0], 0.5, [0.0, 0.0], [3.0, 1.5])
+    return make_hull_instance([-1.5, 1.0], 0.5, [0.0, 0.0], [3.0, 1.5])
 
 
 def interval_state(net, box, menu=None):
@@ -79,23 +78,24 @@ def interval_state(net, box, menu=None):
     if menu is not None:
         st.funcs = BoundingFunctions.empty(net, box)
     for pos in range(net.input_dim, net.n_state):
+        lo, hi = st.pre_lower[pos], st.pre_upper[pos]
         if menu is not None:
-            st.funcs.set_initial(pos, menu, st.pre[pos].pre_lower, st.pre[pos].pre_upper)
-        if st.pre[pos].is_mixed():
+            st.funcs.set_initial(pos, menu, lo, hi)
+        if lo < 0.0 < hi:
             idx, w, b = net.row(pos)
-            inst = hull.make_hull_instance(w, b, st.post_lower[idx], st.post_upper[idx])
-            st.table.append(pos, replace(inst, support=idx[inst.support]))
+            st.table.add([pos], idx, w, [b], st.post_lower[idx], st.post_upper[idx])
     return st
 
 
 def delta_lp(bounds, objective):
-    """The relaxation LP of ``objective``'s reach, maximizing ``objective``."""
-    dl = build_delta_lp(bounds, objective.reach)
-    dl.set_objective(objective.coeffs, objective.constant)
+    """The relaxation LP of the reach of a batch of one objective,
+    maximizing it."""
+    dl = build_delta_lp(bounds, int(objective.reach[0]))
+    dl.set_objective(objective.coeffs[0], objective.constant[0])
     return dl
 
 
-def random_mixed_instance(rng, n, allow_zero_weights=False) -> hull.HullInstance:
+def random_mixed_instance(rng, n, allow_zero_weights=False) -> HullInstance:
     """A random sign-spanning hull instance with a nondegenerate box."""
     while True:
         w = rng.uniform(-2.0, 2.0, n)
@@ -109,8 +109,8 @@ def random_mixed_instance(rng, n, allow_zero_weights=False) -> hull.HullInstance
             continue
         # bias placing 0 strictly inside (vmin + b, vmax + b]
         b = -float(rng.uniform(vmin + 1e-9, vmax))
-        inst = hull.make_hull_instance(w, b, lo, hi)
-        if hull.classify_phase(inst) == hull.MIXED and inst.size >= 1:
+        inst = make_hull_instance(w, b, lo, hi)
+        if classify_phase(inst) == MIXED and inst.size >= 1:
             return inst
 
 

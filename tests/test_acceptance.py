@@ -11,21 +11,20 @@ import time
 import numpy as np
 import pytest
 
-from relucert.hull import (corner_value, cut_from_pair, make_hull_instance,
-                           minimize_upper_envelope_sort, separate_sort)
 from relucert.network import BoxDomain, classify, generate_random_network
-from relucert.propagation import (Objectives, backward_pass, compute_all_bounds,
-                                  forward_pass, tightened_bound)
+from relucert.propagation import (Objectives, backward_pass, compute_all_bounds, forward_pass,
+                                  tightened_bound)
 from relucert.relaxation import optc2v_bound
 from relucert.simplex import LpStatus, solve_lp
 from relucert.verifier import (attack_upper_bound, batch_verify,
                                generate_instances)
 
 from conftest import delta_lp, interval_state, make_golden_network, random_mixed_instance
-from oracles import (delta_upper_value, enumerate_cut_pairs,
-                     envelope_min_by_enumeration, exact_max_oracle, expr_from_row,
-                     lifted_envelope_value, minimize_upper_envelope_median,
-                     relu_value)
+from oracles import (corner_value, cut_from_pair, delta_upper_value,
+                     enumerate_cut_pairs, envelope_min_by_enumeration, exact_max_oracle,
+                     expr_from_row, lifted_envelope_value, make_hull_instance,
+                     minimize_upper_envelope_median, minimize_upper_envelope_sort, relu_value,
+                     separate_sort)
 
 EXACT = 1e-9
 
@@ -95,20 +94,19 @@ def test_criterion_1_golden_bound_chain(capfd):
         net = make_golden_network()
         box = BoxDomain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
         st = interval_state(net, box, menu="deeppoly")
-        sb = st.pre
         expect = {2: (-1.0, 3.0), 3: (-0.5, 1.5), 4: (1.0, 2.5), 5: (-4.0, 2.0)}
         for pos, (lo, hi) in expect.items():
-            assert abs(sb[pos].pre_lower - lo) <= EXACT
-            assert abs(sb[pos].pre_upper - hi) <= EXACT
+            assert abs(st.pre_lower[pos] - lo) <= EXACT
+            assert abs(st.pre_upper[pos] - hi) <= EXACT
 
         obj = expr_from_row(*net.row(6), eta=6)
-        res = backward_pass(st.funcs, Objectives.of(obj))
+        res = backward_pass(st.funcs, obj)
         assert abs(res.bound[0] - 4.0) <= EXACT
         assert np.allclose(res.x_star[0], [-1.0, -1.0], atol=EXACT)
 
         z = forward_pass(st.funcs, res.x_star, res.ub_used, 6)[0]
         assert np.allclose(z[[0, 1, 2, 3, 5]], [-1.0, -1.0, 1.0, 1.5, 1.5], atol=EXACT)
-        assert abs(obj.value(z) - 4.0) <= EXACT
+        assert abs(obj.coeffs[0] @ z + obj.constant[0] - 4.0) <= EXACT
 
         inst = make_hull_instance([-1.5, 1.0], 0.5, [0.0, 0.0], [3.0, 1.5])
         assert enumerate_cut_pairs(inst) == [((), 0), ((1,), 0)]
@@ -126,7 +124,7 @@ def test_criterion_1_golden_bound_chain(capfd):
         assert abs(sep.envelope - 4.0 / 3.0) <= EXACT
         assert abs(sep.violation - 1.0 / 6.0) <= EXACT
 
-        tight = tightened_bound(st.funcs, Objectives.of(obj), 1, st.table)[0]
+        tight = tightened_bound(st.funcs, obj, 1, st.table)[0]
         assert abs(tight - 23.0 / 6.0) <= EXACT
 
 
@@ -214,26 +212,26 @@ def test_criterion_5_sandwich_and_dominance(capfd):
             ext = float(rng.uniform(0.15, 0.5))
             box = BoxDomain(np.clip(mid - ext, 0, 1), np.clip(mid + ext, 0, 1))
             st = interval_state(net, box)
-            if len(st.hulls) > 12:
+            if st.table.n > 12:
                 continue
             done += 1
             st_iv = compute_all_bounds(net, box, "interval")
             st_dp = compute_all_bounds(net, box, "deeppoly")
             st_fc = compute_all_bounds(net, box, "fastc2v")
-            obj = expr_from_row(*net.row(net.n_state), eta=net.n_state)
-            for o in (obj, obj.negated()):
+            objs = Objectives.rows(net, net.n_state, net.n_neurons)  # both signs
+            for o in (objs.select([0]), objs.select([1])):
                 exact = exact_max_oracle(net, box, o)
                 rounds = int(rng.integers(1, 4))
-                v_r = optc2v_bound(st, Objectives.of(o), rounds)[0]
-                v_0 = optc2v_bound(st, Objectives.of(o), 0)[0]
+                v_r = optc2v_bound(st, o, rounds)[0]
+                v_0 = optc2v_bound(st, o, 0)[0]
                 plain = solve_lp(delta_lp(st, o).model)
                 assert plain.status == LpStatus.OPTIMAL
                 assert exact <= v_r + 1e-6
                 assert v_r <= v_0 + 1e-6
                 assert abs(v_0 - plain.objective_value) <= 1e-9
-                (b_fc,) = st_fc.bound_objectives(Objectives.of(o))
-                (b_dp,) = st_dp.bound_objectives(Objectives.of(o))
-                (b_iv,) = st_iv.bound_objectives(Objectives.of(o))
+                (b_fc,) = st_fc.bound_objectives(o)
+                (b_dp,) = st_dp.bound_objectives(o)
+                (b_iv,) = st_iv.bound_objectives(o)
                 assert exact <= b_fc + 1e-6
                 assert b_fc <= b_dp + 1e-6
                 assert b_dp <= b_iv + 1e-6

@@ -135,3 +135,28 @@ def test_negative_rounds_rejected_at_parse_time(tmp_path, capsys, flag):
     for method in METHODS:
         with pytest.raises(ValueError, match=f"{option} must be >= 0"):
             verify(net, inst, method=method, attack=False, **{option: -1})
+
+
+@pytest.mark.parametrize("cmd, flag, value, message", [
+    ("gen", "--epsilon", "-0.1", "must be finite and >= 0, got -0.1"),
+    ("gen", "--epsilon", "inf", "must be finite and >= 0, got inf"),
+    ("gen", "--count", "-3", "must be >= 0, got -3"),
+    ("verify", "--epsilon", "nan", "must be finite and >= 0, got nan"),
+    ("verify", "--epsilon", "-1", "must be finite and >= 0, got -1"),
+])
+def test_bad_gen_and_verify_arguments_rejected_at_parse_time(tmp_path, monkeypatch, capsys,
+                                                             cmd, flag, value, message):
+    # rejected before any file is written: gen would write its default
+    # outputs here, and verify would run on the (empty) corpus and exit 0
+    monkeypatch.chdir(tmp_path)
+    main(["gen", "--layers", "3,4,2", "--count", "0", "--network-out", "net.txt",
+          "--instances-out", "empty.txt"])
+    before = sorted(p.name for p in tmp_path.iterdir())
+    argv = ["gen", "--layers", "3,4,2"] if cmd == "gen" else \
+        ["verify", "--network", "net.txt", "--instances", "empty.txt", "--method", "lp"]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before == ["empty.txt", "net.txt"]

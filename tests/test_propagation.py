@@ -2,24 +2,32 @@ import numpy as np
 import pytest
 
 from relucert import hull, propagation
-from relucert.network import BoxDomain, eval_network, generate_random_network
-from relucert.propagation import (METHODS, BoundingFunctions, LinearExpr, Objectives,
-                                  Swaps, backward_pass, box_maximize, compute_all_bounds,
-                                  forward_pass, initial_scales,
-                                  tightened_bound)
+from relucert.network import BoxDomain, Network, Neuron, eval_network, generate_random_network
+from relucert.propagation import (METHODS, BoundingFunctions, Objectives, Swaps, backward_pass,
+                                  box_maximize, compute_all_bounds, forward_pass,
+                                  initial_scales, tightened_bound)
 from relucert.verifier import build_input_box, generate_instances, margin_objective, verify
 
 from conftest import interval_state, make_skip_network
-from oracles import (backward_pass_by_neuron, expr_from_row, forward_pass_by_neuron,
-                     function_row, tightened_bound_by_neuron, with_upper)
+from oracles import (backward_pass_by_neuron, cut_from_pair, expr_from_row,
+                     forward_pass_by_neuron, function_row, make_hull_instance,
+                     minimize_upper_envelope_sort, separate_sort, separation_cut,
+                     table_instances, tightened_bound_by_neuron, with_upper)
 
 
-def menu_funcs(net, box, sb, method="deeppoly"):
-    """The menu's bounding functions over the scalar bounds ``sb``."""
+def menu_funcs(net, box, st, method="deeppoly"):
+    """The menu's bounding functions over the scalar bounds of ``st``."""
     funcs = BoundingFunctions.empty(net, box)
     for pos in range(net.input_dim, net.n_state):
-        funcs.set_initial(pos, method, sb[pos].pre_lower, sb[pos].pre_upper)
+        funcs.set_initial(pos, method, st.pre_lower[pos], st.pre_upper[pos])
     return funcs
+
+
+def all_rows(st):
+    """``(lo, hi)`` of every row of a sweep: inputs and ReLU neurons, then
+    the outputs."""
+    out_lo, out_hi = st.output_bounds()
+    return np.concatenate([st.pre_lower, out_lo]), np.concatenate([st.pre_upper, out_hi])
 
 
 def values(objs, z):
@@ -39,39 +47,34 @@ def dense_function(funcs, pos, upper=True):
 class TestIntervalBounds:
     def test_golden_network(self, golden_net, golden_box):
         st = compute_all_bounds(golden_net, golden_box, "interval")
-        sb = st.pre
-        assert (sb[2].pre_lower, sb[2].pre_upper) == (-1.0, 3.0)
-        assert (sb[3].pre_lower, sb[3].pre_upper) == (-0.5, 1.5)
-        assert (sb[4].pre_lower, sb[4].pre_upper) == (1.0, 2.5)
-        assert (sb[5].pre_lower, sb[5].pre_upper) == (-4.0, 2.0)
-        assert len(sb) == golden_net.n_state  # output rows only on request
-        assert st.output_bounds()[0].pre_upper == pytest.approx(4.5)  # 1.5 + 2 + 1
+        assert st.pre_lower[2:].tolist() == [-1.0, -0.5, 1.0, -4.0]
+        assert st.pre_upper[2:].tolist() == [3.0, 1.5, 2.5, 2.0]
+        assert st.pre_upper.shape == (golden_net.n_state,)  # output rows only on request
+        assert st.output_bounds()[1][0] == pytest.approx(4.5)  # 1.5 + 2 + 1
 
     def test_zero_weight_net(self):
         net = generate_random_network([2, 2, 1], seed=0, weight_scale=1.0)
         # strip all weights: bounds must equal biases
-        from relucert.network import Network, Neuron
         stripped = [Neuron(n.index, n.kind, () if n.kind != "input" else (),
                            n.bias if n.kind != "input" else 0.0)
                     for n in net.neurons]
         net0 = Network(2, stripped, net.output_indices)
-        st = compute_all_bounds(net0, BoxDomain(np.zeros(2), np.ones(2)), "interval")
-        sb = st.pre + st.output_bounds()
+        lo, hi = all_rows(compute_all_bounds(net0, BoxDomain(np.zeros(2), np.ones(2)),
+                                             "interval"))
         for pos in range(2, net0.n_neurons):
-            assert sb[pos].pre_lower == sb[pos].pre_upper == net0.neurons[pos].bias
+            assert lo[pos] == hi[pos] == net0.neurons[pos].bias
 
     def test_point_box_is_exact(self, golden_net):
         x = np.array([0.3, -0.4])
         box = BoxDomain(x, x)
-        st = compute_all_bounds(golden_net, box, "interval")
-        sb = st.pre + st.output_bounds()
+        lo, hi = all_rows(compute_all_bounds(golden_net, box, "interval"))
         z, y = eval_network(golden_net, x)
         for pos in range(2, golden_net.n_state):
             idx, w, b = golden_net.row(pos)
             pre = float(w @ z[idx]) + b
-            assert sb[pos].pre_lower == pytest.approx(pre, abs=1e-12)
-            assert sb[pos].pre_upper == pytest.approx(pre, abs=1e-12)
-        assert sb[6].pre_lower == pytest.approx(y[0], abs=1e-12)
+            assert lo[pos] == pytest.approx(pre, abs=1e-12)
+            assert hi[pos] == pytest.approx(pre, abs=1e-12)
+        assert lo[6] == pytest.approx(y[0], abs=1e-12)
 
 
 class TestMenus:
@@ -80,8 +83,8 @@ class TestMenus:
         # (L,0),(U,U) of its row -1.5 h11 + h12 + 0.5
         assert initial_scales("deeppoly", -4.0, 2.0) == \
             pytest.approx((0.0, 1.0 / 3.0, 4.0 / 3.0))
-        sb = compute_all_bounds(golden_net, golden_box, "interval").pre
-        funcs = menu_funcs(golden_net, golden_box, sb)
+        st = compute_all_bounds(golden_net, golden_box, "interval")
+        funcs = menu_funcs(golden_net, golden_box, st)
         lower, lower_b = dense_function(funcs, 5, upper=False)
         assert not lower.any() and lower_b == 0.0
         upper, upper_b = dense_function(funcs, 5)
@@ -106,7 +109,6 @@ class TestMenus:
     def test_interval_pairs_are_post_constants(self):
         # the interval method keeps no pairs; its neurons are the post
         # constants, here of a row with pre-activation range [-2, 3]
-        from relucert.network import Network, Neuron
         net = Network(1, [Neuron(1, "input", (), 0.0),
                           Neuron(2, "relu", ((1, 1.0),), 0.0),
                           Neuron(3, "output", ((2, 1.0),), 0.0)], [3])
@@ -125,23 +127,23 @@ class TestMenus:
 class TestBoxMaximize:
     def test_golden_residual(self, golden_box):
         (val,), (x,) = box_maximize(
-            Objectives.of(LinearExpr(np.array([-1.0 / 12.0, -2.0 / 3.0]), 37.0 / 12.0)),
+            Objectives([[-1.0 / 12.0, -2.0 / 3.0]], [37.0 / 12.0]),
             golden_box)
         assert val == pytest.approx(23.0 / 6.0, abs=1e-12)
         assert np.array_equal(x, [-1.0, -1.0])
 
     def test_zero_expr_returns_midpoint(self, golden_box):
-        (val,), (x,) = box_maximize(Objectives.of(LinearExpr(np.zeros(2), 5.0)), golden_box)
+        (val,), (x,) = box_maximize(Objectives(np.zeros((1, 2)), [5.0]), golden_box)
         assert val == 5.0 and np.array_equal(x, [0.0, 0.0])
 
     def test_collapsed_coordinate(self):
         box = BoxDomain(np.array([0.0, 5.0]), np.array([1.0, 5.0]))
-        (val,), (x,) = box_maximize(Objectives.of(LinearExpr(np.array([1.0, 0.0]))), box)
+        (val,), (x,) = box_maximize(Objectives([[1.0, 0.0]], [0.0]), box)
         assert val == 1.0 and np.array_equal(x, [1.0, 5.0])
 
     def test_non_input_reference_rejected(self, golden_box):
         with pytest.raises(ValueError):
-            box_maximize(Objectives.of(LinearExpr(np.array([0.0, 0.0, 1.0]))), golden_box)
+            box_maximize(Objectives([[0.0, 0.0, 1.0]], [0.0]), golden_box)
 
 
 class TestGoldenChain:
@@ -152,7 +154,7 @@ class TestGoldenChain:
     def chain(self, golden_net, golden_box):
         st = interval_state(golden_net, golden_box, menu="deeppoly")
         obj = expr_from_row(*golden_net.row(6), eta=6)
-        return golden_net, golden_box, st, st.funcs, Objectives.of(obj)
+        return golden_net, golden_box, st, st.funcs, obj
 
     def test_backward_bound_and_point(self, chain):
         net, box, st, funcs, obj = chain
@@ -175,16 +177,16 @@ class TestGoldenChain:
         for _ in range(50):
             net = generate_random_network([2, 4, 4, 1], seed=int(rng.integers(1 << 30)))
             box = BoxDomain(rng.uniform(-1, 0, 2), rng.uniform(0.2, 1, 2))
-            sb = compute_all_bounds(net, box, "interval").pre
-            funcs = menu_funcs(net, box, sb, method="fastlin")
-            obj = Objectives.of(expr_from_row(*net.row(net.n_state), eta=net.n_state))
+            st = compute_all_bounds(net, box, "interval")
+            funcs = menu_funcs(net, box, st, method="fastlin")
+            obj = expr_from_row(*net.row(net.n_state), eta=net.n_state)
             res = backward_pass(funcs, obj)
             z = forward_pass(funcs, res.x_star, res.ub_used, net.n_state)
             assert values(obj, z)[0] == pytest.approx(res.bound[0], abs=1e-9)
 
     def test_tightened_one_iteration(self, chain):
         net, box, st, funcs, obj = chain
-        assert sorted(st.hulls) == [2, 3, 5]
+        assert st.table.pos[:st.table.n].tolist() == [2, 3, 5]
         bound = tightened_bound(funcs, obj, 1, st.table)[0]
         assert bound == pytest.approx(23.0 / 6.0, abs=1e-12)
 
@@ -211,7 +213,7 @@ class TestGoldenChain:
         with pytest.raises(ValueError, match="position 5"):
             backward_pass(funcs, obj)
         # a neuron without functions that no coefficient reaches is fine
-        assert backward_pass(funcs, Objectives.of(expr_from_row(*net.row(4), eta=4))).bound[0] \
+        assert backward_pass(funcs, expr_from_row(*net.row(4), eta=4)).bound[0] \
             == pytest.approx(2.5, abs=1e-12)
 
     def test_backward_after_swap_residual(self, chain):
@@ -233,7 +235,7 @@ class TestGoldenChain:
 
     def test_empty_objective_returns_constant(self, chain):
         net, box, st, funcs, obj = chain
-        res = backward_pass(funcs, Objectives.of(LinearExpr(np.zeros(6), 2.5)))
+        res = backward_pass(funcs, Objectives(np.zeros((1, 6)), [2.5]))
         assert res.bound[0] == 2.5
 
     def test_forward_passthrough_without_relu(self, golden_box):
@@ -264,12 +266,12 @@ class TestLevelPasses:
         table = st.table
         entries, funcs = [], [st.funcs] * q
         for j in range(q):
-            for r, inst in enumerate(table.insts):
+            for r, inst in enumerate(table_instances(table).values()):
                 if rng.random() < 0.5:
                     x = np.zeros(st.net.n_state)
                     x[inst.support] = rng.uniform(inst.lower, inst.upper)
-                    _, low, h = hull.minimize_upper_envelope_sort(inst, x)
-                    cut = hull.cut_from_pair(inst, low, h)
+                    _, low, h = minimize_upper_envelope_sort(inst, x)
+                    cut = cut_from_pair(inst, low, h)
                     funcs[j] = with_upper(funcs[j], table.pos[r], cut.idx, cut.coeffs,
                                           cut.constant)
                     coeffs = np.zeros(table.w.shape[1])
@@ -299,8 +301,7 @@ class TestLevelPasses:
             z = forward_pass(st.funcs, got.x_star, got.ub_used, eta, swaps)
             assert np.allclose(values(objs, z), got.bound, rtol=0.0, atol=1e-12), trial
             for j in range(5):
-                obj = LinearExpr(objs.coeffs[j], objs.constant[j])
-                want = backward_pass_by_neuron(funcs[j], obj)
+                want = backward_pass_by_neuron(funcs[j], objs.select([j]))
                 assert got.bound[j] == pytest.approx(want.bound, rel=0.0, abs=1e-12), trial
                 assert np.array_equal(got.x_star[j], want.x_star), trial
                 assert np.array_equal(got.ub_used[j], want.ub_used), trial
@@ -311,13 +312,14 @@ class TestLevelPasses:
     def first_round_swaps(funcs, obj, table):
         """How many reachable hull rows the oracle swaps in its first round
         for one objective, or None when none is reachable."""
-        nz = np.flatnonzero(obj.coeffs)
+        nz = np.flatnonzero(obj.coeffs[0])
         rows = [r for r in range(table.n) if nz.size and table.pos[r] <= nz[-1]]
         if not rows:
             return None
         res = backward_pass_by_neuron(funcs, obj)
         z = forward_pass_by_neuron(funcs, res.x_star, res.ub_used, table.pos[rows[-1]] + 1)
-        seps = [hull.separate_sort(table.insts[r], z, z[table.pos[r]]) for r in rows]
+        insts = list(table_instances(table).values())
+        seps = [separate_sort(insts[r], z, z[table.pos[r]]) for r in rows]
         return sum(sep is not None and sep.violation > propagation.SWAP_VIOLATION_TOL
                    for sep in seps)
 
@@ -348,8 +350,8 @@ class TestLevelPasses:
             batches = [Objectives(np.concatenate([rows.coeffs, extra]),
                                   np.concatenate([rows.constant, rng.normal(size=4)]))]
             batches += [Objectives.rows(net, start, stop) for start, stop in net.runs]
-            kinds = {self.first_round_swaps(st.funcs, LinearExpr(c, b), st.table)
-                     for c, b in zip(batches[0].coeffs, batches[0].constant)}
+            kinds = {self.first_round_swaps(st.funcs, batches[0].select([j]), st.table)
+                     for j in range(len(batches[0]))}
             assert None in kinds and 0 in kinds
             several += max(k or 0 for k in kinds) >= 2
             for objs in batches:
@@ -367,16 +369,14 @@ class TestLevelPasses:
     def test_skip_network_sweep_matches_per_neuron_oracle(self, method, monkeypatch):
         net = make_skip_network()
         box = BoxDomain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-        obj = expr_from_row(*net.row(net.n_state), eta=net.n_state)
+        rows = Objectives.rows(net, net.n_state, net.n_neurons)  # the output, both signs
 
         def sweep():
             st = compute_all_bounds(net, box, method)
-            rows = st.pre + st.output_bounds()
-            return ([(sb.pre_lower, sb.pre_upper) for sb in rows],
-                    st.bound_objectives(Objectives.of(obj, obj.negated())).tolist(), st)
+            return all_rows(st), st.bound_objectives(rows), st
 
         got, got_obj, st = sweep()
-        assert sum(sb.is_mixed() for sb in st.pre) >= 2
+        assert np.sum((st.pre_lower < 0.0) & (st.pre_upper > 0.0)) >= 2
         monkeypatch.setattr(propagation, "tightened_bound", tightened_bound_by_neuron)
         want, want_obj, _ = sweep()
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
@@ -387,12 +387,12 @@ class TestDirectEquivalence:
     def test_zero_iterations_matches_straight_line_substitution(self, golden_net, golden_box):
         """tightened_bound at T=0 equals an independently coded dense
         backsubstitution of the same bounding functions."""
-        sb = compute_all_bounds(golden_net, golden_box, "interval").pre
+        st = compute_all_bounds(golden_net, golden_box, "interval")
         for method in ("deeppoly", "fastlin"):
-            funcs = menu_funcs(golden_net, golden_box, sb, method)
+            funcs = menu_funcs(golden_net, golden_box, st, method)
             obj = expr_from_row(*golden_net.row(6), eta=6)
-            c = obj.coeffs.copy()
-            const = obj.constant
+            c = obj.coeffs[0].copy()
+            const = obj.constant[0]
             for i in (5, 4, 3, 2):
                 ci = c[i]
                 if ci == 0.0:
@@ -404,16 +404,16 @@ class TestDirectEquivalence:
             direct = const
             for i in range(2):
                 direct += c[i] * (1.0 if c[i] > 0 else -1.0)
-            got = tightened_bound(funcs, Objectives.of(obj), 0)[0]
+            got = tightened_bound(funcs, obj, 0)[0]
             assert got == pytest.approx(direct, rel=0.0, abs=1e-12)
 
 
 class TestFullSweep:
     def test_golden_driver_bounds(self, golden_net, golden_box):
         dp1 = compute_all_bounds(golden_net, golden_box, "fastc2v")
-        assert dp1.output_bounds()[0].pre_upper == pytest.approx(23.0 / 6.0, abs=1e-9)
+        assert dp1.output_bounds()[1][0] == pytest.approx(23.0 / 6.0, abs=1e-9)
         iv = compute_all_bounds(golden_net, golden_box, "interval")
-        assert iv.output_bounds()[0].pre_upper == pytest.approx(4.5, abs=1e-12)
+        assert iv.output_bounds()[1][0] == pytest.approx(4.5, abs=1e-12)
 
     def test_exact_max_is_below_all_methods(self, golden_net, golden_box):
         # dense-grid maximum of the true network output
@@ -426,15 +426,16 @@ class TestFullSweep:
         assert best == pytest.approx(3.0, abs=1e-9)
         for method in METHODS:
             st = compute_all_bounds(golden_net, golden_box, method)
-            assert st.output_bounds()[0].pre_upper >= best - 1e-9
+            assert st.output_bounds()[1][0] >= best - 1e-9
 
     # Output-row bounds of the sweep that bounded every row (hex), on the
-    # golden net and on a random one.  Only interval is held to the bit: the
-    # propagation methods' level-wise passes sum in a different order than
-    # the per-neuron passes these were recorded with, and the LP methods
-    # re-solve warm from the last optimum of their relaxation, so they may
-    # end in another optimal basis, whose dual bound differs in the last
-    # bits; optc2v's cut choice follows those bits.
+    # golden net and on a random one, held to 1e-12: every method now sums
+    # in another order than the per-row code these were recorded with (the
+    # interval rows are one matrix product per batch, the propagation
+    # methods' passes level-wise), and the LP methods re-solve warm from the
+    # last optimum of their relaxation, so they may end in another optimal
+    # basis, whose dual bound differs in the last bits; optc2v's cut choice
+    # follows those bits.
     OUTPUT_HEX = {
         "golden": {
             "interval": [("0x1.0000000000000p+0", "0x1.2000000000000p+2")],
@@ -469,15 +470,11 @@ class TestFullSweep:
             box = BoxDomain(np.full(3, 0.2), np.full(3, 0.7))
         for method in METHODS:
             st = compute_all_bounds(net, box, method)
-            assert len(st.pre) == net.n_state
-            got = [(sb.pre_lower, sb.pre_upper) for sb in st.output_bounds()]
+            assert st.pre_lower.shape == (net.n_state,)
+            got = list(zip(*st.output_bounds()))
             want = [tuple(float.fromhex(v) for v in pair)
                     for pair in self.OUTPUT_HEX[which][method]]
-            if method != "interval":
-                assert np.allclose(got, want, rtol=0.0, atol=1e-12), method
-            else:
-                assert [tuple(v.hex() for v in pair) for pair in got] \
-                    == self.OUTPUT_HEX[which][method], method
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12), method
 
     def test_soundness_random_networks(self):
         rng = np.random.default_rng(77)
@@ -490,15 +487,14 @@ class TestFullSweep:
             ext = rng.uniform(0.05, 0.5)
             box = BoxDomain(np.clip(mid - ext, 0, 1), np.clip(mid + ext, 0, 1))
             method = METHODS[int(rng.integers(len(METHODS)))]
-            st = compute_all_bounds(net, box, method)
-            sb = st.pre + st.output_bounds()
+            lo, hi = all_rows(compute_all_bounds(net, box, method))
             X = box.sample(rng, 50)
             for x in X:
                 z, y = eval_network(net, x)
                 for pos in range(net.input_dim, net.n_neurons):
                     idx, w, b = net.row(pos)
                     pre = float(w @ z[idx]) + b if idx.size else b
-                    assert sb[pos].pre_lower - 1e-7 <= pre <= sb[pos].pre_upper + 1e-7
+                    assert lo[pos] - 1e-7 <= pre <= hi[pos] + 1e-7
 
     def test_dominance_chain_random_networks(self):
         rng = np.random.default_rng(78)
@@ -506,40 +502,114 @@ class TestFullSweep:
             layers = [2, int(rng.integers(2, 8)), int(rng.integers(2, 8)), 1]
             net = generate_random_network(layers, seed=int(rng.integers(1 << 30)))
             box = BoxDomain(np.array([0.2, 0.1]), np.array([0.9, 0.8]))
-            obj = expr_from_row(*net.row(net.n_state), eta=net.n_state)
-            for o in (obj, obj.negated()):
-                (b_iv,) = compute_all_bounds(net, box, "interval").bound_objectives(
-                    Objectives.of(o))
-                (b_dp,) = compute_all_bounds(net, box, "deeppoly").bound_objectives(
-                    Objectives.of(o))
-                (b_fc,) = compute_all_bounds(net, box, "fastc2v").bound_objectives(
-                    Objectives.of(o))
-                assert b_fc <= b_dp + 1e-9
-                assert b_dp <= b_iv + 1e-9
+            objs = Objectives.rows(net, net.n_state, net.n_neurons)  # both signs
+            b_iv, b_dp, b_fc = (compute_all_bounds(net, box, method).bound_objectives(objs)
+                                for method in ("interval", "deeppoly", "fastc2v"))
+            assert np.all(b_fc <= b_dp + 1e-9)
+            assert np.all(b_dp <= b_iv + 1e-9)
 
     def test_hull_instances_built_once_and_only_when_tightening(self, monkeypatch):
+        # one table step per run, which adds every mixed neuron of the run
         calls = []
-        real = hull.make_hull_instance
-        monkeypatch.setattr(hull, "make_hull_instance",
-                            lambda *args: calls.append(args) or real(*args))
+        real = hull.HullTable.add
+        monkeypatch.setattr(hull.HullTable, "add",
+                            lambda table, pos, *args: calls.append(len(pos))
+                            or real(table, pos, *args))
         net = generate_random_network([4, 8, 8, 3], seed=5, weight_scale=0.7)
         inst = generate_instances(net, 1, 0.2, seed=6)[0]
         for method in METHODS:
+            st = compute_all_bounds(net, build_input_box(inst), method)
             calls.clear()
             verify(net, inst, method=method, attack=False)
-            built = len(calls)
-            pre = compute_all_bounds(net, build_input_box(inst), method).pre
-            mixed = sum(sb.is_mixed() for sb in pre[4:])
+            mixed = np.sum((st.pre_lower[4:] < 0.0) & (st.pre_upper[4:] > 0.0))
             if method in ("fastc2v", "optc2v"):
-                assert 0 < built == mixed, method
+                assert len(calls) == len(net.runs) and 0 < sum(calls) == mixed, method
             else:
-                assert built == 0, method
+                assert not calls, method
+
+    @staticmethod
+    def build_case(which):
+        """A network and a box.  ``folding`` is a 4,8,8,3 net with a fifth
+        of its weights zeroed and one level-1 neuron never active, over a
+        box with one flat input: its rows read zero weights and zero-width
+        sources, which the hull build folds away.  In ``interleaved``, level
+        2 has two runs, and the first is built before the level-1 neuron
+        that only the second reads is bounded."""
+        if which == "skip":
+            return make_skip_network(), BoxDomain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+        if which == "interleaved":
+            neurons = [Neuron(1, "input", (), 0.0), Neuron(2, "input", (), 0.0),
+                       Neuron(3, "relu", ((1, 1.0), (2, -1.0)), 0.1),
+                       Neuron(4, "relu", ((1, 0.5), (3, -1.2)), 0.2),
+                       Neuron(5, "relu", ((1, -0.7), (2, 0.9)), 0.3),
+                       Neuron(6, "relu", ((2, 0.8), (5, 1.1)), -0.4),
+                       Neuron(7, "output", ((4, 1.0), (6, -2.0)), 0.0)]
+            return Network(2, neurons, [7]), BoxDomain(np.array([-1.0, -1.0]),
+                                                       np.array([1.0, 1.0]))
+        net = generate_random_network([4, 8, 8, 3], seed=5, weight_scale=0.7)
+        box = build_input_box(generate_instances(net, 1, 0.2, seed=6)[0])
+        if which == "layered":
+            return net, box
+        neurons = [Neuron(nr.index, nr.kind,
+                          tuple((j, 0.0 if (nr.index + j) % 5 == 0 else v) for j, v in nr.weights),
+                          -50.0 if nr.index == 6 else nr.bias) for nr in net.neurons]
+        lower = np.array([0.2, 0.3, 0.4, 0.5])
+        return Network(4, neurons, net.output_indices), \
+            BoxDomain(lower, lower + [0.4, 0.0, 0.4, 0.4])
+
+    @pytest.mark.parametrize("which", ["layered", "skip", "interleaved", "folding"])
+    def test_batched_run_build_matches_per_neuron_instances(self, which):
+        # each row of the sweep's table against make_hull_instance of its
+        # neuron alone: the same coordinates and corners, and sums within
+        # 1e-12 (they add in another order)
+        net, box = self.build_case(which)
+        folded = zero = 0
+        for method in ("fastc2v", "optc2v"):
+            st = compute_all_bounds(net, box, method)
+            table = st.table
+            m = net.input_dim
+            mixed = m + np.flatnonzero((st.pre_lower[m:] < 0.0) & (st.pre_upper[m:] > 0.0))
+            assert table.pos[:table.n].tolist() == mixed.tolist() != [], method
+            for i, pos in enumerate(mixed):
+                idx, w, b = net.row(pos)
+                lo, hi = st.post_lower[idx], st.post_upper[idx]
+                folded += np.sum((w != 0.0) & (lo == hi))
+                zero += np.sum(w == 0.0)
+                want = make_hull_instance(w, b, lo, hi)
+                v = table.valid[i]
+                assert np.array_equal(table.support[i, v], idx[want.support]), pos
+                assert np.array_equal(table.min_corner[i, v], want.min_corner), pos
+                # max_corner as the table keeps it, by its step from min_corner
+                assert np.array_equal(table.span[i, v], want.max_corner - want.min_corner), pos
+                assert np.allclose(table.cap[i, v], want.cap, rtol=0.0, atol=1e-12), pos
+                assert abs(table.val_max[i] - want.val_max) <= 1e-12, pos
+                assert abs(table.val_max[i] - table.w[i, v] @ want.max_corner - want.b) <= 1e-12
+        assert (folded > 0 and zero > 0) == (which == "folding")
+
+    @pytest.mark.parametrize("w, b, lower, upper", [
+        ([-1.0, 1.0, -0.8], 0.7, [0.4, 0.4, 0.4], [0.7, 0.8, 0.5]),  # minimum 0
+        ([-1.0, 1.0, -1.0], 0.1, [0.4, 0.3, 0.3], [0.5, 0.6, 0.6]),  # maximum 0
+    ])
+    def test_row_at_rounding_distance_from_zero_keeps_its_relaxation(self, w, b, lower, upper):
+        # the row's bounds call it mixed by a rounding error; the hull
+        # build's sums may not, and then it gets no hull row: the sweep and
+        # the tightened bounds of the output go on, and stay sound
+        neurons = [Neuron(i + 1, "input", (), 0.0) for i in range(3)]
+        neurons += [Neuron(4, "relu", tuple((i + 1, w[i]) for i in range(3)), b),
+                    Neuron(5, "output", ((4, 1.0),), 0.0)]
+        net, box = Network(3, neurons, [5]), BoxDomain(np.array(lower), np.array(upper))
+        X = box.sample(np.random.default_rng(5), 200)
+        y = [eval_network(net, x)[1][0] for x in X]
+        for method in ("fastc2v", "optc2v"):
+            st = compute_all_bounds(net, box, method)
+            assert st.pre_lower[3] < 0.0 < st.pre_upper[3], method
+            up, down = st.bound_objectives(Objectives.rows(net, 4, 5))
+            assert -down - 1e-12 <= min(y) and max(y) <= up + 1e-12, method
 
     def test_swapped_cut_still_valid_for_neuron(self, golden_net, golden_box):
         # after the golden swap, h22's new upper function upper-bounds its
         # ReLU over sampled points of the neuron's feasible set
-        hulls = interval_state(golden_net, golden_box).hulls
-        from relucert.hull import separate_sort
+        hulls = table_instances(interval_state(golden_net, golden_box).table)
         z = np.zeros(golden_net.n_state)
         z[[2, 3]] = [1.0, 1.5]  # h11, h12
         sep = separate_sort(hulls[5], z, 1.5)
@@ -559,7 +629,8 @@ class TestFullSweep:
 
         def recording(table, z, y, tol=0.0):
             found = real(table, z, y, tol)
-            cuts.extend((int(table.pos[found.row[e]]), found.cut(e)) for e in range(len(found)))
+            cuts.extend((int(table.pos[found.row[e]]), separation_cut(table, found, e))
+                        for e in range(len(found)))
             return found
 
         monkeypatch.setattr(hull.HullTable, "separate", recording)
@@ -567,8 +638,8 @@ class TestFullSweep:
             cuts.clear()
             st = compute_all_bounds(net, box, method)
             st.bound_objectives(Objectives.of(margin_objective(net, 1, 0)))  # reaches level 2
-            assert st.hulls, method
-            for pos, inst in st.hulls.items():
+            assert st.table.n, method
+            for pos, inst in table_instances(st.table).items():
                 idx, w, _ = net.row(pos)
                 assert np.isin(inst.support, idx).all(), method
                 assert np.array_equal(inst.w, w[np.isin(idx, inst.support)]), method
@@ -601,7 +672,8 @@ class TestFullSweep:
         box = build_input_box(generate_instances(net, 1, 0.2, seed=6)[0])
         st = compute_all_bounds(net, box, "fastc2v")
         level1, level2 = range(4, 12), range(12, net.n_state)
-        assert any(p in st.hulls for p in level2[:-1])
+        hulls = st.table.pos[:st.table.n].tolist()
+        assert any(p in hulls for p in level2[:-1])
         separated = []
         real = hull.HullTable.separate
         monkeypatch.setattr(hull.HullTable, "separate",
@@ -609,8 +681,7 @@ class TestFullSweep:
                             separated.extend(table.pos[:np.shape(y)[-1]].tolist())
                             or real(table, z, y, tol))
         for pos in level2:
-            obj = expr_from_row(*net.row(pos), eta=pos)
-            tightened_bound(st.funcs, Objectives.of(obj, obj.negated()), 3, st.table)
-        reachable = {p for p in level1 if p in st.hulls}
+            tightened_bound(st.funcs, Objectives.rows(net, pos, pos + 1), 3, st.table)
+        reachable = {p for p in level1 if p in hulls}
         assert separated
         assert set(separated) == reachable

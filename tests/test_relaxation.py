@@ -1,30 +1,38 @@
 import numpy as np
 import pytest
 
-from relucert.hull import cut_from_pair, make_hull_instance
+import relucert.relaxation as relaxation
 from relucert.network import (BoxDomain, Network, Neuron, eval_network,
                               generate_random_network)
-from relucert.propagation import LinearExpr, Objectives, compute_all_bounds
-from relucert.relaxation import DeltaLp, build_delta_lp, optc2v_bound
-from relucert.simplex import EQ, LpStatus, solve_lp
+from relucert.propagation import Objectives, compute_all_bounds
+from relucert.relaxation import build_delta_lp, optc2v_bound
+from relucert.simplex import EQ, LE, LpStatus, solve_lp
 from relucert.verifier import generate_instances, margin_objective, verify
 
 from conftest import delta_lp, interval_state, random_mixed_instance
-from oracles import (envelope_min_by_enumeration, enumerate_cut_pairs, exact_max_oracle,
-                     expr_from_row, lifted_envelope_value)
+from oracles import (cut_from_pair, envelope_min_by_enumeration, enumerate_cut_pairs,
+                     exact_max_oracle, expr_from_row, lifted_envelope_value, make_hull_instance)
 
 
 def record_cuts(monkeypatch):
-    """Every ``(pos, cut)`` the cut loop adds to a model, in order."""
+    """Every cut row ``(row, rhs)`` the cut loops add, in order: the LP row
+    ``row . z <= rhs`` over the positions below the objective's reach."""
     added = []
-    real = DeltaLp.add_hull_cut
+    real = relaxation._cut_rows
 
-    def recording(self, pos, cut):
-        added.append((pos, cut))
-        return real(self, pos, cut)
+    def recording(table, found, reach):
+        rows = real(table, found, reach)
+        added.extend(zip(rows, found.constant))
+        return rows
 
-    monkeypatch.setattr(DeltaLp, "add_hull_cut", recording)
+    monkeypatch.setattr(relaxation, "_cut_rows", recording)
     return added
+
+
+def add_cut(dl, pos, cut):
+    """Add ``z[pos] <= cut`` to the model of ``dl``."""
+    dl.model.add_constraint(np.concatenate([[pos], cut.idx]),
+                            np.concatenate([[1.0], -cut.coeffs]), LE, cut.constant)
 
 
 def sweep_with_margins(method):
@@ -103,14 +111,14 @@ class TestDeltaLpValues:
     def test_golden_value_bracket(self, golden_net, golden_box):
         st = interval_state(golden_net, golden_box)
         obj = expr_from_row(*golden_net.row(6), eta=6)
-        v = optc2v_bound(st, Objectives.of(obj), 0)[0]
+        v = optc2v_bound(st, obj, 0)[0]
         assert 3.0 - 1e-9 <= v <= 4.0 + 1e-9  # above the true max, at or
         # below the chord-relaxation propagation value
 
     def test_rounds_monotone(self, golden_net, golden_box):
         st = interval_state(golden_net, golden_box)
         obj = expr_from_row(*golden_net.row(6), eta=6)
-        vals = [optc2v_bound(st, Objectives.of(obj), r)[0]
+        vals = [optc2v_bound(st, obj, r)[0]
                 for r in range(4)]
         for a, b in zip(vals, vals[1:]):
             assert b <= a + 1e-9
@@ -121,8 +129,8 @@ class TestDeltaLpValues:
         box = BoxDomain(np.zeros(1), np.ones(1))
         st = interval_state(net, box)
         obj = expr_from_row(*net.row(2), eta=2)
-        v0 = optc2v_bound(st, Objectives.of(obj), 0)[0]
-        v5 = optc2v_bound(st, Objectives.of(obj), 5)[0]
+        v0 = optc2v_bound(st, obj, 0)[0]
+        v5 = optc2v_bound(st, obj, 5)[0]
         assert v0 == pytest.approx(v5, abs=0.0)
 
     def test_single_neuron_cut_loop_reaches_full_hull(self):
@@ -137,10 +145,10 @@ class TestDeltaLpValues:
             box = BoxDomain(inst.lower, inst.upper)
             st = interval_state(net, box)
             obj = expr_from_row(*net.row(net.n_state), eta=net.n_state)
-            looped = optc2v_bound(st, Objectives.of(obj), 8)[0]
+            looped = optc2v_bound(st, obj, 8)[0]
             dl = delta_lp(st, obj)
             for I, h in enumerate_cut_pairs(inst):
-                dl.add_hull_cut(net.input_dim, cut_from_pair(inst, I, h))
+                add_cut(dl, net.input_dim, cut_from_pair(inst, I, h))
             full = solve_lp(dl.model)
             assert full.status == LpStatus.OPTIMAL
             assert looped == pytest.approx(full.objective_value, abs=1e-7)
@@ -149,14 +157,14 @@ class TestDeltaLpValues:
         st = interval_state(golden_net, golden_box)
         obj = expr_from_row(*golden_net.row(6), eta=6)
         added = record_cuts(monkeypatch)
-        optc2v_bound(st, Objectives.of(obj), 3)[0]
+        optc2v_bound(st, obj, 3)[0]
         assert len(added) >= 1
         rng = np.random.default_rng(8)
-        for pos, cut in added:
+        for row, rhs in added:
             for _ in range(100):
                 x = rng.uniform(-1, 1, 2)
                 z, _ = eval_network(golden_net, x)
-                assert z[pos] <= cut.value(z) + 1e-9
+                assert row @ z[:row.size] <= rhs + 1e-9
 
 
 class TestLiftedEnvelope:
@@ -224,12 +232,12 @@ class TestLpSweep:
     def test_golden_bounds(self, golden_net, golden_box):
         st = compute_all_bounds(golden_net, golden_box, "lp")
         # first-layer rows over inputs give interval-exact bounds
-        assert (st.pre[2].pre_lower, st.pre[2].pre_upper) == (-1.0, 3.0)
-        out0 = st.output_bounds()[0]
+        assert (st.pre_lower[2], st.pre_upper[2]) == (-1.0, 3.0)
+        out0 = st.output_bounds()[1][0]
         st3 = compute_all_bounds(golden_net, golden_box, "optc2v", cut_rounds=3)
-        out3 = st3.output_bounds()[0]
-        assert out3.pre_upper <= out0.pre_upper + 1e-9
-        assert out3.pre_upper >= 3.0 - 1e-7
+        out3 = st3.output_bounds()[1][0]
+        assert out3 <= out0 + 1e-9
+        assert out3 >= 3.0 - 1e-7
 
     def test_tiny_weight_is_kept(self):
         # h = relu(9e-6 x + 1) over x in [0, 1] peaks at 1.000009; a model
@@ -239,8 +247,8 @@ class TestLpSweep:
         obj = expr_from_row(*net.row(net.n_state), eta=net.n_state)
         for method in ("lp", "optc2v", "deeppoly"):
             st = compute_all_bounds(net, box, method)
-            assert st.bound_objectives(Objectives.of(obj))[0] >= 1.000009 - 1e-12, method
-            assert st.output_bounds()[0].pre_upper >= 1.000009 - 1e-12, method
+            assert st.bound_objectives(obj)[0] >= 1.000009 - 1e-12, method
+            assert st.output_bounds()[1][0] >= 1.000009 - 1e-12, method
 
     def test_reported_value_is_an_upper_bound(self):
         # weights near 1e-7 leave the primal optimum of the margin LP a
@@ -264,12 +272,12 @@ class TestLpSweep:
                                              (9, -0.22669637602173198)), -0.063138919560128626))
         net = Network(2, neurons, [10])
         box = BoxDomain(np.array([0.1, 0.2]), np.array([0.7, 0.9]))
-        obj = expr_from_row(*net.row(net.n_state), eta=net.n_state).negated()
+        obj = Objectives.rows(net, net.n_state, net.n_neurons).select([1])  # its negation
         true_max = 0.6659495465008871  # exact_max_oracle gives one ulp more
         assert exact_max_oracle(net, box, obj) >= true_max
         for method in ("lp", "optc2v"):
-            assert compute_all_bounds(net, box, method).bound_objectives(
-                Objectives.of(obj))[0] >= true_max, method
+            assert compute_all_bounds(net, box, method).bound_objectives(obj)[0] >= true_max, \
+                method
 
     def test_sandwich_on_random_networks(self):
         rng = np.random.default_rng(50)
@@ -279,11 +287,11 @@ class TestLpSweep:
                 seed=int(rng.integers(1 << 30)))
             box = BoxDomain(np.array([0.1, 0.1]), np.array([0.9, 0.9]))
             st = interval_state(net, box)
-            obj = expr_from_row(*net.row(net.n_state), eta=net.n_state)
-            for o in (obj, obj.negated()):
+            objs = Objectives.rows(net, net.n_state, net.n_neurons)  # both signs
+            for o in (objs.select([0]), objs.select([1])):
                 exact = exact_max_oracle(net, box, o)
-                v0 = optc2v_bound(st, Objectives.of(o), 0)[0]
-                v2 = optc2v_bound(st, Objectives.of(o), 2)[0]
+                v0 = optc2v_bound(st, o, 0)[0]
+                v2 = optc2v_bound(st, o, 2)[0]
                 assert exact <= v2 + 1e-6
                 assert v2 <= v0 + 1e-9
 
@@ -293,11 +301,12 @@ class TestLpSweep:
         st = interval_state(golden_net, golden_box)
         obj = expr_from_row(*golden_net.row(6), eta=6)
         added = record_cuts(monkeypatch)
-        warm_val = optc2v_bound(st, Objectives.of(obj), 3)[0]
-        cuts = list(added)  # the rebuild below adds them through the recorder again
+        warm_val = optc2v_bound(st, obj, 3)[0]
+        assert added
         dl = delta_lp(st, obj)
-        for pos, cut in cuts:
-            dl.add_hull_cut(pos, cut)
+        for row, rhs in added:
+            idx = np.flatnonzero(row)
+            dl.model.add_constraint(idx, row[idx], LE, rhs)
         cold = solve_lp(dl.model)
         assert cold.status == LpStatus.OPTIMAL
         assert warm_val == pytest.approx(cold.objective_value, abs=1e-7)
@@ -307,7 +316,6 @@ class TestLpSweep:
         # objective bounded alone re-solves it, and its cut loop borders one
         # copy of it, which all its re-solves share; a lockstep group starts
         # every member from it and borders its own arrays
-        import relucert.relaxation as relaxation
         import relucert.simplex as simplex
         built, forks, sols, per_call, starts = [], [], [], [], []
         real_init, real_fork = simplex._Tableau.__init__, simplex._Tableau.fork
@@ -357,7 +365,6 @@ class TestLpSweep:
         # a sweep and its margins build one relaxation per distinct reach,
         # and every LP solved, alone or in lockstep, stops at its
         # objective's reach
-        import relucert.relaxation as relaxation
         import relucert.simplex as simplex
         builds, reaches, widths = [], [], []
         real_build, real_bound, real_solve = (relaxation.build_delta_lp, relaxation.optc2v_bound,
@@ -373,7 +380,7 @@ class TestLpSweep:
             return real_bound(bounds, objective, rounds)
 
         def solve(model, **kwargs):
-            widths.append((LinearExpr(model.obj).reach, model.n_vars))
+            widths.append((Objectives([model.obj], [0.0]).reach[0], model.n_vars))
             return real_solve(model, **kwargs)
 
         def lockstep(self, model, c, constant, start=None):
@@ -393,7 +400,6 @@ class TestLpSweep:
         # the level-2 rows of the 4,8,8,3 net share one tableau; with room
         # for LOCKSTEP_MIN of them in LP_BLOCK they go in lockstep, with a
         # block one entry short they go one by one; the bounds agree
-        import relucert.relaxation as relaxation
         import relucert.simplex as simplex
         groups = []
         real = simplex.Lockstep.__init__
@@ -414,10 +420,8 @@ class TestLpSweep:
             assert all(q * size <= block for q, size in groups)
             assert bool(groups) == (block % relaxation.LOCKSTEP_MIN == 0)
         for st in sweeps.values():
-            assert np.allclose([sb.pre_upper for sb in st.pre], [sb.pre_upper for sb in ref.pre],
-                               rtol=0.0, atol=1e-9)
-            assert np.allclose([sb.pre_lower for sb in st.pre], [sb.pre_lower for sb in ref.pre],
-                               rtol=0.0, atol=1e-9)
+            assert np.allclose(st.pre_upper, ref.pre_upper, rtol=0.0, atol=1e-9)
+            assert np.allclose(st.pre_lower, ref.pre_lower, rtol=0.0, atol=1e-9)
 
     def test_cuts_do_not_leak(self, monkeypatch):
         # cuts go into a copy of the reach's solved relaxation: the shared
@@ -437,7 +441,6 @@ class TestLpSweep:
     COLD_PIVOTS = 1222
 
     def test_warm_rows_keep_pivots_down(self, monkeypatch):
-        import relucert.relaxation as relaxation
         import relucert.simplex as simplex
         net = generate_random_network([6, 20, 20, 3], seed=1, weight_scale=0.7)
         inst = generate_instances(net, 1, epsilon=0.16, seed=1001)[0]

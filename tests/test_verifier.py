@@ -4,7 +4,7 @@ import pytest
 from relucert import propagation, relaxation
 from relucert.network import (BoxDomain, NetworkParseError, classify, eval_network,
                               generate_random_network)
-from relucert.propagation import METHODS, LinearExpr, Objectives, compute_all_bounds
+from relucert.propagation import METHODS, Objectives, compute_all_bounds
 from relucert.simplex import LpStatus
 from relucert.verifier import (FALSIFIED, UNKNOWN, VERIFIED, RobustnessInstance,
                                attack_upper_bound, batch_verify, build_input_box,
@@ -50,7 +50,8 @@ class TestMarginObjective:
             for k in range(3):
                 for t in range(3):
                     obj = margin_objective(net, k, t)
-                    assert obj.value(z) == pytest.approx(y[k] - y[t], abs=1e-12)
+                    value = obj.coeffs[0] @ z + obj.constant[0]
+                    assert value == pytest.approx(y[k] - y[t], abs=1e-12)
 
     def test_class_range_checked(self):
         net = generate_random_network([2, 2, 2], seed=0)
@@ -67,7 +68,7 @@ class TestGoldenThreshold:
         from oracles import expr_from_row
         from conftest import interval_state
         st = interval_state(golden_net, golden_box, menu="deeppoly")
-        obj = Objectives.of(expr_from_row(*golden_net.row(6), eta=6))
+        obj = expr_from_row(*golden_net.row(6), eta=6)
         beta = 4.0
         plain = tightened_bound(st.funcs, obj, 0)[0]
         tight = tightened_bound(st.funcs, obj, 1, st.table)[0]
@@ -115,9 +116,9 @@ class TestAttack:
             if k == t:
                 continue
             obj = margin_objective(net, k, t)
-            c = obj.coeffs[:3]
+            c = obj.coeffs[0, :3]
             best = max(best, float(np.maximum(c, 0) @ box.upper
-                                   + np.minimum(c, 0) @ box.lower) + obj.constant)
+                                   + np.minimum(c, 0) @ box.lower) + obj.constant[0])
         adv = attack_upper_bound(net, inst, restarts=8, steps=60, lr=0.05)
         if best > 1e-9:
             assert adv is not None
@@ -222,11 +223,8 @@ class TestVerify:
     @pytest.mark.parametrize("method", ["deeppoly", "fastc2v"])
     def test_no_backward_pass_on_output_rows(self, method, monkeypatch):
         import relucert.propagation as propagation_module
-        from oracles import expr_from_row
         net = generate_random_network([3, 6, 6, 3], seed=9, weight_scale=0.8)
-        rows = [expr_from_row(*net.row(pos), eta=net.n_state)
-                for pos in range(net.n_state, net.n_neurons)]
-        rows += [row.negated() for row in rows]
+        rows = Objectives.rows(net, net.n_state, net.n_neurons)  # both signs
         objectives = []
         real = propagation_module.backward_pass
         monkeypatch.setattr(propagation_module, "backward_pass",
@@ -237,8 +235,8 @@ class TestVerify:
         assert any(obj.eta < net.n_state for obj in objectives)
         for obj in objectives:
             for coeffs, constant in zip(obj.coeffs, obj.constant):
-                assert not any(np.array_equal(coeffs, row.coeffs) and constant == row.constant
-                               for row in rows)
+                assert not any(np.array_equal(coeffs, c) and constant == b
+                               for c, b in zip(rows.coeffs, rows.constant))
 
     def test_margins_all_bounded_by_default(self):
         net = generate_random_network([3, 5, 4], seed=3)
@@ -339,8 +337,7 @@ def margin_case(which):
     if which == "skip":
         net = make_skip_network()
         box = BoxDomain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-        out = Objectives.rows(net, net.n_state, net.n_neurons)
-        exprs = [LinearExpr(c, b) for c, b in zip(out.coeffs, out.constant)]
+        exprs = [Objectives.rows(net, net.n_state, net.n_neurons)]
     else:
         layers, scale, epsilon, i = {"acceptance": ((6, 20, 20, 3), 0.7, 0.16, 2),
                                      "prop-deep": ((10, 30, 30, 30, 10), 0.5, 0.1, 0)}[which]
@@ -351,7 +348,7 @@ def margin_case(which):
                  for k in range(net.n_outputs) if k != inst.label]
     inputs_only = np.zeros(net.n_state)
     inputs_only[:net.input_dim] = np.linspace(-1.0, 1.0, net.input_dim)
-    return net, box, Objectives.of(*exprs, LinearExpr(inputs_only, 0.25))
+    return net, box, Objectives.of(*exprs, Objectives(inputs_only[None], [0.25]))
 
 
 class TestMarginBatch:
