@@ -15,7 +15,7 @@ from .hull import HullTable, Separations
 from .propagation import (METHODS, BoundingFunctions, Bounds, Objectives, Swaps, backward_pass,
                           box_maximize, compute_all_bounds, forward_pass, initial_scales,
                           tightened_bound)
-from .simplex import LpModel, LpSolution, LpStatus, solve_lp
+from .simplex import Lockstep, LpBatchSolution, LpModel, LpStatus
 from .relaxation import build_delta_lp, optc2v_bound
 from .verifier import (RobustnessInstance, VerificationReport, attack_upper_bound,
                        batch_verify, build_input_box, generate_instances,

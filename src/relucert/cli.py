@@ -24,7 +24,7 @@ def _verify_cmd(args):
         instances = [RobustnessInstance(i.x_hat, args.epsilon, i.label)
                      if isinstance(i, RobustnessInstance) else i
                      for i in instances]
-    if args.dump_lp and args.method in ("lp", "optc2v"):
+    if args.dump_lp:
         _dump_margin_lps(net, instances, args)
     result = batch_verify(
         net, instances, method=args.method, iterations=args.iterations,
@@ -116,7 +116,7 @@ def build_parser():
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--count", type=_nonnegative_int, default=20)
     g.add_argument("--epsilon", type=_nonnegative_float, default=0.05)
-    g.add_argument("--weight-scale", type=float, default=1.0)
+    g.add_argument("--weight-scale", type=_nonnegative_float, default=1.0)
     g.add_argument("--network-out", default="network.txt")
     g.add_argument("--instances-out", default="instances.txt")
     g.set_defaults(func=_gen_cmd)
@@ -124,7 +124,11 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # only the LP methods have margin LP models to dump
+    if getattr(args, "dump_lp", None) and args.method not in ("lp", "optc2v"):
+        parser.error(f"argument --dump-lp: needs --method lp or optc2v, got {args.method}")
     try:
         return args.func(args)
     except (OSError, NetworkParseError, ValueError) as exc:

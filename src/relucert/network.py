@@ -268,6 +268,9 @@ def generate_random_network(layer_sizes, seed, weight_scale=1.0) -> Network:
     sizes = [int(s) for s in layer_sizes]
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("all layer sizes must be >= 1")
+    if not 0.0 <= 2.0 * weight_scale < np.inf:  # the width of the weight range
+        raise ValueError(f"weight_scale must be >= 0 with 2 * weight_scale finite, "
+                         f"got {weight_scale}")
     if len(sizes) == 1:
         sizes = sizes * 2
     rng = np.random.default_rng(seed)

@@ -429,8 +429,8 @@ class Bounds:
     positions in ``table``, and ``fastc2v`` the ``deeppoly`` run it never
     reports worse than.  The LP methods keep in ``lps`` one solved
     relaxation (:class:`relucert.relaxation.DeltaLp`) per objective reach,
-    from whose last optimum every later objective of that reach starts; so
-    a ``Bounds`` is not to be shared between threads.
+    from whose first optimum every later objective of that reach starts;
+    so a ``Bounds`` is not to be shared between threads.
     """
 
     method: str

@@ -7,44 +7,42 @@ neuron); always-active neurons become equality rows, and always-inactive
 ones are pinned to 0 by their variable's box alone.  A model spans only the
 positions below its objective's reach, since no later neuron can move the
 objective.  All the objectives of one reach (the rows of a level, both
-signs, or the margins) share one model, kept solved in the sweep's
-:class:`relucert.propagation.Bounds`, and every bound of that reach starts
-from its last optimum.  The cutting-plane loop then separates the
-single-neuron hull inequalities at each optimum, adds every sufficiently
-violated one for that objective alone, and re-solves warm: the solved
-tableau is bordered with the new rows.
+signs, or the margins) share one model, kept in the sweep's
+:class:`relucert.propagation.Bounds` with the solved tableau of the first
+objective bounded over it, from which every later one starts.  The
+cutting-plane loop then separates the single-neuron hull inequalities at
+each optimum, adds every sufficiently violated one for that objective
+alone, and re-solves warm: the solved tableau is bordered with the new rows.
 
 :func:`optc2v_bound` bounds a whole batch.  The objectives of a reach go in
-lockstep groups (:class:`relucert.simplex.Lockstep`): one tableau per
-objective, pivoted together, with one :meth:`relucert.hull.HullTable.separate`
-step per round for the whole group and each objective's cuts on its own
-tableau.  Where such a group would be too small to pay, or its tableaux too
-large, the objectives go one by one on the shared tableau.  It is the LP
-bounder of the one forward sweep,
-:func:`relucert.propagation.compute_all_bounds`, and reads the scalar
-bounds, post boxes and hull instances that sweep has fixed so far.
+stacks (:class:`relucert.simplex.Lockstep`): one tableau per objective,
+solved together, with one :meth:`relucert.hull.HullTable.separate` step per
+round for the whole stack and each objective's cuts on its own tableau.
+Where a stack of several would be too small to pay, or its tableaux too
+large, each objective is a stack of one.  It is the LP bounder of the one
+forward sweep, :func:`relucert.propagation.compute_all_bounds`, and reads
+the scalar bounds, post boxes and hull instances that sweep has fixed so
+far.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .hull import HullTable, Separations
 from .propagation import DEFAULT_CUT_ROUNDS, Bounds, Objectives
-from .simplex import (EQ, GE, LE, Lockstep, LpBatchSolution, LpModel, LpSolution, LpStatus,
-                      solve_lp)
+from .simplex import EQ, GE, LE, Lockstep, LpBatchSolution, LpModel, LpStatus
 
 # A hull inequality enters the model only when violated by more than this.
 CUT_VIOLATION_TOL = 1e-5
 
-# Objectives of one reach are solved in lockstep groups of at most LP_BLOCK
-# tableau entries (objectives x rows x columns), so that a group's arrays
-# stay in cache, and of at least LOCKSTEP_MIN objectives: a lockstep pivot
-# costs about twice the numpy calls of one plain pivot and lasts as long as
-# the group's longest solve, so smaller groups lose to the plain tableau.
-# Objectives that cannot form such a group go one by one.
+# Objectives of one reach are solved in stacks of at most LP_BLOCK tableau
+# entries (objectives x rows x columns), so that a stack's arrays stay in
+# cache, and of at least LOCKSTEP_MIN objectives: a lockstep pivot costs
+# about twice the numpy calls of one plain pivot and lasts as long as the
+# stack's longest solve, so smaller stacks lose to stacks of one.
 LP_BLOCK = 1 << 15
 LOCKSTEP_MIN = 8
 
@@ -61,12 +59,12 @@ class LpBoundError(RuntimeError):
 class DeltaLp:
     """A built relaxation model; variable j is neuron position j.
 
-    ``basis`` is the tableau of its last solve, from which the next solve
-    starts.
+    ``start`` is the solved stack of one of the first objective bounded over
+    it, taken before its first cut; every later objective starts from it.
     """
 
     model: LpModel
-    basis: object = None
+    start: Lockstep | None = None
 
     def set_objective(self, coeffs, constant):
         """Maximize ``coeffs . z + constant``; no coefficient may lie past
@@ -76,19 +74,6 @@ class DeltaLp:
             raise ValueError(f"objective reaches past the model's {n} variables")
         self.model.obj = coeffs[:n].tolist()
         self.model.obj_constant = constant
-
-    def solve(self, context: str) -> LpSolution:
-        """Solve warm from the last solve; raise unless optimal."""
-        sol = solve_lp(self.model, warm_basis=self.basis)
-        if sol.status != LpStatus.OPTIMAL:
-            raise LpBoundError(sol.status, context)
-        self.basis = sol.basis
-        return sol
-
-    def copy(self) -> "DeltaLp":
-        """A copy, solved state included, whose added rows stay its own."""
-        model = replace(self.model, obj=list(self.model.obj), rows=list(self.model.rows))
-        return DeltaLp(model=model, basis=self.basis.fork(model))
 
 
 def build_delta_lp(bounds: Bounds, reach: int) -> DeltaLp:
@@ -134,9 +119,9 @@ def optc2v_bound(bounds: Bounds, objective: Objectives,
 
     The relaxation is the one of ``bounds`` for the objective's reach, built
     on the first objective of that reach and kept in ``bounds.lps``; every
-    later one starts from its last optimum.  Each round then separates at
+    later one starts from that first optimum.  Each round then separates at
     the objective's current LP optimum, in one step of the hull table of
-    ``bounds`` for all the objectives of a group, across the mixed neurons
+    ``bounds`` for all the objectives of a stack, across the mixed neurons
     below the reach, adds every cut violated beyond ``CUT_VIOLATION_TOL``
     (no cut selection), in position order, and re-solves warm on the
     previous solve's tableau.  Cuts stay scoped to their objective and never
@@ -145,11 +130,11 @@ def optc2v_bound(bounds: Bounds, objective: Objectives,
     tolerance.  Monotone nonincreasing in ``rounds``; ``rounds=0`` is the
     plain relaxation value.
 
-    The objectives of one reach go in lockstep groups of at most
-    ``LP_BLOCK`` tableau entries when at least ``LOCKSTEP_MIN`` of them, and
-    of their tableaux in the block, are at hand; otherwise one by one, each
-    re-solving the shared tableau.  The first objective of a new model is
-    always solved alone: its optimum is where the others start.
+    The objectives of one reach go in stacks of at most ``LP_BLOCK``
+    tableau entries when at least ``LOCKSTEP_MIN`` of them, and of their
+    tableaux in the block, are at hand; otherwise each is a stack of one.
+    The first objective of a new model is always a stack of one: its optimum
+    is where the others start.
     """
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
@@ -170,52 +155,30 @@ def _bound_reach(bounds: Bounds, objective: Objectives, reach: int, rounds: int)
         dl = bounds.lps[reach] = build_delta_lp(bounds, reach)
     m = dl.model.n_rows
     size = LP_BLOCK // max(1, m * (reach + m))  # tableaux that fit in the block
-    alone = int(dl.basis is None)  # objectives solved alone, from the front
-    rest = len(objective) - alone
+    first = int(dl.start is None)  # the first objective makes the start
+    rest = len(objective) - first
     if size < LOCKSTEP_MIN or rest < LOCKSTEP_MIN:
-        alone, groups = len(objective), []
+        stacks = np.arange(len(objective))[:, None]
     else:
-        groups = np.array_split(np.arange(alone, len(objective)), -(-rest // size))
+        stacks = np.array_split(np.arange(first, len(objective)), -(-rest // size))
+        if first:
+            stacks.insert(0, np.arange(1))
     value = np.empty(len(objective))
-    for i in range(alone):
-        value[i] = _cut_loop(bounds, dl, objective.coeffs[i], objective.constant[i], rounds)
-    for group in groups:
-        value[group] = _lockstep_cut_loop(bounds, dl, objective.select(group), reach, rounds)
+    for stack in stacks:
+        value[stack] = _lockstep_cut_loop(bounds, dl, objective.select(stack), reach, rounds)
     return value
-
-
-def _cut_loop(bounds: Bounds, dl: DeltaLp, coeffs, constant, rounds: int) -> float:
-    """One objective's cut loop on the shared relaxation ``dl``: its first
-    cut goes into a copy of ``dl``."""
-    dl.set_objective(coeffs, constant)
-    sol = dl.solve("base relaxation")
-    table = bounds.table
-    pos = table.pos[:table.rows_below(dl.model.n_vars)]
-    work = dl
-    for _ in range(rounds):
-        z = sol.x
-        found = table.separate(z, z[pos], CUT_VIOLATION_TOL)
-        if not len(found):
-            break
-        if work is dl:
-            work = dl.copy()
-        for row, constant in zip(_cut_rows(table, found, dl.model.n_vars), found.constant):
-            idx = np.flatnonzero(row)
-            work.model.add_constraint(idx, row[idx], LE, constant)
-        # cuts are valid for every network point, so an infeasible
-        # re-solve means tolerances bit us, not the model
-        sol = work.solve("after adding cuts")
-    return sol.objective_value
 
 
 def _lockstep_cut_loop(bounds: Bounds, dl: DeltaLp, objective: Objectives, reach: int,
                        rounds: int) -> np.ndarray:
-    """The cut loops of a group of objectives of reach ``reach``, solved in
-    lockstep from the shared relaxation's last optimum; each objective's
-    cuts border its own tableau only.  An objective whose optimum violates
-    no cut is done."""
-    batch = Lockstep(dl.model, objective.coeffs[:, :reach], objective.constant, start=dl.basis)
+    """The cut loops of a stack of objectives of reach ``reach``, solved
+    together from the shared relaxation's start, or cold when it has none
+    yet, which then becomes its start.  Each objective's cuts border its own
+    tableau only.  An objective whose optimum violates no cut is done."""
+    batch = Lockstep(dl.model, objective.coeffs[:, :reach], objective.constant, start=dl.start)
     sol = _optimal(batch.solve(), "base relaxation")
+    if dl.start is None:
+        dl.start = batch.select(np.arange(1))
     value = sol.objective_value
     live = np.arange(len(objective))
     table = bounds.table
@@ -228,6 +191,8 @@ def _lockstep_cut_loop(bounds: Bounds, dl: DeltaLp, objective: Objectives, reach
         cutting = np.unique(found.point)
         if cutting.size < len(batch):
             batch, live = batch.select(cutting), live[cutting]
+        # cuts are valid for every network point, so an infeasible
+        # re-solve means tolerances bit us, not the model
         batch.append_rows(np.searchsorted(cutting, found.point),
                           _cut_rows(table, found, reach), found.constant)
         sol = _optimal(batch.solve(), "after adding cuts")

@@ -1,10 +1,10 @@
 """Dense bounded-variable simplex solver, dual and primal.
 
 Small, deterministic, dependency-free LP engine for the relaxation models in
-this package: every model it sees has a few dozen variables and a few
-hundred rows, so a dense tableau ``B^{-1} A``, updated in place at each
-pivot together with the basic values and the reduced costs, is both simple
-and fast enough.
+this package: every model it sees has at most a few hundred variables and
+rows, so a dense tableau ``B^{-1} A``, updated in place at each pivot
+together with the basic values and the reduced costs, is both simple and
+fast enough.
 
 Conventions: maximize ``c . x`` subject to ``lb <= x <= ub`` and rows
 ``a . x (<=|=|>=) rhs``.  Every variable is boxed: ``add_variable`` refuses
@@ -12,24 +12,20 @@ an infinite bound.  Rows get one slack each; a basis is the list of basic
 columns plus a status per column (at lower bound, at upper bound, basic).
 Boxed columns make the slack basis, with each column at the bound its cost
 favours, dual feasible, so a cold solve is one dual simplex run from that
-slack basis, and a primal pass then polishes.  The warm handle is the
-solved tableau itself, ``LpSolution.basis``.  Handed back with the same
-model, it is solved again from its own basis: rows appended to the model
-since (the cutting-plane re-solve) border it instead of refactoring the
-basis, and a new objective (the next row over the same relaxation) only
-reprices it.  The restored basis is kept when it is dual feasible, and the
-dual simplex runs, or primal feasible, and the primal simplex runs;
-otherwise the solve starts from the slack basis.  Any other handle is
-ignored.  :meth:`_Tableau.fork` copies a solved tableau for a copy of its
-model, so the two gain rows and are solved apart.  Anti-cycling: after a
-streak of degenerate steps the pivot choice switches to Bland's rule.
+slack basis, and a primal pass then polishes.  Anti-cycling: after a streak
+of degenerate steps the pivot choice switches to Bland's rule.
 
-Many objectives over one model go together: :class:`Lockstep` keeps one
-tableau per objective, stacked along a leading axis, and makes one pivot of
-every objective per numpy step, each by the rules above; objectives that
-finish leave the stack, and each can gain rows of its own.  A solve of a
-few dozen pivots on a tableau of a few dozen rows costs more in numpy calls
-than in arithmetic, so a stack of ``q`` shares that cost ``q`` ways.
+:class:`Lockstep` is the one tableau type: the tableaux of ``q`` objectives
+over one model, stacked along a leading axis.  A stack starts from the slack
+basis, or from a solved stack of the same model, which a new objective (the
+next row over the same relaxation) only reprices.  Rows appended to a
+solved stack (the cutting-plane re-solve) border each member's tableau
+instead of refactoring its basis.  A stack of several members makes one
+pivot of every member per numpy step, since a solve of a few dozen pivots
+on a tableau of a few dozen rows costs more in numpy calls than in
+arithmetic; a stack of one runs plain pivot loops on views of its member,
+which narrow each ratio test to its candidates first.  Both kernels pick
+the same pivots by the same rules.
 
 The reported value is a dual bound (Neumaier & Shcherbina, "Safe bounds in
 linear and mixed-integer linear programming", 2004): the row duals of the
@@ -114,325 +110,8 @@ class LpModel:
 
 
 @dataclass(eq=False)
-class LpSolution:
-    status: LpStatus
-    objective_value: float  # from the dual: an upper bound on the LP maximum
-    x: np.ndarray
-    basis: _Tableau  # the solved tableau: the warm handle of the next solve
-    iterations: int
-
-
-def solve_lp(model: LpModel, warm_basis: _Tableau | None = None,
-             max_iter: int = DEFAULT_MAX_ITER) -> LpSolution:
-    """Solve to optimality within FEAS_TOL / OPT_TOL; statuses, not raises.
-
-    ``warm_basis`` is the ``basis`` of an earlier solve of ``model``, which
-    may have gained rows and a new objective since; that tableau is solved
-    again.  Any other handle starts a fresh tableau, which ignores it.
-    """
-    same = isinstance(warm_basis, _Tableau) and warm_basis.model is model \
-        and warm_basis.n_struct == model.n_vars
-    return (warm_basis if same else _Tableau(model)).solve(warm_basis, max_iter)
-
-
-class _Tableau:
-    """The dense tableau of one model, kept across its solves."""
-
-    def __init__(self, model: LpModel):
-        self.model = model
-        self.n_struct = model.n_vars
-        self.n_rows = 0
-        self.A = np.zeros((0, self.n_struct))
-        self.rhs = np.zeros(0)
-        self.senses = ()
-        self.lb = np.array(model.lb, dtype=float)
-        self.ub = np.array(model.ub, dtype=float)
-
-    def fork(self, model: LpModel) -> "_Tableau":
-        """This tableau, solved state and all, as the warm handle of
-        ``model``: a copy of this tableau's model that may gain rows.  The
-        two tableaux are solved apart from here on."""
-        tab = copy.copy(self)
-        tab.model = model
-        tab.T, tab.trhs = self.T.copy(), self.trhs.copy()
-        tab.basic, tab.status = self.basic.copy(), self.status.copy()
-        return tab
-
-    def _append_rows(self):
-        """Encode the model's rows added since the last solve, one slack each."""
-        model, n, k = self.model, self.n_struct, self.n_rows
-        mr = model.n_rows
-        if mr == k:
-            return
-        A = np.zeros((mr, n + mr))
-        A[:k, :n + k] = self.A
-        rhs = np.concatenate([self.rhs, np.zeros(mr - k)])
-        for i in range(k, mr):
-            idx, coef, _, b = model.rows[i]
-            A[i, idx] = coef
-            A[i, n + i] = 1.0
-            rhs[i] = b
-        self.senses += tuple(row[2] for row in model.rows[k:])
-        # a slack's bounds encode its row's sense: a finite lower bound caps
-        # the row activity from above (<=, =), a finite upper one from below
-        sense = np.array(self.senses[k:], dtype="U2")
-        self.lb = np.concatenate([self.lb, np.where(sense == GE, -np.inf, 0.0)])
-        self.ub = np.concatenate([self.ub, np.where(sense == LE, np.inf, 0.0)])
-        self.n_rows, self.A, self.rhs = mr, A, rhs
-
-    def _slack_basis(self):
-        """Slacks basic, each column at the bound its cost favours: dual feasible."""
-        n = self.n_struct
-        self.T = self.A.copy()      # B^{-1} A
-        self.trhs = self.rhs.copy()  # B^{-1} rhs
-        self.basic = np.arange(n, n + self.n_rows, dtype=np.intp)
-        self.status = np.full(n + self.n_rows, _BASIC, dtype=np.int8)
-        self.status[:n] = np.where(self.c[:n] > 0.0, _AT_UPPER, _AT_LOWER)
-
-    # ----- state helpers -------------------------------------------------
-
-    def values(self):
-        """Full variable vector implied by the current basis and statuses."""
-        x = np.zeros(self.status.shape[0])
-        at_lo = self.status == _AT_LOWER
-        at_up = self.status == _AT_UPPER
-        x[at_lo] = self.lb[at_lo]
-        x[at_up] = self.ub[at_up]
-        nz = np.flatnonzero(x)
-        x[self.basic] = self.trhs - self.T[:, nz] @ x[nz]
-        return x
-
-    def reduced_costs(self):
-        cb = self.c[self.basic]
-        if not cb.any():
-            return self.c.copy()
-        return self.c - cb @ self.T
-
-    def _pivot(self, r, j, value):
-        """Enter column j on row r, the leaving variable settling at
-        ``value``; updates the basic values ``xb`` and the reduced costs
-        ``d`` with the tableau."""
-        col = self.T[:, j].copy()
-        piv = col[r]
-        step = (self.xb[r] - value) / piv  # how far x_j moves
-        xj = self.lb[j] if self.status[j] == _AT_LOWER else self.ub[j]
-        self.xb -= step * col
-        self.xb[r] = xj + step
-        self.T[r] = self.T[r] / piv
-        self.trhs[r] = self.trhs[r] / piv
-        col[r] = 0.0
-        self.T -= np.outer(col, self.T[r])
-        self.trhs -= col * self.trhs[r]
-        self.d -= self.d[j] * self.T[r]
-        self.basic[r] = j
-        self.status[j] = _BASIC
-        self.iterations += 1
-
-    def _primal_infeasibility(self):
-        lo = np.maximum(self.lb[self.basic] - self.xb, 0.0)
-        up = np.maximum(self.xb - self.ub[self.basic], 0.0)
-        return np.maximum(lo, up)
-
-    def _dual_feasible(self, d):
-        bad = ((self.status == _AT_LOWER) & (d > OPT_TOL)) \
-            | ((self.status == _AT_UPPER) & (d < -OPT_TOL))
-        return not bad.any()
-
-    def _nearest_bound_status(self, j, value):
-        # a slack's infinite side is never nearer than its finite one
-        return _AT_LOWER if abs(value - self.lb[j]) <= abs(value - self.ub[j]) else _AT_UPPER
-
-    # ----- primal simplex -------------------------------------------------
-
-    def _primal(self, max_iter):
-        """Maximize c from the current primal feasible basis."""
-        while True:
-            if self.iterations >= max_iter:
-                return LpStatus.ITERATION_LIMIT
-            bland = self.degen_streak >= DEGENERATE_STREAK
-            d = self.d
-            elig = ((self.status == _AT_LOWER) & (d > OPT_TOL)) \
-                | ((self.status == _AT_UPPER) & (d < -OPT_TOL))
-            cand = np.flatnonzero(elig)
-            if cand.size == 0:
-                return LpStatus.OPTIMAL
-            j = int(cand[0]) if bland else int(cand[np.argmax(np.abs(d[cand]))])
-            s = 1.0 if self.status[j] == _AT_LOWER else -1.0
-            step, row = self._primal_ratio(j, s, bland)
-            if step is None:
-                return LpStatus.UNBOUNDED
-            self.degen_streak = self.degen_streak + 1 if step <= FEAS_TOL else 0
-            if row < 0:  # j flips to its opposite bound
-                self.xb -= s * step * self.T[:, j]
-                self.status[j] = _AT_UPPER if s > 0 else _AT_LOWER
-                continue
-            leaving = int(self.basic[row])
-            landed = self.xb[row] - s * step * self.T[row, j]
-            settled = self._nearest_bound_status(leaving, landed)
-            self._pivot(row, j, self.lb[leaving] if settled == _AT_LOWER else self.ub[leaving])
-            self.status[leaving] = settled
-
-    def _primal_ratio(self, j, s, bland):
-        """Largest step for column j moving in direction s.
-
-        Returns ``(step, row)``; ``row == -1`` encodes a flip of j to its
-        opposite bound, ``step is None`` means unbounded.
-        """
-        best, row = self.ub[j] - self.lb[j], -1  # infinite for a slack
-        col = self.T[:, j]
-        delta = -s * col
-        # only rows whose basic variable moves can limit the step
-        rows = np.flatnonzero(np.abs(delta) > PIVOT_TOL)
-        if rows.size:
-            moving, basic = delta[rows], self.basic[rows]
-            caps = np.where(moving > 0.0, self.ub[basic], self.lb[basic])
-            lims = np.maximum((caps - self.xb[rows]) / moving, 0.0)
-            least = lims.min()
-            if least < best:
-                near = np.flatnonzero(lims <= least + 1e-12)
-                if bland:
-                    pick = near[np.argmin(basic[near])]
-                else:
-                    pick = near[np.argmax(np.abs(moving[near]))]
-                row, best = int(rows[pick]), lims[pick]
-        if not np.isfinite(best):
-            return None, -1
-        return float(best), row
-
-    # ----- dual simplex ---------------------------------------------------
-
-    def _dual(self, max_iter):
-        """Restore primal feasibility while keeping dual feasibility."""
-        while True:
-            if self.iterations >= max_iter:
-                return LpStatus.ITERATION_LIMIT
-            infeas = self._primal_infeasibility()
-            if infeas.size == 0 or infeas.max() <= FEAS_TOL:
-                return LpStatus.OPTIMAL
-            bland = self.degen_streak >= DEGENERATE_STREAK
-            if bland:  # the infeasible basic variable of smallest column index
-                rows = np.flatnonzero(infeas > FEAS_TOL)
-                r = int(rows[np.argmin(self.basic[rows])])
-            else:
-                r = int(np.argmax(infeas))
-            leaving = int(self.basic[r])
-            below = self.xb[r] < self.lb[leaving]
-            alpha = self.T[r]
-            d = self.d
-            if below:
-                elig = ((self.status == _AT_LOWER) & (alpha < -PIVOT_TOL)) \
-                    | ((self.status == _AT_UPPER) & (alpha > PIVOT_TOL))
-            else:
-                elig = ((self.status == _AT_LOWER) & (alpha > PIVOT_TOL)) \
-                    | ((self.status == _AT_UPPER) & (alpha < -PIVOT_TOL))
-            cand = np.flatnonzero(elig)
-            if cand.size == 0:
-                return LpStatus.INFEASIBLE
-            ratios = np.abs(d[cand]) / np.abs(alpha[cand])
-            near = np.flatnonzero(ratios <= ratios.min() + 1e-12)
-            if bland:
-                j = int(cand[near[np.argmin(cand[near])]])
-            else:
-                j = int(cand[near[np.argmax(np.abs(alpha[cand[near]]))]])
-            self.degen_streak = self.degen_streak + 1 if ratios.min() <= 1e-12 else 0
-            self._pivot(r, j, self.lb[leaving] if below else self.ub[leaving])
-            self.status[leaving] = _AT_LOWER if below else _AT_UPPER
-
-    # ----- driver ----------------------------------------------------------
-
-    def solve(self, warm_basis, max_iter):
-        n = self.n_struct
-        self._append_rows()
-        self.c = np.concatenate([self.model.obj, np.zeros(self.n_rows)])
-        self.degen_streak = 0
-        self.iterations = 0
-        warm = warm_basis is not None and self._restore_basis(warm_basis)
-        if warm:
-            self._price()
-        # a restored basis feasible on either side is a start: the dual
-        # simplex keeps dual feasibility, the primal one primal feasibility
-        if not (warm and (self._dual_feasible(self.d)
-                          or self._primal_infeasibility().max(initial=0.0) <= FEAS_TOL)):
-            self._slack_basis()
-            self._price()
-        status = self._dual(max_iter)  # at once when primal feasible
-        if status == LpStatus.OPTIMAL:
-            status = self._primal(max_iter)
-        x = self.values()
-        xs = x[:n].copy()
-        if status == LpStatus.OPTIMAL:
-            np.clip(xs, np.asarray(self.model.lb), np.asarray(self.model.ub), out=xs)
-            self._verify(xs)
-        return LpSolution(status=status, objective_value=self._dual_bound(), x=xs,
-                          basis=self, iterations=self.iterations)
-
-    def _price(self):
-        """Basic values and reduced costs of the current basis; from here on
-        the pivots keep them."""
-        self.xb = self.values()[self.basic]
-        self.d = self.reduced_costs()
-
-    def _dual_bound(self):
-        """Upper bound on the maximum from the duals ``y = c_B B^{-1}``.
-
-        The slack columns of ``B^{-1} A`` hold ``B^{-1}``.  Every column,
-        slacks included, is priced at the bound its reduced cost against the
-        original rows favours; a slack's range is cut to what its row can
-        reach over the variable box, so every term is finite.
-        """
-        n = self.n_struct
-        y = self.c[self.basic] @ self.T[:, n:]
-        d = self.c - y @ self.A
-        As, lo, hi = self.A[:, :n], self.lb[:n], self.ub[:n]
-        act_lo = np.minimum(As * lo, As * hi).sum(axis=1)
-        act_hi = np.maximum(As * lo, As * hi).sum(axis=1)
-        lo = np.concatenate([lo, np.maximum(self.lb[n:], self.rhs - act_hi)])
-        hi = np.concatenate([hi, np.minimum(self.ub[n:], self.rhs - act_lo)])
-        return float(y @ self.rhs + np.maximum(d * lo, d * hi).sum()) + self.model.obj_constant
-
-    def _restore_basis(self, wb) -> bool:
-        """Take over ``wb`` when it is this tableau, solved before its model
-        gained the rows appended since, if any.
-
-        The solved tableau is bordered: old rows keep their entries, with
-        zeros on the new slacks, and each new row ``a_i`` becomes ``a_i -
-        a_i[B] T`` with its slack basic (right-hand side ``rhs_i - a_i[B]
-        trhs``).  That is ``B^{-1} A`` for the old basis plus the new slacks,
-        with no factorization.
-        """
-        if wb is not self:
-            return False
-        n, mr, k = self.n_struct, self.n_rows, self.T.shape[0]
-        if mr == k:
-            return True
-        new = self.A[k:]
-        new_b = new[:, self.basic]
-        T = np.zeros((mr, n + mr))
-        T[:k, :n + k] = self.T
-        T[k:] = new - new_b @ T[:k]
-        self.T = T
-        self.trhs = np.concatenate([self.trhs, self.rhs[k:] - new_b @ self.trhs])
-        self.basic = np.concatenate([self.basic, np.arange(n + k, n + mr, dtype=np.intp)])
-        self.status = np.concatenate([self.status, np.full(mr - k, _BASIC, dtype=np.int8)])
-        return True
-
-    def _verify(self, xs):
-        """Optimal solutions must satisfy all rows within tolerance."""
-        n = self.n_struct
-        v = self.A[:, :n] @ xs
-        gap = 1e2 * FEAS_TOL * (1.0 + np.abs(self.rhs))
-        bad = (np.isfinite(self.lb[n:]) & (v > self.rhs + gap)) \
-            | (np.isfinite(self.ub[n:]) & (v < self.rhs - gap))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ArithmeticError(
-                f"optimal solution violates row: {float(v[i])} {self.senses[i]} "
-                f"{float(self.rhs[i])}")
-
-
-@dataclass(eq=False)
 class LpBatchSolution:
-    """One :class:`LpSolution` per member of a :class:`Lockstep`, as arrays."""
+    """The result of :meth:`Lockstep.solve`, one entry per member."""
 
     status: list  # LpStatus per member
     objective_value: np.ndarray  # from each member's duals: upper bounds
@@ -446,25 +125,38 @@ _RUNNING, _OPTIMAL, _INFEASIBLE, _UNBOUNDED, _LIMIT = range(-1, 4)
 _NO_COLUMN = np.iinfo(np.intp).max  # Bland's rule: above every column index
 
 
+def _encode_rows(model: LpModel):
+    """The rows of ``model`` as a dense ``(A, rhs)``, and the bounds ``(lb,
+    ub)`` of its columns, one slack per row last.  A slack's bounds encode
+    its row's sense: a finite lower bound caps the row activity from above
+    (<=, =), a finite upper one from below."""
+    A, rhs = np.zeros((model.n_rows, model.n_vars)), np.zeros(model.n_rows)
+    for i, (idx, coef, _, b) in enumerate(model.rows):
+        A[i, idx] = coef
+        rhs[i] = b
+    sense = np.array([row[2] for row in model.rows], dtype="U2")
+    lb = np.concatenate([model.lb, np.where(sense == GE, -np.inf, 0.0)])
+    ub = np.concatenate([model.ub, np.where(sense == LE, np.inf, 0.0)])
+    return A, rhs, lb, ub
+
+
 class Lockstep:
-    """The tableaux of one model under ``q`` objectives, pivoted together.
+    """The tableaux of one model under ``q`` objectives, solved together.
 
     Member ``b`` maximizes ``c[b] . x + constant[b]``.  Its tableau is
     ``tab[b]``, of shape ``(m + 1, n + m + 1)``: ``B^{-1} A`` with
     ``B^{-1} rhs`` as its last column and the reduced costs as its last row,
-    so one broadcast rank-1 update pivots all three for every member, with
-    the arithmetic of :meth:`_Tableau._pivot` element for element.  Each
-    member picks its own pivot by the rules of :class:`_Tableau`, with the
-    same tolerances, tie rules and its own degenerate streak; a member that
-    ends leaves the working arrays at once.  Members start from ``start``, a
-    solved tableau of ``model``, when it is dual or primal feasible for
-    their objective, else from the slack basis.
+    so one rank-1 update pivots all three.  Each member picks its own pivot
+    with the same tolerances, tie rules and its own degenerate streak.
+    Members start from member 0 of ``start``, a solved stack of ``model``,
+    when it is dual or primal feasible for their objective, else from the
+    slack basis.  A start solved for another model, or before ``model``
+    gained rows, is ignored.
 
-    :meth:`append_rows` borders each member's tableau with rows of its own,
-    as :meth:`_Tableau._restore_basis` does; a member given fewer rows than
-    another gets inert zero rows ``0 <= 0`` to fill its block, which no
-    pivot touches.  Each member reports the dual bound of its own final
-    basis (:meth:`_Tableau._dual_bound`; the padding adds zeros).
+    :meth:`append_rows` borders each member's tableau with rows of its own;
+    a member given fewer rows than another gets inert zero rows ``0 <= 0``
+    to fill its block, which no pivot touches.  Each member reports the
+    dual bound of its own final basis (the padding adds zeros).
     """
 
     # per-member state along axis 0, which select() and _put() move; the
@@ -473,27 +165,25 @@ class Lockstep:
               "degen", "As", "rhs", "c", "constant")
     _PIVOTED = _STATE[:10]
 
-    def __init__(self, model: LpModel, c, constant, start: _Tableau | None = None):
+    def __init__(self, model: LpModel, c, constant, start: Lockstep | None = None):
         c = np.atleast_2d(np.asarray(c, dtype=float))
-        q = c.shape[0]
-        warm = isinstance(start, _Tableau) and start.model is model \
-            and start.n_struct == model.n_vars and getattr(start, "T", None) is not None \
-            and start.T.shape[0] == model.n_rows
-        tab = start if warm else _Tableau(model)
-        tab._append_rows()
-        n, m = tab.n_struct, tab.n_rows
-        self.n, self.warm = n, warm
-        self.As = np.broadcast_to(tab.A[:, :n], (q, m, n)).copy()
-        self.rhs = np.tile(tab.rhs, (q, 1))
-        self.lb, self.ub = np.tile(tab.lb, (q, 1)), np.tile(tab.ub, (q, 1))
+        q, n, m = c.shape[0], model.n_vars, model.n_rows
+        warm = isinstance(start, Lockstep) and start.warm and start.model is model \
+            and start.n == n and start.model_rows == start.basic.shape[1] == m
+        self.model, self.n, self.model_rows, self.warm = model, n, m, warm
+        A, rhs, lb, ub = (start.As[0], start.rhs[0], start.lb[0], start.ub[0]) if warm \
+            else _encode_rows(model)
+        self.As = np.broadcast_to(A, (q, m, n)).copy()
+        self.rhs = np.tile(rhs, (q, 1))
+        self.lb, self.ub = np.tile(lb, (q, 1)), np.tile(ub, (q, 1))
         self.c = np.zeros((q, n + m))
         self.c[:, :n] = c
         self.constant = np.broadcast_to(np.asarray(constant, dtype=float), (q,)).copy()
         self.tab = np.zeros((q, m + 1, n + m + 1))
-        if warm:
-            self.tab[:, :m, :-1] = tab.T
-            self.tab[:, :m, -1] = tab.trhs
-            self.basic, self.status = np.tile(tab.basic, (q, 1)), np.tile(tab.status, (q, 1))
+        if warm:  # the reduced costs are priced by solve()
+            self.tab[:, :m] = start.tab[0, :m]
+            self.basic, self.status = np.tile(start.basic[0], (q, 1)), \
+                np.tile(start.status[0], (q, 1))
         else:  # the first solve starts from the slack basis
             self.basic = np.zeros((q, m), dtype=np.intp)
             self.status = np.zeros((q, n + m), dtype=np.int8)
@@ -535,7 +225,8 @@ class Lockstep:
     # ----- basis helpers ---------------------------------------------------
 
     def _slack_basis(self, which):
-        """:meth:`_Tableau._slack_basis` for the members ``which``."""
+        """Slacks basic for the members ``which``, each column at the bound
+        its cost favours: dual feasible."""
         m, n = self.basic.shape[1], self.n
         self.tab[which, :m, :n] = self.As[which]
         self.tab[which, :m, n:-1] = np.eye(m)
@@ -545,7 +236,8 @@ class Lockstep:
         self.status[which, :n] = np.where(self.c[which, :n] > 0.0, _AT_UPPER, _AT_LOWER)
 
     def values(self) -> np.ndarray:
-        """:meth:`_Tableau.values` of every member, ``(q, n + m)``."""
+        """Full variable vector of every member implied by its basis and
+        statuses, ``(q, n + m)``."""
         x = np.where(self.status == _AT_LOWER, self.lb,
                      np.where(self.status == _AT_UPPER, self.ub, 0.0))
         np.put_along_axis(x, self.basic, self.trhs - np.einsum("qmk,qk->qm", self.T, x), 1)
@@ -602,12 +294,119 @@ class Lockstep:
             np.zeros((q, m + k))
         self.warm = True
 
-    # ----- the lockstep pivots ----------------------------------------------
+    # ----- the pivots of a stack of one ---------------------------------------
 
-    def _pivot(self, go, r, j, value):
-        """:meth:`_Tableau._pivot` of every member in the mask ``go`` on row
-        ``r`` and column ``j``, the leaving variable settling at ``value``;
-        the other members are left as they are."""
+    def _pivot(self, r, j, value):
+        """Enter column j of member 0 on row r, the leaving variable settling
+        at ``value``: one rank-1 update of its tableau moves ``B^{-1} A``,
+        ``B^{-1} rhs`` and the reduced costs, and the basic values follow."""
+        tab, xb = self.tab[0], self.xb[0]
+        col = tab[:, j].copy()  # with the reduced cost of j last
+        piv = col[r]
+        step = (xb[r] - value) / piv  # how far x_j moves
+        lo, hi = self.lb[0, j], self.ub[0, j]
+        xb -= step * col[:-1]
+        xb[r] = (lo if self.status[0, j] == _AT_LOWER else hi) + step
+        self.lb_b[0, r], self.ub_b[0, r] = lo, hi
+        tab[r] /= piv
+        col[r] = 0.0
+        tab -= np.outer(col, tab[r])
+        self.basic[0, r] = j
+        self.status[0, j] = _BASIC
+        self.iterations[0] += 1
+
+    def _dual(self, max_iter):
+        """Restore member 0's primal feasibility while keeping its dual
+        feasibility; its end code."""
+        tab, xb, basic, status = self.tab[0], self.xb[0], self.basic[0], self.status[0]
+        d = tab[-1, :-1]
+        while True:
+            if self.iterations[0] >= max_iter:
+                return _LIMIT
+            infeas = self._primal_infeasibility()[0]
+            if infeas.size == 0 or infeas.max() <= FEAS_TOL:
+                return _OPTIMAL
+            bland = self.degen[0] >= DEGENERATE_STREAK
+            if bland:  # the infeasible basic variable of smallest column index
+                rows = np.flatnonzero(infeas > FEAS_TOL)
+                r = int(rows[np.argmin(basic[rows])])
+            else:
+                r = int(np.argmax(infeas))
+            below = xb[r] < self.lb_b[0, r]
+            alpha = tab[r, :-1]
+            # alpha signed so that an eligible column has it above PIVOT_TOL
+            cand = np.flatnonzero(alpha * (-status if below else status) > PIVOT_TOL)
+            if cand.size == 0:
+                return _INFEASIBLE
+            ratios = np.abs(d[cand]) / np.abs(alpha[cand])
+            least = ratios.min()
+            near = cand[ratios <= least + 1e-12]
+            j = int(near[0]) if bland else int(near[np.argmax(np.abs(alpha[near]))])
+            self.degen[0] = self.degen[0] + 1 if least <= 1e-12 else 0
+            leaving = int(basic[r])
+            self._pivot(r, j, self.lb_b[0, r] if below else self.ub_b[0, r])
+            status[leaving] = _AT_LOWER if below else _AT_UPPER
+
+    def _primal(self, max_iter):
+        """Maximize member 0's objective from its primal feasible basis; its
+        end code."""
+        tab, xb, basic, status = self.tab[0], self.xb[0], self.basic[0], self.status[0]
+        d = tab[-1, :-1]
+        while True:
+            if self.iterations[0] >= max_iter:
+                return _LIMIT
+            bland = self.degen[0] >= DEGENERATE_STREAK
+            # the reduced cost signed so that an eligible column has it above OPT_TOL
+            gain = d * status
+            cand = np.flatnonzero(gain > OPT_TOL)
+            if cand.size == 0:
+                return _OPTIMAL
+            j = int(cand[0]) if bland else int(cand[np.argmax(gain[cand])])
+            s = int(status[j])  # +1 at its lower bound, so j moves up; -1 down
+            step, row = self._primal_ratio(j, s, bland)
+            if step is None:
+                return _UNBOUNDED
+            self.degen[0] = self.degen[0] + 1 if step <= FEAS_TOL else 0
+            if row < 0:  # j flips to its opposite bound
+                xb -= s * step * tab[:-1, j]
+                status[j] = -s
+                continue
+            leaving = int(basic[row])
+            landed = xb[row] - s * step * tab[row, j]
+            lo, hi = self.lb_b[0, row], self.ub_b[0, row]
+            # a slack's infinite side is never nearer than its finite one
+            settled = _AT_LOWER if abs(landed - lo) <= abs(landed - hi) else _AT_UPPER
+            self._pivot(row, j, lo if settled == _AT_LOWER else hi)
+            status[leaving] = settled
+
+    def _primal_ratio(self, j, s, bland):
+        """Largest step of member 0's column j moving in direction s:
+        ``(step, row)``, where row -1 is a flip of j to its opposite bound
+        and a step of None means unbounded."""
+        best, row = self.ub[0, j] - self.lb[0, j], -1  # infinite for a slack
+        delta = -s * self.tab[0, :-1, j]
+        # only rows whose basic variable moves can limit the step
+        rows = np.flatnonzero(np.abs(delta) > PIVOT_TOL)
+        if rows.size:
+            moving = delta[rows]
+            caps = np.where(moving > 0.0, self.ub_b[0, rows], self.lb_b[0, rows])
+            lims = np.maximum((caps - self.xb[0, rows]) / moving, 0.0)
+            least = lims.min()
+            if least < best:
+                near = np.flatnonzero(lims <= least + 1e-12)
+                pick = near[np.argmin(self.basic[0, rows[near]])] if bland \
+                    else near[np.argmax(np.abs(moving[near]))]
+                row, best = int(rows[pick]), lims[pick]
+        if not np.isfinite(best):
+            return None, -1
+        return float(best), row
+
+    # ----- the lockstep pivots of a larger stack ----------------------------
+
+    def _pivot_step(self, go, r, j, value):
+        """:meth:`_pivot` of every member in the mask ``go`` on row ``r`` and
+        column ``j``, the leaving variable settling at ``value``; the other
+        members are left as they are."""
         b, tab = np.arange(len(self)), self.tab
         every = go.all()
         col = tab[b, :, j]  # with the reduced cost of j last
@@ -640,8 +439,8 @@ class Lockstep:
         return code
 
     def _dual_step(self, max_iter):
-        """One :meth:`_Tableau._dual` pivot of every member; the members'
-        end codes, or None when all go on."""
+        """One :meth:`_dual` pivot of every member; the members' end codes,
+        or None when all go on."""
         q, m = self.basic.shape
         if not m:
             return self._end_codes(max_iter, (_OPTIMAL, np.ones(q, dtype=bool)))
@@ -670,13 +469,13 @@ class Lockstep:
         if go.any():
             self.degen[go] = np.where(least <= 1e-12, self.degen + 1, 0)[go]
             leaving = basic[b, r]
-            self._pivot(go, r, j, np.where(below, self.lb_b[b, r], self.ub_b[b, r]))
+            self._pivot_step(go, r, j, np.where(below, self.lb_b[b, r], self.ub_b[b, r]))
             self.status[b[go], leaving[go]] = np.where(below, _AT_LOWER, _AT_UPPER)[go]
         return code
 
     def _primal_step(self, max_iter):
-        """One :meth:`_Tableau._primal` pivot or bound flip of every member;
-        the members' end codes, or None when all go on."""
+        """One :meth:`_primal` pivot or bound flip of every member; the
+        members' end codes, or None when all go on."""
         q, m = self.basic.shape
         b, basic, xb, status = np.arange(q), self.basic, self.xb, self.status
         if not status.shape[1]:
@@ -689,7 +488,7 @@ class Lockstep:
         if bland.any():
             j = np.where(bland, (gain > OPT_TOL).argmax(1), j)
         s = status[b, j]  # +1 at its lower bound, so j moves up; -1 down
-        # _Tableau._primal_ratio, every member at once: row -1 is a bound flip
+        # _primal_ratio, every member at once: row -1 is a bound flip
         best, row = self.ub[b, j] - self.lb[b, j], np.full(q, -1)
         col = self.tab[b, :-1, j]
         if m:
@@ -724,7 +523,7 @@ class Lockstep:
             lo, hi = self.lb_b[b, r], self.ub_b[b, r]
             # a slack's infinite side is never nearer than its finite one
             settled = np.where(np.abs(landed - lo) <= np.abs(landed - hi), _AT_LOWER, _AT_UPPER)
-            self._pivot(go, r, j, np.where(settled == _AT_LOWER, lo, hi))
+            self._pivot_step(go, r, j, np.where(settled == _AT_LOWER, lo, hi))
             self.status[b[go], leaving[go]] = settled[go]
         return code
 
@@ -748,8 +547,12 @@ class Lockstep:
     # ----- driver ------------------------------------------------------------
 
     def solve(self, max_iter: int = DEFAULT_MAX_ITER) -> LpBatchSolution:
-        """Solve every member, from its current basis when that is a start
-        (see :meth:`_Tableau.solve`), else from the slack basis."""
+        """Solve every member: from its current basis when that is dual
+        feasible for its objective (the dual simplex keeps that) or primal
+        feasible (the primal simplex keeps that), else from the slack basis;
+        the dual simplex runs first, at once done when primal feasible, then
+        the primal one.  A stack of one runs :meth:`_dual` and
+        :meth:`_primal`, a larger one their lockstep steps."""
         q = len(self)
         self.iterations[:] = 0
         self.degen[:] = 0
@@ -761,9 +564,14 @@ class Lockstep:
         if cold.any():
             self._slack_basis(np.flatnonzero(cold))
             self._price()
-        code = np.full(q, _RUNNING)
-        self._run(Lockstep._dual_step, np.arange(q), max_iter, code)
-        self._run(Lockstep._primal_step, np.flatnonzero(code == _OPTIMAL), max_iter, code)
+        if q == 1:
+            code = np.array([self._dual(max_iter)])
+            if code[0] == _OPTIMAL:
+                code[0] = self._primal(max_iter)
+        else:
+            code = np.full(q, _RUNNING)
+            self._run(Lockstep._dual_step, np.arange(q), max_iter, code)
+            self._run(Lockstep._primal_step, np.flatnonzero(code == _OPTIMAL), max_iter, code)
         self.warm = True
         x = self.values()[:, :self.n]
         optimal = code == _OPTIMAL
@@ -774,7 +582,14 @@ class Lockstep:
                                iterations=self.iterations.copy())
 
     def _dual_bound(self) -> np.ndarray:
-        """:meth:`_Tableau._dual_bound` of every member's final basis."""
+        """Upper bound on each member's maximum from its duals ``y = c_B
+        B^{-1}``.
+
+        The slack columns of ``B^{-1} A`` hold ``B^{-1}``.  Every column,
+        slacks included, is priced at the bound its reduced cost against the
+        original rows favours; a slack's range is cut to what its row can
+        reach over the variable box, so every term is finite.
+        """
         n = self.n
         cb = np.take_along_axis(self.c, self.basic, 1)
         y = np.einsum("qm,qmk->qk", cb, self.T[:, :, n:])
@@ -791,7 +606,8 @@ class Lockstep:
             + self.constant
 
     def _verify(self, x, which):
-        """:meth:`_Tableau._verify` of the members ``which`` at their ``x``."""
+        """Optimal members ``which`` must satisfy all their rows at their
+        ``x`` within tolerance."""
         n = self.n
         v = np.einsum("qmj,qj->qm", self.As[which], x)
         rhs = self.rhs[which]

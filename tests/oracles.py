@@ -1,16 +1,18 @@
 """Reference implementations the tests compare the package against.
 
-None of these run on the package's bound paths: one neuron's hull instance,
-its corner values, cuts and one-row separation calls, brute-force
-enumeration of the hull's cut family and of its least value at a point, the
-weighted-median separator (the paper's linear-time variant of the sorting
-greedy), the univariate chord bound, the lifted-formulation envelope LP, the
-exact maximum over activation patterns, and the per-neuron backward and
-forward passes and tightening loop, one objective at a time, that the
-package runs one run, level and batch of objectives at a time.
+None of these run on the package's bound paths: a cold solve of one LP
+model, one neuron's hull instance, its corner values, cuts and one-row
+separation calls, brute-force enumeration of the hull's cut family and of
+its least value at a point, the weighted-median separator (the paper's
+linear-time variant of the sorting greedy), the univariate chord bound, the
+lifted-formulation envelope LP, the exact maximum over activation patterns,
+and the per-neuron backward and forward passes and tightening loop, one
+objective at a time, that the package runs one run, level and batch of
+objectives at a time.
 """
 
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -18,7 +20,7 @@ from relucert.hull import HullTable
 from relucert.network import BoxDomain, Network
 from relucert.propagation import INTERVAL, SWAP_VIOLATION_TOL, Objectives, compute_all_bounds
 from relucert.relaxation import LpBoundError
-from relucert.simplex import GE, LE, LpModel, LpStatus, solve_lp
+from relucert.simplex import DEFAULT_MAX_ITER, GE, LE, Lockstep, LpModel, LpStatus
 
 # Hard ceiling for brute-force enumeration of the cut family.
 ENUMERATION_CAP = 20
@@ -26,6 +28,14 @@ ENUMERATION_CAP = 20
 ALWAYS_ACTIVE = "always_active"
 ALWAYS_INACTIVE = "always_inactive"
 MIXED = "mixed"
+
+
+def solve_lp(model: LpModel, max_iter: int = DEFAULT_MAX_ITER) -> SimpleNamespace:
+    """``model`` under its own objective, solved cold as a stack of one:
+    the status, value, point and pivots of that one member."""
+    sol = Lockstep(model, [model.obj], model.obj_constant).solve(max_iter)
+    return SimpleNamespace(status=sol.status[0], objective_value=float(sol.objective_value[0]),
+                           x=sol.x[0], iterations=int(sol.iterations[0]))
 
 
 @dataclass(frozen=True, eq=False)

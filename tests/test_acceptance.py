@@ -15,7 +15,7 @@ from relucert.network import BoxDomain, classify, generate_random_network
 from relucert.propagation import (Objectives, backward_pass, compute_all_bounds, forward_pass,
                                   tightened_bound)
 from relucert.relaxation import optc2v_bound
-from relucert.simplex import LpStatus, solve_lp
+from relucert.simplex import LpStatus
 from relucert.verifier import (attack_upper_bound, batch_verify,
                                generate_instances)
 
@@ -24,7 +24,7 @@ from oracles import (corner_value, cut_from_pair, delta_upper_value,
                      enumerate_cut_pairs, envelope_min_by_enumeration, exact_max_oracle,
                      expr_from_row, lifted_envelope_value, make_hull_instance,
                      minimize_upper_envelope_median, minimize_upper_envelope_sort, relu_value,
-                     separate_sort)
+                     separate_sort, solve_lp)
 
 EXACT = 1e-9
 

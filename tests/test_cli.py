@@ -141,6 +141,9 @@ def test_negative_rounds_rejected_at_parse_time(tmp_path, capsys, flag):
     ("gen", "--epsilon", "-0.1", "must be finite and >= 0, got -0.1"),
     ("gen", "--epsilon", "inf", "must be finite and >= 0, got inf"),
     ("gen", "--count", "-3", "must be >= 0, got -3"),
+    ("gen", "--weight-scale", "nan", "must be finite and >= 0, got nan"),
+    ("gen", "--weight-scale", "inf", "must be finite and >= 0, got inf"),
+    ("gen", "--weight-scale", "-0.5", "must be finite and >= 0, got -0.5"),
     ("verify", "--epsilon", "nan", "must be finite and >= 0, got nan"),
     ("verify", "--epsilon", "-1", "must be finite and >= 0, got -1"),
 ])
@@ -160,3 +163,33 @@ def test_bad_gen_and_verify_arguments_rejected_at_parse_time(tmp_path, monkeypat
     assert exc.value.code == 2
     assert f"argument {flag}: {message}" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == before == ["empty.txt", "net.txt"]
+
+
+def test_weight_scale_too_wide_for_a_weight_range(tmp_path, monkeypatch, capsys):
+    # 1e308 parses, but uniform(-s, s) spans 2 * s, which overflows: a
+    # config error before any file is written, not a traceback
+    with pytest.raises(ValueError, match="weight_scale"):
+        generate_random_network([3, 4, 2], seed=0, weight_scale=1e308)
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--layers", "3,4,2", "--weight-scale", "1e308"]) == 2
+    assert "error: weight_scale must be >= 0 with 2 * weight_scale finite" \
+        in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("method", [m for m in METHODS if m not in ("lp", "optc2v")])
+def test_dump_lp_needs_an_lp_method(tmp_path, monkeypatch, capsys, method):
+    # only the LP methods have margin LPs to dump; any other method would
+    # verify and write nothing, so the flag is rejected before any run
+    monkeypatch.chdir(tmp_path)
+    main(["gen", "--layers", "3,4,2", "--count", "2", "--network-out", "net.txt",
+          "--instances-out", "inst.txt"])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--network", "net.txt", "--instances", "inst.txt", "--method", method,
+              "--dump-lp", "lps"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument --dump-lp: needs --method lp or optc2v, got {method}" in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.txt", "net.txt"]

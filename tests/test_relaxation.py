@@ -6,12 +6,13 @@ from relucert.network import (BoxDomain, Network, Neuron, eval_network,
                               generate_random_network)
 from relucert.propagation import Objectives, compute_all_bounds
 from relucert.relaxation import build_delta_lp, optc2v_bound
-from relucert.simplex import EQ, LE, LpStatus, solve_lp
+from relucert.simplex import EQ, LE, LpStatus
 from relucert.verifier import generate_instances, margin_objective, verify
 
 from conftest import delta_lp, interval_state, random_mixed_instance
 from oracles import (cut_from_pair, envelope_min_by_enumeration, enumerate_cut_pairs,
-                     exact_max_oracle, expr_from_row, lifted_envelope_value, make_hull_instance)
+                     exact_max_oracle, expr_from_row, lifted_envelope_value, make_hull_instance,
+                     solve_lp)
 
 
 def record_cuts(monkeypatch):
@@ -312,63 +313,47 @@ class TestLpSweep:
         assert warm_val == pytest.approx(cold.objective_value, abs=1e-7)
 
     def test_each_reach_solves_one_tableau(self, monkeypatch):
-        # every bound of one reach starts from that reach's one tableau: an
-        # objective bounded alone re-solves it, and its cut loop borders one
-        # copy of it, which all its re-solves share; a lockstep group starts
-        # every member from it and borders its own arrays
+        # every bound of one reach starts from that reach's one start: the
+        # first objective's stack of one, solved cold and copied before its
+        # first cut; every later stack, of one or of several, starts warm
+        # from it and borders arrays of its own
         import relucert.simplex as simplex
-        built, forks, sols, per_call, starts = [], [], [], [], []
-        real_init, real_fork = simplex._Tableau.__init__, simplex._Tableau.fork
-        real_solve, real_loop = relaxation.solve_lp, relaxation._cut_loop
-        real_lockstep = simplex.Lockstep.__init__
+        stacks, solves = [], []
+        real_init, real_solve = simplex.Lockstep.__init__, simplex.Lockstep.solve
 
-        def init(self, model):
-            built.append(self)
-            real_init(self, model)
+        def init(self, model, c, constant, start=None):
+            real_init(self, model, c, constant, start)
+            stacks.append((self, start))
 
-        def fork(self, model):
-            forks.append(real_fork(self, model))
-            return forks[-1]
+        def solve(self, *args, **kwargs):
+            solves.append((self, self.tab))
+            return real_solve(self, *args, **kwargs)
 
-        def cut_loop(bounds, dl, coeffs, constant, rounds):
-            sols.clear()
-            value = real_loop(bounds, dl, coeffs, constant, rounds)
-            per_call.append((dl.basis, [s.basis for s in sols]))
-            return value
-
-        def lockstep(self, model, c, constant, start=None):
-            starts.append((start, len(c)))
-            real_lockstep(self, model, c, constant, start)
-
-        monkeypatch.setattr(simplex._Tableau, "__init__", init)
-        monkeypatch.setattr(simplex._Tableau, "fork", fork)
-        monkeypatch.setattr(simplex.Lockstep, "__init__", lockstep)
-        monkeypatch.setattr(relaxation, "solve_lp",
-                            lambda *a, **k: sols.append(real_solve(*a, **k)) or sols[-1])
-        monkeypatch.setattr(relaxation, "_cut_loop", cut_loop)
+        monkeypatch.setattr(simplex.Lockstep, "__init__", init)
+        monkeypatch.setattr(simplex.Lockstep, "solve", solve)
         st = sweep_with_margins("optc2v")
-        bases = [dl.basis for dl in st.lps.values()]
-        assert len(built) == len(bases) and all(t in bases for t in built)
-        assert starts and all(any(start is t for t in bases) for start, _ in starts)
-        assert len(per_call) + sum(q for _, q in starts) > len(bases)  # reused across bounds
-        copies = []
-        for base, solved in per_call:
-            assert solved[0] is base
-            if len(solved) > 1:
-                copies.append(solved[1])
-                assert all(t is solved[1] for t in solved[1:])
-        assert copies  # cut loops ran
-        assert len(forks) == len(copies) and all(a is b for a, b in zip(forks, copies))
+        starts = [dl.start for dl in st.lps.values()]
+        cold = [stack for stack, start in stacks if start is None]
+        assert len(cold) == len(starts) and all(len(stack) == 1 for stack in cold)
+        assert all(stack.warm and any(start is s for s in starts) for stack, start in stacks
+                   if start is not None)
+        assert len(stacks) > len(starts)  # reused across bounds
+        assert any(len(stack) > 1 for stack, _ in stacks) \
+            and any(len(stack) == 1 and start is not None for stack, start in stacks)
+        for dl, stack in zip(st.lps.values(), cold):
+            assert dl.start is not stack and dl.start.model is dl.model
+        tableaux = [tab for _, tab in solves]
+        assert len(solves) > len(stacks)  # cut loops ran
+        assert not any(t is s.tab for t in tableaux for s in starts)
 
     @pytest.mark.parametrize("method", ["lp", "optc2v"])
     def test_one_model_per_reach(self, method, monkeypatch):
         # a sweep and its margins build one relaxation per distinct reach,
-        # and every LP solved, alone or in lockstep, stops at its
+        # and every LP solved, in a stack of one or of several, stops at its
         # objective's reach
         import relucert.simplex as simplex
         builds, reaches, widths = [], [], []
-        real_build, real_bound, real_solve = (relaxation.build_delta_lp, relaxation.optc2v_bound,
-                                              relaxation.solve_lp)
+        real_build, real_bound = relaxation.build_delta_lp, relaxation.optc2v_bound
         real_lockstep = simplex.Lockstep.__init__
 
         def build(bounds, reach):
@@ -379,17 +364,12 @@ class TestLpSweep:
             reaches.extend(objective.reach.tolist())
             return real_bound(bounds, objective, rounds)
 
-        def solve(model, **kwargs):
-            widths.append((Objectives([model.obj], [0.0]).reach[0], model.n_vars))
-            return real_solve(model, **kwargs)
-
         def lockstep(self, model, c, constant, start=None):
             widths.extend((reach, model.n_vars) for reach in Objectives(c, constant).reach)
             real_lockstep(self, model, c, constant, start)
 
         monkeypatch.setattr(relaxation, "build_delta_lp", build)
         monkeypatch.setattr(relaxation, "optc2v_bound", bound)
-        monkeypatch.setattr(relaxation, "solve_lp", solve)
         monkeypatch.setattr(simplex.Lockstep, "__init__", lockstep)
         sweep_with_margins(method)
         assert sorted(builds) == sorted(set(reaches))
@@ -398,41 +378,43 @@ class TestLpSweep:
 
     def test_tableau_beyond_the_block_goes_one_by_one(self, monkeypatch):
         # the level-2 rows of the 4,8,8,3 net share one tableau; with room
-        # for LOCKSTEP_MIN of them in LP_BLOCK they go in lockstep, with a
-        # block one entry short they go one by one; the bounds agree
+        # for LOCKSTEP_MIN of them in LP_BLOCK they go in stacks of several,
+        # with a block one entry short each is a stack of one; the bounds
+        # agree
         import relucert.simplex as simplex
-        groups = []
+        stacks = []
         real = simplex.Lockstep.__init__
 
         def lockstep(self, model, c, constant, start=None):
-            groups.append((len(c), model.n_rows * (model.n_vars + model.n_rows)))
+            stacks.append((len(c), model.n_rows * (model.n_vars + model.n_rows)))
             real(self, model, c, constant, start)
 
         monkeypatch.setattr(simplex.Lockstep, "__init__", lockstep)
         ref = sweep_with_margins("optc2v")
-        assert groups
-        entries = max(size for _, size in groups)
+        assert any(q > 1 for q, _ in stacks)
+        entries = max(size for q, size in stacks if q > 1)
         sweeps = {}
         for block in (entries * relaxation.LOCKSTEP_MIN, entries * relaxation.LOCKSTEP_MIN - 1):
-            groups.clear()
+            stacks.clear()
             monkeypatch.setattr(relaxation, "LP_BLOCK", block)
             sweeps[block] = sweep_with_margins("optc2v")
-            assert all(q * size <= block for q, size in groups)
-            assert bool(groups) == (block % relaxation.LOCKSTEP_MIN == 0)
+            several = [q * size for q, size in stacks if q > 1]
+            assert all(entries <= block for entries in several)
+            assert bool(several) == (block % relaxation.LOCKSTEP_MIN == 0)
         for st in sweeps.values():
             assert np.allclose(st.pre_upper, ref.pre_upper, rtol=0.0, atol=1e-9)
             assert np.allclose(st.pre_lower, ref.pre_lower, rtol=0.0, atol=1e-9)
 
     def test_cuts_do_not_leak(self, monkeypatch):
-        # cuts go into a copy of the reach's solved relaxation: the shared
-        # model and its tableau keep exactly the rows build_delta_lp gave them
+        # cuts border each stack's own tableau: the shared model and its
+        # start keep exactly the rows build_delta_lp gave them
         added = record_cuts(monkeypatch)
         st = sweep_with_margins("optc2v")
         assert added
         assert st.lps
         for reach, dl in st.lps.items():
             fresh = build_delta_lp(st, reach)
-            assert dl.basis.n_rows == dl.model.n_rows == fresh.model.n_rows
+            assert dl.start.basic.shape[1] == dl.model.n_rows == fresh.model.n_rows
             for (i1, c1, s1, r1), (i2, c2, s2, r2) in zip(dl.model.rows, fresh.model.rows):
                 assert np.array_equal(i1, i2) and np.array_equal(c1, c2) and (s1, r1) == (s2, r2)
 
@@ -445,20 +427,14 @@ class TestLpSweep:
         net = generate_random_network([6, 20, 20, 3], seed=1, weight_scale=0.7)
         inst = generate_instances(net, 1, epsilon=0.16, seed=1001)[0]
         pivots = []
-        real_solve, real_batch = relaxation.solve_lp, simplex.Lockstep.solve
+        real = simplex.Lockstep.solve
 
-        def solve(*args, **kwargs):
-            sol = real_solve(*args, **kwargs)
-            pivots.append(sol.iterations)
-            return sol
-
-        def batch(self, *args, **kwargs):
-            sol = real_batch(self, *args, **kwargs)
+        def solve(self, *args, **kwargs):
+            sol = real(self, *args, **kwargs)
             pivots.extend(sol.iterations.tolist())
             return sol
 
-        monkeypatch.setattr(relaxation, "solve_lp", solve)
-        monkeypatch.setattr(simplex.Lockstep, "solve", batch)
+        monkeypatch.setattr(simplex.Lockstep, "solve", solve)
         verify(net, inst, method="lp", attack=False)
         assert len(pivots) == 42  # 20 level-2 rows from both sides, 2 margins
         assert sum(pivots) <= 0.6 * self.COLD_PIVOTS

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import relucert.simplex as simplex_module
-from relucert.simplex import (EQ, GE, LE, Lockstep, LpModel, LpStatus, solve_lp,
-                              write_lp_format)
+from relucert.simplex import EQ, GE, LE, Lockstep, LpModel, LpStatus, write_lp_format
+
+from oracles import solve_lp
 
 
 def assert_optimal(sol, value, tol=1e-7):
@@ -11,17 +12,25 @@ def assert_optimal(sol, value, tol=1e-7):
     assert sol.objective_value == pytest.approx(value, abs=tol)
 
 
-def record_restores(monkeypatch):
-    """Whether each warm basis handed to a solve was taken over, in order."""
-    restored = []
-    real = simplex_module._Tableau._restore_basis
+def stack_of_one(model, start=None):
+    """``model`` under its own objective, as a stack of one."""
+    return Lockstep(model, [model.obj], model.obj_constant, start=start)
 
-    def spy(self, wb):
-        restored.append(real(self, wb))
-        return restored[-1]
 
-    monkeypatch.setattr(simplex_module._Tableau, "_restore_basis", spy)
-    return restored
+def record_calls(monkeypatch, owner, name):
+    """A list that gains an entry at every call of ``owner.name``."""
+    calls = []
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+def append_le_rows(stack, rows, owner=None):
+    """Border ``stack`` with the rows ``(coeffs, rhs)``, each ``<=``, all
+    for member 0 unless ``owner`` says otherwise."""
+    owner = np.zeros(len(rows), dtype=np.intp) if owner is None else owner
+    stack.append_rows(owner, np.array([a for a, _ in rows]).reshape(len(rows), stack.n),
+                      np.array([r for _, r in rows], dtype=float))
 
 
 class TestBasics:
@@ -143,17 +152,16 @@ class TestWarmStart:
             for _ in range(int(rng.integers(1, 6))):
                 m.add_constraint(np.arange(n), rng.uniform(-1, 1, n), LE,
                                  float(rng.uniform(0.2, 1.0)))
-            first = solve_lp(m)
-            assert first.status == LpStatus.OPTIMAL
-            for _ in range(int(rng.integers(1, 4))):
-                m.add_constraint(np.arange(n), rng.uniform(-1, 1, n), LE,
-                                 float(rng.uniform(0.05, 0.6)))
-            warm = solve_lp(m, warm_basis=first.basis)
-            cold = solve_lp(m)
-            assert warm.status == cold.status
+            stack = stack_of_one(m)
+            assert stack.solve().status[0] == LpStatus.OPTIMAL
+            rows = [(rng.uniform(-1, 1, n), float(rng.uniform(0.05, 0.6)))
+                    for _ in range(int(rng.integers(1, 4)))]
+            append_le_rows(stack, rows)
+            warm = stack.solve()
+            cold = solve_lp(with_objective(m, m.obj, 0.0, rows))
+            assert warm.status[0] == cold.status
             if cold.status == LpStatus.OPTIMAL:
-                assert warm.objective_value == pytest.approx(
-                    cold.objective_value, abs=1e-7)
+                assert warm.objective_value[0] == pytest.approx(cold.objective_value, abs=1e-7)
 
     def test_warm_start_typically_cheaper(self):
         rng = np.random.default_rng(10)
@@ -163,23 +171,29 @@ class TestWarmStart:
             m.add_variable(-1, 1, obj=float(rng.uniform(-1, 1)))
         for _ in range(8):
             m.add_constraint(np.arange(n), rng.uniform(-1, 1, n), LE, 0.5)
-        first = solve_lp(m)
-        m.add_constraint(np.arange(n), rng.uniform(-1, 1, n), LE, 0.1)
-        warm = solve_lp(m, warm_basis=first.basis)
-        cold = solve_lp(m)
-        assert warm.iterations <= cold.iterations
+        stack = stack_of_one(m)
+        stack.solve()
+        rows = [(rng.uniform(-1, 1, n), 0.1)]
+        append_le_rows(stack, rows)
+        warm = stack.solve()
+        cold = solve_lp(with_objective(m, m.obj, 0.0, rows))
+        assert warm.iterations[0] <= cold.iterations
 
     def test_incompatible_basis_falls_back_to_cold(self):
         m = LpModel()
         m.add_variable(0, 1, obj=1.0)
         m.add_constraint([0], [1.0], LE, 0.5)
-        good = solve_lp(m)
+        good = stack_of_one(m)
+        good.solve()
         m2 = LpModel()
         m2.add_variable(0, 1, obj=1.0)
         m2.add_variable(0, 1, obj=2.0)
         m2.add_constraint([0, 1], [1.0, 1.0], LE, 0.5)
-        sol = solve_lp(m2, warm_basis=good.basis)
-        assert_optimal(sol, 1.0)
+        stack = stack_of_one(m2, start=good)
+        assert not stack.warm
+        sol = stack.solve()
+        assert sol.status[0] == LpStatus.OPTIMAL
+        assert sol.objective_value[0] == pytest.approx(1.0, abs=1e-7)
 
     def test_appended_rows_resolve_without_factorizing(self, monkeypatch):
         # the warm re-solve borders the old tableau with the new rows; no
@@ -191,13 +205,15 @@ class TestWarmStart:
             m.add_variable(-1, 1, obj=float(rng.uniform(-1, 1)))
         for _ in range(9):
             m.add_constraint(np.arange(n), rng.uniform(-1, 1, n), LE, float(rng.uniform(0.2, 1.0)))
-        first = solve_lp(m)
-        assert first.status == LpStatus.OPTIMAL
+        stack = stack_of_one(m)
+        first = stack.solve()
+        assert first.status[0] == LpStatus.OPTIMAL
+        rows = []
         for _ in range(4):  # rows the first optimum violates, like cuts
             row = rng.uniform(-1, 1, n)
-            m.add_constraint(np.arange(n), row, LE, float(row @ first.x) - 0.1)
-        cold = solve_lp(m)
-        restored = record_restores(monkeypatch)
+            rows.append((row, float(row @ first.x[0]) - 0.1))
+        cold = solve_lp(with_objective(m, m.obj, 0.0, rows))
+        slack_starts = record_calls(monkeypatch, Lockstep, "_slack_basis")
 
         def refuse(*args, **kwargs):
             raise AssertionError("np.linalg called by a warm re-solve")
@@ -205,15 +221,18 @@ class TestWarmStart:
         for name in dir(np.linalg):
             if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type):
                 monkeypatch.setattr(np.linalg, name, refuse)
-        warm = solve_lp(m, warm_basis=first.basis)
+        append_le_rows(stack, rows)
+        warm = stack.solve()
         monkeypatch.undo()
-        assert restored == [True]
-        assert warm.status == cold.status == LpStatus.OPTIMAL
-        assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-7)
-        assert np.allclose(warm.x, cold.x, atol=1e-7)
+        assert slack_starts == []
+        assert warm.status[0] == cold.status == LpStatus.OPTIMAL
+        assert warm.objective_value[0] == pytest.approx(cold.objective_value, abs=1e-7)
+        assert np.allclose(warm.x[0], cold.x, atol=1e-7)
 
-    @pytest.mark.parametrize("change", ["coefficient", "rhs", "sense"])
+    @pytest.mark.parametrize("change", ["coefficient", "rhs", "sense", "gained"])
     def test_basis_over_other_rows_goes_cold(self, change, monkeypatch):
+        # a start solved for another model, or for this one before it gained
+        # a row, is ignored: the solve is a cold one, pivot for pivot
         def build(row0, rhs0, sense0):
             m = LpModel()
             for obj in (1.0, 2.0, -1.0):
@@ -222,28 +241,31 @@ class TestWarmStart:
             m.add_constraint([0, 1], [1.0, 1.0], LE, 0.5)
             return m
 
-        first = solve_lp(build([1.0, 1.0, 1.0], 1.0, LE))
+        m = build([1.0, 1.0, 1.0], 1.0, LE)
+        first = stack_of_one(m)
+        first.solve()
         other = {"coefficient": ([1.0, 1.0, 0.5], 1.0, LE), "rhs": ([1.0, 1.0, 1.0], 0.9, LE),
-                 "sense": ([1.0, 1.0, 1.0], 1.0, GE)}[change]
-        m = build(*other)
+                 "sense": ([1.0, 1.0, 1.0], 1.0, GE)}.get(change)
+        if other is not None:
+            m = build(*other)
         m.add_constraint([1, 2], [1.0, -1.0], LE, 0.25)
-        restored = record_restores(monkeypatch)
-        warm = solve_lp(m, warm_basis=first.basis)
-        assert restored == [False]
+        slack_starts = record_calls(monkeypatch, Lockstep, "_slack_basis")
+        stack = stack_of_one(m, start=first)
+        assert not stack.warm
+        warm = stack.solve()
+        assert len(slack_starts) == 1
         cold = solve_lp(m)
-        assert warm.status == cold.status == LpStatus.OPTIMAL
-        assert warm.objective_value == cold.objective_value
-        assert warm.iterations == cold.iterations
+        assert warm.status[0] == cold.status == LpStatus.OPTIMAL
+        assert warm.objective_value[0] == cold.objective_value
+        assert warm.iterations[0] == cold.iterations
 
     def test_objective_swap_resolves_from_the_last_optimum(self, monkeypatch):
         # a new objective leaves the last optimum primal feasible: the warm
         # solve keeps that basis, encodes no rows again and matches a cold
         # solve of the same model
         rng = np.random.default_rng(14)
-        slack_starts = []
-        real_slack = simplex_module._Tableau._slack_basis
-        monkeypatch.setattr(simplex_module._Tableau, "_slack_basis",
-                            lambda self: slack_starts.append(self) or real_slack(self))
+        slack_starts = record_calls(monkeypatch, Lockstep, "_slack_basis")
+        encoded = record_calls(monkeypatch, simplex_module, "_encode_rows")
         for trial in range(40):
             n = int(rng.integers(2, 9))
             lb = rng.uniform(-2, 0, n)
@@ -257,21 +279,22 @@ class TestWarmStart:
                 sense = (LE, GE, EQ)[int(rng.integers(3))]
                 shift = {LE: 1.0, GE: -1.0, EQ: 0.0}[sense] * float(rng.uniform(0, 0.5))
                 m.add_constraint(np.arange(n), row, sense, float(row @ x0) + shift)
-            sol = solve_lp(m)
-            assert sol.status == LpStatus.OPTIMAL
+            last = stack_of_one(m)
+            assert last.solve().status[0] == LpStatus.OPTIMAL
             for _ in range(3):
                 m.obj = rng.uniform(-2, 2, n).tolist()
                 m.obj_constant = float(rng.uniform(-1, 1))
-                A, starts = sol.basis.A, len(slack_starts)
-                sol = solve_lp(m, warm_basis=sol.basis)
-                assert len(slack_starts) == starts and sol.basis.A is A
+                starts, rows = len(slack_starts), len(encoded)
+                last = stack_of_one(m, start=last)
+                sol = last.solve()
+                assert len(slack_starts) == starts and len(encoded) == rows
                 cold = solve_lp(m)
-                assert sol.status == cold.status == LpStatus.OPTIMAL
-                assert sol.objective_value == pytest.approx(cold.objective_value, abs=1e-7)
+                assert sol.status[0] == cold.status == LpStatus.OPTIMAL
+                assert sol.objective_value[0] == pytest.approx(cold.objective_value, abs=1e-7)
 
     def test_feasibility_residuals_checked(self):
         # optimal status implies rows hold within tolerance (verified inside
-        # solve_lp; this asserts externally as well)
+        # Lockstep.solve; this asserts externally as well)
         rng = np.random.default_rng(12)
         m = LpModel()
         n = 7
@@ -321,44 +344,48 @@ def with_objective(model, c, constant, rows=()):
     return m
 
 
-def assert_members_match(sol, refs, pivots=False):
-    """Each member as its own solve: the same status, and an optimal one
-    within 1e-9 of its value; a member whose LP is not solved to optimality
-    reports no optimal status, so no bound.  With ``pivots``, each member
-    also takes the same number of pivots to the same point, as it does when
-    both start from the same basis and choose by the same rules."""
+def stacks_of_one(model, C, K, start=None):
+    """One stack of one per objective ``C[b] . x + K[b]`` over ``model``."""
+    return [Lockstep(model, C[b:b + 1], K[b:b + 1], start=start) for b in range(len(C))]
+
+
+def assert_members_match(sol, refs):
+    """Each member of a stack's solution as the solution of its own stack
+    of one: the same status, the same number of pivots, the same point
+    within 1e-7 and the same value within 1e-9, as when both start from the
+    same basis and choose by the same rules."""
     for b, ref in enumerate(refs):
-        if pivots:
-            assert sol.iterations[b] == ref.iterations
-        if ref.status == LpStatus.OPTIMAL:
-            assert sol.status[b] == LpStatus.OPTIMAL
-            assert sol.objective_value[b] == pytest.approx(ref.objective_value, abs=1e-9)
-            assert not pivots or np.allclose(sol.x[b], ref.x, atol=1e-7)
-        else:
-            assert sol.status[b] != LpStatus.OPTIMAL
+        assert sol.status[b] == ref.status[0]
+        assert sol.iterations[b] == ref.iterations[0]
+        if ref.status[0] == LpStatus.OPTIMAL:
+            assert sol.objective_value[b] == pytest.approx(ref.objective_value[0], abs=1e-9)
+            assert np.allclose(sol.x[b], ref.x[0], atol=1e-7)
+
+
+def assert_stack_matches(model, C, K, start=None):
+    """The stack of the objectives ``C``, ``K`` solves as one stack of one
+    per objective, pivot for pivot; its solution."""
+    sol = Lockstep(model, C, K, start=start).solve()
+    assert_members_match(sol, [one.solve() for one in stacks_of_one(model, C, K, start)])
+    return sol
 
 
 def assert_warm_members_match(model, C, K):
-    """Members started from the solved tableau of ``model`` under the first
-    objective match warm solves of their own from a copy of it, pivot for
-    pivot."""
-    model.obj, model.obj_constant = C[0].tolist(), float(K[0])
-    first = solve_lp(model)
-    if first.status != LpStatus.OPTIMAL:
+    """The same, all started from the solved stack of one of the first
+    objective."""
+    first = Lockstep(model, C[:1], K[:1])
+    if first.solve().status[0] != LpStatus.OPTIMAL:
         return
-    refs = []
-    for c, k in zip(C, K):
-        own = with_objective(model, c, k)
-        refs.append(solve_lp(own, warm_basis=first.basis.fork(own)))
-    assert_members_match(Lockstep(model, C, K, start=first.basis).solve(), refs, pivots=True)
+    assert Lockstep(model, C, K, start=first).warm
+    assert_stack_matches(model, C, K, start=first)
 
 
 @pytest.mark.parametrize("q", [2, 5])
 class TestLockstep:
     @pytest.mark.parametrize("tied", [False, True])
     def test_random_lps_match_solve_lp(self, q, tied):
-        # cold from the slack basis, then warm from a solved tableau of the
-        # first objective
+        # cold from the slack basis, then warm from a solved stack of the
+        # first objective; the cold stacks of one match a solve of their model
         rng = np.random.default_rng(0)
         optimal = 0
         for _ in range(300):
@@ -366,15 +393,16 @@ class TestLockstep:
             C = rng.integers(-2, 3, (q, m.n_vars)).astype(float) if tied \
                 else rng.uniform(-2, 2, (q, m.n_vars))
             K = rng.uniform(-1, 1, q)
-            refs = [solve_lp(with_objective(m, C[b], K[b])) for b in range(q)]
-            assert_members_match(Lockstep(m, C, K).solve(), refs, pivots=True)
-            optimal += refs[0].status == LpStatus.OPTIMAL
+            sol = assert_stack_matches(m, C, K)
+            ref = solve_lp(with_objective(m, C[0], K[0]))
+            assert sol.status[0] == ref.status
+            optimal += ref.status == LpStatus.OPTIMAL
             assert_warm_members_match(m, C, K)
         assert optimal >= 50
 
     @pytest.mark.parametrize("streak", [0, 2])
     def test_blands_rule_matches(self, q, streak, monkeypatch):
-        # with no degenerate streak allowed, every pivot of both solvers
+        # with no degenerate streak allowed, every pivot of both kernels
         # follows Bland's rule; with a short one, each member switches to it
         # after the degenerate steps of its own
         monkeypatch.setattr(simplex_module, "DEGENERATE_STREAK", streak)
@@ -384,8 +412,7 @@ class TestLockstep:
             C = rng.integers(-2, 3, (q, m.n_vars)).astype(float) if trial % 2 \
                 else rng.uniform(-2, 2, (q, m.n_vars))
             K = rng.uniform(-1, 1, q)
-            refs = [solve_lp(with_objective(m, C[b], K[b])) for b in range(q)]
-            assert_members_match(Lockstep(m, C, K).solve(), refs, pivots=True)
+            assert_stack_matches(m, C, K)
             assert_warm_members_match(m, C, K)
 
     def test_degenerate_lp_terminates(self, q):
@@ -396,8 +423,7 @@ class TestLockstep:
         for _ in range(12):
             m.add_constraint(np.arange(n), np.ones(n), LE, 0.0)
         C = np.vstack([np.ones(n), np.random.default_rng(3).uniform(-1, 1, (q - 1, n))])
-        sol = Lockstep(m, C, np.zeros(q)).solve()
-        assert_members_match(sol, [solve_lp(with_objective(m, c, 0.0)) for c in C])
+        sol = assert_stack_matches(m, C, np.zeros(q))
         assert sol.objective_value[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_equality_rows(self, q):
@@ -417,39 +443,48 @@ class TestLockstep:
                 sense = EQ if i % 2 == 0 else LE
                 m.add_constraint(np.arange(n), row, sense, float(row @ x0) + (sense == LE) * 0.3)
             C, K = rng.uniform(-2, 2, (q, n)), rng.uniform(-1, 1, q)
-            refs = [solve_lp(with_objective(m, C[b], K[b])) for b in range(q)]
-            assert all(ref.status == LpStatus.OPTIMAL for ref in refs)
-            assert_members_match(Lockstep(m, C, K).solve(), refs)
+            sol = assert_stack_matches(m, C, K)
+            assert all(s == LpStatus.OPTIMAL for s in sol.status)
 
     def test_members_gain_unequal_rows(self, q):
-        # each member gets 0 to 3 rows of its own, most violated at its
-        # optimum and some beyond the box, which makes that member
-        # infeasible; every member still matches a solve of its own model
+        # in each of two rounds, each member gets 0 to 3 rows of its own,
+        # most violated at its optimum and some beyond the box, which makes
+        # that member infeasible; every member matches its own stack of one,
+        # bordered with the same rows, pivot for pivot, and a cold solve of
+        # its own model
         rng = np.random.default_rng(21)
         infeasible = bordered = 0
         for _ in range(80):
             m = random_boxed_lp(rng, senses=(LE,))
             C, K = rng.uniform(-2, 2, (q, m.n_vars)), rng.uniform(-1, 1, q)
-            batch = Lockstep(m, C, K)
+            batch, ones = Lockstep(m, C, K), stacks_of_one(m, C, K)
             sol = batch.solve()
-            if any(s != LpStatus.OPTIMAL for s in sol.status):
-                continue
+            assert_members_match(sol, [one.solve() for one in ones])
             own = [[] for _ in range(q)]
-            for b in range(q):
-                for _ in range(int(rng.integers(0, 4))):
-                    a = rng.uniform(-1, 1, m.n_vars)
-                    cut = 10.0 if rng.uniform() < 0.1 else 0.1
-                    own[b].append((a, float(a @ sol.x[b]) - cut))
-            owner = [b for b in range(q) for _ in own[b]]
-            if not owner:
-                continue
-            batch.append_rows(owner, np.array([a for rows in own for a, _ in rows]),
-                              np.array([r for rows in own for _, r in rows]))
-            refs = [solve_lp(with_objective(m, C[b], K[b], own[b])) for b in range(q)]
-            assert_members_match(batch.solve(), refs)
-            infeasible += sum(ref.status == LpStatus.INFEASIBLE for ref in refs)
-            bordered += 1
-        assert bordered >= 20 and infeasible >= 1
+            for _ in range(2):
+                if any(s != LpStatus.OPTIMAL for s in sol.status):
+                    break
+                new = [[] for _ in range(q)]
+                for b in range(q):
+                    for _ in range(int(rng.integers(0, 4))):
+                        a = rng.uniform(-1, 1, m.n_vars)
+                        cut = 10.0 if rng.uniform() < 0.1 else 0.1
+                        new[b].append((a, float(a @ sol.x[b]) - cut))
+                    own[b] += new[b]
+                    append_le_rows(ones[b], new[b])
+                append_le_rows(batch, [row for rows in new for row in rows],
+                               np.repeat(np.arange(q), [len(rows) for rows in new]))
+                sol = batch.solve()
+                assert_members_match(sol, [one.solve() for one in ones])
+                for b in range(q):
+                    ref = solve_lp(with_objective(m, C[b], K[b], own[b]))
+                    assert (sol.status[b] == LpStatus.OPTIMAL) == (ref.status == LpStatus.OPTIMAL)
+                    if ref.status == LpStatus.OPTIMAL:
+                        assert sol.objective_value[b] == pytest.approx(ref.objective_value,
+                                                                       abs=1e-9)
+                    infeasible += ref.status == LpStatus.INFEASIBLE
+                bordered += 1
+        assert bordered >= 30 and infeasible >= 1
 
 
 def test_lp_format_dump(tmp_path):

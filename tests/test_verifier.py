@@ -438,35 +438,29 @@ class TestBatch:
         assert sum(res.counts.values()) == 0 and res.reports == []
 
     def test_failed_lp_instance_falls_back_to_deeppoly(self, monkeypatch):
-        # one failing LP of instance 1, first an objective solved alone,
-        # then one member of a lockstep group whose other members solve
-        import relucert.relaxation as relaxation_module
+        # one failing LP of instance 1, first in a stack of one, then one
+        # member of a stack of several whose other members solve
         import relucert.simplex as simplex_module
         net = generate_random_network([4, 8, 8, 3], seed=2, weight_scale=0.8)
         insts = generate_instances(net, 3, epsilon=0.1, seed=3)
         bad = build_input_box(insts[1]).lower
-        solve, solve_group = relaxation_module.solve_lp, simplex_module.Lockstep.solve
-        groups = []
-
-        def failing_solve(model, warm_basis=None):
-            sol = solve(model, warm_basis=warm_basis)
-            if np.array_equal(model.lb[:net.input_dim], bad):
-                sol.status = LpStatus.ITERATION_LIMIT
-            return sol
-
-        def failing_member(self, *args, **kwargs):
-            sol = solve_group(self, *args, **kwargs)
-            groups.append(sol.status)
-            if np.array_equal(self.lb[0, :net.input_dim], bad):
-                sol.status[-1] = LpStatus.ITERATION_LIMIT
-            return sol
-
+        solve = simplex_module.Lockstep.solve
         reason = "LpBoundError: base relaxation: LP ended iteration-limit"
-        for owner, name, failing in ((relaxation_module, "solve_lp", failing_solve),
-                                     (simplex_module.Lockstep, "solve", failing_member)):
-            monkeypatch.setattr(owner, name, failing)
+        for several in (False, True):
+            failed = []
+
+            def failing_member(self, *args, **kwargs):
+                sol = solve(self, *args, **kwargs)
+                if np.array_equal(self.lb[0, :net.input_dim], bad) \
+                        and (len(self) > 1) == several:
+                    failed.append(len(self))
+                    sol.status[-1] = LpStatus.ITERATION_LIMIT
+                return sol
+
+            monkeypatch.setattr(simplex_module.Lockstep, "solve", failing_member)
             res = batch_verify(net, insts, method="lp", deterministic=True)
             monkeypatch.undo()
+            assert len(failed) == 1 and (failed[0] > 1) == several
             assert sum(res.counts.values()) == 3
             assert [rep.fallback for rep in res.reports] == [None, reason, None]
             ref = verify(net, insts[1], method="deeppoly")
@@ -474,7 +468,6 @@ class TestBatch:
             lines = [format_report_line(i, rep) for i, rep in enumerate(res.reports)]
             assert lines[1].endswith(" fallback=" + reason)
             assert "fallback" not in lines[0] + lines[2]
-        assert len(groups) == 3 and all(len(g) > 1 for g in groups)
 
     def test_error_entries_reported_and_skipped(self):
         net = generate_random_network([2, 2, 2], seed=0)
