@@ -102,7 +102,7 @@ def build_parser():
                    help="separation rounds for optc2v")
     v.add_argument("--epsilon", type=_nonnegative_float, default=None,
                    help="override the per-instance radius")
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=_nonnegative_int, default=0)
     v.add_argument("--deterministic", action="store_true",
                    help="zero timing fields for byte-stable reports")
     v.add_argument("--attack", choices=("on", "off"), default="on")
@@ -113,7 +113,7 @@ def build_parser():
 
     g = sub.add_parser("gen", help="generate a random network and instance corpus")
     g.add_argument("--layers", required=True, help="comma list, e.g. 8,20,20,3")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_nonnegative_int, default=0)
     g.add_argument("--count", type=_nonnegative_int, default=20)
     g.add_argument("--epsilon", type=_nonnegative_float, default=0.05)
     g.add_argument("--weight-scale", type=_nonnegative_float, default=1.0)

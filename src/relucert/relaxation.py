@@ -39,10 +39,11 @@ from .simplex import EQ, GE, LE, Lockstep, LpBatchSolution, LpModel, LpStatus
 CUT_VIOLATION_TOL = 1e-5
 
 # Objectives of one reach are solved in stacks of at most LP_BLOCK tableau
-# entries (objectives x rows x columns), so that a stack's arrays stay in
-# cache, and of at least LOCKSTEP_MIN objectives: a lockstep pivot costs
-# about twice the numpy calls of one plain pivot and lasts as long as the
-# stack's longest solve, so smaller stacks lose to stacks of one.
+# entries (objectives x (rows + 1) x (nonbasic columns + 1)), so that a
+# stack's arrays stay in cache, and of at least LOCKSTEP_MIN objectives: a
+# lockstep pivot costs about twice the numpy calls of one plain pivot and
+# lasts as long as the stack's longest solve, so smaller stacks lose to
+# stacks of one.
 LP_BLOCK = 1 << 15
 LOCKSTEP_MIN = 8
 
@@ -154,7 +155,7 @@ def _bound_reach(bounds: Bounds, objective: Objectives, reach: int, rounds: int)
     if dl is None:
         dl = bounds.lps[reach] = build_delta_lp(bounds, reach)
     m = dl.model.n_rows
-    size = LP_BLOCK // max(1, m * (reach + m))  # tableaux that fit in the block
+    size = LP_BLOCK // ((m + 1) * (reach + 1))  # tableaux that fit in the block
     first = int(dl.start is None)  # the first objective makes the start
     rest = len(objective) - first
     if size < LOCKSTEP_MIN or rest < LOCKSTEP_MIN:

@@ -9,23 +9,24 @@ fast enough.
 Conventions: maximize ``c . x`` subject to ``lb <= x <= ub`` and rows
 ``a . x (<=|=|>=) rhs``.  Every variable is boxed: ``add_variable`` refuses
 an infinite bound.  Rows get one slack each; a basis is the list of basic
-columns plus a status per column (at lower bound, at upper bound, basic).
+columns and of nonbasic ones, each nonbasic at its lower or upper bound.
 Boxed columns make the slack basis, with each column at the bound its cost
 favours, dual feasible, so a cold solve is one dual simplex run from that
 slack basis, and a primal pass then polishes.  Anti-cycling: after a streak
 of degenerate steps the pivot choice switches to Bland's rule.
 
 :class:`Lockstep` is the one tableau type: the tableaux of ``q`` objectives
-over one model, stacked along a leading axis.  A stack starts from the slack
-basis, or from a solved stack of the same model, which a new objective (the
-next row over the same relaxation) only reprices.  Rows appended to a
-solved stack (the cutting-plane re-solve) border each member's tableau
-instead of refactoring its basis.  A stack of several members makes one
-pivot of every member per numpy step, since a solve of a few dozen pivots
-on a tableau of a few dozen rows costs more in numpy calls than in
-arithmetic; a stack of one runs plain pivot loops on views of its member,
-which narrow each ratio test to its candidates first.  Both kernels pick
-the same pivots by the same rules.
+over one model, stacked along a leading axis, each the condensed tableau of
+the textbook simplex (Chvatal, *Linear Programming*, 1983): only the
+nonbasic columns of ``B^{-1} A`` are stored, and a pivot writes the leaving
+variable's unit column into the entering one's slot.  A stack starts from
+the slack basis, or from a solved stack of the same model, which a new
+objective only reprices.  Rows appended to a solved stack (the
+cutting-plane re-solve) border each member's tableau.  A stack of several
+members makes one pivot of every member per numpy step, since a solve of a
+few dozen pivots on a few dozen rows costs more in numpy calls than in
+arithmetic; a stack of one runs plain pivot loops on views of its member.
+Both kernels pick the same pivots, ties going to the smallest column.
 
 The reported value is a dual bound (Neumaier & Shcherbina, "Safe bounds in
 linear and mixed-integer linear programming", 2004): the row duals of the
@@ -60,10 +61,9 @@ class LpStatus(enum.Enum):
     ITERATION_LIMIT = "iteration-limit"
 
 
-# column status codes
+# the bound a nonbasic column sits at
 _AT_LOWER = 1
 _AT_UPPER = -1
-_BASIC = 0
 
 
 @dataclass(eq=False)
@@ -122,7 +122,7 @@ class LpBatchSolution:
 # a member's end code indexes _STATUSES; a running member's code is -1
 _STATUSES = (LpStatus.OPTIMAL, LpStatus.INFEASIBLE, LpStatus.UNBOUNDED, LpStatus.ITERATION_LIMIT)
 _RUNNING, _OPTIMAL, _INFEASIBLE, _UNBOUNDED, _LIMIT = range(-1, 4)
-_NO_COLUMN = np.iinfo(np.intp).max  # Bland's rule: above every column index
+_NO_COLUMN = np.iinfo(np.intp).max  # above every column index
 
 
 def _encode_rows(model: LpModel):
@@ -140,30 +140,39 @@ def _encode_rows(model: LpModel):
     return A, rhs, lb, ub
 
 
+def _slack_range(A, rhs, lo, hi, slack_lb, slack_ub):
+    """The range of the slack of each row of ``(A, rhs)``: ``[slack_lb,
+    slack_ub]`` cut to what the row reaches over the variable box ``[lo, hi]``."""
+    at_lo, at_hi = A * lo[..., None, :], A * hi[..., None, :]
+    return (np.maximum(slack_lb, rhs - np.maximum(at_lo, at_hi).sum(axis=-1)),
+            np.minimum(slack_ub, rhs - np.minimum(at_lo, at_hi).sum(axis=-1)))
+
+
 class Lockstep:
     """The tableaux of one model under ``q`` objectives, solved together.
 
     Member ``b`` maximizes ``c[b] . x + constant[b]``.  Its tableau is
-    ``tab[b]``, of shape ``(m + 1, n + m + 1)``: ``B^{-1} A`` with
-    ``B^{-1} rhs`` as its last column and the reduced costs as its last row,
-    so one rank-1 update pivots all three.  Each member picks its own pivot
-    with the same tolerances, tie rules and its own degenerate streak.
-    Members start from member 0 of ``start``, a solved stack of ``model``,
-    when it is dual or primal feasible for their objective, else from the
-    slack basis.  A start solved for another model, or before ``model``
-    gained rows, is ignored.
+    ``tab[b]``, of shape ``(m + 1, n + 1)``: ``B^{-1} A`` at its ``n``
+    nonbasic columns, slot ``s`` holding column ``nonbasic[b, s]`` at the
+    bound ``status[b, s]``, with ``B^{-1} rhs`` as its last column and the
+    reduced costs as its last row, so one rank-1 update pivots all three.
+    Each member picks its own pivot with the same tolerances, tie rules and
+    its own degenerate streak.  Members start from member 0 of ``start``, a
+    solved stack of ``model``, when it is dual or primal feasible for their
+    objective, else from the slack basis.  A start solved for another
+    model, or before ``model`` gained rows, is ignored.
 
-    :meth:`append_rows` borders each member's tableau with rows of its own;
-    a member given fewer rows than another gets inert zero rows ``0 <= 0``
-    to fill its block, which no pivot touches.  Each member reports the
-    dual bound of its own final basis (the padding adds zeros).
+    :meth:`append_rows` borders each member's tableau with rows of its own,
+    adding no column; a member given fewer rows than another gets inert zero
+    rows ``0 <= 0`` to fill its block, which no pivot touches.  Each member
+    reports the dual bound of its own final basis (the padding adds zeros).
     """
 
-    # per-member state along axis 0, which select() and _put() move; the
-    # pivots read and write only the first ten
-    _STATE = ("tab", "lb", "ub", "lb_b", "ub_b", "basic", "status", "xb", "iterations",
-              "degen", "As", "rhs", "c", "constant")
-    _PIVOTED = _STATE[:10]
+    # per-member state along axis 0, which select() takes; the pivots write
+    # only the first nine, which _move() moves
+    _STATE = ("tab", "lb_b", "ub_b", "basic", "nonbasic", "status", "xb", "iterations", "degen",
+              "lb", "ub", "As", "rhs", "slack_lo", "slack_hi", "c", "constant")
+    _PIVOTED = _STATE[:9]
 
     def __init__(self, model: LpModel, c, constant, start: Lockstep | None = None):
         c = np.atleast_2d(np.asarray(c, dtype=float))
@@ -173,30 +182,33 @@ class Lockstep:
         self.model, self.n, self.model_rows, self.warm = model, n, m, warm
         A, rhs, lb, ub = (start.As[0], start.rhs[0], start.lb[0], start.ub[0]) if warm \
             else _encode_rows(model)
-        self.As = np.broadcast_to(A, (q, m, n)).copy()
+        self.As = np.broadcast_to(A, (q, m, n))  # read only: rows join by append_rows
         self.rhs = np.tile(rhs, (q, 1))
-        self.lb, self.ub = np.tile(lb, (q, 1)), np.tile(ub, (q, 1))
+        slack = (start.slack_lo[0], start.slack_hi[0]) if warm \
+            else _slack_range(A, rhs, lb[:n], ub[:n], lb[n:], ub[n:])
+        self.slack_lo, self.slack_hi = np.tile(slack[0], (q, 1)), np.tile(slack[1], (q, 1))
+        # read only, like As; the column bounds are the same for every member
+        self.lb, self.ub = np.broadcast_to(lb, (q, n + m)), np.broadcast_to(ub, (q, n + m))
         self.c = np.zeros((q, n + m))
         self.c[:, :n] = c
         self.constant = np.broadcast_to(np.asarray(constant, dtype=float), (q,)).copy()
-        self.tab = np.zeros((q, m + 1, n + m + 1))
+        self.tab = np.zeros((q, m + 1, n + 1))
         if warm:  # the reduced costs are priced by solve()
             self.tab[:, :m] = start.tab[0, :m]
-            self.basic, self.status = np.tile(start.basic[0], (q, 1)), \
-                np.tile(start.status[0], (q, 1))
+            self.basic, self.nonbasic, self.status = (
+                np.tile(a[0], (q, 1)) for a in (start.basic, start.nonbasic, start.status))
         else:  # the first solve starts from the slack basis
-            self.basic = np.zeros((q, m), dtype=np.intp)
-            self.status = np.zeros((q, n + m), dtype=np.int8)
+            self.basic, self.nonbasic = np.zeros((q, m), np.intp), np.zeros((q, n), np.intp)
+            self.status = np.zeros((q, n), dtype=np.int8)
         self.xb, self.lb_b, self.ub_b = np.zeros((q, m)), np.zeros((q, m)), np.zeros((q, m))
-        self.iterations = np.zeros(q, dtype=np.intp)
-        self.degen = np.zeros(q, dtype=np.intp)
+        self.iterations, self.degen = np.zeros(q, dtype=np.intp), np.zeros(q, dtype=np.intp)
 
     def __len__(self) -> int:
         return self.tab.shape[0]
 
     @property
     def T(self):
-        """``B^{-1} A`` of every member, a view."""
+        """``B^{-1} A`` at the nonbasic columns of every member, a view."""
         return self.tab[:, :-1, :-1]
 
     @property
@@ -205,22 +217,22 @@ class Lockstep:
 
     @property
     def d(self):
-        """Reduced costs of every member, a view."""
+        """Reduced costs of the nonbasic columns of every member, a view."""
         return self.tab[:, -1, :-1]
 
     def select(self, which, state=_STATE) -> "Lockstep":
-        """The members ``which`` (indices or a mask), as a batch of their
-        own; only the ``state`` arrays are copied."""
+        """The members ``which`` (indices, a mask, or a slice for views), as
+        a batch of their own; only the ``state`` arrays are taken."""
         new = copy.copy(self)
         for name in state:
             setattr(new, name, getattr(self, name)[which])
         return new
 
-    def _put(self, which, other: "Lockstep", mask):
-        """Write the pivoted state of ``other``'s members ``mask`` back as
-        members ``which``."""
+    def _move(self, to, source):
+        """Give the members ``to`` the pivoted state the members ``source`` had."""
         for name in self._PIVOTED:
-            getattr(self, name)[which] = getattr(other, name)[mask]
+            a = getattr(self, name)
+            a[to] = a[source]
 
     # ----- basis helpers ---------------------------------------------------
 
@@ -228,19 +240,30 @@ class Lockstep:
         """Slacks basic for the members ``which``, each column at the bound
         its cost favours: dual feasible."""
         m, n = self.basic.shape[1], self.n
-        self.tab[which, :m, :n] = self.As[which]
-        self.tab[which, :m, n:-1] = np.eye(m)
+        self.tab[which, :m, :-1] = self.As[which]
         self.tab[which, :m, -1] = self.rhs[which]
         self.basic[which] = np.arange(n, n + m)
-        self.status[which, n:] = _BASIC
-        self.status[which, :n] = np.where(self.c[which, :n] > 0.0, _AT_UPPER, _AT_LOWER)
+        self.nonbasic[which] = np.arange(n)
+        self.status[which] = np.where(self.c[which, :n] > 0.0, _AT_UPPER, _AT_LOWER)
 
     def values(self) -> np.ndarray:
         """Full variable vector of every member implied by its basis and
         statuses, ``(q, n + m)``."""
-        x = np.where(self.status == _AT_LOWER, self.lb,
-                     np.where(self.status == _AT_UPPER, self.ub, 0.0))
-        np.put_along_axis(x, self.basic, self.trhs - np.einsum("qmk,qk->qm", self.T, x), 1)
+        (q, m), b, nonbasic = self.basic.shape, np.arange(len(self))[:, None], self.nonbasic
+        x = np.zeros(self.lb.shape)
+        x[b, nonbasic] = np.where(self.status == _AT_LOWER, self.lb[0, nonbasic],
+                                  self.ub[0, nonbasic])
+        xb = self.trhs.copy()
+        # B^{-1} A at full width, zero at the basic columns, so that each row's sum
+        # runs in column order; in blocks of rows that take no more room than the tableau
+        step = max(1, self.tab.size // x.size)
+        wide = np.empty((q, min(step, m), x.shape[1]))
+        for lo in range(0, m, step):
+            block = wide[:, :min(step, m - lo)]
+            block.fill(0.0)
+            block.transpose(0, 2, 1)[b, nonbasic] = self.T[:, lo:lo + step].transpose(0, 2, 1)
+            xb[:, lo:lo + step] -= np.einsum("qmk,qk->qm", block, x)
+        x[b, self.basic] = xb
         return x
 
     def _price(self):
@@ -248,8 +271,8 @@ class Lockstep:
         member's basis; from here on the pivots keep them."""
         b, basic = np.arange(len(self))[:, None], self.basic
         self.xb = self.values()[b, basic]
-        self.lb_b, self.ub_b = self.lb[b, basic], self.ub[b, basic]
-        self.d[:] = self.c - np.einsum("qm,qmk->qk", self.c[b, basic], self.T)
+        self.lb_b, self.ub_b = self.lb[0, basic], self.ub[0, basic]
+        self.d[:] = self.c[b, self.nonbasic] - np.einsum("qm,qmk->qk", self.c[b, basic], self.T)
 
     def _primal_infeasibility(self):
         return np.maximum(np.maximum(self.lb_b - self.xb, 0.0),
@@ -258,61 +281,66 @@ class Lockstep:
     def append_rows(self, owner, coeffs, rhs):
         """Give member ``owner[e]`` the row ``coeffs[e] . x <= rhs[e]``.
 
-        ``owner`` is nondecreasing.  Each member's tableau is bordered with
-        its rows after its old ones, the new slacks basic; the others get
-        zero rows up to the longest block.  The next :meth:`solve` starts
-        warm from there.
+        ``owner`` is nondecreasing.  Each member's tableau gains its rows
+        after its old ones, the new slacks basic; the others get zero rows
+        up to the longest block.  The next :meth:`solve` starts warm from
+        there.
         """
         owner = np.asarray(owner, dtype=np.intp)
-        q, m, width = len(self), self.basic.shape[1], self.tab.shape[2] - 1
-        n = self.n
+        (q, m), n, width = self.basic.shape, self.n, self.c.shape[1]
         k = int(np.bincount(owner, minlength=q).max(initial=0))
         slot = np.arange(owner.size) - np.searchsorted(owner, owner)
-        new = np.zeros((q, k, width))
+        new = np.zeros((q, k, n + 1))  # a slack's coefficient last: zero
         new[owner, slot, :n] = coeffs
         new_rhs = np.zeros((q, k))
         new_rhs[owner, slot] = rhs
-        # row i of the block becomes a_i - a_i[B] T, right-hand side
+        # row i of the block becomes a_i[N] - a_i[B] T, right-hand side
         # rhs_i - a_i[B] trhs: B^{-1} A for the old basis plus the new slacks
-        new_b = np.take_along_axis(new, self.basic[:, None, :], 2)
-        tab = np.zeros((q, m + k + 1, width + k + 1))
-        tab[:, :m, :width] = self.T
-        tab[:, :m, -1] = self.trhs
-        tab[:, m:-1, :width] = new - np.einsum("qkm,qmj->qkj", new_b, self.T)
-        tab[:, m:-1, width:-1] = np.eye(k)
+        new_b = np.take_along_axis(new, np.minimum(self.basic, n)[:, None, :], 2)
+        tab = np.zeros((q, m + k + 1, n + 1))
+        tab[:, :m] = self.tab[:, :m]
+        tab[:, m:-1, :-1] = np.take_along_axis(new, np.minimum(self.nonbasic, n)[:, None, :], 2) \
+            - np.einsum("qkm,qmj->qkj", new_b, self.T)
         tab[:, m:-1, -1] = new_rhs - np.einsum("qkm,qm->qk", new_b, self.trhs)
         self.tab = tab
         self.basic = np.concatenate([self.basic, np.tile(np.arange(width, width + k), (q, 1))],
                                     axis=1)
-        self.status = np.concatenate([self.status, np.full((q, k), _BASIC, np.int8)], axis=1)
         self.As = np.concatenate([self.As, new[:, :, :n]], axis=1)
         self.rhs = np.concatenate([self.rhs, new_rhs], axis=1)
-        self.lb = np.concatenate([self.lb, np.zeros((q, k))], axis=1)
-        self.ub = np.concatenate([self.ub, np.full((q, k), np.inf)], axis=1)
+        self.lb = np.broadcast_to(np.concatenate([self.lb[0], np.zeros(k)]), (q, width + k))
+        self.ub = np.broadcast_to(np.concatenate([self.ub[0], np.full(k, np.inf)]), (q, width + k))
+        slack_lo, slack_hi = _slack_range(new[:, :, :n], new_rhs, self.lb[:, :n], self.ub[:, :n],
+                                          0.0, np.inf)
+        self.slack_lo = np.concatenate([self.slack_lo, slack_lo], axis=1)
+        self.slack_hi = np.concatenate([self.slack_hi, slack_hi], axis=1)
         self.c = np.concatenate([self.c, np.zeros((q, k))], axis=1)
-        self.xb, self.lb_b, self.ub_b = np.zeros((q, m + k)), np.zeros((q, m + k)), \
-            np.zeros((q, m + k))
-        self.warm = True
+        self.warm = True  # solve() prices the basic values and their bounds
 
     # ----- the pivots of a stack of one ---------------------------------------
 
-    def _pivot(self, r, j, value):
-        """Enter column j of member 0 on row r, the leaving variable settling
-        at ``value``: one rank-1 update of its tableau moves ``B^{-1} A``,
-        ``B^{-1} rhs`` and the reduced costs, and the basic values follow."""
-        tab, xb = self.tab[0], self.xb[0]
+    def _pivot(self, r, j, settled):
+        """Enter the column in slot j of member 0 on row r, the leaving
+        variable taking slot j at its bound ``settled``: its unit column
+        goes into the slot, then one rank-1 update of the tableau moves
+        ``B^{-1} A``, ``B^{-1} rhs`` and the reduced costs, and the basic
+        values follow."""
+        tab, xb, basic, nonbasic = self.tab[0], self.xb[0], self.basic[0], self.nonbasic[0]
+        lb_b, ub_b, entering = self.lb_b[0], self.ub_b[0], nonbasic[j]
         col = tab[:, j].copy()  # with the reduced cost of j last
         piv = col[r]
-        step = (xb[r] - value) / piv  # how far x_j moves
-        lo, hi = self.lb[0, j], self.ub[0, j]
+        # how far the entering variable moves
+        step = (xb[r] - (lb_b[r] if settled == _AT_LOWER else ub_b[r])) / piv
+        lo, hi = self.lb[0, entering], self.ub[0, entering]
         xb -= step * col[:-1]
         xb[r] = (lo if self.status[0, j] == _AT_LOWER else hi) + step
-        self.lb_b[0, r], self.ub_b[0, r] = lo, hi
+        lb_b[r], ub_b[r] = lo, hi
+        tab[:, j] = 0.0
+        tab[r, j] = 1.0
         tab[r] /= piv
         col[r] = 0.0
-        tab -= np.outer(col, tab[r])
-        self.basic[0, r] = j
-        self.status[0, j] = _BASIC
+        tab -= col[:, None] * tab[r]
+        basic[r], nonbasic[j] = entering, basic[r]
+        self.status[0, j] = settled
         self.iterations[0] += 1
 
     def _dual(self, max_iter):
@@ -334,34 +362,37 @@ class Lockstep:
                 r = int(np.argmax(infeas))
             below = xb[r] < self.lb_b[0, r]
             alpha = tab[r, :-1]
-            # alpha signed so that an eligible column has it above PIVOT_TOL
+            # alpha signed so that an eligible slot has it above PIVOT_TOL
             cand = np.flatnonzero(alpha * (-status if below else status) > PIVOT_TOL)
             if cand.size == 0:
                 return _INFEASIBLE
             ratios = np.abs(d[cand]) / np.abs(alpha[cand])
             least = ratios.min()
             near = cand[ratios <= least + 1e-12]
-            j = int(near[0]) if bland else int(near[np.argmax(np.abs(alpha[near]))])
+            if near.size > 1 and not bland:  # the largest pivot
+                size = np.abs(alpha[near])
+                near = near[size == size.max()]
             self.degen[0] = self.degen[0] + 1 if least <= 1e-12 else 0
-            leaving = int(basic[r])
-            self._pivot(r, j, self.lb_b[0, r] if below else self.ub_b[0, r])
-            status[leaving] = _AT_LOWER if below else _AT_UPPER
+            # ties go to the smallest column
+            self._pivot(r, int(near[np.argmin(self.nonbasic[0, near])]),
+                        _AT_LOWER if below else _AT_UPPER)
 
     def _primal(self, max_iter):
         """Maximize member 0's objective from its primal feasible basis; its
         end code."""
-        tab, xb, basic, status = self.tab[0], self.xb[0], self.basic[0], self.status[0]
+        tab, xb, status = self.tab[0], self.xb[0], self.status[0]
         d = tab[-1, :-1]
         while True:
             if self.iterations[0] >= max_iter:
                 return _LIMIT
             bland = self.degen[0] >= DEGENERATE_STREAK
-            # the reduced cost signed so that an eligible column has it above OPT_TOL
+            # the reduced cost signed so that an eligible slot has it above OPT_TOL
             gain = d * status
-            cand = np.flatnonzero(gain > OPT_TOL)
-            if cand.size == 0:
+            top = gain.max(initial=0.0)
+            if top <= OPT_TOL:
                 return _OPTIMAL
-            j = int(cand[0]) if bland else int(cand[np.argmax(gain[cand])])
+            cand = np.flatnonzero(gain > OPT_TOL if bland else gain == top)
+            j = int(cand[np.argmin(self.nonbasic[0, cand])])  # ties to the smallest column
             s = int(status[j])  # +1 at its lower bound, so j moves up; -1 down
             step, row = self._primal_ratio(j, s, bland)
             if step is None:
@@ -371,19 +402,17 @@ class Lockstep:
                 xb -= s * step * tab[:-1, j]
                 status[j] = -s
                 continue
-            leaving = int(basic[row])
             landed = xb[row] - s * step * tab[row, j]
             lo, hi = self.lb_b[0, row], self.ub_b[0, row]
             # a slack's infinite side is never nearer than its finite one
-            settled = _AT_LOWER if abs(landed - lo) <= abs(landed - hi) else _AT_UPPER
-            self._pivot(row, j, lo if settled == _AT_LOWER else hi)
-            status[leaving] = settled
+            self._pivot(row, j, _AT_LOWER if abs(landed - lo) <= abs(landed - hi) else _AT_UPPER)
 
     def _primal_ratio(self, j, s, bland):
-        """Largest step of member 0's column j moving in direction s:
+        """Largest step of member 0's slot j moving in direction s:
         ``(step, row)``, where row -1 is a flip of j to its opposite bound
         and a step of None means unbounded."""
-        best, row = self.ub[0, j] - self.lb[0, j], -1  # infinite for a slack
+        column = self.nonbasic[0, j]
+        best, row = self.ub[0, column] - self.lb[0, column], -1  # infinite for a slack
         delta = -s * self.tab[0, :-1, j]
         # only rows whose basic variable moves can limit the step
         rows = np.flatnonzero(np.abs(delta) > PIVOT_TOL)
@@ -403,10 +432,10 @@ class Lockstep:
 
     # ----- the lockstep pivots of a larger stack ----------------------------
 
-    def _pivot_step(self, go, r, j, value):
+    def _pivot_step(self, go, r, j, value, settled):
         """:meth:`_pivot` of every member in the mask ``go`` on row ``r`` and
-        column ``j``, the leaving variable settling at ``value``; the other
-        members are left as they are."""
+        slot ``j``, the leaving variable settling at ``value``, its bound
+        ``settled``; the other members are left as they are."""
         b, tab = np.arange(len(self)), self.tab
         every = go.all()
         col = tab[b, :, j]  # with the reduced cost of j last
@@ -415,19 +444,21 @@ class Lockstep:
             piv, value = np.where(go, piv, 1.0), np.where(go, value, xr)
             col *= go[:, None]
         step = (xr - value) / piv
-        lo, hi = self.lb[b, j], self.ub[b, j]
-        xj = np.where(self.status[b, j] == _AT_LOWER, lo, hi)
         self.xb -= step[:, None] * col[:, :-1]
+        g, gr, gj, step, settled = (b, r, j, step, settled) if every else \
+            (a[go] for a in (b, r, j, step, settled))
+        tab[g, :, gj] = 0.0
+        tab[g, gr, gj] = 1.0  # the leaving variable's unit column
         prow = tab[b, r] / piv[:, None]
         tab[b, r] = prow
         col[b, r] = 0.0
         tab -= col[:, :, None] * prow[:, None, :]
-        if not every:
-            b, r, j, xj, step, lo, hi = b[go], r[go], j[go], xj[go], step[go], lo[go], hi[go]
-        self.xb[b, r] = xj + step
-        self.lb_b[b, r], self.ub_b[b, r] = lo, hi
-        self.basic[b, r] = j
-        self.status[b, j] = _BASIC
+        column = self.nonbasic[g, gj]
+        lo, hi = self.lb[0, column], self.ub[0, column]
+        self.xb[g, gr] = np.where(self.status[g, gj] == _AT_LOWER, lo, hi) + step
+        self.lb_b[g, gr], self.ub_b[g, gr] = lo, hi
+        self.basic[g, gr], self.nonbasic[g, gj] = column, self.basic[g, gr]
+        self.status[g, gj] = settled
         self.iterations += go
 
     def _end_codes(self, max_iter, *ends):
@@ -453,24 +484,25 @@ class Lockstep:
             r = np.where(bland, np.where(infeas > FEAS_TOL, basic, _NO_COLUMN).argmin(1), r)
         below = xb[b, r] < self.lb_b[b, r]
         alpha = self.tab[b, r, :-1]
-        # alpha signed so that an eligible column has it above PIVOT_TOL
+        # alpha signed so that an eligible slot has it above PIVOT_TOL
         elig = alpha * (status * np.where(below, -1, 1)[:, None]) > PIVOT_TOL
         size = np.abs(alpha)
         ratios = np.full(alpha.shape, np.inf)
         np.divide(np.abs(self.d), size, out=ratios, where=elig)
         least = ratios.min(1)
         near = ratios <= (least + 1e-12)[:, None]
-        j = np.where(near, size, -1.0).argmax(1)
-        if bland.any():
-            j = np.where(bland, near.argmax(1), j)
+        # the largest pivot of the nearest, or under Bland's rule any of
+        # them; ties go to the smallest column
+        size = np.where(near, size, -1.0)
+        pick = np.where(bland[:, None], near, size == size.max(1)[:, None])
+        j = np.where(pick, self.nonbasic, _NO_COLUMN).argmin(1)
         go = ~optimal & (least < np.inf) & (self.iterations < max_iter)
         code = None if go.all() else \
             self._end_codes(max_iter, (_OPTIMAL, optimal), (_INFEASIBLE, least == np.inf))
         if go.any():
             self.degen[go] = np.where(least <= 1e-12, self.degen + 1, 0)[go]
-            leaving = basic[b, r]
-            self._pivot_step(go, r, j, np.where(below, self.lb_b[b, r], self.ub_b[b, r]))
-            self.status[b[go], leaving[go]] = np.where(below, _AT_LOWER, _AT_UPPER)[go]
+            self._pivot_step(go, r, j, np.where(below, self.lb_b[b, r], self.ub_b[b, r]),
+                             np.where(below, _AT_LOWER, _AT_UPPER))
         return code
 
     def _primal_step(self, max_iter):
@@ -480,16 +512,17 @@ class Lockstep:
         b, basic, xb, status = np.arange(q), self.basic, self.xb, self.status
         if not status.shape[1]:
             return self._end_codes(max_iter, (_OPTIMAL, np.ones(q, dtype=bool)))
-        # the reduced cost signed so that an eligible column has it above OPT_TOL
+        # the reduced cost signed so that an eligible slot has it above OPT_TOL
         gain = self.d * status
-        j = gain.argmax(1)
-        optimal = gain[b, j] <= OPT_TOL
+        top = gain.max(1)
+        optimal = top <= OPT_TOL
         bland = self.degen >= DEGENERATE_STREAK
-        if bland.any():
-            j = np.where(bland, (gain > OPT_TOL).argmax(1), j)
+        pick = np.where(bland[:, None], gain > OPT_TOL, gain == top[:, None])
+        j = np.where(pick, self.nonbasic, _NO_COLUMN).argmin(1)  # ties to the smallest column
         s = status[b, j]  # +1 at its lower bound, so j moves up; -1 down
         # _primal_ratio, every member at once: row -1 is a bound flip
-        best, row = self.ub[b, j] - self.lb[b, j], np.full(q, -1)
+        column = self.nonbasic[b, j]
+        best, row = self.ub[0, column] - self.lb[0, column], np.full(q, -1)
         col = self.tab[b, :-1, j]
         if m:
             delta = -s[:, None] * col
@@ -518,31 +551,36 @@ class Lockstep:
         go = on & (row >= 0)
         if go.any():
             r = np.maximum(row, 0)
-            leaving = basic[b, r]
             landed = xb[b, r] - s * step * self.tab[b, r, j]
             lo, hi = self.lb_b[b, r], self.ub_b[b, r]
             # a slack's infinite side is never nearer than its finite one
-            settled = np.where(np.abs(landed - lo) <= np.abs(landed - hi), _AT_LOWER, _AT_UPPER)
-            self._pivot_step(go, r, j, np.where(settled == _AT_LOWER, lo, hi))
-            self.status[b[go], leaving[go]] = settled[go]
+            low = np.abs(landed - lo) <= np.abs(landed - hi)
+            self._pivot_step(go, r, j, np.where(low, lo, hi), np.where(low, _AT_LOWER, _AT_UPPER))
         return code
 
-    def _run(self, step, which, max_iter, code):
-        """Take the members ``which`` through ``step`` until each ends,
-        writing their end codes into ``code``; a member that ends leaves the
-        working batch at once.  The working batch shares this batch's arrays
-        until the first member leaves."""
-        shared = which.size == len(self)
-        work = copy.copy(self) if shared else self.select(which, self._PIVOTED)
-        while which.size:
-            end = step(work, max_iter)
-            if end is None:
-                continue
-            done = end != _RUNNING
-            code[which[done]] = end[done]
-            if not shared:
-                self._put(which[done], work, done)
-            which, work, shared = which[~done], work.select(~done, self._PIVOTED), False
+    def _run(self, step, live, max_iter, code):
+        """Take the members in the mask ``live`` through ``step`` until each
+        ends, writing their end codes into ``code``.  The steps see views of
+        the leading members: one that ends swaps places with a running one
+        behind, and all go back to their places at the end."""
+        order, work, out = np.arange(len(self)), self, ~live
+        while True:
+            if out.any():
+                k = len(out) - int(out.sum())  # running
+                ended, behind = np.flatnonzero(out[:k]), np.flatnonzero(~out[k:]) + k
+                if ended.size:
+                    self._move(np.concatenate([ended, behind]), np.concatenate([behind, ended]))
+                    order[ended], order[behind] = order[behind], order[ended]
+                if not k:
+                    break
+                work = self.select(slice(k), self._PIVOTED)
+            while (end := step(work, max_iter)) is None:
+                pass
+            out = end != _RUNNING
+            code[order[:len(work)][out]] = end[out]
+        moved = np.flatnonzero(order != np.arange(len(self)))
+        if moved.size:
+            self._move(order[moved], moved)
 
     # ----- driver ------------------------------------------------------------
 
@@ -570,8 +608,8 @@ class Lockstep:
                 code[0] = self._primal(max_iter)
         else:
             code = np.full(q, _RUNNING)
-            self._run(Lockstep._dual_step, np.arange(q), max_iter, code)
-            self._run(Lockstep._primal_step, np.flatnonzero(code == _OPTIMAL), max_iter, code)
+            self._run(Lockstep._dual_step, np.ones(q, dtype=bool), max_iter, code)
+            self._run(Lockstep._primal_step, code == _OPTIMAL, max_iter, code)
         self.warm = True
         x = self.values()[:, :self.n]
         optimal = code == _OPTIMAL
@@ -588,20 +626,21 @@ class Lockstep:
         The slack columns of ``B^{-1} A`` hold ``B^{-1}``.  Every column,
         slacks included, is priced at the bound its reduced cost against the
         original rows favours; a slack's range is cut to what its row can
-        reach over the variable box, so every term is finite.
+        reach over the variable box (``slack_lo``, ``slack_hi``, fixed with
+        the row), so every term is finite.
         """
-        n = self.n
-        cb = np.take_along_axis(self.c, self.basic, 1)
-        y = np.einsum("qm,qmk->qk", cb, self.T[:, :, n:])
+        n, b = self.n, np.arange(len(self))[:, None]
+        cb = self.c[b, self.basic]
+        # c_B B^{-1} A at every column (a basic one's: its c_B entry); y at the slacks'
+        y = np.empty(self.c.shape)
+        y[b, self.nonbasic] = np.einsum("qm,qmk->qk", cb, self.T)
+        y[b, self.basic] = cb
+        y = y[:, n:]
         d = self.c.copy()
         d[:, :n] -= np.einsum("qm,qmj->qj", y, self.As)
         d[:, n:] -= y
-        lo, hi = self.lb[:, :n], self.ub[:, :n]
-        at_lo, at_hi = self.As * lo[:, None, :], self.As * hi[:, None, :]
-        act_lo = np.minimum(at_lo, at_hi).sum(axis=2)
-        act_hi = np.maximum(at_lo, at_hi).sum(axis=2)
-        lo = np.concatenate([lo, np.maximum(self.lb[:, n:], self.rhs - act_hi)], axis=1)
-        hi = np.concatenate([hi, np.minimum(self.ub[:, n:], self.rhs - act_lo)], axis=1)
+        lo = np.concatenate([self.lb[:, :n], self.slack_lo], axis=1)
+        hi = np.concatenate([self.ub[:, :n], self.slack_hi], axis=1)
         return np.einsum("qm,qm->q", y, self.rhs) + np.maximum(d * lo, d * hi).sum(axis=1) \
             + self.constant
 

@@ -108,6 +108,8 @@ def verify(net: Network, inst: RobustnessInstance, method: str = "fastc2v",
     non-optimal status or an arithmetic check, the instance is bounded with
     ``deeppoly`` (always sound) and the reason goes into ``fallback``.
     """
+    if seed < 0:  # the attack's generator would reject it only once it runs
+        raise ValueError(f"seed must be >= 0, got {seed}")
     err = instance_error(net, inst)
     if err is not None:
         raise ValueError(err)

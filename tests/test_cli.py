@@ -141,11 +141,13 @@ def test_negative_rounds_rejected_at_parse_time(tmp_path, capsys, flag):
     ("gen", "--epsilon", "-0.1", "must be finite and >= 0, got -0.1"),
     ("gen", "--epsilon", "inf", "must be finite and >= 0, got inf"),
     ("gen", "--count", "-3", "must be >= 0, got -3"),
+    ("gen", "--seed", "-1", "must be >= 0, got -1"),
     ("gen", "--weight-scale", "nan", "must be finite and >= 0, got nan"),
     ("gen", "--weight-scale", "inf", "must be finite and >= 0, got inf"),
     ("gen", "--weight-scale", "-0.5", "must be finite and >= 0, got -0.5"),
     ("verify", "--epsilon", "nan", "must be finite and >= 0, got nan"),
     ("verify", "--epsilon", "-1", "must be finite and >= 0, got -1"),
+    ("verify", "--seed", "-1", "must be >= 0, got -1"),
 ])
 def test_bad_gen_and_verify_arguments_rejected_at_parse_time(tmp_path, monkeypatch, capsys,
                                                              cmd, flag, value, message):
@@ -163,6 +165,20 @@ def test_bad_gen_and_verify_arguments_rejected_at_parse_time(tmp_path, monkeypat
     assert exc.value.code == 2
     assert f"argument {flag}: {message}" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == before == ["empty.txt", "net.txt"]
+
+
+def test_verify_rejects_a_negative_seed_before_bounding(monkeypatch):
+    # the attack's generator would reject it, but only after the bounds
+    import relucert.verifier as verifier_module
+    net = generate_random_network([3, 4, 2], seed=1)
+    inst = generate_instances(net, 1, epsilon=0.05, seed=2)[0]
+    bounded = []
+    monkeypatch.setattr(verifier_module, "compute_all_bounds",
+                        lambda *a, **k: bounded.append(a))
+    for method in METHODS:
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            verify(net, inst, method=method, seed=-1)
+    assert bounded == []
 
 
 def test_weight_scale_too_wide_for_a_weight_range(tmp_path, monkeypatch, capsys):

@@ -386,7 +386,7 @@ class TestLpSweep:
         real = simplex.Lockstep.__init__
 
         def lockstep(self, model, c, constant, start=None):
-            stacks.append((len(c), model.n_rows * (model.n_vars + model.n_rows)))
+            stacks.append((len(c), (model.n_rows + 1) * (model.n_vars + 1)))
             real(self, model, c, constant, start)
 
         monkeypatch.setattr(simplex.Lockstep, "__init__", lockstep)

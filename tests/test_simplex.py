@@ -487,6 +487,93 @@ class TestLockstep:
         assert bordered >= 30 and infeasible >= 1
 
 
+def assert_condensed(stack, C, priced=True):
+    """Each member's stored entries are the ones its basis implies, within
+    1e-9: ``B^{-1} [A | I]`` at its nonbasic columns, ``B^{-1} rhs`` and,
+    once a solve has priced them, the reduced costs ``c_N - c_B B^{-1} N``
+    of its objective ``C[b]``.  ``B^{-1}`` comes from np.linalg.solve on the
+    model's rows, any the member gained after them and the member's basis."""
+    (q, m), n = stack.basic.shape, stack.n
+    A0 = np.zeros((stack.model.n_rows, n))
+    for i, (idx, coef, _, _) in enumerate(stack.model.rows):
+        A0[i, idx] = coef
+    rhs0 = [row[3] for row in stack.model.rows]
+    assert stack.tab.shape == (q, m + 1, n + 1)
+    for b in range(q):
+        assert np.array_equal(stack.As[b, :len(A0)], A0) and np.array_equal(stack.rhs[b, :len(A0)],
+                                                                            rhs0)
+        full = np.hstack([stack.As[b], np.eye(m)])
+        basic, nonbasic = stack.basic[b], stack.nonbasic[b]
+        assert sorted(np.concatenate([basic, nonbasic]).tolist()) == list(range(n + m))
+        B = full[:, basic]
+        check = lambda got, want: np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+        check(stack.tab[b, :m, :n], np.linalg.solve(B, full[:, nonbasic]))
+        check(stack.tab[b, :m, n], np.linalg.solve(B, stack.rhs[b]))
+        if priced:
+            c = np.concatenate([C[b], np.zeros(m)])
+            check(stack.tab[b, m, :n], c[nonbasic] - np.linalg.solve(B.T, c[basic]) @ full[:, nonbasic])
+
+
+@pytest.mark.parametrize("streak", [None, 0, 2])
+@pytest.mark.parametrize("q", [1, 3])
+def test_condensed_tableau_holds_the_nonbasic_columns(q, streak, monkeypatch):
+    # cold, warm from a solved stack of one, and bordered with rows of each
+    # member's own; with no degenerate streak allowed or a short one, the
+    # solves pivot under Bland's rule
+    if streak is not None:
+        monkeypatch.setattr(simplex_module, "DEGENERATE_STREAK", streak)
+    rng = np.random.default_rng(31)
+    checked = bordered = 0
+    for trial in range(60):
+        m = random_boxed_lp(rng, senses=(LE,) if trial % 2 else (LE, GE, EQ), tied=trial % 3 == 0)
+        C, K = rng.uniform(-2, 2, (q, m.n_vars)), rng.uniform(-1, 1, q)
+        first = Lockstep(m, C[:1], K[:1])
+        if first.solve().status[0] != LpStatus.OPTIMAL:
+            continue
+        assert_condensed(first, C[:1])
+        for stack in (Lockstep(m, C, K), Lockstep(m, C, K, start=first)):
+            sol = stack.solve()
+            assert_condensed(stack, C)
+            checked += 1
+            if any(st != LpStatus.OPTIMAL for st in sol.status):
+                continue
+            counts = rng.integers(0, 3, q)
+            owner = np.repeat(np.arange(q), counts)
+            rows = rng.uniform(-1, 1, (owner.size, m.n_vars))
+            rows_m = stack.basic.shape[1]
+            stack.append_rows(owner, rows, np.einsum("ej,ej->e", rows, sol.x[owner]) - 0.1)
+            # k rows and no column
+            assert stack.tab.shape == (q, rows_m + counts.max() + 1, m.n_vars + 1)
+            assert_condensed(stack, C, priced=False)
+            stack.solve()
+            assert_condensed(stack, C)
+            bordered += 1
+    assert checked >= 40 and bordered >= 40
+
+
+def test_acceptance_instance_solves_and_pivots_pinned(monkeypatch):
+    # instance 0 of the acceptance corpus, attack off: the solves and pivots
+    # of both LP methods
+    from relucert.network import generate_random_network
+    from relucert.verifier import generate_instances, verify
+    net = generate_random_network([6, 20, 20, 3], seed=1, weight_scale=0.7)
+    inst = generate_instances(net, 50, epsilon=0.16, seed=1001)[0]
+    counts = [0, 0]
+    solve = Lockstep.solve
+
+    def counted(self, *args, **kwargs):
+        sol = solve(self, *args, **kwargs)
+        counts[0] += len(self)
+        counts[1] += int(sol.iterations.sum())
+        return sol
+
+    monkeypatch.setattr(Lockstep, "solve", counted)
+    for method, want in (("lp", [42, 417]), ("optc2v", [112, 690])):
+        counts[:] = [0, 0]
+        verify(net, inst, method=method, attack=False)
+        assert counts == want, method
+
+
 def test_lp_format_dump(tmp_path):
     m = LpModel()
     m.add_variable(0, 1, obj=1.0, name="a")
