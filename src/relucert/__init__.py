@@ -9,7 +9,7 @@ functions (``fastc2v``), and an LP method that adds them as cutting planes
 """
 
 from .network import (BoxDomain, Network, NetworkInvariantError,
-                      NetworkParseError, Neuron, classify, eval_network,
+                      NetworkParseError, Neuron, classify, eval_network, forward,
                       generate_random_network, load_network, save_network)
 from .hull import HullTable, Separations
 from .propagation import (METHODS, BoundingFunctions, Bounds, Objectives, Swaps, backward_pass,

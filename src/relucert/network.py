@@ -2,18 +2,21 @@
 
 A network is a flat, topologically ordered list of neurons: the first ``m``
 neurons are inputs, followed by ReLU neurons, followed by affine output
-neurons.  Every neuron carries a sparse affine row over *earlier* neurons, so
+neurons.  Every neuron declares a sparse affine row over *earlier* neurons, so
 arbitrary skip connections are supported and layers are only an emergent
-property of the weight pattern: :attr:`Network.levels` groups the ReLU
-neurons into levels, each reading only earlier levels, once at
-construction.  Instances are immutable after construction and safe to share
-across threads.
+property of the weight pattern.  At construction the rows become dense level
+matrices, the only weights the package reads: :attr:`Network.levels` groups
+the ReLU neurons into levels, each reading only earlier levels, and
+:attr:`Network.output` holds the final affine map.  :func:`forward` evaluates
+a batch of inputs on them, one level per step.  Instances are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -37,10 +40,12 @@ class NetworkParseError(ValueError):
 
 
 class NetworkInvariantError(ValueError):
-    """Structural invariant violation, naming the offending neuron index."""
+    """Structural invariant violation, naming the offending neuron index;
+    ``position`` is its place in the neuron list, None for the whole network."""
 
-    def __init__(self, neuron_index, message):
+    def __init__(self, neuron_index, message, position=None):
         self.neuron_index = neuron_index
+        self.position = position
         super().__init__(f"neuron {neuron_index}: {message}")
 
 
@@ -96,13 +101,13 @@ class BoxDomain:
 
 @dataclass(frozen=True, eq=False)
 class Level:
-    """ReLU neurons whose sources all lie in earlier levels, as one dense map.
+    """Neurons whose sources all lie in earlier levels, as one dense map.
 
-    ``pos`` holds the neurons' 0-based state positions, ascending; ``src``
-    the ascending union of their sources (inputs and earlier levels' neurons,
-    so a skip connection is just one more column).  Row ``i`` of
-    ``weights`` and ``bias[i]`` are neuron ``pos[i]``'s affine row over
-    ``src``, with zeros for the sources it does not read.
+    ``pos`` holds the neurons' 0-based positions, ascending; ``src`` the
+    ascending union of their sources (inputs and earlier levels' neurons, so
+    a skip connection is just one more column).  Row ``i`` of ``weights``
+    and ``bias[i]`` are neuron ``pos[i]``'s affine row over ``src``, with
+    zeros for the sources it does not read.
     """
 
     pos: np.ndarray
@@ -116,18 +121,21 @@ class Network:
 
     Attributes:
         input_dim (int): number of input neurons ``m``.
-        neurons (tuple of Neuron): all neurons, indices contiguous from 1.
+        neurons (tuple of Neuron): all neurons as declared, indices
+            contiguous from 1; files are written from them, and every other
+            reader takes the level matrices and ``output``.
         output_indices (tuple of int): 1-based indices of the output neurons.
         n_neurons (int): total neuron count including outputs.
+        n_outputs (int): count of output neurons.
         n_hidden (int): count of ReLU neurons.
         n_state (int): inputs + ReLU neurons; the length of the
             post-activation vector (outputs are not part of the state).
-        rows (tuple): per non-input neuron position, ``(idx, w, b)`` with
-            0-based source positions as int arrays and weights as float
-            arrays.
         levels (tuple of Level): the ReLU neurons by level, lowest first.
             A neuron's level is one more than the highest level among its
             sources (inputs are level 0), so a level reads only earlier ones.
+        output (Level): the output neurons, at positions ``n_state ..
+            n_neurons-1``, as one affine map over the state positions they
+            read; output ``k`` is its row ``k``.
         level_of (int array): per state position, its level (0 for inputs);
             neuron ``p`` is row ``level_row[p]`` of ``levels[level_of[p] - 1]``.
         runs (tuple of (int, int)): the ReLU positions as maximal blocks
@@ -145,41 +153,42 @@ class Network:
         self.n_outputs = len(self.output_indices)
         self.n_state = self.n_neurons - self.n_outputs
         self.n_hidden = self.n_state - self.input_dim
-        rows = []
-        for nr in self.neurons[self.input_dim:]:
-            if nr.weights:
-                idx = np.fromiter((j - 1 for j, _ in nr.weights), dtype=np.intp)
-                w = np.fromiter((v for _, v in nr.weights), dtype=float)
-            else:
-                idx = np.empty(0, dtype=np.intp)
-                w = np.empty(0, dtype=float)
-            rows.append((idx, w, float(nr.bias)))
-        self.rows = tuple(rows)
         self._build_levels()
 
     def _build_levels(self):
-        m = self.input_dim
-        level_of = np.zeros(self.n_state, dtype=np.intp)
-        for pos in range(m, self.n_state):
-            idx = self.row(pos)[0]
-            level_of[pos] = 1 + (int(level_of[idx].max()) if idx.size else 0)
-        level_row = np.full(self.n_state, -1, dtype=np.intp)
-        levels = []
-        for lv in range(1, int(level_of.max()) + 1):
+        """The levels and the output map from one flat pass over the
+        declared weights."""
+        m, n_state, n = self.input_dim, self.n_state, self.n_neurons
+        body = self.neurons[m:]
+        counts = np.fromiter((len(nr.weights) for nr in body), np.intp, len(body))
+        terms = np.fromiter(chain.from_iterable(chain.from_iterable(nr.weights for nr in body)),
+                            float, 2 * int(counts.sum())).reshape(-1, 2)
+        owner = np.repeat(np.arange(m, n), counts)  # each weight's neuron
+        src, w = terms[:, 0].astype(np.intp) - 1, terms[:, 1]
+        bias = np.fromiter((nr.bias for nr in body), float, len(body))
+        # one more than the highest level among the sources: each round
+        # settles the next level; the output map comes after the last
+        level_of = base = (np.arange(n) >= m).astype(np.intp)
+        while True:
+            new = base.copy()
+            np.maximum.at(new, owner, level_of[src] + 1)
+            if np.array_equal(new, level_of):
+                break
+            level_of = new
+        level_of[n_state:] = level_of[:n_state].max() + 1
+        row, owner_level, levels = np.full(n, -1, dtype=np.intp), level_of[owner], []
+        for lv in range(1, level_of[-1] + 1):
             pos = np.flatnonzero(level_of == lv)
-            level_row[pos] = np.arange(pos.size)
-            rows = [self.row(p) for p in pos]
-            src = np.unique(np.concatenate([idx for idx, _, _ in rows]))
-            weights = np.zeros((pos.size, src.size))
-            for i, (idx, w, _) in enumerate(rows):
-                weights[i, np.searchsorted(src, idx)] = w
-            levels.append(Level(pos=pos, src=src, weights=weights,
-                                bias=np.array([b for _, _, b in rows])))
-        self.levels = tuple(levels)
-        self.level_of = level_of
-        self.level_row = level_row
-        starts = (m + np.flatnonzero(np.diff(level_of[m:], prepend=0))).tolist()
-        self.runs = tuple(zip(starts, starts[1:] + [self.n_state]))
+            row[pos] = np.arange(pos.size)
+            t = np.flatnonzero(owner_level == lv)
+            cols, col = np.unique(src[t], return_inverse=True)
+            weights = np.zeros((pos.size, cols.size))
+            weights[row[owner[t]], col] = w[t]
+            levels.append(Level(pos=pos, src=cols, weights=weights, bias=bias[pos - m]))
+        self.levels, self.output = tuple(levels[:-1]), levels[-1]
+        self.level_of, self.level_row = level_of[:n_state], row[:n_state]
+        starts = (m + np.flatnonzero(np.diff(self.level_of[m:], prepend=0))).tolist()
+        self.runs = tuple(zip(starts, starts[1:] + [n_state]))
 
     def _validate(self):
         m = self.input_dim
@@ -191,70 +200,71 @@ class Network:
             raise NetworkInvariantError(0, "network declares no outputs")
         out_set = set(self.output_indices)
         seen_output = False
+
+        def bad(message):  # about the neuron the loop is at
+            return NetworkInvariantError(nr.index, message, pos)
+
         for pos, nr in enumerate(self.neurons):
             idx = pos + 1
             if nr.index != idx:
-                raise NetworkInvariantError(
-                    nr.index, f"index not contiguous at position {pos} (expected {idx})")
+                raise bad(f"index not contiguous at position {pos} (expected {idx})")
             if nr.kind not in _KINDS:
-                raise NetworkInvariantError(idx, f"unknown kind {nr.kind!r}")
+                raise bad(f"unknown kind {nr.kind!r}")
             if idx <= m:
                 if nr.kind != INPUT:
-                    raise NetworkInvariantError(idx, "first m neurons must be inputs")
+                    raise bad("first m neurons must be inputs")
                 if nr.weights or nr.bias != 0.0:
-                    raise NetworkInvariantError(idx, "input neuron must have no weights and zero bias")
+                    raise bad("input neuron must have no weights and zero bias")
                 continue
             if nr.kind == INPUT:
-                raise NetworkInvariantError(idx, "input neuron after position m")
+                raise bad("input neuron after position m")
             if (nr.kind == OUTPUT) != (idx in out_set):
-                raise NetworkInvariantError(idx, "kind disagrees with declared output indices")
+                raise bad("kind disagrees with declared output indices")
             if nr.kind == OUTPUT:
                 seen_output = True
             elif seen_output:
-                raise NetworkInvariantError(idx, "relu neuron after an output neuron")
+                raise bad("relu neuron after an output neuron")
             prev = 0
             for j, _ in nr.weights:
                 if not 1 <= j < idx:
-                    raise NetworkInvariantError(idx, f"weight references non-earlier neuron {j}")
+                    raise bad(f"weight references non-earlier neuron {j}")
                 if j in out_set:
-                    raise NetworkInvariantError(idx, f"weight references output neuron {j}")
+                    raise bad(f"weight references output neuron {j}")
                 if j <= prev:
-                    raise NetworkInvariantError(idx, "weight sources must be strictly increasing")
+                    raise bad("weight sources must be strictly increasing")
                 prev = j
-        if set(self.output_indices) != {nr.index for nr in self.neurons if nr.kind == OUTPUT}:
+        # sorted, not as sets, so that a repeated output index is rejected too
+        if sorted(self.output_indices) != [nr.index for nr in self.neurons if nr.kind == OUTPUT]:
             raise NetworkInvariantError(0, "output_indices do not match neurons of kind output")
 
-    def row(self, pos):
-        """Affine row ``(idx, w, b)`` of the non-input neuron at 0-based ``pos``."""
-        return self.rows[pos - self.input_dim]
+
+def forward(net: Network, X) -> tuple[np.ndarray, np.ndarray]:
+    """Exact evaluation of a batch of inputs, one level per step: per row of
+    ``X``, the post-activation vector over inputs + ReLU neurons, and the outputs."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != net.input_dim:
+        raise ValueError(f"inputs have shape {X.shape}, expected (batch, {net.input_dim})")
+    Z = np.empty((X.shape[0], net.n_state))
+    Z[:, :net.input_dim] = X
+    for level in net.levels:
+        Z[:, level.pos] = np.maximum(Z[:, level.src] @ level.weights.T + level.bias, 0.0)
+    out = net.output
+    return Z, Z[:, out.src] @ out.weights.T + out.bias
 
 
 def eval_network(net: Network, x) -> tuple[np.ndarray, np.ndarray]:
-    """Exact forward evaluation.
-
-    Returns ``(z, y)``: the post-activation vector over inputs + ReLU
-    neurons, and the output vector.
-    """
+    """Exact evaluation of one input, as :func:`forward` of a batch of one:
+    the post-activation vector over inputs + ReLU neurons, and the outputs."""
     x = np.asarray(x, dtype=float)
     if x.shape != (net.input_dim,):
         raise ValueError(f"input has shape {x.shape}, expected ({net.input_dim},)")
-    z = np.empty(net.n_state)
-    z[:net.input_dim] = x
-    y = np.empty(net.n_outputs)
-    for pos in range(net.input_dim, net.n_neurons):
-        idx, w, b = net.row(pos)
-        val = float(w @ z[idx]) + b if idx.size else b
-        if net.neurons[pos].kind == RELU:
-            z[pos] = val if val > 0.0 else 0.0
-        else:
-            y[pos - net.n_state] = val
-    return z, y
+    Z, Y = forward(net, x[None])
+    return Z[0], Y[0]
 
 
 def classify(net: Network, x) -> int:
     """Predicted class: argmax output, ties broken toward the lower index."""
-    _, y = eval_network(net, x)
-    return int(np.argmax(y))
+    return int(np.argmax(eval_network(net, x)[1]))
 
 
 def generate_random_network(layer_sizes, seed, weight_scale=1.0) -> Network:
@@ -312,9 +322,8 @@ def _finite(text) -> float:
 
 def load_network(path) -> Network:
     """Parse and validate a network file; ``nan`` and ``inf`` are rejected."""
-    neurons = []
-    m = None
-    outputs = None
+    neurons, neuron_lines = [], []
+    m = header_line = outputs = None
     with open(path) as fh:
         lines = fh.readlines()
     for line_no, raw in enumerate(lines, start=1):
@@ -332,6 +341,7 @@ def load_network(path) -> Network:
                 raise NetworkParseError(path, line_no, f"bad header {line!r}") from None
             if not outputs:
                 raise NetworkParseError(path, line_no, "header declares no outputs")
+            header_line = line_no
             continue
         fields = line.split()
         if len(fields) < 3:
@@ -358,8 +368,13 @@ def load_network(path) -> Network:
                     raise NetworkParseError(path, line_no, f"bad weight term {term!r}") from None
                 weights.append((j, v))
         neurons.append(Neuron(idx, kind, tuple(weights), bias))
+        neuron_lines.append(line_no)
     if m is None:
         raise NetworkParseError(path, 1, "missing header line")
     if not neurons:
         raise NetworkParseError(path, len(lines) or 1, "file declares no neurons")
-    return Network(m, neurons, outputs)
+    try:
+        return Network(m, neurons, outputs)
+    except NetworkInvariantError as exc:  # the neuron's line, or the header's
+        line = header_line if exc.position is None else neuron_lines[exc.position]
+        raise NetworkParseError(path, line, str(exc)) from None

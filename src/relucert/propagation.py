@@ -89,14 +89,16 @@ class Objectives:
         The rows may read no position from ``start`` on: they are one run of
         a level, or output rows.
         """
-        r = stop - start
-        c, b = np.zeros((2 * r, min(start, net.n_state))), np.empty(2 * r)
-        for j, pos in enumerate(range(start, stop)):
-            idx, w, b[j] = net.row(pos)
-            c[j, idx] = w
-        np.negative(c[:r], out=c[r:])
-        np.negative(b[:r], out=b[r:])
-        return cls(c, b)
+        r, eta = stop - start, min(start, net.n_state)
+        if start < net.n_state:
+            level, i = net.levels[net.level_of[start] - 1], net.level_row[start]
+        else:
+            level, i = net.output, start - net.n_state
+        # a level's columns may name a later run of it, where these rows are 0
+        cols = np.flatnonzero(level.src < eta)
+        c, b = np.zeros((r, eta)), level.bias[i:i + r]
+        c[:, level.src[cols]] = level.weights[i:i + r, cols]
+        return cls(np.concatenate([c, -c]), np.concatenate([b, -b]))
 
     def __len__(self) -> int:
         return self.coeffs.shape[0]

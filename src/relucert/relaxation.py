@@ -85,8 +85,9 @@ def build_delta_lp(bounds: Bounds, reach: int) -> DeltaLp:
     ``z >= zhat`` and the chord upper inequality (nonnegativity rides on the
     variable bound); an always-active neuron contributes one equality
     pinning it to its row, and an always-inactive one none, its box being
-    [0, 0].  Neurons from the reach on cannot move an objective of that
-    reach, so they are left out.
+    [0, 0].  A row reads the nonzero weights of the neuron's level row, in
+    source order.  Neurons from the reach on cannot move an objective of
+    that reach, so they are left out.
     """
     net = bounds.net
     if reach > net.n_state:
@@ -100,16 +101,13 @@ def build_delta_lp(bounds: Bounds, reach: int) -> DeltaLp:
         lo, hi = bounds.pre_lower[pos], bounds.pre_upper[pos]
         if lo < 0.0 and hi <= 0.0:
             continue
-        idx, w, b = net.row(pos)
-        if lo >= 0.0:
-            model.add_constraint(np.concatenate([[pos], idx]),
-                                 np.concatenate([[1.0], -w]), EQ, b)
-        else:
-            model.add_constraint(np.concatenate([[pos], idx]),
-                                 np.concatenate([[1.0], -w]), GE, b)
+        level, i = net.levels[net.level_of[pos] - 1], net.level_row[pos]
+        nz = np.flatnonzero(level.weights[i])  # the sources the row reads
+        idx, w, b = np.concatenate([[pos], level.src[nz]]), level.weights[i, nz], level.bias[i]
+        model.add_constraint(idx, np.concatenate([[1.0], -w]), EQ if lo >= 0.0 else GE, b)
+        if lo < 0.0:
             s = hi / (hi - lo)
-            model.add_constraint(np.concatenate([[pos], idx]),
-                                 np.concatenate([[1.0], -s * w]), LE, s * (b - lo))
+            model.add_constraint(idx, np.concatenate([[1.0], -s * w]), LE, s * (b - lo))
     return DeltaLp(model=model)
 
 

@@ -249,21 +249,11 @@ class Lockstep:
     def values(self) -> np.ndarray:
         """Full variable vector of every member implied by its basis and
         statuses, ``(q, n + m)``."""
-        (q, m), b, nonbasic = self.basic.shape, np.arange(len(self))[:, None], self.nonbasic
+        b, nonbasic = np.arange(len(self))[:, None], self.nonbasic
+        xn = np.where(self.status == _AT_LOWER, self.lb[0, nonbasic], self.ub[0, nonbasic])
         x = np.zeros(self.lb.shape)
-        x[b, nonbasic] = np.where(self.status == _AT_LOWER, self.lb[0, nonbasic],
-                                  self.ub[0, nonbasic])
-        xb = self.trhs.copy()
-        # B^{-1} A at full width, zero at the basic columns, so that each row's sum
-        # runs in column order; in blocks of rows that take no more room than the tableau
-        step = max(1, self.tab.size // x.size)
-        wide = np.empty((q, min(step, m), x.shape[1]))
-        for lo in range(0, m, step):
-            block = wide[:, :min(step, m - lo)]
-            block.fill(0.0)
-            block.transpose(0, 2, 1)[b, nonbasic] = self.T[:, lo:lo + step].transpose(0, 2, 1)
-            xb[:, lo:lo + step] -= np.einsum("qmk,qk->qm", block, x)
-        x[b, self.basic] = xb
+        x[b, nonbasic] = xn
+        x[b, self.basic] = self.trhs - np.einsum("qmk,qk->qm", self.T, xn)
         return x
 
     def _price(self):

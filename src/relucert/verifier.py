@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import BoxDomain, Network, NetworkParseError, classify
+from .network import BoxDomain, Network, NetworkParseError, classify, forward
 from .propagation import (DEEPPOLY, DEFAULT_CUT_ROUNDS, LP, METHODS, OPTC2V, Objectives,
                           compute_all_bounds)
 from .relaxation import LpBoundError
@@ -85,15 +85,12 @@ def build_input_box(inst: RobustnessInstance) -> BoxDomain:
 def margin_objective(net: Network, k: int, t: int) -> Objectives:
     """State-space objective for ``f_k - f_t`` (output rows elided), as a
     batch of one."""
-    r = net.n_outputs
+    r, out = net.n_outputs, net.output
     if not (0 <= k < r and 0 <= t < r):
         raise ValueError(f"class out of range: {k}, {t} with {r} outputs")
-    ik, wk, bk = net.row(net.n_state + k)
-    it, wt, bt = net.row(net.n_state + t)
     c = np.zeros(net.n_state)
-    c[ik] += wk
-    c[it] -= wt
-    return Objectives(c[None], [bk - bt])
+    c[out.src] = out.weights[k] - out.weights[t]
+    return Objectives(c[None], [out.bias[k] - out.bias[t]])
 
 
 def verify(net: Network, inst: RobustnessInstance, method: str = "fastc2v",
@@ -150,32 +147,12 @@ def verify(net: Network, inst: RobustnessInstance, method: str = "fastc2v",
         time_margins=margin_times, fallback=fallback)
 
 
-def _forward_batch(net, X):
-    """Post-activations (batch, n_state) and output values (batch, r), one
-    level at a time."""
-    B = X.shape[0]
-    Z = np.empty((B, net.n_state))
-    Z[:, :net.input_dim] = X
-    for level in net.levels:
-        Z[:, level.pos] = np.maximum(Z[:, level.src] @ level.weights.T + level.bias, 0.0)
-    Y = np.empty((B, net.n_outputs))
-    for k in range(net.n_outputs):
-        idx, w, b = net.row(net.n_state + k)
-        Y[:, k] = Z[:, idx] @ w + b if idx.size else b
-    return Z, Y
-
-
 def _margin_input_grad(net, Z, ks, t):
     """Input gradient of ``f_k - f_t`` per row, through the ReLU pattern,
     one level at a time."""
-    B = Z.shape[0]
-    G = np.zeros((B, net.n_state))
-    it, wt, _ = net.row(net.n_state + t)
-    for k in np.unique(ks):
-        rows = np.flatnonzero(ks == k)
-        ik, wk, _ = net.row(net.n_state + int(k))
-        G[np.ix_(rows, ik)] += wk
-        G[np.ix_(rows, it)] -= wt
+    out = net.output
+    G = np.zeros((Z.shape[0], net.n_state))
+    G[:, out.src] = out.weights[ks] - out.weights[t]
     for level in reversed(net.levels):
         g = G[:, level.pos] * (Z[:, level.pos] > 0.0)
         G[:, level.pos] = 0.0
@@ -200,26 +177,16 @@ def attack_upper_bound(net: Network, inst: RobustnessInstance,
     X[0] = inst.x_hat
     if restarts > 1:
         X[1:] = box.sample(rng, restarts - 1)
-
-    def first_hit(Y):
-        pred = np.argmax(Y, axis=1)
-        hits = np.flatnonzero(pred != t)
-        return int(hits[0]) if hits.size else None
-
-    Z, Y = _forward_batch(net, X)
-    hit = first_hit(Y)
-    if hit is not None:
-        return X[hit].copy()
-    for _ in range(steps):
-        margins = Y - Y[:, t:t + 1]
-        margins[:, t] = -np.inf
-        ks = np.argmax(margins, axis=1)
-        G = _margin_input_grad(net, Z, ks, t)
-        X = np.clip(X + lr * G, box.lower, box.upper)
-        Z, Y = _forward_batch(net, X)
-        hit = first_hit(Y)
-        if hit is not None:
-            return X[hit].copy()
+    for step in range(steps + 1):
+        if step:  # ascend the best margin of every restart
+            margins = Y - Y[:, t:t + 1]
+            margins[:, t] = -np.inf
+            G = _margin_input_grad(net, Z, np.argmax(margins, axis=1), t)
+            X = np.clip(X + lr * G, box.lower, box.upper)
+        Z, Y = forward(net, X)
+        hits = np.flatnonzero(np.argmax(Y, axis=1) != t)
+        if hits.size:
+            return X[hits[0]].copy()
     return None
 
 
@@ -349,11 +316,8 @@ def load_instances(path, strict: bool = True):
 
 
 def generate_instances(net: Network, count, epsilon, seed) -> list[RobustnessInstance]:
-    """Seeded corpus of random centers labeled by the network itself."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        x = rng.uniform(0.0, 1.0, size=net.input_dim)
-        out.append(RobustnessInstance(x_hat=x, epsilon=epsilon,
-                                      label=classify(net, x)))
-    return out
+    """Seeded corpus of random centers labeled by the network itself, all
+    in one :func:`relucert.network.forward` call."""
+    X = np.random.default_rng(seed).uniform(0.0, 1.0, size=(count, net.input_dim))
+    labels = np.argmax(forward(net, X)[1], axis=1).tolist()
+    return [RobustnessInstance(x_hat=x, epsilon=epsilon, label=k) for x, k in zip(X, labels)]

@@ -12,11 +12,12 @@ hand-derived constants throughout the suite:
 import numpy as np
 import pytest
 
-from relucert.network import INPUT, OUTPUT, RELU, BoxDomain, Network, Neuron
+from relucert.network import (INPUT, OUTPUT, RELU, BoxDomain, Network, Neuron,
+                              generate_random_network)
 from relucert.propagation import BoundingFunctions, compute_all_bounds
 from relucert.relaxation import build_delta_lp
 
-from oracles import MIXED, HullInstance, classify_phase, make_hull_instance
+from oracles import MIXED, HullInstance, classify_phase, make_hull_instance, neuron_row
 
 
 def make_golden_network() -> Network:
@@ -46,6 +47,49 @@ def make_skip_network() -> Network:
         Neuron(6, OUTPUT, ((3, 1.0), (4, 2.0), (5, -1.0)), 0.0),
     ]
     return Network(2, neurons, [6])
+
+
+def make_interleaved_network() -> Network:
+    """Two inputs and two levels of two runs each: h3 and h5 read the
+    inputs (level 1), h4 reads h3 and h6 reads h5 (level 2), so level 2's
+    source columns name h5, a position past its first run."""
+    neurons = [
+        Neuron(1, INPUT, (), 0.0),
+        Neuron(2, INPUT, (), 0.0),
+        Neuron(3, RELU, ((1, 1.0), (2, -1.0)), 0.1),
+        Neuron(4, RELU, ((1, 0.5), (3, -1.2)), 0.2),
+        Neuron(5, RELU, ((1, -0.7), (2, 0.9)), 0.3),
+        Neuron(6, RELU, ((2, 0.8), (5, 1.1)), -0.4),
+        Neuron(7, OUTPUT, ((4, 1.0), (6, -2.0)), 0.0),
+    ]
+    return Network(2, neurons, [7])
+
+
+def make_row_case_networks() -> dict:
+    """Small networks whose level matrices differ from their declared rows
+    in some way: skip columns, a level of two runs, outputs that read the
+    inputs, no ReLU at all, and an explicit zero weight."""
+    return {
+        "golden": make_golden_network(),
+        "skip": make_skip_network(),
+        "interleaved": make_interleaved_network(),
+        "outputs read inputs": Network(2, [
+            Neuron(1, INPUT, (), 0.0),
+            Neuron(2, INPUT, (), 0.0),
+            Neuron(3, RELU, ((1, 1.0), (2, -0.5)), 0.1),
+            Neuron(4, OUTPUT, ((1, 0.7), (3, 1.0)), 0.2),
+            Neuron(5, OUTPUT, ((2, -1.3),), -0.1),
+        ], [4, 5]),
+        "no relu": generate_random_network([3], seed=0),
+        "explicit zero weight": Network(2, [
+            Neuron(1, INPUT, (), 0.0),
+            Neuron(2, INPUT, (), 0.0),
+            Neuron(3, RELU, ((1, 0.0), (2, 1.0)), -0.2),
+            Neuron(4, RELU, ((1, -1.0), (3, 0.0)), 0.4),
+            Neuron(5, OUTPUT, ((1, 0.0), (3, 2.0), (4, -1.0)), 0.3),
+            Neuron(6, OUTPUT, ((4, 0.0),), 0.1),
+        ], [5, 6]),
+    }
 
 
 @pytest.fixture(scope="session")
@@ -82,7 +126,7 @@ def interval_state(net, box, menu=None):
         if menu is not None:
             st.funcs.set_initial(pos, menu, lo, hi)
         if lo < 0.0 < hi:
-            idx, w, b = net.row(pos)
+            idx, w, b = neuron_row(net, pos)
             st.table.add([pos], idx, w, [b], st.post_lower[idx], st.post_upper[idx])
     return st
 

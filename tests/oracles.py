@@ -6,9 +6,10 @@ separation calls, brute-force enumeration of the hull's cut family and of
 its least value at a point, the weighted-median separator (the paper's
 linear-time variant of the sorting greedy), the univariate chord bound, the
 lifted-formulation envelope LP, the exact maximum over activation patterns,
-and the per-neuron backward and forward passes and tightening loop, one
-objective at a time, that the package runs one run, level and batch of
-objectives at a time.
+the per-neuron network evaluation read from the declared rows, and the
+per-neuron backward and forward passes and tightening loop, one objective at
+a time, that the package runs one run, level and batch of objectives at a
+time.
 """
 
 from dataclasses import dataclass, replace
@@ -378,6 +379,29 @@ def lifted_envelope_value(inst: HullInstance, x) -> float:
     return sol.objective_value
 
 
+def neuron_row(net: Network, pos: int):
+    """Declared affine row ``(idx, w, b)`` of the non-input neuron at 0-based
+    ``pos``, read from ``net.neurons``: 0-based sources as an int array."""
+    nr = net.neurons[pos]
+    idx = np.array([j - 1 for j, _ in nr.weights], dtype=np.intp)
+    return idx, np.array([v for _, v in nr.weights], dtype=float), nr.bias
+
+
+def eval_network_by_neuron(net: Network, x) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`relucert.network.eval_network`, one declared row at a time."""
+    z = np.empty(net.n_state)
+    z[:net.input_dim] = x
+    y = np.empty(net.n_outputs)
+    for pos in range(net.input_dim, net.n_neurons):
+        idx, w, b = neuron_row(net, pos)
+        val = float(w @ z[idx]) + b if idx.size else b
+        if pos < net.n_state:
+            z[pos] = val if val > 0.0 else 0.0
+        else:
+            y[pos - net.n_state] = val
+    return z, y
+
+
 def expr_from_row(idx, w, b, eta) -> Objectives:
     """The row ``w . z[idx] + b`` as a batch of one dense objective over
     ``eta`` positions."""
@@ -415,7 +439,7 @@ def exact_max_oracle(net: Network, box: BoxDomain, objective: Objectives,
         for i in range(m):
             model.add_variable(box.lower[i], box.upper[i], name=f"x{i}")
         for pos in range(m, eta):
-            idx, w, b = net.row(pos)
+            idx, w, b = neuron_row(net, pos)
             pc = w @ E[idx]
             p0 = float(w @ e0[idx]) + b
             on = active.get(pos, st.pre_lower[pos] >= 0.0)

@@ -24,7 +24,7 @@ from oracles import (corner_value, cut_from_pair, delta_upper_value,
                      enumerate_cut_pairs, envelope_min_by_enumeration, exact_max_oracle,
                      expr_from_row, lifted_envelope_value, make_hull_instance,
                      minimize_upper_envelope_median, minimize_upper_envelope_sort, relu_value,
-                     separate_sort, solve_lp)
+                     neuron_row, separate_sort, solve_lp)
 
 EXACT = 1e-9
 
@@ -99,7 +99,7 @@ def test_criterion_1_golden_bound_chain(capfd):
             assert abs(st.pre_lower[pos] - lo) <= EXACT
             assert abs(st.pre_upper[pos] - hi) <= EXACT
 
-        obj = expr_from_row(*net.row(6), eta=6)
+        obj = expr_from_row(*neuron_row(net, 6), eta=6)
         res = backward_pass(st.funcs, obj)
         assert abs(res.bound[0] - 4.0) <= EXACT
         assert np.allclose(res.x_star[0], [-1.0, -1.0], atol=EXACT)

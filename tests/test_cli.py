@@ -77,6 +77,23 @@ def test_missing_file_is_config_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("text, where", [
+    # a neuron's structural error names its line, a network-wide one the header's
+    ("m=1 outputs=3\n1 input 0\n2 relu 0 w:(3,1.0)\n3 output 0 w:(2,1)\n",
+     ":3: neuron 2: weight references non-earlier neuron 3"),
+    ("# comment\nm=2 outputs=3\n1 input 0\n", ":2: neuron 0: fewer than m=2 neurons"),
+    ("m=1 outputs=3,3\n1 input 0\n2 relu 0.5 w:(1,1)\n3 output 0 w:(2,1)\n",
+     ":1: neuron 0: output_indices do not match"),
+])
+def test_structural_error_names_its_line(tmp_path, capsys, text, where):
+    net_path = tmp_path / "bad.txt"
+    net_path.write_text(text)
+    rc = main(["verify", "--network", str(net_path), "--instances", str(tmp_path / "i.txt"),
+               "--method", "interval"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {net_path}{where}")
+
+
 def test_dump_lp_writes_models(tmp_path):
     net_path = tmp_path / "net.txt"
     inst_path = tmp_path / "inst.txt"

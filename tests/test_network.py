@@ -3,28 +3,11 @@ import pytest
 
 from relucert.network import (INPUT, OUTPUT, RELU, BoxDomain, Network,
                               NetworkInvariantError, NetworkParseError, Neuron,
-                              eval_network, generate_random_network,
+                              classify, eval_network, forward, generate_random_network,
                               load_network, save_network)
 
-from conftest import make_golden_network, make_skip_network
-
-
-def naive_eval(net, x):
-    """Per-neuron scalar recomputation, no vectorization: the eval oracle."""
-    vals = {}
-    for i in range(net.input_dim):
-        vals[i + 1] = float(x[i])
-    y = []
-    for nr in net.neurons[net.input_dim:]:
-        acc = nr.bias
-        for j, w in nr.weights:
-            acc += w * vals[j]
-        if nr.kind == RELU:
-            vals[nr.index] = max(0.0, acc)
-        else:
-            y.append(acc)
-    z = np.array([vals[i + 1] for i in range(net.n_state)])
-    return z, np.array(y)
+from conftest import make_golden_network, make_row_case_networks, make_skip_network
+from oracles import eval_network_by_neuron, neuron_row
 
 
 class TestEval:
@@ -36,7 +19,7 @@ class TestEval:
     def test_golden_inactive_point(self, golden_net):
         z, y = eval_network(golden_net, np.array([1.0, -1.0]))
         assert z[2] == 0.0 and z[3] == 0.0
-        zn, yn = naive_eval(golden_net, [1.0, -1.0])
+        zn, yn = eval_network_by_neuron(golden_net, [1.0, -1.0])
         assert np.array_equal(z, zn) and np.array_equal(y, yn)
 
     def test_zero_weight_net_outputs_biases(self):
@@ -58,9 +41,42 @@ class TestEval:
             net = generate_random_network(layers, seed=int(rng.integers(1 << 30)))
             x = rng.uniform(-2, 2, net.input_dim)
             z, y = eval_network(net, x)
-            zn, yn = naive_eval(net, x)
+            zn, yn = eval_network_by_neuron(net, x)
             assert np.allclose(z, zn, rtol=1e-12, atol=0)
             assert np.allclose(y, yn, rtol=1e-12, atol=0)
+
+
+ROW_CASES = make_row_case_networks()
+
+
+class TestForward:
+    @pytest.mark.parametrize("which", ["golden", "outputs read inputs", "no relu",
+                                       "explicit zero weight"])
+    def test_agrees_with_the_per_neuron_oracle(self, which):
+        net = ROW_CASES[which]
+        X = np.random.default_rng(3).uniform(-2.0, 2.0, (25, net.input_dim))
+        Z, Y = forward(net, X)
+        assert Z.shape == (25, net.n_state) and Y.shape == (25, net.n_outputs)
+        for x, z, y in zip(X, Z, Y):
+            zn, yn = eval_network_by_neuron(net, x)
+            z1, y1 = eval_network(net, x)
+            for got, want in ((z, zn), (y, yn), (z1, zn), (y1, yn)):
+                assert np.allclose(got, want, rtol=0.0, atol=1e-12), which
+            assert classify(net, x) == int(np.argmax(yn)), which
+
+    def test_output_level_holds_the_output_rows(self):
+        net = ROW_CASES["outputs read inputs"]
+        out = net.output
+        assert out.pos.tolist() == [3, 4] and out.src.tolist() == [0, 1, 2]
+        assert np.array_equal(out.weights, [[0.7, 0.0, 1.0], [0.0, -1.3, 0.0]])
+        assert out.bias.tolist() == [0.2, -0.1]
+
+    def test_batch_shape_checked(self, golden_net):
+        with pytest.raises(ValueError):
+            forward(golden_net, np.zeros(2))
+        with pytest.raises(ValueError):
+            forward(golden_net, np.zeros((4, 3)))
+        assert forward(golden_net, np.zeros((0, 2)))[1].shape == (0, 1)
 
 
 class TestLevels:
@@ -85,7 +101,7 @@ class TestLevels:
         assert np.array_equal(b.weights, [[0.5, 1.0, -1.2]])
         assert net.level_of.tolist() == [0, 0, 1, 2, 1]
         # the output row reads both levels
-        assert set(net.level_of[net.row(net.n_state)[0]].tolist()) == {1, 2}
+        assert set(net.level_of[neuron_row(net, net.n_state)[0]].tolist()) == {1, 2}
 
     def test_every_row_is_its_level_row(self):
         rng = np.random.default_rng(5)
@@ -97,7 +113,7 @@ class TestLevels:
                 level = net.levels[net.level_of[pos] - 1]
                 i = net.level_row[pos]
                 assert level.pos[i] == pos
-                idx, w, b = net.row(pos)
+                idx, w, b = neuron_row(net, pos)
                 dense = np.zeros(net.n_state)
                 dense[level.src] = level.weights[i]
                 assert np.array_equal(dense[idx], w) and level.bias[i] == b
@@ -170,9 +186,9 @@ class TestFileFormat:
     def test_forward_reference_in_file(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("m=1 outputs=3\n1 input 0\n2 relu 0 w:(3,1.0)\n3 output 0 w:(2,1)\n")
-        with pytest.raises(NetworkInvariantError) as ei:
+        with pytest.raises(NetworkParseError) as ei:
             load_network(p)
-        assert "neuron 2" in str(ei.value)
+        assert "neuron 2" in str(ei.value) and ":3:" in str(ei.value)
 
     def test_empty_neuron_list_is_parse_error(self, tmp_path):
         p = tmp_path / "empty.txt"

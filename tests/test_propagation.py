@@ -8,10 +8,11 @@ from relucert.propagation import (METHODS, BoundingFunctions, Objectives, Swaps,
                                   initial_scales, tightened_bound)
 from relucert.verifier import build_input_box, generate_instances, margin_objective, verify
 
-from conftest import interval_state, make_skip_network
+from conftest import (interval_state, make_interleaved_network, make_row_case_networks,
+                      make_skip_network)
 from oracles import (backward_pass_by_neuron, cut_from_pair, expr_from_row,
                      forward_pass_by_neuron, function_row, make_hull_instance,
-                     minimize_upper_envelope_sort, separate_sort, separation_cut,
+                     minimize_upper_envelope_sort, neuron_row, separate_sort, separation_cut,
                      table_instances, tightened_bound_by_neuron, with_upper)
 
 
@@ -44,6 +45,24 @@ def dense_function(funcs, pos, upper=True):
     return row, b
 
 
+class TestObjectiveRows:
+    @pytest.mark.parametrize("which", list(make_row_case_networks()))
+    def test_rows_are_the_declared_rows(self, which):
+        # every run of a level, and the outputs, against each neuron's own row
+        net = make_row_case_networks()[which]
+        for start, stop in [*net.runs, (net.n_state, net.n_neurons)]:
+            rows = Objectives.rows(net, start, stop)
+            r, eta = stop - start, min(start, net.n_state)
+            assert rows.coeffs.shape == (2 * r, eta), which
+            for j, pos in enumerate(range(start, stop)):
+                idx, w, b = neuron_row(net, pos)
+                dense = np.zeros(eta)
+                dense[idx] = w
+                assert np.array_equal(rows.coeffs[j], dense), (which, pos)
+                assert np.array_equal(rows.coeffs[r + j], -dense), (which, pos)
+                assert rows.constant[j] == b == -rows.constant[r + j], (which, pos)
+
+
 class TestIntervalBounds:
     def test_golden_network(self, golden_net, golden_box):
         st = compute_all_bounds(golden_net, golden_box, "interval")
@@ -70,7 +89,7 @@ class TestIntervalBounds:
         lo, hi = all_rows(compute_all_bounds(golden_net, box, "interval"))
         z, y = eval_network(golden_net, x)
         for pos in range(2, golden_net.n_state):
-            idx, w, b = golden_net.row(pos)
+            idx, w, b = neuron_row(golden_net, pos)
             pre = float(w @ z[idx]) + b
             assert lo[pos] == pytest.approx(pre, abs=1e-12)
             assert hi[pos] == pytest.approx(pre, abs=1e-12)
@@ -153,7 +172,7 @@ class TestGoldenChain:
     @pytest.fixture()
     def chain(self, golden_net, golden_box):
         st = interval_state(golden_net, golden_box, menu="deeppoly")
-        obj = expr_from_row(*golden_net.row(6), eta=6)
+        obj = expr_from_row(*neuron_row(golden_net, 6), eta=6)
         return golden_net, golden_box, st, st.funcs, obj
 
     def test_backward_bound_and_point(self, chain):
@@ -179,7 +198,7 @@ class TestGoldenChain:
             box = BoxDomain(rng.uniform(-1, 0, 2), rng.uniform(0.2, 1, 2))
             st = compute_all_bounds(net, box, "interval")
             funcs = menu_funcs(net, box, st, method="fastlin")
-            obj = expr_from_row(*net.row(net.n_state), eta=net.n_state)
+            obj = expr_from_row(*neuron_row(net, net.n_state), eta=net.n_state)
             res = backward_pass(funcs, obj)
             z = forward_pass(funcs, res.x_star, res.ub_used, net.n_state)
             assert values(obj, z)[0] == pytest.approx(res.bound[0], abs=1e-9)
@@ -213,7 +232,7 @@ class TestGoldenChain:
         with pytest.raises(ValueError, match="position 5"):
             backward_pass(funcs, obj)
         # a neuron without functions that no coefficient reaches is fine
-        assert backward_pass(funcs, expr_from_row(*net.row(4), eta=4)).bound[0] \
+        assert backward_pass(funcs, expr_from_row(*neuron_row(net, 4), eta=4)).bound[0] \
             == pytest.approx(2.5, abs=1e-12)
 
     def test_backward_after_swap_residual(self, chain):
@@ -390,7 +409,7 @@ class TestDirectEquivalence:
         st = compute_all_bounds(golden_net, golden_box, "interval")
         for method in ("deeppoly", "fastlin"):
             funcs = menu_funcs(golden_net, golden_box, st, method)
-            obj = expr_from_row(*golden_net.row(6), eta=6)
+            obj = expr_from_row(*neuron_row(golden_net, 6), eta=6)
             c = obj.coeffs[0].copy()
             const = obj.constant[0]
             for i in (5, 4, 3, 2):
@@ -492,7 +511,7 @@ class TestFullSweep:
             for x in X:
                 z, y = eval_network(net, x)
                 for pos in range(net.input_dim, net.n_neurons):
-                    idx, w, b = net.row(pos)
+                    idx, w, b = neuron_row(net, pos)
                     pre = float(w @ z[idx]) + b if idx.size else b
                     assert lo[pos] - 1e-7 <= pre <= hi[pos] + 1e-7
 
@@ -538,14 +557,8 @@ class TestFullSweep:
         if which == "skip":
             return make_skip_network(), BoxDomain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
         if which == "interleaved":
-            neurons = [Neuron(1, "input", (), 0.0), Neuron(2, "input", (), 0.0),
-                       Neuron(3, "relu", ((1, 1.0), (2, -1.0)), 0.1),
-                       Neuron(4, "relu", ((1, 0.5), (3, -1.2)), 0.2),
-                       Neuron(5, "relu", ((1, -0.7), (2, 0.9)), 0.3),
-                       Neuron(6, "relu", ((2, 0.8), (5, 1.1)), -0.4),
-                       Neuron(7, "output", ((4, 1.0), (6, -2.0)), 0.0)]
-            return Network(2, neurons, [7]), BoxDomain(np.array([-1.0, -1.0]),
-                                                       np.array([1.0, 1.0]))
+            return make_interleaved_network(), BoxDomain(np.array([-1.0, -1.0]),
+                                                         np.array([1.0, 1.0]))
         net = generate_random_network([4, 8, 8, 3], seed=5, weight_scale=0.7)
         box = build_input_box(generate_instances(net, 1, 0.2, seed=6)[0])
         if which == "layered":
@@ -571,7 +584,7 @@ class TestFullSweep:
             mixed = m + np.flatnonzero((st.pre_lower[m:] < 0.0) & (st.pre_upper[m:] > 0.0))
             assert table.pos[:table.n].tolist() == mixed.tolist() != [], method
             for i, pos in enumerate(mixed):
-                idx, w, b = net.row(pos)
+                idx, w, b = neuron_row(net, pos)
                 lo, hi = st.post_lower[idx], st.post_upper[idx]
                 folded += np.sum((w != 0.0) & (lo == hi))
                 zero += np.sum(w == 0.0)
@@ -640,12 +653,12 @@ class TestFullSweep:
             st.bound_objectives(Objectives.of(margin_objective(net, 1, 0)))  # reaches level 2
             assert st.table.n, method
             for pos, inst in table_instances(st.table).items():
-                idx, w, _ = net.row(pos)
+                idx, w, _ = neuron_row(net, pos)
                 assert np.isin(inst.support, idx).all(), method
                 assert np.array_equal(inst.w, w[np.isin(idx, inst.support)]), method
             assert any(pos >= 12 for pos, _ in cuts), method  # level-2 neurons cut
             for pos, cut in cuts:
-                assert np.isin(cut.idx, net.row(pos)[0]).all(), method
+                assert np.isin(cut.idx, neuron_row(net, pos)[0]).all(), method
 
     def test_swap_groups_stay_within_the_block(self, monkeypatch):
         # every separation block of a fastc2v verify (objectives x rows x

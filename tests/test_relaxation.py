@@ -6,13 +6,13 @@ from relucert.network import (BoxDomain, Network, Neuron, eval_network,
                               generate_random_network)
 from relucert.propagation import Objectives, compute_all_bounds
 from relucert.relaxation import build_delta_lp, optc2v_bound
-from relucert.simplex import EQ, LE, LpStatus
+from relucert.simplex import EQ, GE, LE, LpStatus
 from relucert.verifier import generate_instances, margin_objective, verify
 
-from conftest import delta_lp, interval_state, random_mixed_instance
+from conftest import delta_lp, interval_state, make_row_case_networks, random_mixed_instance
 from oracles import (cut_from_pair, envelope_min_by_enumeration, enumerate_cut_pairs,
                      exact_max_oracle, expr_from_row, lifted_envelope_value, make_hull_instance,
-                     solve_lp)
+                     neuron_row, solve_lp)
 
 
 def record_cuts(monkeypatch):
@@ -56,7 +56,7 @@ def single_relu_net(w, b):
 class TestDeltaLpStructure:
     def test_golden_model_shape(self, golden_net, golden_box):
         st = interval_state(golden_net, golden_box)
-        obj = expr_from_row(*golden_net.row(6), eta=6)
+        obj = expr_from_row(*neuron_row(golden_net, 6), eta=6)
         dl = delta_lp(st, obj)
         assert dl.model.n_vars == 6  # 2 inputs + 4 relu positions
         # rows per neuron: mixed h11, h12, h22 get two inequalities each
@@ -71,7 +71,7 @@ class TestDeltaLpStructure:
 
     def test_true_points_feasible(self, golden_net, golden_box):
         st = interval_state(golden_net, golden_box)
-        obj = expr_from_row(*golden_net.row(6), eta=6)
+        obj = expr_from_row(*neuron_row(golden_net, 6), eta=6)
         dl = delta_lp(st, obj)
         rng = np.random.default_rng(4)
         for _ in range(50):
@@ -86,11 +86,36 @@ class TestDeltaLpStructure:
                 else:
                     assert v == pytest.approx(rhs, abs=1e-9)
 
+    @pytest.mark.parametrize("which", list(make_row_case_networks()))
+    def test_rows_are_the_declared_rows(self, which):
+        # each neuron's rows read its declared nonzero weights, in source
+        # order: one equality when always active, >= row and chord when mixed
+        net = make_row_case_networks()[which]
+        m = net.input_dim
+        st = compute_all_bounds(net, BoxDomain(np.full(m, -1.0), np.full(m, 1.0)), "interval")
+        dl = build_delta_lp(st, net.n_state)
+        want = []
+        for pos in range(m, net.n_state):
+            lo, hi = st.pre_lower[pos], st.pre_upper[pos]
+            idx, w, b = neuron_row(net, pos)
+            nz = w != 0.0
+            head, w = np.concatenate([[pos], idx[nz]]), w[nz]
+            if lo >= 0.0:
+                want.append((head, np.concatenate([[1.0], -w]), EQ, b))
+            elif hi > 0.0:
+                s = hi / (hi - lo)
+                want += [(head, np.concatenate([[1.0], -w]), GE, b),
+                         (head, np.concatenate([[1.0], -s * w]), LE, s * (b - lo))]
+        assert len(dl.model.rows) == len(want), which
+        for got, row in zip(dl.model.rows, want):
+            assert np.array_equal(got[0], row[0]) and np.array_equal(got[1], row[1]), which
+            assert got[2:] == row[2:], which
+
     def test_always_inactive_neuron_has_no_row(self):
         net = single_relu_net([1.0], -5.0)
         box = BoxDomain(np.zeros(1), np.ones(1))
         st = interval_state(net, box)
-        obj = expr_from_row(*net.row(2), eta=2)
+        obj = expr_from_row(*neuron_row(net, 2), eta=2)
         dl = delta_lp(st, obj)
         # its box pins it to 0, so a z = 0 row would add nothing
         assert dl.model.n_vars == 2 and dl.model.n_rows == 0
@@ -100,7 +125,7 @@ class TestDeltaLpStructure:
         net = single_relu_net([1.0], 2.0)
         box = BoxDomain(np.zeros(1), np.ones(1))
         st = interval_state(net, box)
-        obj = expr_from_row(*net.row(2), eta=2)
+        obj = expr_from_row(*neuron_row(net, 2), eta=2)
         dl = delta_lp(st, obj)
         assert dl.model.n_rows == 1
         idx, coef, sense, rhs = dl.model.rows[0]
@@ -111,14 +136,14 @@ class TestDeltaLpStructure:
 class TestDeltaLpValues:
     def test_golden_value_bracket(self, golden_net, golden_box):
         st = interval_state(golden_net, golden_box)
-        obj = expr_from_row(*golden_net.row(6), eta=6)
+        obj = expr_from_row(*neuron_row(golden_net, 6), eta=6)
         v = optc2v_bound(st, obj, 0)[0]
         assert 3.0 - 1e-9 <= v <= 4.0 + 1e-9  # above the true max, at or
         # below the chord-relaxation propagation value
 
     def test_rounds_monotone(self, golden_net, golden_box):
         st = interval_state(golden_net, golden_box)
-        obj = expr_from_row(*golden_net.row(6), eta=6)
+        obj = expr_from_row(*neuron_row(golden_net, 6), eta=6)
         vals = [optc2v_bound(st, obj, r)[0]
                 for r in range(4)]
         for a, b in zip(vals, vals[1:]):
@@ -129,7 +154,7 @@ class TestDeltaLpValues:
         net = single_relu_net([1.0], 2.0)  # always active
         box = BoxDomain(np.zeros(1), np.ones(1))
         st = interval_state(net, box)
-        obj = expr_from_row(*net.row(2), eta=2)
+        obj = expr_from_row(*neuron_row(net, 2), eta=2)
         v0 = optc2v_bound(st, obj, 0)[0]
         v5 = optc2v_bound(st, obj, 5)[0]
         assert v0 == pytest.approx(v5, abs=0.0)
@@ -145,7 +170,7 @@ class TestDeltaLpValues:
             net = single_relu_net(list(w), inst.b)
             box = BoxDomain(inst.lower, inst.upper)
             st = interval_state(net, box)
-            obj = expr_from_row(*net.row(net.n_state), eta=net.n_state)
+            obj = expr_from_row(*neuron_row(net, net.n_state), eta=net.n_state)
             looped = optc2v_bound(st, obj, 8)[0]
             dl = delta_lp(st, obj)
             for I, h in enumerate_cut_pairs(inst):
@@ -156,7 +181,7 @@ class TestDeltaLpValues:
 
     def test_added_cuts_valid_on_network_samples(self, golden_net, golden_box, monkeypatch):
         st = interval_state(golden_net, golden_box)
-        obj = expr_from_row(*golden_net.row(6), eta=6)
+        obj = expr_from_row(*neuron_row(golden_net, 6), eta=6)
         added = record_cuts(monkeypatch)
         optc2v_bound(st, obj, 3)[0]
         assert len(added) >= 1
@@ -196,15 +221,15 @@ class TestLiftedEnvelope:
 
 class TestExactOracle:
     def test_golden_network_max_is_three(self, golden_net, golden_box):
-        obj = expr_from_row(*golden_net.row(6), eta=6)
+        obj = expr_from_row(*neuron_row(golden_net, 6), eta=6)
         assert exact_max_oracle(golden_net, golden_box, obj) == pytest.approx(3.0, abs=1e-7)
 
     def test_no_relu_equals_box_lp(self):
         net = generate_random_network([3], seed=5)
         box = BoxDomain(np.zeros(3), np.ones(3))
-        obj = expr_from_row(*net.row(net.n_state), eta=net.n_state)
+        obj = expr_from_row(*neuron_row(net, net.n_state), eta=net.n_state)
         got = exact_max_oracle(net, box, obj)
-        idx, w, b = net.row(net.n_state)
+        idx, w, b = neuron_row(net, net.n_state)
         direct = float(np.maximum(w, 0) @ box.upper[idx] +
                        np.minimum(w, 0) @ box.lower[idx]) + b
         assert got == pytest.approx(direct, abs=1e-9)
@@ -214,7 +239,7 @@ class TestExactOracle:
         for _ in range(10):
             net = generate_random_network([2, 3, 1], seed=int(rng.integers(1 << 30)))
             box = BoxDomain(np.array([0.1, 0.2]), np.array([0.9, 0.7]))
-            obj = expr_from_row(*net.row(net.n_state), eta=net.n_state)
+            obj = expr_from_row(*neuron_row(net, net.n_state), eta=net.n_state)
             exact = exact_max_oracle(net, box, obj)
             xs = np.linspace(box.lower[0], box.upper[0], 120)
             ys = np.linspace(box.lower[1], box.upper[1], 120)
@@ -224,7 +249,7 @@ class TestExactOracle:
             assert exact <= grid + 0.05  # grid is a lower bound with small gap
 
     def test_mixed_cap_enforced(self, golden_net, golden_box):
-        obj = expr_from_row(*golden_net.row(6), eta=6)
+        obj = expr_from_row(*neuron_row(golden_net, 6), eta=6)
         with pytest.raises(ValueError):
             exact_max_oracle(golden_net, golden_box, obj, mixed_cap=2)
 
@@ -245,7 +270,7 @@ class TestLpSweep:
         # that drops the small weight reports 1.0
         net = single_relu_net([9e-6], 1.0)
         box = BoxDomain(np.zeros(1), np.ones(1))
-        obj = expr_from_row(*net.row(net.n_state), eta=net.n_state)
+        obj = expr_from_row(*neuron_row(net, net.n_state), eta=net.n_state)
         for method in ("lp", "optc2v", "deeppoly"):
             st = compute_all_bounds(net, box, method)
             assert st.bound_objectives(obj)[0] >= 1.000009 - 1e-12, method
@@ -300,7 +325,7 @@ class TestLpSweep:
         # the cut loop re-solves warm; a cold solve of the final model must
         # agree (checked here by rebuilding with the same cuts)
         st = interval_state(golden_net, golden_box)
-        obj = expr_from_row(*golden_net.row(6), eta=6)
+        obj = expr_from_row(*neuron_row(golden_net, 6), eta=6)
         added = record_cuts(monkeypatch)
         warm_val = optc2v_bound(st, obj, 3)[0]
         assert added

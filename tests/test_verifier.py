@@ -13,6 +13,7 @@ from relucert.verifier import (FALSIFIED, UNKNOWN, VERIFIED, RobustnessInstance,
                                verify, write_report)
 
 from conftest import make_skip_network
+from oracles import neuron_row
 
 
 class TestInputBox:
@@ -68,7 +69,7 @@ class TestGoldenThreshold:
         from oracles import expr_from_row
         from conftest import interval_state
         st = interval_state(golden_net, golden_box, menu="deeppoly")
-        obj = expr_from_row(*golden_net.row(6), eta=6)
+        obj = expr_from_row(*neuron_row(golden_net, 6), eta=6)
         beta = 4.0
         plain = tightened_bound(st.funcs, obj, 0)[0]
         tight = tightened_bound(st.funcs, obj, 1, st.table)[0]
@@ -487,6 +488,21 @@ class TestBatch:
         assert res.reports[1] is None and res.reports[2] is None
         assert res.reports[0] is not None and res.reports[3] is not None
         assert res.counts["skipped"] == 0
+
+
+class TestGenerateInstances:
+    def test_centers_are_sequential_draws_labeled_by_classify(self):
+        # one batched forward labels the corpus; the centers are the draws
+        # of one point at a time
+        net = generate_random_network([4, 6, 3], seed=2, weight_scale=0.8)
+        rng = np.random.default_rng(11)
+        insts = generate_instances(net, 7, 0.05, seed=11)
+        assert len(insts) == 7
+        for inst in insts:
+            x = rng.uniform(0.0, 1.0, size=4)
+            assert np.array_equal(inst.x_hat, x) and inst.epsilon == 0.05
+            assert type(inst.label) is int and inst.label == classify(net, x)
+        assert generate_instances(net, 0, 0.05, seed=11) == []
 
 
 class TestInstanceIO:
