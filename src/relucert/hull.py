@@ -9,12 +9,14 @@ pre-activation hyperplane.
 
 A :class:`HullTable` holds the instances of mixed neurons as padded rows.
 A row is added with its zero weights and flat box sides folded into its
-bias; its columns hold the retained coordinates, which index sets and
+bias; its first columns hold the retained coordinates, which index sets and
 anchors name, and its ``support`` the state positions they read, so each
 cut names the state positions it reads.  The forward sweep adds a run's
-mixed neurons in one step.  One :meth:`HullTable.separate` call sorts a
-stack of points (one per objective) against a prefix of rows with one
-``argsort`` and builds the cuts of just the violated (point, row) pairs.
+mixed neurons in one step, and the table remembers the width each step
+used.  One :meth:`HullTable.separate` call sorts a stack of points (one
+per objective) against a prefix of rows with one ``argsort`` per block of
+rows added at one width, over that width only, and builds the cuts of just
+the violated (point, row) pairs.
 """
 
 from __future__ import annotations
@@ -31,11 +33,15 @@ class HullTable:
     """Hull instances of mixed neurons, padded into the rows of one table.
 
     Row ``i`` holds the instance of the neuron at position ``pos[i]``: its
-    retained coordinates fill the columns marked ``valid``, in source order,
-    and the padding after them never enters an index set.  Rows are added
-    in position order, so the neurons below any position are a prefix.
-    Every instance reads the same point ``z`` through its ``support``.  The
-    table has room for ``rows`` instances of up to ``width`` coordinates.
+    retained coordinates fill the first columns, marked ``valid``, in source
+    order, and the padding after them never enters an index set.  Rows are
+    added in position order, so the neurons below any position are a
+    prefix.  Every instance reads the same point ``z`` through its
+    ``support``.  The table has room for ``rows`` instances of up to
+    ``width`` coordinates.  ``blocks`` lists ``[start, stop, width]`` for
+    the rows of each :meth:`add` step (adjacent steps of one width merged),
+    ``width`` being the most retained coordinates of any of them;
+    separation sorts each block at its own width.
     """
 
     def __init__(self, rows: int, width: int):
@@ -48,6 +54,7 @@ class HullTable:
         self.w = np.zeros((rows, width))
         self.cap = np.zeros((rows, width))
         self.valid = np.zeros((rows, width), dtype=bool)
+        self.blocks = []
 
     def add(self, pos, src, weights, bias, lower, upper):
         """Add the instances of the neurons at positions ``pos`` (ascending,
@@ -81,10 +88,17 @@ class HullTable:
         mixed = (val_max >= 0.0) & (cap.sum(axis=1) > val_max)
         pos, val_max, valid, support, min_corner, span, w, cap = (a[mixed] for a in (
             pos, val_max, valid, np.where(valid, src[order], 0), min_corner, span, w, cap))
+        if not pos.size:
+            return
         rows, cols = slice(self.n, self.n + pos.size), slice(0, src.size)
         self.pos[rows], self.val_max[rows], self.valid[rows, cols] = pos, val_max, valid
         self.support[rows, cols], self.min_corner[rows, cols] = support, min_corner
         self.span[rows, cols], self.w[rows, cols], self.cap[rows, cols] = span, w, cap
+        width = int(valid.sum(axis=1).max())
+        if self.blocks and self.blocks[-1][2] == width:
+            self.blocks[-1][1] = rows.stop
+        else:
+            self.blocks.append([rows.start, rows.stop, width])
         self.n += pos.size
 
     def rows_below(self, limit):
@@ -92,50 +106,78 @@ class HullTable:
         array of limits gives an array of counts)."""
         return np.searchsorted(self.pos[:self.n], limit)
 
+    def width_below(self, k: int) -> int:
+        """The widest block width among the first ``k`` rows: one point
+        sorts at most ``k`` times this many entries against them."""
+        return max((width for start, _, width in self.blocks if start < k), default=0)
+
     def envelopes(self, z, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Least upper hull inequality of the first ``k`` rows at ``z``.
 
         ``z`` is one point, or a stack of points along its leading axes;
         the results carry the same leading axes.  The sorting greedy, row by
-        row in one step: sort each row's coordinates by their ratios
-        ``(z - min_corner) / span`` rounded to ``RATIO_GRID``, nondecreasing,
-        ties by position; grow the index set while the corner value stays
-        nonnegative, and anchor at the coordinate that first drives it
-        negative.  Returns the envelope
-        values, a mask of each row's index set and the anchors, without
-        building cuts.  O(n log n) per row.
+        row in one step per block: sort each row's coordinates by their
+        ratios ``(z - min_corner) / span`` rounded to ``RATIO_GRID``,
+        nondecreasing, ties by position; grow the index set while the corner
+        value stays nonnegative, and anchor at the coordinate that first
+        drives it negative.  Returns the envelope values, a mask of each
+        row's index set over the table's columns and the anchors, without
+        building cuts.  O(n log n) per row, over the width of the row's
+        block, not the table's.
 
         Relaxation optima sit at box corners, so many ratios tie at 0 or 1;
         unrounded, the last bit of a box bound would pick the order among
         them and so the facet.  Rounding makes that choice stable, at a cost
         of at most ``RATIO_GRID`` times the capacity in the value.  Every
         order gives a valid facet, which :meth:`cuts` checks.  Sums run left
-        to right over a whole row, so padding adds exact zeros and a row's
-        value depends neither on the table it sits in nor on the other
-        points.
+        to right over a row's block width, so padding adds exact zeros and a
+        row's value depends neither on the table or block it sits in nor on
+        the other points.
         """
         z = np.asarray(z, dtype=float)
-        lead, width = z.shape[:-1], self.w.shape[1]
-        z = z.reshape(-1, z.shape[-1])
+        lead = z.shape[:-1] + (k,)
+        value, h, blocks = self._envelopes(z.reshape(-1, z.shape[-1]), k)
+        low = self._widen(blocks, *(a.ravel() for a in np.indices(value.shape)))
+        return value.reshape(lead), low.reshape(lead + (self.w.shape[1],)), h.reshape(lead)
+
+    def _envelopes(self, z, k):
+        """:meth:`envelopes` of a ``(q, n)`` stack of points, block by block:
+        the ``(q, k)`` values and anchors, and per block below ``k`` its
+        rows and the ``(q, rows, width)`` index-set masks at its width."""
         q = z.shape[0]
-        valid, cap, span = self.valid[:k], self.cap[:k], self.span[:k]
-        dx = z[:, self.support[:k]] - self.min_corner[:k]
-        key = np.where(valid, np.round(dx / span / RATIO_GRID), np.inf)
-        # one flat row per (point, table row); tab is the table row
-        order = np.argsort(key, axis=-1, kind="stable").reshape(q * k, width)
-        flat, tab = np.arange(q * k), np.tile(np.arange(k), q)
-        running = np.cumsum(self.cap[tab[:, None], order], axis=1)
-        # first position whose cumulative capacity overshoots the slack at
-        # the all-max corner; it exists, inside the row, for a mixed instance
-        stop = np.argmax(running > self.val_max[tab, None], axis=1)
-        low = np.empty((q * k, width), dtype=bool)
-        low[flat[:, None], order] = np.arange(width) < stop[:, None]
-        h = order[flat, stop]
-        low = low.reshape(q, k, width)
-        ell = self.val_max[:k] - np.cumsum(np.where(low, cap, 0.0), axis=-1)[..., -1]
-        value = np.cumsum(np.where(low, self.w[:k] * dx, 0.0), axis=-1)[..., -1]
-        value += (ell.reshape(-1) / span[tab, h] * dx.reshape(q * k, width)[flat, h]).reshape(q, k)
-        return value.reshape(lead + (k,)), low.reshape(lead + (k, width)), h.reshape(lead + (k,))
+        value, h, blocks = np.empty((q, k)), np.empty((q, k), dtype=np.intp), []
+        for start, end, width in self.blocks:
+            if start >= k:
+                break
+            rows, cols = slice(start, min(end, k)), slice(0, width)
+            valid, cap, span = self.valid[rows, cols], self.cap[rows, cols], self.span[rows, cols]
+            val_max = self.val_max[rows]
+            dx = z[:, self.support[rows, cols]] - self.min_corner[rows, cols]
+            key = np.where(valid, np.round(dx / span / RATIO_GRID), np.inf)
+            order = np.argsort(key, axis=-1, kind="stable")
+            p, r = np.arange(q)[:, None], np.arange(rows.stop - start)
+            running = np.cumsum(cap[r[:, None], order], axis=-1)
+            # first position whose cumulative capacity overshoots the slack at
+            # the all-max corner; it exists, inside the row, for a mixed instance
+            anchor = order[p, r, np.argmax(running > val_max[:, None], axis=-1)]
+            # the index set is what the stable sort puts before the anchor
+            key_h = key[p, r, anchor][..., None]
+            low = (key < key_h) | ((key == key_h) & (np.arange(width) < anchor[..., None]))
+            ell = val_max - np.cumsum(np.where(low, cap, 0.0), axis=-1)[..., -1]
+            v = np.cumsum(np.where(low, self.w[rows, cols] * dx, 0.0), axis=-1)[..., -1]
+            v += ell / span[r, anchor] * dx[p, r, anchor]
+            value[:, rows], h[:, rows] = v, anchor
+            blocks.append((rows, low))
+        return value, h, blocks
+
+    def _widen(self, blocks, point, row) -> np.ndarray:
+        """The index-set masks of the pairs ``(point[e], row[e])`` over the
+        table's columns, from :meth:`_envelopes`' blocks."""
+        low = np.zeros((point.size, self.w.shape[1]), dtype=bool)
+        for rows, mask in blocks:
+            at = (row >= rows.start) & (row < rows.stop)
+            low[at, :mask.shape[-1]] = mask[point[at], row[at] - rows.start]
+        return low
 
     def cuts(self, rows, low, h) -> tuple[np.ndarray, np.ndarray]:
         """Expand the pairs ``(low[e], h[e])`` of rows ``rows[e]`` into
@@ -181,16 +223,18 @@ class HullTable:
 
         ``z`` is a ``(q, n)`` stack of points and ``y`` a ``(q, k)`` array,
         or one point and its ``k`` values.  One :meth:`envelopes` step sorts
-        the whole block; one :meth:`cuts` step builds the cuts of all the
-        violated pairs, and only theirs.  Pairs come point by point, rows
-        ascending.
+        every block of rows below ``k`` at its own width; the index sets of
+        the violated pairs alone are widened to the table's columns, and one
+        :meth:`cuts` step builds their cuts, and only theirs.  Pairs come
+        point by point, rows ascending.
         """
-        z, y = np.atleast_2d(z), np.atleast_2d(np.asarray(y, dtype=float))
-        envelope, low, h = self.envelopes(z, y.shape[1])
+        z = np.atleast_2d(np.asarray(z, dtype=float))
+        y = np.atleast_2d(np.asarray(y, dtype=float))
+        envelope, h, blocks = self._envelopes(z, y.shape[1])
         violation = y - envelope
         point, row = np.nonzero(violation > tol)
-        low, h, envelope, violation = low[point, row], h[point, row], envelope[point, row], \
-            violation[point, row]
+        low = self._widen(blocks, point, row)
+        h, envelope, violation = h[point, row], envelope[point, row], violation[point, row]
         coeffs, constant = self.cuts(row, low, h)
         return Separations(point, row, low, h, coeffs, constant, envelope, violation)
 

@@ -51,9 +51,9 @@ DEFAULT_CUT_ROUNDS = 3
 # A hull inequality replaces an upper function only when violated by more.
 SWAP_VIOLATION_TOL = 1e-9
 
-# Hull swapping runs over groups of objectives whose separation block
-# (objectives x reachable table rows x table width) has at most this many
-# entries; it bounds the temporaries and the stored swaps of a group.
+# Hull swapping runs over groups of objectives whose separation blocks
+# (objectives x reachable table rows x the widest block width below them)
+# have at most this many entries; it bounds the temporaries of a group.
 TIGHTEN_BLOCK = 1 << 14
 
 # the bounding-function menu each propagation method draws its functions from
@@ -373,7 +373,7 @@ def tightened_bound(funcs: BoundingFunctions, objective: Objectives, iterations:
     elsewhere) never reach another objective or the shared functions.
     This keeps every result at or below the plain initial-method bound.
     The rounds run over groups of objectives of at most ``TIGHTEN_BLOCK``
-    separation entries each, which bounds the memory they take.
+    sorted separation entries each, which bounds the memory they take.
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
@@ -383,7 +383,8 @@ def tightened_bound(funcs: BoundingFunctions, objective: Objectives, iterations:
     live = np.flatnonzero(k > 0)
     if not live.size or not iterations:
         return best
-    step = max(1, TIGHTEN_BLOCK // (int(k.max()) * table.w.shape[1]))
+    top = int(k.max())
+    step = max(1, TIGHTEN_BLOCK // (top * table.width_below(top)))
     for a in range(0, live.size, step):
         group = live[a:a + step]
         best[group] = np.minimum(best[group], _swap_rounds(
@@ -429,7 +430,11 @@ class Bounds:
     bounding functions in ``funcs``, the tightening methods (``fastc2v``,
     ``optc2v``) the hull instances of their mixed neurons over state
     positions in ``table``, and ``fastc2v`` the ``deeppoly`` run it never
-    reports worse than.  The LP methods keep in ``lps`` one solved
+    reports worse than.  A ``fastc2v`` row whose baseline upper bound is
+    at most 0 is not tightened: its neuron is dead either way, and its post
+    box, bounding functions and (absent) hull row depend only on that, so
+    its ``pre_lower`` is the baseline's, intersected with the interval
+    bound.  The LP methods keep in ``lps`` one solved
     relaxation (:class:`relucert.relaxation.DeltaLp`) per objective reach,
     from whose first optimum every later objective of that reach starts;
     so a ``Bounds`` is not to be shared between threads.
@@ -465,15 +470,23 @@ class Bounds:
         Both signs of every row go as one batch: interval arithmetic over
         the post boxes, then, for every method but ``interval``, the
         method's relaxation (the LP methods skip the rows over inputs alone,
-        where an LP returns the interval bound), and for ``fastc2v`` its
-        baseline's own bounds of the rows; the results are intersected.
+        where an LP returns the interval bound, and ``fastc2v`` the ReLU
+        rows its baseline proves dead), and for ``fastc2v`` its baseline's
+        own bounds of the rows; the results are intersected.
         """
         r = stop - start
         rows = Objectives.rows(self.net, start, stop)
         upper = self.interval_objective_bound(rows)
         if self.method in _MENUS:
-            upper = np.minimum(upper, tightened_bound(self.funcs, rows, self.iterations,
-                                                      self.table))
+            live = np.ones(2 * r, dtype=bool)
+            if self.baseline is not None and start < self.net.n_state:
+                live = np.tile(self.baseline.pre_upper[start:stop] > 0.0, 2)
+            if live.all():
+                upper = np.minimum(upper, tightened_bound(self.funcs, rows, self.iterations,
+                                                          self.table))
+            elif live.any():
+                upper[live] = np.minimum(upper[live], tightened_bound(
+                    self.funcs, rows.select(live), self.iterations, self.table))
         elif self.method != INTERVAL:
             deep = np.flatnonzero(rows.reach > self.net.input_dim)
             if deep.size:

@@ -2,14 +2,15 @@
 
 None of these run on the package's bound paths: a cold solve of one LP
 model, one neuron's hull instance, its corner values, cuts and one-row
-separation calls, brute-force enumeration of the hull's cut family and of
+separation calls, the sorting greedy of one table row coordinate by
+coordinate, brute-force enumeration of the hull's cut family and of
 its least value at a point, the weighted-median separator (the paper's
 linear-time variant of the sorting greedy), the univariate chord bound, the
 lifted-formulation envelope LP, the exact maximum over activation patterns,
 the per-neuron network evaluation read from the declared rows, and the
 per-neuron backward and forward passes and tightening loop, one objective at
 a time, that the package runs one run, level and batch of objectives at a
-time.
+time, and a sweep's row bounds that tighten every row.
 """
 
 from dataclasses import dataclass, replace
@@ -17,9 +18,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from relucert.hull import HullTable
+from relucert.hull import RATIO_GRID, HullTable
 from relucert.network import BoxDomain, Network
-from relucert.propagation import INTERVAL, SWAP_VIOLATION_TOL, Objectives, compute_all_bounds
+from relucert.propagation import (DEEPPOLY, FASTC2V, FASTLIN, INTERVAL, SWAP_VIOLATION_TOL,
+                                  Objectives, compute_all_bounds, tightened_bound)
 from relucert.relaxation import LpBoundError
 from relucert.simplex import DEFAULT_MAX_ITER, GE, LE, Lockstep, LpModel, LpStatus
 
@@ -219,6 +221,66 @@ def separate_sort(inst: HullInstance, x, y) -> Separation | None:
         return None
     return Separation(cut=separation_cut(table, found, 0), envelope=float(found.envelope[0]),
                       violation=float(found.violation[0]))
+
+
+def sorting_greedy_row(table: HullTable, i: int, x) -> tuple[float, tuple[int, ...], int]:
+    """The sorting greedy of row ``i`` of ``table`` alone at the point
+    ``x``, one coordinate at a time: its envelope value, its index set as
+    ascending columns and its anchor.
+
+    It runs the arithmetic of :meth:`relucert.hull.HullTable.envelopes` in
+    the same order (ratios rounded to ``RATIO_GRID``, a stable sort, sums
+    left to right over the row's retained columns), so the two agree bit
+    for bit whatever block, width or prefix the row is separated in.
+    """
+    cols = range(int(table.valid[i].sum()))
+    if not table.valid[i, cols].all():
+        raise ValueError(f"row {i}'s retained coordinates are not its first columns")
+    dx = [float(x[table.support[i, j]]) - float(table.min_corner[i, j]) for j in cols]
+    key = [round(d / float(table.span[i, j]) / RATIO_GRID) for d, j in zip(dx, cols)]
+    order = sorted(cols, key=lambda j: (key[j], j))
+    running, val_max = 0.0, float(table.val_max[i])
+    for stop, j in enumerate(order):
+        running += float(table.cap[i, j])
+        if running > val_max:
+            break
+    else:
+        raise ValueError(f"row {i} is not a mixed instance")
+    low, h = sorted(order[:stop]), order[stop]
+
+    def left_to_right(terms):
+        total = terms[0]
+        for t in terms[1:]:
+            total += t
+        return total
+
+    ell = val_max - left_to_right([float(table.cap[i, j]) if j in low else 0.0 for j in cols])
+    value = left_to_right([float(table.w[i, j]) * d if j in low else 0.0
+                           for j, d in zip(cols, dx)])
+    value += ell / float(table.span[i, h]) * dx[h]
+    return value, tuple(low), h
+
+
+def row_bounds_tightening_every_row(bounds, start: int, stop: int):
+    """:meth:`relucert.propagation.Bounds.row_bounds` with every row of a
+    propagation method tightened, ``fastc2v``'s rows that its baseline
+    proves dead too."""
+    r = stop - start
+    rows = Objectives.rows(bounds.net, start, stop)
+    upper = bounds.interval_objective_bound(rows)
+    if bounds.method in (FASTLIN, DEEPPOLY, FASTC2V):
+        upper = np.minimum(upper, tightened_bound(bounds.funcs, rows, bounds.iterations,
+                                                  bounds.table))
+    elif bounds.method != INTERVAL:
+        deep = np.flatnonzero(rows.reach > bounds.net.input_dim)
+        if deep.size:
+            upper[deep] = bounds.bound_objectives(rows.select(deep))
+    lo, hi = -upper[r:], upper[:r]
+    if bounds.baseline is not None:
+        base_lo, base_hi = bounds.baseline.output_bounds() if start >= bounds.net.n_state else \
+            (bounds.baseline.pre_lower[start:stop], bounds.baseline.pre_upper[start:stop])
+        lo, hi = np.maximum(lo, base_lo), np.minimum(hi, base_hi)
+    return np.minimum(lo, hi), hi
 
 
 def table_instances(table: HullTable) -> dict[int, HullInstance]:

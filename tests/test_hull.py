@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from relucert import hull
+from relucert.network import BoxDomain
+from relucert.propagation import compute_all_bounds
 
-from conftest import random_mixed_instance
+from conftest import make_skip_network, random_mixed_instance
 from oracles import (ALWAYS_ACTIVE, ALWAYS_INACTIVE, MIXED, add_instance, classify_phase,
                      corner_value, cut_from_pair, delta_upper_value, enumerate_cut_pairs,
                      envelope_min_by_enumeration, make_hull_instance,
                      minimize_upper_envelope_median, minimize_upper_envelope_sort, relu_value,
-                     separate_median, separate_sort, separation_cut)
+                     separate_median, separate_sort, separation_cut, sorting_greedy_row)
 
 
 def upper_count_bound(d):
@@ -386,6 +388,102 @@ class TestHullTable:
         with pytest.raises(ValueError):
             table.add([6, 5], [0, 1], [[-1.5, 1.0]] * 2, [0.5] * 2, [0.0, 0.0], [3.0, 1.5])
         assert table.n == 1
+
+
+class TestBlockWidths:
+    """Blocks of rows sorted at their own widths against the one-row
+    oracle :func:`sorting_greedy_row`, bit for bit."""
+
+    @staticmethod
+    def random_table(rng, n=40, steps=8):
+        """A table of ``steps`` multi-row ``add`` calls of random fan-ins
+        over one state of ``n`` positions, some weights zero and some box
+        sides flat (both fold into the bias), and the state's box."""
+        lower = rng.uniform(-1.0, 1.0, n)
+        upper = lower + rng.uniform(0.1, 2.0, n)
+        flat = rng.random(n) < 0.15
+        upper[flat] = lower[flat]
+        table, pos = hull.HullTable(6 * steps, n), 0
+        for _ in range(steps):
+            d, r = int(rng.integers(1, 25)), int(rng.integers(1, 7))
+            src = np.sort(rng.choice(n, d, replace=False))
+            w = rng.uniform(-2.0, 2.0, (r, d))
+            w[rng.random((r, d)) < 0.2] = 0.0
+            lo, hi = lower[src], upper[src]
+            vmin = np.minimum(w * lo, w * hi).sum(axis=1)
+            vmax = np.maximum(w * lo, w * hi).sum(axis=1)
+            table.add(pos + np.arange(r), src, w, -rng.uniform(vmin, vmax), lo, hi)
+            pos += r
+        return table, lower, upper
+
+    @staticmethod
+    def points(rng, lower, upper, count):
+        """Random points of the box, then box corners, where every ratio
+        is 0 or 1, and corners with some coordinates at face midpoints."""
+        r = np.concatenate([rng.uniform(0.0, 1.0, (count, lower.size)),
+                            rng.choice([0.0, 1.0], (count, lower.size)),
+                            rng.choice([0.0, 0.5, 1.0], (count, lower.size))])
+        return lower + r * (upper - lower)
+
+    @staticmethod
+    def assert_matches_oracle(table, z, rng):
+        """At every prefix ``k`` (block edges included), the envelopes and
+        separations of the first ``k`` rows are the oracle's, bit for bit."""
+        want = [[sorting_greedy_row(table, i, x) for i in range(table.n)] for x in z]
+        value = np.array([[v for v, _, _ in row] for row in want])
+        y = value + rng.choice([-1.0, 1.0], value.shape) * rng.uniform(0.0, 0.5, value.shape)
+        for k in range(table.n + 1):
+            env, low, h = table.envelopes(z, k)
+            assert env.shape == h.shape == (len(z), k)
+            assert low.shape == (len(z), k, table.w.shape[1])
+            found = table.separate(z, y[:, :k])
+            violated = [(p, i) for p in range(len(z)) for i in range(k) if y[p, i] > value[p, i]]
+            assert list(zip(found.point.tolist(), found.row.tolist())) == violated
+            for p in range(len(z)):
+                for i in range(k):
+                    v, index_set, anchor = want[p][i]
+                    assert (env[p, i], h[p, i]) == (v, anchor)
+                    assert tuple(np.flatnonzero(low[p, i]).tolist()) == index_set
+            for e, (p, i) in enumerate(violated):
+                v, index_set, anchor = want[p][i]
+                assert (found.envelope[e], found.anchor[e]) == (v, anchor)
+                assert tuple(np.flatnonzero(found.low[e]).tolist()) == index_set
+                assert found.violation[e] == y[p, i] - v
+
+    def test_random_blocks_match_the_one_row_oracle(self):
+        rng = np.random.default_rng(41)
+        for _ in range(6):
+            table, lower, upper = self.random_table(rng)
+            blocks = table.blocks
+            assert blocks[0][0] == 0 and blocks[-1][1] == table.n
+            assert all(a[1] == b[0] and a[2] != b[2] for a, b in zip(blocks, blocks[1:]))
+            retained = table.valid[:table.n].sum(axis=1)
+            for start, end, width in blocks:  # each block as narrow as its widest row
+                assert retained[start:end].max() == width
+            assert len(blocks) >= 3
+            assert any(retained[start:end].min() < width for start, end, width in blocks)
+            self.assert_matches_oracle(table, self.points(rng, lower, upper, 3), rng)
+
+    def test_steps_of_one_width_merge_into_one_block(self, h22_instance):
+        table = hull.HullTable(4, 3)
+        for pos in range(3):
+            add_instance(table, pos, h22_instance)
+        assert table.blocks == [[0, 3, 2]] and table.width_below(3) == 2
+        table.add([3], [0, 1, 2], [1.0, 1.0, 1.0], [-1.5], np.zeros(3), np.ones(3))
+        assert table.blocks == [[0, 3, 2], [3, 4, 3]]
+        assert [table.width_below(k) for k in range(5)] == [0, 2, 2, 2, 3]
+
+    def test_skip_network_level_of_two_runs(self):
+        # level 1 is h3 (reads both inputs) and, after level 2's h4, h5
+        # (reads x2 only, x1 folded): three blocks of widths 2, 3 and 1
+        net = make_skip_network()
+        box = BoxDomain(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+        st = compute_all_bounds(net, box, "fastc2v")
+        table = st.table
+        assert table.pos[:table.n].tolist() == [2, 3, 4]
+        assert table.blocks == [[0, 1, 2], [1, 2, 3], [2, 3, 1]]
+        rng = np.random.default_rng(42)
+        self.assert_matches_oracle(table, self.points(rng, st.post_lower, st.post_upper, 4), rng)
 
 
 class TestOneStepCuts:

@@ -12,8 +12,9 @@ from conftest import (interval_state, make_interleaved_network, make_row_case_ne
                       make_skip_network)
 from oracles import (backward_pass_by_neuron, cut_from_pair, expr_from_row,
                      forward_pass_by_neuron, function_row, make_hull_instance,
-                     minimize_upper_envelope_sort, neuron_row, separate_sort, separation_cut,
-                     table_instances, tightened_bound_by_neuron, with_upper)
+                     minimize_upper_envelope_sort, neuron_row, row_bounds_tightening_every_row,
+                     separate_sort, separation_cut, table_instances, tightened_bound_by_neuron,
+                     with_upper)
 
 
 def menu_funcs(net, box, st, method="deeppoly"):
@@ -661,22 +662,91 @@ class TestFullSweep:
                 assert np.isin(cut.idx, neuron_row(net, pos)[0]).all(), method
 
     def test_swap_groups_stay_within_the_block(self, monkeypatch):
-        # every separation block of a fastc2v verify (objectives x rows x
-        # table width) fits in TIGHTEN_BLOCK, unless it holds one objective
+        # the entries each separation of a fastc2v verify sorts (objectives
+        # x rows x their block's width, summed over the blocks below the
+        # reach) fit in TIGHTEN_BLOCK, unless it holds one objective
         net = generate_random_network([10, 30, 30, 30, 10], seed=1, weight_scale=0.5)
-        blocks = []
+        calls = []
         real = hull.HullTable.separate
 
         def recording(table, z, y, tol=0.0):
-            blocks.append(np.shape(y) + (table.w.shape[1],))
+            (q, k), blocks = np.shape(y), table.blocks
+            calls.append((q, q * sum((min(end, k) - start) * width
+                                     for start, end, width in blocks if start < k)))
             return real(table, z, y, tol)
 
         monkeypatch.setattr(hull.HullTable, "separate", recording)
         for inst in generate_instances(net, 2, 0.1, seed=1001):
             verify(net, inst, method="fastc2v", attack=False)
-        assert blocks and all(len(b) == 3 for b in blocks)
-        assert all(q * k * w <= propagation.TIGHTEN_BLOCK or q == 1 for q, k, w in blocks)
-        assert max(q for q, _, _ in blocks) > 1
+        assert calls
+        assert all(entries <= propagation.TIGHTEN_BLOCK or q == 1 for q, entries in calls)
+        assert max(q for q, _ in calls) > 1
+
+    @staticmethod
+    def dead_row_case():
+        net = generate_random_network([10, 30, 30, 30, 10], seed=1, weight_scale=0.5)
+        return net, generate_instances(net, 4, 0.1, seed=1001)
+
+    def test_rows_the_baseline_proves_dead_are_not_tightened(self, monkeypatch):
+        # fastc2v passes no ReLU row whose deeppoly pre_upper is <= 0 to its
+        # tightened pass, either sign; the baseline's own pass (0
+        # iterations) still bounds every row
+        net, insts = self.dead_row_case()
+        calls = []
+        real = propagation.tightened_bound
+
+        def recording(funcs, objective, iterations, table=None):
+            if iterations:
+                c = np.zeros((len(objective), net.n_state))
+                c[:, :objective.eta] = objective.coeffs
+                calls.append((c, objective.constant))
+            return real(funcs, objective, iterations, table)
+
+        monkeypatch.setattr(propagation, "tightened_bound", recording)
+        dead = live = 0
+        for inst in insts:
+            calls.clear()
+            st = compute_all_bounds(net, build_input_box(inst), "fastc2v")
+            passed = {(tuple(c), k) for cs, ks in calls for c, k in zip(cs.tolist(), ks.tolist())}
+            for start, stop in net.runs:
+                rows = Objectives.rows(net, start, stop)
+                c = np.zeros((len(rows), net.n_state))
+                c[:, :rows.eta] = rows.coeffs
+                alive = np.tile(st.baseline.pre_upper[start:stop] > 0.0, 2)
+                for j in range(len(rows)):
+                    assert ((tuple(c[j].tolist()), rows.constant[j]) in passed) == alive[j]
+                dead += int((~alive).sum())
+                live += int(alive.sum())
+        assert dead and live
+
+    def test_skipping_dead_rows_keeps_the_bounds(self, monkeypatch):
+        # against a sweep that tightens every row: margins within 1e-12,
+        # and fastc2v never above deeppoly on a margin or a pre_upper
+        net, insts = self.dead_row_case()
+        for inst in insts:
+            box = build_input_box(inst)
+            st = compute_all_bounds(net, box, "fastc2v")
+            deep = compute_all_bounds(net, box, "deeppoly")
+            margins = Objectives.of(*(margin_objective(net, k, inst.label)
+                                      for k in range(net.n_outputs) if k != inst.label))
+            got = st.bound_objectives(margins)
+            with monkeypatch.context() as mp:
+                mp.setattr(propagation.Bounds, "row_bounds", row_bounds_tightening_every_row)
+                want = compute_all_bounds(net, box, "fastc2v").bound_objectives(margins)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+            assert np.all(got <= deep.bound_objectives(margins))
+            assert np.all(st.pre_upper <= deep.pre_upper)
+            # a dead row's lower bound is the baseline's, cut by the interval bound
+            dead = 0
+            for start, stop in net.runs:
+                r = stop - start
+                interval = st.interval_objective_bound(Objectives.rows(net, start, stop))
+                at = deep.pre_upper[start:stop] <= 0.0
+                want_lo = np.maximum(-interval[r:], deep.pre_lower[start:stop])
+                assert np.array_equal(st.pre_lower[start:stop][at],
+                                      np.minimum(want_lo, st.pre_upper[start:stop])[at])
+                dead += int(at.sum())
+            assert dead
 
     def test_row_bound_separates_only_neurons_it_reaches(self, monkeypatch):
         # a level-2 row reads level-1 neurons only; no level-2 neuron below
