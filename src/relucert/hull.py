@@ -111,19 +111,18 @@ class HullTable:
         sorts at most ``k`` times this many entries against them."""
         return max((width for start, _, width in self.blocks if start < k), default=0)
 
-    def envelopes(self, z, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Least upper hull inequality of the first ``k`` rows at ``z``.
+    def _envelopes(self, z, k):
+        """Least upper hull inequality of the first ``k`` rows at each point
+        of a ``(q, n)`` stack, block by block: the ``(q, k)`` envelope values
+        and anchors, and per block below ``k`` its rows and the ``(q, rows,
+        width)`` index-set masks at its width.
 
-        ``z`` is one point, or a stack of points along its leading axes;
-        the results carry the same leading axes.  The sorting greedy, row by
-        row in one step per block: sort each row's coordinates by their
-        ratios ``(z - min_corner) / span`` rounded to ``RATIO_GRID``,
-        nondecreasing, ties by position; grow the index set while the corner
-        value stays nonnegative, and anchor at the coordinate that first
-        drives it negative.  Returns the envelope values, a mask of each
-        row's index set over the table's columns and the anchors, without
-        building cuts.  O(n log n) per row, over the width of the row's
-        block, not the table's.
+        The sorting greedy, row by row in one step per block: sort each
+        row's coordinates by their ratios ``(z - min_corner) / span``
+        rounded to ``RATIO_GRID``, nondecreasing, ties by position; grow the
+        index set while the corner value stays nonnegative, and anchor at
+        the coordinate that first drives it negative.  O(n log n) per row,
+        over the width of the row's block, not the table's.
 
         Relaxation optima sit at box corners, so many ratios tie at 0 or 1;
         unrounded, the last bit of a box bound would pick the order among
@@ -134,16 +133,6 @@ class HullTable:
         row's value depends neither on the table or block it sits in nor on
         the other points.
         """
-        z = np.asarray(z, dtype=float)
-        lead = z.shape[:-1] + (k,)
-        value, h, blocks = self._envelopes(z.reshape(-1, z.shape[-1]), k)
-        low = self._widen(blocks, *(a.ravel() for a in np.indices(value.shape)))
-        return value.reshape(lead), low.reshape(lead + (self.w.shape[1],)), h.reshape(lead)
-
-    def _envelopes(self, z, k):
-        """:meth:`envelopes` of a ``(q, n)`` stack of points, block by block:
-        the ``(q, k)`` values and anchors, and per block below ``k`` its
-        rows and the ``(q, rows, width)`` index-set masks at its width."""
         q = z.shape[0]
         value, h, blocks = np.empty((q, k)), np.empty((q, k), dtype=np.intp), []
         for start, end, width in self.blocks:
@@ -170,10 +159,10 @@ class HullTable:
             blocks.append((rows, low))
         return value, h, blocks
 
-    def _widen(self, blocks, point, row) -> np.ndarray:
+    def _widen(self, blocks, point, row, width) -> np.ndarray:
         """The index-set masks of the pairs ``(point[e], row[e])`` over the
-        table's columns, from :meth:`_envelopes`' blocks."""
-        low = np.zeros((point.size, self.w.shape[1]), dtype=bool)
+        first ``width`` columns, from :meth:`_envelopes`' blocks."""
+        low = np.zeros((point.size, width), dtype=bool)
         for rows, mask in blocks:
             at = (row >= rows.start) & (row < rows.stop)
             low[at, :mask.shape[-1]] = mask[point[at], row[at] - rows.start]
@@ -183,8 +172,10 @@ class HullTable:
         """Expand the pairs ``(low[e], h[e])`` of rows ``rows[e]`` into
         explicit upper inequalities, all in one step.
 
-        Pair ``e`` gives ``y <= coeffs[e] . z[support[rows[e]]] + constant[e]``
-        over the row's columns, zero outside the pair: ``w_i`` on each
+        The masks ``low`` cover the first columns of the table, at least
+        every retained one of the rows.  Pair ``e`` gives ``y <= coeffs[e] .
+        z[support[rows[e], :width]] + constant[e]`` over those columns, zero
+        outside the pair: ``w_i`` on each
         coordinate ``i`` of the index set ``I`` and ``ell / span_h`` on the
         anchor ``h``, where ``ell = val_max - sum_{i in I} cap_i`` is the
         pre-activation at the corner taking ``min_corner`` on ``I`` and the
@@ -195,14 +186,14 @@ class HullTable:
         rows, low, h = np.asarray(rows, dtype=np.intp), np.asarray(low, dtype=bool), np.asarray(h)
         if not rows.size:
             return np.zeros(low.shape), np.zeros(0)
-        e = np.arange(rows.size)
-        valid = self.valid[rows]
+        e, cols = np.arange(rows.size), slice(0, low.shape[1])
+        valid = self.valid[rows, cols]
         bad = ~valid[e, h] | low[e, h] | (low & ~valid).any(axis=1)
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(f"anchor {h[i]} invalid for index set "
                              f"{tuple(np.flatnonzero(low[i]).tolist())}")
-        total = np.cumsum(np.where(low, self.cap[rows], 0.0), axis=1)[:, -1]
+        total = np.cumsum(np.where(low, self.cap[rows, cols], 0.0), axis=1)[:, -1]
         ell = self.val_max[rows] - total
         ell_h = ell - self.cap[rows, h]
         bad = ~((ell >= 0.0) & (ell_h < 0.0))
@@ -210,7 +201,7 @@ class HullTable:
             i = int(np.argmax(bad))
             raise ValueError(f"pair ({tuple(np.flatnonzero(low[i]).tolist())}, {h[i]}) is not "
                              f"in the cut family: values {ell[i]}, {ell_h[i]}")
-        w, min_corner = np.where(low, self.w[rows], 0.0), self.min_corner[rows]
+        w, min_corner = np.where(low, self.w[rows, cols], 0.0), self.min_corner[rows, cols]
         slope = ell / self.span[rows, h]
         constant = -np.cumsum(w * min_corner, axis=1)[:, -1] - slope * min_corner[e, h]
         w[e, h] = slope
@@ -222,18 +213,21 @@ class HullTable:
         ``tol``, each with its most violated upper inequality.
 
         ``z`` is a ``(q, n)`` stack of points and ``y`` a ``(q, k)`` array,
-        or one point and its ``k`` values.  One :meth:`envelopes` step sorts
-        every block of rows below ``k`` at its own width; the index sets of
-        the violated pairs alone are widened to the table's columns, and one
-        :meth:`cuts` step builds their cuts, and only theirs.  Pairs come
-        point by point, rows ascending.
+        or one point and its ``k`` values.  One :meth:`_envelopes` step
+        sorts every block of rows below ``k`` at its own width; the index
+        sets of the violated pairs alone are widened, to the widest block
+        width below ``k`` (:meth:`width_below`), and one :meth:`cuts` step
+        builds their cuts at that width, and only theirs.  Pairs come point
+        by point, rows ascending.  An infinite ``y`` returns every pair's
+        envelope, index set and anchor.
         """
         z = np.atleast_2d(np.asarray(z, dtype=float))
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        envelope, h, blocks = self._envelopes(z, y.shape[1])
+        k = y.shape[1]
+        envelope, h, blocks = self._envelopes(z, k)
         violation = y - envelope
         point, row = np.nonzero(violation > tol)
-        low = self._widen(blocks, point, row)
+        low = self._widen(blocks, point, row, self.width_below(k))
         h, envelope, violation = h[point, row], envelope[point, row], violation[point, row]
         coeffs, constant = self.cuts(row, low, h)
         return Separations(point, row, low, h, coeffs, constant, envelope, violation)
@@ -244,9 +238,10 @@ class Separations:
     """The violated (point, row) pairs of one :meth:`HullTable.separate`.
 
     Pair ``e`` is row ``row[e]`` of the table at point ``point[e]``; its
-    index set is the mask ``low[e]`` over the row's columns and ``anchor[e]``
-    its anchor.  Its cut is ``coeffs[e] . z[support[row[e]]] + constant[e]``
-    over the row's columns, zero outside the pair.
+    index set is the mask ``low[e]`` over the first columns of the table,
+    as many as the widest block separated, and ``anchor[e]`` its anchor.
+    Its cut is ``coeffs[e] . z[support[row[e], :width]] + constant[e]`` over
+    those columns, zero outside the pair.
     """
 
     point: np.ndarray

@@ -53,7 +53,8 @@ SWAP_VIOLATION_TOL = 1e-9
 
 # Hull swapping runs over groups of objectives whose separation blocks
 # (objectives x reachable table rows x the widest block width below them)
-# have at most this many entries; it bounds the temporaries of a group.
+# have at most this many entries; it bounds the temporaries, the widened
+# index sets and the stored swaps of a group, all kept at that width.
 TIGHTEN_BLOCK = 1 << 14
 
 # the bounding-function menu each propagation method draws its functions from
@@ -222,8 +223,10 @@ class Swaps:
 
     Entry ``e`` gives objective ``obj[e]`` the neuron of row ``row[e]`` of
     ``table`` the upper function ``coeffs[e] . z[table.support[row[e]]] +
-    constant[e]`` instead of its shared one.  Kept apart from the shared
-    functions, they take memory per swap, not per objective.
+    constant[e]`` instead of its shared one, ``coeffs`` covering the first
+    columns of the table (as many as the widest cut swapped in).  Kept
+    apart from the shared functions, they take memory per swap, not per
+    objective.
     """
 
     table: hull.HullTable
@@ -234,8 +237,8 @@ class Swaps:
 
     @classmethod
     def none(cls, table: hull.HullTable) -> "Swaps":
-        return cls(table, np.empty(0, np.intp), np.empty(0, np.intp),
-                   np.empty((0, table.w.shape[1])), np.empty(0))
+        return cls(table, np.empty(0, np.intp), np.empty(0, np.intp), np.empty((0, 0)),
+                   np.empty(0))
 
     def updated(self, found: hull.Separations) -> "Swaps":
         """These swaps with ``found``'s cuts swapped in, each for the
@@ -244,9 +247,11 @@ class Swaps:
                           self.table.n), dtype=bool)
         stale[found.point, found.row] = True
         keep = ~stale[self.obj, self.row]
+        width = max(self.coeffs.shape[1], found.coeffs.shape[1])
+        coeffs = [np.pad(a, ((0, 0), (0, width - a.shape[1]))) for a in (self.coeffs[keep],
+                                                                        found.coeffs)]
         return Swaps(self.table, np.concatenate([self.obj[keep], found.point]),
-                     np.concatenate([self.row[keep], found.row]),
-                     np.concatenate([self.coeffs[keep], found.coeffs]),
+                     np.concatenate([self.row[keep], found.row]), np.concatenate(coeffs),
                      np.concatenate([self.constant[keep], found.constant]))
 
     def select(self, which: np.ndarray) -> "Swaps":
@@ -267,7 +272,7 @@ class Swaps:
         if not at.any():
             return None
         return (self.obj[at], net.level_row[pos[at]], self.coeffs[at], self.constant[at],
-                self.table.support[self.row[at]])
+                self.table.support[self.row[at], :self.coeffs.shape[1]])
 
 
 def backward_pass(funcs: BoundingFunctions, objective: Objectives,
@@ -478,13 +483,10 @@ class Bounds:
         rows = Objectives.rows(self.net, start, stop)
         upper = self.interval_objective_bound(rows)
         if self.method in _MENUS:
-            live = np.ones(2 * r, dtype=bool)
+            live = np.arange(2 * r)
             if self.baseline is not None and start < self.net.n_state:
-                live = np.tile(self.baseline.pre_upper[start:stop] > 0.0, 2)
-            if live.all():
-                upper = np.minimum(upper, tightened_bound(self.funcs, rows, self.iterations,
-                                                          self.table))
-            elif live.any():
+                live = np.flatnonzero(np.tile(self.baseline.pre_upper[start:stop] > 0.0, 2))
+            if live.size:
                 upper[live] = np.minimum(upper[live], tightened_bound(
                     self.funcs, rows.select(live), self.iterations, self.table))
         elif self.method != INTERVAL:

@@ -202,8 +202,9 @@ def _lockstep_cut_loop(bounds: Bounds, dl: DeltaLp, objective: Objectives, reach
 def _cut_rows(table: HullTable, found: Separations, reach: int) -> np.ndarray:
     """The cuts of ``found`` as dense rows over the positions below
     ``reach``: pair ``e``, of table row ``i = found.row[e]``, gives the row
-    ``z[table.pos[i]] - found.coeffs[e] . z[table.support[i]]``, to be kept
-    at or below ``found.constant[e]``."""
+    ``z[table.pos[i]] - found.coeffs[e] . z[table.support[i, :width]]``
+    over the columns ``found`` separated, to be kept at or below
+    ``found.constant[e]``."""
     e, col = np.nonzero(found.low)
     e, col = np.concatenate([e, np.arange(len(found))]), np.concatenate([col, found.anchor])
     rows = np.zeros((len(found), reach))

@@ -2,9 +2,9 @@
 
 None of these run on the package's bound paths: a cold solve of one LP
 model, one neuron's hull instance, its corner values, cuts and one-row
-separation calls, the sorting greedy of one table row coordinate by
-coordinate, brute-force enumeration of the hull's cut family and of
-its least value at a point, the weighted-median separator (the paper's
+separation calls, every envelope of a table read off one separation, the
+sorting greedy of one table row coordinate by coordinate, brute-force
+enumeration of the hull's cut family and of its least value at a point, the weighted-median separator (the paper's
 linear-time variant of the sorting greedy), the univariate chord bound, the
 lifted-formulation envelope LP, the exact maximum over activation patterns,
 the per-neuron network evaluation read from the declared rows, and the
@@ -193,6 +193,20 @@ def one_row_table(inst: HullInstance) -> HullTable:
     return table
 
 
+def table_envelopes(table: HullTable, z, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least upper hull inequality of the first ``k`` rows of ``table`` at
+    ``z`` (one point, or a stack of points along its leading axes), read off
+    one :meth:`relucert.hull.HullTable.separate` call that every pair
+    violates: the envelope values, the index-set masks and the anchors,
+    with the leading axes of ``z``."""
+    z = np.asarray(z, dtype=float)
+    lead = z.shape[:-1] + (k,)
+    flat = z.reshape(-1, z.shape[-1])
+    found = table.separate(flat, np.full((flat.shape[0], k), np.inf))
+    return (found.envelope.reshape(lead), found.low.reshape(lead + found.low.shape[-1:]),
+            found.anchor.reshape(lead))
+
+
 def separation_cut(table: HullTable, found, e: int) -> HullCut:
     """Pair ``e`` of the table's :class:`relucert.hull.Separations` as the
     cut over the positions it names."""
@@ -200,15 +214,15 @@ def separation_cut(table: HullTable, found, e: int) -> HullCut:
     keep = low.copy()
     keep[anchor] = True
     return HullCut(index_set=tuple(np.flatnonzero(low).tolist()), anchor=anchor,
-                   idx=table.support[found.row[e], keep], coeffs=found.coeffs[e, keep],
+                   idx=table.support[found.row[e], :keep.size][keep], coeffs=found.coeffs[e, keep],
                    constant=float(found.constant[e]))
 
 
 def minimize_upper_envelope_sort(inst: HullInstance, x) -> tuple[float, np.ndarray, int]:
     """Least upper hull inequality at ``x``, one row of
-    :meth:`relucert.hull.HullTable.envelopes`: its value, its index set as
-    ascending retained positions and its anchor."""
-    value, low, h = one_row_table(inst).envelopes(x, 1)
+    :func:`table_envelopes`: its value, its index set as ascending
+    retained positions and its anchor."""
+    value, low, h = table_envelopes(one_row_table(inst), x, 1)
     return float(value[0]), np.flatnonzero(low[0]), int(h[0])
 
 
@@ -228,7 +242,7 @@ def sorting_greedy_row(table: HullTable, i: int, x) -> tuple[float, tuple[int, .
     ``x``, one coordinate at a time: its envelope value, its index set as
     ascending columns and its anchor.
 
-    It runs the arithmetic of :meth:`relucert.hull.HullTable.envelopes` in
+    It runs the arithmetic of :meth:`relucert.hull.HullTable.separate` in
     the same order (ratios rounded to ``RATIO_GRID``, a stable sort, sums
     left to right over the row's retained columns), so the two agree bit
     for bit whatever block, width or prefix the row is separated in.

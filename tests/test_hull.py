@@ -12,7 +12,8 @@ from oracles import (ALWAYS_ACTIVE, ALWAYS_INACTIVE, MIXED, add_instance, classi
                      corner_value, cut_from_pair, delta_upper_value, enumerate_cut_pairs,
                      envelope_min_by_enumeration, make_hull_instance,
                      minimize_upper_envelope_median, minimize_upper_envelope_sort, relu_value,
-                     separate_median, separate_sort, separation_cut, sorting_greedy_row)
+                     separate_median, separate_sort, separation_cut, sorting_greedy_row,
+                     table_envelopes)
 
 
 def upper_count_bound(d):
@@ -342,7 +343,7 @@ class TestHullTable:
         reference = np.array([minimize_upper_envelope_median(inst, xg)[0]
                               for inst, xg, _ in rows])
         y = reference + rng.uniform(-0.3, 0.3, len(rows))
-        env, low, h = table.envelopes(z, len(rows))
+        env, low, h = table_envelopes(table, z, len(rows))
         assert np.allclose(env, reference, rtol=0.0, atol=1e-12)
         separated = table.separate(z, y)
         found = {int(i): e for e, i in enumerate(separated.row)}
@@ -433,9 +434,9 @@ class TestBlockWidths:
         value = np.array([[v for v, _, _ in row] for row in want])
         y = value + rng.choice([-1.0, 1.0], value.shape) * rng.uniform(0.0, 0.5, value.shape)
         for k in range(table.n + 1):
-            env, low, h = table.envelopes(z, k)
+            env, low, h = table_envelopes(table, z, k)
             assert env.shape == h.shape == (len(z), k)
-            assert low.shape == (len(z), k, table.w.shape[1])
+            assert low.shape == (len(z), k, table.width_below(k))
             found = table.separate(z, y[:, :k])
             violated = [(p, i) for p in range(len(z)) for i in range(k) if y[p, i] > value[p, i]]
             assert list(zip(found.point.tolist(), found.row.tolist())) == violated
@@ -525,7 +526,7 @@ class TestOneStepCuts:
                         else rng.uniform(0.0, 1.0, inst.size)
                     z[p, inst.support + off] = \
                         inst.min_corner + r * (inst.max_corner - inst.min_corner)
-            envelope, _, _ = table.envelopes(z, table.n)
+            envelope, _, _ = table_envelopes(table, z, table.n)
             found = table.separate(z, envelope + rng.uniform(1e-3, 1.0, envelope.shape))
             assert len(found) == z.shape[0] * table.n
             sizes.extend(found.low.sum(axis=1).tolist())

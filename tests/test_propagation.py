@@ -13,8 +13,8 @@ from conftest import (interval_state, make_interleaved_network, make_row_case_ne
 from oracles import (backward_pass_by_neuron, cut_from_pair, expr_from_row,
                      forward_pass_by_neuron, function_row, make_hull_instance,
                      minimize_upper_envelope_sort, neuron_row, row_bounds_tightening_every_row,
-                     separate_sort, separation_cut, table_instances, tightened_bound_by_neuron,
-                     with_upper)
+                     separate_sort, separation_cut, table_envelopes, table_instances,
+                     tightened_bound_by_neuron, with_upper)
 
 
 def menu_funcs(net, box, st, method="deeppoly"):
@@ -244,7 +244,7 @@ class TestGoldenChain:
         res = backward_pass(funcs, obj)
         z = forward_pass(funcs, res.x_star, res.ub_used, 6)
         row = st.table.rows_below(5)  # h22's row of the hull table
-        _, low, h = st.table.envelopes(z[0], row + 1)
+        _, low, h = table_envelopes(st.table, z[0], row + 1)
         coeffs, constant = st.table.cuts([row], low[row:], h[row:])
         swaps = Swaps(st.table, np.array([0]), np.array([row]), coeffs, constant)
         res2 = backward_pass(funcs, obj, swaps)
@@ -664,23 +664,33 @@ class TestFullSweep:
     def test_swap_groups_stay_within_the_block(self, monkeypatch):
         # the entries each separation of a fastc2v verify sorts (objectives
         # x rows x their block's width, summed over the blocks below the
-        # reach) fit in TIGHTEN_BLOCK, unless it holds one objective
+        # reach), the index sets and cuts it returns, and the swaps a group
+        # stores fit in TIGHTEN_BLOCK, unless they are one objective's
         net = generate_random_network([10, 30, 30, 30, 10], seed=1, weight_scale=0.5)
-        calls = []
-        real = hull.HullTable.separate
+        calls, stored = [], []
+        real, real_updated = hull.HullTable.separate, propagation.Swaps.updated
 
         def recording(table, z, y, tol=0.0):
             (q, k), blocks = np.shape(y), table.blocks
+            found = real(table, z, y, tol)
             calls.append((q, q * sum((min(end, k) - start) * width
-                                     for start, end, width in blocks if start < k)))
-            return real(table, z, y, tol)
+                                     for start, end, width in blocks if start < k),
+                          found.low.size, found.coeffs.size))
+            return found
+
+        def recording_updated(swaps, found):
+            new = real_updated(swaps, found)
+            stored.append((np.unique(new.obj).size, new.coeffs.size))
+            return new
 
         monkeypatch.setattr(hull.HullTable, "separate", recording)
+        monkeypatch.setattr(propagation.Swaps, "updated", recording_updated)
         for inst in generate_instances(net, 2, 0.1, seed=1001):
             verify(net, inst, method="fastc2v", attack=False)
-        assert calls
-        assert all(entries <= propagation.TIGHTEN_BLOCK or q == 1 for q, entries in calls)
-        assert max(q for q, _ in calls) > 1
+        assert calls and stored
+        assert all(max(sizes) <= propagation.TIGHTEN_BLOCK or q == 1 for q, *sizes in calls)
+        assert all(size <= propagation.TIGHTEN_BLOCK or q == 1 for q, size in stored)
+        assert max(q for q, *_ in calls) > 1 and max(q for q, _ in stored) > 1
 
     @staticmethod
     def dead_row_case():
