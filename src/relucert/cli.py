@@ -10,7 +10,7 @@ from . import verifier
 from .network import (NetworkParseError, generate_random_network, load_network,
                       save_network)
 from .propagation import DEFAULT_CUT_ROUNDS
-from .relaxation import build_delta_lp
+from .relaxation import LpBoundError, build_delta_lp
 from .simplex import write_lp_format
 from .verifier import (METHODS, RobustnessInstance, batch_verify,
                        format_report_line, generate_instances, load_instances,
@@ -50,14 +50,19 @@ def _dump_margin_lps(net, instances, args):
         if not isinstance(inst, RobustnessInstance) or verifier.instance_error(net, inst):
             continue
         box = verifier.build_input_box(inst)
-        state = verifier.compute_all_bounds(net, box, args.method,
-                                            cut_rounds=args.cut_rounds)
-        for k in range(net.n_outputs):
-            if k == inst.label:
-                continue
-            obj = margin_objective(net, k, inst.label)
-            dl = build_delta_lp(state, int(obj.reach[0]))
-            dl.set_objective(obj.coeffs[0], obj.constant[0])
+        try:
+            state = verifier.compute_all_bounds(net, box, args.method,
+                                                cut_rounds=args.cut_rounds)
+            models = {}
+            for k in range(net.n_outputs):
+                if k != inst.label:
+                    obj = margin_objective(net, k, inst.label)
+                    models[k] = build_delta_lp(state, int(obj.reach[0]))
+                    models[k].set_objective(obj.coeffs[0], obj.constant[0])
+        except (LpBoundError, ArithmeticError) as exc:  # verify falls back for these
+            print(f"instance={i} no LP dump: {type(exc).__name__}: {exc}", file=sys.stderr)
+            continue
+        for k, dl in models.items():
             write_lp_format(dl.model, os.path.join(args.dump_lp, f"inst{i}_class{k}.lp"))
 
 

@@ -1,16 +1,20 @@
 """LP relaxations of ReLU networks and the cutting-plane bound loop.
 
 The base model relaxes every mixed ReLU neuron with the three-inequality
-chord relaxation of its pre-activation interval (pre-activation variables
-are substituted out, so the model has one variable per input or ReLU
-neuron); always-active neurons become equality rows, and always-inactive
-ones are pinned to 0 by their variable's box alone.  A model spans only the
-positions below its objective's reach, since no later neuron can move the
-objective.  All the objectives of one reach (the rows of a level, both
-signs, or the margins) share one model, kept in the sweep's
-:class:`relucert.propagation.Bounds` with the solved tableau of the first
-objective bounded over it, from which every later one starts.  The
-cutting-plane loop then separates the single-neuron hull inequalities at
+chord relaxation of its pre-activation interval.  It is presolved: its
+variables are the inputs and the mixed neurons only.  Pre-activations are
+substituted out, and so are the exact neurons: an always-inactive one is 0
+and an always-active one its row, composed level by level over the
+variables, with its interval kept as one ranged row.  The model's map
+writes every position as an affine function of the variables, and
+objectives, optima and cuts, which live over positions, go through it
+(presolve as in Andersen & Andersen, "Presolving in linear programming",
+1995).  A model spans only the positions below its objective's reach, since
+no later neuron can move the objective.  All the objectives of one reach
+(the rows of a level, both signs, or the margins) share one model, kept in
+the sweep's :class:`relucert.propagation.Bounds` with the solved tableau of
+the first objective bounded over it, from which every later one starts.
+The cutting-plane loop then separates the single-neuron hull inequalities at
 each optimum, adds every sufficiently violated one for that objective
 alone, and re-solves warm: the solved tableau is bordered with the new rows.
 
@@ -33,7 +37,7 @@ import numpy as np
 
 from .hull import HullTable, Separations
 from .propagation import DEFAULT_CUT_ROUNDS, Bounds, Objectives
-from .simplex import EQ, GE, LE, Lockstep, LpBatchSolution, LpModel, LpStatus
+from .simplex import Lockstep, LpBatchSolution, LpModel, LpStatus
 
 # A hull inequality enters the model only when violated by more than this.
 CUT_VIOLATION_TOL = 1e-5
@@ -58,57 +62,110 @@ class LpBoundError(RuntimeError):
 
 @dataclass(eq=False)
 class DeltaLp:
-    """A built relaxation model; variable j is neuron position j.
+    """A built relaxation model over the inputs and the mixed neurons below
+    its reach, in position order, and the affine map that writes every
+    position below the reach in the model's variables: ``z = x @ lin.T +
+    const`` for a variable vector ``x``.
 
     ``start`` is the solved stack of one of the first objective bounded over
     it, taken before its first cut; every later objective starts from it.
     """
 
     model: LpModel
+    lin: np.ndarray  # (reach, n_vars)
+    const: np.ndarray  # (reach,)
     start: Lockstep | None = None
 
+    def objectives(self, coeffs, constant) -> tuple[np.ndarray, np.ndarray]:
+        """The objectives ``coeffs . z + constant`` over positions, a batch
+        along axis 0, as ``(coeffs, constant)`` over the variables; no
+        coefficient may lie past the reach."""
+        reach, coeffs = self.lin.shape[0], np.atleast_2d(coeffs)
+        if np.any(coeffs[:, reach:]):
+            raise ValueError(f"objective reaches past the model's {reach} positions")
+        return coeffs[:, :reach] @ self.lin, constant + coeffs[:, :reach] @ self.const
+
     def set_objective(self, coeffs, constant):
-        """Maximize ``coeffs . z + constant``; no coefficient may lie past
-        the model's variables."""
-        n, coeffs = self.model.n_vars, np.asarray(coeffs)
-        if np.any(coeffs[n:]):
-            raise ValueError(f"objective reaches past the model's {n} variables")
-        self.model.obj = coeffs[:n].tolist()
-        self.model.obj_constant = constant
+        """Maximize ``coeffs . z + constant``, over positions."""
+        c, k = self.objectives(coeffs, constant)
+        self.model.obj, self.model.obj_constant = c[0].tolist(), float(k[0])
+
+    def points(self, x) -> np.ndarray:
+        """The positions below the reach at each variable vector of ``x``."""
+        return x @ self.lin.T + self.const
+
+    def rows(self, coeffs, rhs) -> tuple[np.ndarray, np.ndarray]:
+        """The rows ``coeffs . z <= rhs`` over positions as rows over the
+        variables."""
+        return coeffs @ self.lin, rhs - coeffs @ self.const
 
 
 def build_delta_lp(bounds: Bounds, reach: int) -> DeltaLp:
     """Relaxation LP over the positions below ``reach``, with no objective.
 
-    Every variable gets its post-activation box from ``bounds``: the input
-    box, or a ReLU neuron's clamped scalar bounds.  Mixed neurons contribute
-    ``z >= zhat`` and the chord upper inequality (nonnegativity rides on the
-    variable bound); an always-active neuron contributes one equality
-    pinning it to its row, and an always-inactive one none, its box being
-    [0, 0].  A row reads the nonzero weights of the neuron's level row, in
-    source order.  Neurons from the reach on cannot move an objective of
-    that reach, so they are left out.
+    Only the inputs and the mixed neurons are variables, each with its
+    post-activation box from ``bounds``: the input box, or ``[0, hi]``.  The
+    other neurons are exact and leave the model.  Level by level, one
+    product of the level's weights with the map of its sources, ``W @
+    lin[src]``, writes each row's pre-activation ``pre`` over the variables;
+    an always-inactive neuron maps to 0 and an always-active one to its
+    ``pre``.  A mixed neuron ``v`` contributes ``z_v >= pre`` and the
+    chord ``z_v <= s (pre - lo)``, ``s = hi / (hi - lo)`` (nonnegativity rides
+    on its box); an always-active one its box, as the ranged row ``lo <= pre
+    <= hi``.  Rows go in position order.  Neurons from the reach on cannot
+    move an objective of that reach, so they are left out.  Raises
+    ``ArithmeticError`` when a scalar bound is NaN, or a box, the map or a
+    row is not finite.
     """
     net = bounds.net
     if reach > net.n_state:
         raise ValueError("objective must live over inputs and ReLU neurons only")
+    # NaN until the sweep bounds a neuron, or where an overflow made one
     if np.isnan(bounds.pre_lower[:reach]).any():
-        raise ValueError("scalar bounds missing for neurons below the objective")
+        raise ArithmeticError("scalar bounds below the objective are not numbers")
+    m = min(net.input_dim, reach)
+    lo, hi = bounds.pre_lower[:reach], bounds.pre_upper[:reach]
+    state = np.arange(reach) >= m
+    mixed, active = state & (lo < 0.0) & (hi > 0.0), state & (lo >= 0.0)
+    keep = np.flatnonzero(~state | mixed)
+    n = keep.size
+    # the map, over every position a level may read; rows of positions past
+    # the reach stay zero, and so do the weights of rows below it on them
+    lin, const = np.zeros((net.n_state, n)), np.zeros(net.n_state)
+    lin[keep, np.arange(n)] = 1.0
+    # each neuron's rows start at first[pos]: two when mixed, one when active
+    count = 2 * mixed + active
+    first = np.cumsum(count) - count
+    A = np.zeros((int(count.sum()), n))
+    row_lo, row_hi = np.full(len(A), -np.inf), np.full(len(A), np.inf)
+    for level in net.levels:
+        if level.pos[0] >= reach:
+            break
+        rows = np.flatnonzero(level.pos < reach)
+        pos, w = level.pos[rows], level.weights[rows]
+        pre, p = w @ lin[level.src], w @ const[level.src] + level.bias[rows]
+        on = active[pos]  # the map takes the row; one ranged row keeps its box
+        v, at = pos[on], first[pos[on]]
+        lin[v], const[v] = pre[on], p[on]
+        A[at], row_lo[at], row_hi[at] = pre[on], lo[v] - p[on], hi[v] - p[on]
+        mix = mixed[pos]  # z_v >= pre, then the chord
+        v, at, pre, p = pos[mix], first[pos[mix]], pre[mix], p[mix]
+        s = hi[v] / (hi[v] - lo[v])
+        A[at], row_lo[at] = -pre, p
+        A[at + 1], row_hi[at + 1] = -s[:, None] * pre, s * (p - lo[v])
+        own = np.searchsorted(keep, v)  # z_v's column; pre does not read it
+        A[at, own] = A[at + 1, own] = 1.0
+    box_lo, box_hi = bounds.post_lower[keep], bounds.post_upper[keep]
+    # every side but the >= row's upper one and the chord's lower one is finite
+    ge = first[mixed]
+    sides = np.concatenate([np.delete(row_lo, ge + 1), np.delete(row_hi, ge)])
+    if not all(np.isfinite(a).all() for a in (box_lo, box_hi, lin, const, A, sides)):
+        raise ArithmeticError("relaxation LP has a non-finite box, map or row")
     model = LpModel()
-    for pos in range(reach):
-        model.add_variable(bounds.post_lower[pos], bounds.post_upper[pos], name=f"z{pos}")
-    for pos in range(net.input_dim, reach):
-        lo, hi = bounds.pre_lower[pos], bounds.pre_upper[pos]
-        if lo < 0.0 and hi <= 0.0:
-            continue
-        level, i = net.levels[net.level_of[pos] - 1], net.level_row[pos]
-        nz = np.flatnonzero(level.weights[i])  # the sources the row reads
-        idx, w, b = np.concatenate([[pos], level.src[nz]]), level.weights[i, nz], level.bias[i]
-        model.add_constraint(idx, np.concatenate([[1.0], -w]), EQ if lo >= 0.0 else GE, b)
-        if lo < 0.0:
-            s = hi / (hi - lo)
-            model.add_constraint(idx, np.concatenate([[1.0], -s * w]), LE, s * (b - lo))
-    return DeltaLp(model=model)
+    for j, pos in enumerate(keep.tolist()):
+        model.add_variable(box_lo[j], box_hi[j], name=f"z{pos}")
+    model.add_rows(A, row_lo, row_hi)
+    return DeltaLp(model=model, lin=lin[:reach], const=const[:reach])
 
 
 def optc2v_bound(bounds: Bounds, objective: Objectives,
@@ -133,7 +190,8 @@ def optc2v_bound(bounds: Bounds, objective: Objectives,
     tableau entries when at least ``LOCKSTEP_MIN`` of them, and of their
     tableaux in the block, are at hand; otherwise each is a stack of one.
     The first objective of a new model is always a stack of one: its optimum
-    is where the others start.
+    is where the others start.  A value that is not finite, or an overflow
+    on the way, raises an ``ArithmeticError``.
     """
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
@@ -141,9 +199,12 @@ def optc2v_bound(bounds: Bounds, objective: Objectives,
         raise ValueError("objective must live over inputs and ReLU neurons only")
     reach = objective.reach
     value = np.empty(len(objective))
-    for r in np.unique(reach).tolist():
-        which = np.flatnonzero(reach == r)
-        value[which] = _bound_reach(bounds, objective.select(which), r, rounds)
+    # an overflow in a solve would leave NaN in a tableau, where no pivot
+    # rule can act on it: it raises FloatingPointError, an ArithmeticError
+    with np.errstate(over="raise", invalid="raise"):
+        for r in np.unique(reach).tolist():
+            which = np.flatnonzero(reach == r)
+            value[which] = _bound_reach(bounds, objective.select(which), r, rounds)
     return value
 
 
@@ -152,8 +213,7 @@ def _bound_reach(bounds: Bounds, objective: Objectives, reach: int, rounds: int)
     dl = bounds.lps.get(reach)
     if dl is None:
         dl = bounds.lps[reach] = build_delta_lp(bounds, reach)
-    m = dl.model.n_rows
-    size = LP_BLOCK // ((m + 1) * (reach + 1))  # tableaux that fit in the block
+    size = LP_BLOCK // ((dl.model.n_rows + 1) * (dl.model.n_vars + 1))  # tableaux in the block
     first = int(dl.start is None)  # the first objective makes the start
     rest = len(objective) - first
     if size < LOCKSTEP_MIN or rest < LOCKSTEP_MIN:
@@ -174,7 +234,8 @@ def _lockstep_cut_loop(bounds: Bounds, dl: DeltaLp, objective: Objectives, reach
     together from the shared relaxation's start, or cold when it has none
     yet, which then becomes its start.  Each objective's cuts border its own
     tableau only.  An objective whose optimum violates no cut is done."""
-    batch = Lockstep(dl.model, objective.coeffs[:, :reach], objective.constant, start=dl.start)
+    batch = Lockstep(dl.model, *dl.objectives(objective.coeffs, objective.constant),
+                     start=dl.start)
     sol = _optimal(batch.solve(), "base relaxation")
     if dl.start is None:
         dl.start = batch.select(np.arange(1))
@@ -183,7 +244,7 @@ def _lockstep_cut_loop(bounds: Bounds, dl: DeltaLp, objective: Objectives, reach
     table = bounds.table
     pos = table.pos[:table.rows_below(reach)]
     for _ in range(rounds):
-        z = sol.x
+        z = dl.points(sol.x)
         found = table.separate(z, z[:, pos], CUT_VIOLATION_TOL)
         if not len(found):
             break
@@ -193,7 +254,7 @@ def _lockstep_cut_loop(bounds: Bounds, dl: DeltaLp, objective: Objectives, reach
         # cuts are valid for every network point, so an infeasible
         # re-solve means tolerances bit us, not the model
         batch.append_rows(np.searchsorted(cutting, found.point),
-                          _cut_rows(table, found, reach), found.constant)
+                          *dl.rows(_cut_rows(table, found, reach), found.constant))
         sol = _optimal(batch.solve(), "after adding cuts")
         value[live] = sol.objective_value
     return value
@@ -214,8 +275,11 @@ def _cut_rows(table: HullTable, found: Separations, reach: int) -> np.ndarray:
 
 
 def _optimal(sol: LpBatchSolution, context: str) -> LpBatchSolution:
-    """``sol``, unless a member ended in a non-optimal status."""
+    """``sol``, unless a member ended in a non-optimal status, or with a
+    value that is not finite."""
     for status in sol.status:
         if status != LpStatus.OPTIMAL:
             raise LpBoundError(status, context)
+    if not np.isfinite(sol.objective_value).all():
+        raise ArithmeticError(f"{context}: LP value is not finite")
     return sol

@@ -6,10 +6,13 @@ rows, so a dense tableau ``B^{-1} A``, updated in place at each pivot
 together with the basic values and the reduced costs, is both simple and
 fast enough.
 
-Conventions: maximize ``c . x`` subject to ``lb <= x <= ub`` and rows
-``a . x (<=|=|>=) rhs``.  Every variable is boxed: ``add_variable`` refuses
-an infinite bound.  Rows get one slack each; a basis is the list of basic
-columns and of nonbasic ones, each nonbasic at its lower or upper bound.
+Conventions: maximize ``c . x`` subject to ``lb <= x <= ub`` and ranged
+rows ``lo <= a . x <= hi``; a ``<=`` row has ``lo = -inf``, a ``>=`` row
+``hi = inf`` and an ``=`` row ``lo = hi``.  Every variable is boxed:
+``add_variable`` refuses an infinite bound.  Rows get one slack each,
+``s = rhs - a . x``, boxed to keep the row in its range; a basis is the list
+of basic columns and of nonbasic ones, each nonbasic at its lower or upper
+bound.
 Boxed columns make the slack basis, with each column at the bound its cost
 favours, dual feasible, so a cold solve is one dual simplex run from that
 slack basis, and a primal pass then polishes.  Anti-cycling: after a streak
@@ -68,13 +71,13 @@ _AT_UPPER = -1
 
 @dataclass(eq=False)
 class LpModel:
-    """Maximization LP with per-variable bounds and sparse rows."""
+    """Maximization LP with per-variable bounds and sparse ranged rows."""
 
     lb: list = field(default_factory=list)
     ub: list = field(default_factory=list)
     obj: list = field(default_factory=list)
     obj_constant: float = 0.0
-    rows: list = field(default_factory=list)  # (idx array, coef array, sense, rhs)
+    rows: list = field(default_factory=list)  # (idx array, coef array, lo, hi)
     names: list = field(default_factory=list)
 
     def add_variable(self, lb, ub, obj=0.0, name=None) -> int:
@@ -89,6 +92,7 @@ class LpModel:
         return len(self.lb) - 1
 
     def add_constraint(self, idx, coef, sense, rhs) -> int:
+        """The row ``coef . x[idx] (sense) rhs``, kept as its range."""
         idx = np.asarray(idx, dtype=np.intp)
         coef = np.asarray(coef, dtype=float)
         if idx.shape != coef.shape or idx.ndim != 1:
@@ -97,8 +101,22 @@ class LpModel:
             raise ValueError("constraint references undeclared variable")
         if sense not in (LE, GE, EQ):
             raise ValueError(f"unknown sense {sense!r}")
-        self.rows.append((idx, coef, sense, float(rhs)))
+        lo, hi = -np.inf if sense == LE else float(rhs), np.inf if sense == GE else float(rhs)
+        _check_ranges(lo, hi)
+        self.rows.append((idx, coef, lo, hi))
         return len(self.rows) - 1
+
+    def add_rows(self, A, lo, hi):
+        """The rows ``lo[i] <= A[i] . x <= hi[i]``, over every variable,
+        each kept as its nonzero coefficients."""
+        A = np.asarray(A, dtype=float)
+        if A.shape != (len(lo), self.n_vars) or len(lo) != len(hi):
+            raise ValueError("row block shape mismatch")
+        _check_ranges(lo, hi)
+        r, c = np.nonzero(A)
+        coef, ends = A[r, c], np.searchsorted(r, np.arange(len(A) + 1)).tolist()
+        self.rows += [(c[a:b], coef[a:b], float(lo_i), float(hi_i))
+                      for a, b, lo_i, hi_i in zip(ends, ends[1:], lo, hi)]
 
     @property
     def n_vars(self) -> int:
@@ -107,6 +125,13 @@ class LpModel:
     @property
     def n_rows(self) -> int:
         return len(self.rows)
+
+
+def _check_ranges(lo, hi):
+    """Each row range must be ordered, with a finite side."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if not ((lo <= hi) & (np.isfinite(lo) | np.isfinite(hi))).all():
+        raise ValueError("row ranges must be ordered, each with a finite side")
 
 
 @dataclass(eq=False)
@@ -127,17 +152,18 @@ _NO_COLUMN = np.iinfo(np.intp).max  # above every column index
 
 def _encode_rows(model: LpModel):
     """The rows of ``model`` as a dense ``(A, rhs)``, and the bounds ``(lb,
-    ub)`` of its columns, one slack per row last.  A slack's bounds encode
-    its row's sense: a finite lower bound caps the row activity from above
-    (<=, =), a finite upper one from below."""
-    A, rhs = np.zeros((model.n_rows, model.n_vars)), np.zeros(model.n_rows)
-    for i, (idx, coef, _, b) in enumerate(model.rows):
-        A[i, idx] = coef
-        rhs[i] = b
-    sense = np.array([row[2] for row in model.rows], dtype="U2")
-    lb = np.concatenate([model.lb, np.where(sense == GE, -np.inf, 0.0)])
-    ub = np.concatenate([model.ub, np.where(sense == LE, np.inf, 0.0)])
-    return A, rhs, lb, ub
+    ub)`` of its columns, one slack per row last.  The slack of a row ``lo
+    <= a . x <= hi`` is ``rhs - a . x``: with ``rhs = hi`` it lies in ``[0,
+    hi - lo]``, or, for a row with no upper side, with ``rhs = lo`` in
+    ``(-inf, 0]``."""
+    A = np.zeros((model.n_rows, model.n_vars))
+    lo, hi = np.zeros(model.n_rows), np.zeros(model.n_rows)
+    for i, (idx, coef, lo_i, hi_i) in enumerate(model.rows):
+        A[i, idx], lo[i], hi[i] = coef, lo_i, hi_i
+    capped = np.isfinite(hi)
+    lb = np.concatenate([model.lb, np.where(capped, 0.0, -np.inf)])
+    ub = np.concatenate([model.ub, np.where(capped, hi - lo, 0.0)])
+    return A, np.where(capped, hi, lo), lb, ub
 
 
 def _slack_range(A, rhs, lo, hi, slack_lb, slack_ub):
@@ -641,8 +667,8 @@ class Lockstep:
         v = np.einsum("qmj,qj->qm", self.As[which], x)
         rhs = self.rhs[which]
         gap = 1e2 * FEAS_TOL * (1.0 + np.abs(rhs))
-        bad = (np.isfinite(self.lb[which, n:]) & (v > rhs + gap)) \
-            | (np.isfinite(self.ub[which, n:]) & (v < rhs - gap))
+        # the slack rhs - v must lie in its box; an infinite side never binds
+        bad = (v > rhs - self.lb[which, n:] + gap) | (v < rhs - self.ub[which, n:] - gap)
         if bad.any():
             b, i = np.argwhere(bad)[0]
             raise ArithmeticError(f"optimal solution violates row: {float(v[b, i])} vs "
@@ -650,10 +676,17 @@ class Lockstep:
 
 
 def write_lp_format(model: LpModel, path):
-    """Dump a model in the conventional text LP interchange format."""
+    """Dump a model in the conventional text LP interchange format; a ranged
+    row goes as its ``>=`` and ``<=`` halves."""
     def term(c, name, first):
         sign = "-" if c < 0 else ("" if first else "+")
         return f"{sign} {abs(c):.17g} {name} "
+
+    def row(name, idx, coef, op, rhs):
+        fh.write(f" {name}: ")
+        for k, (j, c) in enumerate(zip(idx, coef)):
+            fh.write(term(c, model.names[int(j)], k == 0))
+        fh.write(f"{op} {rhs:.17g}\n")
 
     with open(path, "w") as fh:
         fh.write("Maximize\n obj: ")
@@ -662,17 +695,17 @@ def write_lp_format(model: LpModel, path):
             if c != 0.0:
                 fh.write(term(c, model.names[j], first))
                 first = False
-        if first:
-            fh.write("0 ")
+        if model.obj_constant != 0.0 or first:
+            fh.write(term(model.obj_constant, "", first))
         fh.write("\nSubject To\n")
-        for i, (idx, coef, sense, rhs) in enumerate(model.rows):
-            fh.write(f" r{i}: ")
-            first = True
-            for j, c in zip(idx, coef):
-                fh.write(term(c, model.names[int(j)], first))
-                first = False
-            op = {LE: "<=", GE: ">=", EQ: "="}[sense]
-            fh.write(f"{op} {rhs:.17g}\n")
+        for i, (idx, coef, lo, hi) in enumerate(model.rows):
+            if lo == hi:
+                row(f"r{i}", idx, coef, "=", hi)
+            elif np.isinf(lo) or np.isinf(hi):
+                row(f"r{i}", idx, coef, "<=" if np.isinf(lo) else ">=", hi if np.isinf(lo) else lo)
+            else:
+                row(f"r{i}_lo", idx, coef, ">=", lo)
+                row(f"r{i}_hi", idx, coef, "<=", hi)
         fh.write("Bounds\n")
         for j in range(model.n_vars):
             fh.write(f" {model.lb[j]:.17g} <= {model.names[j]} <= {model.ub[j]:.17g}\n")

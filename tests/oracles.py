@@ -7,7 +7,8 @@ sorting greedy of one table row coordinate by coordinate, brute-force
 enumeration of the hull's cut family and of its least value at a point, the weighted-median separator (the paper's
 linear-time variant of the sorting greedy), the univariate chord bound, the
 lifted-formulation envelope LP, the exact maximum over activation patterns,
-the per-neuron network evaluation read from the declared rows, and the
+the per-neuron network evaluation read from the declared rows, the
+relaxation LP before presolve and its presolve one neuron at a time, and the
 per-neuron backward and forward passes and tightening loop, one objective at
 a time, that the package runs one run, level and batch of objectives at a
 time, and a sweep's row bounds that tighten every row.
@@ -23,7 +24,7 @@ from relucert.network import BoxDomain, Network
 from relucert.propagation import (DEEPPOLY, FASTC2V, FASTLIN, INTERVAL, SWAP_VIOLATION_TOL,
                                   Objectives, compute_all_bounds, tightened_bound)
 from relucert.relaxation import LpBoundError
-from relucert.simplex import DEFAULT_MAX_ITER, GE, LE, Lockstep, LpModel, LpStatus
+from relucert.simplex import DEFAULT_MAX_ITER, EQ, GE, LE, Lockstep, LpModel, LpStatus
 
 # Hard ceiling for brute-force enumeration of the cut family.
 ENUMERATION_CAP = 20
@@ -484,6 +485,53 @@ def expr_from_row(idx, w, b, eta) -> Objectives:
     c = np.zeros((1, eta))
     c[0, idx] = w
     return Objectives(c, [b])
+
+
+def reference_delta_lp(bounds, reach: int) -> LpModel:
+    """The relaxation LP of :func:`relucert.relaxation.build_delta_lp`
+    without its presolve, one declared row at a time: one variable per
+    position below ``reach``, with its post box; ``z >= row`` and the chord
+    for a mixed neuron, ``z = row`` for an always-active one, and no row for
+    an always-inactive one, whose box is [0, 0]."""
+    model = LpModel()
+    for pos in range(reach):
+        model.add_variable(bounds.post_lower[pos], bounds.post_upper[pos], name=f"z{pos}")
+    for pos in range(bounds.net.input_dim, reach):
+        lo, hi = bounds.pre_lower[pos], bounds.pre_upper[pos]
+        if lo < 0.0 and hi <= 0.0:
+            continue
+        idx, w, b = neuron_row(bounds.net, pos)
+        nz = w != 0.0
+        head, w = np.concatenate([[pos], idx[nz]]), w[nz]
+        model.add_constraint(head, np.concatenate([[1.0], -w]), EQ if lo >= 0.0 else GE, b)
+        if lo < 0.0:
+            s = hi / (hi - lo)
+            model.add_constraint(head, np.concatenate([[1.0], -s * w]), LE, s * (b - lo))
+    return model
+
+
+def substitution_by_neuron(bounds, reach: int):
+    """The presolve of :func:`relucert.relaxation.build_delta_lp`, one
+    declared row at a time: the positions ``keep`` of its variables (inputs,
+    then mixed neurons, ascending), and over them each position's value
+    ``lin @ x + const`` and each neuron's pre-activation ``pre @ x + pre0``,
+    rows below ``reach``."""
+    net, m = bounds.net, min(bounds.net.input_dim, reach)
+    lo, hi = bounds.pre_lower, bounds.pre_upper
+    keep = [pos for pos in range(reach) if pos < m or lo[pos] < 0.0 < hi[pos]]
+    lin, const = np.zeros((reach, len(keep))), np.zeros(reach)
+    pre, pre0 = np.zeros((reach, len(keep))), np.zeros(reach)
+    for j, pos in enumerate(keep):
+        lin[pos, j] = 1.0
+    for pos in range(m, reach):
+        idx, w, b = neuron_row(net, pos)
+        for k, v in zip(idx, w):
+            pre[pos] += v * lin[k]
+            pre0[pos] += v * const[k]
+        pre0[pos] += b
+        if lo[pos] >= 0.0:
+            lin[pos], const[pos] = pre[pos], pre0[pos]
+    return np.array(keep, dtype=np.intp), lin, const, pre, pre0
 
 
 def exact_max_oracle(net: Network, box: BoxDomain, objective: Objectives,

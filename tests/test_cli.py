@@ -1,8 +1,12 @@
+import numpy as np
 import pytest
 
 from relucert.cli import main
-from relucert.network import generate_random_network, load_network
-from relucert.verifier import METHODS, generate_instances, load_instances, verify
+from relucert.network import (INPUT, OUTPUT, RELU, Network, Neuron, generate_random_network,
+                              load_network, save_network)
+from relucert.propagation import compute_all_bounds
+from relucert.verifier import (METHODS, RobustnessInstance, build_input_box, generate_instances,
+                               load_instances, save_instances, verify)
 
 
 def test_gen_then_verify_round_trip(tmp_path, capsys):
@@ -107,6 +111,54 @@ def test_dump_lp_writes_models(tmp_path):
     assert rc == 0
     files = sorted(dump.glob("*.lp"))
     assert files and files[0].read_text().startswith("Maximize")
+
+
+def test_dump_lp_is_the_presolved_model(tmp_path):
+    # the dump's variables are the inputs and the mixed neurons of the
+    # method's sweep, and an always-active neuron's box is one ranged row,
+    # written as its two halves
+    net_path, inst_path = tmp_path / "net.txt", tmp_path / "inst.txt"
+    main(["gen", "--layers", "4,12,3", "--seed", "4", "--count", "1", "--epsilon", "0.1",
+          "--network-out", str(net_path), "--instances-out", str(inst_path)])
+    net, inst = load_network(net_path), load_instances(inst_path)[0]
+    rc = main(["verify", "--network", str(net_path), "--instances", str(inst_path),
+               "--method", "lp", "--deterministic", "--dump-lp", str(tmp_path / "lps"),
+               "--report", str(tmp_path / "r.txt")])
+    assert rc == 0
+    st = compute_all_bounds(net, build_input_box(inst), "lp")
+    lo, hi = st.pre_lower, st.pre_upper
+    mixed = [p for p in range(net.input_dim, net.n_state) if lo[p] < 0.0 < hi[p]]
+    active = [p for p in range(net.input_dim, net.n_state) if lo[p] >= 0.0]
+    assert mixed and active
+    text = next((tmp_path / "lps").glob("*.lp")).read_text()
+    names = [line.split()[2] for line in text.split("Bounds\n")[1].splitlines()[:-1]]
+    assert names == [f"z{p}" for p in [*range(net.input_dim), *mixed]]
+    assert text.count("_lo: ") == text.count("_hi: ") == len(active)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflows
+def test_dump_lp_skips_an_instance_whose_lp_overflows(tmp_path, capsys):
+    # h5 and h6 read h3 and h4 with weights of +-1e200: the LP sweep
+    # overflows, so that instance (its centre labelled 1) gets no dump and
+    # verify falls back
+    s = 1e200
+    net = Network(2, [Neuron(1, INPUT, (), 0.0), Neuron(2, INPUT, (), 0.0),
+                      Neuron(3, RELU, ((1, s), (2, -s)), 0.0),
+                      Neuron(4, RELU, ((1, -s), (2, s)), 0.0),
+                      Neuron(5, RELU, ((3, s), (4, s)), -1.0),
+                      Neuron(6, RELU, ((3, -s), (4, s)), 0.5),
+                      Neuron(7, OUTPUT, ((5, 1.0), (6, -1.0)), 0.0),
+                      Neuron(8, OUTPUT, ((5, -1.0), (6, 1.0)), 0.1)], [7, 8])
+    save_network(net, tmp_path / "net.txt")
+    save_instances(tmp_path / "inst.txt", [RobustnessInstance(np.array([0.5, 0.5]), 0.1, 1)])
+    rc = main(["verify", "--network", str(tmp_path / "net.txt"), "--instances",
+               str(tmp_path / "inst.txt"), "--method", "lp", "--attack", "off",
+               "--deterministic", "--dump-lp", str(tmp_path / "lps")])
+    assert rc == 0
+    out, err = capsys.readouterr()
+    assert err.startswith("instance=0 no LP dump: FloatingPointError: ")
+    assert "fallback=FloatingPointError: " in out
+    assert not list((tmp_path / "lps").iterdir())
 
 
 def test_unfit_lines_are_named_and_the_rest_verified(tmp_path, capsys):

@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 import relucert.relaxation as relaxation
-from relucert.network import (BoxDomain, Network, Neuron, eval_network,
+from relucert.network import (BoxDomain, Network, Neuron, eval_network, forward,
                               generate_random_network)
 from relucert.propagation import Objectives, compute_all_bounds
 from relucert.relaxation import build_delta_lp, optc2v_bound
-from relucert.simplex import EQ, GE, LE, LpStatus
-from relucert.verifier import generate_instances, margin_objective, verify
+from relucert.simplex import LE, Lockstep, LpStatus
+from relucert.verifier import build_input_box, generate_instances, margin_objective, verify
 
 from conftest import delta_lp, interval_state, make_row_case_networks, random_mixed_instance
 from oracles import (cut_from_pair, envelope_min_by_enumeration, enumerate_cut_pairs,
                      exact_max_oracle, expr_from_row, lifted_envelope_value, make_hull_instance,
-                     neuron_row, solve_lp)
+                     neuron_row, reference_delta_lp, solve_lp, substitution_by_neuron)
 
 
 def record_cuts(monkeypatch):
@@ -30,10 +30,39 @@ def record_cuts(monkeypatch):
     return added
 
 
+def add_row(dl, row, rhs):
+    """Add the row ``row . z <= rhs`` over positions to the model of ``dl``,
+    mapped onto its variables."""
+    coeffs, rhs = dl.rows(row[None, :], np.array([rhs]))
+    idx = np.flatnonzero(coeffs[0])
+    dl.model.add_constraint(idx, coeffs[0, idx], LE, rhs[0])
+
+
 def add_cut(dl, pos, cut):
     """Add ``z[pos] <= cut`` to the model of ``dl``."""
-    dl.model.add_constraint(np.concatenate([[pos], cut.idx]),
-                            np.concatenate([[1.0], -cut.coeffs]), LE, cut.constant)
+    row = np.zeros(dl.lin.shape[0])
+    row[cut.idx] = -cut.coeffs
+    row[pos] += 1.0
+    add_row(dl, row, cut.constant)
+
+
+def equivalence_cases():
+    """The row-case networks over [-1, 1]^m, and the acceptance network
+    over the box of its corpus' first instance."""
+    cases = {which: (net, BoxDomain(np.full(net.input_dim, -1.0), np.full(net.input_dim, 1.0)))
+             for which, net in make_row_case_networks().items()}
+    net = generate_random_network([6, 20, 20, 3], seed=1, weight_scale=0.7)
+    inst = generate_instances(net, 1, epsilon=0.16, seed=1001)[0]
+    cases["acceptance"] = (net, build_input_box(inst))
+    return cases
+
+
+def dense_rows(model):
+    """The rows of ``model`` as ``(A, lo, hi)``."""
+    A = np.zeros((model.n_rows, model.n_vars))
+    for i, (idx, coef, _, _) in enumerate(model.rows):
+        A[i, idx] = coef
+    return A, np.array([r[2] for r in model.rows]), np.array([r[3] for r in model.rows])
 
 
 def sweep_with_margins(method):
@@ -58,58 +87,66 @@ class TestDeltaLpStructure:
         st = interval_state(golden_net, golden_box)
         obj = expr_from_row(*neuron_row(golden_net, 6), eta=6)
         dl = delta_lp(st, obj)
-        assert dl.model.n_vars == 6  # 2 inputs + 4 relu positions
-        # rows per neuron: mixed h11, h12, h22 get two inequalities each
-        # (nonnegativity rides on the variable bound), h21 one equality
+        # 2 inputs and the mixed h11, h12, h22; h21 is always active
+        assert dl.model.n_vars == 5
+        assert dl.model.names == ["z0", "z1", "z2", "z3", "z5"]
+        # mixed h11, h12, h22 get two inequalities each (nonnegativity rides
+        # on the variable bound), h21 its box as one ranged row
         assert dl.model.n_rows == 7
-        senses = [r[2] for r in dl.model.rows]
-        assert senses.count(EQ) == 1
+        ranged = [(lo, hi) for _, _, lo, hi in dl.model.rows if np.isfinite(lo) and np.isfinite(hi)]
+        assert ranged == [(0.0, 1.5)]  # 1 <= h12 + 1 <= 2.5
+        # h21 = h12 + 1 leaves the model through the map
+        assert dl.lin[4].tolist() == [0.0, 0.0, 0.0, 1.0, 0.0] and dl.const[4] == 1.0
         # the cut loop separates the mixed neurons below the objective
         assert st.table.pos[:st.table.rows_below(obj.eta)].tolist() == [2, 3, 5]
         # mixed relu variables are bounded by the clamped scalar bounds
-        assert dl.model.lb[5] == 0.0 and dl.model.ub[5] == 2.0
+        assert dl.model.lb[4] == 0.0 and dl.model.ub[4] == 2.0
 
-    def test_true_points_feasible(self, golden_net, golden_box):
-        st = interval_state(golden_net, golden_box)
-        obj = expr_from_row(*neuron_row(golden_net, 6), eta=6)
-        dl = delta_lp(st, obj)
+    def test_true_points_feasible(self):
+        # network points, read at the kept variables, map back onto every
+        # position and satisfy every presolved row and box
         rng = np.random.default_rng(4)
-        for _ in range(50):
-            x = rng.uniform(-1, 1, 2)
-            z, _ = eval_network(golden_net, x)
-            for idx, coef, sense, rhs in dl.model.rows:
-                v = float(coef @ z[idx])
-                if sense == "<=":
-                    assert v <= rhs + 1e-9
-                elif sense == ">=":
-                    assert v >= rhs - 1e-9
-                else:
-                    assert v == pytest.approx(rhs, abs=1e-9)
+        for which, (net, box) in equivalence_cases().items():
+            st = interval_state(net, box)
+            dl = build_delta_lp(st, net.n_state)
+            keep = substitution_by_neuron(st, net.n_state)[0]
+            Z, _ = forward(net, box.sample(rng, 200))
+            X = Z[:, keep]
+            assert np.allclose(dl.points(X), Z, rtol=0.0, atol=1e-9), which
+            A, lo, hi = dense_rows(dl.model)
+            v = X @ A.T
+            assert (v >= lo - 1e-9).all() and (v <= hi + 1e-9).all(), which
+            assert (X >= dl.model.lb).all() and (X <= dl.model.ub).all(), which
 
     @pytest.mark.parametrize("which", list(make_row_case_networks()))
     def test_rows_are_the_declared_rows(self, which):
-        # each neuron's rows read its declared nonzero weights, in source
-        # order: one equality when always active, >= row and chord when mixed
+        # the variables are the inputs and the mixed neurons; the map and
+        # each neuron's rows substitute its declared row over them: >= row
+        # and chord when mixed, its box as a ranged row when always active
         net = make_row_case_networks()[which]
         m = net.input_dim
         st = compute_all_bounds(net, BoxDomain(np.full(m, -1.0), np.full(m, 1.0)), "interval")
         dl = build_delta_lp(st, net.n_state)
+        keep, lin, const, pre, pre0 = substitution_by_neuron(st, net.n_state)
+        assert dl.model.names == [f"z{pos}" for pos in keep], which
+        assert np.allclose(dl.lin, lin, rtol=0.0, atol=1e-12), which
+        assert np.allclose(dl.const, const, rtol=0.0, atol=1e-12), which
         want = []
         for pos in range(m, net.n_state):
             lo, hi = st.pre_lower[pos], st.pre_upper[pos]
-            idx, w, b = neuron_row(net, pos)
-            nz = w != 0.0
-            head, w = np.concatenate([[pos], idx[nz]]), w[nz]
             if lo >= 0.0:
-                want.append((head, np.concatenate([[1.0], -w]), EQ, b))
+                want.append((pre[pos], lo - pre0[pos], hi - pre0[pos]))
             elif hi > 0.0:
                 s = hi / (hi - lo)
-                want += [(head, np.concatenate([[1.0], -w]), GE, b),
-                         (head, np.concatenate([[1.0], -s * w]), LE, s * (b - lo))]
-        assert len(dl.model.rows) == len(want), which
-        for got, row in zip(dl.model.rows, want):
-            assert np.array_equal(got[0], row[0]) and np.array_equal(got[1], row[1]), which
-            assert got[2:] == row[2:], which
+                own = np.eye(len(keep))[np.searchsorted(keep, pos)]
+                want += [(own - pre[pos], pre0[pos], np.inf),
+                         (own - s * pre[pos], -np.inf, s * (pre0[pos] - lo))]
+        A, lo, hi = dense_rows(dl.model)
+        assert len(A) == len(want), which
+        if want:
+            assert np.allclose(A, [w[0] for w in want], rtol=0.0, atol=1e-12), which
+            assert np.allclose(lo, [w[1] for w in want], rtol=0.0, atol=1e-12), which
+            assert np.allclose(hi, [w[2] for w in want], rtol=0.0, atol=1e-12), which
 
     def test_always_inactive_neuron_has_no_row(self):
         net = single_relu_net([1.0], -5.0)
@@ -117,9 +154,9 @@ class TestDeltaLpStructure:
         st = interval_state(net, box)
         obj = expr_from_row(*neuron_row(net, 2), eta=2)
         dl = delta_lp(st, obj)
-        # its box pins it to 0, so a z = 0 row would add nothing
-        assert dl.model.n_vars == 2 and dl.model.n_rows == 0
-        assert (dl.model.lb[1], dl.model.ub[1]) == (0.0, 0.0)
+        # no variable, no row: the map pins it to 0
+        assert dl.model.n_vars == 1 and dl.model.n_rows == 0
+        assert dl.lin[1].tolist() == [0.0] and dl.const[1] == 0.0
 
     def test_always_active_neuron_row_equality(self):
         net = single_relu_net([1.0], 2.0)
@@ -127,10 +164,41 @@ class TestDeltaLpStructure:
         st = interval_state(net, box)
         obj = expr_from_row(*neuron_row(net, 2), eta=2)
         dl = delta_lp(st, obj)
+        # the equality z = x + 2 is the map; its box [2, 3] the ranged row
+        assert dl.model.n_vars == 1
+        assert dl.lin[1].tolist() == [1.0] and dl.const[1] == 2.0
         assert dl.model.n_rows == 1
-        idx, coef, sense, rhs = dl.model.rows[0]
-        assert sense == EQ and rhs == 2.0
-        assert sorted(idx.tolist()) == [0, 1]
+        idx, coef, lo, hi = dl.model.rows[0]
+        assert idx.tolist() == [0] and coef.tolist() == [1.0] and (lo, hi) == (0.0, 1.0)
+        # the objective z reads x + 2
+        assert dl.model.obj == [1.0] and dl.model.obj_constant == 2.0
+
+    @pytest.mark.parametrize("which", list(equivalence_cases()))
+    def test_presolved_optima_equal_the_reference(self, which):
+        # random objectives over every position reach the same optima on the
+        # presolved model and on the reference one, and again once both get
+        # the hull cuts separated at the reference optima
+        net, box = equivalence_cases()[which]
+        st = interval_state(net, box)
+        reach = net.n_state
+        dl, ref = build_delta_lp(st, reach), reference_delta_lp(st, reach)
+        rng = np.random.default_rng(7)
+        C, K = rng.uniform(-1, 1, (12, reach)), rng.uniform(-1, 1, 12)
+        presolved, reference = Lockstep(dl.model, *dl.objectives(C, K)), Lockstep(ref, C, K)
+        got, want = presolved.solve(), reference.solve()
+        assert set(got.status) == set(want.status) == {LpStatus.OPTIMAL}, which
+        assert np.allclose(got.objective_value, want.objective_value, rtol=0.0, atol=1e-9), which
+        pos = st.table.pos[:st.table.rows_below(reach)]
+        found = st.table.separate(want.x, want.x[:, pos], relaxation.CUT_VIOLATION_TOL)
+        if which in ("golden", "acceptance"):
+            assert len(found), which
+        if not len(found):
+            return
+        rows = relaxation._cut_rows(st.table, found, reach)
+        presolved.append_rows(found.point, *dl.rows(rows, found.constant))
+        reference.append_rows(found.point, rows, found.constant)
+        got, want = presolved.solve(), reference.solve()
+        assert np.allclose(got.objective_value, want.objective_value, rtol=0.0, atol=1e-9), which
 
 
 class TestDeltaLpValues:
@@ -331,8 +399,7 @@ class TestLpSweep:
         assert added
         dl = delta_lp(st, obj)
         for row, rhs in added:
-            idx = np.flatnonzero(row)
-            dl.model.add_constraint(idx, row[idx], LE, rhs)
+            add_row(dl, row, rhs)
         cold = solve_lp(dl.model)
         assert cold.status == LpStatus.OPTIMAL
         assert warm_val == pytest.approx(cold.objective_value, abs=1e-7)
@@ -374,32 +441,36 @@ class TestLpSweep:
     @pytest.mark.parametrize("method", ["lp", "optc2v"])
     def test_one_model_per_reach(self, method, monkeypatch):
         # a sweep and its margins build one relaxation per distinct reach,
-        # and every LP solved, in a stack of one or of several, stops at its
-        # objective's reach
+        # and every LP solved, in a stack of one or of several, is one of
+        # them, with a column per input and per mixed neuron below its reach
         import relucert.simplex as simplex
-        builds, reaches, widths = [], [], []
+        builds, reaches, models = {}, [], []
         real_build, real_bound = relaxation.build_delta_lp, relaxation.optc2v_bound
         real_lockstep = simplex.Lockstep.__init__
 
         def build(bounds, reach):
-            builds.append(reach)
-            return real_build(bounds, reach)
+            dl = real_build(bounds, reach)
+            builds[id(dl.model)] = (bounds, reach)
+            return dl
 
         def bound(bounds, objective, rounds):
             reaches.extend(objective.reach.tolist())
             return real_bound(bounds, objective, rounds)
 
         def lockstep(self, model, c, constant, start=None):
-            widths.extend((reach, model.n_vars) for reach in Objectives(c, constant).reach)
+            models.append(model)
             real_lockstep(self, model, c, constant, start)
 
         monkeypatch.setattr(relaxation, "build_delta_lp", build)
         monkeypatch.setattr(relaxation, "optc2v_bound", bound)
         monkeypatch.setattr(simplex.Lockstep, "__init__", lockstep)
-        sweep_with_margins(method)
-        assert sorted(builds) == sorted(set(reaches))
+        st = sweep_with_margins(method)
+        assert sorted(reach for _, reach in builds.values()) == sorted(set(reaches))
         assert len(reaches) > len(builds)
-        assert widths and all(n == reach for reach, n in widths)
+        assert models and all(id(model) in builds for model in models)
+        for model in models:
+            bounds, reach = builds[id(model)]
+            assert model.n_vars == len(substitution_by_neuron(bounds, reach)[0])
 
     def test_tableau_beyond_the_block_goes_one_by_one(self, monkeypatch):
         # the level-2 rows of the 4,8,8,3 net share one tableau; with room

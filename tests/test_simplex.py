@@ -90,6 +90,38 @@ class TestBasics:
         with pytest.raises(ValueError):
             m.add_constraint([0], [1.0], "<", 0.0)
 
+    @pytest.mark.parametrize("lo, hi", [(1.0, 0.0), (-np.inf, -np.inf), (np.inf, np.inf),
+                                        (-np.inf, np.inf), (np.nan, 1.0)])
+    def test_bad_range_rejected(self, lo, hi):
+        m = LpModel()
+        m.add_variable(0, 1)
+        with pytest.raises(ValueError, match="finite side"):
+            m.add_rows([[1.0]], [lo], [hi])
+
+    def test_ranged_rows_equal_their_halves(self):
+        # a row lo <= a . x <= hi solves as its >= and <= halves do, and the
+        # optimum keeps it in its range; a range of width 0 is an equality
+        rng = np.random.default_rng(3)
+        for trial in range(60):
+            n, k = int(rng.integers(2, 7)), int(rng.integers(1, 6))
+            x0 = rng.uniform(-1, 1, n)
+            A = rng.uniform(-1, 1, (k, n))
+            lo = A @ x0 - rng.uniform(0, 0.5, k) * (trial % 3 > 0)
+            hi = A @ x0 + rng.uniform(0, 0.5, k) * (trial % 3 > 0)
+            c = rng.uniform(-2, 2, n)
+            ranged, halves = LpModel(), LpModel()
+            for m in (ranged, halves):
+                for j in range(n):
+                    m.add_variable(-1.5, 1.5, obj=c[j])
+            ranged.add_rows(A, lo, hi)
+            for a, l, h in zip(A, lo, hi):
+                halves.add_constraint(np.arange(n), a, GE, l)
+                halves.add_constraint(np.arange(n), a, LE, h)
+            got, want = solve_lp(ranged), solve_lp(halves)
+            assert_optimal(got, want.objective_value)
+            v = A @ got.x
+            assert (v >= lo - 1e-7).all() and (v <= hi + 1e-7).all()
+
     def test_degenerate_lp_terminates(self):
         # many redundant rows through one vertex: exercises the anti-cycling
         # fallback rather than looping
@@ -497,7 +529,8 @@ def assert_condensed(stack, C, priced=True):
     A0 = np.zeros((stack.model.n_rows, n))
     for i, (idx, coef, _, _) in enumerate(stack.model.rows):
         A0[i, idx] = coef
-    rhs0 = [row[3] for row in stack.model.rows]
+    # a row lo <= a . x <= hi has right-hand side hi, or lo when hi is infinite
+    rhs0 = [hi if np.isfinite(hi) else lo for _, _, lo, hi in stack.model.rows]
     assert stack.tab.shape == (q, m + 1, n + 1)
     for b in range(q):
         assert np.array_equal(stack.As[b, :len(A0)], A0) and np.array_equal(stack.rhs[b, :len(A0)],
@@ -568,7 +601,7 @@ def test_acceptance_instance_solves_and_pivots_pinned(monkeypatch):
         return sol
 
     monkeypatch.setattr(Lockstep, "solve", counted)
-    for method, want in (("lp", [42, 417]), ("optc2v", [112, 690])):
+    for method, want in (("lp", [42, 367]), ("optc2v", [112, 638])):
         counts[:] = [0, 0]
         verify(net, inst, method=method, attack=False)
         assert counts == want, method
@@ -585,3 +618,15 @@ def test_lp_format_dump(tmp_path):
     assert text.startswith("Maximize")
     assert "Subject To" in text and "Bounds" in text and text.rstrip().endswith("End")
     assert "2 a" in text and "- 1 b" in text
+
+
+def test_lp_format_dump_writes_a_range_as_its_halves(tmp_path):
+    m = LpModel()
+    m.add_variable(0, 1, obj=1.0, name="a")
+    m.add_rows([[3.0], [1.0]], [-0.5, 0.25], [2.0, 0.25])
+    m.obj_constant = 1.5
+    path = tmp_path / "model.lp"
+    write_lp_format(m, path)
+    words = " ".join(path.read_text().split())
+    assert ("obj: 1 a + 1.5 Subject To r0_lo: 3 a >= -0.5 r0_hi: 3 a <= 2 r1: 1 a = 0.25 "
+            "Bounds") in words

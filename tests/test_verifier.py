@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from relucert import propagation, relaxation
-from relucert.network import (BoxDomain, NetworkParseError, classify, eval_network,
-                              generate_random_network)
+from relucert.network import (INPUT, OUTPUT, RELU, BoxDomain, Network, NetworkParseError,
+                              Neuron, classify, eval_network, generate_random_network)
 from relucert.propagation import METHODS, Objectives, compute_all_bounds
 from relucert.simplex import LpStatus
 from relucert.verifier import (FALSIFIED, UNKNOWN, VERIFIED, RobustnessInstance,
@@ -394,6 +394,49 @@ class TestMarginBatch:
         assert rep.fallback == "LpBoundError: after adding cuts: LP ended iteration-limit"
         assert rep.margin_bounds == verify(net, inst, method="deeppoly",
                                            attack=False).margin_bounds
+
+    @staticmethod
+    def overflowing_net(case):
+        """A net whose sums overflow: ``deep``, whose h5 and h6 read h3 and
+        h4 with weights of +-1e200, so the LP rows and values overflow;
+        ``pivots``, one fan-in-3 row of weights +-1e308, where the simplex
+        pivots overflow; ``box``, one fan-in-6 row of weights +-1e308, whose
+        interval bound, and so its neuron's box, is infinite; ``nan``, one
+        fan-in-8 row whose interval bound is inf - inf."""
+        if case == "deep":
+            s = 1e200
+            return Network(2, [Neuron(1, INPUT, (), 0.0), Neuron(2, INPUT, (), 0.0),
+                               Neuron(3, RELU, ((1, s), (2, -s)), 0.0),
+                               Neuron(4, RELU, ((1, -s), (2, s)), 0.0),
+                               Neuron(5, RELU, ((3, s), (4, s)), -1.0),
+                               Neuron(6, RELU, ((3, -s), (4, s)), 0.5),
+                               Neuron(7, OUTPUT, ((5, 1.0), (6, -1.0)), 0.0),
+                               Neuron(8, OUTPUT, ((5, -1.0), (6, 1.0)), 0.1)], [7, 8])
+        w = {"pivots": (1, -1, 1), "box": (1,) * 3 + (-1,) * 3,
+             "nan": (1,) * 3 + (-1,) * 5}[case]
+        w = tuple(1e308 * g for g in w)
+        k = len(w)  # the inputs; then the wide row h, g = relu(x1 - x2), relu(h + g - 0.1)
+        return Network(k, [*(Neuron(i, INPUT, (), 0.0) for i in range(1, k + 1)),
+                           Neuron(k + 1, RELU, tuple(enumerate(w, start=1)), 0.0),
+                           Neuron(k + 2, RELU, ((1, 1.0), (2, -1.0)), 0.0),
+                           Neuron(k + 3, RELU, ((k + 1, 1.0), (k + 2, 1.0)), -0.1),
+                           Neuron(k + 4, OUTPUT, ((k + 3, 1.0),), 0.0),
+                           Neuron(k + 5, OUTPUT, ((k + 2, 1.0), (k + 3, -1.0)), 0.1)],
+                       [k + 4, k + 5])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflows
+    @pytest.mark.parametrize("method", ["lp", "optc2v"])
+    @pytest.mark.parametrize("case, centre", [("deep", 0.5), ("deep", (0.6, 0.4)),
+                                              ("pivots", 0.5), ("box", 0.5), ("nan", 0.5)])
+    def test_overflowing_lp_falls_back(self, method, case, centre):
+        # a non-finite LP value, a non-finite box or row of the relaxation,
+        # or an overflow in a solve ends in the deeppoly fallback with its
+        # reason, never in an exception out of verify
+        net = self.overflowing_net(case)
+        rep = verify(net, RobustnessInstance(np.broadcast_to(centre, net.input_dim).copy(), 0.1,
+                                             0), method=method, attack=False)
+        assert rep.verdict in (VERIFIED, UNKNOWN)
+        assert rep.fallback.split(":")[0] in ("ArithmeticError", "FloatingPointError")
 
     def test_margin_times_share_one_batch(self):
         net = generate_random_network([4, 8, 8, 3], seed=2, weight_scale=0.8)
