@@ -5,7 +5,8 @@ chord relaxation of its pre-activation interval.  It is presolved: its
 variables are the inputs and the mixed neurons only.  Pre-activations are
 substituted out, and so are the exact neurons: an always-inactive one is 0
 and an always-active one its row, composed level by level over the
-variables, with its interval kept as one ranged row.  The model's map
+variables, with its interval kept as one ranged row unless the variable
+boxes already imply it.  The model's map
 writes every position as an affine function of the variables, and
 objectives, optima and cuts, which live over positions, go through it
 (presolve as in Andersen & Andersen, "Presolving in linear programming",
@@ -112,10 +113,11 @@ def build_delta_lp(bounds: Bounds, reach: int) -> DeltaLp:
     ``pre``.  A mixed neuron ``v`` contributes ``z_v >= pre`` and the
     chord ``z_v <= s (pre - lo)``, ``s = hi / (hi - lo)`` (nonnegativity rides
     on its box); an always-active one its box, as the ranged row ``lo <= pre
-    <= hi``.  Rows go in position order.  Neurons from the reach on cannot
-    move an objective of that reach, so they are left out.  Raises
-    ``ArithmeticError`` when a scalar bound is NaN, or a box, the map or a
-    row is not finite.
+    <= hi``, unless its interval over the variable boxes lies in that range
+    up to rounding: a row left out only widens the relaxation.  Rows go in
+    position order.  Neurons from the reach on cannot move an objective of
+    that reach, so they are left out.  Raises ``ArithmeticError`` when a
+    scalar bound is NaN, or a box, the map or a row is not finite.
     """
     net = bounds.net
     if reach > net.n_state:
@@ -161,10 +163,21 @@ def build_delta_lp(bounds: Bounds, reach: int) -> DeltaLp:
     sides = np.concatenate([np.delete(row_lo, ge + 1), np.delete(row_hi, ge)])
     if not all(np.isfinite(a).all() for a in (box_lo, box_hi, lin, const, A, sides)):
         raise ArithmeticError("relaxation LP has a non-finite box, map or row")
+    # an always-active neuron's ranged row leaves when the boxes imply it: its
+    # interval over them lies in its range up to the rounding of the sums,
+    # gamma_n times the size of their terms (Higham, 2002, section 3.1); a
+    # row whose bounds an LP sweep tightened past that interval stays
+    at, u = first[active], np.finfo(float).eps / 2
+    a, r_lo, r_hi, g = A[at], row_lo[at], row_hi[at], n * u / (1.0 - n * u)
+    # each term scaled by gamma_n before the sum, which then cannot overflow
+    slack = (g * np.abs(a)) @ np.maximum(-box_lo, box_hi) + g * np.abs(r_lo) + g * np.abs(r_hi)
+    to_lo, to_hi = a * box_lo, a * box_hi
+    implied = (np.minimum(to_lo, to_hi).sum(axis=1) >= r_lo - slack) \
+        & (np.maximum(to_lo, to_hi).sum(axis=1) <= r_hi + slack)
     model = LpModel()
     for j, pos in enumerate(keep.tolist()):
         model.add_variable(box_lo[j], box_hi[j], name=f"z{pos}")
-    model.add_rows(A, row_lo, row_hi)
+    model.add_rows(*(np.delete(x, at[implied], axis=0) for x in (A, row_lo, row_hi)))
     return DeltaLp(model=model, lin=lin[:reach], const=const[:reach])
 
 

@@ -28,8 +28,9 @@ objective only reprices.  Rows appended to a solved stack (the
 cutting-plane re-solve) border each member's tableau.  A stack of several
 members makes one pivot of every member per numpy step, since a solve of a
 few dozen pivots on a few dozen rows costs more in numpy calls than in
-arithmetic; a stack of one runs plain pivot loops on views of its member.
-Both kernels pick the same pivots, ties going to the smallest column.
+arithmetic; a stack of one runs plain pivot loops on views of its member,
+taken once per solve, with its counters kept as Python ints.  Both kernels
+pick the same pivots, ties going to the smallest column.
 
 The reported value is a dual bound (Neumaier & Shcherbina, "Safe bounds in
 linear and mixed-integer linear programming", 2004): the row duals of the
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import copy
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -334,21 +336,21 @@ class Lockstep:
 
     # ----- the pivots of a stack of one ---------------------------------------
 
-    def _pivot(self, r, j, settled):
-        """Enter the column in slot j of member 0 on row r, the leaving
-        variable taking slot j at its bound ``settled``: its unit column
-        goes into the slot, then one rank-1 update of the tableau moves
-        ``B^{-1} A``, ``B^{-1} rhs`` and the reduced costs, and the basic
-        values follow."""
-        tab, xb, basic, nonbasic = self.tab[0], self.xb[0], self.basic[0], self.nonbasic[0]
-        lb_b, ub_b, entering = self.lb_b[0], self.ub_b[0], nonbasic[j]
+    def _pivot(self, v, r, j, settled):
+        """Enter the column in slot j of member 0, whose views are ``v``, on
+        row r, the leaving variable taking slot j at its bound ``settled``:
+        its unit column goes into the slot, then one rank-1 update of the
+        tableau moves ``B^{-1} A``, ``B^{-1} rhs`` and the reduced costs, and
+        the basic values follow."""
+        tab, xb, lb_b, ub_b, basic, nonbasic, status, lb, ub = v
+        entering = nonbasic[j]
         col = tab[:, j].copy()  # with the reduced cost of j last
         piv = col[r]
         # how far the entering variable moves
         step = (xb[r] - (lb_b[r] if settled == _AT_LOWER else ub_b[r])) / piv
-        lo, hi = self.lb[0, entering], self.ub[0, entering]
+        lo, hi = lb[entering], ub[entering]
         xb -= step * col[:-1]
-        xb[r] = (lo if self.status[0, j] == _AT_LOWER else hi) + step
+        xb[r] = (lo if status[j] == _AT_LOWER else hi) + step
         lb_b[r], ub_b[r] = lo, hi
         tab[:, j] = 0.0
         tab[r, j] = 1.0
@@ -356,95 +358,92 @@ class Lockstep:
         col[r] = 0.0
         tab -= col[:, None] * tab[r]
         basic[r], nonbasic[j] = entering, basic[r]
-        self.status[0, j] = settled
-        self.iterations[0] += 1
+        status[j] = settled
 
-    def _dual(self, max_iter):
+    def _dual(self, v, max_iter):
         """Restore member 0's primal feasibility while keeping its dual
-        feasibility; its end code."""
-        tab, xb, basic, status = self.tab[0], self.xb[0], self.basic[0], self.status[0]
-        d = tab[-1, :-1]
+        feasibility; its end code, pivots and degenerate streak."""
+        tab, xb, lb_b, ub_b, basic, nonbasic, status = v[:7]
+        d, it, degen = tab[-1, :-1], 0, 0
+        # how far each basic value lies outside its bounds, or minus how far inside
+        infeas, above = np.empty(len(xb)), np.empty(len(xb))
         while True:
-            if self.iterations[0] >= max_iter:
-                return _LIMIT
-            infeas = self._primal_infeasibility()[0]
-            if infeas.size == 0 or infeas.max() <= FEAS_TOL:
-                return _OPTIMAL
-            bland = self.degen[0] >= DEGENERATE_STREAK
+            if it >= max_iter:
+                return _LIMIT, it, degen
+            np.subtract(lb_b, xb, out=infeas)
+            np.subtract(xb, ub_b, out=above)
+            np.maximum(infeas, above, out=infeas)
+            if not infeas.size or infeas[r := infeas.argmax()] <= FEAS_TOL:
+                return _OPTIMAL, it, degen
+            bland = degen >= DEGENERATE_STREAK
             if bland:  # the infeasible basic variable of smallest column index
-                rows = np.flatnonzero(infeas > FEAS_TOL)
-                r = int(rows[np.argmin(basic[rows])])
-            else:
-                r = int(np.argmax(infeas))
-            below = xb[r] < self.lb_b[0, r]
-            alpha = tab[r, :-1]
-            # alpha signed so that an eligible slot has it above PIVOT_TOL
-            cand = np.flatnonzero(alpha * (-status if below else status) > PIVOT_TOL)
-            if cand.size == 0:
-                return _INFEASIBLE
-            ratios = np.abs(d[cand]) / np.abs(alpha[cand])
+                rows = (infeas > FEAS_TOL).nonzero()[0]
+                r = rows[basic[rows].argmin()]
+            below = xb[r] < lb_b[r]
+            # the pivot row signed so that an eligible slot has it above PIVOT_TOL
+            alpha = tab[r, :-1] * status
+            if below:
+                np.negative(alpha, out=alpha)
+            cand = (alpha > PIVOT_TOL).nonzero()[0]
+            if not cand.size:
+                return _INFEASIBLE, it, degen
+            ratios = np.abs(d[cand]) / alpha[cand]
             least = ratios.min()
             near = cand[ratios <= least + 1e-12]
             if near.size > 1 and not bland:  # the largest pivot
-                size = np.abs(alpha[near])
+                size = alpha[near]
                 near = near[size == size.max()]
-            self.degen[0] = self.degen[0] + 1 if least <= 1e-12 else 0
+            degen = degen + 1 if least <= 1e-12 else 0
             # ties go to the smallest column
-            self._pivot(r, int(near[np.argmin(self.nonbasic[0, near])]),
-                        _AT_LOWER if below else _AT_UPPER)
+            self._pivot(v, r, near[nonbasic[near].argmin()], _AT_LOWER if below else _AT_UPPER)
+            it += 1
 
-    def _primal(self, max_iter):
-        """Maximize member 0's objective from its primal feasible basis; its
-        end code."""
-        tab, xb, status = self.tab[0], self.xb[0], self.status[0]
+    def _primal(self, v, max_iter, it, degen):
+        """Maximize member 0's objective from its primal feasible basis,
+        after ``it`` pivots and a degenerate streak ``degen``; its end code,
+        pivots and streak."""
+        tab, xb, lb_b, ub_b, basic, nonbasic, status, lb, ub = v
         d = tab[-1, :-1]
         while True:
-            if self.iterations[0] >= max_iter:
-                return _LIMIT
-            bland = self.degen[0] >= DEGENERATE_STREAK
+            if it >= max_iter:
+                return _LIMIT, it, degen
+            bland = degen >= DEGENERATE_STREAK
             # the reduced cost signed so that an eligible slot has it above OPT_TOL
             gain = d * status
             top = gain.max(initial=0.0)
             if top <= OPT_TOL:
-                return _OPTIMAL
-            cand = np.flatnonzero(gain > OPT_TOL if bland else gain == top)
-            j = int(cand[np.argmin(self.nonbasic[0, cand])])  # ties to the smallest column
+                return _OPTIMAL, it, degen
+            cand = (gain > OPT_TOL if bland else gain == top).nonzero()[0]
+            j = cand[nonbasic[cand].argmin()]  # ties to the smallest column
             s = int(status[j])  # +1 at its lower bound, so j moves up; -1 down
-            step, row = self._primal_ratio(j, s, bland)
-            if step is None:
-                return _UNBOUNDED
-            self.degen[0] = self.degen[0] + 1 if step <= FEAS_TOL else 0
+            # the largest step: row -1 is a flip of j to its opposite bound
+            step, row = ub[nonbasic[j]] - lb[nonbasic[j]], -1  # infinite for a slack
+            col = tab[:-1, j]
+            # only rows whose basic variable moves can limit the step
+            rows = (np.abs(col) > PIVOT_TOL).nonzero()[0]
+            if rows.size:
+                moving = -s * col[rows]
+                caps = np.where(moving > 0.0, ub_b[rows], lb_b[rows])
+                lims = (caps - xb[rows]) / moving
+                np.maximum(lims, 0.0, out=lims)
+                least = lims.min()
+                if least < step:
+                    near = (lims <= least + 1e-12).nonzero()[0]
+                    pick = near[basic[rows[near]].argmin()] if bland \
+                        else near[np.abs(moving[near]).argmax()]
+                    row, step = rows[pick], lims[pick]
+            if not math.isfinite(step):
+                return _UNBOUNDED, it, degen
+            degen = degen + 1 if step <= FEAS_TOL else 0
             if row < 0:  # j flips to its opposite bound
-                xb -= s * step * tab[:-1, j]
+                xb -= s * step * col
                 status[j] = -s
                 continue
-            landed = xb[row] - s * step * tab[row, j]
-            lo, hi = self.lb_b[0, row], self.ub_b[0, row]
+            landed = xb[row] - s * step * col[row]
+            lo, hi = lb_b[row], ub_b[row]
             # a slack's infinite side is never nearer than its finite one
-            self._pivot(row, j, _AT_LOWER if abs(landed - lo) <= abs(landed - hi) else _AT_UPPER)
-
-    def _primal_ratio(self, j, s, bland):
-        """Largest step of member 0's slot j moving in direction s:
-        ``(step, row)``, where row -1 is a flip of j to its opposite bound
-        and a step of None means unbounded."""
-        column = self.nonbasic[0, j]
-        best, row = self.ub[0, column] - self.lb[0, column], -1  # infinite for a slack
-        delta = -s * self.tab[0, :-1, j]
-        # only rows whose basic variable moves can limit the step
-        rows = np.flatnonzero(np.abs(delta) > PIVOT_TOL)
-        if rows.size:
-            moving = delta[rows]
-            caps = np.where(moving > 0.0, self.ub_b[0, rows], self.lb_b[0, rows])
-            lims = np.maximum((caps - self.xb[0, rows]) / moving, 0.0)
-            least = lims.min()
-            if least < best:
-                near = np.flatnonzero(lims <= least + 1e-12)
-                pick = near[np.argmin(self.basic[0, rows[near]])] if bland \
-                    else near[np.argmax(np.abs(moving[near]))]
-                row, best = int(rows[pick]), lims[pick]
-        if not np.isfinite(best):
-            return None, -1
-        return float(best), row
+            self._pivot(v, row, j, _AT_LOWER if abs(landed - lo) <= abs(landed - hi) else _AT_UPPER)
+            it += 1
 
     # ----- the lockstep pivots of a larger stack ----------------------------
 
@@ -618,10 +617,13 @@ class Lockstep:
         if cold.any():
             self._slack_basis(np.flatnonzero(cold))
             self._price()
-        if q == 1:
-            code = np.array([self._dual(max_iter)])
-            if code[0] == _OPTIMAL:
-                code[0] = self._primal(max_iter)
+        if q == 1:  # member 0's views, and its counters as ints till the end
+            v = tuple(a[0] for a in (self.tab, self.xb, self.lb_b, self.ub_b, self.basic,
+                                     self.nonbasic, self.status, self.lb, self.ub))
+            end, it, degen = self._dual(v, max_iter)
+            if end == _OPTIMAL:
+                end, it, degen = self._primal(v, max_iter, it, degen)
+            code, self.iterations[0], self.degen[0] = np.array([end]), it, degen
         else:
             code = np.full(q, _RUNNING)
             self._run(Lockstep._dual_step, np.ones(q, dtype=bool), max_iter, code)

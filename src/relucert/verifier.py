@@ -63,7 +63,8 @@ class VerificationReport:
     time_bounds: float = 0.0
     # one equal share of the margin batch's time per class
     time_margins: dict[int, float] = field(default_factory=dict)
-    fallback: str | None = None  # why the margins are deeppoly's, not the method's
+    # why the margins are deeppoly's, not the method's, or why one is not a number
+    fallback: str | None = None
 
 
 def instance_error(net: Network, inst: RobustnessInstance) -> str | None:
@@ -103,7 +104,9 @@ def verify(net: Network, inst: RobustnessInstance, method: str = "fastc2v",
     attaches any witness that exact evaluation confirms; an unconfirmed one
     is dropped and the verdict is ``unknown``.  When an LP method ends in a
     non-optimal status or an arithmetic check, the instance is bounded with
-    ``deeppoly`` (always sound) and the reason goes into ``fallback``.
+    ``deeppoly`` (always sound) and the reason goes into ``fallback``.  A
+    margin bound that is not a number is never verified; its reason goes
+    into ``fallback`` too, after any such fallback's own.
     """
     if seed < 0:  # the attack's generator would reject it only once it runs
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -131,6 +134,10 @@ def verify(net: Network, inst: RobustnessInstance, method: str = "fastc2v",
             raise
         fallback = f"{type(exc).__name__}: {exc}"
         t1, margins, margin_times = bound_margins(DEEPPOLY)
+    if nan := [k for k, v in margins.items() if np.isnan(v)]:  # never verified
+        why = f"ArithmeticError: {DEEPPOLY if fallback else method} margin bound is not a " \
+            f"number for class {','.join(map(str, nan))}"
+        fallback = why if fallback is None else f"{fallback}; {why}"
     if all(v < 0.0 for v in margins.values()):
         verdict, witness, witness_label = VERIFIED, None, None
     else:

@@ -8,12 +8,14 @@ enumeration of the hull's cut family and of its least value at a point, the weig
 linear-time variant of the sorting greedy), the univariate chord bound, the
 lifted-formulation envelope LP, the exact maximum over activation patterns,
 the per-neuron network evaluation read from the declared rows, the
-relaxation LP before presolve and its presolve one neuron at a time, and the
+relaxation LP before presolve and its presolve one neuron at a time, the
+test of whether variable boxes imply a ranged row, and the
 per-neuron backward and forward passes and tightening loop, one objective at
 a time, that the package runs one run, level and batch of objectives at a
 time, and a sweep's row bounds that tighten every row.
 """
 
+import math
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -532,6 +534,20 @@ def substitution_by_neuron(bounds, reach: int):
         if lo[pos] >= 0.0:
             lin[pos], const[pos] = pre[pos], pre0[pos]
     return np.array(keep, dtype=np.intp), lin, const, pre, pre0
+
+
+def implied_by_boxes(coef, lo, hi, box_lo, box_hi) -> bool:
+    """Whether the boxes ``[box_lo, box_hi]`` imply the row ``lo <= coef . x
+    <= hi`` up to the rounding of its sums: the row's interval over them,
+    each side summed exactly rounded, lies in ``[lo - g, hi + g]`` with ``g
+    = gamma_n (sum_j |coef_j| max(|box_lo_j|, |box_hi_j|) + |lo| + |hi|)``
+    and ``gamma_n = n u / (1 - n u)`` for ``n`` variables."""
+    n, u = len(coef), np.finfo(float).eps / 2
+    size = math.fsum(abs(c) * max(abs(a), abs(b)) for c, a, b in zip(coef, box_lo, box_hi))
+    g = n * u / (1 - n * u) * (size + abs(lo) + abs(hi))
+    low = math.fsum(min(c * a, c * b) for c, a, b in zip(coef, box_lo, box_hi))
+    high = math.fsum(max(c * a, c * b) for c, a, b in zip(coef, box_lo, box_hi))
+    return bool(low >= lo - g and high <= hi + g)
 
 
 def exact_max_oracle(net: Network, box: BoxDomain, objective: Objectives,

@@ -1,12 +1,19 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import relucert
 from relucert.cli import main
 from relucert.network import (INPUT, OUTPUT, RELU, Network, Neuron, generate_random_network,
                               load_network, save_network)
 from relucert.propagation import compute_all_bounds
 from relucert.verifier import (METHODS, RobustnessInstance, build_input_box, generate_instances,
                                load_instances, save_instances, verify)
+
+from oracles import implied_by_boxes, substitution_by_neuron
 
 
 def test_gen_then_verify_round_trip(tmp_path, capsys):
@@ -44,6 +51,29 @@ def test_deterministic_reports_are_byte_identical(tmp_path):
                    "--deterministic", "--report", str(rp)])
         assert rc == 0
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def test_lp_reports_are_byte_identical_across_blas_threads(tmp_path):
+    # lp and optc2v on a 20,100,10 net, whose tableaux are wide enough for
+    # OpenBLAS to use a second thread, one process per thread count
+    net_path, inst_path = tmp_path / "net.txt", tmp_path / "inst.txt"
+    main(["gen", "--layers", "20,100,10", "--seed", "3", "--count", "4", "--epsilon", "0.07",
+          "--network-out", str(net_path), "--instances-out", str(inst_path)])
+    run = ("import sys; from relucert.cli import main\n"
+           "for method in ('lp', 'optc2v'):\n"
+           "    main(['verify', '--network', sys.argv[1], '--instances', sys.argv[2], '--method',\n"
+           "          method, '--deterministic', '--report', sys.argv[3] + method])\n")
+    src = os.path.dirname(os.path.dirname(relucert.__file__))
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"blas{threads}-"
+        subprocess.run([sys.executable, "-c", run, str(net_path), str(inst_path), str(out)],
+                       env=env, check=True, capture_output=True)
+        reports.append([(tmp_path / f"blas{threads}-{m}").read_bytes() for m in ("lp", "optc2v")])
+    assert reports[0] == reports[1]
+    assert all(b"verdict=" in r for r in reports[0])
 
 
 def test_epsilon_override_and_attack_off(tmp_path):
@@ -116,7 +146,7 @@ def test_dump_lp_writes_models(tmp_path):
 def test_dump_lp_is_the_presolved_model(tmp_path):
     # the dump's variables are the inputs and the mixed neurons of the
     # method's sweep, and an always-active neuron's box is one ranged row,
-    # written as its two halves
+    # written as its two halves, unless the variable boxes imply that row
     net_path, inst_path = tmp_path / "net.txt", tmp_path / "inst.txt"
     main(["gen", "--layers", "4,12,3", "--seed", "4", "--count", "1", "--epsilon", "0.1",
           "--network-out", str(net_path), "--instances-out", str(inst_path)])
@@ -130,10 +160,14 @@ def test_dump_lp_is_the_presolved_model(tmp_path):
     mixed = [p for p in range(net.input_dim, net.n_state) if lo[p] < 0.0 < hi[p]]
     active = [p for p in range(net.input_dim, net.n_state) if lo[p] >= 0.0]
     assert mixed and active
+    keep, _, _, pre, pre0 = substitution_by_neuron(st, net.n_state)
+    ranged = [p for p in active
+              if not implied_by_boxes(pre[p], lo[p] - pre0[p], hi[p] - pre0[p],
+                                      st.post_lower[keep], st.post_upper[keep])]
     text = next((tmp_path / "lps").glob("*.lp")).read_text()
     names = [line.split()[2] for line in text.split("Bounds\n")[1].splitlines()[:-1]]
     assert names == [f"z{p}" for p in [*range(net.input_dim), *mixed]]
-    assert text.count("_lo: ") == text.count("_hi: ") == len(active)
+    assert text.count("_lo: ") == text.count("_hi: ") == len(ranged)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflows

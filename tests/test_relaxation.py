@@ -11,8 +11,9 @@ from relucert.verifier import build_input_box, generate_instances, margin_object
 
 from conftest import delta_lp, interval_state, make_row_case_networks, random_mixed_instance
 from oracles import (cut_from_pair, envelope_min_by_enumeration, enumerate_cut_pairs,
-                     exact_max_oracle, expr_from_row, lifted_envelope_value, make_hull_instance,
-                     neuron_row, reference_delta_lp, solve_lp, substitution_by_neuron)
+                     exact_max_oracle, expr_from_row, implied_by_boxes, lifted_envelope_value,
+                     make_hull_instance, neuron_row, reference_delta_lp, solve_lp,
+                     substitution_by_neuron)
 
 
 def record_cuts(monkeypatch):
@@ -91,10 +92,11 @@ class TestDeltaLpStructure:
         assert dl.model.n_vars == 5
         assert dl.model.names == ["z0", "z1", "z2", "z3", "z5"]
         # mixed h11, h12, h22 get two inequalities each (nonnegativity rides
-        # on the variable bound), h21 its box as one ranged row
-        assert dl.model.n_rows == 7
+        # on the variable bound); h21's box, the ranged row 1 <= h12 + 1 <=
+        # 2.5, is implied by h12 in [0, 1.5] and leaves
+        assert dl.model.n_rows == 6
         ranged = [(lo, hi) for _, _, lo, hi in dl.model.rows if np.isfinite(lo) and np.isfinite(hi)]
-        assert ranged == [(0.0, 1.5)]  # 1 <= h12 + 1 <= 2.5
+        assert ranged == []
         # h21 = h12 + 1 leaves the model through the map
         assert dl.lin[4].tolist() == [0.0, 0.0, 0.0, 1.0, 0.0] and dl.const[4] == 1.0
         # the cut loop separates the mixed neurons below the objective
@@ -122,7 +124,8 @@ class TestDeltaLpStructure:
     def test_rows_are_the_declared_rows(self, which):
         # the variables are the inputs and the mixed neurons; the map and
         # each neuron's rows substitute its declared row over them: >= row
-        # and chord when mixed, its box as a ranged row when always active
+        # and chord when mixed, its box as a ranged row when always active,
+        # unless the variable boxes imply that row
         net = make_row_case_networks()[which]
         m = net.input_dim
         st = compute_all_bounds(net, BoxDomain(np.full(m, -1.0), np.full(m, 1.0)), "interval")
@@ -135,7 +138,9 @@ class TestDeltaLpStructure:
         for pos in range(m, net.n_state):
             lo, hi = st.pre_lower[pos], st.pre_upper[pos]
             if lo >= 0.0:
-                want.append((pre[pos], lo - pre0[pos], hi - pre0[pos]))
+                if not implied_by_boxes(pre[pos], lo - pre0[pos], hi - pre0[pos],
+                                        st.post_lower[keep], st.post_upper[keep]):
+                    want.append((pre[pos], lo - pre0[pos], hi - pre0[pos]))
             elif hi > 0.0:
                 s = hi / (hi - lo)
                 own = np.eye(len(keep))[np.searchsorted(keep, pos)]
@@ -164,12 +169,11 @@ class TestDeltaLpStructure:
         st = interval_state(net, box)
         obj = expr_from_row(*neuron_row(net, 2), eta=2)
         dl = delta_lp(st, obj)
-        # the equality z = x + 2 is the map; its box [2, 3] the ranged row
+        # the equality z = x + 2 is the map; its box [2, 3] is the interval
+        # of x + 2 over x in [0, 1], so its ranged row is implied and leaves
         assert dl.model.n_vars == 1
         assert dl.lin[1].tolist() == [1.0] and dl.const[1] == 2.0
-        assert dl.model.n_rows == 1
-        idx, coef, lo, hi = dl.model.rows[0]
-        assert idx.tolist() == [0] and coef.tolist() == [1.0] and (lo, hi) == (0.0, 1.0)
+        assert dl.model.n_rows == 0
         # the objective z reads x + 2
         assert dl.model.obj == [1.0] and dl.model.obj_constant == 2.0
 
@@ -199,6 +203,52 @@ class TestDeltaLpStructure:
         reference.append_rows(found.point, rows, found.constant)
         got, want = presolved.solve(), reference.solve()
         assert np.allclose(got.objective_value, want.objective_value, rtol=0.0, atol=1e-9), which
+
+
+    @pytest.mark.parametrize("which", list(equivalence_cases()))
+    def test_only_implied_ranged_rows_leave(self, which):
+        # an always-active neuron's ranged row leaves exactly when the
+        # variable boxes imply it up to gamma_n: every ranged row kept is one
+        # of a neuron whose row is not implied, in position order, and every
+        # such neuron keeps its row (test_presolved_optima_equal_the_reference
+        # checks that the optima stay those of the reference model)
+        net, box = equivalence_cases()[which]
+        st = interval_state(net, box)
+        reach = net.n_state
+        dl = build_delta_lp(st, reach)
+        keep, _, _, pre, pre0 = substitution_by_neuron(st, reach)
+        lo, hi = st.pre_lower, st.pre_upper
+        active = [pos for pos in range(net.input_dim, reach) if lo[pos] >= 0.0]
+        kept = [pos for pos in active
+                if not implied_by_boxes(pre[pos], lo[pos] - pre0[pos], hi[pos] - pre0[pos],
+                                        st.post_lower[keep], st.post_upper[keep])]
+        A, row_lo, row_hi = dense_rows(dl.model)
+        ranged = np.isfinite(row_lo) & np.isfinite(row_hi)
+        assert ranged.sum() == len(kept), which
+        if kept:
+            assert np.allclose(A[ranged], pre[kept], rtol=0.0, atol=1e-12), which
+            assert np.allclose(row_lo[ranged], lo[kept] - pre0[kept], rtol=0.0, atol=1e-12)
+            assert np.allclose(row_hi[ranged], hi[kept] - pre0[kept], rtol=0.0, atol=1e-12)
+        if which in ("golden", "acceptance"):  # some rows leave
+            assert len(kept) < len(active), which
+
+    def test_rows_tightened_by_optc2v_stay(self):
+        # on the acceptance net, the optc2v sweep bounds the level-2 neurons
+        # inside the interval their rows reach over the variable boxes, so
+        # those of them that are always active keep their ranged rows
+        net, box = equivalence_cases()["acceptance"]
+        st = compute_all_bounds(net, box, "optc2v")
+        dl = build_delta_lp(st, net.n_state)
+        keep, _, _, pre, pre0 = substitution_by_neuron(st, net.n_state)
+        box_lo, box_hi = st.post_lower[keep], st.post_upper[keep]
+        A, row_lo, row_hi = dense_rows(dl.model)
+        ranged = A[np.isfinite(row_lo) & np.isfinite(row_hi)]
+        level2 = [pos for pos in net.levels[1].pos.tolist() if st.pre_lower[pos] >= 0.0]
+        assert level2
+        for pos in level2:
+            lo, hi = st.pre_lower[pos] - pre0[pos], st.pre_upper[pos] - pre0[pos]
+            assert not implied_by_boxes(pre[pos], lo, hi, box_lo, box_hi), pos
+            assert np.isclose(ranged, pre[pos], rtol=0.0, atol=1e-12).all(axis=1).sum() == 1, pos
 
 
 class TestDeltaLpValues:

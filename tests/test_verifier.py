@@ -438,6 +438,23 @@ class TestMarginBatch:
         assert rep.verdict in (VERIFIED, UNKNOWN)
         assert rep.fallback.split(":")[0] in ("ArithmeticError", "FloatingPointError")
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflows
+    @pytest.mark.parametrize("method", ["interval", "deeppoly", "fastc2v", "lp", "optc2v"])
+    def test_nan_margin_ends_unknown_with_a_reason(self, method):
+        # the fan-in-8 row's interval bound is inf - inf, so the margin is
+        # NaN: never verified, and the report says why; an LP method, which
+        # fell back to deeppoly first, gives its own reason before
+        net = self.overflowing_net("nan")
+        rep = verify(net, RobustnessInstance(np.full(net.input_dim, 0.5), 0.1, 0),
+                     method=method, attack=False)
+        assert np.isnan(rep.margin_bounds[1]) and rep.verdict == UNKNOWN
+        lp = method in ("lp", "optc2v")
+        why = f"ArithmeticError: {'deeppoly' if lp else method} margin bound is not a number " \
+            "for class 1"
+        assert rep.fallback == ("ArithmeticError: scalar bounds below the objective are not "
+                                "numbers; " if lp else "") + why
+        assert format_report_line(0, rep).endswith(f" fallback={rep.fallback}")
+
     def test_margin_times_share_one_batch(self):
         net = generate_random_network([4, 8, 8, 3], seed=2, weight_scale=0.8)
         inst = generate_instances(net, 1, epsilon=0.1, seed=3)[0]
