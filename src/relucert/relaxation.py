@@ -23,8 +23,8 @@ alone, and re-solves warm: the solved tableau is bordered with the new rows.
 stacks (:class:`relucert.simplex.Lockstep`): one tableau per objective,
 solved together, with one :meth:`relucert.hull.HullTable.separate` step per
 round for the whole stack and each objective's cuts on its own tableau.
-Where a stack of several would be too small to pay, or its tableaux too
-large, each objective is a stack of one.  It is the LP bounder of the one
+Every objective of a reach but the first, which makes the start, goes in
+such a stack, as many as fit a block.  It is the LP bounder of the one
 forward sweep, :func:`relucert.propagation.compute_all_bounds`, and reads
 the scalar bounds, post boxes and hull instances that sweep has fixed so
 far.
@@ -45,12 +45,9 @@ CUT_VIOLATION_TOL = 1e-5
 
 # Objectives of one reach are solved in stacks of at most LP_BLOCK tableau
 # entries (objectives x (rows + 1) x (nonbasic columns + 1)), so that a
-# stack's arrays stay in cache, and of at least LOCKSTEP_MIN objectives: a
-# lockstep pivot costs about twice the numpy calls of one plain pivot and
-# lasts as long as the stack's longest solve, so smaller stacks lose to
-# stacks of one.
-LP_BLOCK = 1 << 15
-LOCKSTEP_MIN = 8
+# stack's arrays stay in cache: 2^17 entries are 1 MiB, half the L2 cache of
+# one core of a 2 MiB-per-core machine.
+LP_BLOCK = 1 << 17
 
 
 class LpBoundError(RuntimeError):
@@ -129,6 +126,8 @@ def build_delta_lp(bounds: Bounds, reach: int) -> DeltaLp:
     lo, hi = bounds.pre_lower[:reach], bounds.pre_upper[:reach]
     state = np.arange(reach) >= m
     mixed, active = state & (lo < 0.0) & (hi > 0.0), state & (lo >= 0.0)
+    if not np.isfinite(np.r_[lo[mixed], hi[mixed]]).all():  # before a chord slope divides
+        raise ArithmeticError("relaxation LP has a non-finite box, map or row")
     keep = np.flatnonzero(~state | mixed)
     n = keep.size
     # the map, over every position a level may read; rows of positions past
@@ -200,8 +199,8 @@ def optc2v_bound(bounds: Bounds, objective: Objectives,
     plain relaxation value.
 
     The objectives of one reach go in stacks of at most ``LP_BLOCK``
-    tableau entries when at least ``LOCKSTEP_MIN`` of them, and of their
-    tableaux in the block, are at hand; otherwise each is a stack of one.
+    tableau entries, at least one each, solved in lockstep while many of a
+    stack's members run and one by one after that (:meth:`Lockstep.solve`).
     The first objective of a new model is always a stack of one: its optimum
     is where the others start.  A value that is not finite, or an overflow
     on the way, raises an ``ArithmeticError``.
@@ -226,15 +225,13 @@ def _bound_reach(bounds: Bounds, objective: Objectives, reach: int, rounds: int)
     dl = bounds.lps.get(reach)
     if dl is None:
         dl = bounds.lps[reach] = build_delta_lp(bounds, reach)
-    size = LP_BLOCK // ((dl.model.n_rows + 1) * (dl.model.n_vars + 1))  # tableaux in the block
+    # tableaux in the block, at least one
+    size = max(1, LP_BLOCK // ((dl.model.n_rows + 1) * (dl.model.n_vars + 1)))
     first = int(dl.start is None)  # the first objective makes the start
     rest = len(objective) - first
-    if size < LOCKSTEP_MIN or rest < LOCKSTEP_MIN:
-        stacks = np.arange(len(objective))[:, None]
-    else:
-        stacks = np.array_split(np.arange(first, len(objective)), -(-rest // size))
-        if first:
-            stacks.insert(0, np.arange(1))
+    stacks = [np.arange(first)] if first else []
+    if rest:
+        stacks += np.array_split(np.arange(first, len(objective)), -(-rest // size))
     value = np.empty(len(objective))
     for stack in stacks:
         value[stack] = _lockstep_cut_loop(bounds, dl, objective.select(stack), reach, rounds)
@@ -266,25 +263,24 @@ def _lockstep_cut_loop(bounds: Bounds, dl: DeltaLp, objective: Objectives, reach
             batch, live = batch.select(cutting), live[cutting]
         # cuts are valid for every network point, so an infeasible
         # re-solve means tolerances bit us, not the model
-        batch.append_rows(np.searchsorted(cutting, found.point),
-                          *dl.rows(_cut_rows(table, found, reach), found.constant))
+        batch.append_rows(np.searchsorted(cutting, found.point), *_cut_rows(table, found, dl))
         sol = _optimal(batch.solve(), "after adding cuts")
         value[live] = sol.objective_value
     return value
 
 
-def _cut_rows(table: HullTable, found: Separations, reach: int) -> np.ndarray:
-    """The cuts of ``found`` as dense rows over the positions below
-    ``reach``: pair ``e``, of table row ``i = found.row[e]``, gives the row
-    ``z[table.pos[i]] - found.coeffs[e] . z[table.support[i, :width]]``
-    over the columns ``found`` separated, to be kept at or below
-    ``found.constant[e]``."""
-    e, col = np.nonzero(found.low)
-    e, col = np.concatenate([e, np.arange(len(found))]), np.concatenate([col, found.anchor])
-    rows = np.zeros((len(found), reach))
-    rows[e, table.support[found.row[e], col]] = -found.coeffs[e, col]
-    rows[np.arange(len(found)), table.pos[found.row]] = 1.0
-    return rows
+def _cut_rows(table: HullTable, found: Separations, dl: DeltaLp) -> tuple[np.ndarray, np.ndarray]:
+    """The cuts of ``found`` as rows ``coeffs . x <= rhs`` over the
+    variables of ``dl``: pair ``e``, of table row ``i = found.row[e]``,
+    keeps ``z[table.pos[i]] - found.coeffs[e] . z[table.support[i,
+    :width]]`` at or below ``found.constant[e]``, each position written by
+    the map of ``dl``.  The coefficients are zero outside the columns
+    ``found`` separated, so the contraction runs over every column."""
+    support, pos = table.support[found.row, :found.coeffs.shape[1]], table.pos[found.row]
+    # einsum, not a BLAS product, whose second thread engages on a stack's cuts
+    coeffs = dl.lin[pos] - np.einsum("ew,ewj->ej", found.coeffs, dl.lin[support])
+    return coeffs, found.constant - dl.const[pos] \
+        + np.einsum("ew,ew->e", found.coeffs, dl.const[support])
 
 
 def _optimal(sol: LpBatchSolution, context: str) -> LpBatchSolution:

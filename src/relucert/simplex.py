@@ -25,12 +25,14 @@ nonbasic columns of ``B^{-1} A`` are stored, and a pivot writes the leaving
 variable's unit column into the entering one's slot.  A stack starts from
 the slack basis, or from a solved stack of the same model, which a new
 objective only reprices.  Rows appended to a solved stack (the
-cutting-plane re-solve) border each member's tableau.  A stack of several
-members makes one pivot of every member per numpy step, since a solve of a
-few dozen pivots on a few dozen rows costs more in numpy calls than in
-arithmetic; a stack of one runs plain pivot loops on views of its member,
-taken once per solve, with its counters kept as Python ints.  Both kernels
-pick the same pivots, ties going to the smallest column.
+cutting-plane re-solve) border each member's tableau.  While at least
+``LOCKSTEP_MIN`` members run, a solve makes one pivot of every running
+member per numpy step, since a solve of a few dozen pivots on a few dozen
+rows costs more in numpy calls than in arithmetic; the scalar loop then
+finishes each member still running, one by one, on views of its tableau,
+with its counters kept as Python ints.  A stack of one is simply a stack
+below that crossover.  Both kernels pick the same pivots, ties going to the
+smallest column.
 
 The reported value is a dual bound (Neumaier & Shcherbina, "Safe bounds in
 linear and mixed-integer linear programming", 2004): the row duals of the
@@ -55,6 +57,10 @@ OPT_TOL = 1e-7
 PIVOT_TOL = 1e-9
 DEGENERATE_STREAK = 40
 DEFAULT_MAX_ITER = 20000
+# The fewest running members worth a lockstep step: a lockstep pivot costs
+# about twice the numpy calls of one scalar pivot and lasts as long as the
+# stack's longest solve, so fewer running members go faster one by one.
+LOCKSTEP_MIN = 8
 
 LE, GE, EQ = "<=", ">=", "="
 
@@ -334,10 +340,10 @@ class Lockstep:
         self.c = np.concatenate([self.c, np.zeros((q, k))], axis=1)
         self.warm = True  # solve() prices the basic values and their bounds
 
-    # ----- the pivots of a stack of one ---------------------------------------
+    # ----- the scalar pivots of one member -----------------------------------
 
     def _pivot(self, v, r, j, settled):
-        """Enter the column in slot j of member 0, whose views are ``v``, on
+        """Enter the column in slot j of the member whose views are ``v``, on
         row r, the leaving variable taking slot j at its bound ``settled``:
         its unit column goes into the slot, then one rank-1 update of the
         tableau moves ``B^{-1} A``, ``B^{-1} rhs`` and the reduced costs, and
@@ -360,11 +366,12 @@ class Lockstep:
         basic[r], nonbasic[j] = entering, basic[r]
         status[j] = settled
 
-    def _dual(self, v, max_iter):
-        """Restore member 0's primal feasibility while keeping its dual
-        feasibility; its end code, pivots and degenerate streak."""
+    def _dual(self, v, max_iter, it, degen):
+        """Restore the primal feasibility of the member whose views are
+        ``v`` while keeping its dual feasibility, after ``it`` pivots and a
+        degenerate streak ``degen``; its end code, pivots and streak."""
         tab, xb, lb_b, ub_b, basic, nonbasic, status = v[:7]
-        d, it, degen = tab[-1, :-1], 0, 0
+        d = tab[-1, :-1]
         # how far each basic value lies outside its bounds, or minus how far inside
         infeas, above = np.empty(len(xb)), np.empty(len(xb))
         while True:
@@ -399,9 +406,9 @@ class Lockstep:
             it += 1
 
     def _primal(self, v, max_iter, it, degen):
-        """Maximize member 0's objective from its primal feasible basis,
-        after ``it`` pivots and a degenerate streak ``degen``; its end code,
-        pivots and streak."""
+        """Maximize the objective of the member whose views are ``v`` from
+        its primal feasible basis, after ``it`` pivots and a degenerate streak
+        ``degen``; its end code, pivots and streak."""
         tab, xb, lb_b, ub_b, basic, nonbasic, status, lb, ub = v
         d = tab[-1, :-1]
         while True:
@@ -445,7 +452,7 @@ class Lockstep:
             self._pivot(v, row, j, _AT_LOWER if abs(landed - lo) <= abs(landed - hi) else _AT_UPPER)
             it += 1
 
-    # ----- the lockstep pivots of a larger stack ----------------------------
+    # ----- the lockstep pivots of many members --------------------------------
 
     def _pivot_step(self, go, r, j, value, settled):
         """:meth:`_pivot` of every member in the mask ``go`` on row ``r`` and
@@ -535,7 +542,7 @@ class Lockstep:
         pick = np.where(bland[:, None], gain > OPT_TOL, gain == top[:, None])
         j = np.where(pick, self.nonbasic, _NO_COLUMN).argmin(1)  # ties to the smallest column
         s = status[b, j]  # +1 at its lower bound, so j moves up; -1 down
-        # _primal_ratio, every member at once: row -1 is a bound flip
+        # the ratio test of _primal, every member at once: row -1 is a bound flip
         column = self.nonbasic[b, j]
         best, row = self.ub[0, column] - self.lb[0, column], np.full(q, -1)
         col = self.tab[b, :-1, j]
@@ -573,26 +580,29 @@ class Lockstep:
             self._pivot_step(go, r, j, np.where(low, lo, hi), np.where(low, _AT_LOWER, _AT_UPPER))
         return code
 
-    def _run(self, step, live, max_iter, code):
-        """Take the members in the mask ``live`` through ``step`` until each
-        ends, writing their end codes into ``code``.  The steps see views of
-        the leading members: one that ends swaps places with a running one
-        behind, and all go back to their places at the end."""
-        order, work, out = np.arange(len(self)), self, ~live
-        while True:
-            if out.any():
-                k = len(out) - int(out.sum())  # running
-                ended, behind = np.flatnonzero(out[:k]), np.flatnonzero(~out[k:]) + k
-                if ended.size:
-                    self._move(np.concatenate([ended, behind]), np.concatenate([behind, ended]))
-                    order[ended], order[behind] = order[behind], order[ended]
-                if not k:
-                    break
-                work = self.select(slice(k), self._PIVOTED)
+    def _run(self, step, scalar, live, max_iter, code):
+        """Take the members in the mask ``live`` through the lockstep
+        ``step`` while at least ``LOCKSTEP_MIN`` of them run, then each one
+        still running through the ``scalar`` loop, writing their end codes
+        into ``code``.  The steps see views of the leading members: one that
+        ends swaps places with a running one behind, and all go back to their
+        places at the end."""
+        order, out = np.arange(len(self)), ~live
+        while (k := len(out) - int(out.sum())) >= LOCKSTEP_MIN:  # running
+            ended, behind = np.flatnonzero(out[:k]), np.flatnonzero(~out[k:]) + k
+            if ended.size:
+                self._move(np.concatenate([ended, behind]), np.concatenate([behind, ended]))
+                order[ended], order[behind] = order[behind], order[ended]
+            work = self if k == len(self) else self.select(slice(k), self._PIVOTED)
             while (end := step(work, max_iter)) is None:
                 pass
             out = end != _RUNNING
-            code[order[:len(work)][out]] = end[out]
+            code[order[:k][out]] = end[out]
+        for b in np.flatnonzero(~out).tolist():  # member b's views
+            v = tuple(a[b] for a in (self.tab, self.xb, self.lb_b, self.ub_b, self.basic,
+                                     self.nonbasic, self.status, self.lb, self.ub))
+            code[order[b]], self.iterations[b], self.degen[b] = scalar(
+                self, v, max_iter, int(self.iterations[b]), int(self.degen[b]))
         moved = np.flatnonzero(order != np.arange(len(self)))
         if moved.size:
             self._move(order[moved], moved)
@@ -604,8 +614,9 @@ class Lockstep:
         feasible for its objective (the dual simplex keeps that) or primal
         feasible (the primal simplex keeps that), else from the slack basis;
         the dual simplex runs first, at once done when primal feasible, then
-        the primal one.  A stack of one runs :meth:`_dual` and
-        :meth:`_primal`, a larger one their lockstep steps."""
+        the primal one.  Each runs its lockstep steps while at least
+        ``LOCKSTEP_MIN`` members run, and the scalar :meth:`_dual` or
+        :meth:`_primal` for each member still running after that."""
         q = len(self)
         self.iterations[:] = 0
         self.degen[:] = 0
@@ -617,17 +628,9 @@ class Lockstep:
         if cold.any():
             self._slack_basis(np.flatnonzero(cold))
             self._price()
-        if q == 1:  # member 0's views, and its counters as ints till the end
-            v = tuple(a[0] for a in (self.tab, self.xb, self.lb_b, self.ub_b, self.basic,
-                                     self.nonbasic, self.status, self.lb, self.ub))
-            end, it, degen = self._dual(v, max_iter)
-            if end == _OPTIMAL:
-                end, it, degen = self._primal(v, max_iter, it, degen)
-            code, self.iterations[0], self.degen[0] = np.array([end]), it, degen
-        else:
-            code = np.full(q, _RUNNING)
-            self._run(Lockstep._dual_step, np.ones(q, dtype=bool), max_iter, code)
-            self._run(Lockstep._primal_step, code == _OPTIMAL, max_iter, code)
+        code = np.full(q, _RUNNING)
+        self._run(Lockstep._dual_step, Lockstep._dual, np.ones(q, dtype=bool), max_iter, code)
+        self._run(Lockstep._primal_step, Lockstep._primal, code == _OPTIMAL, max_iter, code)
         self.warm = True
         x = self.values()[:, :self.n]
         optimal = code == _OPTIMAL

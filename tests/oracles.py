@@ -3,6 +3,7 @@
 None of these run on the package's bound paths: a cold solve of one LP
 model, one neuron's hull instance, its corner values, cuts and one-row
 separation calls, every envelope of a table read off one separation, the
+cut rows of a separation over positions, one pair at a time, the
 sorting greedy of one table row coordinate by coordinate, brute-force
 enumeration of the hull's cut family and of its least value at a point, the weighted-median separator (the paper's
 linear-time variant of the sorting greedy), the univariate chord bound, the
@@ -219,6 +220,19 @@ def separation_cut(table: HullTable, found, e: int) -> HullCut:
     return HullCut(index_set=tuple(np.flatnonzero(low).tolist()), anchor=anchor,
                    idx=table.support[found.row[e], :keep.size][keep], coeffs=found.coeffs[e, keep],
                    constant=float(found.constant[e]))
+
+
+def cut_rows_over_positions(table: HullTable, found, reach: int) -> np.ndarray:
+    """The cuts of a :class:`relucert.hull.Separations` as dense rows over
+    the positions below ``reach``, one pair at a time: pair ``e`` gives
+    ``z[pos] - coeffs . z[idx]``, to be kept at or below
+    ``found.constant[e]``."""
+    rows = np.zeros((len(found), reach))
+    for e in range(len(found)):
+        cut = separation_cut(table, found, e)
+        rows[e, cut.idx] = -cut.coeffs
+        rows[e, table.pos[found.row[e]]] += 1.0
+    return rows
 
 
 def minimize_upper_envelope_sort(inst: HullInstance, x) -> tuple[float, np.ndarray, int]:

@@ -10,10 +10,10 @@ from relucert.simplex import LE, Lockstep, LpStatus
 from relucert.verifier import build_input_box, generate_instances, margin_objective, verify
 
 from conftest import delta_lp, interval_state, make_row_case_networks, random_mixed_instance
-from oracles import (cut_from_pair, envelope_min_by_enumeration, enumerate_cut_pairs,
-                     exact_max_oracle, expr_from_row, implied_by_boxes, lifted_envelope_value,
-                     make_hull_instance, neuron_row, reference_delta_lp, solve_lp,
-                     substitution_by_neuron)
+from oracles import (cut_from_pair, cut_rows_over_positions, envelope_min_by_enumeration,
+                     enumerate_cut_pairs, exact_max_oracle, expr_from_row, implied_by_boxes,
+                     lifted_envelope_value, make_hull_instance, neuron_row, reference_delta_lp,
+                     solve_lp, substitution_by_neuron)
 
 
 def record_cuts(monkeypatch):
@@ -22,10 +22,10 @@ def record_cuts(monkeypatch):
     added = []
     real = relaxation._cut_rows
 
-    def recording(table, found, reach):
-        rows = real(table, found, reach)
+    def recording(table, found, dl):
+        rows = cut_rows_over_positions(table, found, dl.lin.shape[0])
         added.extend(zip(rows, found.constant))
-        return rows
+        return real(table, found, dl)
 
     monkeypatch.setattr(relaxation, "_cut_rows", recording)
     return added
@@ -198,11 +198,33 @@ class TestDeltaLpStructure:
             assert len(found), which
         if not len(found):
             return
-        rows = relaxation._cut_rows(st.table, found, reach)
-        presolved.append_rows(found.point, *dl.rows(rows, found.constant))
-        reference.append_rows(found.point, rows, found.constant)
+        presolved.append_rows(found.point, *relaxation._cut_rows(st.table, found, dl))
+        reference.append_rows(found.point, cut_rows_over_positions(st.table, found, reach),
+                              found.constant)
         got, want = presolved.solve(), reference.solve()
         assert np.allclose(got.objective_value, want.objective_value, rtol=0.0, atol=1e-9), which
+
+    @pytest.mark.parametrize("which", list(equivalence_cases()))
+    def test_cut_rows_map_the_position_rows(self, which):
+        # the cut of every pair of the table, at the optima of random
+        # objectives, written over the variables directly is the dense row
+        # over positions mapped by DeltaLp.rows
+        net, box = equivalence_cases()[which]
+        st = interval_state(net, box)
+        reach = net.n_state
+        dl = build_delta_lp(st, reach)
+        rng = np.random.default_rng(11)
+        C, K = rng.uniform(-1, 1, (6, reach)), rng.uniform(-1, 1, 6)
+        z = dl.points(Lockstep(dl.model, *dl.objectives(C, K)).solve().x)
+        pos = st.table.pos[:st.table.rows_below(reach)]
+        found = st.table.separate(z, np.full((len(z), pos.size), np.inf))
+        if which in ("golden", "acceptance"):
+            assert len(found), which
+        coeffs, rhs = relaxation._cut_rows(st.table, found, dl)
+        want = dl.rows(cut_rows_over_positions(st.table, found, reach), found.constant)
+        assert coeffs.shape == want[0].shape == (len(found), dl.model.n_vars)
+        assert np.allclose(coeffs, want[0], rtol=0.0, atol=1e-12), which
+        assert np.allclose(rhs, want[1], rtol=0.0, atol=1e-12), which
 
 
     @pytest.mark.parametrize("which", list(equivalence_cases()))
@@ -522,32 +544,36 @@ class TestLpSweep:
             bounds, reach = builds[id(model)]
             assert model.n_vars == len(substitution_by_neuron(bounds, reach)[0])
 
-    def test_tableau_beyond_the_block_goes_one_by_one(self, monkeypatch):
-        # the level-2 rows of the 4,8,8,3 net share one tableau; with room
-        # for LOCKSTEP_MIN of them in LP_BLOCK they go in stacks of several,
-        # with a block one entry short each is a stack of one; the bounds
-        # agree
+    def test_stacks_fill_the_block(self, monkeypatch):
+        # after the first objective of a reach, which makes the start alone,
+        # the others go in as few stacks as LP_BLOCK allows, at least one
+        # objective each: the 15 other level-2 rows of the 4,8,8,3 net in one
+        # stack, in stacks of three with room for three, and one by one with
+        # a block smaller than their tableau; the bounds agree
         import relucert.simplex as simplex
         stacks = []
         real = simplex.Lockstep.__init__
 
         def lockstep(self, model, c, constant, start=None):
-            stacks.append((len(c), (model.n_rows + 1) * (model.n_vars + 1)))
+            if start is not None:
+                stacks.append((id(model), len(c), (model.n_rows + 1) * (model.n_vars + 1)))
             real(self, model, c, constant, start)
 
         monkeypatch.setattr(simplex.Lockstep, "__init__", lockstep)
         ref = sweep_with_margins("optc2v")
-        assert any(q > 1 for q, _ in stacks)
-        entries = max(size for q, size in stacks if q > 1)
-        sweeps = {}
-        for block in (entries * relaxation.LOCKSTEP_MIN, entries * relaxation.LOCKSTEP_MIN - 1):
+        assert max(q for _, q, _ in stacks) == 15
+        entries = max(size for _, q, size in stacks if q > 1)
+        for block in (3 * entries, entries - 1):
             stacks.clear()
             monkeypatch.setattr(relaxation, "LP_BLOCK", block)
-            sweeps[block] = sweep_with_margins("optc2v")
-            several = [q * size for q, size in stacks if q > 1]
-            assert all(entries <= block for entries in several)
-            assert bool(several) == (block % relaxation.LOCKSTEP_MIN == 0)
-        for st in sweeps.values():
+            st = sweep_with_margins("optc2v")
+            assert any(q > 1 for _, q, _ in stacks) == (block > entries)
+            assert any(size > block for _, _, size in stacks) == (block < entries)
+            for model in {model for model, _, _ in stacks}:
+                qs = [q for owner, q, _ in stacks if owner == model]
+                size = next(size for owner, _, size in stacks if owner == model)
+                fit = max(1, block // size)  # a tableau beyond the block goes alone
+                assert max(qs) <= fit and len(qs) == -(-sum(qs) // fit)
             assert np.allclose(st.pre_upper, ref.pre_upper, rtol=0.0, atol=1e-9)
             assert np.allclose(st.pre_lower, ref.pre_lower, rtol=0.0, atol=1e-9)
 

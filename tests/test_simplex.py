@@ -519,14 +519,20 @@ class TestLockstep:
         assert bordered >= 30 and infeasible >= 1
 
 
-@pytest.mark.parametrize("q", [2, 5])
-def test_kernels_take_the_same_pivots_under_blands_rule(q, monkeypatch):
-    # with no degenerate streak allowed, every pivot of both kernels follows
-    # Bland's rule; cold, and warm from the optimum of another objective,
-    # where the primal simplex flips bounds, and cut off after every number
-    # of pivots, each member of a lockstep stack holds the basis, bound
-    # statuses and point of its own stack of one
-    monkeypatch.setattr(simplex_module, "DEGENERATE_STREAK", 0)
+@pytest.mark.parametrize("streak", [None, 0, 2])
+@pytest.mark.parametrize("q", [simplex_module.LOCKSTEP_MIN, 13])
+def test_kernels_take_the_same_pivots(q, streak, monkeypatch):
+    # under the default rules, with no degenerate streak allowed so that
+    # every pivot follows Bland's rule, and with a short one, after which
+    # each member switches to it by a streak the scalar loop must carry on;
+    # cold, and warm from the optimum of another objective, where the primal
+    # simplex flips bounds, and cut off after every number of pivots, each
+    # member of a stack at or above the crossover holds the basis, bound
+    # statuses and point of its own stack of one, which runs the scalar loop
+    # alone; most stacks take lockstep steps and then cross to the scalar
+    # loop in the same solve
+    if streak is not None:
+        monkeypatch.setattr(simplex_module, "DEGENERATE_STREAK", streak)
     rng = np.random.default_rng(43)
     degenerate = LpModel()
     for j in range(6):
@@ -534,6 +540,9 @@ def test_kernels_take_the_same_pivots_under_blands_rule(q, monkeypatch):
     for _ in range(12):
         degenerate.add_constraint(np.arange(6), np.ones(6), LE, 0.0)
     models = [random_boxed_lp(rng, tied=trial % 2 == 1) for trial in range(40)] + [degenerate]
+    lockstep, scalar = ([record_calls(monkeypatch, Lockstep, name) for name in names]
+                        for names in (("_dual_step", "_primal_step"), ("_dual", "_primal")))
+    crossed = {"cold": 0, "warm": 0}
     for m in models:
         C, K = rng.uniform(-2, 2, (q, m.n_vars)), rng.uniform(-1, 1, q)
         first = Lockstep(m, rng.uniform(-2, 2, (1, m.n_vars)), 0.0)
@@ -542,13 +551,17 @@ def test_kernels_take_the_same_pivots_under_blands_rule(q, monkeypatch):
             pivots = int(Lockstep(m, C, K, start=start).solve().iterations.max())
             for limit in range(pivots + 1):
                 stack, ones = Lockstep(m, C, K, start=start), stacks_of_one(m, C, K, start)
+                for calls in lockstep + scalar:
+                    calls.clear()
                 sol = stack.solve(max_iter=limit)
+                crossed["warm" if start else "cold"] += any(lockstep) and any(scalar)
                 refs = [one.solve(max_iter=limit) for one in ones]
                 assert_members_match(sol, refs)
                 for b, (one, ref) in enumerate(zip(ones, refs)):
                     for name in ("basic", "nonbasic", "status"):
                         assert np.array_equal(getattr(stack, name)[b], getattr(one, name)[0])
                     assert np.allclose(sol.x[b], ref.x[0], rtol=0.0, atol=1e-9)
+    assert crossed["cold"] >= 20 and crossed["warm"] >= 20, crossed
 
 
 def assert_condensed(stack, C, priced=True):

@@ -438,6 +438,18 @@ class TestMarginBatch:
         assert rep.verdict in (VERIFIED, UNKNOWN)
         assert rep.fallback.split(":")[0] in ("ArithmeticError", "FloatingPointError")
 
+    def test_infinite_chord_end_raises_before_the_slope(self):
+        # the interval sweep of the deep net leaves its mixed h5 and h6 with
+        # an infinite end: their relaxation raises ArithmeticError, outside
+        # optc2v_bound's errstate too, before a chord slope divides inf by
+        # inf (numpy's warning is an error under tier-1)
+        net = self.overflowing_net("deep")
+        with np.errstate(over="ignore"):  # the sweep's own sums overflow
+            st = compute_all_bounds(net, BoxDomain(np.full(2, 0.4), np.full(2, 0.6)), "interval")
+        assert np.isinf(st.pre_upper[4:6]).all() and (st.pre_lower[4:6] < 0.0).all()
+        with pytest.raises(ArithmeticError, match="non-finite box, map or row"):
+            relaxation.build_delta_lp(st, net.n_state)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflows
     @pytest.mark.parametrize("method", ["interval", "deeppoly", "fastc2v", "lp", "optc2v"])
     def test_nan_margin_ends_unknown_with_a_reason(self, method):
