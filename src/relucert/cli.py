@@ -7,7 +7,7 @@ import os
 import sys
 
 from . import verifier
-from .network import (NetworkParseError, generate_random_network, load_network,
+from .network import (NetworkParseError, classify, generate_random_network, load_network,
                       save_network)
 from .propagation import DEFAULT_CUT_ROUNDS
 from .relaxation import LpBoundError, build_delta_lp
@@ -47,7 +47,9 @@ def _verify_cmd(args):
 def _dump_margin_lps(net, instances, args):
     os.makedirs(args.dump_lp, exist_ok=True)
     for i, inst in enumerate(instances):
-        if not isinstance(inst, RobustnessInstance) or verifier.instance_error(net, inst):
+        # the instances batch_verify skips get no dump
+        if not isinstance(inst, RobustnessInstance) or verifier.instance_error(net, inst) \
+                or classify(net, inst.x_hat) != inst.label:
             continue
         box = verifier.build_input_box(inst)
         try:
@@ -57,13 +59,14 @@ def _dump_margin_lps(net, instances, args):
             for k in range(net.n_outputs):
                 if k != inst.label:
                     obj = margin_objective(net, k, inst.label)
-                    models[k] = build_delta_lp(state, int(obj.reach[0]))
-                    models[k].set_objective(obj.coeffs[0], obj.constant[0])
+                    dl = build_delta_lp(state, int(obj.reach[0]))
+                    models[k] = dl.model, *dl.objectives(obj.coeffs, obj.constant)
         except (LpBoundError, ArithmeticError) as exc:  # verify falls back for these
             print(f"instance={i} no LP dump: {type(exc).__name__}: {exc}", file=sys.stderr)
             continue
-        for k, dl in models.items():
-            write_lp_format(dl.model, os.path.join(args.dump_lp, f"inst{i}_class{k}.lp"))
+        for k, (model, c, constant) in models.items():
+            write_lp_format(model, c[0], constant[0],
+                            os.path.join(args.dump_lp, f"inst{i}_class{k}.lp"))
 
 
 def _gen_cmd(args):
@@ -113,7 +116,9 @@ def build_parser():
     v.add_argument("--attack", choices=("on", "off"), default="on")
     v.add_argument("--report", default=None, help="write reports to this file")
     v.add_argument("--dump-lp", default=None,
-                   help="dump margin LP models into this directory")
+                   help="write into this directory the base relaxation LP each margin's "
+                        "solve starts from (optc2v's cuts are not in it); skipped "
+                        "instances get no dump")
     v.set_defaults(func=_verify_cmd)
 
     g = sub.add_parser("gen", help="generate a random network and instance corpus")

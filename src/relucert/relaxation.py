@@ -6,7 +6,9 @@ variables are the inputs and the mixed neurons only.  Pre-activations are
 substituted out, and so are the exact neurons: an always-inactive one is 0
 and an always-active one its row, composed level by level over the
 variables, with its interval kept as one ranged row unless the variable
-boxes already imply it.  The model's map
+boxes already imply it.  The rows are built as one dense block, which
+becomes the model's :class:`relucert.simplex.LpModel` as it is; the model
+holds no objective.  The map
 writes every position as an affine function of the variables, and
 objectives, optima and cuts, which live over positions, go through it
 (presolve as in Andersen & Andersen, "Presolving in linear programming",
@@ -83,11 +85,6 @@ class DeltaLp:
             raise ValueError(f"objective reaches past the model's {reach} positions")
         return coeffs[:, :reach] @ self.lin, constant + coeffs[:, :reach] @ self.const
 
-    def set_objective(self, coeffs, constant):
-        """Maximize ``coeffs . z + constant``, over positions."""
-        c, k = self.objectives(coeffs, constant)
-        self.model.obj, self.model.obj_constant = c[0].tolist(), float(k[0])
-
     def points(self, x) -> np.ndarray:
         """The positions below the reach at each variable vector of ``x``."""
         return x @ self.lin.T + self.const
@@ -112,9 +109,10 @@ def build_delta_lp(bounds: Bounds, reach: int) -> DeltaLp:
     on its box); an always-active one its box, as the ranged row ``lo <= pre
     <= hi``, unless its interval over the variable boxes lies in that range
     up to rounding: a row left out only widens the relaxation.  Rows go in
-    position order.  Neurons from the reach on cannot move an objective of
-    that reach, so they are left out.  Raises ``ArithmeticError`` when a
-    scalar bound is NaN, or a box, the map or a row is not finite.
+    position order, in one dense block that the model keeps as it is.
+    Neurons from the reach on cannot move an objective of that reach, so
+    they are left out.  Raises ``ArithmeticError`` when a scalar bound is
+    NaN, or a box, the map or a row is not finite.
     """
     net = bounds.net
     if reach > net.n_state:
@@ -173,10 +171,8 @@ def build_delta_lp(bounds: Bounds, reach: int) -> DeltaLp:
     to_lo, to_hi = a * box_lo, a * box_hi
     implied = (np.minimum(to_lo, to_hi).sum(axis=1) >= r_lo - slack) \
         & (np.maximum(to_lo, to_hi).sum(axis=1) <= r_hi + slack)
-    model = LpModel()
-    for j, pos in enumerate(keep.tolist()):
-        model.add_variable(box_lo[j], box_hi[j], name=f"z{pos}")
-    model.add_rows(*(np.delete(x, at[implied], axis=0) for x in (A, row_lo, row_hi)))
+    model = LpModel(*(np.delete(x, at[implied], axis=0) for x in (A, row_lo, row_hi)),
+                    box_lo, box_hi, [f"z{pos}" for pos in keep.tolist()])
     return DeltaLp(model=model, lin=lin[:reach], const=const[:reach])
 
 

@@ -7,12 +7,12 @@ together with the basic values and the reduced costs, is both simple and
 fast enough.
 
 Conventions: maximize ``c . x`` subject to ``lb <= x <= ub`` and ranged
-rows ``lo <= a . x <= hi``; a ``<=`` row has ``lo = -inf``, a ``>=`` row
-``hi = inf`` and an ``=`` row ``lo = hi``.  Every variable is boxed:
-``add_variable`` refuses an infinite bound.  Rows get one slack each,
-``s = rhs - a . x``, boxed to keep the row in its range; a basis is the list
-of basic columns and of nonbasic ones, each nonbasic at its lower or upper
-bound.
+rows ``lo <= A @ x <= hi``; a ``<=`` row has ``lo = -inf``, a ``>=`` row
+``hi = inf`` and an ``=`` row ``lo = hi``.  :class:`LpModel` holds these
+arrays, read only, and no objective: every variable is boxed, and each row
+gets one slack ``s = rhs - a . x``, boxed to keep the row in its range,
+which the model fixes once.  A basis is the list of basic columns and of
+nonbasic ones, each nonbasic at its lower or upper bound.
 Boxed columns make the slack basis, with each column at the bound its cost
 favours, dual feasible, so a cold solve is one dual simplex run from that
 slack basis, and a primal pass then polishes.  Anti-cycling: after a streak
@@ -22,8 +22,9 @@ of degenerate steps the pivot choice switches to Bland's rule.
 over one model, stacked along a leading axis, each the condensed tableau of
 the textbook simplex (Chvatal, *Linear Programming*, 1983): only the
 nonbasic columns of ``B^{-1} A`` are stored, and a pivot writes the leaving
-variable's unit column into the entering one's slot.  A stack starts from
-the slack basis, or from a solved stack of the same model, which a new
+variable's unit column into the entering one's slot.  A stack reads the
+model's arrays as they are and starts from the slack basis, or from a
+solved stack of the same model with no rows appended, which a new
 objective only reprices.  Rows appended to a solved stack (the
 cutting-plane re-solve) border each member's tableau.  While at least
 ``LOCKSTEP_MIN`` members run, a solve makes one pivot of every running
@@ -48,7 +49,7 @@ from __future__ import annotations
 import copy
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,8 +62,6 @@ DEFAULT_MAX_ITER = 20000
 # about twice the numpy calls of one scalar pivot and lasts as long as the
 # stack's longest solve, so fewer running members go faster one by one.
 LOCKSTEP_MIN = 8
-
-LE, GE, EQ = "<=", ">=", "="
 
 
 class LpStatus(enum.Enum):
@@ -77,69 +76,55 @@ _AT_LOWER = 1
 _AT_UPPER = -1
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LpModel:
-    """Maximization LP with per-variable bounds and sparse ranged rows."""
+    """The rows ``lo <= A @ x <= hi`` over variables boxed to ``lb <= x <=
+    ub``, named by ``names``; read-only arrays, validated once.
 
-    lb: list = field(default_factory=list)
-    ub: list = field(default_factory=list)
-    obj: list = field(default_factory=list)
-    obj_constant: float = 0.0
-    rows: list = field(default_factory=list)  # (idx array, coef array, lo, hi)
-    names: list = field(default_factory=list)
+    Every box is finite and ordered, and every row range ordered with a
+    finite side.  Each row's slack ``rhs - a . x`` is fixed here: with
+    ``rhs = hi`` its column lies in ``[0, hi - lo]``, or, for a row with no
+    upper side, with ``rhs = lo`` in ``(-inf, 0]``; ``col_lb`` and
+    ``col_ub`` bound every column, the slacks last.  ``slack_lo`` and
+    ``slack_hi`` cut each slack's box to what its row reaches over the
+    variable box.
+    """
 
-    def add_variable(self, lb, ub, obj=0.0, name=None) -> int:
-        if not (np.isfinite(lb) and np.isfinite(ub)):
-            raise ValueError(f"variable bounds must be finite: [{lb}, {ub}]")
-        if lb > ub:
-            raise ValueError(f"variable bounds crossed: [{lb}, {ub}]")
-        self.lb.append(float(lb))
-        self.ub.append(float(ub))
-        self.obj.append(float(obj))
-        self.names.append(name if name is not None else f"x{len(self.lb) - 1}")
-        return len(self.lb) - 1
+    A: np.ndarray  # (m, n)
+    lo: np.ndarray  # (m,)
+    hi: np.ndarray
+    lb: np.ndarray  # (n,)
+    ub: np.ndarray
+    names: tuple
 
-    def add_constraint(self, idx, coef, sense, rhs) -> int:
-        """The row ``coef . x[idx] (sense) rhs``, kept as its range."""
-        idx = np.asarray(idx, dtype=np.intp)
-        coef = np.asarray(coef, dtype=float)
-        if idx.shape != coef.shape or idx.ndim != 1:
-            raise ValueError("constraint index/coefficient shape mismatch")
-        if idx.size and (idx.min() < 0 or idx.max() >= len(self.lb)):
-            raise ValueError("constraint references undeclared variable")
-        if sense not in (LE, GE, EQ):
-            raise ValueError(f"unknown sense {sense!r}")
-        lo, hi = -np.inf if sense == LE else float(rhs), np.inf if sense == GE else float(rhs)
-        _check_ranges(lo, hi)
-        self.rows.append((idx, coef, lo, hi))
-        return len(self.rows) - 1
-
-    def add_rows(self, A, lo, hi):
-        """The rows ``lo[i] <= A[i] . x <= hi[i]``, over every variable,
-        each kept as its nonzero coefficients."""
-        A = np.asarray(A, dtype=float)
-        if A.shape != (len(lo), self.n_vars) or len(lo) != len(hi):
-            raise ValueError("row block shape mismatch")
-        _check_ranges(lo, hi)
-        r, c = np.nonzero(A)
-        coef, ends = A[r, c], np.searchsorted(r, np.arange(len(A) + 1)).tolist()
-        self.rows += [(c[a:b], coef[a:b], float(lo_i), float(hi_i))
-                      for a, b, lo_i, hi_i in zip(ends, ends[1:], lo, hi)]
+    def __post_init__(self):
+        A, lo, hi, lb, ub = (np.array(a, dtype=float) for a in
+                             (self.A, self.lo, self.hi, self.lb, self.ub))
+        object.__setattr__(self, "names", tuple(self.names))
+        if A.ndim != 2 or {lo.shape, hi.shape} != {A.shape[:1]} \
+                or {lb.shape, ub.shape, (len(self.names),)} != {A.shape[1:]}:
+            raise ValueError("model shape mismatch")
+        if not (np.isfinite(lb) & np.isfinite(ub) & (lb <= ub)).all():
+            raise ValueError("variable bounds must be finite and ordered")
+        if not ((lo <= hi) & (np.isfinite(lo) | np.isfinite(hi))).all():
+            raise ValueError("row ranges must be ordered, each with a finite side")
+        capped = np.isfinite(hi)
+        rhs = np.where(capped, hi, lo)
+        col_lb = np.concatenate([lb, np.where(capped, 0.0, -np.inf)])
+        col_ub = np.concatenate([ub, np.where(capped, hi - lo, 0.0)])
+        slack = _slack_range(A, rhs, lb, ub, col_lb[len(lb):], col_ub[len(lb):])
+        for name, a in zip(("A", "lo", "hi", "lb", "ub", "rhs", "col_lb", "col_ub", "slack_lo",
+                            "slack_hi"), (A, lo, hi, lb, ub, rhs, col_lb, col_ub, *slack)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def n_vars(self) -> int:
-        return len(self.lb)
+        return self.A.shape[1]
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
-
-
-def _check_ranges(lo, hi):
-    """Each row range must be ordered, with a finite side."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    if not ((lo <= hi) & (np.isfinite(lo) | np.isfinite(hi))).all():
-        raise ValueError("row ranges must be ordered, each with a finite side")
+        return self.A.shape[0]
 
 
 @dataclass(eq=False)
@@ -156,22 +141,6 @@ class LpBatchSolution:
 _STATUSES = (LpStatus.OPTIMAL, LpStatus.INFEASIBLE, LpStatus.UNBOUNDED, LpStatus.ITERATION_LIMIT)
 _RUNNING, _OPTIMAL, _INFEASIBLE, _UNBOUNDED, _LIMIT = range(-1, 4)
 _NO_COLUMN = np.iinfo(np.intp).max  # above every column index
-
-
-def _encode_rows(model: LpModel):
-    """The rows of ``model`` as a dense ``(A, rhs)``, and the bounds ``(lb,
-    ub)`` of its columns, one slack per row last.  The slack of a row ``lo
-    <= a . x <= hi`` is ``rhs - a . x``: with ``rhs = hi`` it lies in ``[0,
-    hi - lo]``, or, for a row with no upper side, with ``rhs = lo`` in
-    ``(-inf, 0]``."""
-    A = np.zeros((model.n_rows, model.n_vars))
-    lo, hi = np.zeros(model.n_rows), np.zeros(model.n_rows)
-    for i, (idx, coef, lo_i, hi_i) in enumerate(model.rows):
-        A[i, idx], lo[i], hi[i] = coef, lo_i, hi_i
-    capped = np.isfinite(hi)
-    lb = np.concatenate([model.lb, np.where(capped, 0.0, -np.inf)])
-    ub = np.concatenate([model.ub, np.where(capped, hi - lo, 0.0)])
-    return A, np.where(capped, hi, lo), lb, ub
 
 
 def _slack_range(A, rhs, lo, hi, slack_lb, slack_ub):
@@ -192,9 +161,9 @@ class Lockstep:
     reduced costs as its last row, so one rank-1 update pivots all three.
     Each member picks its own pivot with the same tolerances, tie rules and
     its own degenerate streak.  Members start from member 0 of ``start``, a
-    solved stack of ``model``, when it is dual or primal feasible for their
-    objective, else from the slack basis.  A start solved for another
-    model, or before ``model`` gained rows, is ignored.
+    solved stack of ``model`` with no rows appended, when it is dual or
+    primal feasible for their objective, else from the slack basis.  Any
+    other start is ignored.
 
     :meth:`append_rows` borders each member's tableau with rows of its own,
     adding no column; a member given fewer rows than another gets inert zero
@@ -210,19 +179,15 @@ class Lockstep:
 
     def __init__(self, model: LpModel, c, constant, start: Lockstep | None = None):
         c = np.atleast_2d(np.asarray(c, dtype=float))
-        q, n, m = c.shape[0], model.n_vars, model.n_rows
-        warm = isinstance(start, Lockstep) and start.warm and start.model is model \
-            and start.n == n and start.model_rows == start.basic.shape[1] == m
-        self.model, self.n, self.model_rows, self.warm = model, n, m, warm
-        A, rhs, lb, ub = (start.As[0], start.rhs[0], start.lb[0], start.ub[0]) if warm \
-            else _encode_rows(model)
-        self.As = np.broadcast_to(A, (q, m, n))  # read only: rows join by append_rows
-        self.rhs = np.tile(rhs, (q, 1))
-        slack = (start.slack_lo[0], start.slack_hi[0]) if warm \
-            else _slack_range(A, rhs, lb[:n], ub[:n], lb[n:], ub[n:])
-        self.slack_lo, self.slack_hi = np.tile(slack[0], (q, 1)), np.tile(slack[1], (q, 1))
-        # read only, like As; the column bounds are the same for every member
-        self.lb, self.ub = np.broadcast_to(lb, (q, n + m)), np.broadcast_to(ub, (q, n + m))
+        q, (m, n) = c.shape[0], model.A.shape
+        warm = start is not None and start.warm and start.model is model \
+            and start.basic.shape[1] == m
+        self.model, self.n, self.warm = model, n, warm
+        # read only: rows join by append_rows; every member has the same columns
+        self.As = np.broadcast_to(model.A, (q, m, n))
+        self.lb, self.ub = (np.broadcast_to(a, (q, n + m)) for a in (model.col_lb, model.col_ub))
+        self.rhs, self.slack_lo, self.slack_hi = (
+            np.tile(a, (q, 1)) for a in (model.rhs, model.slack_lo, model.slack_hi))
         self.c = np.zeros((q, n + m))
         self.c[:, :n] = c
         self.constant = np.broadcast_to(np.asarray(constant, dtype=float), (q,)).copy()
@@ -680,38 +645,31 @@ class Lockstep:
                                   f"{float(rhs[b, i])}")
 
 
-def write_lp_format(model: LpModel, path):
-    """Dump a model in the conventional text LP interchange format; a ranged
-    row goes as its ``>=`` and ``<=`` halves."""
-    def term(c, name, first):
-        sign = "-" if c < 0 else ("" if first else "+")
-        return f"{sign} {abs(c):.17g} {name} "
+def write_lp_format(model: LpModel, c, constant, path):
+    """Dump ``model``, maximizing ``c . x + constant``, in the conventional
+    text LP interchange format; a ranged row goes as its ``>=`` and ``<=``
+    halves, and a zero coefficient, of either sign, is left out."""
+    def terms(coeffs):
+        nz = np.flatnonzero(coeffs != 0.0).tolist()
+        return "".join(term(coeffs[j], model.names[j], k == 0) for k, j in enumerate(nz))
 
-    def row(name, idx, coef, op, rhs):
-        fh.write(f" {name}: ")
-        for k, (j, c) in enumerate(zip(idx, coef)):
-            fh.write(term(c, model.names[int(j)], k == 0))
-        fh.write(f"{op} {rhs:.17g}\n")
+    def term(v, name, first):
+        sign = "-" if v < 0 else ("" if first else "+")
+        return f"{sign} {abs(v):.17g} {name} "
 
     with open(path, "w") as fh:
-        fh.write("Maximize\n obj: ")
-        first = True
-        for j, c in enumerate(model.obj):
-            if c != 0.0:
-                fh.write(term(c, model.names[j], first))
-                first = False
-        if model.obj_constant != 0.0 or first:
-            fh.write(term(model.obj_constant, "", first))
+        c = np.asarray(c, dtype=float)
+        fh.write(f"Maximize\n obj: {terms(c)}")
+        if constant != 0.0 or not c.any():
+            fh.write(term(constant, "", not c.any()))
         fh.write("\nSubject To\n")
-        for i, (idx, coef, lo, hi) in enumerate(model.rows):
-            if lo == hi:
-                row(f"r{i}", idx, coef, "=", hi)
-            elif np.isinf(lo) or np.isinf(hi):
-                row(f"r{i}", idx, coef, "<=" if np.isinf(lo) else ">=", hi if np.isinf(lo) else lo)
+        for i, (a, lo, hi) in enumerate(zip(model.A, model.lo.tolist(), model.hi.tolist())):
+            if lo == hi or math.isinf(lo) or math.isinf(hi):
+                op, rhs = ("=", hi) if lo == hi else ("<=", hi) if math.isinf(lo) else (">=", lo)
+                fh.write(f" r{i}: {terms(a)}{op} {rhs:.17g}\n")
             else:
-                row(f"r{i}_lo", idx, coef, ">=", lo)
-                row(f"r{i}_hi", idx, coef, "<=", hi)
+                fh.write(f" r{i}_lo: {terms(a)}>= {lo:.17g}\n r{i}_hi: {terms(a)}<= {hi:.17g}\n")
         fh.write("Bounds\n")
-        for j in range(model.n_vars):
-            fh.write(f" {model.lb[j]:.17g} <= {model.names[j]} <= {model.ub[j]:.17g}\n")
+        for lb, ub, name in zip(model.lb.tolist(), model.ub.tolist(), model.names):
+            fh.write(f" {lb:.17g} <= {name} <= {ub:.17g}\n")
         fh.write("End\n")

@@ -132,11 +132,10 @@ def interval_state(net, box, menu=None):
 
 
 def delta_lp(bounds, objective):
-    """The relaxation LP of the reach of a batch of one objective,
-    maximizing it."""
+    """The relaxation LP of the reach of a batch of one objective, and that
+    objective over its variables, as ``(dl, c, constant)``."""
     dl = build_delta_lp(bounds, int(objective.reach[0]))
-    dl.set_objective(objective.coeffs[0], objective.constant[0])
-    return dl
+    return (dl, *dl.objectives(objective.coeffs, objective.constant))
 
 
 def random_mixed_instance(rng, n, allow_zero_weights=False) -> HullInstance:

@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the package against.
 
-None of these run on the package's bound paths: a cold solve of one LP
-model, one neuron's hull instance, its corner values, cuts and one-row
+None of these run on the package's bound paths: an LP model built row by
+row with senses, and its objective, a cold solve of one LP model, a reader
+of the text LP dump, one neuron's hull instance, its corner values, cuts and one-row
 separation calls, every envelope of a table read off one separation, the
 cut rows of a separation over positions, one pair at a time, the
 sorting greedy of one table row coordinate by coordinate, brute-force
@@ -17,6 +18,7 @@ time, and a sweep's row bounds that tighten every row.
 """
 
 import math
+import re
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -27,7 +29,7 @@ from relucert.network import BoxDomain, Network
 from relucert.propagation import (DEEPPOLY, FASTC2V, FASTLIN, INTERVAL, SWAP_VIOLATION_TOL,
                                   Objectives, compute_all_bounds, tightened_bound)
 from relucert.relaxation import LpBoundError
-from relucert.simplex import DEFAULT_MAX_ITER, EQ, GE, LE, Lockstep, LpModel, LpStatus
+from relucert.simplex import DEFAULT_MAX_ITER, Lockstep, LpModel, LpStatus
 
 # Hard ceiling for brute-force enumeration of the cut family.
 ENUMERATION_CAP = 20
@@ -37,12 +39,86 @@ ALWAYS_INACTIVE = "always_inactive"
 MIXED = "mixed"
 
 
-def solve_lp(model: LpModel, max_iter: int = DEFAULT_MAX_ITER) -> SimpleNamespace:
-    """``model`` under its own objective, solved cold as a stack of one:
-    the status, value, point and pivots of that one member."""
-    sol = Lockstep(model, [model.obj], model.obj_constant).solve(max_iter)
+# the senses of a row written as lp_model takes it
+LE, GE, EQ = "<=", ">=", "="
+
+
+def lp_model(lb, ub, rows=(), c=None, constant=0.0, names=None):
+    """A model built row by row, with its objective, as ``(model, c,
+    constant)``.  Variable ``j`` is boxed to ``[lb[j], ub[j]]`` and named
+    ``names[j]``, or ``x{j}``.  Each of ``rows`` is ``(idx, coef, sense,
+    rhs)``: the row ``coef . x[idx] (sense) rhs`` for a sense ``LE``, ``GE``
+    or ``EQ``, which the model keeps as the range ``[-inf, rhs]``, ``[rhs,
+    inf]`` or ``[rhs, rhs]``.  The objective maximizes ``c . x + constant``,
+    zero by default."""
+    lb, ub = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (lb, ub))
+    A = np.zeros((len(rows), lb.size))
+    lo, hi = np.full(len(rows), -np.inf), np.full(len(rows), np.inf)
+    for i, (idx, coef, sense, rhs) in enumerate(rows):
+        A[i, idx] = coef
+        lo[i], hi[i] = {LE: (-np.inf, rhs), GE: (rhs, np.inf), EQ: (rhs, rhs)}[sense]
+    names = [f"x{j}" for j in range(lb.size)] if names is None else names
+    c = np.zeros(lb.size) if c is None else np.asarray(c, dtype=float)
+    return LpModel(A, lo, hi, lb, ub, names), c, float(constant)
+
+
+def with_le_rows(model: LpModel, rows) -> LpModel:
+    """``model`` with the rows ``coeffs . x <= rhs`` of the pairs ``(coeffs,
+    rhs)`` of ``rows``, over every variable, after its own."""
+    coeffs = np.reshape([a for a, _ in rows], (len(rows), model.n_vars))
+    return LpModel(np.vstack([model.A, coeffs]), np.r_[model.lo, np.full(len(rows), -np.inf)],
+                   np.r_[model.hi, [r for _, r in rows]], model.lb, model.ub, model.names)
+
+
+def solve_lp(model: LpModel, c, constant=0.0,
+             max_iter: int = DEFAULT_MAX_ITER) -> SimpleNamespace:
+    """``model`` maximizing ``c . x + constant``, solved cold as a stack of
+    one: the status, value, point and pivots of that one member."""
+    sol = Lockstep(model, c, constant).solve(max_iter)
     return SimpleNamespace(status=sol.status[0], objective_value=float(sol.objective_value[0]),
                            x=sol.x[0], iterations=int(sol.iterations[0]))
+
+
+def read_lp_format(path) -> SimpleNamespace:
+    """A text LP as :func:`relucert.simplex.write_lp_format` writes it, read
+    back line by line: the objective's terms ``{name: coefficient}`` and its
+    constant, each row as ``(terms, sense, rhs)`` by row name, and each
+    variable's box by name, in file order.  A term is ``sign value name ``,
+    its sign empty when it is a leading positive one; the constant is the
+    term with no name.  A line out of that form raises ``ValueError``."""
+    term = re.compile(r"([-+]?) (\S+) (\S*) ")
+
+    def match(pattern, line):
+        found = re.fullmatch(pattern, line)
+        if found is None:
+            raise ValueError(f"not a text LP line: {line!r}")
+        return found.groups()
+
+    def terms(text):
+        match(f"(?:{term.pattern})*", text)
+        out = {}
+        for sign, value, name in term.findall(text):
+            if name in out:
+                raise ValueError(f"{name!r} twice in {text!r}")
+            out[name] = -float(value) if sign == "-" else float(value)
+        return out
+
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    if lines[0] != "Maximize" or lines[2] != "Subject To" or lines[-2:] != ["End", ""]:
+        raise ValueError("not a text LP")
+    objective = terms(*match(r" obj: (.*)", lines[1]))
+    bounds = lines.index("Bounds")
+    rows = {}
+    for line in lines[3:bounds]:
+        name, text, sense, rhs = match(r" (\w+): (.*?)(<=|>=|=) (\S+)", line)
+        rows[name] = (terms(text), sense, float(rhs))
+    boxes = {}
+    for line in lines[bounds + 1:-2]:
+        lo, name, hi = match(r" (\S+) <= (\S+) <= (\S+)", line)
+        boxes[name] = (float(lo), float(hi))
+    constant = objective.pop("", 0.0)
+    return SimpleNamespace(objective=objective, constant=constant, rows=rows, boxes=boxes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -452,21 +528,17 @@ def lifted_envelope_value(inst: HullInstance, x) -> float:
     x = np.asarray(x, dtype=float)[inst.support]
     if np.any(x < inst.lower - 1e-9) or np.any(x > inst.upper + 1e-9):
         raise ValueError("point outside the instance box")
-    k = inst.size
-    model = LpModel()
-    for i in range(k):
-        model.add_variable(min(inst.lower[i], 0.0), max(inst.upper[i], 0.0),
-                           obj=inst.w[i], name=f"v{i}")
-    t = model.add_variable(0.0, 1.0, obj=inst.b, name="t")
+    k = t = inst.size  # the variables v_0 .. v_{k-1}, then t
+    rows = []
     for i in range(k):
         li, ui = inst.lower[i], inst.upper[i]
         # x_i - v_i >= L_i (1 - t)  and  x_i - v_i <= U_i (1 - t)
-        model.add_constraint(np.array([i, t]), np.array([-1.0, li]), GE, li - x[i])
-        model.add_constraint(np.array([i, t]), np.array([-1.0, ui]), LE, ui - x[i])
+        rows += [([i, t], [-1.0, li], GE, li - x[i]), ([i, t], [-1.0, ui], LE, ui - x[i])]
         # L_i t <= v_i <= U_i t
-        model.add_constraint(np.array([i, t]), np.array([1.0, -li]), GE, 0.0)
-        model.add_constraint(np.array([i, t]), np.array([1.0, -ui]), LE, 0.0)
-    sol = solve_lp(model)
+        rows += [([i, t], [1.0, -li], GE, 0.0), ([i, t], [1.0, -ui], LE, 0.0)]
+    sol = solve_lp(*lp_model(np.r_[np.minimum(inst.lower, 0.0), 0.0],
+                             np.r_[np.maximum(inst.upper, 0.0), 1.0], rows, c=np.r_[inst.w, inst.b],
+                             names=[f"v{i}" for i in range(k)] + ["t"]))
     if sol.status != LpStatus.OPTIMAL:
         raise LpBoundError(sol.status, "envelope LP")
     return sol.objective_value
@@ -509,9 +581,7 @@ def reference_delta_lp(bounds, reach: int) -> LpModel:
     position below ``reach``, with its post box; ``z >= row`` and the chord
     for a mixed neuron, ``z = row`` for an always-active one, and no row for
     an always-inactive one, whose box is [0, 0]."""
-    model = LpModel()
-    for pos in range(reach):
-        model.add_variable(bounds.post_lower[pos], bounds.post_upper[pos], name=f"z{pos}")
+    rows = []
     for pos in range(bounds.net.input_dim, reach):
         lo, hi = bounds.pre_lower[pos], bounds.pre_upper[pos]
         if lo < 0.0 and hi <= 0.0:
@@ -519,11 +589,12 @@ def reference_delta_lp(bounds, reach: int) -> LpModel:
         idx, w, b = neuron_row(bounds.net, pos)
         nz = w != 0.0
         head, w = np.concatenate([[pos], idx[nz]]), w[nz]
-        model.add_constraint(head, np.concatenate([[1.0], -w]), EQ if lo >= 0.0 else GE, b)
+        rows.append((head, np.concatenate([[1.0], -w]), EQ if lo >= 0.0 else GE, b))
         if lo < 0.0:
             s = hi / (hi - lo)
-            model.add_constraint(head, np.concatenate([[1.0], -s * w]), LE, s * (b - lo))
-    return model
+            rows.append((head, np.concatenate([[1.0], -s * w]), LE, s * (b - lo)))
+    return lp_model(bounds.post_lower[:reach], bounds.post_upper[:reach], rows,
+                    names=[f"z{pos}" for pos in range(reach)])[0]
 
 
 def substitution_by_neuron(bounds, reach: int):
@@ -589,26 +660,19 @@ def exact_max_oracle(net: Network, box: BoxDomain, objective: Objectives,
         E = np.zeros((eta, m))
         e0 = np.zeros(eta)
         E[:m, :m] = np.eye(m)[:min(m, eta)]
-        model = LpModel()
-        for i in range(m):
-            model.add_variable(box.lower[i], box.upper[i], name=f"x{i}")
+        rows = []
         for pos in range(m, eta):
             idx, w, b = neuron_row(net, pos)
             pc = w @ E[idx]
             p0 = float(w @ e0[idx]) + b
             on = active.get(pos, st.pre_lower[pos] >= 0.0)
             if pos in active:
-                sense = GE if on else LE
-                model.add_constraint(np.arange(m), pc.copy(), sense, -p0)
+                rows.append((np.arange(m), pc.copy(), GE if on else LE, -p0))
             if on:
                 E[pos], e0[pos] = pc, p0
             # else: stays zero
-        obj_c = objective.coeffs[0] @ E
-        obj_0 = float(objective.coeffs[0] @ e0) + objective.constant[0]
-        for i in range(m):
-            model.obj[i] = float(obj_c[i])
-        model.obj_constant = obj_0
-        sol = solve_lp(model)
+        sol = solve_lp(*lp_model(box.lower, box.upper, rows, c=objective.coeffs[0] @ E,
+                                 constant=float(objective.coeffs[0] @ e0) + objective.constant[0]))
         if sol.status == LpStatus.OPTIMAL:
             best = max(best, sol.objective_value)
         elif sol.status != LpStatus.INFEASIBLE:

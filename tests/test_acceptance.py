@@ -224,7 +224,8 @@ def test_criterion_5_sandwich_and_dominance(capfd):
                 rounds = int(rng.integers(1, 4))
                 v_r = optc2v_bound(st, o, rounds)[0]
                 v_0 = optc2v_bound(st, o, 0)[0]
-                plain = solve_lp(delta_lp(st, o).model)
+                dl, c, constant = delta_lp(st, o)
+                plain = solve_lp(dl.model, c, constant)
                 assert plain.status == LpStatus.OPTIMAL
                 assert exact <= v_r + 1e-6
                 assert v_r <= v_0 + 1e-6

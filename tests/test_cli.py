@@ -10,10 +10,11 @@ from relucert.cli import main
 from relucert.network import (INPUT, OUTPUT, RELU, Network, Neuron, generate_random_network,
                               load_network, save_network)
 from relucert.propagation import compute_all_bounds
+from relucert.relaxation import build_delta_lp
 from relucert.verifier import (METHODS, RobustnessInstance, build_input_box, generate_instances,
-                               load_instances, save_instances, verify)
+                               load_instances, margin_objective, save_instances, verify)
 
-from oracles import implied_by_boxes, substitution_by_neuron
+from oracles import implied_by_boxes, read_lp_format, substitution_by_neuron
 
 
 def test_gen_then_verify_round_trip(tmp_path, capsys):
@@ -55,16 +56,18 @@ def test_deterministic_reports_are_byte_identical(tmp_path):
 
 def test_lp_reports_are_byte_identical_across_blas_threads(tmp_path):
     # lp and optc2v on a 20,100,10 net, whose tableaux are wide enough for
-    # OpenBLAS to use a second thread, one process per thread count
+    # OpenBLAS to use a second thread, one process per thread count; the
+    # reports and the --dump-lp files
     net_path, inst_path = tmp_path / "net.txt", tmp_path / "inst.txt"
     main(["gen", "--layers", "20,100,10", "--seed", "3", "--count", "4", "--epsilon", "0.07",
           "--network-out", str(net_path), "--instances-out", str(inst_path)])
     run = ("import sys; from relucert.cli import main\n"
            "for method in ('lp', 'optc2v'):\n"
            "    main(['verify', '--network', sys.argv[1], '--instances', sys.argv[2], '--method',\n"
-           "          method, '--deterministic', '--report', sys.argv[3] + method])\n")
+           "          method, '--deterministic', '--report', sys.argv[3] + method,\n"
+           "          '--dump-lp', sys.argv[3] + method + '-lps'])\n")
     src = os.path.dirname(os.path.dirname(relucert.__file__))
-    reports = []
+    reports, dumps = [], []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -72,8 +75,12 @@ def test_lp_reports_are_byte_identical_across_blas_threads(tmp_path):
         subprocess.run([sys.executable, "-c", run, str(net_path), str(inst_path), str(out)],
                        env=env, check=True, capture_output=True)
         reports.append([(tmp_path / f"blas{threads}-{m}").read_bytes() for m in ("lp", "optc2v")])
+        dumps.append([(path.name, path.read_bytes()) for m in ("lp", "optc2v")
+                      for path in sorted((tmp_path / f"blas{threads}-{m}-lps").iterdir())])
     assert reports[0] == reports[1]
     assert all(b"verdict=" in r for r in reports[0])
+    assert dumps[0] == dumps[1]
+    assert len(dumps[0]) == 2 * 4 * 9
 
 
 def test_epsilon_override_and_attack_off(tmp_path):
@@ -168,6 +175,74 @@ def test_dump_lp_is_the_presolved_model(tmp_path):
     names = [line.split()[2] for line in text.split("Bounds\n")[1].splitlines()[:-1]]
     assert names == [f"z{p}" for p in [*range(net.input_dim), *mixed]]
     assert text.count("_lo: ") == text.count("_hi: ") == len(ranged)
+
+
+@pytest.mark.parametrize("method", ["lp", "optc2v"])
+def test_dump_lp_is_its_model(tmp_path, method):
+    # each dump, read back, holds exactly the arrays of the margin's model
+    # and its objective over the variables: every nonzero coefficient, the
+    # halves of a ranged row, each box and name, in order; %.17g round-trips
+    # a float; the >= rows of the mixed neurons hold -0.0 entries, which the
+    # dump leaves out
+    net_path, inst_path = tmp_path / "net.txt", tmp_path / "inst.txt"
+    main(["gen", "--layers", "4,8,8,3", "--seed", "5", "--count", "1", "--epsilon", "0.1",
+          "--network-out", str(net_path), "--instances-out", str(inst_path)])
+    net, dump = load_network(net_path), tmp_path / "lps"
+    rc = main(["verify", "--network", str(net_path), "--instances", str(inst_path),
+               "--method", method, "--deterministic", "--dump-lp", str(dump),
+               "--report", str(tmp_path / "r.txt")])
+    assert rc == 0
+    ranged = signed_zeros = 0
+    for i, inst in enumerate(load_instances(inst_path)):
+        st = compute_all_bounds(net, build_input_box(inst), method)
+        for k in range(net.n_outputs):
+            if k == inst.label:
+                continue
+            obj = margin_objective(net, k, inst.label)
+            dl = build_delta_lp(st, int(obj.reach[0]))
+            (c,), (constant,) = dl.objectives(obj.coeffs, obj.constant)
+            m, got = dl.model, read_lp_format(dump / f"inst{i}_class{k}.lp")
+            names = list(m.names)
+
+            def terms(a):
+                return {names[j]: a[j] for j in np.flatnonzero(a != 0.0)}
+
+            assert got.objective == terms(c) and got.constant == constant
+            want = {}
+            for r, (a, lo, hi) in enumerate(zip(m.A, m.lo, m.hi)):
+                if lo == hi:
+                    want[f"r{r}"] = (terms(a), "=", hi)
+                elif np.isinf(lo) or np.isinf(hi):
+                    want[f"r{r}"] = (terms(a), "<=", hi) if np.isinf(lo) else (terms(a), ">=", lo)
+                else:
+                    want[f"r{r}_lo"], want[f"r{r}_hi"] = (terms(a), ">=", lo), (terms(a), "<=", hi)
+                    ranged += 1
+            signed_zeros += int(np.signbit(m.A[m.A == 0.0]).sum())
+            assert got.rows == want
+            assert list(got.rows) == list(want)
+            assert got.boxes == {name: (lb, ub) for name, lb, ub in zip(names, m.lb, m.ub)}
+            assert list(got.boxes) == names
+    assert ranged and signed_zeros
+
+
+def test_dump_lp_skips_a_misclassified_centre(tmp_path, capsys):
+    # verify skips a centre whose label is not the network's class there, so
+    # --dump-lp writes nothing for it
+    net_path, inst_path = tmp_path / "net.txt", tmp_path / "inst.txt"
+    main(["gen", "--layers", "3,6,2", "--seed", "3", "--count", "2", "--epsilon", "0.05",
+          "--network-out", str(net_path), "--instances-out", str(inst_path)])
+    first, second = load_instances(inst_path)
+    save_instances(inst_path, [RobustnessInstance(first.x_hat, first.epsilon, 1 - first.label),
+                               second])
+    capsys.readouterr()
+    rc = main(["verify", "--network", str(net_path), "--instances", str(inst_path),
+               "--method", "lp", "--deterministic", "--dump-lp", str(tmp_path / "lps")])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "instance=0 verdict=skipped"
+    assert lines[1].startswith("instance=1 method=lp verdict=")
+    assert sorted(p.name for p in (tmp_path / "lps").iterdir()) == \
+        [f"inst1_class{1 - second.label}.lp"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflows

@@ -6,14 +6,14 @@ from relucert.network import (BoxDomain, Network, Neuron, eval_network, forward,
                               generate_random_network)
 from relucert.propagation import Objectives, compute_all_bounds
 from relucert.relaxation import build_delta_lp, optc2v_bound
-from relucert.simplex import LE, Lockstep, LpStatus
+from relucert.simplex import Lockstep, LpStatus
 from relucert.verifier import build_input_box, generate_instances, margin_objective, verify
 
 from conftest import delta_lp, interval_state, make_row_case_networks, random_mixed_instance
 from oracles import (cut_from_pair, cut_rows_over_positions, envelope_min_by_enumeration,
                      enumerate_cut_pairs, exact_max_oracle, expr_from_row, implied_by_boxes,
                      lifted_envelope_value, make_hull_instance, neuron_row, reference_delta_lp,
-                     solve_lp, substitution_by_neuron)
+                     solve_lp, substitution_by_neuron, with_le_rows)
 
 
 def record_cuts(monkeypatch):
@@ -31,20 +31,20 @@ def record_cuts(monkeypatch):
     return added
 
 
-def add_row(dl, row, rhs):
-    """Add the row ``row . z <= rhs`` over positions to the model of ``dl``,
-    mapped onto its variables."""
-    coeffs, rhs = dl.rows(row[None, :], np.array([rhs]))
-    idx = np.flatnonzero(coeffs[0])
-    dl.model.add_constraint(idx, coeffs[0, idx], LE, rhs[0])
+def with_position_rows(dl, rows):
+    """The model of ``dl`` with the rows ``row . z <= rhs`` over positions
+    of the pairs ``(row, rhs)`` of ``rows``, mapped onto its variables."""
+    coeffs, rhs = dl.rows(np.reshape([r for r, _ in rows], (len(rows), dl.lin.shape[0])),
+                          np.array([b for _, b in rows]))
+    return with_le_rows(dl.model, list(zip(coeffs, rhs)))
 
 
-def add_cut(dl, pos, cut):
-    """Add ``z[pos] <= cut`` to the model of ``dl``."""
+def cut_row(dl, pos, cut):
+    """The cut ``z[pos] <= cut`` as a row over the positions of ``dl``."""
     row = np.zeros(dl.lin.shape[0])
     row[cut.idx] = -cut.coeffs
     row[pos] += 1.0
-    add_row(dl, row, cut.constant)
+    return row, cut.constant
 
 
 def equivalence_cases():
@@ -56,14 +56,6 @@ def equivalence_cases():
     inst = generate_instances(net, 1, epsilon=0.16, seed=1001)[0]
     cases["acceptance"] = (net, build_input_box(inst))
     return cases
-
-
-def dense_rows(model):
-    """The rows of ``model`` as ``(A, lo, hi)``."""
-    A = np.zeros((model.n_rows, model.n_vars))
-    for i, (idx, coef, _, _) in enumerate(model.rows):
-        A[i, idx] = coef
-    return A, np.array([r[2] for r in model.rows]), np.array([r[3] for r in model.rows])
 
 
 def sweep_with_margins(method):
@@ -87,16 +79,15 @@ class TestDeltaLpStructure:
     def test_golden_model_shape(self, golden_net, golden_box):
         st = interval_state(golden_net, golden_box)
         obj = expr_from_row(*neuron_row(golden_net, 6), eta=6)
-        dl = delta_lp(st, obj)
+        dl = delta_lp(st, obj)[0]
         # 2 inputs and the mixed h11, h12, h22; h21 is always active
         assert dl.model.n_vars == 5
-        assert dl.model.names == ["z0", "z1", "z2", "z3", "z5"]
+        assert dl.model.names == ("z0", "z1", "z2", "z3", "z5")
         # mixed h11, h12, h22 get two inequalities each (nonnegativity rides
         # on the variable bound); h21's box, the ranged row 1 <= h12 + 1 <=
         # 2.5, is implied by h12 in [0, 1.5] and leaves
         assert dl.model.n_rows == 6
-        ranged = [(lo, hi) for _, _, lo, hi in dl.model.rows if np.isfinite(lo) and np.isfinite(hi)]
-        assert ranged == []
+        assert not (np.isfinite(dl.model.lo) & np.isfinite(dl.model.hi)).any()
         # h21 = h12 + 1 leaves the model through the map
         assert dl.lin[4].tolist() == [0.0, 0.0, 0.0, 1.0, 0.0] and dl.const[4] == 1.0
         # the cut loop separates the mixed neurons below the objective
@@ -115,7 +106,7 @@ class TestDeltaLpStructure:
             Z, _ = forward(net, box.sample(rng, 200))
             X = Z[:, keep]
             assert np.allclose(dl.points(X), Z, rtol=0.0, atol=1e-9), which
-            A, lo, hi = dense_rows(dl.model)
+            A, lo, hi = dl.model.A, dl.model.lo, dl.model.hi
             v = X @ A.T
             assert (v >= lo - 1e-9).all() and (v <= hi + 1e-9).all(), which
             assert (X >= dl.model.lb).all() and (X <= dl.model.ub).all(), which
@@ -131,7 +122,7 @@ class TestDeltaLpStructure:
         st = compute_all_bounds(net, BoxDomain(np.full(m, -1.0), np.full(m, 1.0)), "interval")
         dl = build_delta_lp(st, net.n_state)
         keep, lin, const, pre, pre0 = substitution_by_neuron(st, net.n_state)
-        assert dl.model.names == [f"z{pos}" for pos in keep], which
+        assert dl.model.names == tuple(f"z{pos}" for pos in keep), which
         assert np.allclose(dl.lin, lin, rtol=0.0, atol=1e-12), which
         assert np.allclose(dl.const, const, rtol=0.0, atol=1e-12), which
         want = []
@@ -146,7 +137,7 @@ class TestDeltaLpStructure:
                 own = np.eye(len(keep))[np.searchsorted(keep, pos)]
                 want += [(own - pre[pos], pre0[pos], np.inf),
                          (own - s * pre[pos], -np.inf, s * (pre0[pos] - lo))]
-        A, lo, hi = dense_rows(dl.model)
+        A, lo, hi = dl.model.A, dl.model.lo, dl.model.hi
         assert len(A) == len(want), which
         if want:
             assert np.allclose(A, [w[0] for w in want], rtol=0.0, atol=1e-12), which
@@ -158,7 +149,7 @@ class TestDeltaLpStructure:
         box = BoxDomain(np.zeros(1), np.ones(1))
         st = interval_state(net, box)
         obj = expr_from_row(*neuron_row(net, 2), eta=2)
-        dl = delta_lp(st, obj)
+        dl = delta_lp(st, obj)[0]
         # no variable, no row: the map pins it to 0
         assert dl.model.n_vars == 1 and dl.model.n_rows == 0
         assert dl.lin[1].tolist() == [0.0] and dl.const[1] == 0.0
@@ -168,14 +159,14 @@ class TestDeltaLpStructure:
         box = BoxDomain(np.zeros(1), np.ones(1))
         st = interval_state(net, box)
         obj = expr_from_row(*neuron_row(net, 2), eta=2)
-        dl = delta_lp(st, obj)
+        dl, c, constant = delta_lp(st, obj)
         # the equality z = x + 2 is the map; its box [2, 3] is the interval
         # of x + 2 over x in [0, 1], so its ranged row is implied and leaves
         assert dl.model.n_vars == 1
         assert dl.lin[1].tolist() == [1.0] and dl.const[1] == 2.0
         assert dl.model.n_rows == 0
         # the objective z reads x + 2
-        assert dl.model.obj == [1.0] and dl.model.obj_constant == 2.0
+        assert c.tolist() == [[1.0]] and constant.tolist() == [2.0]
 
     @pytest.mark.parametrize("which", list(equivalence_cases()))
     def test_presolved_optima_equal_the_reference(self, which):
@@ -244,7 +235,7 @@ class TestDeltaLpStructure:
         kept = [pos for pos in active
                 if not implied_by_boxes(pre[pos], lo[pos] - pre0[pos], hi[pos] - pre0[pos],
                                         st.post_lower[keep], st.post_upper[keep])]
-        A, row_lo, row_hi = dense_rows(dl.model)
+        A, row_lo, row_hi = dl.model.A, dl.model.lo, dl.model.hi
         ranged = np.isfinite(row_lo) & np.isfinite(row_hi)
         assert ranged.sum() == len(kept), which
         if kept:
@@ -263,7 +254,7 @@ class TestDeltaLpStructure:
         dl = build_delta_lp(st, net.n_state)
         keep, _, _, pre, pre0 = substitution_by_neuron(st, net.n_state)
         box_lo, box_hi = st.post_lower[keep], st.post_upper[keep]
-        A, row_lo, row_hi = dense_rows(dl.model)
+        A, row_lo, row_hi = dl.model.A, dl.model.lo, dl.model.hi
         ranged = A[np.isfinite(row_lo) & np.isfinite(row_hi)]
         level2 = [pos for pos in net.levels[1].pos.tolist() if st.pre_lower[pos] >= 0.0]
         assert level2
@@ -312,10 +303,10 @@ class TestDeltaLpValues:
             st = interval_state(net, box)
             obj = expr_from_row(*neuron_row(net, net.n_state), eta=net.n_state)
             looped = optc2v_bound(st, obj, 8)[0]
-            dl = delta_lp(st, obj)
-            for I, h in enumerate_cut_pairs(inst):
-                add_cut(dl, net.input_dim, cut_from_pair(inst, I, h))
-            full = solve_lp(dl.model)
+            dl, c, constant = delta_lp(st, obj)
+            cuts = [cut_row(dl, net.input_dim, cut_from_pair(inst, I, h))
+                    for I, h in enumerate_cut_pairs(inst)]
+            full = solve_lp(with_position_rows(dl, cuts), c, constant)
             assert full.status == LpStatus.OPTIMAL
             assert looped == pytest.approx(full.objective_value, abs=1e-7)
 
@@ -469,10 +460,8 @@ class TestLpSweep:
         added = record_cuts(monkeypatch)
         warm_val = optc2v_bound(st, obj, 3)[0]
         assert added
-        dl = delta_lp(st, obj)
-        for row, rhs in added:
-            add_row(dl, row, rhs)
-        cold = solve_lp(dl.model)
+        dl, c, constant = delta_lp(st, obj)
+        cold = solve_lp(with_position_rows(dl, added), c, constant)
         assert cold.status == LpStatus.OPTIMAL
         assert warm_val == pytest.approx(cold.objective_value, abs=1e-7)
 
@@ -587,8 +576,8 @@ class TestLpSweep:
         for reach, dl in st.lps.items():
             fresh = build_delta_lp(st, reach)
             assert dl.start.basic.shape[1] == dl.model.n_rows == fresh.model.n_rows
-            for (i1, c1, s1, r1), (i2, c2, s2, r2) in zip(dl.model.rows, fresh.model.rows):
-                assert np.array_equal(i1, i2) and np.array_equal(c1, c2) and (s1, r1) == (s2, r2)
+            for name in ("A", "lo", "hi"):
+                assert np.array_equal(getattr(dl.model, name), getattr(fresh.model, name))
 
     # solver pivots of lp on instance 0 of the acceptance corpus, sweep and
     # margins, when every row and margin was one cold solve of its own model

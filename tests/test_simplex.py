@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import relucert.simplex as simplex_module
-from relucert.simplex import EQ, GE, LE, Lockstep, LpModel, LpStatus, write_lp_format
+from relucert.simplex import Lockstep, LpModel, LpStatus, write_lp_format
 
-from oracles import solve_lp
+from oracles import EQ, GE, LE, lp_model, solve_lp, with_le_rows
 
 
 def assert_optimal(sol, value, tol=1e-7):
@@ -12,9 +12,9 @@ def assert_optimal(sol, value, tol=1e-7):
     assert sol.objective_value == pytest.approx(value, abs=tol)
 
 
-def stack_of_one(model, start=None):
-    """``model`` under its own objective, as a stack of one."""
-    return Lockstep(model, [model.obj], model.obj_constant, start=start)
+def stack_of_one(model, c, constant=0.0, start=None):
+    """``model`` maximizing ``c . x + constant``, as a stack of one."""
+    return Lockstep(model, c, constant, start=start)
 
 
 def record_calls(monkeypatch, owner, name):
@@ -33,41 +33,32 @@ def append_le_rows(stack, rows, owner=None):
                       np.array([r for _, r in rows], dtype=float))
 
 
+def one_variable(A, lo, hi, lb=0.0, ub=1.0):
+    """A model over one variable ``x0`` boxed to ``[lb, ub]``."""
+    return LpModel(A, lo, hi, [lb], [ub], ["x0"])
+
+
 class TestBasics:
     def test_textbook(self):
-        m = LpModel()
-        m.add_variable(0, 1, obj=1.0)
-        m.add_variable(0, 1, obj=1.0)
-        m.add_constraint([0, 1], [1.0, 1.0], LE, 1.0)
-        assert_optimal(solve_lp(m), 1.0)
+        m = lp_model([0, 0], [1, 1], [([0, 1], [1.0, 1.0], LE, 1.0)], c=[1.0, 1.0])
+        assert_optimal(solve_lp(*m), 1.0)
 
     def test_box_only_optimum_at_vertex(self):
-        m = LpModel()
-        m.add_variable(-2, 5, obj=3.0)
-        m.add_variable(-1, 4, obj=-2.0)
-        sol = solve_lp(m)
+        sol = solve_lp(*lp_model([-2, -1], [5, 4], c=[3.0, -2.0]))
         assert_optimal(sol, 17.0)
         assert np.array_equal(sol.x, [5.0, -1.0])
 
     def test_objective_constant(self):
-        m = LpModel()
-        m.add_variable(0, 2, obj=1.0)
-        m.obj_constant = 10.0
-        assert_optimal(solve_lp(m), 12.0)
+        assert_optimal(solve_lp(*lp_model([0], [2], c=[1.0], constant=10.0)), 12.0)
 
     def test_infeasible(self):
-        m = LpModel()
-        m.add_variable(0, 1, obj=1.0)
-        m.add_constraint([0], [1.0], GE, 2.0)
-        assert solve_lp(m).status == LpStatus.INFEASIBLE
+        m = lp_model([0], [1], [([0], [1.0], GE, 2.0)], c=[1.0])
+        assert solve_lp(*m).status == LpStatus.INFEASIBLE
 
     def test_equalities(self):
-        m = LpModel()
-        m.add_variable(0, 10, obj=2.0)
-        m.add_variable(0, 10, obj=1.0)
-        m.add_constraint([0, 1], [1.0, 1.0], EQ, 4.0)
-        m.add_constraint([0], [1.0], LE, 3.0)
-        sol = solve_lp(m)
+        m = lp_model([0, 0], [10, 10], [([0, 1], [1.0, 1.0], EQ, 4.0), ([0], [1.0], LE, 3.0)],
+                     c=[2.0, 1.0])
+        sol = solve_lp(*m)
         assert_optimal(sol, 7.0)
         assert np.allclose(sol.x, [3.0, 1.0])
 
@@ -75,28 +66,48 @@ class TestBasics:
                                         (np.inf, np.inf), (-np.inf, -np.inf)])
     def test_infinite_bound_rejected(self, lb, ub):
         with pytest.raises(ValueError, match="finite"):
-            LpModel().add_variable(lb, ub)
+            one_variable(np.zeros((0, 1)), [], [], lb, ub)
 
     def test_crossed_bounds_rejected(self):
-        m = LpModel()
-        with pytest.raises(ValueError):
-            m.add_variable(1.0, 0.0)
+        with pytest.raises(ValueError, match="ordered"):
+            one_variable(np.zeros((0, 1)), [], [], 1.0, 0.0)
 
     def test_bad_constraint_rejected(self):
-        m = LpModel()
-        m.add_variable(0, 1)
-        with pytest.raises(ValueError):
-            m.add_constraint([3], [1.0], LE, 0.0)
-        with pytest.raises(ValueError):
-            m.add_constraint([0], [1.0], "<", 0.0)
+        # a row block wider or narrower than the variables, not a matrix, or
+        # with a range per row that does not match its rows; names one per
+        # variable
+        for A, lo, hi in (([[1.0, 2.0]], [0.0], [1.0]), (np.zeros((1, 0)), [0.0], [1.0]),
+                          ([1.0], [0.0], [1.0]), ([[1.0]], [0.0, 0.0], [1.0, 1.0]),
+                          ([[1.0]], [0.0], [[1.0]])):
+            with pytest.raises(ValueError, match="shape"):
+                one_variable(A, lo, hi)
+        with pytest.raises(ValueError, match="shape"):
+            LpModel(np.zeros((0, 1)), [], [], [0.0], [1.0], ["x0", "x1"])
 
     @pytest.mark.parametrize("lo, hi", [(1.0, 0.0), (-np.inf, -np.inf), (np.inf, np.inf),
                                         (-np.inf, np.inf), (np.nan, 1.0)])
     def test_bad_range_rejected(self, lo, hi):
-        m = LpModel()
-        m.add_variable(0, 1)
         with pytest.raises(ValueError, match="finite side"):
-            m.add_rows([[1.0]], [lo], [hi])
+            one_variable([[1.0]], [lo], [hi])
+
+    def test_model_is_read_only_and_keeps_signed_zeros(self):
+        # the arrays are the model's own copies, read only, with a -0.0 kept
+        # as it is; each row's slack box is cut to what the row reaches
+        A = np.array([[-0.0, 2.0], [1.0, 1.0]])
+        m = LpModel(A, [-np.inf, 0.5], [1.0, np.inf], [0.0, 0.0], [1.0, 1.0], ["a", "b"])
+        A[0, 1] = 5.0
+        assert m.A.tolist() == [[0.0, 2.0], [1.0, 1.0]] and np.signbit(m.A[0, 0])
+        assert m.names == ("a", "b")
+        for name in ("A", "lo", "hi", "lb", "ub", "rhs", "col_lb", "col_ub", "slack_lo",
+                     "slack_hi"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(m, name)[0] = 1.0
+        # 2 b <= 1 has slack 1 - 2 b in [0, inf), cut to [0, 1]; a + b >= 0.5
+        # has slack 0.5 - a - b in (-inf, 0], cut to [-1.5, 0]
+        assert m.rhs.tolist() == [1.0, 0.5]
+        assert m.col_lb.tolist() == [0.0, 0.0, 0.0, -np.inf]
+        assert m.col_ub.tolist() == [1.0, 1.0, np.inf, 0.0]
+        assert m.slack_lo.tolist() == [0.0, -1.5] and m.slack_hi.tolist() == [1.0, 0.0]
 
     def test_ranged_rows_equal_their_halves(self):
         # a row lo <= a . x <= hi solves as its >= and <= halves do, and the
@@ -109,15 +120,12 @@ class TestBasics:
             lo = A @ x0 - rng.uniform(0, 0.5, k) * (trial % 3 > 0)
             hi = A @ x0 + rng.uniform(0, 0.5, k) * (trial % 3 > 0)
             c = rng.uniform(-2, 2, n)
-            ranged, halves = LpModel(), LpModel()
-            for m in (ranged, halves):
-                for j in range(n):
-                    m.add_variable(-1.5, 1.5, obj=c[j])
-            ranged.add_rows(A, lo, hi)
-            for a, l, h in zip(A, lo, hi):
-                halves.add_constraint(np.arange(n), a, GE, l)
-                halves.add_constraint(np.arange(n), a, LE, h)
-            got, want = solve_lp(ranged), solve_lp(halves)
+            box = np.full(n, 1.5)
+            ranged = LpModel(A, lo, hi, -box, box, [f"x{j}" for j in range(n)])
+            halves = lp_model(-box, box, [(np.arange(n), a, sense, side)
+                                          for a, l, h in zip(A, lo, hi)
+                                          for sense, side in ((GE, l), (LE, h))], c=c)
+            got, want = solve_lp(ranged, c), solve_lp(*halves)
             assert_optimal(got, want.objective_value)
             v = A @ got.x
             assert (v >= lo - 1e-7).all() and (v <= hi + 1e-7).all()
@@ -125,14 +133,13 @@ class TestBasics:
     def test_degenerate_lp_terminates(self):
         # many redundant rows through one vertex: exercises the anti-cycling
         # fallback rather than looping
-        m = LpModel()
-        n = 6
-        for j in range(n):
-            m.add_variable(0, 1, obj=1.0)
-        for _ in range(12):
-            m.add_constraint(np.arange(n), np.ones(n), LE, 0.0)
-        sol = solve_lp(m)
-        assert_optimal(sol, 0.0)
+        m, _, _ = degenerate_lp()
+        assert_optimal(solve_lp(m, np.ones(6)), 0.0)
+
+
+def degenerate_lp():
+    """Twelve copies of the row ``sum x <= 0`` over six variables in [0, 1]."""
+    return lp_model(np.zeros(6), np.ones(6), [(np.arange(6), np.ones(6), LE, 0.0)] * 12)
 
 
 class TestAgainstReference:
@@ -145,22 +152,19 @@ class TestAgainstReference:
             lb = rng.uniform(-2, 0, n)
             ub = lb + rng.uniform(0.05, 3, n)
             c = rng.uniform(-2, 2, n)
-            m = LpModel()
-            for j in range(n):
-                m.add_variable(lb[j], ub[j], obj=c[j])
-            Aub, bub, Aeq, beq = [], [], [], []
+            rows, Aub, bub, Aeq, beq = [], [], [], [], []
             for _ in range(k):
                 row = rng.uniform(-1, 1, n)
                 sense = (LE, GE, EQ)[int(rng.integers(3))]
                 rhs = float(rng.uniform(-1.5, 1.5))
-                m.add_constraint(np.arange(n), row, sense, rhs)
+                rows.append((np.arange(n), row, sense, rhs))
                 if sense == LE:
                     Aub.append(row); bub.append(rhs)
                 elif sense == GE:
                     Aub.append(-row); bub.append(-rhs)
                 else:
                     Aeq.append(row); beq.append(rhs)
-            sol = solve_lp(m)
+            sol = solve_lp(*lp_model(lb, ub, rows, c=c))
             ref = linprog(-c, A_ub=np.array(Aub) if Aub else None,
                           b_ub=bub or None,
                           A_eq=np.array(Aeq) if Aeq else None,
@@ -173,55 +177,53 @@ class TestAgainstReference:
                 assert sol.objective_value == pytest.approx(-ref.fun, abs=1e-6)
 
 
+def random_le_lp(rng, n, count, rhs):
+    """A model over ``n`` variables in [-1, 1] with a random objective and
+    ``count`` random ``<=`` rows, the right-hand side of each from ``rhs()``,
+    as ``(model, c)``."""
+    c = [float(rng.uniform(-1, 1)) for _ in range(n)]
+    rows = [(np.arange(n), rng.uniform(-1, 1, n), LE, rhs()) for _ in range(count)]
+    m, c, _ = lp_model(-np.ones(n), np.ones(n), rows, c=c)
+    return m, c
+
+
 class TestWarmStart:
     def test_added_rows_resolve_matches_cold(self):
         rng = np.random.default_rng(9)
         for trial in range(50):
             n = int(rng.integers(3, 9))
-            m = LpModel()
-            for j in range(n):
-                m.add_variable(-1, 1, obj=float(rng.uniform(-1, 1)))
-            for _ in range(int(rng.integers(1, 6))):
-                m.add_constraint(np.arange(n), rng.uniform(-1, 1, n), LE,
-                                 float(rng.uniform(0.2, 1.0)))
-            stack = stack_of_one(m)
+            c = [float(rng.uniform(-1, 1)) for _ in range(n)]
+            rows = [(np.arange(n), rng.uniform(-1, 1, n), LE, float(rng.uniform(0.2, 1.0)))
+                    for _ in range(int(rng.integers(1, 6)))]
+            m, c, _ = lp_model(-np.ones(n), np.ones(n), rows, c=c)
+            stack = stack_of_one(m, c)
             assert stack.solve().status[0] == LpStatus.OPTIMAL
             rows = [(rng.uniform(-1, 1, n), float(rng.uniform(0.05, 0.6)))
                     for _ in range(int(rng.integers(1, 4)))]
             append_le_rows(stack, rows)
             warm = stack.solve()
-            cold = solve_lp(with_objective(m, m.obj, 0.0, rows))
+            cold = solve_lp(with_le_rows(m, rows), c)
             assert warm.status[0] == cold.status
             if cold.status == LpStatus.OPTIMAL:
                 assert warm.objective_value[0] == pytest.approx(cold.objective_value, abs=1e-7)
 
     def test_warm_start_typically_cheaper(self):
         rng = np.random.default_rng(10)
-        m = LpModel()
         n = 10
-        for j in range(n):
-            m.add_variable(-1, 1, obj=float(rng.uniform(-1, 1)))
-        for _ in range(8):
-            m.add_constraint(np.arange(n), rng.uniform(-1, 1, n), LE, 0.5)
-        stack = stack_of_one(m)
+        m, c = random_le_lp(rng, n, 8, lambda: 0.5)
+        stack = stack_of_one(m, c)
         stack.solve()
         rows = [(rng.uniform(-1, 1, n), 0.1)]
         append_le_rows(stack, rows)
         warm = stack.solve()
-        cold = solve_lp(with_objective(m, m.obj, 0.0, rows))
+        cold = solve_lp(with_le_rows(m, rows), c)
         assert warm.iterations[0] <= cold.iterations
 
     def test_incompatible_basis_falls_back_to_cold(self):
-        m = LpModel()
-        m.add_variable(0, 1, obj=1.0)
-        m.add_constraint([0], [1.0], LE, 0.5)
-        good = stack_of_one(m)
+        good = stack_of_one(*lp_model([0], [1], [([0], [1.0], LE, 0.5)], c=[1.0]))
         good.solve()
-        m2 = LpModel()
-        m2.add_variable(0, 1, obj=1.0)
-        m2.add_variable(0, 1, obj=2.0)
-        m2.add_constraint([0, 1], [1.0, 1.0], LE, 0.5)
-        stack = stack_of_one(m2, start=good)
+        m, c, _ = lp_model([0, 0], [1, 1], [([0, 1], [1.0, 1.0], LE, 0.5)], c=[1.0, 2.0])
+        stack = stack_of_one(m, c, start=good)
         assert not stack.warm
         sol = stack.solve()
         assert sol.status[0] == LpStatus.OPTIMAL
@@ -231,20 +233,16 @@ class TestWarmStart:
         # the warm re-solve borders the old tableau with the new rows; no
         # basis is factorized, so no np.linalg routine may run
         rng = np.random.default_rng(13)
-        m = LpModel()
         n = 12
-        for j in range(n):
-            m.add_variable(-1, 1, obj=float(rng.uniform(-1, 1)))
-        for _ in range(9):
-            m.add_constraint(np.arange(n), rng.uniform(-1, 1, n), LE, float(rng.uniform(0.2, 1.0)))
-        stack = stack_of_one(m)
+        m, c = random_le_lp(rng, n, 9, lambda: float(rng.uniform(0.2, 1.0)))
+        stack = stack_of_one(m, c)
         first = stack.solve()
         assert first.status[0] == LpStatus.OPTIMAL
         rows = []
         for _ in range(4):  # rows the first optimum violates, like cuts
             row = rng.uniform(-1, 1, n)
             rows.append((row, float(row @ first.x[0]) - 0.1))
-        cold = solve_lp(with_objective(m, m.obj, 0.0, rows))
+        cold = solve_lp(with_le_rows(m, rows), c)
         slack_starts = record_calls(monkeypatch, Lockstep, "_slack_basis")
 
         def refuse(*args, **kwargs):
@@ -261,66 +259,62 @@ class TestWarmStart:
         assert warm.objective_value[0] == pytest.approx(cold.objective_value, abs=1e-7)
         assert np.allclose(warm.x[0], cold.x, atol=1e-7)
 
-    @pytest.mark.parametrize("change", ["coefficient", "rhs", "sense", "gained"])
+    @pytest.mark.parametrize("change", ["coefficient", "rhs", "sense", "gained", "bordered"])
     def test_basis_over_other_rows_goes_cold(self, change, monkeypatch):
-        # a start solved for another model, or for this one before it gained
-        # a row, is ignored: the solve is a cold one, pivot for pivot
-        def build(row0, rhs0, sense0):
-            m = LpModel()
-            for obj in (1.0, 2.0, -1.0):
-                m.add_variable(-1, 1, obj=obj)
-            m.add_constraint([0, 1, 2], row0, sense0, rhs0)
-            m.add_constraint([0, 1], [1.0, 1.0], LE, 0.5)
-            return m
+        # a start solved for another model, even one with the same rows and
+        # one more, or solved for this one and then bordered with a row, is
+        # ignored: the solve is a cold one, pivot for pivot
+        def build(row0, rhs0, sense0, *more):
+            rows = [([0, 1, 2], row0, sense0, rhs0), ([0, 1], [1.0, 1.0], LE, 0.5), *more]
+            return lp_model(-np.ones(3), np.ones(3), rows, c=[1.0, 2.0, -1.0])
 
-        m = build([1.0, 1.0, 1.0], 1.0, LE)
-        first = stack_of_one(m)
+        m, c, _ = build([1.0, 1.0, 1.0], 1.0, LE)
+        first = stack_of_one(m, c)
         first.solve()
-        other = {"coefficient": ([1.0, 1.0, 0.5], 1.0, LE), "rhs": ([1.0, 1.0, 1.0], 0.9, LE),
-                 "sense": ([1.0, 1.0, 1.0], 1.0, GE)}.get(change)
-        if other is not None:
-            m = build(*other)
-        m.add_constraint([1, 2], [1.0, -1.0], LE, 0.25)
+        if change == "bordered":
+            append_le_rows(first, [([0.0, 1.0, -1.0], 0.25)])
+        else:
+            other = {"coefficient": ([1.0, 1.0, 0.5], 1.0, LE), "rhs": ([1.0, 1.0, 1.0], 0.9, LE),
+                     "sense": ([1.0, 1.0, 1.0], 1.0, GE), "gained": ([1.0, 1.0, 1.0], 1.0, LE)}
+            m, c, _ = build(*other[change], ([1, 2], [1.0, -1.0], LE, 0.25))
         slack_starts = record_calls(monkeypatch, Lockstep, "_slack_basis")
-        stack = stack_of_one(m, start=first)
+        stack = stack_of_one(m, c, start=first)
         assert not stack.warm
         warm = stack.solve()
         assert len(slack_starts) == 1
-        cold = solve_lp(m)
+        cold = solve_lp(m, c)
         assert warm.status[0] == cold.status == LpStatus.OPTIMAL
         assert warm.objective_value[0] == cold.objective_value
         assert warm.iterations[0] == cold.iterations
 
     def test_objective_swap_resolves_from_the_last_optimum(self, monkeypatch):
         # a new objective leaves the last optimum primal feasible: the warm
-        # solve keeps that basis, encodes no rows again and matches a cold
-        # solve of the same model
+        # solve keeps that basis, reads the model's own rows and matches a
+        # cold solve of the same model
         rng = np.random.default_rng(14)
         slack_starts = record_calls(monkeypatch, Lockstep, "_slack_basis")
-        encoded = record_calls(monkeypatch, simplex_module, "_encode_rows")
         for trial in range(40):
             n = int(rng.integers(2, 9))
             lb = rng.uniform(-2, 0, n)
             ub = lb + rng.uniform(0.05, 3, n)
             x0 = rng.uniform(lb, ub)  # a feasible point of every row below
-            m = LpModel()
-            for j in range(n):
-                m.add_variable(lb[j], ub[j], obj=float(rng.uniform(-1, 1)))
+            c = [float(rng.uniform(-1, 1)) for _ in range(n)]
+            rows = []
             for _ in range(int(rng.integers(1, 9))):
                 row = rng.uniform(-1, 1, n)
                 sense = (LE, GE, EQ)[int(rng.integers(3))]
                 shift = {LE: 1.0, GE: -1.0, EQ: 0.0}[sense] * float(rng.uniform(0, 0.5))
-                m.add_constraint(np.arange(n), row, sense, float(row @ x0) + shift)
-            last = stack_of_one(m)
+                rows.append((np.arange(n), row, sense, float(row @ x0) + shift))
+            m, c, _ = lp_model(lb, ub, rows, c=c)
+            last = stack_of_one(m, c)
             assert last.solve().status[0] == LpStatus.OPTIMAL
             for _ in range(3):
-                m.obj = rng.uniform(-2, 2, n).tolist()
-                m.obj_constant = float(rng.uniform(-1, 1))
-                starts, rows = len(slack_starts), len(encoded)
-                last = stack_of_one(m, start=last)
+                c, constant = rng.uniform(-2, 2, n), float(rng.uniform(-1, 1))
+                starts = len(slack_starts)
+                last = stack_of_one(m, c, constant, start=last)
                 sol = last.solve()
-                assert len(slack_starts) == starts and len(encoded) == rows
-                cold = solve_lp(m)
+                assert len(slack_starts) == starts and np.shares_memory(last.As, m.A)
+                cold = solve_lp(m, c, constant)
                 assert sol.status[0] == cold.status == LpStatus.OPTIMAL
                 assert sol.objective_value[0] == pytest.approx(cold.objective_value, abs=1e-7)
 
@@ -328,24 +322,14 @@ class TestWarmStart:
         # optimal status implies rows hold within tolerance (verified inside
         # Lockstep.solve; this asserts externally as well)
         rng = np.random.default_rng(12)
-        m = LpModel()
-        n = 7
-        for j in range(n):
-            m.add_variable(-1, 1, obj=float(rng.uniform(-1, 1)))
-        rows = [rng.uniform(-1, 1, n) for _ in range(5)]
-        for row in rows:
-            m.add_constraint(np.arange(n), row, LE, 0.3)
-        sol = solve_lp(m)
+        m, c = random_le_lp(rng, 7, 5, lambda: 0.3)
+        sol = solve_lp(m, c)
         assert sol.status == LpStatus.OPTIMAL
-        for row in rows:
-            assert float(row @ sol.x) <= 0.3 + 1e-7
+        assert (m.A @ sol.x <= 0.3 + 1e-7).all()
 
     def test_iteration_limit_status(self):
-        m = LpModel()
-        for j in range(5):
-            m.add_variable(0, 1, obj=1.0)
-        m.add_constraint(np.arange(5), np.ones(5), LE, 2.0)
-        assert solve_lp(m, max_iter=0).status == LpStatus.ITERATION_LIMIT
+        m = lp_model(np.zeros(5), np.ones(5), [(np.arange(5), np.ones(5), LE, 2.0)], c=np.ones(5))
+        assert solve_lp(*m, max_iter=0).status == LpStatus.ITERATION_LIMIT
 
 
 def random_boxed_lp(rng, senses=(LE, GE, EQ), tied=False):
@@ -357,23 +341,9 @@ def random_boxed_lp(rng, senses=(LE, GE, EQ), tied=False):
         else rng.uniform
     lb = draw(-2, 0, n)
     ub = lb + (draw(1, 3, n) if tied else draw(0.05, 3, n))
-    m = LpModel()
-    for j in range(n):
-        m.add_variable(lb[j], ub[j])
-    for _ in range(k):
-        m.add_constraint(np.arange(n), draw(-1, 1, n), senses[int(rng.integers(len(senses)))],
-                         float(draw(-1, 1) if tied else draw(-1.5, 1.5)))
-    return m
-
-
-def with_objective(model, c, constant, rows=()):
-    """A copy of ``model`` maximizing ``c . x + constant``, with ``rows``
-    (``(coeffs, rhs)``, each ``<=``) appended."""
-    m = LpModel(lb=list(model.lb), ub=list(model.ub), obj=list(c), obj_constant=float(constant),
-                rows=list(model.rows), names=list(model.names))
-    for coeffs, rhs in rows:
-        m.add_constraint(np.arange(m.n_vars), coeffs, LE, rhs)
-    return m
+    rows = [(np.arange(n), draw(-1, 1, n), senses[int(rng.integers(len(senses)))],
+             float(draw(-1, 1) if tied else draw(-1.5, 1.5))) for _ in range(k)]
+    return lp_model(lb, ub, rows)[0]
 
 
 def stacks_of_one(model, C, K, start=None):
@@ -412,7 +382,7 @@ def assert_warm_members_match(model, C, K):
     assert_stack_matches(model, C, K, start=first)
 
 
-@pytest.mark.parametrize("q", [2, 5])
+@pytest.mark.parametrize("q", [2, 5, 13])
 class TestLockstep:
     @pytest.mark.parametrize("tied", [False, True])
     def test_random_lps_match_solve_lp(self, q, tied):
@@ -426,7 +396,7 @@ class TestLockstep:
                 else rng.uniform(-2, 2, (q, m.n_vars))
             K = rng.uniform(-1, 1, q)
             sol = assert_stack_matches(m, C, K)
-            ref = solve_lp(with_objective(m, C[0], K[0]))
+            ref = solve_lp(m, C[0], K[0])
             assert sol.status[0] == ref.status
             optimal += ref.status == LpStatus.OPTIMAL
             assert_warm_members_match(m, C, K)
@@ -448,12 +418,8 @@ class TestLockstep:
             assert_warm_members_match(m, C, K)
 
     def test_degenerate_lp_terminates(self, q):
-        m = LpModel()
-        n = 6
-        for j in range(n):
-            m.add_variable(0, 1)
-        for _ in range(12):
-            m.add_constraint(np.arange(n), np.ones(n), LE, 0.0)
+        m, _, _ = degenerate_lp()
+        n = m.n_vars
         C = np.vstack([np.ones(n), np.random.default_rng(3).uniform(-1, 1, (q - 1, n))])
         sol = assert_stack_matches(m, C, np.zeros(q))
         assert sol.objective_value[0] == pytest.approx(0.0, abs=1e-12)
@@ -467,25 +433,26 @@ class TestLockstep:
             lb = rng.uniform(-2, 0, n)
             ub = lb + rng.uniform(0.05, 3, n)
             x0 = rng.uniform(lb, ub)
-            m = LpModel()
-            for j in range(n):
-                m.add_variable(lb[j], ub[j])
+            rows = []
             for i in range(int(rng.integers(1, n + 1))):
                 row = rng.uniform(-1, 1, n)
                 sense = EQ if i % 2 == 0 else LE
-                m.add_constraint(np.arange(n), row, sense, float(row @ x0) + (sense == LE) * 0.3)
+                rows.append((np.arange(n), row, sense, float(row @ x0) + (sense == LE) * 0.3))
+            m, _, _ = lp_model(lb, ub, rows)
             C, K = rng.uniform(-2, 2, (q, n)), rng.uniform(-1, 1, q)
             sol = assert_stack_matches(m, C, K)
             assert all(s == LpStatus.OPTIMAL for s in sol.status)
 
-    def test_members_gain_unequal_rows(self, q):
+    def test_members_gain_unequal_rows(self, q, monkeypatch):
         # in each of two rounds, each member gets 0 to 3 rows of its own,
         # most violated at its optimum and some beyond the box, which makes
         # that member infeasible; every member matches its own stack of one,
         # bordered with the same rows, pivot for pivot, and a cold solve of
-        # its own model
+        # its own model; a stack at or above the crossover takes lockstep
+        # steps on its bordered tableaux, padding rows and all
         rng = np.random.default_rng(21)
-        infeasible = bordered = 0
+        steps = record_calls(monkeypatch, Lockstep, "_dual_step")
+        infeasible = bordered = stepped = 0
         for _ in range(80):
             m = random_boxed_lp(rng, senses=(LE,))
             C, K = rng.uniform(-2, 2, (q, m.n_vars)), rng.uniform(-1, 1, q)
@@ -506,10 +473,12 @@ class TestLockstep:
                     append_le_rows(ones[b], new[b])
                 append_le_rows(batch, [row for rows in new for row in rows],
                                np.repeat(np.arange(q), [len(rows) for rows in new]))
+                steps.clear()
                 sol = batch.solve()
+                stepped += bool(steps)
                 assert_members_match(sol, [one.solve() for one in ones])
                 for b in range(q):
-                    ref = solve_lp(with_objective(m, C[b], K[b], own[b]))
+                    ref = solve_lp(with_le_rows(m, own[b]), C[b], K[b])
                     assert (sol.status[b] == LpStatus.OPTIMAL) == (ref.status == LpStatus.OPTIMAL)
                     if ref.status == LpStatus.OPTIMAL:
                         assert sol.objective_value[b] == pytest.approx(ref.objective_value,
@@ -517,6 +486,7 @@ class TestLockstep:
                     infeasible += ref.status == LpStatus.INFEASIBLE
                 bordered += 1
         assert bordered >= 30 and infeasible >= 1
+        assert (stepped >= 20) == (q >= simplex_module.LOCKSTEP_MIN), stepped
 
 
 @pytest.mark.parametrize("streak", [None, 0, 2])
@@ -534,12 +504,8 @@ def test_kernels_take_the_same_pivots(q, streak, monkeypatch):
     if streak is not None:
         monkeypatch.setattr(simplex_module, "DEGENERATE_STREAK", streak)
     rng = np.random.default_rng(43)
-    degenerate = LpModel()
-    for j in range(6):
-        degenerate.add_variable(0, 1)
-    for _ in range(12):
-        degenerate.add_constraint(np.arange(6), np.ones(6), LE, 0.0)
-    models = [random_boxed_lp(rng, tied=trial % 2 == 1) for trial in range(40)] + [degenerate]
+    models = [random_boxed_lp(rng, tied=trial % 2 == 1) for trial in range(40)] + \
+        [degenerate_lp()[0]]
     lockstep, scalar = ([record_calls(monkeypatch, Lockstep, name) for name in names]
                         for names in (("_dual_step", "_primal_step"), ("_dual", "_primal")))
     crossed = {"cold": 0, "warm": 0}
@@ -571,11 +537,9 @@ def assert_condensed(stack, C, priced=True):
     of its objective ``C[b]``.  ``B^{-1}`` comes from np.linalg.solve on the
     model's rows, any the member gained after them and the member's basis."""
     (q, m), n = stack.basic.shape, stack.n
-    A0 = np.zeros((stack.model.n_rows, n))
-    for i, (idx, coef, _, _) in enumerate(stack.model.rows):
-        A0[i, idx] = coef
+    A0, lo, hi = stack.model.A, stack.model.lo, stack.model.hi
     # a row lo <= a . x <= hi has right-hand side hi, or lo when hi is infinite
-    rhs0 = [hi if np.isfinite(hi) else lo for _, _, lo, hi in stack.model.rows]
+    rhs0 = np.where(np.isfinite(hi), hi, lo)
     assert stack.tab.shape == (q, m + 1, n + 1)
     for b in range(q):
         assert np.array_equal(stack.As[b, :len(A0)], A0) and np.array_equal(stack.rhs[b, :len(A0)],
@@ -593,15 +557,17 @@ def assert_condensed(stack, C, priced=True):
 
 
 @pytest.mark.parametrize("streak", [None, 0, 2])
-@pytest.mark.parametrize("q", [1, 3])
+@pytest.mark.parametrize("q", [1, 3, 13])
 def test_condensed_tableau_holds_the_nonbasic_columns(q, streak, monkeypatch):
     # cold, warm from a solved stack of one, and bordered with rows of each
     # member's own; with no degenerate streak allowed or a short one, the
-    # solves pivot under Bland's rule
+    # solves pivot under Bland's rule; a stack at or above the crossover
+    # takes lockstep steps on its bordered tableaux
     if streak is not None:
         monkeypatch.setattr(simplex_module, "DEGENERATE_STREAK", streak)
     rng = np.random.default_rng(31)
-    checked = bordered = 0
+    steps = record_calls(monkeypatch, Lockstep, "_dual_step")
+    checked = bordered = stepped = 0
     for trial in range(60):
         m = random_boxed_lp(rng, senses=(LE,) if trial % 2 else (LE, GE, EQ), tied=trial % 3 == 0)
         C, K = rng.uniform(-2, 2, (q, m.n_vars)), rng.uniform(-1, 1, q)
@@ -623,10 +589,13 @@ def test_condensed_tableau_holds_the_nonbasic_columns(q, streak, monkeypatch):
             # k rows and no column
             assert stack.tab.shape == (q, rows_m + counts.max() + 1, m.n_vars + 1)
             assert_condensed(stack, C, priced=False)
+            steps.clear()
             stack.solve()
+            stepped += bool(steps)
             assert_condensed(stack, C)
             bordered += 1
     assert checked >= 40 and bordered >= 40
+    assert (stepped >= 20) == (q >= simplex_module.LOCKSTEP_MIN), stepped
 
 
 def test_acceptance_instance_solves_and_pivots_pinned(monkeypatch):
@@ -653,12 +622,10 @@ def test_acceptance_instance_solves_and_pivots_pinned(monkeypatch):
 
 
 def test_lp_format_dump(tmp_path):
-    m = LpModel()
-    m.add_variable(0, 1, obj=1.0, name="a")
-    m.add_variable(-1, 2, obj=-0.5, name="b")
-    m.add_constraint([0, 1], [2.0, -1.0], LE, 0.25)
+    m, c, constant = lp_model([0, -1], [1, 2], [([0, 1], [2.0, -1.0], LE, 0.25)], c=[1.0, -0.5],
+                              names=["a", "b"])
     path = tmp_path / "model.lp"
-    write_lp_format(m, path)
+    write_lp_format(m, c, constant, path)
     text = path.read_text()
     assert text.startswith("Maximize")
     assert "Subject To" in text and "Bounds" in text and text.rstrip().endswith("End")
@@ -666,12 +633,12 @@ def test_lp_format_dump(tmp_path):
 
 
 def test_lp_format_dump_writes_a_range_as_its_halves(tmp_path):
-    m = LpModel()
-    m.add_variable(0, 1, obj=1.0, name="a")
-    m.add_rows([[3.0], [1.0]], [-0.5, 0.25], [2.0, 0.25])
-    m.obj_constant = 1.5
+    # zero coefficients of either sign are left out, in the rows and the
+    # objective
+    m = LpModel([[3.0, -0.0], [1.0, 0.0]], [-0.5, 0.25], [2.0, 0.25], [0.0, 0.0], [1.0, 1.0],
+                ["a", "b"])
     path = tmp_path / "model.lp"
-    write_lp_format(m, path)
+    write_lp_format(m, [1.0, -0.0], 1.5, path)
     words = " ".join(path.read_text().split())
     assert ("obj: 1 a + 1.5 Subject To r0_lo: 3 a >= -0.5 r0_hi: 3 a <= 2 r1: 1 a = 0.25 "
-            "Bounds") in words
+            "Bounds 0 <= a <= 1 0 <= b <= 1 End") == words.split("Maximize ")[1]
